@@ -1,71 +1,25 @@
-"""Hot numeric kernels: forward three-term recurrence evaluation.
-
-The numba-compiled path is used by default; set MASSPOLY_NO_NUMBA=1 to force
-the pure-numpy fallback (same results to rounding).  benchmarks/bench_kernels.py
-compares the two.
-"""
-
-import os
+"""Hot numeric kernel: forward three-term recurrence evaluation, vectorized over points."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("MASSPOLY_NO_NUMBA", "0") == "1"
-
-try:
-    if _DISABLE:
-        raise ImportError
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+HAVE_NUMBA = False  # numpy is the only backend; perfbench/run.py still reads this flag
 
 
-def _recurrence_table_numpy(alphas, sqrt_betas, x, nmax):
+def recurrence_table(alphas, sqrt_betas, x, nmax):
     """Values P_0(x)..P_nmax(x) of the orthonormal system, shape (nmax+1, len(x)).
 
     alphas[k], sqrt_betas[k] = sqrt(beta_k) with beta_0 the total mass; the
     arrays must have length >= nmax+1.
     """
-    npts = x.shape[0]
-    out = np.empty((nmax + 1, npts))
+    x = np.ascontiguousarray(x, dtype=float)
+    alphas = np.ascontiguousarray(alphas, dtype=float)
+    sqrt_betas = np.ascontiguousarray(sqrt_betas, dtype=float)
+    if nmax > alphas.shape[0] or nmax + 1 > sqrt_betas.shape[0]:
+        raise ValueError("recurrence arrays too short for requested degree")
+    out = np.empty((nmax + 1, x.shape[0]))
     out[0] = 1.0 / sqrt_betas[0]
     if nmax >= 1:
         out[1] = (x - alphas[0]) * out[0] / sqrt_betas[1]
     for k in range(1, nmax):
         out[k + 1] = ((x - alphas[k]) * out[k] - sqrt_betas[k] * out[k - 1]) / sqrt_betas[k + 1]
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _recurrence_table_numba(alphas, sqrt_betas, x, nmax):  # pragma: no cover
-        npts = x.shape[0]
-        out = np.empty((nmax + 1, npts))
-        inv0 = 1.0 / sqrt_betas[0]
-        for j in range(npts):
-            out[0, j] = inv0
-        if nmax >= 1:
-            for j in range(npts):
-                out[1, j] = (x[j] - alphas[0]) * out[0, j] / sqrt_betas[1]
-        for k in range(1, nmax):
-            a = alphas[k]
-            b = sqrt_betas[k]
-            c = 1.0 / sqrt_betas[k + 1]
-            for j in range(npts):
-                out[k + 1, j] = ((x[j] - a) * out[k, j] - b * out[k - 1, j]) * c
-        return out
-
-    _recurrence_table_impl = _recurrence_table_numba
-else:
-    _recurrence_table_impl = _recurrence_table_numpy
-
-
-def recurrence_table(alphas, sqrt_betas, x, nmax):
-    x = np.ascontiguousarray(x, dtype=float)
-    alphas = np.ascontiguousarray(alphas, dtype=float)
-    sqrt_betas = np.ascontiguousarray(sqrt_betas, dtype=float)
-    if nmax > alphas.shape[0] or nmax + 1 > sqrt_betas.shape[0]:
-        raise ValueError("recurrence arrays too short for requested degree")
-    return _recurrence_table_impl(alphas, sqrt_betas, x, nmax)

@@ -98,7 +98,6 @@ def _resolved(args, cfg, spec, extra=None):
     out = {
         "measure": measure_to_dict(spec),
         "seed": args.seed,
-        "threads": args.threads,
     }
     for key in ("u", "v"):
         if key in cfg:
@@ -145,18 +144,8 @@ def cmd_recurrence(args):
     cfg = _load_config(args)
     spec = _build_measure(args, cfg)
     N = args.n if args.n is not None else cfg.get("N", 10)
-    basis = basis_for(spec, N, m=cfg.get("grid_size"))
-    rec = basis.rec
-    rows = [(k, _fmt(rec.alphas[k]), _fmt(rec.betas[k])) for k in range(min(N, len(rec)))]
-    if spec.masses:
-        # recurrence of nu itself, recovered from the updated basis via Gauss rule
-        from .opoly import stieltjes_recurrence  # noqa: F401  (documented path)
-
-        grid = make_grid(spec, len(rec))
-        from .opoly import _stieltjes
-
-        al, be = _stieltjes(grid.nodes, grid.weights, min(N, len(rec)))
-        rows = [(k, _fmt(al[k]), _fmt(be[k])) for k in range(len(al))]
+    rec = basis_for(spec, N, m=cfg.get("grid_size")).nu_rec
+    rows = [(k, _fmt(rec.alphas[k]), _fmt(rec.betas[k])) for k in range(N)]
     data = {"rows": [[int(k), float(a), float(b)] for k, a, b in rows]}
     _emit(args, "recurrence", _resolved(args, cfg, spec, {"N": N}), data, rows, ["k", "alpha_k", "beta_k"])
     return 0
@@ -398,7 +387,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--base", choices=("legendre", "jacobi", "laguerre", "hermite"), default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--beta", type=float, default=None)

@@ -24,11 +24,6 @@ GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
 # grids
 
 
-def gauss_rule(rec: Recurrence, m: int):
-    """Gauss rule of order m from a recurrence: exact for degree <= 2m-1."""
-    return gauss_points(rec, m)
-
-
 @dataclass
 class Grid:
     """Quadrature nodes for the continuous part plus every mass location."""
@@ -375,10 +370,6 @@ def default_degree_list(N, count=20, start=4):
     return [int(n) for n in ns]
 
 
-def _coefficient_table(basis, grid, N):
-    return basis.eval_all(grid.nodes, N)
-
-
 def strong_probe(
     basis: OrthoBasis,
     grid: Grid,
@@ -416,7 +407,7 @@ def strong_probe(
         e = np.zeros(m)
         e[i] = 1.0
         static.append(e)
-    phi = _coefficient_table(basis, grid, max(ns))
+    phi = basis.eval_all(grid.nodes, max(ns))
     pp = p / (p - 1)
     entries = []
     for n in ns:
@@ -477,7 +468,7 @@ def commutator_probe(
         e = np.zeros(m)
         e[i] = 1.0
         static.append(e)
-    phi = _coefficient_table(basis, grid, max(ns))
+    phi = basis.eval_all(grid.nodes, max(ns))
     pp = p / (p - 1)
     entries = []
     for n in ns:
@@ -530,7 +521,7 @@ def maximal_probe(
     uv = weight_values(u, grid, spec)
     vv = weight_values(v, grid, spec)
     rng = np.random.default_rng(seed)
-    phi = _coefficient_table(basis, grid, max(ns))
+    phi = basis.eval_all(grid.nodes, max(ns))
     m = grid.size
     fs = [rng.standard_normal(m) for _ in range(trials)]
     for i in list(grid.atom_idx) + [0, m - 1]:
@@ -627,7 +618,7 @@ def weak_type_probe(
     spec = basis.measure
     uv = weight_values(u, grid, spec)
     idx = LorentzIndex(p, math.inf)
-    phi = _coefficient_table(basis, grid, N)
+    phi = basis.eval_all(grid.nodes, N)
     ratios = np.zeros((len(sets), N + 1))
     for si, mask in enumerate(sets):
         chi = mask.astype(float)

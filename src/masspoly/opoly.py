@@ -4,8 +4,8 @@ Construction paths:
   * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
   * discretized Stieltjes recurrences for generalized Jacobi weights
     (composite Gauss-Jacobi cells split at every algebraic singularity),
-  * point masses added through the rank-k Gram update in the base-orthonormal
-    basis: G = I + sum_i M_i v_i v_i^T, with v_i the evaluation vector at a_i.
+  * point masses folded into the recurrence of the whole measure by Lanczos
+    (Householder tridiagonalization) on the Gauss rule of mu plus the atoms.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) and the convex-combination
 decomposition of L_n over Christoffel-modified measures are provided on top.
@@ -298,16 +298,33 @@ def recurrence_for(base, N: int, m: int | None = None, high_precision=False) -> 
 
 
 def gauss_points(rec: Recurrence, m: int):
-    """Gauss rule (nodes, weights) of order m from the recurrence (Golub-Welsch)."""
+    """Gauss rule (nodes, weights) of order m from the recurrence.
+
+    Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
+    relative accuracy down to the tiny weights at far Laguerre / Hermite
+    nodes; Golub-Welsch eigenvector weights only have absolute accuracy.
+    """
     if m > len(rec):
         raise GridTooSmall(f"rule order {m} exceeds recurrence length {len(rec)}")
     try:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            rec.alphas[:m], np.sqrt(rec.betas[1:m])
-        )
+        x = scipy.linalg.eigvalsh_tridiagonal(rec.alphas[:m], np.sqrt(rec.betas[1:m]))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(str(exc)) from exc
-    return vals, rec.total_mass * vecs[0] ** 2
+    # Orthonormal recurrence with the pair (P_{k-1}, P_k) and the running sum
+    # rescaled by powers of two, which is exact, so far nodes cannot overflow.
+    sb = np.sqrt(rec.betas[:m])
+    p_prev = np.zeros_like(x)
+    p = np.full_like(x, 1.0 / sb[0])
+    total = p * p
+    exponent = np.zeros(x.shape, dtype=int)  # sum_k P_k^2 = total * 2**exponent
+    for k in range(m - 1):
+        p_prev, p = p, ((x - rec.alphas[k]) * p - sb[k] * p_prev) / sb[k + 1]
+        total += p * p
+        half = np.frexp(total)[1] // 2
+        p_prev, p = np.ldexp(p_prev, -half), np.ldexp(p, -half)
+        total = np.ldexp(total, -2 * half)
+        exponent += 2 * half
+    return x, np.ldexp(1.0 / total, -exponent)
 
 
 # ----------------------------------------------------------------------
@@ -318,26 +335,22 @@ def gauss_points(rec: Recurrence, m: int):
 class OrthoBasis:
     """Evaluation-ready orthonormal system for a MeasureSpec up to a degree cap.
 
-    ``rec`` belongs to the continuous part mu; when the measure carries point
-    masses, ``cob`` is the lower-triangular change of basis with
-    P^nu = cob @ P^mu (identity when absent).
+    ``nu_rec`` is the recurrence of the whole measure nu and drives every
+    evaluation; ``rec`` stays the recurrence of the continuous part mu (the
+    same object when the measure carries no point masses).
     """
 
     measure: MeasureSpec
     rec: Recurrence
     degree: int
-    cob: np.ndarray | None = None
+    nu_rec: Recurrence
 
     def eval_all(self, x, upto: int | None = None):
         """Values P_0..P_upto at points x, shape (upto+1, len(x))."""
         n = self.degree if upto is None else upto
         if n > self.degree:
             raise DegreeOutOfRange(f"degree {n} exceeds cap {self.degree}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        table = self.rec.table(x, n)
-        if self.cob is not None:
-            table = self.cob[: n + 1, : n + 1] @ table
-        return table
+        return self.nu_rec.table(np.atleast_1d(np.asarray(x, dtype=float)), n)
 
     def eval(self, n: int, x):
         """P_n at x (scalar in, scalar out)."""
@@ -347,38 +360,39 @@ class OrthoBasis:
 
 
 def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
-    """Orthonormal basis for nu = mu + sum M_i delta_{a_i} via the Gram update."""
+    """Orthonormal basis for nu = mu + sum M_i delta_{a_i}, as one recurrence.
+
+    Lanczos in its orthogonal-reduction form (Gragg & Harrod, Numer. Math.
+    44, 1984): the Jacobi matrix J of degrees 0..N encodes the Gauss rule of
+    order N+1 without forming it.  Bordering blockdiag(J, a_1, .., a_k) with
+    the start vector (sqrt(b_0) e_1, sqrt(M_1), ..) and reducing it to
+    tridiagonal form by Householder reflections gives the recurrence of that
+    rule plus the atoms.  The rule integrates nu exactly to degree 2N+1, so
+    the coefficients are exact through degree N.
+    """
     masses = tuple(masses)
     if not masses:
         return base_basis
     spec = validate(base_basis.measure.with_masses(masses))
     N = base_basis.degree
-    G = np.eye(N + 1)
-    for mp in masses:
-        v = base_basis.eval_all(mp.location)[:, 0]
-        G += mp.mass * np.outer(v, v)
-    try:
-        L = scipy.linalg.cholesky(G, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"Gram update lost positivity: {exc}") from exc
-    B = scipy.linalg.solve_triangular(L, np.eye(N + 1), lower=True)
-    if base_basis.cob is not None:
-        B = B @ base_basis.cob
-    return OrthoBasis(spec, base_basis.rec, N, B)
+    rec = base_basis.nu_rec
+    # row and column 0 carry the start vector, rows 1..N+1 J, the rest the atoms
+    diag = np.concatenate([[0.0], rec.alphas[: N + 1], [mp.location for mp in masses]])
+    off = np.concatenate([np.sqrt(rec.betas[: N + 1]), np.zeros(len(masses))])
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    A[0, N + 2 :] = A[N + 2 :, 0] = np.sqrt([mp.mass for mp in masses])
+    T = scipy.linalg.hessenberg(A)
+    total = rec.total_mass + sum(mp.mass for mp in masses)
+    nu_rec = Recurrence(np.diag(T)[1 : N + 2], np.concatenate([[total], np.diag(T, -1)[1 : N + 1] ** 2]))
+    return OrthoBasis(spec, base_basis.rec, N, nu_rec)
 
 
 def basis_for(spec: MeasureSpec, N: int, m: int | None = None, high_precision=False) -> OrthoBasis:
     """Build the orthonormal basis of a validated MeasureSpec up to degree N."""
     validate(spec)
     rec = recurrence_for(spec.base, N + 1, m=m, high_precision=high_precision)
-    base = OrthoBasis(spec.with_masses(()), rec, N)
+    base = OrthoBasis(spec.with_masses(()), rec, N, rec)
     return add_mass_points(base, spec.masses)
-
-
-def eval_basis(basis: OrthoBasis, n: int, x):
-    if n > basis.degree:
-        raise DegreeOutOfRange(f"degree {n} exceeds cap {basis.degree}")
-    return basis.eval(n, x)
 
 
 def cd_kernel(basis: OrthoBasis, n: int, x, y):
@@ -533,7 +547,7 @@ def monomial_coefficients(basis: OrthoBasis):
     the conversion is exponentially ill-conditioned for large N.
     """
     N = basis.degree
-    rec = basis.rec
+    rec = basis.nu_rec
     sb = np.sqrt(rec.betas)
     C = np.zeros((N + 1, N + 1))
     C[0, 0] = 1.0 / sb[0]
@@ -545,6 +559,4 @@ def monomial_coefficients(basis: OrthoBasis):
         C[k + 1] -= rec.alphas[k] * C[k]
         C[k + 1] -= sb[k] * C[k - 1]
         C[k + 1] /= sb[k + 1]
-    if basis.cob is not None:
-        C = basis.cob @ C
     return C

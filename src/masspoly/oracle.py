@@ -189,9 +189,3 @@ def oracle_orthonormal_coefficients(spec: MeasureSpec, N: int):
             C[k, i] = float(c) * scale
     return C
 
-
-def oracle_gram(spec: MeasureSpec, N: int):
-    """Exact Gram matrix of the orthonormal candidate system; identity iff the
-    float coefficients it is handed are exactly orthonormal (diagnostic)."""
-    moments = rational_moments(spec, 2 * N)
-    return [[moments[i + j] for j in range(N + 1)] for i in range(N + 1)]

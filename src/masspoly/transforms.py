@@ -241,11 +241,6 @@ class PollardParts:
         return float(np.max(np.abs(self.reconstruction - self.t_n)) / scale)
 
 
-def _mu_density(spec: MeasureSpec):
-    base = spec.base
-    return base.density
-
-
 def _continuous_quadrature(basis: OrthoBasis):
     """Gauss rule of the continuous part at the full recurrence length."""
     from .opoly import gauss_points
@@ -264,7 +259,7 @@ def _t_n(basis: OrthoBasis, fy, y, wy, n, x):
 def _pollard_w(nu_basis, q_basis, f, n, x, rule):
     """The three Pollard parts of f at points x; f is a callable on [-1,1]."""
     y, wy = rule
-    dens = _mu_density(nu_basis.measure)
+    dens = nu_basis.measure.base.density
     fy = _as_values(f, y)
     wdy = dens(y) * wy
     p_next = lambda t: nu_basis.eval_all(t, n + 1)[n + 1]
@@ -375,7 +370,7 @@ def commutator_psi_parts(
             mu_basis.measure, extra_singular=b_singularities, order=max(16, n + 8)
         )
     y, wy = rule
-    dens = _mu_density(mu_basis.measure)
+    dens = mu_basis.measure.base.density
     wdy = dens(y) * wy
     by = _as_values(b, y)
     fy = _as_values(f, y)

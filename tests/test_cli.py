@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from masspoly import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
 from masspoly.cli import main
+from masspoly.oracle import oracle_recurrence
 
 
 def run(capsys, *argv):
@@ -31,6 +34,24 @@ def test_recurrence_with_mass_total_mass(capsys):
     code, doc = run_json(capsys, "recurrence", "--base", "legendre", "--mass", "1:1", "--n", "5")
     assert code == 0
     assert doc["rows"][0][2] == pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--base", "legendre", "--mass", "1:1"], legendre([MassPoint(1.0, 1.0)])),
+    (["--base", "legendre", "--mass=-1:0.5", "--mass", "1:0.5"],
+     legendre([MassPoint(-1.0, 0.5), MassPoint(1.0, 0.5)])),
+    (["--base", "jacobi", "--alpha", "1", "--beta", "1", "--mass", "0.5:0.25"],
+     MeasureSpec(GenJacobiSpec(1.0, 1.0), (MassPoint(0.5, 0.25),))),
+    (["--base", "laguerre", "--mass", "0:1"], MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))),
+])
+def test_recurrence_with_masses_matches_oracle(capsys, flags, spec):
+    code, doc = run_json(capsys, "recurrence", *flags, "--n", "10")
+    assert code == 0
+    rows = np.array(doc["rows"])
+    al, be = oracle_recurrence(spec, 10)
+    assert list(rows[:, 0]) == list(range(10))
+    np.testing.assert_allclose(rows[:, 1], al[:10], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rows[:, 2], be[:10], rtol=1e-12, atol=0)
 
 
 def test_invalid_exponent_exits_2(capsys, tmp_path):
@@ -109,6 +130,14 @@ def test_probe_reports_agreement(capsys):
     assert code == 0
     assert doc["report"]["verdict"] == "bounded"
     assert doc["agreement"] is True
+
+
+def test_probe_laguerre_mass_p2_is_projection(capsys):
+    # at p = 2 with unit weights every S_n is an orthogonal projection in L^2(nu)
+    code, doc = run_json(capsys, "probe", "--base", "laguerre", "--mass", "0:1", "--p", "2", "--n", "60")
+    assert code == 0
+    vals = np.array([v for _, v in doc["report"]["entries"]])
+    assert np.all(np.abs(vals - 1.0) < 1e-8)
 
 
 def test_weak_probe_defaults_to_restricted(capsys):

@@ -1,19 +1,7 @@
 import numpy as np
 import pytest
 
-from masspoly._kernels import _recurrence_table_numpy, recurrence_table
-from masspoly.opoly import basis_for
-from masspoly import legendre
-
-
-def test_active_backend_matches_numpy_reference():
-    basis = basis_for(legendre(), 40)
-    al = np.asarray(basis.rec.alphas[:41], dtype=float)
-    sb = np.sqrt(np.asarray(basis.rec.betas[:41], dtype=float))
-    x = np.linspace(-0.99, 0.99, 101)
-    active = recurrence_table(al, sb, x, 40)
-    reference = _recurrence_table_numpy(al, sb, x, 40)
-    assert np.max(np.abs(active - reference)) < 1e-13
+from masspoly._kernels import recurrence_table
 
 
 def test_recurrence_table_guards_short_arrays():

@@ -24,7 +24,6 @@ from masspoly.norms import (
     commutator_probe,
     default_set_family,
     fit_growth,
-    gauss_rule,
     operator_norm_probe,
     partial_sum_matrix,
     rearrangement,
@@ -32,7 +31,7 @@ from masspoly.norms import (
     weak_type_probe,
     weight_values,
 )
-from masspoly.opoly import basis_for, classical_recurrence
+from masspoly.opoly import basis_for, classical_recurrence, gauss_points
 from masspoly.transforms import partial_sum
 
 
@@ -49,7 +48,7 @@ def test_make_grid_includes_atoms_and_total_mass():
 
 def test_gauss_rule_matches_classical():
     rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), 6)
-    xs, ws = gauss_rule(rec, 3)
+    xs, ws = gauss_points(rec, 3)
     # exact for degree <= 5
     assert np.sum(ws * xs**4) == pytest.approx(2.0 / 5.0)
 

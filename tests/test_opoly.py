@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 
 from masspoly import (
     DegreeOutOfRange,
@@ -35,6 +36,13 @@ def quad_with_atoms(spec, basis, m):
         xs = np.concatenate([xs, [mp.location for mp in spec.masses]])
         ws = np.concatenate([ws, [mp.mass for mp in spec.masses]])
     return xs, ws
+
+
+def scipy_rule(base, m):
+    """Gauss rule of a Laguerre or Hermite weight from scipy, independent of opoly."""
+    if isinstance(base, LaguerreSpec):
+        return scipy.special.roots_genlaguerre(m, base.alpha)
+    return scipy.special.roots_hermite(m)
 
 
 def gram(spec, basis, N, m=None):
@@ -85,6 +93,15 @@ def test_gauss_weights_sum_to_total_mass():
     assert np.sum(ws) == pytest.approx(rec.total_mass)
 
 
+@pytest.mark.parametrize("base, m", [(LaguerreSpec(0.0), 100), (LaguerreSpec(1.0), 150), (HermiteSpec(), 120)])
+def test_gauss_weights_relative_accuracy_unbounded(base, m):
+    # far nodes carry weights down to ~1e-245; each must keep its relative accuracy
+    xs, ws = gauss_points(recurrence_for(base, m), m)
+    x_ref, w_ref = scipy_rule(base, m)
+    np.testing.assert_allclose(xs, x_ref, rtol=1e-12)
+    np.testing.assert_allclose(ws, w_ref, rtol=1e-9, atol=0)
+
+
 def test_mass_basis_hand_example():
     # Lebesgue on [-1,1] plus delta_1: P_1 = (sqrt(3)/2)(x - 1/3)
     basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 3)
@@ -101,6 +118,21 @@ def test_orthonormality_with_masses():
     basis = basis_for(spec, 20)
     G = gram(spec, basis, 20, 60)
     assert np.abs(G - np.eye(21)).max() < 1e-11
+
+
+@pytest.mark.parametrize("N", [60, 150])
+@pytest.mark.parametrize("spec", [
+    MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),)),
+    MeasureSpec(LaguerreSpec(1.0)),
+    MeasureSpec(HermiteSpec(), (MassPoint(0.5, 1.0),)),
+])
+def test_unbounded_support_gram_on_independent_rule(spec, N):
+    # scipy's Gauss rule with N + 20 nodes plus the atoms integrates nu exactly to degree 2N
+    xs, ws = scipy_rule(spec.base, N + 20)
+    xs = np.concatenate([xs, [mp.location for mp in spec.masses]])
+    ws = np.concatenate([ws, [mp.mass for mp in spec.masses]])
+    phi = basis_for(spec, N).eval_all(xs, N)
+    assert np.abs((phi * ws) @ phi.T - np.eye(N + 1)).max() <= 1e-12
 
 
 def test_degree_cap_raises():

@@ -89,3 +89,20 @@ def test_oracle_matches_library_coefficients():
     C_lib = monomial_coefficients(basis_for(spec, N))[: N + 1, : N + 1]
     scale = np.abs(C_exact).max(axis=1)
     assert np.max(np.abs(C_exact - C_lib) / scale[:, None]) < 1e-12
+
+
+MASSED_CONFIGS = [
+    legendre([MassPoint(1.0, 1.0)]),
+    legendre([MassPoint(-1.0, 0.5), MassPoint(1.0, 0.5)]),
+    MeasureSpec(GenJacobiSpec(1.0, 1.0), (MassPoint(0.5, 0.25),)),
+    MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),)),
+]
+
+
+@pytest.mark.parametrize("spec", MASSED_CONFIGS)
+def test_nu_recurrence_matches_oracle(spec):
+    N = 10
+    al, be = oracle_recurrence(spec, N)
+    nu_rec = basis_for(spec, N).nu_rec
+    np.testing.assert_allclose(nu_rec.alphas, al, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(nu_rec.betas, be, rtol=1e-12, atol=0)
