@@ -15,7 +15,7 @@ import scipy.linalg
 
 from .errors import NonFiniteWeight, SpecError
 from .measure import MeasureSpec, PowerWeightSpec, validate
-from .opoly import OrthoBasis, Recurrence, gauss_points, recurrence_for
+from .opoly import OrthoBasis, Recurrence, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
 
@@ -98,8 +98,7 @@ def weight_values(w: PowerWeightSpec | None, grid: Grid, spec: MeasureSpec):
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
-    if p < 1:
-        raise SpecError(f"p must be >= 1, got {p}")
+    _check_exponent(p)
     return float(np.sum(f.weights * np.abs(f.values) ** p) ** (1.0 / p))
 
 
@@ -116,8 +115,7 @@ class LorentzIndex:
     r: float  # math.inf gives the weak norm
 
     def __post_init__(self):
-        if not (1 <= self.p < math.inf):
-            raise SpecError(f"p must be in [1, inf), got {self.p}")
+        _check_exponent(self.p)
         if not (1 <= self.r):
             raise SpecError(f"r must be in [1, inf], got {self.r}")
 
@@ -158,7 +156,7 @@ def bmo_norm_estimate(b, resolution: int, npts: int = 64, return_levels=False):
     Sweeps every dyadic subinterval down to length 2^{1-resolution}; the
     estimate is nondecreasing in ``resolution``.
     """
-    s, ws = np.polynomial.legendre.leggauss(npts)
+    s, ws = gauss_jacobi_rule(npts)
     best = 0.0
     levels = []
     for level in range(resolution + 1):
@@ -187,11 +185,11 @@ def bmo_symbols(t: float = 0.3, steepness: float = 50.0):
 
 
 # ----------------------------------------------------------------------
-# operator matrices
+# dense operator matrices: test references; the probes keep S_n in its factors
 
 
 def partial_sum_matrix(basis: OrthoBasis, grid: Grid, n: int):
-    """Matrix of S_n acting on node values (integration against d-nu)."""
+    """Dense matrix of S_n acting on node values (integration against d-nu)."""
     phi = basis.eval_all(grid.nodes, n)
     return phi.T @ (phi * grid.weights)
 
@@ -206,21 +204,54 @@ def commutator_matrix(basis: OrthoBasis, grid: Grid, n: int, b_vals):
 # operator-norm probes
 
 
-def _weighted_matrix(op, u_vals, v_vals):
+def _checked_weights(u_vals, v_vals):
     u = np.asarray(u_vals, dtype=float)
     v = np.asarray(v_vals, dtype=float)
     if not np.all(np.isfinite(u)):
         raise NonFiniteWeight("u has a non-finite node value")
     if not np.all(v > 0) or not np.all(np.isfinite(v)):
         raise NonFiniteWeight("v must be finite and positive at every node")
-    # 0 * inf = 0 convention: a zero u row wipes the row regardless of op
-    A = u[:, None] * op / v[None, :]
-    A[u == 0.0, :] = 0.0
-    return A
+    return u, v
+
+
+def _weighted_rows(u, Y):
+    """u * Y row by row; 0 * inf = 0 convention: a zero u wipes its row."""
+    out = u[:, None] * Y
+    out[u == 0.0] = 0.0
+    return out
+
+
+def _weighted_matrix(op, u_vals, v_vals):
+    u, v = _checked_weights(u_vals, v_vals)
+    return _weighted_rows(u, op / v[None, :])
+
+
+def _check_exponent(p, dual=False):
+    """Reject p outside [1, inf); with ``dual`` also p = 1, whose conjugate p' is infinite."""
+    if not 1 <= p < math.inf:
+        raise SpecError(f"p must be in [1, inf), got {p}")
+    if dual and p == 1:
+        raise SpecError("p = 1 has no finite conjugate exponent p'; use p > 1")
+
+
+def _svd(A, **kwargs):
+    try:
+        return scipy.linalg.svd(A, full_matrices=False, **kwargs)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge; gesvd is slower but robust
+        return scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesvd", **kwargs)
 
 
 def _pnorm(w, x, p):
     return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
+
+
+def _best_ratio(w, Y, F, p):
+    """max_j ||Y[:, j]||_p / ||F[:, j]||_p over the columns with F[:, j] != 0 (0 if none)."""
+    pnorms = lambda X: np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
+    nf = pnorms(F)
+    keep = nf > 0
+    return float(np.max(pnorms(Y[:, keep]) / nf[keep], initial=0.0))
 
 
 def operator_norm_probe(
@@ -235,13 +266,14 @@ def operator_norm_probe(
     x0=None,
     restarts: int = 3,
 ):
-    """Estimate sup_f ||u op(v^{-1} f)||_p / ||f||_p on the grid.
+    """Estimate sup_f ||u op(v^{-1} f)||_p / ||f||_p on the grid for a dense op.
 
     Exact (spectral) at p = 2; for other p a lower bound from random trials,
     coordinate indicators and a p-duality power iteration restarted from the
     best starting points (``x0`` supplies a warm start).  Returns
     (estimate, maximizer values).
     """
+    _check_exponent(p, dual=True)
     m = grid.size
     w = grid.weights
     if u_vals is None:
@@ -251,11 +283,7 @@ def operator_norm_probe(
     A = _weighted_matrix(op, u_vals, v_vals)
     sw = np.sqrt(w)
     Aw = sw[:, None] * A / sw[None, :]
-    try:
-        U, S, Vt = scipy.linalg.svd(Aw, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but robust
-        U, S, Vt = scipy.linalg.svd(Aw, full_matrices=False, lapack_driver="gesvd")
+    U, S, Vt = _svd(Aw)
     spec_vec = Vt[0] / sw  # L^2 maximizer in function coordinates
     if p == 2:
         return float(S[0]), spec_vec
@@ -306,6 +334,56 @@ def operator_norm_probe(
                 break
             last = r
     return float(best_val), best_x
+
+
+def _partial_sums(phi, w, G, degrees):
+    """Yield (n, S_n G) for ascending ``degrees``; the columns of G are node values.
+
+    S_n = phi_n^T diag(w) phi_n stays in its factors: the coefficients
+    phi (w G) are formed once, and each step adds the rows of phi between
+    consecutive degrees.  The yielded array is updated in place by the next step.
+    """
+    coef = phi @ (w[:, None] * G)
+    out = np.zeros_like(G)
+    k = 0
+    for n in degrees:
+        out += phi[k : n + 1].T @ coef[k : n + 1]
+        k = n + 1
+        yield n, out
+
+
+def _spectral_norms(phi, w, uv, vv, degrees):
+    """Exact L^2(d-nu) norms of u S_n(v^{-1} .) for every n in ``degrees``.
+
+    In sqrt(w)-scaled coordinates the operator is L_n R_n^T with
+    L = diag(sqrt(w) u) phi^T and R = diag(sqrt(w) / v) phi^T.  The R factor of
+    the first n+1 columns of a matrix is the leading block of the R factor of
+    all its columns, so one QR per factor gives every degree its norm as the top
+    singular value of a product of two (n+1) x (n+1) triangles.
+    """
+    sw = np.sqrt(w)
+    rl = scipy.linalg.qr((sw * uv)[:, None] * phi.T, mode="r")[0]
+    rr = scipy.linalg.qr((sw / vv)[:, None] * phi.T, mode="r")[0]
+    return {n: float(_svd(rl[: n + 1, : n + 1] @ rr[: n + 1, : n + 1].T, compute_uv=False)[0])
+            for n in degrees}
+
+
+def _trial_functions(grid: Grid, seed, trials, spots):
+    """m x K candidates: ``trials`` seeded standard normal vectors, then the indicator of each node in ``spots``."""
+    m = grid.size
+    F = np.zeros((m, trials + len(spots)))
+    F[:, :trials] = np.random.default_rng(seed).standard_normal((trials, m)).T
+    F[spots, trials + np.arange(len(spots))] = 1.0
+    return F
+
+
+def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
+    """Degree list, checked node values of u and v, and the basis table up to the top degree."""
+    if ns is None:
+        ns = default_degree_list(basis.degree if N is None else N)
+    spec = basis.measure
+    uv, vv = _checked_weights(weight_values(u, grid, spec), weight_values(v, grid, spec))
+    return list(ns), uv, vv, basis.eval_all(grid.nodes, max(ns))
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +443,12 @@ def _verdict(gamma):
     return "growing" if gamma > GROWTH_THRESHOLD else "bounded"
 
 
+def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport:
+    entries = [(n, vals[n]) for n in ns]
+    gamma, res = fit_growth(*zip(*entries), envelope=True)
+    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, **weights)
+
+
 def default_degree_list(N, count=20, start=4):
     ns = np.unique(np.round(np.geomspace(start, N, count)).astype(int))
     return [int(n) for n in ns]
@@ -383,55 +467,37 @@ def strong_probe(
 ) -> ProbeReport:
     """Growth probe of ||u S_n(v^{-1} .)||_{L^p(d-nu)} over a degree sweep.
 
-    Entries are deterministic lower bounds built from a fixed trial family
-    (seeded random functions, atom indicators) together with the dual
-    certificates of the top expansion coefficient: the test function
-    |P_n|^{p'-1} sgn(P_n) and the projection-increment value
+    Exact at p = 2.  Otherwise entries are deterministic lower bounds built
+    from a fixed trial family (seeded random functions, atom indicators)
+    together with the dual certificates of the top expansion coefficient: the
+    test function |P_n|^{p'-1} sgn(P_n) and the projection-increment value
     ||u P_n||_p ||P_n / v||_{p'} = ||u (S_n - S_{n-1})(v^{-1} .)||_{p->p}.
     The certificates carry the blow-up signal; adaptive optimization is
     deliberately avoided because its estimates creep upward for bounded
     operators at these degree scales and would defeat the trend fit.
     """
-    if N is None:
-        N = basis.degree
-    if ns is None:
-        ns = default_degree_list(N)
-    spec = basis.measure
-    uv = weight_values(u, grid, spec)
-    vv = weight_values(v, grid, spec)
+    _check_exponent(p, dual=True)
+    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     w = grid.weights
-    m = grid.size
-    rng = np.random.default_rng(seed)
-    static = [rng.standard_normal(m) for _ in range(trials)]
-    for i in list(grid.atom_idx) + [m // 2]:
-        e = np.zeros(m)
-        e[i] = 1.0
-        static.append(e)
-    phi = basis.eval_all(grid.nodes, max(ns))
-    pp = p / (p - 1)
-    entries = []
-    for n in ns:
-        op = partial_sum_matrix(basis, grid, n)
-        if p == 2:
-            est, _ = operator_norm_probe(op, grid, p, uv, vv)
-            entries.append((n, est))
-            continue
-        A = _weighted_matrix(op, uv, vv)
-        cands = list(static)
-        for k in (n, n - 1):
-            if k >= 0:
-                pk = phi[k] / vv
-                cands.append(vv * np.abs(pk) ** (pp - 1) * np.sign(pk))
-        best = 0.0
-        for f in cands:
-            nf = _pnorm(w, f, p)
-            if nf > 0:
-                best = max(best, _pnorm(w, A @ f, p) / nf)
-        cert = _pnorm(w, uv * phi[n], p) * _pnorm(w, phi[n] / vv, pp)
-        entries.append((n, max(best, cert)))
-    gamma, res = fit_growth(*zip(*entries), envelope=True)
-    return ProbeReport(
-        "strong", p, entries, gamma, res, _verdict(gamma), seed, grid.size,
+    degrees = sorted(set(ns))
+    if p == 2:
+        vals = _spectral_norms(phi, w, uv, vv, degrees)
+    else:
+        F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
+        pp = p / (p - 1)
+        vals = {}
+        for n, SF in _partial_sums(phi, w, F / vv[:, None], degrees):
+            # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; G holds f / v
+            pk = phi[[k for k in (n, n - 1) if k >= 0]] / vv
+            G = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
+            head = phi[: n + 1]
+            SG = head.T @ (head @ (w[:, None] * G))
+            best = max(_best_ratio(w, _weighted_rows(uv, SF), F, p),
+                       _best_ratio(w, _weighted_rows(uv, SG), vv[:, None] * G, p))
+            cert = _pnorm(w, uv * phi[n], p) * _pnorm(w, phi[n] / vv, pp)
+            vals[n] = max(best, float(cert))
+    return _sweep_report(
+        "strong", p, ns, vals, seed, grid,
         u={} if u is None else {"a": u.a, "b": u.b},
         v={} if v is None else {"a": v.a, "b": v.b},
     )
@@ -450,55 +516,31 @@ def commutator_probe(
     seed: int = 0,
 ) -> ProbeReport:
     """Growth probe of the commutator [M_b, S_n] in L^p(d-nu)."""
-    if N is None:
-        N = basis.degree
-    if ns is None:
-        ns = default_degree_list(N)
+    _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_vals[grid.atom_idx])):
         raise NonFiniteWeight("symbol b must be finite at every mass point")
-    spec = basis.measure
-    uv = weight_values(u, grid, spec)
-    vv = weight_values(v, grid, spec)
+    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     w = grid.weights
-    m = grid.size
-    rng = np.random.default_rng(seed)
-    static = [rng.standard_normal(m) for _ in range(trials)]
-    for i in list(grid.atom_idx) + [m // 2]:
-        e = np.zeros(m)
-        e[i] = 1.0
-        static.append(e)
-    phi = basis.eval_all(grid.nodes, max(ns))
+    F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
+    G = F / vv[:, None]
+    K = G.shape[1]
     pp = p / (p - 1)
-    entries = []
-    for n in ns:
-        # entries are fixed-family lower bounds plus increment certificates;
-        # exact norms approach their (finite) sup so slowly in n that a trend
-        # fit on them would misread every bounded commutator as growing
-        op = commutator_matrix(basis, grid, n, b_vals)
-        A = _weighted_matrix(op, uv, vv)
-        # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate
-        pn_vals = phi[n]
-        R = np.outer(uv * b_vals * pn_vals, pn_vals * w / vv) - np.outer(
-            uv * pn_vals, b_vals * pn_vals * w / vv
-        )
-        certs = []
-        for pk in (pn_vals / vv, b_vals * pn_vals / vv):
-            certs.append(vv * np.abs(pk) ** (pp - 1) * np.sign(pk))
-        best = 0.0
-        for f in static:
-            nf = _pnorm(w, f, p)
-            if nf > 0:
-                best = max(best, _pnorm(w, A @ f, p) / nf)
-        for f in certs:
-            nf = _pnorm(w, f, p)
-            if nf > 0:
-                best = max(best, _pnorm(w, R @ f, p) / nf)
-        entries.append((n, best))
-    gamma, res = fit_growth(*zip(*entries), envelope=True)
-    return ProbeReport(
-        "commutator", p, entries, gamma, res, _verdict(gamma), seed, grid.size
-    )
+    vals = {}
+    # entries are fixed-family lower bounds plus increment certificates;
+    # exact norms approach their (finite) sup so slowly in n that a trend
+    # fit on them would misread every bounded commutator as growing
+    for n, S in _partial_sums(phi, w, np.hstack([G, b_vals[:, None] * G]), sorted(set(ns))):
+        # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v)
+        best = _best_ratio(w, _weighted_rows(uv, b_vals[:, None] * S[:, :K] - S[:, K:]), F, p)
+        # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
+        # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; H holds f / v
+        pn = phi[n]
+        pk = np.stack([pn / vv, b_vals * pn / vv])
+        H = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
+        R = np.outer(b_vals * pn, pn @ (w[:, None] * H)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * H))
+        vals[n] = max(best, _best_ratio(w, _weighted_rows(uv, R), vv[:, None] * H, p))
+    return _sweep_report("commutator", p, ns, vals, seed, grid)
 
 
 def maximal_probe(
@@ -513,37 +555,19 @@ def maximal_probe(
     seed: int = 0,
 ) -> ProbeReport:
     """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|."""
-    if N is None:
-        N = basis.degree
-    if ns is None:
-        ns = default_degree_list(N)
-    spec = basis.measure
-    uv = weight_values(u, grid, spec)
-    vv = weight_values(v, grid, spec)
-    rng = np.random.default_rng(seed)
-    phi = basis.eval_all(grid.nodes, max(ns))
-    m = grid.size
-    fs = [rng.standard_normal(m) for _ in range(trials)]
-    for i in list(grid.atom_idx) + [0, m - 1]:
-        e = np.zeros(m)
-        e[i] = 1.0
-        fs.append(e)
-    entries = []
-    for n in ns:
-        best = 0.0
-        for f in fs:
-            coef = phi[: n + 1] @ (grid.weights * f / vv)
-            partials = np.cumsum(phi[: n + 1] * coef[:, None], axis=0)
-            sup_vals = np.max(np.abs(partials), axis=0)
-            gf = grid.fn(uv * sup_vals)
-            denom = lp_norm(grid.fn(f), p)
-            if denom > 0:
-                best = max(best, lp_norm(gf, p) / denom)
-        entries.append((n, best))
-    gamma, res = fit_growth(*zip(*entries), envelope=True)
-    return ProbeReport(
-        "maximal", p, entries, gamma, res, _verdict(gamma), seed, grid.size
-    )
+    _check_exponent(p)
+    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
+    w = grid.weights
+    F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [0, grid.size - 1])
+    wanted = set(ns)
+    sup = np.zeros_like(F)
+    vals = {}
+    # one prefix sum over every degree; sup_{k<=n} |S_k f| is its running max at n
+    for k, S in _partial_sums(phi, w, F / vv[:, None], range(max(ns) + 1)):
+        np.maximum(sup, np.abs(S), out=sup)
+        if k in wanted:
+            vals[k] = _best_ratio(w, _weighted_rows(uv, sup), F, p)
+    return _sweep_report("maximal", p, ns, vals, seed, grid)
 
 
 # ----------------------------------------------------------------------

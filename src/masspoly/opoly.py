@@ -13,6 +13,7 @@ decomposition of L_n over Christoffel-modified measures are provided on top.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -177,6 +178,22 @@ def _stieltjes_mp(x, w, N, extra_bits=40):
         )
 
 
+@functools.lru_cache(maxsize=128)
+def gauss_jacobi_rule(order: int, a: float = 0.0, b: float = 0.0):
+    """Cached order-``order`` Gauss rule for (1-s)^a (1+s)^b ds on [-1, 1].
+
+    Gauss-Legendre (``leggauss``) when a = b = 0, Gauss-Jacobi otherwise.  The
+    arrays are shared by every caller, so they are read-only.
+    """
+    if a == 0.0 and b == 0.0:
+        s, ws = np.polynomial.legendre.leggauss(order)
+    else:
+        s, ws = scipy.special.roots_jacobi(order, a, b)
+    s.flags.writeable = False
+    ws.flags.writeable = False
+    return s, ws
+
+
 def _cell_rule(c, d, gl, gr, order, levels=12, ratio=0.25):
     """Composite rule integrating f(x) (x-c)^gl (d-x)^gr dx over [c, d].
 
@@ -193,15 +210,15 @@ def _cell_rule(c, d, gl, gr, order, levels=12, ratio=0.25):
         half = (b - a) / 2.0
         mid = (a + b) / 2.0
         if i == 0 and gl != 0.0:
-            s, ws = scipy.special.roots_jacobi(order, 0.0, gl)
+            s, ws = gauss_jacobi_rule(order, 0.0, gl)
             x = mid + half * s
             w = ws * half ** (1.0 + gl) * (d - x) ** gr
         elif i == len(edges) - 2 and gr != 0.0:
-            s, ws = scipy.special.roots_jacobi(order, gr, 0.0)
+            s, ws = gauss_jacobi_rule(order, gr, 0.0)
             x = mid + half * s
             w = ws * half ** (1.0 + gr) * (x - c) ** gl
         else:
-            s, ws = np.polynomial.legendre.leggauss(order)
+            s, ws = gauss_jacobi_rule(order)
             x = mid + half * s
             w = ws * half * (x - c) ** gl * (d - x) ** gr
         nodes.append(x)

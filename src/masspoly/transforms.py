@@ -31,7 +31,7 @@ from .measure import (
     validate,
 )
 from .norms import Grid, GridFunction, make_grid
-from .opoly import OrthoBasis, basis_for, cd_kernel, classical_recurrence
+from .opoly import OrthoBasis, basis_for, cd_kernel, classical_recurrence, gauss_jacobi_rule
 
 # ----------------------------------------------------------------------
 # helpers
@@ -140,7 +140,7 @@ def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, level
                 if lo < p < hi:
                     pts.add(p)
     breaks = np.array(sorted(pts))
-    sg, wg = np.polynomial.legendre.leggauss(order)
+    sg, wg = gauss_jacobi_rule(order)
     nodes, weights = [], []
     for c, d in zip(breaks[:-1], breaks[1:]):
         if d - c <= 0:
@@ -177,7 +177,7 @@ def hilbert_transform(g, x, rule=None, singular_points=()):
     if np.any(np.abs(xs) >= 1.0):
         raise PointOnBoundary("evaluation points must lie strictly inside (-1,1)")
     if rule is None:
-        rule = graded_rule(singular_points) if singular_points else np.polynomial.legendre.leggauss(400)
+        rule = graded_rule(singular_points) if singular_points else gauss_jacobi_rule(400)
     y, wy = rule
     gy = _as_values(g, y)
     gx = _as_values(g, xs)

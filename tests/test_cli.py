@@ -132,6 +132,15 @@ def test_probe_reports_agreement(capsys):
     assert doc["agreement"] is True
 
 
+@pytest.mark.parametrize("p, mode", [
+    ("0.5", "strong"), ("0.5", "maximal"), ("0.5", "commutator"), ("1", "strong"), ("1", "commutator"),
+])
+def test_probe_rejects_bad_exponent_exits_2(capsys, p, mode):
+    code = main(["probe", "--base", "legendre", "--mass", "1:1", "--p", p, "--n", "20", "--mode", mode])
+    assert code == 2
+    assert "SpecError" in capsys.readouterr().err
+
+
 def test_probe_laguerre_mass_p2_is_projection(capsys):
     # at p = 2 with unit weights every S_n is an orthogonal projection in L^2(nu)
     code, doc = run_json(capsys, "probe", "--base", "laguerre", "--mass", "0:1", "--p", "2", "--n", "60")

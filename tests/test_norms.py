@@ -10,6 +10,7 @@ from masspoly import (
     LorentzIndex,
     MassPoint,
     MeasureSpec,
+    NonFiniteWeight,
     PowerWeightSpec,
     SpecError,
     legendre,
@@ -18,12 +19,14 @@ from masspoly import (
     make_grid,
 )
 from masspoly.norms import (
+    _weighted_matrix,
     bmo_norm_estimate,
     bmo_symbols,
     commutator_matrix,
     commutator_probe,
     default_set_family,
     fit_growth,
+    maximal_probe,
     operator_norm_probe,
     partial_sum_matrix,
     rearrangement,
@@ -228,3 +231,113 @@ def test_weak_type_probe_runs_and_reports():
     assert rep.mode == "restricted-weak"
     assert rep.verdict == "bounded"
     assert all(v >= 0 for _, v in rep.entries)
+
+
+# the factor path of the probes against the same sweeps on dense m x m matrices
+
+TWO_MASSES = legendre([MassPoint(-1.0, 0.5), MassPoint(0.3, 1.0)])
+U = PowerWeightSpec(a=0.3, b=-0.2, at_mass=(2.0, 0.5))
+V = PowerWeightSpec(a=-0.25, b=0.4, at_mass=(0.7, 1.5))
+
+
+def _dense_entries(mode, basis, grid, p, b_vals, ns, trials, seed=1):
+    """Each probe's entries from its candidate family applied through dense matrices."""
+    uv = U.values(grid.nodes, TWO_MASSES)
+    vv = V.values(grid.nodes, TWO_MASSES)
+    w, m = grid.weights, grid.size
+    rng = np.random.default_rng(seed)
+    spots = list(grid.atom_idx) + ([0, m - 1] if mode == "maximal" else [m // 2])
+    static = [rng.standard_normal(m) for _ in range(trials)] + [np.eye(m)[i] for i in spots]
+    phi = basis.eval_all(grid.nodes, max(ns))
+    lp = lambda x: lp_norm(grid.fn(x), p)
+    pp = p / (p - 1)
+    dual = lambda g: vv * np.abs(g) ** (pp - 1) * np.sign(g)
+    best = lambda A, fs: max(lp(A @ f) / lp(f) for f in fs)
+    entries = []
+    for n in ns:
+        if mode == "maximal":
+            sums = np.array([_weighted_matrix(partial_sum_matrix(basis, grid, k), np.ones(m), vv)
+                             for k in range(n + 1)])
+            entries.append(max(lp(uv * np.abs(sums @ f).max(axis=0)) / lp(f) for f in static))
+        elif mode == "strong" and p == 2:
+            entries.append(operator_norm_probe(partial_sum_matrix(basis, grid, n), grid, p, uv, vv)[0])
+        elif mode == "strong":
+            A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
+            certs = [dual(phi[k] / vv) for k in (n, n - 1)]
+            increment = lp(uv * phi[n]) * np.sum(w * np.abs(phi[n] / vv) ** pp) ** (1 / pp)
+            entries.append(max(best(A, static + certs), increment))
+        else:
+            A = _weighted_matrix(commutator_matrix(basis, grid, n, b_vals), uv, vv)
+            pn = phi[n]
+            R = np.outer(uv * b_vals * pn, pn * w / vv) - np.outer(uv * pn, b_vals * pn * w / vv)
+            entries.append(max(best(A, static), best(R, [dual(pn / vv), dual(b_vals * pn / vv)])))
+    return entries
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
+def test_probe_factor_path_matches_dense_reference(mode, p):
+    N = 30
+    basis = basis_for(TWO_MASSES, N)
+    grid = make_grid(TWO_MASSES, 3 * N)
+    b = bmo_symbols()["smooth_step"]
+    ns = [2, 5, 9, 17, 30, 12]  # unsorted on purpose: entries follow the given order
+    if mode == "strong":
+        rep = strong_probe(basis, grid, p, U, V, ns=ns, trials=4, seed=1)
+    elif mode == "commutator":
+        rep = commutator_probe(basis, grid, b, p, U, V, ns=ns, trials=4, seed=1)
+    else:
+        rep = maximal_probe(basis, grid, p, U, V, ns=ns, trials=4, seed=1)
+    assert [n for n, _ in rep.entries] == ns
+    expected = _dense_entries(mode, basis, grid, p, b(grid.nodes), ns, trials=4)
+    np.testing.assert_allclose([e for _, e in rep.entries], expected, rtol=1e-12, atol=0)
+
+
+def _grid_with_left_endpoint(spec, m):
+    """A Gauss grid plus a zero-weight node at x = -1, where (1+x)^b is 0 or infinite."""
+    grid = make_grid(spec, m)
+    return Grid(np.concatenate([[-1.0], grid.nodes]), np.concatenate([[0.0], grid.weights]), grid.atom_idx + 1)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
+@pytest.mark.parametrize("u, v", [
+    (PowerWeightSpec(b=-1.0), None),  # u infinite at x = -1
+    (None, PowerWeightSpec(b=1.0)),  # v zero at x = -1
+])
+def test_probes_reject_bad_weight_values(mode, p, u, v):
+    basis = basis_for(SPEC, 10)
+    grid = _grid_with_left_endpoint(SPEC, 30)
+    with pytest.raises(NonFiniteWeight):
+        if mode == "strong":
+            strong_probe(basis, grid, p, u, v, N=10)
+        elif mode == "commutator":
+            commutator_probe(basis, grid, bmo_symbols()["smooth_step"], p, u, v, N=10)
+        else:
+            maximal_probe(basis, grid, p, u, v, N=10)
+
+
+@pytest.mark.parametrize("p, modes", [
+    (0.5, ("strong", "commutator", "maximal", "weak")),
+    (math.inf, ("strong", "commutator", "maximal", "weak")),
+    (1.0, ("strong", "commutator")),  # their certificates need a finite p'
+])
+def test_probes_reject_bad_exponents(p, modes):
+    basis = basis_for(SPEC, 10)
+    grid = make_grid(SPEC, 30)
+    b = bmo_symbols()["smooth_step"]
+    calls = {
+        "strong": lambda: strong_probe(basis, grid, p, N=10),
+        "commutator": lambda: commutator_probe(basis, grid, b, p, N=10),
+        "maximal": lambda: maximal_probe(basis, grid, p, N=10),
+        "weak": lambda: weak_type_probe(basis, grid, p, N=10),
+    }
+    for mode in modes:
+        with pytest.raises(SpecError):
+            calls[mode]()
+
+
+def test_maximal_probe_accepts_p1():
+    basis = basis_for(SPEC, 10)
+    rep = maximal_probe(basis, make_grid(SPEC, 30), 1.0, N=10)
+    assert all(np.isfinite(v) and v > 0 for _, v in rep.entries)
