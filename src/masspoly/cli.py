@@ -1,11 +1,20 @@
 """Batch experiment driver.
 
-Every probe of the library is exposed as a subcommand taking either a JSON
-config (--config) or direct flags, writing CSV or JSON.  JSON outputs carry a
-schema_version field and embed the fully resolved config so reruns are
-byte-identical given the same seed and inputs.
+Every subcommand is one row of ``COMMANDS``: its run function, its CSV
+header, its parameters and any extra flags.  Adding a subcommand means adding
+one row; one runner does the rest for all of them.  It loads --config, builds
+the measure and resolves each parameter from its flag, then the config, then
+its default.  A default is a value or a function of the parameters resolved
+before it.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Output is JSON (default) or CSV (--format csv), to stdout or --out; both carry
+a schema_version.  The JSON embeds the resolved config: the measure, the seed
+and every parameter.  Fed back through --config alone, it reruns the command
+with byte-identical output.
+
+Exit codes: 0 success, 2 validation error, 3 numerical failure.  A NaN or
+infinite number anywhere in the output is a numerical failure, and then
+nothing is written.
 """
 
 from __future__ import annotations
@@ -14,13 +23,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import norms, transforms
-from .errors import MassPolyError, SpecError
+from .errors import MassPolyError, NumericalBreakdown, SpecError
 from .measure import (
     GenJacobiSpec,
     HermiteSpec,
@@ -31,8 +41,8 @@ from .measure import (
     mean_convergence_endpoints,
     measure_from_dict,
     measure_to_dict,
+    validate,
     weight_from_dict,
-    weight_to_dict,
 )
 from .opoly import basis_for, cd_kernel, kernel_decomposition, modified_bases
 from .norms import make_grid
@@ -44,7 +54,7 @@ _VALIDATION_EXIT = 2
 
 
 # ----------------------------------------------------------------------
-# config plumbing
+# measure and weights
 
 
 def _parse_mass(text: str) -> MassPoint:
@@ -55,10 +65,10 @@ def _parse_mass(text: str) -> MassPoint:
         raise SpecError(f"mass must be given as location:mass, got {text!r}") from exc
 
 
-def _load_config(args):
-    if args.config is None:
+def _load_config(path):
+    if path is None:
         return {}
-    with open(args.config) as fh:
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise SpecError("config root must be a JSON object")
@@ -68,9 +78,9 @@ def _load_config(args):
 def _build_measure(args, cfg) -> MeasureSpec:
     if "measure" in cfg:
         return measure_from_dict(cfg["measure"])
-    base_name = getattr(args, "base", None) or "legendre"
-    alpha = getattr(args, "alpha", None) or 0.0
-    beta = getattr(args, "beta", None) or 0.0
+    base_name = args.base or "legendre"
+    alpha = args.alpha or 0.0
+    beta = args.beta or 0.0
     if base_name == "legendre":
         base = GenJacobiSpec(0.0, 0.0)
     elif base_name == "jacobi":
@@ -81,49 +91,260 @@ def _build_measure(args, cfg) -> MeasureSpec:
         base = HermiteSpec()
     else:
         raise SpecError(f"unknown base {base_name!r}")
-    masses = tuple(_parse_mass(m) for m in (getattr(args, "mass", None) or []))
-    spec = MeasureSpec(base, masses)
-    from .measure import validate
-
-    return validate(spec)
+    masses = tuple(_parse_mass(m) for m in (args.mass or []))
+    return validate(MeasureSpec(base, masses))
 
 
-def _weights(cfg):
-    u = weight_from_dict(cfg.get("u"))
-    v = weight_from_dict(cfg.get("v"))
-    return u, v
+def _weights(prm):
+    return weight_from_dict(prm["u"]), weight_from_dict(prm["v"])
 
 
-def _resolved(args, cfg, spec, extra=None):
-    out = {
-        "measure": measure_to_dict(spec),
-        "seed": args.seed,
-    }
-    for key in ("u", "v"):
-        if key in cfg:
-            out[key] = cfg[key]
-    if extra:
-        out.update(extra)
-    return out
+def _symbol(prm):
+    symbols = norms.bmo_symbols(prm["t"])
+    if prm["symbol"] not in symbols:
+        raise SpecError(f"symbol must be one of {tuple(symbols)}, got {prm['symbol']!r}")
+    return symbols[prm["symbol"]]
 
 
-def _emit(args, command, config, data_obj, rows, header):
-    """Write the result: JSON object or bare CSV rows, to --out or stdout."""
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "config": config,
+# ----------------------------------------------------------------------
+# run functions: (measure spec, resolved parameters) -> (JSON data, rows)
+
+
+def _point_rows(n, xs, vals):
+    rows = [(int(n), float(x), float(v)) for x, v in zip(xs, vals)]
+    return {"rows": rows}, rows
+
+
+def _sampled(spec, prm, n):
+    """Basis up to degree n, the config's polynomial f on a grid, and the evaluation points."""
+    basis = basis_for(spec, n, m=prm["grid_size"])
+    grid = make_grid(spec, prm["quad_size"])
+    f = grid.fn(np.polynomial.Polynomial(np.asarray(prm["f_poly"], dtype=float)))
+    return basis, f, np.asarray(prm["points"], dtype=float)
+
+
+def _recurrence(spec, prm):
+    N = prm["N"]
+    rec = basis_for(spec, N, m=prm["grid_size"]).nu_rec
+    rows = [(k, float(rec.alphas[k]), float(rec.betas[k])) for k in range(N)]
+    return {"rows": rows}, rows
+
+
+def _basis(spec, prm):
+    N = prm["N"]
+    xs = np.asarray(prm["points"], dtype=float)
+    table = basis_for(spec, N, m=prm["grid_size"]).eval_all(xs, N)
+    rows = [(n, float(x), float(table[n, j])) for n in range(N + 1) for j, x in enumerate(xs)]
+    return {"rows": rows}, rows
+
+
+def _kernel(spec, prm):
+    n, a = prm["n"], float(prm["a"])
+    xs = np.asarray(prm["points"], dtype=float)
+    basis = basis_for(spec, n, m=prm["grid_size"])
+    data, rows = _point_rows(n, xs, np.atleast_1d(cd_kernel(basis, n, xs, a)))
+    data["a"] = a
+    if prm["decompose"] and spec.masses:
+        dec = kernel_decomposition(basis, modified_bases(spec, n), n)
+        data["decomposition"] = {
+            "coefficients": {",".join(map(str, k)): float(c) for k, c in dec.coefficients.items()},
+            "residual": dec.residual,
+            "total": float(dec.total),
         }
-        payload.update(data_obj)
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
-    else:
+    return data, rows
+
+
+def _partial_sum(spec, prm):
+    basis, f, xs = _sampled(spec, prm, prm["n"])
+    return _point_rows(prm["n"], xs, transforms.partial_sum(basis, f, prm["n"], xs))
+
+
+def _maximal(spec, prm):
+    basis, f, xs = _sampled(spec, prm, prm["N"])
+    return _point_rows(prm["N"], xs, transforms.maximal_op(basis, f, prm["N"], xs))
+
+
+def _commutator(spec, prm):
+    basis, f, xs = _sampled(spec, prm, prm["n"])
+    return _point_rows(prm["n"], xs, transforms.commutator(basis, _symbol(prm), f, prm["n"], xs))
+
+
+def _pollard(spec, prm):
+    n = prm["n"]
+    nu_basis = basis_for(spec, n + 1, m=prm["grid_size"])
+    f = np.polynomial.Polynomial(np.asarray(prm["f_poly"], dtype=float))
+    xs = np.asarray(prm["points"], dtype=float)
+    parts = transforms.pollard_parts(nu_basis, transforms.q_basis_for(nu_basis), f, n, xs)
+    rows = [(int(n), *map(float, r)) for r in zip(xs, parts.t_n, parts.w1, parts.w2, parts.w3)]
+    return {"r": parts.r, "s": parts.s, "residual": parts.residual, "rows": rows}, rows
+
+
+# probe mode -> probe call (basis, grid, parameters, u, v)
+_PROBES = {
+    "strong": lambda basis, grid, q, u, v: norms.strong_probe(
+        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
+    "weak": lambda basis, grid, q, u, v: norms.weak_type_probe(
+        basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=False),
+    "restricted-weak": lambda basis, grid, q, u, v: norms.weak_type_probe(
+        basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=True),
+    "maximal": lambda basis, grid, q, u, v: norms.maximal_probe(
+        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
+    "commutator": lambda basis, grid, q, u, v: norms.commutator_probe(
+        basis, grid, _symbol(q), q["p"], u, v, N=q["N"], seed=q["seed"]),
+}
+
+
+def _probe(spec, prm):
+    if prm["mode"] not in _PROBES:
+        raise SpecError(f"mode must be one of {tuple(_PROBES)}, got {prm['mode']!r}")
+    basis = basis_for(spec, prm["N"])
+    grid = make_grid(spec, prm["grid_size"])
+    rep = _PROBES[prm["mode"]](basis, grid, prm, *_weights(prm))
+    return {"report": rep.to_dict()}, [(int(n), float(e)) for n, e in rep.entries]
+
+
+def _probe_with_conditions(spec, prm):
+    """The probe plus, on a generalized Jacobi base, the sufficient conditions and whether they agree."""
+    data, rows = _probe(spec, prm)
+    if isinstance(spec.base, GenJacobiSpec):
+        try:
+            cond = check_conditions(spec, *_weights(prm), prm["p"])
+        except MassPolyError:
+            return data, rows
+        data["conditions"] = cond.to_dict()
+        data["agreement"] = cond.verdict == (data["report"]["verdict"] == "bounded")
+    return data, rows
+
+
+def _laguerre_mass(spec, prm):
+    table = transforms.laguerre_mass_table(prm["alpha"], prm["M"], prm["N"])
+    rows = [(int(n), *map(float, r)) for n, *r in zip(*table)]
+    return {"rows": rows}, rows
+
+
+def _endpoints(spec, prm):
+    p0, p1 = mean_convergence_endpoints(prm["alpha"], prm["beta"])
+    return {"p0": p0, "p1": p1}, [(float(p0), float(p1))]
+
+
+def _check_conditions(spec, prm):
+    rep = check_conditions(spec, *_weights(prm), prm["p"])
+    rows = [(ln.label, str(ln.satisfied).lower(), float(ln.margin)) for ln in rep.lines]
+    return {"conditions": rep.to_dict()}, rows
+
+
+# ----------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.
+
+    ``params`` are (config key, default) pairs; a callable default is called
+    with the measure spec and the parameters resolved so far.  ``measure``,
+    when set, builds the spec from the parameters instead of --config/flags.
+    """
+
+    run: Callable
+    header: tuple
+    params: tuple
+    flags: dict = field(default_factory=dict)
+    measure: Callable | None = None
+
+
+# every command also reads these; u and v are weight specs given only through --config
+_COMMON = (("seed", 0), ("u", None), ("v", None))
+
+_POINTS = np.linspace(-0.9, 0.9, 7).tolist()
+_POINT_HEADER = ("n", "x", "value")
+
+
+def _sampled_params(degree):
+    """Parameters of ``_sampled``; f_poly holds the coefficients of f, default 1 + x."""
+    quad_size = ("quad_size", lambda spec, q: max(4 * q[degree], 64))
+    return (("grid_size", None), quad_size, ("f_poly", [1.0, 1.0]), ("points", _POINTS))
+
+
+def _probe_params(mode):
+    grid_size = ("grid_size", lambda spec, q: max(3 * q["N"], 96))
+    return (("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
+
+
+def _first_mass(spec, q):
+    return spec.mass_locations[0] if spec.masses else 0.0
+
+
+_MODE_FLAG = {"--mode": {"choices": tuple(_PROBES), "default": None}}
+
+COMMANDS = {
+    "recurrence": Command(_recurrence, ("k", "alpha_k", "beta_k"), (("N", 10), ("grid_size", None))),
+    "basis": Command(_basis, _POINT_HEADER, (("N", 10), ("grid_size", None), ("points", _POINTS))),
+    "kernel": Command(
+        _kernel, _POINT_HEADER,
+        (("n", 10), ("a", _first_mass), ("points", _POINTS), ("grid_size", None), ("decompose", False)),
+        flags={"--decompose": {"action": "store_true", "default": None}},
+    ),
+    "partial-sum": Command(_partial_sum, _POINT_HEADER, (("n", 10), *_sampled_params("n"))),
+    "maximal": Command(_maximal, _POINT_HEADER, (("N", 10), *_sampled_params("N"))),
+    "commutator": Command(
+        _commutator, _POINT_HEADER,
+        (("n", 10), *_sampled_params("n"), ("t", 0.3), ("symbol", "smooth_step")),
+    ),
+    "pollard": Command(
+        _pollard, ("n", "x", "t_n", "w1", "w2", "w3"),
+        (("n", 10), ("grid_size", None), ("f_poly", [1.0, 1.0]),
+         ("points", np.linspace(-0.8, 0.8, 7).tolist())),
+    ),
+    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong"), _MODE_FLAG),
+    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak"), _MODE_FLAG),
+    "laguerre-mass": Command(
+        _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
+        (("alpha", 0.0), ("M", 1.0), ("N", 40)),
+        measure=lambda q: MeasureSpec(LaguerreSpec(q["alpha"]), (MassPoint(0.0, q["M"]),)),
+    ),
+    "endpoints": Command(
+        _endpoints, ("p0", "p1"), (("alpha", 0.0), ("beta", 0.0)),
+        measure=lambda q: MeasureSpec(GenJacobiSpec(q["alpha"], q["beta"])),
+    ),
+    "check-conditions": Command(_check_conditions, ("label", "satisfied", "margin"), (("p", 2.0),)),
+}
+
+
+# ----------------------------------------------------------------------
+# the runner
+
+
+def _resolve(args, cfg, spec, params):
+    """Each parameter from its flag, the config or its default, in order.
+
+    A parameter's flag is its lower-cased key, so --n sets both n and N.
+    """
+    prm = {}
+    for key, default in params:
+        flag = getattr(args, key.lower(), None)
+        if flag is not None:
+            prm[key] = flag
+        elif key in cfg:
+            prm[key] = cfg[key]
+        else:
+            prm[key] = default(spec, prm) if callable(default) else default
+    return prm
+
+
+def _emit(args, name, header, config, data, rows):
+    """Write the JSON payload or its CSV rows, to --out or stdout; reject NaN and inf first."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": name, "config": config, **data}
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalBreakdown(f"{name} produced a NaN or infinite value") from exc
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["schema_version", SCHEMA_VERSION])
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -132,246 +353,18 @@ def _emit(args, command, config, data_obj, rows, header):
         sys.stdout.write(text)
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
-# ----------------------------------------------------------------------
-# subcommands
-
-
-def cmd_recurrence(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    N = args.n if args.n is not None else cfg.get("N", 10)
-    rec = basis_for(spec, N, m=cfg.get("grid_size")).nu_rec
-    rows = [(k, _fmt(rec.alphas[k]), _fmt(rec.betas[k])) for k in range(N)]
-    data = {"rows": [[int(k), float(a), float(b)] for k, a, b in rows]}
-    _emit(args, "recurrence", _resolved(args, cfg, spec, {"N": N}), data, rows, ["k", "alpha_k", "beta_k"])
+def run_command(args):
+    cmd = COMMANDS[args.command]
+    cfg = _load_config(args.config)
+    spec = None if cmd.measure else _build_measure(args, cfg)
+    prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
+    if cmd.measure:
+        spec = cmd.measure(prm)
+    data, rows = cmd.run(spec, prm)
+    config = {key: value for key, value in prm.items() if value is not None}
+    config["measure"] = measure_to_dict(spec)
+    _emit(args, args.command, cmd.header, config, data, rows)
     return 0
-
-
-def cmd_basis(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    N = args.n if args.n is not None else cfg.get("N", 10)
-    xs = np.asarray(cfg.get("points", np.linspace(-0.9, 0.9, 7).tolist()), dtype=float)
-    basis = basis_for(spec, N, m=cfg.get("grid_size"))
-    table = basis.eval_all(xs, N)
-    rows = [
-        (n, _fmt(x), _fmt(table[n, j]))
-        for n in range(N + 1)
-        for j, x in enumerate(xs)
-    ]
-    data = {"rows": [[int(n), float(x), float(v)] for n, x, v in rows]}
-    _emit(args, "basis", _resolved(args, cfg, spec, {"N": N}), data, rows, ["n", "x", "value"])
-    return 0
-
-
-def cmd_kernel(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    n = args.n if args.n is not None else cfg.get("n", 10)
-    a = cfg.get("a", spec.mass_locations[0] if spec.masses else 0.0)
-    xs = np.asarray(cfg.get("points", np.linspace(-0.9, 0.9, 7).tolist()), dtype=float)
-    basis = basis_for(spec, n, m=cfg.get("grid_size"))
-    vals = cd_kernel(basis, n, xs, float(a))
-    vals = np.atleast_1d(vals)
-    rows = [(n, _fmt(x), _fmt(v)) for x, v in zip(xs, vals)]
-    data = {"a": float(a), "rows": [[int(n), float(x), float(v)] for x, v in zip(xs, vals)]}
-    if (cfg.get("decompose") or getattr(args, "decompose", False)) and spec.masses:
-        mods = modified_bases(spec, n)
-        dec = kernel_decomposition(basis, mods, n)
-        data["decomposition"] = {
-            "coefficients": {",".join(map(str, k)): float(c) for k, c in dec.coefficients.items()},
-            "residual": dec.residual,
-            "total": float(dec.total),
-        }
-    _emit(args, "kernel", _resolved(args, cfg, spec, {"n": n}), data, rows, ["n", "x", "value"])
-    return 0
-
-
-def _sample_function(cfg):
-    """Test function from the config: polynomial coefficients, default 1 + x."""
-    coefs = cfg.get("f_poly", [1.0, 1.0])
-    return np.polynomial.Polynomial(np.asarray(coefs, dtype=float))
-
-
-def cmd_partial_sum(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    n = args.n if args.n is not None else cfg.get("n", 10)
-    basis = basis_for(spec, n, m=cfg.get("grid_size"))
-    grid = make_grid(spec, cfg.get("quad_size", max(4 * n, 64)))
-    f = grid.fn(_sample_function(cfg))
-    xs = np.asarray(cfg.get("points", np.linspace(-0.9, 0.9, 7).tolist()), dtype=float)
-    vals = transforms.partial_sum(basis, f, n, xs)
-    rows = [(n, _fmt(x), _fmt(v)) for x, v in zip(xs, vals)]
-    data = {"rows": [[int(n), float(x), float(v)] for x, v in zip(xs, vals)]}
-    _emit(args, "partial-sum", _resolved(args, cfg, spec, {"n": n}), data, rows, ["n", "x", "value"])
-    return 0
-
-
-def cmd_maximal(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    N = args.n if args.n is not None else cfg.get("N", 10)
-    basis = basis_for(spec, N, m=cfg.get("grid_size"))
-    grid = make_grid(spec, cfg.get("quad_size", max(4 * N, 64)))
-    f = grid.fn(_sample_function(cfg))
-    xs = np.asarray(cfg.get("points", np.linspace(-0.9, 0.9, 7).tolist()), dtype=float)
-    vals = transforms.maximal_op(basis, f, N, xs)
-    rows = [(N, _fmt(x), _fmt(v)) for x, v in zip(xs, vals)]
-    data = {"rows": [[int(N), float(x), float(v)] for x, v in zip(xs, vals)]}
-    _emit(args, "maximal", _resolved(args, cfg, spec, {"N": N}), data, rows, ["n", "x", "value"])
-    return 0
-
-
-def cmd_commutator(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    n = args.n if args.n is not None else cfg.get("n", 10)
-    basis = basis_for(spec, n, m=cfg.get("grid_size"))
-    grid = make_grid(spec, cfg.get("quad_size", max(4 * n, 64)))
-    f = grid.fn(_sample_function(cfg))
-    symbols = norms.bmo_symbols(cfg.get("t", 0.3))
-    b = symbols[cfg.get("symbol", "smooth_step")]
-    xs = np.asarray(cfg.get("points", np.linspace(-0.9, 0.9, 7).tolist()), dtype=float)
-    vals = transforms.commutator(basis, b, f, n, xs)
-    rows = [(n, _fmt(x), _fmt(v)) for x, v in zip(xs, vals)]
-    data = {"rows": [[int(n), float(x), float(v)] for x, v in zip(xs, vals)]}
-    _emit(args, "commutator", _resolved(args, cfg, spec, {"n": n}), data, rows, ["n", "x", "value"])
-    return 0
-
-
-def cmd_pollard(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    n = args.n if args.n is not None else cfg.get("n", 10)
-    nu_basis = basis_for(spec, n + 1, m=cfg.get("grid_size"))
-    q_basis = transforms.q_basis_for(nu_basis)
-    f = _sample_function(cfg)
-    xs = np.asarray(cfg.get("points", np.linspace(-0.8, 0.8, 7).tolist()), dtype=float)
-    parts = transforms.pollard_parts(nu_basis, q_basis, f, n, xs)
-    rows = [
-        (n, _fmt(x), _fmt(t), _fmt(w1), _fmt(w2), _fmt(w3))
-        for x, t, w1, w2, w3 in zip(xs, parts.t_n, parts.w1, parts.w2, parts.w3)
-    ]
-    data = {
-        "r": parts.r,
-        "s": parts.s,
-        "residual": parts.residual,
-        "rows": [[int(n)] + [float(v) for v in row[1:]] for row in rows],
-    }
-    _emit(
-        args, "pollard", _resolved(args, cfg, spec, {"n": n}), data, rows,
-        ["n", "x", "t_n", "w1", "w2", "w3"],
-    )
-    return 0
-
-
-_PROBE_MODES = ("strong", "weak", "restricted-weak", "maximal", "commutator")
-
-
-def _probe_report(args, cfg, spec):
-    mode = getattr(args, "mode", None) or cfg.get("mode", "strong")
-    if mode not in _PROBE_MODES:
-        raise SpecError(f"mode must be one of {_PROBE_MODES}, got {mode!r}")
-    p = args.p if args.p is not None else cfg.get("p", 2.0)
-    N = args.n if args.n is not None else cfg.get("N", 60)
-    grid_size = cfg.get("grid_size", max(3 * N, 96))
-    basis = basis_for(spec, N)
-    grid = make_grid(spec, grid_size)
-    u, v = _weights(cfg)
-    if mode == "strong":
-        rep = norms.strong_probe(basis, grid, p, u, v, N=N, seed=args.seed)
-    elif mode == "maximal":
-        rep = norms.maximal_probe(basis, grid, p, u, v, N=N, seed=args.seed)
-    elif mode == "commutator":
-        symbols = norms.bmo_symbols(cfg.get("t", 0.3))
-        b = symbols[cfg.get("symbol", "log_edge")]
-        rep = norms.commutator_probe(basis, grid, b, p, u, v, N=N, seed=args.seed)
-    else:
-        rep = norms.weak_type_probe(
-            basis, grid, p, u, N=N, seed=args.seed, restricted=(mode == "restricted-weak")
-        )
-    return rep, p
-
-
-def cmd_probe(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    rep, p = _probe_report(args, cfg, spec)
-    data = {"report": rep.to_dict()}
-    if isinstance(spec.base, GenJacobiSpec):
-        u, v = _weights(cfg)
-        try:
-            cond = check_conditions(spec, u, v, p)
-            data["conditions"] = cond.to_dict()
-            data["agreement"] = cond.verdict == (rep.verdict == "bounded")
-        except MassPolyError:
-            pass
-    rows = [(n, _fmt(v)) for n, v in rep.entries]
-    _emit(args, "probe", _resolved(args, cfg, spec, {"p": p, "mode": rep.mode}), data, rows, ["n", "estimate"])
-    return 0
-
-
-def cmd_weak_probe(args):
-    cfg = _load_config(args)
-    cfg.setdefault("mode", "restricted-weak")
-    spec = _build_measure(args, cfg)
-    rep, p = _probe_report(args, cfg, spec)
-    data = {"report": rep.to_dict()}
-    rows = [(n, _fmt(v)) for n, v in rep.entries]
-    _emit(args, "weak-probe", _resolved(args, cfg, spec, {"p": p, "mode": rep.mode}), data, rows, ["n", "estimate"])
-    return 0
-
-
-def cmd_laguerre_mass(args):
-    cfg = _load_config(args)
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.0)
-    M = cfg.get("M", 1.0)
-    N = args.n if args.n is not None else cfg.get("N", 40)
-    ns, l_diag, q0, r, scaled = transforms.laguerre_mass_table(alpha, M, N)
-    rows = [
-        (int(n), _fmt(l), _fmt(q), _fmt(rv), _fmt(sv))
-        for n, l, q, rv, sv in zip(ns, l_diag, q0, r, scaled)
-    ]
-    spec = MeasureSpec(LaguerreSpec(alpha), (MassPoint(0.0, M),))
-    data = {"rows": [[row[0]] + [float(v) for v in row[1:]] for row in rows]}
-    _emit(
-        args, "laguerre-mass", _resolved(args, cfg, spec, {"alpha": alpha, "M": M, "N": N}),
-        data, rows, ["n", "L_n00", "Q_n0", "r_n", "r_n_scaled"],
-    )
-    return 0
-
-
-def cmd_endpoints(args):
-    cfg = _load_config(args)
-    alpha = args.alpha if args.alpha is not None else cfg.get("alpha", 0.0)
-    beta = args.beta if args.beta is not None else cfg.get("beta", 0.0)
-    p0, p1 = mean_convergence_endpoints(alpha, beta)
-    spec = MeasureSpec(GenJacobiSpec(alpha, beta))
-    data = {"p0": p0, "p1": p1}
-    rows = [(_fmt(p0), _fmt(p1))]
-    _emit(args, "endpoints", _resolved(args, cfg, spec, {"alpha": alpha, "beta": beta}), data, rows, ["p0", "p1"])
-    return 0
-
-
-def cmd_check_conditions(args):
-    cfg = _load_config(args)
-    spec = _build_measure(args, cfg)
-    p = args.p if args.p is not None else cfg.get("p", 2.0)
-    u, v = _weights(cfg)
-    rep = check_conditions(spec, u, v, p)
-    rows = [(ln.label, str(ln.satisfied).lower(), _fmt(ln.margin)) for ln in rep.lines]
-    data = {"conditions": rep.to_dict()}
-    _emit(args, "check-conditions", _resolved(args, cfg, spec, {"p": p}), data, rows, ["label", "satisfied", "margin"])
-    return 0
-
-
-# ----------------------------------------------------------------------
-# parser
 
 
 def build_parser():
@@ -380,11 +373,10 @@ def build_parser():
         description="Orthonormal expansions for measures with mass points: probes and reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **extra_flags):
+    for name, cmd in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--base", choices=("legendre", "jacobi", "laguerre", "hermite"), default=None)
@@ -393,23 +385,8 @@ def build_parser():
         p.add_argument("--mass", action="append", default=None, metavar="LOC:MASS")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--p", type=float, default=None)
-        for flag, kw in extra_flags.items():
+        for flag, kw in cmd.flags.items():
             p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("recurrence", cmd_recurrence)
-    add("basis", cmd_basis)
-    add("kernel", cmd_kernel, **{"--decompose": {"action": "store_true"}})
-    add("partial-sum", cmd_partial_sum)
-    add("maximal", cmd_maximal)
-    add("commutator", cmd_commutator)
-    add("pollard", cmd_pollard)
-    add("probe", cmd_probe, **{"--mode": {"choices": _PROBE_MODES, "default": None}})
-    add("weak-probe", cmd_weak_probe, **{"--mode": {"choices": _PROBE_MODES, "default": None}})
-    add("laguerre-mass", cmd_laguerre_mass)
-    add("endpoints", cmd_endpoints)
-    add("check-conditions", cmd_check_conditions)
     return parser
 
 
@@ -417,7 +394,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return run_command(args)
     except ArithmeticError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT

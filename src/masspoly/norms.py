@@ -641,6 +641,7 @@ def weak_type_probe(
         raise SpecError("set family is empty")
     spec = basis.measure
     uv = weight_values(u, grid, spec)
+    uv, _ = _checked_weights(uv, uv)  # u^{-1} weights the input, so u is checked as v as well
     idx = LorentzIndex(p, math.inf)
     phi = basis.eval_all(grid.nodes, N)
     ratios = np.zeros((len(sets), N + 1))

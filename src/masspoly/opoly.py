@@ -226,15 +226,16 @@ def _cell_rule(c, d, gl, gr, order, levels=12, ratio=0.25):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def genjacobi_discretization(spec: GenJacobiSpec, m: int):
-    """Composite quadrature (nodes, weights) for a generalized Jacobi weight.
+def _composite_rule(factors, m, remainder):
+    """Composite quadrature over the cells between consecutive factor locations.
 
-    The interval is split at every interior singularity; each cell carries a
-    graded composite rule whose endpoint panels absorb the local algebraic
-    factors, so the remaining integrand is analytic panel by panel.
+    ``factors`` are (location, exponent) pairs of the algebraic factors
+    |x - location|^exponent; every location is a cell edge.  Each cell takes a
+    graded ``_cell_rule`` whose endpoint panels absorb the exponents at its
+    edges, and ``remainder(x, w, c, d, gl, gr)`` turns those weights into the
+    weights of the whole integrand on [c, d].
     """
-    factors = [(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities)
-    breaks = sorted({-1.0, 1.0, *(t for t, _ in spec.singularities)})
+    breaks = sorted({loc for loc, _ in factors})
     ncells = len(breaks) - 1
     levels = 12
     order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
@@ -244,13 +245,34 @@ def genjacobi_discretization(spec: GenJacobiSpec, m: int):
         gl = exps.get(c, 0.0)
         gr = exps.get(d, 0.0)
         x, w = _cell_rule(c, d, gl, gr, order, levels=levels)
+        nodes.append(x)
+        weights.append(remainder(x, w, c, d, gl, gr))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _discrete_recurrence(x, w, N, high_precision=False) -> Recurrence:
+    """Stieltjes on the discrete measure sum w_j delta_{x_j}, in mpmath with ``high_precision``."""
+    alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
+    return Recurrence(alphas, betas)
+
+
+def genjacobi_discretization(spec: GenJacobiSpec, m: int):
+    """Composite quadrature (nodes, weights) for a generalized Jacobi weight.
+
+    The interval is split at every interior singularity; each cell carries a
+    graded composite rule whose endpoint panels absorb the local algebraic
+    factors, so the remaining integrand is analytic panel by panel.
+    """
+    factors = [(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities)
+
+    def remainder(x, w, c, d, gl, gr):
         smooth = np.ones_like(x)
         for loc, e in factors:
             if loc != c and loc != d and e != 0.0:
                 smooth *= np.abs(x - loc) ** e
-        nodes.append(x)
-        weights.append(w * smooth)
-    return np.concatenate(nodes), np.concatenate(weights)
+        return w * smooth
+
+    return _composite_rule(factors, m, remainder)
 
 
 def stieltjes_recurrence(
@@ -278,26 +300,11 @@ def stieltjes_recurrence(
     lo, hi = interval
     er, el = edge_exponents
     factors = [(hi, er), (lo, el)] + list(interior_singularities)
-    breaks = sorted({lo, hi, *(t for t, _ in interior_singularities)})
-    ncells = len(breaks) - 1
-    levels = 12
-    order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
-    exps = {loc: e for loc, e in factors}
-    nodes, weights = [], []
-    for c, d in zip(breaks[:-1], breaks[1:]):
-        gl = exps.get(c, 0.0)
-        gr = exps.get(d, 0.0)
-        x, w = _cell_rule(c, d, gl, gr, order, levels=levels)
-        sing = np.abs(d - x) ** gr * np.abs(x - c) ** gl
-        nodes.append(x)
-        weights.append(w * weight(x) / sing)
-    xg = np.concatenate(nodes)
-    wg = np.concatenate(weights)
-    if high_precision:
-        alphas, betas = _stieltjes_mp(xg, wg, N)
-    else:
-        alphas, betas = _stieltjes(xg, wg, N)
-    return Recurrence(alphas, betas)
+
+    def remainder(x, w, c, d, gl, gr):
+        return w * weight(x) / (np.abs(d - x) ** gr * np.abs(x - c) ** gl)
+
+    return _discrete_recurrence(*_composite_rule(factors, m, remainder), N, high_precision)
 
 
 def recurrence_for(base, N: int, m: int | None = None, high_precision=False) -> Recurrence:
@@ -305,12 +312,7 @@ def recurrence_for(base, N: int, m: int | None = None, high_precision=False) -> 
     if isinstance(base, GenJacobiSpec) and not base.is_classical:
         if m is None:
             m = 40 * N
-        xg, wg = genjacobi_discretization(base, m)
-        if high_precision:
-            alphas, betas = _stieltjes_mp(xg, wg, N)
-        else:
-            alphas, betas = _stieltjes(xg, wg, N)
-        return Recurrence(alphas, betas)
+        return _discrete_recurrence(*genjacobi_discretization(base, m), N, high_precision)
     return classical_recurrence(base, N)
 
 

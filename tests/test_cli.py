@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from masspoly import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
-from masspoly.cli import main
+from masspoly.cli import COMMANDS, build_parser, main
 from masspoly.oracle import oracle_recurrence
 
 
@@ -180,3 +181,84 @@ def test_laguerre_mass_table(capsys):
     rows = doc["rows"]
     assert rows[0][1] == pytest.approx(0.5)  # L_0(0,0) for total mass 2
     assert rows[1][2] == pytest.approx(2.0**0.5)  # Q_1(0)
+
+
+def test_weak_probe_rejects_bad_weight_exits_2(capsys, tmp_path):
+    # u = (1 - x)^0.5 on a Laguerre base is NaN at every node x > 1
+    cfg = tmp_path / "u.json"
+    cfg.write_text('{"u": {"a": 0.5}}')
+    code = main(["probe", "--base", "laguerre", "--mass", "0:1", "--config", str(cfg),
+                 "--mode", "restricted-weak", "--p", "4", "--n", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "NonFiniteWeight" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_exits_3_and_writes_nothing(capsys, tmp_path, fmt):
+    # the log(1 - x) symbol is -inf at the evaluation point x = 1
+    cfg = tmp_path / "log_edge.json"
+    cfg.write_text('{"symbol": "log_edge", "points": [0.5, 1.0]}')
+    argv = ["commutator", "--base", "legendre", "--n", "6", "--config", str(cfg), "--format", fmt]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "NumericalBreakdown" in captured.err
+    assert captured.out == ""
+    target = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(target)]) == 3
+    assert not target.exists()
+
+
+LEGENDRE_MASS = ["--base", "legendre", "--mass", "1:1"]
+LEGENDRE_INNER_MASS = ["--base", "legendre", "--mass", "0.3:1"]
+
+# (command, flags, config given with the flags or None): one case per row of COMMANDS
+REPLAY_CASES = [
+    ("recurrence", ["--base", "laguerre", "--mass", "0:1", "--n", "8", "--seed", "7"], None),
+    ("basis", ["--base", "jacobi", "--alpha", "0.5", "--beta", "0.5", "--n", "5"], {"points": [0.1, 0.5, 0.95]}),
+    ("kernel", [*LEGENDRE_INNER_MASS, "--n", "8", "--decompose"], None),
+    ("partial-sum", [*LEGENDRE_INNER_MASS, "--n", "6"], {"f_poly": [0.5, 0.0, 2.0]}),
+    ("maximal", [*LEGENDRE_INNER_MASS, "--n", "6"], None),
+    ("commutator", [*LEGENDRE_INNER_MASS, "--n", "6"], {"t": 0.2}),
+    ("pollard", [*LEGENDRE_MASS, "--n", "12"], None),
+    ("probe", [*LEGENDRE_MASS, "--p", "3", "--n", "40", "--seed", "3"], {"u": {"a": 0.25}, "v": {"a": 0.25}}),
+    ("weak-probe", [*LEGENDRE_MASS, "--p", "4", "--n", "20", "--seed", "5"], None),
+    ("laguerre-mass", ["--alpha", "0.5", "--n", "12"], {"M": 2.0}),
+    ("endpoints", ["--alpha", "0.5", "--beta", "0"], None),
+    ("check-conditions", [*LEGENDRE_MASS, "--p", "3"], {"u": {"a": 0.25}}),
+]
+
+
+@pytest.mark.parametrize("name, flags, cfg", REPLAY_CASES, ids=[case[0] for case in REPLAY_CASES])
+def test_config_replays_byte_identical(capsys, tmp_path, name, flags, cfg):
+    if cfg is not None:
+        given = tmp_path / "given.json"
+        given.write_text(json.dumps(cfg))
+        flags = flags + ["--config", str(given)]
+    code, first = run(capsys, name, *flags)
+    assert code == 0
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(json.loads(first)["config"]))
+    code, again = run(capsys, name, "--config", str(replay))
+    assert code == 0
+    assert again == first
+
+
+def test_replay_cases_cover_every_command():
+    assert sorted(case[0] for case in REPLAY_CASES) == sorted(COMMANDS)
+
+
+def test_subcommands_keep_their_flags():
+    common = {"-h", "--help", "--config", "--seed", "--out", "--format", "--base", "--alpha", "--beta",
+              "--mass", "--n", "--p"}
+    extra = {"kernel": {"--decompose"}, "probe": {"--mode"}, "weak-probe": {"--mode"}}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted([
+        "recurrence", "basis", "kernel", "partial-sum", "maximal", "commutator", "pollard", "probe",
+        "weak-probe", "laguerre-mass", "endpoints", "check-conditions",
+    ])
+    for name, sub in subparsers.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert options == common | extra.get(name, set()), name

@@ -300,7 +300,7 @@ def _grid_with_left_endpoint(spec, m):
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
-@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
 @pytest.mark.parametrize("u, v", [
     (PowerWeightSpec(b=-1.0), None),  # u infinite at x = -1
     (None, PowerWeightSpec(b=1.0)),  # v zero at x = -1
@@ -313,8 +313,11 @@ def test_probes_reject_bad_weight_values(mode, p, u, v):
             strong_probe(basis, grid, p, u, v, N=10)
         elif mode == "commutator":
             commutator_probe(basis, grid, bmo_symbols()["smooth_step"], p, u, v, N=10)
-        else:
+        elif mode == "maximal":
             maximal_probe(basis, grid, p, u, v, N=10)
+        else:
+            # the weak probe has one weight: u, which also divides the input, so it plays v's part too
+            weak_type_probe(basis, grid, p, u if u is not None else v, N=10)
 
 
 @pytest.mark.parametrize("p, modes", [

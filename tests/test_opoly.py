@@ -25,6 +25,7 @@ from masspoly.opoly import (
     modified_bases,
     monomial_coefficients,
     recurrence_for,
+    stieltjes_recurrence,
 )
 
 
@@ -76,6 +77,18 @@ def test_stieltjes_matches_classical():
     rec_s = recurrence_for(GenJacobiSpec(0.5, -0.5, ((0.0, 0.0),)), 20)
     assert np.allclose(rec_c.alphas, rec_s.alphas, atol=1e-11)
     assert np.allclose(rec_c.betas, rec_s.betas, rtol=1e-11)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, -0.5), (1.5, 0.25), (-0.3, 2.0)])
+@pytest.mark.parametrize("split", [(), ((0.3, 0.0),)])  # one cell, or two cells split at x = 0.3
+def test_stieltjes_recurrence_of_callable_matches_classical(a, b, split):
+    def jacobi_weight(x):
+        return (1.0 - x) ** a * (1.0 + x) ** b
+
+    rec_s = stieltjes_recurrence(jacobi_weight, 30, edge_exponents=(a, b), interior_singularities=split)
+    rec_c = classical_recurrence(GenJacobiSpec(a, b), 30)
+    np.testing.assert_allclose(rec_s.alphas, rec_c.alphas, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rec_s.betas, rec_c.betas, rtol=1e-13, atol=0)
 
 
 def test_gauss_points_two_point_legendre():
