@@ -75,24 +75,45 @@ def _load_config(path):
     return cfg
 
 
+def _flag_base(name, alpha, beta):
+    if name == "legendre":
+        return GenJacobiSpec(0.0, 0.0)
+    if name == "jacobi":
+        return GenJacobiSpec(alpha, beta)
+    if name == "laguerre":
+        return LaguerreSpec(alpha)
+    if name == "hermite":
+        return HermiteSpec()
+    raise SpecError(f"unknown base {name!r}")
+
+
+def _flag_masses(args):
+    return tuple(_parse_mass(m) for m in (args.mass or []))
+
+
 def _build_measure(args, cfg) -> MeasureSpec:
+    """The measure of the config's "measure", or else of the measure flags; never both."""
     if "measure" in cfg:
+        given = [f"--{key}" for key in ("base", "alpha", "beta", "mass") if getattr(args, key) is not None]
+        if given:
+            raise SpecError(f"{', '.join(given)} cannot be combined with a config \"measure\"")
         return measure_from_dict(cfg["measure"])
-    base_name = args.base or "legendre"
-    alpha = args.alpha or 0.0
-    beta = args.beta or 0.0
-    if base_name == "legendre":
-        base = GenJacobiSpec(0.0, 0.0)
-    elif base_name == "jacobi":
-        base = GenJacobiSpec(alpha, beta)
-    elif base_name == "laguerre":
-        base = LaguerreSpec(alpha)
-    elif base_name == "hermite":
-        base = HermiteSpec()
-    else:
-        raise SpecError(f"unknown base {base_name!r}")
-    masses = tuple(_parse_mass(m) for m in (args.mass or []))
-    return validate(MeasureSpec(base, masses))
+    base = _flag_base(args.base or "legendre", args.alpha or 0.0, args.beta or 0.0)
+    return validate(MeasureSpec(base, _flag_masses(args)))
+
+
+def _check_own_measure(args, spec, prm):
+    """On a row that builds its own measure, --base and --mass must describe that measure.
+
+    Such a row takes --alpha, and --beta where it has one, as parameters; a
+    --beta it has no parameter for would be dropped, so it is rejected too.
+    """
+    if args.beta is not None and "beta" not in prm:
+        raise SpecError("--beta is not a parameter of this command")
+    if args.base is not None and _flag_base(args.base, prm["alpha"], prm.get("beta", 0.0)) != spec.base:
+        raise SpecError(f"--base {args.base} does not describe the measure this command builds")
+    if args.mass is not None and _flag_masses(args) != spec.masses:
+        raise SpecError("--mass does not match the mass points this command builds")
 
 
 def _weights(prm):
@@ -360,6 +381,7 @@ def run_command(args):
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
     if cmd.measure:
         spec = cmd.measure(prm)
+        _check_own_measure(args, spec, prm)
     data, rows = cmd.run(spec, prm)
     config = {key: value for key, value in prm.items() if value is not None}
     config["measure"] = measure_to_dict(spec)

@@ -18,6 +18,7 @@ from .measure import MeasureSpec, PowerWeightSpec, validate
 from .opoly import OrthoBasis, Recurrence, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
+_WEAK_BLOCK = 64  # degrees whose partial sums the weak probe holds and sorts at once
 
 
 # ----------------------------------------------------------------------
@@ -131,17 +132,44 @@ class LorentzIndex:
         return pc, rc
 
 
+def _weak_norms(A, w, p):
+    """L^{p,inf} norm of every row of a non-negative matrix A on node measures w > 0.
+
+    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row sorted in
+    descending order and C_i the measure of its first i nodes.  Rows are sorted
+    with the default (unstable, SIMD) argsort and read backwards; the rows whose
+    sorted values hold an exact tie are sorted again stably.  Distinct values
+    have only one descending order, so every row gets the permutation of
+    ``rearrangement``, and the cumulative sums add the same numbers in the same
+    order.
+    """
+    if A.shape[1] == 0:
+        return np.zeros(A.shape[0])
+    order = np.argsort(A, axis=1)[:, ::-1]
+    vals = np.take_along_axis(A, order, axis=1)
+    tied = np.flatnonzero(np.any(vals[:, 1:] == vals[:, :-1], axis=1))
+    if len(tied):
+        order[tied] = np.argsort(-A[tied], axis=1, kind="stable")
+    # in place: each block-sized temporary freed and allocated again costs page faults
+    cum = w[order]
+    np.cumsum(cum, axis=1, out=cum)
+    np.power(cum, 1.0 / p, out=cum)
+    cum *= vals
+    return cum.max(axis=1)
+
+
 def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
     """Exact L^{p,r} norm of a grid function via its step rearrangement."""
+    p, r = idx.p, idx.r
+    if r == math.inf:
+        keep = f.weights > 0
+        return float(_weak_norms(np.abs(f.values[keep])[None, :], f.weights[keep], p)[0])
     vals, meas = rearrangement(f)
     keep = meas > 0
     vals, meas = vals[keep], meas[keep]
     if len(vals) == 0:
         return 0.0
     cum = np.cumsum(meas)
-    p, r = idx.p, idx.r
-    if r == math.inf:
-        return float(np.max(vals * cum ** (1.0 / p)))
     prev = np.concatenate([[0.0], cum[:-1]])
     terms = vals**r * (cum ** (r / p) - prev ** (r / p))
     return float(np.sum(terms) ** (1.0 / r))
@@ -401,6 +429,9 @@ def fit_growth(ns, vals, envelope=False):
     if envelope:
         vals = np.maximum.accumulate(vals)
     k = len(ns) // 2
+    if len(np.unique(ns[k:])) < 2:
+        degrees = ", ".join(f"{n:g}" for n in ns)
+        raise SpecError(f"a growth fit needs two distinct degrees in the top half of the sweep, got {degrees}")
     x = np.log(ns[k:])
     y = np.log(np.maximum(vals[k:], 1e-300))
     coef, res = np.polyfit(x, y, 1), None
@@ -450,6 +481,9 @@ def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport
 
 
 def default_degree_list(N, count=20, start=4):
+    """About ``count`` degrees from ``start`` to N, spaced geometrically."""
+    if N < start:
+        raise SpecError(f"a degree sweep starts at n = {start}; N = {N} is too small")
     ns = np.unique(np.round(np.geomspace(start, N, count)).astype(int))
     return [int(n) for n in ns]
 
@@ -631,9 +665,17 @@ def weak_type_probe(
 
     With ``restricted`` the input family is indicators (restricted weak type);
     the report entries give the running max ratio as the degree cap grows.
+    ``restricted=False`` (CLI ``--mode weak``) runs the same indicator family
+    and only names the report "weak", so its ratio is a lower bound for the
+    weak-type norm, not an estimate of it.
+
+    Each set's partial sums are built ``_WEAK_BLOCK`` degrees at a time, and the
+    weak norms of a block come from one sort of all its rows.
     """
+    _check_exponent(p)
     if N is None:
         N = basis.degree
+    ns = default_degree_list(N)
     rng = np.random.default_rng(seed)
     if sets is None:
         sets = default_set_family(grid, rng)
@@ -642,8 +684,9 @@ def weak_type_probe(
     spec = basis.measure
     uv = weight_values(u, grid, spec)
     uv, _ = _checked_weights(uv, uv)  # u^{-1} weights the input, so u is checked as v as well
-    idx = LorentzIndex(p, math.inf)
     phi = basis.eval_all(grid.nodes, N)
+    keep = grid.weights > 0  # a node of measure zero adds nothing to a distribution function
+    phi_kept, u_kept, w_kept = phi[:, keep], uv[keep], grid.weights[keep]
     ratios = np.zeros((len(sets), N + 1))
     for si, mask in enumerate(sets):
         chi = mask.astype(float)
@@ -651,13 +694,18 @@ def weak_type_probe(
         if denom == 0:
             continue
         coef = phi @ (grid.weights * chi / uv)
-        partials = np.cumsum(phi * coef[:, None], axis=0)
-        for n in range(N + 1):
-            ratios[si, n] = lorentz_norm(grid.fn(uv * partials[n]), idx) / denom
+        # rows of a block are the prefix sums sum_{k<=n} P_k coef_k, carried across blocks
+        carry = 0.0
+        for k in range(0, N + 1, _WEAK_BLOCK):
+            blk = phi_kept[k : k + _WEAK_BLOCK] * coef[k : k + _WEAK_BLOCK, None]
+            blk[0] += carry
+            np.cumsum(blk, axis=0, out=blk)
+            carry = blk[-1].copy()
+            blk *= u_kept
+            ratios[si, k : k + len(blk)] = _weak_norms(np.abs(blk, out=blk), w_kept, p) / denom
     best = float(ratios.max())
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     running = np.maximum.accumulate(ratios.max(axis=0))
-    ns = default_degree_list(N)
     entries = [(n, float(running[n])) for n in ns]
     gamma, res = fit_growth(*zip(*entries))
     report = ProbeReport(

@@ -214,6 +214,62 @@ def test_non_finite_output_exits_3_and_writes_nothing(capsys, tmp_path, fmt):
 LEGENDRE_MASS = ["--base", "legendre", "--mass", "1:1"]
 LEGENDRE_INNER_MASS = ["--base", "legendre", "--mass", "0.3:1"]
 
+
+@pytest.mark.parametrize("argv", [
+    ["weak-probe", *LEGENDRE_MASS, "--p", "4", "--n", "3"],  # no degree sweep starts below n = 4
+    ["weak-probe", *LEGENDRE_MASS, "--p", "4", "--n", "5"],  # sweep [4, 5]: one degree in the fitted half
+    ["probe", *LEGENDRE_MASS, "--p", "3", "--n", "5"],
+])
+def test_sweep_too_short_to_fit_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SpecError" in captured.err
+    assert captured.out == ""
+
+
+GENJACOBI_MEASURE = {
+    "base": {"kind": "genjacobi", "alpha": 0.5, "beta": -0.5, "singularities": [{"t": 0.0, "gamma": 1.0}]},
+    "masses": [{"location": -1.0, "mass": 0.5}, {"location": 1.0, "mass": 0.5}],
+}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--base", "laguerre", "--mass", "0:1"], ["--base", "jacobi"], ["--alpha", "1"], ["--beta", "1"], ["--mass", "0:1"],
+])
+def test_measure_flags_next_to_config_measure_exit_2(capsys, tmp_path, flags):
+    cfg = tmp_path / "measure.json"
+    cfg.write_text(json.dumps({"measure": GENJACOBI_MEASURE}))
+    code = main(["recurrence", "--config", str(cfg), *flags, "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SpecError" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["endpoints", "--base", "laguerre", "--mass", "0:1"],
+    ["endpoints", "--mass", "1:1"],
+    ["endpoints", "--base", "legendre", "--alpha", "0.5"],
+    ["laguerre-mass", "--base", "legendre", "--n", "10"],
+    ["laguerre-mass", "--mass", "0:2", "--n", "10"],  # the mass is M from the config, default 1
+    ["laguerre-mass", "--beta", "1", "--n", "10"],
+])
+def test_measure_flags_contradicting_a_command_measure_exit_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SpecError" in captured.err
+    assert captured.out == ""
+
+
+def test_measure_flags_describing_a_command_measure_are_accepted(capsys):
+    code, plain = run(capsys, "laguerre-mass", "--alpha", "0.5", "--n", "10")
+    assert code == 0
+    code, flagged = run(capsys, "laguerre-mass", "--base", "laguerre", "--alpha", "0.5", "--mass", "0:1", "--n", "10")
+    assert code == 0
+    assert flagged == plain
+
 # (command, flags, config given with the flags or None): one case per row of COMMANDS
 REPLAY_CASES = [
     ("recurrence", ["--base", "laguerre", "--mass", "0:1", "--n", "8", "--seed", "7"], None),

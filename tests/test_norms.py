@@ -7,6 +7,7 @@ from masspoly import (
     GenJacobiSpec,
     Grid,
     GridFunction,
+    LaguerreSpec,
     LorentzIndex,
     MassPoint,
     MeasureSpec,
@@ -19,11 +20,14 @@ from masspoly import (
     make_grid,
 )
 from masspoly.norms import (
+    ProbeReport,
+    _verdict,
     _weighted_matrix,
     bmo_norm_estimate,
     bmo_symbols,
     commutator_matrix,
     commutator_probe,
+    default_degree_list,
     default_set_family,
     fit_growth,
     maximal_probe,
@@ -104,6 +108,32 @@ def test_lorentz_nesting_in_r():
         assert b <= a * (1 + 1e-12)
 
 
+def _stable_weak_norm(values, weights, p):
+    """max_i v_(i) C_i^{1/p} on a stable descending sort, zero-weight nodes dropped after sorting."""
+    order = np.argsort(-np.abs(values), kind="stable")
+    vals, meas = np.abs(values)[order], weights[order]
+    keep = meas > 0
+    return float(np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("zero_weight_node", [False, True])
+def test_lorentz_weak_norm_ties_match_stable_sort(p, zero_weight_node):
+    grid = _grid_with_left_endpoint(SPEC, 60) if zero_weight_node else make_grid(SPEC, 60)
+    rng = np.random.default_rng(7)
+    inputs = {
+        "indicator": (rng.random(grid.size) < 0.4).astype(float),
+        "constant": np.full(grid.size, -0.75),
+        "repeated": rng.integers(-3, 4, grid.size) * 0.5,
+        "distinct": rng.standard_normal(grid.size),
+    }
+    for name, values in inputs.items():
+        if zero_weight_node:
+            values[0] = 10.0  # the largest value sits on the node of measure zero
+        val = lorentz_norm(GridFunction(grid, values), LorentzIndex(p, math.inf))
+        assert val == _stable_weak_norm(values, grid.weights, p), name
+
+
 def test_lorentz_index_conjugate():
     assert LorentzIndex(4.0, 1.0).conjugate == (4.0 / 3.0, math.inf)
     assert LorentzIndex(2.0, math.inf).conjugate == (2.0, 1.0)
@@ -172,6 +202,18 @@ def test_operator_norm_probe_lower_bound_p3():
     est, f = operator_norm_probe(A, grid, 3.0, rng=rng)
     ratio = lp_norm(grid.fn(A @ f), 3.0) / lp_norm(grid.fn(f), 3.0)
     assert est == pytest.approx(ratio, rel=1e-9)
+
+
+@pytest.mark.parametrize("ns", [[4], [4, 5], [3, 5, 5]])
+def test_fit_growth_rejects_fewer_than_two_fitted_degrees(ns):
+    with pytest.raises(SpecError):
+        fit_growth(ns, np.ones(len(ns)))
+
+
+def test_default_degree_list_rejects_short_sweeps():
+    with pytest.raises(SpecError):
+        default_degree_list(3)
+    assert default_degree_list(6) == [4, 5, 6]
 
 
 def test_fit_growth_recovers_exponent():
@@ -344,3 +386,80 @@ def test_maximal_probe_accepts_p1():
     basis = basis_for(SPEC, 10)
     rep = maximal_probe(basis, make_grid(SPEC, 30), 1.0, N=10)
     assert all(np.isfinite(v) and v > 0 for _, v in rep.entries)
+
+
+# the weak probe against one rearrangement per (set, degree)
+
+def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
+    """The weak probe's report, every ratio from ``rearrangement`` of one full prefix sum."""
+    if sets is None:
+        sets = default_set_family(grid, np.random.default_rng(seed))
+    uv = weight_values(u, grid, basis.measure)
+    phi = basis.eval_all(grid.nodes, N)
+    ratios = np.zeros((len(sets), N + 1))
+    for si, mask in enumerate(sets):
+        chi = mask.astype(float)
+        denom = lp_norm(grid.fn(chi), p)
+        if denom == 0:
+            continue
+        partials = np.cumsum(phi * (phi @ (grid.weights * chi / uv))[:, None], axis=0)
+        for n in range(N + 1):
+            vals, meas = rearrangement(grid.fn(uv * partials[n]))
+            keep = meas > 0
+            ratios[si, n] = np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)) / denom
+    si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
+    running = np.maximum.accumulate(ratios.max(axis=0))
+    entries = [(n, float(running[n])) for n in default_degree_list(N)]
+    gamma, res = fit_growth(*zip(*entries))
+    diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
+                   "n_sets": len(sets)}
+    mode = "restricted-weak" if restricted else "weak"
+    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size,
+                       diagnostics=diagnostics).to_dict()
+
+
+LEGENDRE_ONE = legendre([MassPoint(1.0, 1.0)])
+LAGUERRE_ZERO = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
+
+
+def _explicit_sets(grid):
+    """An empty mask, the full mask, an interval and the atom."""
+    interval = (grid.nodes > -0.5) & (grid.nodes < 0.2)
+    atom = np.zeros(grid.size, dtype=bool)
+    atom[grid.atom_idx] = True
+    return [np.zeros(grid.size, dtype=bool), np.ones(grid.size, dtype=bool), interval, atom]
+
+
+def _grid_with_split_nodes(spec, m):
+    """A Gauss grid with every node twice, its weight split 3:7, so every S_n has tied values of unequal measure."""
+    grid = make_grid(spec, m)
+    weights = np.stack([0.3 * grid.weights, 0.7 * grid.weights], axis=1).ravel()
+    return Grid(np.repeat(grid.nodes, 2), weights, 2 * grid.atom_idx)
+
+
+# (measure, N, grid size, u, sets from the grid or None for the default family, seed, restricted);
+# N = 63, 64, 65, 130 straddle the degree blocks
+WEAK_CASES = {
+    "legendre_n63": (LEGENDRE_ONE, 63, 126, None, None, 0, True),
+    "legendre_n64": (LEGENDRE_ONE, 64, 128, None, None, 1, True),
+    "legendre_n65": (LEGENDRE_ONE, 65, 130, None, None, 2, False),
+    "legendre_n130": (LEGENDRE_ONE, 130, 260, None, None, 0, True),
+    "two_masses_u": (TWO_MASSES, 40, 120, U, None, 3, True),
+    "laguerre_mass": (LAGUERRE_ZERO, 30, 90, None, None, 0, True),
+    "explicit_sets": (LEGENDRE_ONE, 70, 140, None, _explicit_sets, 0, True),
+    # hand-built grids
+    "zero_weight_node": (SPEC, 20, 60, None, _explicit_sets, 0, True),
+    "split_nodes": (TWO_MASSES, 30, 90, U, None, 0, True),
+}
+HAND_BUILT = {"zero_weight_node": _grid_with_left_endpoint, "split_nodes": _grid_with_split_nodes}
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("case", list(WEAK_CASES))
+def test_weak_probe_matches_rearrangement_reference(case, p):
+    spec, N, m, u, make_sets, seed, restricted = WEAK_CASES[case]
+    grid = HAND_BUILT.get(case, make_grid)(spec, m)
+    basis = basis_for(spec, N)
+    sets = None if make_sets is None else make_sets(grid)
+    rep = weak_type_probe(basis, grid, p, u, sets=sets, N=N, seed=seed, restricted=restricted)
+    assert rep.to_dict() == _weak_reference(basis, grid, p, u, sets, N, seed, restricted)
