@@ -92,13 +92,22 @@ def _flag_masses(args):
 
 
 def _build_measure(args, cfg) -> MeasureSpec:
-    """The measure of the config's "measure", or else of the measure flags; never both."""
+    """The measure of the config's "measure", or else of the measure flags; never both.
+
+    --alpha and --beta must be parameters of the flagged base: --alpha of
+    jacobi or laguerre, --beta of jacobi.
+    """
     if "measure" in cfg:
         given = [f"--{key}" for key in ("base", "alpha", "beta", "mass") if getattr(args, key) is not None]
         if given:
             raise SpecError(f"{', '.join(given)} cannot be combined with a config \"measure\"")
         return measure_from_dict(cfg["measure"])
-    base = _flag_base(args.base or "legendre", args.alpha or 0.0, args.beta or 0.0)
+    name = args.base or "legendre"
+    if args.alpha is not None and name in ("legendre", "hermite"):
+        raise SpecError(f"--alpha is not a parameter of the {name} base")
+    if args.beta is not None and name != "jacobi":
+        raise SpecError(f"--beta is not a parameter of the {name} base")
+    base = _flag_base(name, args.alpha or 0.0, args.beta or 0.0)
     return validate(MeasureSpec(base, _flag_masses(args)))
 
 

@@ -4,8 +4,9 @@ Construction paths:
   * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
   * discretized Stieltjes recurrences for generalized Jacobi weights
     (composite Gauss-Jacobi cells split at every algebraic singularity),
-  * point masses folded into the recurrence of the whole measure by Lanczos
-    (Householder tridiagonalization) on the Gauss rule of mu plus the atoms.
+    optionally in double-double arithmetic,
+  * point masses folded into the recurrence of the whole measure by the
+    RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) and the convex-combination
 decomposition of L_n over Christoffel-modified measures are provided on top.
@@ -117,12 +118,12 @@ def classical_recurrence(base, N: int) -> Recurrence:
     raise SpecError(f"no classical recurrence for base {base!r}")
 
 
-def _stieltjes(x, w, N, dtype=float):
+def _stieltjes(x, w, N):
     """Discretized Stieltjes procedure on the discrete measure sum w_j delta_{x_j}."""
-    x = np.asarray(x, dtype=dtype)
-    w = np.asarray(w, dtype=dtype)
-    alphas = np.zeros(N, dtype=dtype)
-    betas = np.zeros(N, dtype=dtype)
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    alphas = np.zeros(N)
+    betas = np.zeros(N)
     b0 = w.sum()
     if b0 <= 0:
         raise NumericalBreakdown("discretized measure has nonpositive mass")
@@ -140,42 +141,115 @@ def _stieltjes(x, w, N, dtype=float):
         betas[kk + 1] = bnext
         p_prev = p
         p = q / np.sqrt(bnext)
-    return np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float)
+    return alphas, betas
 
 
-def _stieltjes_mp(x, w, N, extra_bits=40):
-    """mpmath variant used for the high-precision constructor path."""
-    import mpmath
+# ----------------------------------------------------------------------
+# double-double arithmetic (Dekker, Numer. Math. 18, 1971)
+#
+# A value is a pair (hi, lo) of floats or arrays with hi = fl(hi + lo), about
+# 106 significant bits.  numpy has no fused multiply-add, so exact products
+# come from Veltkamp splitting; inputs must stay below 2**996 in magnitude.
 
-    with mpmath.workprec(53 + extra_bits):
-        xs = [mpmath.mpf(float(t)) for t in x]
-        ws = [mpmath.mpf(float(t)) for t in w]
-        alphas = [mpmath.mpf(0)] * N
-        betas = [mpmath.mpf(0)] * N
-        b0 = mpmath.fsum(ws)
-        betas[0] = b0
-        p_prev = [mpmath.mpf(0)] * len(xs)
-        inv = 1 / mpmath.sqrt(b0)
-        p = [inv] * len(xs)
-        for kk in range(N):
-            alphas[kk] = mpmath.fsum(wj * xj * pj * pj for wj, xj, pj in zip(ws, xs, p))
-            if kk == N - 1:
-                break
-            sb = mpmath.sqrt(betas[kk]) if kk > 0 else mpmath.mpf(0)
-            q = [
-                (xj - alphas[kk]) * pj - sb * qj for xj, pj, qj in zip(xs, p, p_prev)
-            ]
-            bnext = mpmath.fsum(wj * qj * qj for wj, qj in zip(ws, q))
-            if bnext <= 0:
-                raise NumericalBreakdown(f"Stieltjes breakdown at step {kk + 1}")
-            betas[kk + 1] = bnext
-            sb = mpmath.sqrt(bnext)
-            p_prev = p
-            p = [qj / sb for qj in q]
-        return (
-            np.array([float(a) for a in alphas]),
-            np.array([float(b) for b in betas]),
-        )
+_SPLITTER = 134217729.0  # 2**27 + 1
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    """_two_sum for |a| >= |b| (or a = 0)."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a * b) and p + e = a * b exactly, barring underflow."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(a, b):
+    s, e = _two_sum(a[0], b[0])
+    t, f = _two_sum(a[1], b[1])
+    s, e = _fast_two_sum(s, e + t)
+    return _fast_two_sum(s, e + f)
+
+
+def _dd_mul(a, b):
+    p, e = _two_prod(a[0], b[0])
+    return _fast_two_sum(p, e + (a[0] * b[1] + a[1] * b[0]))
+
+
+def _dd_div(a, b):
+    """a / b: the double quotient, corrected by the pair remainder a - q b."""
+    q = a[0] / b[0]
+    r = _dd_add(a, _dd_mul((-q, 0.0), b))
+    return _fast_two_sum(q, r[0] / b[0])
+
+
+def _dd_sqrt(a):
+    """Square root of a positive scalar pair by one Newton step from sqrt(hi)."""
+    q = math.sqrt(a[0])
+    p, e = _two_prod(q, q)
+    return _fast_two_sum(q, ((a[0] - p) - e + a[1]) / (2.0 * q))
+
+
+def _dd_fsum(terms):
+    """Sum of pair arrays as one pair: fsum of the terms, then fsum of the remainder."""
+    parts = np.concatenate(terms).tolist()
+    s = math.fsum(parts)
+    parts.append(-s)
+    return s, math.fsum(parts)
+
+
+def _stieltjes_mp(x, w, N):
+    """The Stieltjes procedure of ``_stieltjes`` carried out in double-double.
+
+    Nodes and weights are doubles, so exact pairs.  The polynomial values are
+    pairs, and every inner product is summed exactly and rounded once to a
+    pair, so the coefficients carry about 106 bits until their final rounding
+    to double.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    alphas = np.zeros(N)
+    betas = np.zeros(N)
+    b = _dd_fsum([w])
+    if b[0] <= 0:
+        raise NumericalBreakdown("discretized measure has nonpositive mass")
+    betas[0] = b[0]
+    wx = _two_prod(w, x)
+    inv = _dd_div((1.0, 0.0), _dd_sqrt(b))
+    p_prev = (0.0, 0.0)
+    p = (np.full_like(x, inv[0]), np.full_like(x, inv[1]))
+    sb = (0.0, 0.0)
+    for kk in range(N):
+        a = _dd_fsum(_dd_mul(wx, _dd_mul(p, p)))
+        alphas[kk] = a[0]
+        if kk == N - 1:
+            break
+        q = _dd_add(_dd_mul(_dd_add((x, 0.0), (-a[0], -a[1])), p), _dd_mul((-sb[0], -sb[1]), p_prev))
+        b = _dd_fsum(_dd_mul((w, 0.0), _dd_mul(q, q)))
+        if b[0] <= 0:
+            raise NumericalBreakdown(f"Stieltjes breakdown at step {kk + 1}")
+        betas[kk + 1] = b[0]
+        sb = _dd_sqrt(b)
+        p_prev = p
+        p = _dd_div(q, sb)
+    return alphas, betas
 
 
 @functools.lru_cache(maxsize=128)
@@ -251,7 +325,7 @@ def _composite_rule(factors, m, remainder):
 
 
 def _discrete_recurrence(x, w, N, high_precision=False) -> Recurrence:
-    """Stieltjes on the discrete measure sum w_j delta_{x_j}, in mpmath with ``high_precision``."""
+    """Stieltjes on the discrete measure sum w_j delta_{x_j}, in double-double with ``high_precision``."""
     alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
     return Recurrence(alphas, betas)
 
@@ -381,13 +455,13 @@ class OrthoBasis:
 def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
     """Orthonormal basis for nu = mu + sum M_i delta_{a_i}, as one recurrence.
 
-    Lanczos in its orthogonal-reduction form (Gragg & Harrod, Numer. Math.
-    44, 1984): the Jacobi matrix J of degrees 0..N encodes the Gauss rule of
-    order N+1 without forming it.  Bordering blockdiag(J, a_1, .., a_k) with
-    the start vector (sqrt(b_0) e_1, sqrt(M_1), ..) and reducing it to
-    tridiagonal form by Householder reflections gives the recurrence of that
-    rule plus the atoms.  The rule integrates nu exactly to degree 2N+1, so
-    the coefficients are exact through degree N.
+    RKPW (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi 2004, §2.2.3): the
+    Jacobi matrix J of degrees 0..N encodes the Gauss rule of order N+1 of mu
+    without forming it, and each atom enters J through one sweep of Givens
+    rotations that restores tridiagonal form, O(N) per atom.  The rule plus
+    the atoms integrates nu exactly to degree 2N+1, so the coefficients are
+    exact through degree N.  Entry k of a sweep reads only entries <= k, so
+    the sweeps stop at degree N and leave out the rows the atoms add below.
     """
     masses = tuple(masses)
     if not masses:
@@ -395,15 +469,24 @@ def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
     spec = validate(base_basis.measure.with_masses(masses))
     N = base_basis.degree
     rec = base_basis.nu_rec
-    # row and column 0 carry the start vector, rows 1..N+1 J, the rest the atoms
-    diag = np.concatenate([[0.0], rec.alphas[: N + 1], [mp.location for mp in masses]])
-    off = np.concatenate([np.sqrt(rec.betas[: N + 1]), np.zeros(len(masses))])
-    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    A[0, N + 2 :] = A[N + 2 :, 0] = np.sqrt([mp.mass for mp in masses])
-    T = scipy.linalg.hessenberg(A)
-    total = rec.total_mass + sum(mp.mass for mp in masses)
-    nu_rec = Recurrence(np.diag(T)[1 : N + 2], np.concatenate([[total], np.diag(T, -1)[1 : N + 1] ** 2]))
-    return OrthoBasis(spec, base_basis.rec, N, nu_rec)
+    # Gautschi's names: p0, p1 the diagonal and squared off-diagonal of J
+    p0 = rec.alphas[: N + 1].tolist()
+    p1 = rec.betas[: N + 1].tolist()
+    for mp in masses:
+        xlam, pn = mp.location, mp.mass
+        gam, sig, t = 1.0, 0.0, 0.0
+        for k in range(N + 1):
+            rho = p1[k] + pn
+            tmp = gam * rho
+            tsig = sig
+            gam = p1[k] / rho
+            sig = pn / rho
+            tk = sig * (p0[k] - xlam) - gam * t
+            p0[k] -= tk - t
+            t = tk
+            pn = t * t / sig if sig > 0.0 else tsig * p1[k]
+            p1[k] = tmp
+    return OrthoBasis(spec, base_basis.rec, N, Recurrence(p0, p1))
 
 
 def basis_for(spec: MeasureSpec, N: int, m: int | None = None, high_precision=False) -> OrthoBasis:

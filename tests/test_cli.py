@@ -6,6 +6,8 @@ import pytest
 
 from masspoly import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
 from masspoly.cli import COMMANDS, build_parser, main
+from masspoly.measure import measure_to_dict
+from masspoly.opoly import classical_recurrence
 from masspoly.oracle import oracle_recurrence
 
 
@@ -269,6 +271,33 @@ def test_measure_flags_describing_a_command_measure_are_accepted(capsys):
     code, flagged = run(capsys, "laguerre-mass", "--base", "laguerre", "--alpha", "0.5", "--mass", "0:1", "--n", "10")
     assert code == 0
     assert flagged == plain
+
+
+@pytest.mark.parametrize("flags", [
+    ["--base", "laguerre", "--beta", "7"],
+    ["--alpha", "0.5"],  # the default base, legendre, has no alpha
+    ["--base", "legendre", "--alpha", "0.5"],
+    ["--base", "hermite", "--alpha", "1"],
+    ["--base", "hermite", "--beta", "1"],
+])
+def test_measure_flag_the_base_has_no_parameter_for_exits_2(capsys, flags):
+    code = main(["recurrence", *flags, "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "SpecError" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, base", [
+    (["--base", "jacobi", "--alpha", "0.5", "--beta", "0.5"], GenJacobiSpec(0.5, 0.5)),
+    (["--base", "laguerre", "--alpha", "1"], LaguerreSpec(1.0)),
+])
+def test_measure_flags_the_base_takes_still_run(capsys, flags, base):
+    code, doc = run_json(capsys, "recurrence", *flags, "--n", "3")
+    assert code == 0
+    assert doc["config"]["measure"] == measure_to_dict(MeasureSpec(base))
+    rec = classical_recurrence(base, 3)
+    assert np.array(doc["rows"])[:, 1:].tolist() == np.column_stack([rec.alphas, rec.betas]).tolist()
 
 # (command, flags, config given with the flags or None): one case per row of COMMANDS
 REPLAY_CASES = [

@@ -1,5 +1,9 @@
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from masspoly import (
@@ -13,10 +17,16 @@ from masspoly import (
     legendre,
 )
 from masspoly.opoly import (
+    _dd_div,
+    _dd_mul,
+    _stieltjes_mp,
+    _two_prod,
+    _two_sum,
     basis_for,
     cd_kernel,
     classical_recurrence,
     gauss_points,
+    genjacobi_discretization,
     kernel_decomposition,
     kernel_envelope,
     kernel_envelope_ratio,
@@ -238,3 +248,146 @@ def test_high_precision_path_agrees():
     rec_hp = recurrence_for(base, 8, high_precision=True)
     assert np.allclose(rec.alphas, rec_hp.alphas, atol=1e-12)
     assert np.allclose(rec.betas, rec_hp.betas, rtol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# double-double arithmetic and the high-precision Stieltjes step
+
+
+def _random_pairs(rng, n, span=500):
+    """Normalized double-double pairs with random signs and magnitudes in 2^[-span, span)."""
+    hi = rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-span, span, n)) * rng.choice([-1.0, 1.0], n)
+    return _two_sum(hi, hi * rng.uniform(-1.0, 1.0, n) * 2.0**-53)
+
+
+def _exact(pair):
+    return [Fraction(h) + Fraction(l) for h, l in zip(*pair)]
+
+
+def test_two_sum_and_two_prod_are_exact():
+    rng = np.random.default_rng(0)
+    x, y = _random_pairs(rng, 1000)[0], _random_pairs(rng, 1000)[0]
+    s, e = _two_sum(x, y)
+    assert np.array_equal(s, x + y)
+    assert _exact((s, e)) == [Fraction(a) + Fraction(b) for a, b in zip(x, y)]
+    keep = np.abs(x * y) >= 2.0**-900  # below that the error term of a product is subnormal
+    x, y = x[keep], y[keep]
+    p, e = _two_prod(x, y)
+    assert np.array_equal(p, x * y)
+    assert _exact((p, e)) == [Fraction(a) * Fraction(b) for a, b in zip(x, y)]
+
+
+@pytest.mark.parametrize("op, exact, bound", [
+    (_dd_mul, operator.mul, 2.0**-104),
+    (_dd_div, operator.truediv, 2.0**-103),
+], ids=["mul", "div"])
+def test_pair_mul_and_div_within_their_error_bound(op, exact, bound):
+    rng = np.random.default_rng(1)
+    a, b = _random_pairs(rng, 1000), _random_pairs(rng, 1000)
+    size = np.abs(exact(a[0], b[0]))
+    keep = (size >= 2.0**-900) & (size <= 2.0**900)
+    a, b = (a[0][keep], a[1][keep]), (b[0][keep], b[1][keep])
+    hi, lo = op(a, b)
+    assert np.array_equal(hi, hi + lo)
+    for got, want in zip(_exact((hi, lo)), [exact(u, v) for u, v in zip(_exact(a), _exact(b))]):
+        assert abs(got - want) <= bound * abs(want)
+
+
+def _stieltjes_mpmath(x, w, N, extra_bits=40):
+    """Stieltjes procedure in mpmath at 53 + extra_bits bits: the library's former high-precision step."""
+    import mpmath
+
+    with mpmath.workprec(53 + extra_bits):
+        xs = [mpmath.mpf(float(t)) for t in x]
+        ws = [mpmath.mpf(float(t)) for t in w]
+        alphas = [mpmath.mpf(0)] * N
+        betas = [mpmath.mpf(0)] * N
+        betas[0] = mpmath.fsum(ws)
+        p_prev = [mpmath.mpf(0)] * len(xs)
+        p = [1 / mpmath.sqrt(betas[0])] * len(xs)
+        for kk in range(N):
+            alphas[kk] = mpmath.fsum(wj * xj * pj * pj for wj, xj, pj in zip(ws, xs, p))
+            if kk == N - 1:
+                break
+            sb = mpmath.sqrt(betas[kk]) if kk > 0 else mpmath.mpf(0)
+            q = [(xj - alphas[kk]) * pj - sb * qj for xj, pj, qj in zip(xs, p, p_prev)]
+            betas[kk + 1] = mpmath.fsum(wj * qj * qj for wj, qj in zip(ws, q))
+            sb = mpmath.sqrt(betas[kk + 1])
+            p_prev = p
+            p = [qj / sb for qj in q]
+        return np.array([float(a) for a in alphas]), np.array([float(b) for b in betas])
+
+
+@pytest.mark.parametrize("N", [8, 13])
+@pytest.mark.parametrize("spec", [
+    GenJacobiSpec(0.0, 0.0, ((0.0, 2.0),)),  # the benchmark's high-precision oracle measure
+    GenJacobiSpec(-0.5, 0.5, ((0.2, 1.0),)),
+    GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)),
+    GenJacobiSpec(0.3, -0.2, ((-0.4, 0.5),)),
+], ids=str)
+def test_double_double_stieltjes_matches_mpmath(spec, N):
+    x, w = genjacobi_discretization(spec, 40 * N)
+    alphas, betas = _stieltjes_mp(x, w, N)
+    ref_alphas, ref_betas = _stieltjes_mpmath(x, w, N)
+    assert betas.tolist() == ref_betas.tolist()
+    # the symmetric measure's alphas are 0 up to the references' own rounding
+    assert np.all((alphas == ref_alphas) | (np.abs(alphas - ref_alphas) <= 1e-50))
+
+
+def test_double_double_stieltjes_resolves_cancelling_alphas():
+    # Symmetric weight, mirror-image cells whose Gauss-Jacobi panels are not exact
+    # mirrors: the alphas are ~1e-18 sums of O(1) terms.  93-bit mpmath is off by
+    # ~1e-28 there; double-double must agree with 253-bit mpmath to its ~2^-106.
+    x, w = genjacobi_discretization(GenJacobiSpec(0.3, 0.3, ((0.0, -0.4),)), 320)
+    alphas, betas = _stieltjes_mp(x, w, 8)
+    ref_alphas, ref_betas = _stieltjes_mpmath(x, w, 8, extra_bits=200)
+    assert betas.tolist() == ref_betas.tolist()
+    assert np.max(np.abs(alphas - ref_alphas)) <= 1e-31
+
+
+# ----------------------------------------------------------------------
+# RKPW mass update
+
+
+def _householder_mass_update(rec, N, masses):
+    """Recurrence of mu's order-(N+1) Gauss rule plus the atoms, by dense Householder reduction.
+
+    Lanczos in its orthogonal-reduction form: blockdiag(J, a_1, .., a_k), bordered by
+    the start vector (sqrt(b_0), sqrt(M_1), ..), reduced to tridiagonal form.
+    """
+    diag = np.concatenate([[0.0], rec.alphas[: N + 1], [mp.location for mp in masses]])
+    off = np.concatenate([np.sqrt(rec.betas[: N + 1]), np.zeros(len(masses))])
+    A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    A[0, N + 2 :] = A[N + 2 :, 0] = np.sqrt([mp.mass for mp in masses])
+    T = scipy.linalg.hessenberg(A)
+    total = rec.total_mass + sum(mp.mass for mp in masses)
+    return np.diag(T)[1 : N + 2], np.concatenate([[total], np.diag(T, -1)[1 : N + 1] ** 2])
+
+
+@pytest.mark.parametrize("masses, N", [
+    ((MassPoint(-1.0, 0.5), MassPoint(1.0, 0.5)), 400),
+    ((MassPoint(-1.0, 0.5), MassPoint(0.3, 2.0), MassPoint(1.0, 0.5)), 400),
+    ((MassPoint(1.0, 1e-8), MassPoint(-0.2, 1e6)), 300),
+], ids=["two", "three", "disparate"])
+def test_mass_update_gram_on_an_independent_rule(masses, N):
+    basis = basis_for(legendre(list(masses)), N)
+    xs, ws = np.polynomial.legendre.leggauss(N + 20)
+    xs = np.concatenate([xs, [mp.location for mp in masses]])
+    ws = np.concatenate([ws, [mp.mass for mp in masses]])
+    phi = basis.eval_all(xs)
+    assert np.max(np.abs((phi * ws) @ phi.T - np.eye(N + 1))) <= 1e-10
+
+
+@pytest.mark.parametrize("base, masses, N", [
+    (GenJacobiSpec(0.0, 0.0), (MassPoint(1.0, 1.0),), 100),
+    (GenJacobiSpec(0.5, -0.5), (MassPoint(-1.0, 0.5), MassPoint(0.3, 2.0), MassPoint(1.0, 0.5)), 200),
+    (LaguerreSpec(0.0), (MassPoint(0.0, 1.0),), 60),
+    (HermiteSpec(), (MassPoint(0.5, 1.0),), 60),
+], ids=["legendre", "jacobi", "laguerre", "hermite"])
+def test_mass_update_matches_householder_reference(base, masses, N):
+    basis = basis_for(MeasureSpec(base, masses), N)
+    rec = classical_recurrence(base, N + 1)
+    alphas, betas = _householder_mass_update(rec, N, masses)
+    scale = np.max(np.abs(rec.alphas)) + np.max(np.sqrt(rec.betas[1:]))
+    assert np.max(np.abs(basis.nu_rec.alphas - alphas)) <= 1e-13 * scale
+    np.testing.assert_allclose(basis.nu_rec.betas, betas, rtol=1e-13, atol=0)
