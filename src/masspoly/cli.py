@@ -209,14 +209,21 @@ def _pollard(spec, prm):
     return {"r": parts.r, "s": parts.s, "residual": parts.residual, "rows": rows}, rows
 
 
-# probe mode -> probe call (basis, grid, parameters, u, v)
+def _weak_probe(restricted):
+    def run(basis, grid, q, u, v):
+        if v is not None:
+            raise SpecError("the weak probes take one weight, u, which also divides the input; v is not used")
+        return norms.weak_type_probe(basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=restricted)
+    return run
+
+
+# probe mode -> probe call (basis, grid, parameters, u, v); a weight not given is None
 _PROBES = {
+    # the strong report has always recorded a weight not given as the unit weight, a = b = 0
     "strong": lambda basis, grid, q, u, v: norms.strong_probe(
-        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
-    "weak": lambda basis, grid, q, u, v: norms.weak_type_probe(
-        basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=False),
-    "restricted-weak": lambda basis, grid, q, u, v: norms.weak_type_probe(
-        basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=True),
+        basis, grid, q["p"], *_weights(q), N=q["N"], seed=q["seed"]),
+    "weak": _weak_probe(restricted=False),
+    "restricted-weak": _weak_probe(restricted=True),
     "maximal": lambda basis, grid, q, u, v: norms.maximal_probe(
         basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
     "commutator": lambda basis, grid, q, u, v: norms.commutator_probe(
@@ -229,7 +236,8 @@ def _probe(spec, prm):
         raise SpecError(f"mode must be one of {tuple(_PROBES)}, got {prm['mode']!r}")
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
-    rep = _PROBES[prm["mode"]](basis, grid, prm, *_weights(prm))
+    u, v = (None if prm[key] is None else weight_from_dict(prm[key]) for key in ("u", "v"))
+    rep = _PROBES[prm["mode"]](basis, grid, prm, u, v)
     return {"report": rep.to_dict()}, [(int(n), float(e)) for n, e in rep.entries]
 
 

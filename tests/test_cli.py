@@ -347,3 +347,59 @@ def test_subcommands_keep_their_flags():
     for name, sub in subparsers.choices.items():
         options = {opt for action in sub._actions for opt in action.option_strings}
         assert options == common | extra.get(name, set()), name
+
+
+# a probe grid resolves degree N only with at least N + 1 Gauss nodes
+
+@pytest.mark.parametrize("argv", [
+    ["probe", *LEGENDRE_MASS, "--mode", "strong", "--p", "2", "--n", "40"],
+    ["weak-probe", *LEGENDRE_MASS, "--p", "4", "--n", "40"],
+])
+@pytest.mark.parametrize("grid_size, code", [(10, 2), (41, 0)])
+def test_probe_grid_must_resolve_the_top_degree(capsys, tmp_path, argv, grid_size, code):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"grid_size": grid_size}))
+    assert main([*argv, "--config", str(cfg)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "GridTooSmall" in captured.err and "at least 41" in captured.err
+        assert captured.out == ""
+    else:
+        assert json.loads(captured.out)["report"]["verdict"] == "bounded"
+
+
+def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"grid_size": -5}')
+    assert main(["probe", *LEGENDRE_MASS, "--n", "20", "--config", str(cfg)]) == 2
+    assert "grid size -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["weak-probe"],
+    ["weak-probe", "--mode", "weak"],
+    ["probe", "--mode", "restricted-weak"],
+])
+def test_weak_modes_reject_v(capsys, tmp_path, argv):
+    cfg = tmp_path / "v.json"
+    cfg.write_text('{"v": {"a": 0.25}}')
+    assert main([*argv, *LEGENDRE_MASS, "--p", "4", "--n", "30", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "SpecError" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("mode, weights, recorded", [
+    ("restricted-weak", {"u": {"a": 0.25}}, ({"a": 0.25, "b": 0.0}, {})),
+    ("weak", {}, ({}, {})),
+    ("maximal", {"u": {"a": 0.25}, "v": {"b": 0.5}}, ({"a": 0.25, "b": 0.0}, {"a": 0.0, "b": 0.5})),
+    ("maximal", {}, ({}, {})),
+    ("commutator", {"v": {"b": 0.5}}, ({}, {"a": 0.0, "b": 0.5})),
+    ("strong", {"u": {"a": 0.25}}, ({"a": 0.25, "b": 0.0}, {"a": 0.0, "b": 0.0})),
+])
+def test_probe_reports_record_the_weights_used(capsys, tmp_path, mode, weights, recorded):
+    cfg = tmp_path / "w.json"
+    cfg.write_text(json.dumps(weights))
+    code, doc = run_json(capsys, "probe", *LEGENDRE_INNER_MASS, "--mode", mode, "--p", "3", "--n", "30",
+                         "--config", str(cfg))
+    assert code == 0
+    assert (doc["report"]["u"], doc["report"]["v"]) == recorded

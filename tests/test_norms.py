@@ -1,12 +1,16 @@
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from masspoly import norms
 from masspoly import (
     GenJacobiSpec,
     Grid,
     GridFunction,
+    GridTooSmall,
     LaguerreSpec,
     LorentzIndex,
     MassPoint,
@@ -22,6 +26,8 @@ from masspoly import (
 from masspoly.norms import (
     ProbeReport,
     _verdict,
+    _may_reach,
+    _weak_norms,
     _weighted_matrix,
     bmo_norm_estimate,
     bmo_symbols,
@@ -414,7 +420,8 @@ def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}
     mode = "restricted-weak" if restricted else "weak"
-    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size,
+    u_fields = {} if u is None else {"a": u.a, "b": u.b}
+    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u=u_fields,
                        diagnostics=diagnostics).to_dict()
 
 
@@ -463,3 +470,166 @@ def test_weak_probe_matches_rearrangement_reference(case, p):
     sets = None if make_sets is None else make_sets(grid)
     rep = weak_type_probe(basis, grid, p, u, sets=sets, N=N, seed=seed, restricted=restricted)
     assert rep.to_dict() == _weak_reference(basis, grid, p, u, sets, N, seed, restricted)
+
+
+# the weak probe's bound-and-skip loop against the set-major loop that sorted every row
+
+def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0, restricted=True):
+    """The weak probe as a set-major loop over blocks of degrees that sorts every (set, degree) row."""
+    if N is None:
+        N = basis.degree
+    if sets is None:
+        sets = default_set_family(grid, np.random.default_rng(seed))
+    uv = weight_values(u, grid, basis.measure)
+    phi = basis.eval_all(grid.nodes, N)
+    keep = grid.weights > 0
+    phi_kept, u_kept, w_kept = phi[:, keep], uv[keep], grid.weights[keep]
+    ratios = np.zeros((len(sets), N + 1))
+    for si, mask in enumerate(sets):
+        chi = mask.astype(float)
+        denom = lp_norm(grid.fn(chi), p)
+        if denom == 0:
+            continue
+        coef = phi @ (grid.weights * chi / uv)
+        carry = 0.0
+        for k in range(0, N + 1, norms._WEAK_BLOCK):
+            blk = phi_kept[k : k + norms._WEAK_BLOCK] * coef[k : k + norms._WEAK_BLOCK, None]
+            blk[0] += carry
+            np.cumsum(blk, axis=0, out=blk)
+            carry = blk[-1].copy()
+            blk *= u_kept
+            ratios[si, k : k + len(blk)] = norms._weak_norms(np.abs(blk, out=blk), w_kept, p) / denom
+    si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
+    running = np.maximum.accumulate(ratios.max(axis=0))
+    entries = [(n, float(running[n])) for n in default_degree_list(N)]
+    gamma, res = fit_growth(*zip(*entries))
+    diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
+                   "n_sets": len(sets)}
+    return ProbeReport("restricted-weak" if restricted else "weak", p, entries, gamma, res, _verdict(gamma),
+                       seed, grid.size, u={} if u is None else {"a": u.a, "b": u.b}, diagnostics=diagnostics)
+
+
+def _weak_case(case):
+    """(basis, grid, u, sets, N, seed, restricted) of a WEAK_CASES entry."""
+    spec, N, m, u, make_sets, seed, restricted = WEAK_CASES[case]
+    grid = HAND_BUILT.get(case, make_grid)(spec, m)
+    return basis_for(spec, N), grid, u, None if make_sets is None else make_sets(grid), N, seed, restricted
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_and_grid(spec, N):
+    return basis_for(spec, N), make_grid(spec, 3 * N)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
+@pytest.mark.parametrize("case", list(WEAK_CASES))
+def test_weak_probe_matches_set_major_reference(case, p):
+    basis, grid, u, sets, N, seed, restricted = _weak_case(case)
+    rep = weak_type_probe(basis, grid, p, u, sets=sets, N=N, seed=seed, restricted=restricted)
+    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, p, u, sets, N, seed, restricted).to_dict()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
+@pytest.mark.parametrize("N", [200, 400])
+def test_weak_probe_matches_set_major_reference_at_scale(N, p):
+    basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
+    rep = weak_type_probe(basis, grid, p, N=N)
+    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, p, N=N).to_dict()
+
+
+def test_weak_probe_bound_overflow_is_silent_and_exact():
+    # |S_n chi|^6 overflows at the far Laguerre nodes; an infinite bound keeps its row
+    basis, grid = _basis_and_grid(LAGUERRE_ZERO, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = weak_type_probe(basis, grid, 6.0, N=60)
+    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, 6.0, N=60).to_dict()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
+def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
+    # ||f||_{p,inf} = ||f||_p for a constant times an indicator: only rounding separates
+    # the sorted cumulative sum from the bound, and the probe's 1e-10 slack must cover it;
+    # where the power sum underflows the rounding is coarser, and the row must be kept anyway
+    rng = np.random.default_rng(4)
+    weights = [make_grid(SPEC, 12).weights, make_grid(SPEC, 600).weights, make_grid(LAGUERRE_ZERO, 300).weights,
+               np.exp(rng.uniform(-30.0, 0.0, 10_000))]
+    for case, w in enumerate(weights):
+        rows = [np.full(len(w), c) for c in (1.0, 0.37, 3e5)]
+        for c in (1.0, 7.5):
+            for i in (0, len(w) // 3, len(w) - 1):
+                rows.append(np.zeros(len(w)))
+                rows[-1][i] = c
+        rows += [c * (rng.random(len(w)) < q) for c in (1.0, 0.2) for q in (0.05, 0.5, 0.95)]
+        # one node whose term w_i |f_i|^p is subnormal, where the power sum rounds coarsely
+        for t in np.geomspace(1e-321, 1e-309, 15):
+            rows.append(np.zeros(len(w)))
+            rows[-1][len(w) // 2] = (t / w[len(w) // 2]) ** (1.0 / p)
+        A = np.array(rows)
+        power_sums = A**p @ w
+        bound = power_sums ** (1.0 / p)
+        weak = _weak_norms(A, w, p)
+        assert np.all(_may_reach(A, w, p, 1.0, weak)), case
+        # below the smallest normal float the power sum loses its relative precision,
+        # so the probe keeps those rows whatever their bound says
+        normal = power_sums >= np.finfo(float).tiny
+        assert np.all(weak[normal] <= bound[normal] * (1.0 + 1e-10)), case
+        np.testing.assert_allclose(weak[normal], bound[normal], rtol=1e-12)
+        assert not np.any(_may_reach(A[normal], w, p, 1.0, weak[normal] * (1.0 + 1e-8))), case
+
+
+def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
+    basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
+    real, sorted_rows = norms._weak_norms, []
+
+    def counting(A, w, p):
+        sorted_rows.append(len(A))
+        return real(A, w, p)
+
+    monkeypatch.setattr(norms, "_weak_norms", counting)
+    total = len(default_set_family(grid, np.random.default_rng(0))) * 201
+    weak_type_probe(basis, grid, 4.0, N=200, seed=0)
+    assert sum(sorted_rows) <= 0.3 * total  # 1570 of 7437 when this was written
+    sorted_rows.clear()
+    _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
+    assert sum(sorted_rows) == total
+
+
+# a grid resolves the basis up to degree n only with at least n + 1 Gauss nodes
+
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_probes_reject_a_grid_too_coarse_for_the_top_degree(mode):
+    basis = basis_for(SPEC, 40)
+    b = bmo_symbols()["smooth_step"]
+    calls = {
+        "strong": lambda grid: strong_probe(basis, grid, 2.0, N=40),
+        "commutator": lambda grid: commutator_probe(basis, grid, b, 2.0, N=40),
+        "maximal": lambda grid: maximal_probe(basis, grid, 2.0, N=40),
+        "weak": lambda grid: weak_type_probe(basis, grid, 2.0, N=40),
+    }
+    with pytest.raises(GridTooSmall, match="at least 41"):
+        calls[mode](make_grid(SPEC, 40))  # 40 Gauss nodes plus the atom
+    assert len(calls[mode](make_grid(SPEC, 41)).entries) == len(default_degree_list(40))
+
+
+@pytest.mark.parametrize("m", [0, -5])
+def test_make_grid_rejects_a_grid_without_nodes(m):
+    with pytest.raises(SpecError, match=f"grid size {m}"):
+        make_grid(SPEC, m)
+
+
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_probe_reports_record_their_weights(mode):
+    basis = basis_for(TWO_MASSES, 20)
+    grid = make_grid(TWO_MASSES, 60)
+    b = bmo_symbols()["smooth_step"]
+    if mode == "strong":
+        rep = strong_probe(basis, grid, 3.0, U, V, N=20)
+    elif mode == "commutator":
+        rep = commutator_probe(basis, grid, b, 3.0, U, V, N=20)
+    elif mode == "maximal":
+        rep = maximal_probe(basis, grid, 3.0, U, V, N=20)
+    else:
+        rep = weak_type_probe(basis, grid, 3.0, U, N=20)
+    assert rep.u == {"a": 0.3, "b": -0.2}
+    assert rep.v == ({} if mode == "weak" else {"a": -0.25, "b": 0.4})
