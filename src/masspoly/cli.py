@@ -209,21 +209,17 @@ def _pollard(spec, prm):
     return {"r": parts.r, "s": parts.s, "residual": parts.residual, "rows": rows}, rows
 
 
-def _weak_probe(restricted):
-    def run(basis, grid, q, u, v):
-        if v is not None:
-            raise SpecError("the weak probes take one weight, u, which also divides the input; v is not used")
-        return norms.weak_type_probe(basis, grid, q["p"], u, N=q["N"], seed=q["seed"], restricted=restricted)
-    return run
+def _weak_probe(basis, grid, q, u, v):
+    if v is not None:
+        raise SpecError("the weak-type probe takes one weight, u, which also divides the input; v is not used")
+    return norms.weak_type_probe(basis, grid, q["p"], u, N=q["N"], seed=q["seed"])
 
 
 # probe mode -> probe call (basis, grid, parameters, u, v); a weight not given is None
 _PROBES = {
-    # the strong report has always recorded a weight not given as the unit weight, a = b = 0
     "strong": lambda basis, grid, q, u, v: norms.strong_probe(
-        basis, grid, q["p"], *_weights(q), N=q["N"], seed=q["seed"]),
-    "weak": _weak_probe(restricted=False),
-    "restricted-weak": _weak_probe(restricted=True),
+        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
+    "restricted-weak": _weak_probe,
     "maximal": lambda basis, grid, q, u, v: norms.maximal_probe(
         basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
     "commutator": lambda basis, grid, q, u, v: norms.commutator_probe(

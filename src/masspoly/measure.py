@@ -170,11 +170,11 @@ class PowerWeightSpec:
 
     def values(self, x, measure: MeasureSpec):
         """Evaluate on an array of points; mass-point values are overridden."""
+        _check_weight_fits(self, measure)
         x = np.asarray(x, dtype=float)
-        base = measure.base
         with np.errstate(divide="ignore"):
             w = (1.0 - x) ** self.a * (1.0 + x) ** self.b
-            sing = getattr(base, "singularities", ())
+            sing = measure.base.singularities
             g = self.g if self.g else (0.0,) * len(sing)
             for (t, _), gi in zip(sing, g):
                 w = w * np.abs(x - t) ** gi
@@ -185,17 +185,16 @@ class PowerWeightSpec:
             w = np.where(x == mp.location, val, w)
         return w
 
-    @property
-    def is_trivial(self):
-        return (
-            self.a == 0
-            and self.b == 0
-            and all(gi == 0 for gi in self.g)
-            and all(v == 1 for v in self.at_mass)
-        )
-
 
 UNIT_WEIGHT = PowerWeightSpec()
+
+
+def _check_weight_fits(w: PowerWeightSpec, measure: MeasureSpec):
+    """Reject a non-empty g or at_mass without one entry per base singularity or per mass point."""
+    for name, given, count, what in (("g", w.g, len(measure.base.singularities), "base singularities"),
+                                     ("atMass", w.at_mass, len(measure.masses), "mass points")):
+        if given and len(given) != count:
+            raise SpecError(f"weight {name} has {len(given)} entries, but the measure has {count} {what}")
 
 
 # ----------------------------------------------------------------------
@@ -248,6 +247,8 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
     if not (1.0 < p < math.inf):
         raise SpecError(f"p must be in (1, inf), got {p}")
 
+    _check_weight_fits(u, spec)
+    _check_weight_fits(v, spec)
     alpha, beta = base.alpha, base.beta
     gammas = [g for _, g in base.singularities]
     nsing = len(gammas)
@@ -367,10 +368,34 @@ def measure_to_dict(spec: MeasureSpec):
     }
 
 
+_BASE_KEYS = {
+    "genjacobi": ("kind", "alpha", "beta", "singularities"),
+    "laguerre": ("kind", "alpha"),
+    "hermite": ("kind",),
+}
+
+
+def _check_keys(d, allowed, what):
+    """Reject a spec object with a key outside ``allowed``, which would otherwise be dropped unread."""
+    if not isinstance(d, dict):
+        raise SpecError(f"{what} must be a JSON object, got {d!r}")
+    unknown = [key for key in d if key not in allowed]
+    if unknown:
+        raise SpecError(f"unknown {what} key(s) {unknown}; expected some of {list(allowed)}")
+
+
 def measure_from_dict(d) -> MeasureSpec:
+    _check_keys(d, ("base", "masses"), "measure")
     try:
         bd = d["base"]
         kind = bd["kind"]
+        if kind not in _BASE_KEYS:
+            raise SpecError(f"unknown base kind {kind!r}")
+        _check_keys(bd, _BASE_KEYS[kind], f"{kind} base")
+        for s in bd.get("singularities", []):
+            _check_keys(s, ("t", "gamma"), "singularity")
+        for m in d.get("masses", []):
+            _check_keys(m, ("location", "mass"), "mass")
         if kind == "genjacobi":
             base = GenJacobiSpec(
                 float(bd.get("alpha", 0.0)),
@@ -379,10 +404,8 @@ def measure_from_dict(d) -> MeasureSpec:
             )
         elif kind == "laguerre":
             base = LaguerreSpec(float(bd.get("alpha", 0.0)))
-        elif kind == "hermite":
-            base = HermiteSpec()
         else:
-            raise SpecError(f"unknown base kind {kind!r}")
+            base = HermiteSpec()
         masses = tuple(
             MassPoint(float(m["location"]), float(m["mass"])) for m in d.get("masses", [])
         )
@@ -398,6 +421,7 @@ def weight_to_dict(w: PowerWeightSpec):
 def weight_from_dict(d) -> PowerWeightSpec:
     if d is None:
         return PowerWeightSpec()
+    _check_keys(d, ("a", "b", "g", "atMass"), "weight")
     try:
         return PowerWeightSpec(
             float(d.get("a", 0.0)),

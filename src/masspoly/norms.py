@@ -14,11 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GridTooSmall, NonFiniteWeight, SpecError
-from .measure import MeasureSpec, PowerWeightSpec, validate
+from .measure import MeasureSpec, PowerWeightSpec, validate, weight_to_dict
 from .opoly import OrthoBasis, Recurrence, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
-_WEAK_BLOCK = 64  # degrees whose partial sums the weak probe holds and sorts at once
 
 
 # ----------------------------------------------------------------------
@@ -36,12 +35,6 @@ class Grid:
     @property
     def size(self):
         return len(self.nodes)
-
-    @property
-    def continuous_idx(self):
-        mask = np.ones(self.size, dtype=bool)
-        mask[self.atom_idx] = False
-        return np.flatnonzero(mask)
 
     def fn(self, values) -> "GridFunction":
         """Wrap values (array or callable on nodes) as a GridFunction."""
@@ -382,15 +375,15 @@ def operator_norm_probe(
     return float(best_val), best_x
 
 
-def _partial_sums(phi, w, G, degrees):
-    """Yield (n, S_n G) for ascending ``degrees``; the columns of G are node values.
+def _partial_sums(phi, coef, degrees):
+    """Yield (n, sum_{k<=n} P_k coef_k) for ascending ``degrees``; P_k is row k of phi.
 
-    S_n = phi_n^T diag(w) phi_n stays in its factors: the coefficients
-    phi (w G) are formed once, and each step adds the rows of phi between
-    consecutive degrees.  The yielded array is updated in place by the next step.
+    With coef = phi (w g) for node values g in its columns this is S_n g:
+    S_n = phi_n^T diag(w) phi_n stays in its factors, the caller forms the
+    coefficients once, and each step adds the rows of phi between consecutive
+    degrees.  The yielded array is updated in place by the next step.
     """
-    coef = phi @ (w[:, None] * G)
-    out = np.zeros_like(G)
+    out = np.zeros((phi.shape[1], coef.shape[1]))
     k = 0
     for n in degrees:
         out += phi[k : n + 1].T @ coef[k : n + 1]
@@ -436,8 +429,8 @@ def _check_grid_resolves(grid: Grid, n):
 
 
 def _weight_fields(w: PowerWeightSpec | None):
-    """The report's record of a weight: its exponents a and b, or {} when none was given."""
-    return {} if w is None else {"a": w.a, "b": w.b}
+    """The report's record of a weight: all its fields, or {} when none was given."""
+    return {} if w is None else weight_to_dict(w)
 
 
 def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
@@ -511,7 +504,7 @@ def _verdict(gamma):
 
 
 def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport:
-    entries = [(n, vals[n]) for n in ns]
+    entries = [(n, float(vals[n])) for n in ns]
     gamma, res = fit_growth(*zip(*entries), envelope=True)
     return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, **weights)
 
@@ -556,7 +549,7 @@ def strong_probe(
         F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
         pp = p / (p - 1)
         vals = {}
-        for n, SF in _partial_sums(phi, w, F / vv[:, None], degrees):
+        for n, SF in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), degrees):
             # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; G holds f / v
             pk = phi[[k for k in (n, n - 1) if k >= 0]] / vv
             G = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
@@ -593,10 +586,11 @@ def commutator_probe(
     K = G.shape[1]
     pp = p / (p - 1)
     vals = {}
+    coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
     # entries are fixed-family lower bounds plus increment certificates;
     # exact norms approach their (finite) sup so slowly in n that a trend
     # fit on them would misread every bounded commutator as growing
-    for n, S in _partial_sums(phi, w, np.hstack([G, b_vals[:, None] * G]), sorted(set(ns))):
+    for n, S in _partial_sums(phi, coef, sorted(set(ns))):
         # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v)
         best = _best_ratio(w, _weighted_rows(uv, b_vals[:, None] * S[:, :K] - S[:, K:]), F, p)
         # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
@@ -629,7 +623,7 @@ def maximal_probe(
     sup = np.zeros_like(F)
     vals = {}
     # one prefix sum over every degree; sup_{k<=n} |S_k f| is its running max at n
-    for k, S in _partial_sums(phi, w, F / vv[:, None], range(max(ns) + 1)):
+    for k, S in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), range(max(ns) + 1)):
         np.maximum(sup, np.abs(S), out=sup)
         if k in wanted:
             vals[k] = _best_ratio(w, _weighted_rows(uv, sup), F, p)
@@ -695,78 +689,53 @@ def weak_type_probe(
 ) -> ProbeReport:
     """Max over sets E and degrees n of ||u S_n(u^{-1} chi_E)||_{p,inf} / ||chi_E||_p.
 
-    With ``restricted`` the input family is indicators (restricted weak type);
-    the report entries give the running max ratio as the degree cap grows.
-    ``restricted=False`` (CLI ``--mode weak``) runs the same indicator family
-    and only names the report "weak", so its ratio is a lower bound for the
-    weak-type norm, not an estimate of it.
+    The inputs are indicators, so the probe measures restricted weak type;
+    ``restricted=False`` raises SpecError, since no probe over general inputs
+    exists.  The entries give the running max ratio as the degree cap grows.
 
-    The partial sums are built ``_WEAK_BLOCK`` degrees at a time, block by
-    block, each set's block in turn.  Only the running maximum over sets and
-    degrees reaches the report, so a row (set, degree n) is sorted only if it
-    could raise it.  Chebyshev's inequality ||f||_{p,inf} <= ||f||_p bounds
-    every row in O(m) with no sort; a row is skipped when that bound is below
-    its floor, the largest ratio already computed at a degree <= n (in earlier
-    blocks, or in this block for the sets before it).  A skipped row stays 0:
-    its ratio is below a computed ratio at a degree no larger than its own, so
-    no running entry, ``max_ratio`` or first-occurrence argmax
-    (``extremal_set``, ``extremal_n``) can change.  Every row that is sorted
-    sees the same floats as when all rows were, so reports are bit-identical.
-    On Legendre + delta_1 with the 3N grid and p = 4, 1570 of the 7437 rows
-    are sorted at N = 200 and 1755 of 14837 at N = 400.
+    The partial sums come from the shared prefix-sum loop, one degree at a
+    time; at degree n each set E of positive measure gives one row
+    |u S_n(u^{-1} chi_E)| over the nodes of positive measure.  Only the running
+    maximum over sets and degrees reaches the report, so a row is sorted only
+    if it could raise it.  Chebyshev's inequality ||f||_{p,inf} <= ||f||_p
+    bounds every row in O(m) with no sort; a row is skipped when that bound is
+    below the largest ratio at the degrees below n.  A skipped row stays 0: its
+    ratio is below a computed ratio at a smaller degree, so no running entry,
+    ``max_ratio`` or first-occurrence argmax (``extremal_set``,
+    ``extremal_n``) can change.  Every row that is sorted sees the same floats
+    as when all rows were, so reports are bit-identical.  On Legendre + delta_1
+    with the 3N grid and p = 4, 718 of the 7437 rows are sorted at N = 200 and
+    908 of 14837 at N = 400.  Beside the basis table, S sets take O(S (m + N))
+    working memory.
     """
     _check_exponent(p)
-    if N is None:
-        N = basis.degree
-    _check_grid_resolves(grid, N)
-    ns = default_degree_list(N)
-    rng = np.random.default_rng(seed)
+    if not restricted:
+        raise SpecError("the weak-type probe takes indicator inputs only, so it needs restricted=True")
+    # u^{-1} weights the input, so u is checked as v as well
+    ns, uv, _, phi = _sweep_setup(basis, grid, u, u, N, None)
     if sets is None:
-        sets = default_set_family(grid, rng)
+        sets = default_set_family(grid, np.random.default_rng(seed))
     if not sets:
         raise SpecError("set family is empty")
-    spec = basis.measure
-    uv = weight_values(u, grid, spec)
-    uv, _ = _checked_weights(uv, uv)  # u^{-1} weights the input, so u is checked as v as well
-    phi = basis.eval_all(grid.nodes, N)
-    keep = grid.weights > 0  # a node of measure zero adds nothing to a distribution function
-    phi_kept, u_kept, w_kept = phi[:, keep], uv[keep], grid.weights[keep]
-    chis = [mask.astype(float) for mask in sets]
-    denoms = [lp_norm(grid.fn(chi), p) for chi in chis]
-    live = [si for si, denom in enumerate(denoms) if denom != 0]
-    coefs = [phi @ (grid.weights * chis[si] / uv) for si in live]
-    # row n of a set's block is the prefix sum sum_{k<=n} P_k coef_k, carried across blocks
-    carries = np.zeros((len(live), len(w_kept)))
-    ratios = np.zeros((len(sets), N + 1))
-    best = 0.0  # largest ratio of the earlier blocks
-    for k in range(0, N + 1, _WEAK_BLOCK):
-        top = np.zeros(min(_WEAK_BLOCK, N + 1 - k))  # per degree, largest ratio of this block so far
-        for si, coef, carry in zip(live, coefs, carries):
-            blk = phi_kept[k : k + _WEAK_BLOCK] * coef[k : k + _WEAK_BLOCK, None]
-            blk[0] += carry
-            np.cumsum(blk, axis=0, out=blk)
-            carry[:] = blk[-1]
-            blk *= u_kept
-            np.abs(blk, out=blk)
-            floor = np.maximum(best, np.maximum.accumulate(top))
-            rows = np.flatnonzero(_may_reach(blk, w_kept, p, denoms[si], floor))
-            if len(rows):
-                ratios[si, k + rows] = _weak_norms(blk[rows], w_kept, p) / denoms[si]
-            np.maximum(top, ratios[si, k : k + len(top)], out=top)
-        best = max(best, float(top.max()))
+    w = grid.weights
+    denoms = np.array([lp_norm(grid.fn(mask), p) for mask in sets])
+    live = np.flatnonzero(denoms != 0)
+    coef = np.zeros((len(phi), len(live)))
+    for j, si in enumerate(live):
+        coef[:, j] = phi @ (w * sets[si] / uv)
+    keep = w > 0  # a node of measure zero adds nothing to a distribution function
+    u_kept, w_kept, d_live = uv[keep], w[keep], denoms[live]
+    ratios = np.zeros((len(sets), len(phi)))
+    running = np.zeros(len(phi))
+    for n, S in _partial_sums(phi, coef, range(len(phi))):
+        rows = np.ascontiguousarray(S[keep].T)  # one row per live set
+        rows *= u_kept
+        np.abs(rows, out=rows)
+        best = running[n - 1] if n else 0.0
+        may = np.flatnonzero(_may_reach(rows, w_kept, p, d_live, best))
+        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p) / d_live[may]
+        running[n] = max(best, ratios[:, n].max())
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
-    running = np.maximum.accumulate(ratios.max(axis=0))
-    entries = [(n, float(running[n])) for n in ns]
-    gamma, res = fit_growth(*zip(*entries))
-    report = ProbeReport(
-        "restricted-weak" if restricted else "weak",
-        p, entries, gamma, res, _verdict(gamma), seed, grid.size,
-        u=_weight_fields(u),
-        diagnostics={
-            "max_ratio": float(ratios.max()),
-            "extremal_set": int(si),
-            "extremal_n": int(n_star),
-            "n_sets": len(sets),
-        },
-    )
-    return report
+    diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
+                   "n_sets": len(sets)}
+    return _sweep_report("restricted-weak", p, ns, running, seed, grid, u=_weight_fields(u), diagnostics=diagnostics)

@@ -377,7 +377,7 @@ def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["weak-probe"],
-    ["weak-probe", "--mode", "weak"],
+    ["weak-probe", "--mode", "restricted-weak"],
     ["probe", "--mode", "restricted-weak"],
 ])
 def test_weak_modes_reject_v(capsys, tmp_path, argv):
@@ -388,13 +388,21 @@ def test_weak_modes_reject_v(capsys, tmp_path, argv):
     assert "SpecError" in captured.err and captured.out == ""
 
 
+def _record(a=0.0, b=0.0, g=(), at_mass=()):
+    return {"a": a, "b": b, "g": list(g), "atMass": list(at_mass)}
+
+
 @pytest.mark.parametrize("mode, weights, recorded", [
-    ("restricted-weak", {"u": {"a": 0.25}}, ({"a": 0.25, "b": 0.0}, {})),
-    ("weak", {}, ({}, {})),
-    ("maximal", {"u": {"a": 0.25}, "v": {"b": 0.5}}, ({"a": 0.25, "b": 0.0}, {"a": 0.0, "b": 0.5})),
+    ("restricted-weak", {"u": {"a": 0.25}}, (_record(a=0.25), {})),
+    ("restricted-weak", {}, ({}, {})),
+    ("maximal", {"u": {"a": 0.25}, "v": {"b": 0.5}}, (_record(a=0.25), _record(b=0.5))),
     ("maximal", {}, ({}, {})),
-    ("commutator", {"v": {"b": 0.5}}, ({}, {"a": 0.0, "b": 0.5})),
-    ("strong", {"u": {"a": 0.25}}, ({"a": 0.25, "b": 0.0}, {"a": 0.0, "b": 0.0})),
+    ("commutator", {"v": {"b": 0.5}}, ({}, _record(b=0.5))),
+    ("strong", {"u": {"a": 0.25}}, (_record(a=0.25), {})),
+    ("strong", {}, ({}, {})),
+    ("strong", {"u": {"a": 0.25, "atMass": [3.0]}, "v": {"atMass": [0.5]}},
+     (_record(a=0.25, at_mass=[3.0]), _record(at_mass=[0.5]))),
+    ("restricted-weak", {"u": {"atMass": [3.0]}}, (_record(at_mass=[3.0]), {})),
 ])
 def test_probe_reports_record_the_weights_used(capsys, tmp_path, mode, weights, recorded):
     cfg = tmp_path / "w.json"
@@ -403,3 +411,58 @@ def test_probe_reports_record_the_weights_used(capsys, tmp_path, mode, weights, 
                          "--config", str(cfg))
     assert code == 0
     assert (doc["report"]["u"], doc["report"]["v"]) == recorded
+
+
+@pytest.mark.parametrize("command", ["probe", "weak-probe"])
+def test_weak_mode_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *LEGENDRE_MASS, "--mode", "weak", "--p", "4", "--n", "30"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'weak'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["probe", "weak-probe"])
+def test_weak_mode_config_exits_2(capsys, tmp_path, command):
+    cfg = tmp_path / "mode.json"
+    cfg.write_text('{"mode": "weak"}')
+    assert main([command, *LEGENDRE_MASS, "--p", "4", "--n", "30", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "SpecError" in captured.err and "mode must be one of" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    # a misspelt weight key would run unweighted
+    (["weak-probe", *LEGENDRE_MASS, "--p", "4", "--n", "30"], {"u": {"alpha": 0.25}}),
+    (["probe", *LEGENDRE_MASS, "--p", "3", "--n", "30"], {"v": {"a": 0.25, "at_mass": [2.0]}}),
+    (["check-conditions", *LEGENDRE_MASS, "--p", "3"], {"u": {"A": 0.25}}),
+    # a misspelt measure key would build another measure
+    (["recurrence", "--n", "2"], {"measure": {"base": {"kind": "genjacobi", "alfa": 0.5}}}),
+    (["recurrence", "--n", "2"], {"measure": {"base": {"kind": "laguerre", "beta": 0.5}}}),
+    (["recurrence", "--n", "2"], {"measure": {"base": {"kind": "hermite"}, "mass": [{"location": 0, "mass": 1}]}}),
+    (["recurrence", "--n", "2"],
+     {"measure": {"base": {"kind": "hermite"}, "masses": [{"location": 0, "mass": 1, "weight": 2}]}}),
+    (["recurrence", "--n", "2"],
+     {"measure": {"base": {"kind": "genjacobi", "singularities": [{"t": 0.0, "gamma": 1.0, "g": 1.0}]}}}),
+    # a weight list with the wrong length for the measure
+    (["probe", *LEGENDRE_MASS, "--p", "3", "--n", "30"], {"u": {"atMass": [3.0, 5.0]}}),
+    (["weak-probe", *LEGENDRE_MASS, "--p", "4", "--n", "30"], {"u": {"g": [0.5]}}),
+    (["probe", "--p", "3", "--n", "30"], {"v": {"atMass": [2.0]}}),
+    (["check-conditions", *LEGENDRE_MASS, "--p", "3"], {"u": {"g": [0.5]}}),
+    (["probe", "--p", "3", "--n", "30", "--mode", "maximal"],
+     {"measure": GENJACOBI_MEASURE, "u": {"g": [0.5, 0.5]}}),
+])
+def test_unknown_keys_and_mismatched_weight_lists_exit_2(capsys, tmp_path, argv, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "SpecError" in captured.err and captured.out == ""
+
+
+def test_weight_lists_matching_the_measure_run(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measure": GENJACOBI_MEASURE, "u": {"g": [0.25], "atMass": [2.0, 0.5]}}))
+    code, doc = run_json(capsys, "probe", "--p", "3", "--n", "30", "--mode", "maximal", "--config", str(cfg))
+    assert code == 0
+    assert doc["report"]["u"] == _record(g=[0.25], at_mass=[2.0, 0.5])

@@ -24,6 +24,8 @@ from masspoly import (
     measure_from_json,
     measure_to_json,
     validate,
+    weight_from_dict,
+    weight_to_dict,
 )
 
 
@@ -84,6 +86,63 @@ def test_power_weight_values_and_mass_override():
     assert vals[2] == pytest.approx((1.0 - 0.84) ** 0.5)
     with pytest.raises(SpecError):
         PowerWeightSpec(at_mass=(0.0,)).values(x, spec)
+
+
+@pytest.mark.parametrize("d", [
+    {"alpha": 0.25},
+    {"a": 0.25, "at_mass": [2.0]},
+    {"a": 0.25, "G": [0.5]},
+    [0.25],
+])
+def test_weight_from_dict_rejects_unknown_keys(d):
+    with pytest.raises(SpecError):
+        weight_from_dict(d)
+
+
+def test_weight_dict_round_trip():
+    w = PowerWeightSpec(a=0.25, b=-0.5, g=(0.5,), at_mass=(2.0, 3.0))
+    assert weight_from_dict(weight_to_dict(w)) == w
+    assert weight_from_dict({}) == weight_from_dict(None) == PowerWeightSpec()
+
+
+@pytest.mark.parametrize("text", [
+    '{"base": {"kind": "genjacobi", "alfa": 0.5}}',
+    '{"base": {"kind": "laguerre", "beta": 0.5}}',
+    '{"base": {"kind": "hermite", "alpha": 0.0}}',
+    '{"base": {"kind": "hermite"}, "mass": []}',
+    '{"base": {"kind": "genjacobi", "singularities": [{"t": 0.0, "gamma": 1.0, "g": 1.0}]}}',
+    '{"base": {"kind": "genjacobi"}, "masses": [{"location": 1.0, "mass": 1.0, "weight": 2.0}]}',
+    '{"base": {"kind": "genjacobi"}, "masses": [[1.0, 1.0]]}',
+    '{"base": "genjacobi"}',
+    '[]',
+])
+def test_measure_from_dict_rejects_unknown_keys_and_non_objects(text):
+    with pytest.raises(SpecError):
+        measure_from_json(text)
+
+
+@pytest.mark.parametrize("w", [
+    PowerWeightSpec(g=(0.5,)),  # Legendre has no singularity
+    PowerWeightSpec(at_mass=(2.0, 3.0)),  # one mass point
+    PowerWeightSpec(at_mass=(2.0,)),
+])
+def test_weight_lists_must_match_the_measure(w):
+    spec = legendre([MassPoint(0.3, 1.0)]) if len(w.at_mass) != 1 else legendre()
+    x = np.array([0.0, 0.3])
+    with pytest.raises(SpecError, match="entries"):
+        w.values(x, spec)
+    for u, v in ((w, PowerWeightSpec()), (PowerWeightSpec(), w)):
+        with pytest.raises(SpecError, match="entries"):
+            check_conditions(spec, u, v, 2.0)
+
+
+def test_weight_lists_of_the_right_length_are_used():
+    spec = MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, 1.0),)), (MassPoint(0.3, 1.0),))
+    w = PowerWeightSpec(g=(0.5,), at_mass=(2.5,))
+    vals = w.values(np.array([-0.64, 0.3]), spec)
+    assert vals[0] == pytest.approx(0.8)
+    assert vals[1] == 2.5
+    assert check_conditions(spec, w, PowerWeightSpec(), 2.0).line("couple.t0").margin == 0.5
 
 
 def test_mean_convergence_endpoints_legendre():

@@ -44,6 +44,7 @@ from masspoly.norms import (
     weak_type_probe,
     weight_values,
 )
+from masspoly.measure import weight_to_dict
 from masspoly.opoly import basis_for, classical_recurrence, gauss_points
 from masspoly.transforms import partial_sum
 
@@ -420,7 +421,7 @@ def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}
     mode = "restricted-weak" if restricted else "weak"
-    u_fields = {} if u is None else {"a": u.a, "b": u.b}
+    u_fields = {} if u is None else weight_to_dict(u)
     return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u=u_fields,
                        diagnostics=diagnostics).to_dict()
 
@@ -445,11 +446,11 @@ def _grid_with_split_nodes(spec, m):
 
 
 # (measure, N, grid size, u, sets from the grid or None for the default family, seed, restricted);
-# N = 63, 64, 65, 130 straddle the degree blocks
+# N = 63, 64, 65, 130 straddle the reference's blocks of 64 degrees
 WEAK_CASES = {
     "legendre_n63": (LEGENDRE_ONE, 63, 126, None, None, 0, True),
     "legendre_n64": (LEGENDRE_ONE, 64, 128, None, None, 1, True),
-    "legendre_n65": (LEGENDRE_ONE, 65, 130, None, None, 2, False),
+    "legendre_n65": (LEGENDRE_ONE, 65, 130, None, None, 2, True),
     "legendre_n130": (LEGENDRE_ONE, 130, 260, None, None, 0, True),
     "two_masses_u": (TWO_MASSES, 40, 120, U, None, 3, True),
     "laguerre_mass": (LAGUERRE_ZERO, 30, 90, None, None, 0, True),
@@ -474,6 +475,9 @@ def test_weak_probe_matches_rearrangement_reference(case, p):
 
 # the weak probe's bound-and-skip loop against the set-major loop that sorted every row
 
+_BLOCK = 64  # degrees per block of the reference
+
+
 def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0, restricted=True):
     """The weak probe as a set-major loop over blocks of degrees that sorts every (set, degree) row."""
     if N is None:
@@ -492,8 +496,8 @@ def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0
             continue
         coef = phi @ (grid.weights * chi / uv)
         carry = 0.0
-        for k in range(0, N + 1, norms._WEAK_BLOCK):
-            blk = phi_kept[k : k + norms._WEAK_BLOCK] * coef[k : k + norms._WEAK_BLOCK, None]
+        for k in range(0, N + 1, _BLOCK):
+            blk = phi_kept[k : k + _BLOCK] * coef[k : k + _BLOCK, None]
             blk[0] += carry
             np.cumsum(blk, axis=0, out=blk)
             carry = blk[-1].copy()
@@ -506,7 +510,7 @@ def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}
     return ProbeReport("restricted-weak" if restricted else "weak", p, entries, gamma, res, _verdict(gamma),
-                       seed, grid.size, u={} if u is None else {"a": u.a, "b": u.b}, diagnostics=diagnostics)
+                       seed, grid.size, u={} if u is None else weight_to_dict(u), diagnostics=diagnostics)
 
 
 def _weak_case(case):
@@ -589,7 +593,7 @@ def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     monkeypatch.setattr(norms, "_weak_norms", counting)
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
     weak_type_probe(basis, grid, 4.0, N=200, seed=0)
-    assert sum(sorted_rows) <= 0.3 * total  # 1570 of 7437 when this was written
+    assert sum(sorted_rows) <= 0.3 * total  # 718 of 7437 when this was written
     sorted_rows.clear()
     _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
     assert sum(sorted_rows) == total
@@ -631,5 +635,34 @@ def test_probe_reports_record_their_weights(mode):
         rep = maximal_probe(basis, grid, 3.0, U, V, N=20)
     else:
         rep = weak_type_probe(basis, grid, 3.0, U, N=20)
-    assert rep.u == {"a": 0.3, "b": -0.2}
-    assert rep.v == ({} if mode == "weak" else {"a": -0.25, "b": 0.4})
+    assert rep.u == {"a": 0.3, "b": -0.2, "g": [], "atMass": [2.0, 0.5]}
+    assert rep.v == ({} if mode == "weak" else {"a": -0.25, "b": 0.4, "g": [], "atMass": [0.7, 1.5]})
+
+
+def test_weak_probe_has_no_unrestricted_mode():
+    basis = basis_for(SPEC, 20)
+    with pytest.raises(SpecError, match="restricted=True"):
+        weak_type_probe(basis, make_grid(SPEC, 60), 4.0, N=20, restricted=False)
+
+
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_every_probe_sums_through_the_shared_prefix_loop(monkeypatch, mode):
+    basis = basis_for(SPEC, 20)
+    grid = make_grid(SPEC, 60)
+    real, calls = norms._partial_sums, []
+
+    def counting(phi, coef, degrees):
+        calls.append(coef.shape)
+        return real(phi, coef, degrees)
+
+    monkeypatch.setattr(norms, "_partial_sums", counting)
+    if mode == "strong":
+        rep = strong_probe(basis, grid, 3.0, N=20)
+    elif mode == "commutator":
+        rep = commutator_probe(basis, grid, bmo_symbols()["smooth_step"], 3.0, N=20)
+    elif mode == "maximal":
+        rep = maximal_probe(basis, grid, 3.0, N=20)
+    else:
+        rep = weak_type_probe(basis, grid, 3.0, N=20)
+    assert len(calls) == 1 and calls[0][0] == 21  # one coefficient row per degree 0..20
+    assert len(rep.entries) == len(default_degree_list(20))
