@@ -87,6 +87,7 @@ from .transforms import (
     laguerre_mass_table,
     maximal_op,
     partial_sum,
+    pollard_coefficients,
     pollard_parts,
     q_basis_for,
     q_measure,

@@ -12,9 +12,9 @@ a schema_version.  The JSON embeds the resolved config: the measure, the seed
 and every parameter.  Fed back through --config alone, it reruns the command
 with byte-identical output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.  A NaN or
-infinite number anywhere in the output is a numerical failure, and then
-nothing is written.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, a LAPACK
+failure (numpy's LinAlgError) included.  A NaN or infinite number anywhere in
+the output is a numerical failure, and then nothing is written.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import norms, transforms
-from .errors import MassPolyError, NumericalBreakdown, SpecError
+from .errors import MassPolyError, NonFiniteWeight, NumericalBreakdown, SpecError
 from .measure import (
     GenJacobiSpec,
     HermiteSpec,
@@ -129,11 +129,22 @@ def _weights(prm):
     return weight_from_dict(prm["u"]), weight_from_dict(prm["v"])
 
 
-def _symbol(prm):
+def _symbol(prm, spec):
+    """The symbol the config key "symbol" names; it must be finite at every mass point."""
     symbols = norms.bmo_symbols(prm["t"])
-    if prm["symbol"] not in symbols:
-        raise SpecError(f"symbol must be one of {tuple(symbols)}, got {prm['symbol']!r}")
-    return symbols[prm["symbol"]]
+    name = prm["symbol"]
+    if name not in symbols:
+        raise SpecError(f"symbol must be one of {tuple(symbols)}, got {name!r}")
+    b = symbols[name]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_masses = b(np.asarray(spec.mass_locations, dtype=float))
+    for a, value in zip(spec.mass_locations, at_masses):
+        if not np.isfinite(value):
+            raise NonFiniteWeight(
+                f"symbol {name!r} is {value} at the mass point {a:g}; choose one finite there "
+                f"with the config key \"symbol\", one of {tuple(symbols)}"
+            )
+    return b
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +207,7 @@ def _maximal(spec, prm):
 
 def _commutator(spec, prm):
     basis, f, xs = _sampled(spec, prm, prm["n"])
-    return _point_rows(prm["n"], xs, transforms.commutator(basis, _symbol(prm), f, prm["n"], xs))
+    return _point_rows(prm["n"], xs, transforms.commutator(basis, _symbol(prm, spec), f, prm["n"], xs))
 
 
 def _pollard(spec, prm):
@@ -215,6 +226,12 @@ def _weak_probe(basis, grid, q, u, v):
     return norms.weak_type_probe(basis, grid, q["p"], u, N=q["N"], seed=q["seed"])
 
 
+def _commutator_probe(basis, grid, q, u, v):
+    norms._check_exponent(q["p"], dual=True)  # as in the probe, p is checked before the symbol
+    b = _symbol(q, basis.measure)
+    return norms.commutator_probe(basis, grid, b, q["p"], u, v, N=q["N"], seed=q["seed"])
+
+
 # probe mode -> probe call (basis, grid, parameters, u, v); a weight not given is None
 _PROBES = {
     "strong": lambda basis, grid, q, u, v: norms.strong_probe(
@@ -222,8 +239,7 @@ _PROBES = {
     "restricted-weak": _weak_probe,
     "maximal": lambda basis, grid, q, u, v: norms.maximal_probe(
         basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
-    "commutator": lambda basis, grid, q, u, v: norms.commutator_probe(
-        basis, grid, _symbol(q), q["p"], u, v, N=q["N"], seed=q["seed"]),
+    "commutator": _commutator_probe,
 }
 
 
@@ -430,7 +446,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return run_command(args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
     except (MassPolyError, OSError, json.JSONDecodeError, ValueError) as exc:

@@ -720,6 +720,8 @@ def weak_type_probe(
     w = grid.weights
     denoms = np.array([lp_norm(grid.fn(mask), p) for mask in sets])
     live = np.flatnonzero(denoms != 0)
+    if not len(live):
+        raise SpecError("no set in the family has positive measure")
     coef = np.zeros((len(phi), len(live)))
     for j, si in enumerate(live):
         coef[:, j] = phi @ (w * sets[si] / uv)

@@ -8,8 +8,10 @@ Construction paths:
   * point masses folded into the recurrence of the whole measure by the
     RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom.
 
-Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) and the convex-combination
-decomposition of L_n over Christoffel-modified measures are provided on top.
+Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
+convex-combination decomposition of L_n over Christoffel-modified measures:
+its coefficients come in closed form from mu's kernel at the mass points
+(Christoffel-Uvarov), and the modified bases only check the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .errors import (
     DegreeOutOfRange,
     EigenFailure,
     GridTooSmall,
-    IllConditionedFit,
     NumericalBreakdown,
     SpecError,
 )
@@ -575,7 +576,6 @@ class KernelDecomposition:
     n: int
     coefficients: dict  # subset (tuple of locations) -> coefficient
     residual: float
-    cond: float
 
     @property
     def total(self):
@@ -600,42 +600,55 @@ def modified_bases(spec: MeasureSpec, N: int, m: int | None = None):
     return out
 
 
+# a kernel identity residual above this bound means the inputs are wrong
+_IDENTITY_TOL = 1e-8
+
+
 def kernel_decomposition(
     nu_basis: OrthoBasis, mod_bases: dict, n: int, grid_size: int = 48
 ) -> KernelDecomposition:
-    """Extract the convex-combination coefficients of L_n by least squares.
+    """Convex-combination coefficients of L_n over the modified kernels, in closed form.
 
-    L_n(x,y) is matched on a tensor grid against the candidate kernels
-    prod_{a in A}(x-a)(y-a) K_{n-|A|}^A(x,y); the fit residual doubles as a
-    numerical verification of the decomposition identity itself.
+    Christoffel-Uvarov (Uvarov 1969; Gautschi 2004, §2.4): with K the kernel
+    K_n of mu at the mass points and M = diag(M_i), the coefficient of
+    prod_{a in A}(x-a)(y-a) K_{n-|A|}^A(x,y) is
+    c_A = det((M K)_{AA}) / det(I + M K), so c_empty = 1 / det(I + M K) and
+    the c_A over all subsets sum to 1.  Subsets with |A| > n carry no kernel
+    and are left out.  The identity is then checked on a tensor grid against
+    the kernels of ``mod_bases``; a relative residual above 1e-8 raises
+    NumericalBreakdown.
     """
     spec = nu_basis.measure
     locs = spec.mass_locations
+    P = nu_basis.rec.table(np.asarray(locs, dtype=float), n)
+    MK = np.array([mp.mass for mp in spec.masses])[:, None] * (P.T @ P)
+    det = np.linalg.det(np.eye(len(locs)) + MK)
     subsets = [A for A in mass_subsets(locs) if len(A) <= n]
+    coefficients = {}
+    for A in subsets:
+        idx = [locs.index(a) for a in A]
+        coefficients[A] = float(np.linalg.det(MK[np.ix_(idx, idx)]) / det)
+
     if grid_size <= len(nu_basis.rec):
         xs, _ = gauss_points(nu_basis.rec, grid_size)
     elif isinstance(spec.base, GenJacobiSpec):
-        # Chebyshev points: any distinct interior nodes work for the fit
+        # Chebyshev points: any distinct interior nodes test the identity
         xs = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
     else:
         xs, _ = gauss_points(nu_basis.rec, len(nu_basis.rec))
-    target = cd_kernel(nu_basis, n, xs, xs).ravel()
-    cols = []
-    for A in subsets:
-        basis_A = mod_bases[tuple(A)]
-        deg = n - len(A)
-        kern = cd_kernel(basis_A, deg, xs, xs)
+    target = cd_kernel(nu_basis, n, xs, xs)
+    total = np.zeros_like(target)
+    for A, c in coefficients.items():
         fac = np.ones_like(xs)
         for a in A:
             fac *= xs - a
-        cols.append((np.outer(fac, fac) * kern).ravel())
-    M = np.column_stack(cols)
-    coef, _, rank, sv = np.linalg.lstsq(M, target, rcond=None)
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-    if rank < len(subsets) or cond > 1e12:
-        raise IllConditionedFit(f"candidate kernels numerically dependent (cond={cond:.3g})")
-    residual = np.linalg.norm(M @ coef - target) / np.linalg.norm(target)
-    return KernelDecomposition(n, dict(zip(subsets, coef)), float(residual), float(cond))
+        total += c * np.outer(fac, fac) * cd_kernel(mod_bases[A], n - len(A), xs, xs)
+    residual = float(np.linalg.norm(total - target) / np.linalg.norm(target))
+    if not residual <= _IDENTITY_TOL:
+        raise NumericalBreakdown(
+            f"kernel identity residual {residual:.3g} at n = {n} exceeds {_IDENTITY_TOL:g}"
+        )
+    return KernelDecomposition(n, coefficients, residual)
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,10 @@
 transform, Pollard decomposition, commutators, and the Laguerre mass-point
 kernel formula.
 
+The Pollard coefficients (r_n, s_n) come in closed form from the recurrences
+of nu and of (1-x^2) d-nu; the least-squares fit that extracts them from T_n
+is kept as the reference the tests check them against.
+
 All operators are pure given immutable bases.  Functions may be passed either
 as callables or as GridFunctions sampled on the measure grid; integrals with
 respect to Lebesgue measure use graded composite Gauss panels so endpoint and
@@ -20,6 +24,7 @@ from .errors import (
     DegreeOutOfRange,
     GridMismatch,
     IllConditionedFit,
+    NumericalBreakdown,
     PointOnBoundary,
     SpecError,
 )
@@ -129,26 +134,38 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, levels: int = 45, base_panels: int = 8):
     """Composite Gauss-Legendre rule on an interval, geometrically graded
     toward each listed singular point; resolves integrable log / algebraic
-    singularities to near machine precision."""
+    singularities to near machine precision.
+
+    Every node lies strictly inside the interval and off the singular points.
+    Where the finest panels at a point are so narrow that their outer nodes
+    would round onto it or onto an interval end, those levels are left out.
+    """
     lo, hi = interval
     span = hi - lo
-    pts = set(np.linspace(lo, hi, base_panels + 1))
-    for s0 in singular_points:
-        for k in range(1, levels + 1):
-            h = span * 2.0 ** (-k)
-            for p in (s0 - h, s0 + h):
-                if lo < p < hi:
-                    pts.add(p)
-    breaks = np.array(sorted(pts))
     sg, wg = gauss_jacobi_rule(order)
-    nodes, weights = [], []
-    for c, d in zip(breaks[:-1], breaks[1:]):
-        if d - c <= 0:
-            continue
+    depth = dict.fromkeys(singular_points, levels)
+    while True:
+        pts = set(np.linspace(lo, hi, base_panels + 1))
+        for s0, finest in depth.items():
+            for k in range(1, finest + 1):
+                h = span * 2.0 ** (-k)
+                for p in (s0 - h, s0 + h):
+                    if lo < p < hi:
+                        pts.add(p)
+        breaks = np.array(sorted(pts))
+        c, d = breaks[:-1, None], breaks[1:, None]
         half = (d - c) / 2.0
-        nodes.append((c + d) / 2.0 + half * sg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+        nodes = (c + d) / 2.0 + half * sg
+        collapsed = (nodes <= lo) | (nodes >= hi) | np.isin(nodes, singular_points)
+        if not collapsed.any():
+            return nodes.ravel(), (half * wg).ravel()
+        # a collapsed panel is one of the finest at its nearest singular point
+        mids = ((c + d) / 2.0)[collapsed.any(axis=1), 0]
+        near = {min(depth, key=lambda t: abs(t - mid)) for mid in mids} if depth else set()
+        if not near or not all(depth[s0] for s0 in near):
+            raise NumericalBreakdown(f"order-{order} panel nodes round onto the ends of {interval}")
+        for s0 in near:
+            depth[s0] -= 1
 
 
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
@@ -227,7 +244,6 @@ class PollardParts:
     w2: np.ndarray
     w3: np.ndarray
     t_n: np.ndarray  # independently computed T_n f at x
-    cond: float
 
     @property
     def reconstruction(self):
@@ -274,11 +290,30 @@ def _pollard_w(nu_basis, q_basis, f, n, x, rule):
     return w1, w2, w3
 
 
+def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
+    """(r_n, s_n) of the Pollard split in closed form from the two recurrences.
+
+    (1-y^2) d-nu is the measure of the q_n, so (1-y^2) q_n lies in the span of
+    p_n, p_{n+1}, p_{n+2}; the Christoffel-Darboux formula then gives, with
+    t^2 = b_{n+1}(nu) prod_{k<=n} b_k(nu) / b_k(q) (b_0 the total mass),
+    r_n = -t^2 / (1+t^2) and s_n = t / (1+t^2); both products underflow by
+    n ~ 540, so t^2 is formed as a product of ratios.  As t -> 1 the limits
+    are -1/2 and 1/2.
+    """
+    if n + 1 > nu_basis.degree or n > q_basis.degree:
+        raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
+    b_nu, b_q = nu_basis.nu_rec.betas, q_basis.nu_rec.betas
+    t2 = float(b_nu[n + 1] * np.prod(b_nu[: n + 1] / b_q[: n + 1]))
+    return -t2 / (1.0 + t2), math.sqrt(t2) / (1.0 + t2)
+
+
 def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, rule=None, seed: int = 7):
     """Extract (r_n, s_n) by least squares against independently computed T_n.
 
     Uses a few random polynomial test functions on a fixed interior test grid;
-    also returns the condition number of the 3-column fit.
+    also returns the condition number of the 3-column fit.  This is the
+    reference for ``pollard_coefficients`` in the tests and the benchmark;
+    the library itself never calls it.
     """
     if n + 1 > nu_basis.degree or n > q_basis.degree:
         raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
@@ -314,12 +349,12 @@ def pollard_parts(nu_basis: OrthoBasis, q_basis: OrthoBasis, f, n: int, x, rule=
     """Pollard split of T_n f at the points x (f callable or GridFunction)."""
     if rule is None:
         rule = lebesgue_rule_for(nu_basis.measure, order=max(16, n + 8))
-    r, s, cond = fit_pollard_coefficients(nu_basis, q_basis, n, rule=rule)
+    r, s = pollard_coefficients(nu_basis, q_basis, n)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w1, w2, w3 = _pollard_w(nu_basis, q_basis, f, n, x, rule)
     yq, wq = _continuous_quadrature(nu_basis)
     t_vals = _t_n(nu_basis, _as_values(f, yq), yq, wq, n, x)
-    return PollardParts(n, r, s, x, w1, w2, w3, t_vals, cond)
+    return PollardParts(n, r, s, x, w1, w2, w3, t_vals)
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +428,7 @@ def commutator_psi_parts(
     psi3 = p_next(x) * comm_h(lambda t: (1 - t**2) * q_n(t) * _as_values(f, t) * dens(t))
     psi4 = (1 - x**2) * q_n(x) * comm_h(lambda t: p_next(t) * _as_values(f, t) * dens(t))
 
-    r, s, _ = fit_pollard_coefficients(mu_basis, q_basis, n, rule=rule)
+    r, s = pollard_coefficients(mu_basis, q_basis, n)
 
     # direct evaluation of b S_n f - S_n(b f) by the same quadrature
     phi = mu_basis.eval_all(y, n)

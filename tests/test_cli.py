@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_kernel_decompose_flag(capsys):
     assert dec["total"] == pytest.approx(1.0, abs=1e-8)
 
 
+TWO_INNER_MASSES = ["--base", "legendre", "--mass", "0.3:1", "--mass", "1:1"]
+
+
+@pytest.mark.parametrize("n", ["100", "200"])
+def test_kernel_decompose_two_masses(capsys, n):
+    code, doc = run_json(capsys, "kernel", *TWO_INNER_MASSES, "--decompose", "--n", n)
+    assert code == 0
+    dec = doc["decomposition"]
+    assert dec["residual"] < 1e-8
+    assert dec["total"] == pytest.approx(1.0, abs=1e-12)
+    assert all(0.0 < c < 1.0 for c in dec["coefficients"].values())
+
+
+def test_kernel_decompose_exits_3_naming_the_identity_residual(capsys):
+    # the modified bases for (x - 0.3)^2 dx go wrong past degree ~230
+    code = main(["kernel", *TWO_INNER_MASSES, "--decompose", "--n", "400"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "NumericalBreakdown: kernel identity residual" in captured.err
+    assert captured.out == ""
+
+
 def test_partial_sum_and_maximal_run(capsys):
     for cmd in ("partial-sum", "maximal", "commutator", "basis"):
         code, doc = run_json(capsys, cmd, "--base", "legendre", "--mass", "0.3:1", "--n", "6")
@@ -123,6 +146,40 @@ def test_pollard_reports_limits(capsys):
     assert doc["residual"] < 1e-8
     assert abs(doc["r"] + 0.5) < 0.2
     assert abs(doc["s"] - 0.5) < 0.2
+
+
+@pytest.mark.parametrize("n", ["16", "32", "64"])
+def test_pollard_on_a_jacobi_endpoint_measure(capsys, n):
+    code, doc = run_json(capsys, "pollard", "--base", "jacobi", "--alpha", "0.5", "--beta", "-0.5",
+                         "--mass=-1:0.5", "--n", n)
+    assert code == 0
+    assert doc["residual"] < 1e-12
+
+
+def test_lapack_failure_exits_3(capsys, monkeypatch):
+    def fail(spec, prm):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(COMMANDS, "recurrence", dataclasses.replace(COMMANDS["recurrence"], run=fail))
+    assert main(["recurrence", "--n", "4"]) == 3
+    captured = capsys.readouterr()
+    assert "LinAlgError: SVD did not converge" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "--mode", "commutator", "--mass", "1:1"],  # log_edge is the probe's default symbol
+    ["commutator", "--mass", "1:1", "--n", "6"],
+])
+def test_symbol_infinite_at_a_mass_point_is_named(capsys, tmp_path, argv):
+    if argv[0] == "commutator":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"symbol": "log_edge"}')
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "NonFiniteWeight: symbol 'log_edge' is -inf at the mass point 1;" in captured.err
+    assert 'config key "symbol"' in captured.err
+    assert captured.out == ""
 
 
 def test_probe_reports_agreement(capsys):

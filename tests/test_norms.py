@@ -282,6 +282,14 @@ def test_weak_type_probe_runs_and_reports():
     assert all(v >= 0 for _, v in rep.entries)
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(count):
+    spec = legendre([MassPoint(1.0, 1.0)])
+    basis, grid = basis_for(spec, 20), make_grid(spec, 60)
+    with pytest.raises(SpecError):
+        weak_type_probe(basis, grid, 4.0, sets=[np.zeros(grid.size, bool)] * count, N=20)
+
+
 # the factor path of the probes against the same sweeps on dense m x m matrices
 
 TWO_MASSES = legendre([MassPoint(-1.0, 0.5), MassPoint(0.3, 1.0)])

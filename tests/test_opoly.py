@@ -14,6 +14,7 @@ from masspoly import (
     LaguerreSpec,
     MassPoint,
     MeasureSpec,
+    NumericalBreakdown,
     legendre,
 )
 from masspoly.opoly import (
@@ -230,6 +231,61 @@ def test_kernel_decomposition_degree_zero_weights():
     mods = modified_bases(spec, 4)
     dec = kernel_decomposition(basis, mods, 0)
     assert dec.coefficients[()] == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+def _fitted_decomposition(nu_basis, mod_bases, n, grid_size=48):
+    """Reference: the coefficients of L_n fitted by least squares over the candidate kernels.
+
+    L_n(x, y) is matched on a tensor grid of Chebyshev points against
+    prod_{a in A}(x-a)(y-a) K_{n-|A|}^A(x, y), one column per subset A.
+    """
+    subsets = [A for A in mass_subsets(nu_basis.measure.mass_locations) if len(A) <= n]
+    xs = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
+    cols = []
+    for A in subsets:
+        fac = np.prod([xs - a for a in A], axis=0) if A else np.ones_like(xs)
+        cols.append((np.outer(fac, fac) * cd_kernel(mod_bases[A], n - len(A), xs, xs)).ravel())
+    coef, _, rank, _ = np.linalg.lstsq(np.column_stack(cols), cd_kernel(nu_basis, n, xs, xs).ravel(), rcond=None)
+    assert rank == len(subsets)
+    return dict(zip(subsets, coef))
+
+
+@pytest.mark.parametrize("masses", [
+    [(1.0, 1.0)],
+    [(-1.0, 0.5), (1.0, 1.0)],
+    [(0.3, 1.0), (1.0, 1.0)],
+    [(1.0, 1.0), (-0.5, 2.0)],  # unsorted, so n = 1 leaves out a subset with a kernel
+])
+def test_kernel_decomposition_closed_form_matches_the_fit(masses):
+    spec = legendre([MassPoint(a, m) for a, m in masses])
+    basis, mods = basis_for(spec, 30), modified_bases(spec, 30)
+    for n in range(31):
+        dec = kernel_decomposition(basis, mods, n)
+        fitted = _fitted_decomposition(basis, mods, n)
+        assert dec.coefficients.keys() == fitted.keys()
+        for A, c in fitted.items():
+            assert dec.coefficients[A] == pytest.approx(c, abs=1e-10), (n, A)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0])
+def test_kernel_decomposition_single_endpoint_mass_closed_form(M):
+    # K_n(1, 1) = sum_{k<=n} (2k+1)/2 = (n+1)^2/2 for orthonormal Legendre
+    spec = legendre([MassPoint(1.0, M)])
+    basis, mods = basis_for(spec, 400), modified_bases(spec, 400)
+    for n in (10, 30, 400):
+        dec = kernel_decomposition(basis, mods, n)
+        c_empty = 1.0 / (1.0 + M * (n + 1) ** 2 / 2.0)
+        assert dec.coefficients[()] == pytest.approx(c_empty, rel=1e-12)
+        assert dec.coefficients[(1.0,)] == pytest.approx(1.0 - c_empty, rel=1e-12)
+
+
+def test_kernel_decomposition_raises_when_the_identity_fails():
+    spec = legendre([MassPoint(1.0, 1.0)])
+    basis = basis_for(spec, 10)
+    # the kernel of (1-x)^2 dx belongs under (1.0,), not Lebesgue's
+    wrong = {(): basis_for(legendre(), 10), (1.0,): basis_for(legendre(), 10)}
+    with pytest.raises(NumericalBreakdown, match="residual"):
+        kernel_decomposition(basis, wrong, 10)
 
 
 def test_monomial_coefficients_match_eval():

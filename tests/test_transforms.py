@@ -23,6 +23,7 @@ from masspoly.transforms import (
     lebesgue_rule_for,
     maximal_op,
     partial_sum,
+    pollard_coefficients,
     pollard_parts,
     q_basis_for,
     q_measure,
@@ -122,6 +123,50 @@ def test_pollard_reconstruction_and_limits():
     # the asymptotic values are -1/2 and 1/2
     assert abs(parts.r + 0.5) < 0.1
     assert abs(parts.s - 0.5) < 0.1
+
+
+@pytest.mark.parametrize("masses", [[(1.0, 1.0)], [(0.3, 1.0), (1.0, 1.0)]])
+def test_pollard_coefficients_match_the_fit(masses):
+    nu_basis = basis_for(legendre([MassPoint(a, m) for a, m in masses]), 130)
+    q_basis = q_basis_for(nu_basis)
+    for n in (4, 16, 40, 128):
+        r, s = pollard_coefficients(nu_basis, q_basis, n)
+        r_fit, s_fit, _ = fit_pollard_coefficients(nu_basis, q_basis, n)
+        assert r == pytest.approx(r_fit, abs=1e-10)
+        assert s == pytest.approx(s_fit, abs=1e-10)
+
+
+def test_pollard_coefficients_tend_to_their_limits_without_underflow():
+    # each product of betas alone underflows near n = 540
+    nu_basis = basis_for(MeasureSpec(GenJacobiSpec(0.5, -0.5), (MassPoint(-1.0, 0.5),)), 1001)
+    r, s = pollard_coefficients(nu_basis, q_basis_for(nu_basis), 1000)
+    assert abs(r + 0.5) < 1e-5 and abs(s - 0.5) < 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 16, 32, 64])
+def test_pollard_parts_reconstruct_on_a_jacobi_endpoint_measure(n):
+    nu_basis = basis_for(MeasureSpec(GenJacobiSpec(0.5, -0.5), (MassPoint(-1.0, 0.5),)), n + 1)
+    f = np.polynomial.Polynomial([1.0, 1.0])
+    parts = pollard_parts(nu_basis, q_basis_for(nu_basis), f, n, np.linspace(-0.8, 0.8, 7))
+    assert parts.residual < 1e-12
+
+
+@pytest.mark.parametrize("order", [12, 24, 40, 72])
+def test_graded_rule_nodes_stay_inside_the_interval(order):
+    # (1+x)^(-1/2) is infinite at x = -1, so a node there spoils every integral
+    spec = MeasureSpec(GenJacobiSpec(0.5, -0.5))
+    xs, ws = lebesgue_rule_for(spec, order=order)
+    assert np.all((-1.0 < xs) & (xs < 1.0))
+    # integral of (1-x)^(1/2) (1+x)^(-1/2) over [-1, 1]; the finest panel, of
+    # width ~1e-13, bounds the accuracy at the endpoint singularity
+    assert np.sum(ws * spec.base.density(xs)) == pytest.approx(np.pi, rel=1e-7)
+
+
+def test_graded_rule_keeps_every_level_where_no_node_collapses():
+    # 8 base panels and 45 levels at each of -1 and 1, none of them dropped;
+    # the three coarsest levels fall on base panel edges
+    xs, _ = lebesgue_rule_for(MeasureSpec(GenJacobiSpec(0.5, -0.5)), order=24)
+    assert len(xs) == 24 * (8 + 2 * (45 - 3))
 
 
 def test_commutator_psi_split_residual():
