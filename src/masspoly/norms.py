@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import GridTooSmall, NonFiniteWeight, SpecError
+from .errors import GridTooSmall, NonFiniteWeight, NumericalBreakdown, SpecError
 from .measure import MeasureSpec, PowerWeightSpec, validate, weight_to_dict
 from .opoly import OrthoBasis, Recurrence, gauss_jacobi_rule, gauss_points, recurrence_for
 
@@ -273,14 +272,6 @@ def _check_exponent(p, dual=False):
         raise SpecError("p = 1 has no finite conjugate exponent p'; use p > 1")
 
 
-def _svd(A, **kwargs):
-    try:
-        return scipy.linalg.svd(A, full_matrices=False, **kwargs)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but robust
-        return scipy.linalg.svd(A, full_matrices=False, lapack_driver="gesvd", **kwargs)
-
-
 def _pnorm(w, x, p):
     return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
 
@@ -322,7 +313,7 @@ def operator_norm_probe(
     A = _weighted_matrix(op, u_vals, v_vals)
     sw = np.sqrt(w)
     Aw = sw[:, None] * A / sw[None, :]
-    U, S, Vt = _svd(Aw)
+    U, S, Vt = np.linalg.svd(Aw, full_matrices=False)
     spec_vec = Vt[0] / sw  # L^2 maximizer in function coordinates
     if p == 2:
         return float(S[0]), spec_vec
@@ -399,11 +390,19 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     the first n+1 columns of a matrix is the leading block of the R factor of
     all its columns, so one QR per factor gives every degree its norm as the top
     singular value of a product of two (n+1) x (n+1) triangles.
+
+    The factorizations run on numpy's LAPACK, the OpenBLAS runtime of every
+    matmul of the probes: a second runtime keeps its own worker thread, which
+    spins after each call and takes the core the first one needs.  numpy's
+    LAPACK does not check for inf or NaN, so the factors are checked here.
     """
     sw = np.sqrt(w)
-    rl = scipy.linalg.qr((sw * uv)[:, None] * phi.T, mode="r")[0]
-    rr = scipy.linalg.qr((sw / vv)[:, None] * phi.T, mode="r")[0]
-    return {n: float(_svd(rl[: n + 1, : n + 1] @ rr[: n + 1, : n + 1].T, compute_uv=False)[0])
+    factors = [(sw * uv)[:, None] * phi.T, (sw / vv)[:, None] * phi.T]
+    if not all(np.isfinite(f).all() for f in factors):
+        raise NumericalBreakdown(f"the basis table up to degree {len(phi) - 1} overflowed on the grid of "
+                                 f"{phi.shape[1]} nodes: the p = 2 factors hold non-finite values")
+    rl, rr = (np.linalg.qr(f, mode="r") for f in factors)
+    return {n: float(np.linalg.svd(rl[: n + 1, : n + 1] @ rr[: n + 1, : n + 1].T, compute_uv=False)[0])
             for n in degrees}
 
 
@@ -505,6 +504,10 @@ def _verdict(gamma):
 
 def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport:
     entries = [(n, float(vals[n])) for n in ns]
+    bad = [n for n, val in entries if not math.isfinite(val)]
+    if bad:
+        raise NumericalBreakdown(f"the {mode} probe at p = {p:g} has a non-finite entry at degree {bad[0]} "
+                                 f"on a grid of {grid.size} nodes")
     gamma, res = fit_growth(*zip(*entries), envelope=True)
     return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, **weights)
 

@@ -140,9 +140,25 @@ def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, level
     Where the finest panels at a point are so narrow that their outer nodes
     would round onto it or onto an interval end, those levels are left out.
     """
+    return _graded_rule(singular_points, interval, order, levels, base_panels, (0.0, 0.0))
+
+
+def _graded_rule(singular_points, interval, order, levels, base_panels, end_exponents):
+    """``graded_rule`` for integrands holding the factors |x - end|^e of ``end_exponents``.
+
+    At an end with e != 0 the end panel takes the Gauss-Jacobi rule of that
+    factor, and every weight divides the factor back out at the stored node:
+    it carries (|x~ - end| / |x - end|)^e for the node x~ the panel rule asks
+    for and the float x it is stored as.  Near an end the floats are 1e-16
+    apart while the finest panels are 1e-13 wide, so without that ratio a
+    factor like (1+x)^(-1/2) is read at the wrong place, by 1e-3 relative.
+    A sum of the weights against a density holding the factor then cancels it
+    node by node and only the smooth rest is left to the panel rules.
+    """
     lo, hi = interval
     span = hi - lo
     sg, wg = gauss_jacobi_rule(order)
+    e_lo, e_hi = end_exponents
     depth = dict.fromkeys(singular_points, levels)
     while True:
         pts = set(np.linspace(lo, hi, base_panels + 1))
@@ -155,10 +171,22 @@ def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, level
         breaks = np.array(sorted(pts))
         c, d = breaks[:-1, None], breaks[1:, None]
         half = (d - c) / 2.0
-        nodes = (c + d) / 2.0 + half * sg
+        s, w = np.tile(sg, (len(c), 1)), np.tile(wg, (len(c), 1))
+        if e_lo:
+            s[0], w[0] = gauss_jacobi_rule(order, 0.0, e_lo)
+            w[0] /= (1.0 + s[0]) ** e_lo
+        if e_hi:
+            s[-1], w[-1] = gauss_jacobi_rule(order, e_hi, 0.0)
+            w[-1] /= (1.0 - s[-1]) ** e_hi
+        nodes = (c + d) / 2.0 + half * s
         collapsed = (nodes <= lo) | (nodes >= hi) | np.isin(nodes, singular_points)
         if not collapsed.any():
-            return nodes.ravel(), (half * wg).ravel()
+            weights = half * w
+            if e_lo:
+                weights *= (((c - lo) + half * (1.0 + s)) / (nodes - lo)) ** e_lo
+            if e_hi:
+                weights *= (((hi - d) + half * (1.0 - s)) / (hi - nodes)) ** e_hi
+            return nodes.ravel(), weights.ravel()
         # a collapsed panel is one of the finest at its nearest singular point
         mids = ((c + d) / 2.0)[collapsed.any(axis=1), 0]
         near = {min(depth, key=lambda t: abs(t - mid)) for mid in mids} if depth else set()
@@ -169,17 +197,24 @@ def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, level
 
 
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
-    """Lebesgue rule on [-1,1] graded at the weight's singular locations."""
+    """Lebesgue rule on [-1,1] graded at the weight's singular locations.
+
+    At an end where the weight's exponent is not a non-negative integer the end
+    panel absorbs it (``_graded_rule``), so a sum of weights times the density
+    integrates that factor exactly.
+    """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("Lebesgue rules are for [-1,1] supports")
     sing = list(extra_singular)
-    if base.alpha != int(base.alpha) or base.alpha < 0:
+    absorbed = lambda e: e if e != int(e) or e < 0 else 0.0
+    e_lo, e_hi = absorbed(base.beta), absorbed(base.alpha)
+    if e_hi:
         sing.append(1.0)
-    if base.beta != int(base.beta) or base.beta < 0:
+    if e_lo:
         sing.append(-1.0)
     sing.extend(t for t, _ in base.singularities)
-    return graded_rule(tuple(sing), order=order)
+    return _graded_rule(tuple(sing), (-1.0, 1.0), order, 45, 8, (e_lo, e_hi))
 
 
 def hilbert_transform(g, x, rule=None, singular_points=()):

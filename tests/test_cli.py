@@ -254,6 +254,17 @@ def test_weak_probe_rejects_bad_weight_exits_2(capsys, tmp_path):
     assert captured.out == ""
 
 
+def test_overflowed_basis_table_exits_3_before_the_p2_factorization(capsys):
+    # Laguerre P_k(x) overflows at the largest nodes of the 1201-point grid
+    with np.errstate(all="ignore"):
+        code = main(["probe", "--base", "laguerre", "--mass", "0:1", "--p", "2", "--n", "400"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert ("NumericalBreakdown: the basis table up to degree 400 overflowed on the grid of 1201 nodes"
+            in captured.err)
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_output_exits_3_and_writes_nothing(capsys, tmp_path, fmt):
     # the log(1 - x) symbol is -inf at the evaluation point x = 1

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from masspoly import norms
 from masspoly import (
@@ -16,6 +17,7 @@ from masspoly import (
     MassPoint,
     MeasureSpec,
     NonFiniteWeight,
+    NumericalBreakdown,
     PowerWeightSpec,
     SpecError,
     legendre,
@@ -27,6 +29,7 @@ from masspoly.norms import (
     ProbeReport,
     _verdict,
     _may_reach,
+    _spectral_norms,
     _weak_norms,
     _weighted_matrix,
     bmo_norm_estimate,
@@ -348,6 +351,57 @@ def test_probe_factor_path_matches_dense_reference(mode, p):
     assert [n for n, _ in rep.entries] == ns
     expected = _dense_entries(mode, basis, grid, p, b(grid.nodes), ns, trials=4)
     np.testing.assert_allclose([e for _, e in rep.entries], expected, rtol=1e-12, atol=0)
+
+
+def test_spectral_norms_match_the_dense_svd_of_another_lapack():
+    # the p = 2 norms factor on numpy's LAPACK; scipy's SVD of the dense weighted
+    # partial-sum matrix is a reference that shares neither the method nor the runtime
+    N = 30
+    basis = basis_for(TWO_MASSES, N)
+    grid = make_grid(TWO_MASSES, 3 * N)
+    uv, vv = U.values(grid.nodes, TWO_MASSES), V.values(grid.nodes, TWO_MASSES)
+    sw = np.sqrt(grid.weights)
+    degrees = list(range(N + 1))
+    norms_p2 = _spectral_norms(basis.eval_all(grid.nodes, N), grid.weights, uv, vv, degrees)
+    for n in degrees:
+        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
+        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
+        assert norms_p2[n] == pytest.approx(exact, rel=1e-13, abs=0), n
+
+
+def test_p2_probes_run_without_scipy_linalg(monkeypatch):
+    def banned(*args, **kwargs):
+        raise AssertionError("scipy.linalg called on the probe path")
+
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(scipy.linalg, name, banned)
+    basis = basis_for(TWO_MASSES, 20)
+    grid = make_grid(TWO_MASSES, 60)
+    rep = strong_probe(basis, grid, 2.0, U, V, N=20)
+    assert all(np.isfinite(e) for _, e in rep.entries)
+    est, _ = operator_norm_probe(partial_sum_matrix(basis, grid, 10), grid, 2.0)
+    assert est == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_norms_reject_a_non_finite_factor():
+    # numpy's LAPACK does not check for inf or NaN, so an overflowed table must not reach it
+    basis = basis_for(SPEC, 10)
+    grid = make_grid(SPEC, 30)
+    phi = basis.eval_all(grid.nodes, 10)
+    phi[10, 3] = np.inf
+    ones = np.ones(grid.size)
+    with pytest.raises(NumericalBreakdown, match=r"degree 10 overflowed on the grid of 31 nodes"):
+        _spectral_norms(phi, grid.weights, ones, ones, [4, 10])
+
+
+def test_strong_probe_never_reports_nan():
+    # the Laguerre table is finite here, but w |S_n f|^p overflows at the nodes whose weight underflowed
+    spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
+    basis = basis_for(spec, 200)
+    grid = make_grid(spec, 600)
+    with warnings.catch_warnings(), pytest.raises(NumericalBreakdown, match=r"strong probe at p = 3 .* degree"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        strong_probe(basis, grid, 3.0, N=200)
 
 
 def _grid_with_left_endpoint(spec, m):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from masspoly.transforms import (
     commutator,
     commutator_psi_parts,
     fit_pollard_coefficients,
+    graded_rule,
     hilbert_transform,
     laguerre_mass_kernel,
     laguerre_mass_table,
@@ -151,15 +154,43 @@ def test_pollard_parts_reconstruct_on_a_jacobi_endpoint_measure(n):
     assert parts.residual < 1e-12
 
 
+@pytest.mark.parametrize("n", [16, 64])
+def test_pollard_parts_reconstruct_f_nonzero_at_the_singular_endpoint(n):
+    # f = 1 leaves (1+y)^(-1/2) in the Hilbert-transform integrands, which only the
+    # Gauss-Jacobi end panel of the Lebesgue rule integrates exactly
+    nu_basis = basis_for(MeasureSpec(GenJacobiSpec(0.5, -0.5), (MassPoint(-1.0, 0.5),)), n + 1)
+    f = np.polynomial.Polynomial([1.0])
+    parts = pollard_parts(nu_basis, q_basis_for(nu_basis), f, n, np.linspace(-0.8, 0.8, 7))
+    assert parts.residual < 1e-12
+
+
 @pytest.mark.parametrize("order", [12, 24, 40, 72])
 def test_graded_rule_nodes_stay_inside_the_interval(order):
     # (1+x)^(-1/2) is infinite at x = -1, so a node there spoils every integral
     spec = MeasureSpec(GenJacobiSpec(0.5, -0.5))
     xs, ws = lebesgue_rule_for(spec, order=order)
     assert np.all((-1.0 < xs) & (xs < 1.0))
-    # integral of (1-x)^(1/2) (1+x)^(-1/2) over [-1, 1]; the finest panel, of
-    # width ~1e-13, bounds the accuracy at the endpoint singularity
-    assert np.sum(ws * spec.base.density(xs)) == pytest.approx(np.pi, rel=1e-7)
+    # integral of (1-x)^(1/2) (1+x)^(-1/2) over [-1, 1]; the end panels absorb both factors
+    assert np.sum(ws * spec.base.density(xs)) == pytest.approx(np.pi, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-0.5, -0.5), (-0.7, 0.3), (0.25, 1.5), (2.5, -0.9)])
+@pytest.mark.parametrize("order", [12, 24])
+def test_lebesgue_rule_integrates_jacobi_weights(alpha, beta, order):
+    spec = MeasureSpec(GenJacobiSpec(alpha, beta))
+    xs, ws = lebesgue_rule_for(spec, order=order)
+    exact = 2 ** (alpha + beta + 1) * math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(alpha + beta + 2)
+    assert np.sum(ws * spec.base.density(xs)) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 2.0), (3.0, 0.0)])
+def test_lebesgue_rule_without_singular_ends_is_the_graded_rule(alpha, beta):
+    # non-negative integer exponents leave nothing to absorb: the plain graded rule, bit for bit
+    spec = MeasureSpec(GenJacobiSpec(alpha, beta, ((0.3, -0.5),)))
+    for order in (12, 40):
+        xs, ws = lebesgue_rule_for(spec, extra_singular=(-0.6,), order=order)
+        gx, gw = graded_rule((-0.6, 0.3), order=order)
+        assert xs.tobytes() == gx.tobytes() and ws.tobytes() == gw.tobytes()
 
 
 def test_graded_rule_keeps_every_level_where_no_node_collapses():
