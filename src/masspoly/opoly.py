@@ -3,10 +3,13 @@
 Construction paths:
   * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
   * discretized Stieltjes recurrences for generalized Jacobi weights
-    (composite Gauss-Jacobi cells split at every algebraic singularity),
-    optionally in double-double arithmetic,
+    (the density times ``lebesgue_rule``, composite Gauss-Jacobi cells split
+    at every algebraic singularity), optionally in double-double arithmetic,
   * point masses folded into the recurrence of the whole measure by the
     RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom.
+
+``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
+rules of ``transforms`` come from it too.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
@@ -269,60 +272,86 @@ def gauss_jacobi_rule(order: int, a: float = 0.0, b: float = 0.0):
     return s, ws
 
 
-def _cell_rule(c, d, gl, gr, order, levels=12, ratio=0.25):
-    """Composite rule integrating f(x) (x-c)^gl (d-x)^gr dx over [c, d].
+def _cell_rule(c, d, gl, gr, order, levels, ratio):
+    """Lebesgue rule on the cell [c, d], ascending; ``gl`` / ``gr`` are the
+    exponents of |x - c| / |x - d|, or None where that edge is not graded.
 
-    Panels are geometrically graded toward both endpoints; the two panels
-    touching the endpoints use Gauss-Jacobi rules that absorb the algebraic
-    factor exactly, so individual panel orders stay small enough for the
-    node/weight solver to deliver machine accuracy.
+    Each half of the cell is graded geometrically toward its edge: the panel
+    edges lie at the offsets 0, h ratio^levels, ..., h ratio, h from it (h the
+    half width), and an ungraded half is one panel.  The panel touching a
+    graded edge with exponent e != 0 takes the Gauss-Jacobi rule of u^e, so a
+    weight times the factor |x - edge|^e read at its node is the panel rule's
+    weight of the smooth rest.  That holds at the stored node: every weight of
+    the half carries (u / u~)^e for the offset u the panel rule asks for and
+    the offset u~ of the float x it is stored as.  Near an edge the floats are
+    1e-16 apart while the finest panels of a 45-level rule are 1e-14 wide, so
+    without that ratio a factor like |x - 0.3|^(-1/2) is read at the wrong
+    place, by up to 17% at order 12.  Where the finest panel's nodes would
+    round onto the edge, its level is left out; a half with no level left
+    raises NumericalBreakdown.
     """
-    width = d - c
-    offs = [0.5 * width * ratio**k for k in range(levels, 0, -1)] + [0.5 * width]
-    edges = [c] + [c + o for o in offs] + [d - o for o in reversed(offs[:-1])] + [d]
+    mid = 0.5 * (c + d)
+    sg, wg = gauss_jacobi_rule(order)
     nodes, weights = [], []
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        half = (b - a) / 2.0
-        mid = (a + b) / 2.0
-        if i == 0 and gl != 0.0:
-            s, ws = gauss_jacobi_rule(order, 0.0, gl)
-            x = mid + half * s
-            w = ws * half ** (1.0 + gl) * (d - x) ** gr
-        elif i == len(edges) - 2 and gr != 0.0:
-            s, ws = gauss_jacobi_rule(order, gr, 0.0)
-            x = mid + half * s
-            w = ws * half ** (1.0 + gr) * (x - c) ** gl
-        else:
-            s, ws = gauss_jacobi_rule(order)
-            x = mid + half * s
-            w = ws * half * (x - c) ** gl * (d - x) ** gr
-        nodes.append(x)
-        weights.append(w)
+    for edge, sign, e in ((c, 1.0, gl), (d, -1.0, gr)):
+        k = 0 if e is None else levels
+        while True:
+            offs = np.concatenate(([0.0], abs(mid - edge) * ratio ** np.arange(k, -1.0, -1.0)))
+            start, half = offs[:-1, None], np.diff(offs)[:, None] / 2.0
+            s, w = np.tile(sg, (len(start), 1)), np.tile(wg, (len(start), 1))
+            if e:
+                s[0], w[0] = gauss_jacobi_rule(order, 0.0, e)
+                w[0] /= (1.0 + s[0]) ** e
+            u = start + half * (1.0 + s)
+            x = edge + sign * u
+            stored = sign * (x - edge)
+            if np.all(stored > 0.0):
+                break
+            if k == 0:
+                raise NumericalBreakdown(f"order-{order} panel nodes round onto the cell edge {edge}")
+            k -= 1
+        w = half * w
+        if e:
+            w *= (u / stored) ** e
+        if sign < 0:
+            x, w = x[::-1, ::-1], w[::-1, ::-1]
+        nodes.append(x.ravel())
+        weights.append(w.ravel())
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _composite_rule(factors, m, remainder):
-    """Composite quadrature over the cells between consecutive factor locations.
+def lebesgue_rule(factors, order, levels, ratio, interval=(-1.0, 1.0)):
+    """Composite Gauss rule (nodes, Lebesgue weights) on ``interval``, graded at ``factors``.
 
-    ``factors`` are (location, exponent) pairs of the algebraic factors
-    |x - location|^exponent; every location is a cell edge.  Each cell takes a
-    graded ``_cell_rule`` whose endpoint panels absorb the exponents at its
-    edges, and ``remainder(x, w, c, d, gl, gr)`` turns those weights into the
-    weights of the whole integrand on [c, d].
+    ``factors`` are (location, exponent) pairs of the factors |x - location|^exponent
+    of the integrands; repeated locations add their exponents.  The interval
+    is split into cells at every location, and each cell takes a ``_cell_rule``
+    graded toward its listed edges with ``levels`` levels at ``ratio``; an
+    interval end is graded only when it is listed.  A sum of the weights
+    against an integrand holding the factors cancels them node by node, so
+    only the smooth rest is left to the panel rules.  A location outside the
+    closed interval raises SpecError.
     """
-    breaks = sorted({loc for loc, _ in factors})
-    ncells = len(breaks) - 1
+    lo, hi = interval
+    exps = {}
+    for loc, e in factors:
+        if not lo <= loc <= hi:
+            raise SpecError(f"singular point {loc} lies outside the interval {interval}")
+        exps[loc] = exps.get(loc, 0.0) + e
+    breaks = sorted({lo, hi, *exps})
+    cells = [
+        _cell_rule(c, d, exps.get(c), exps.get(d), order, levels, ratio)
+        for c, d in zip(breaks[:-1], breaks[1:])
+    ]
+    return np.concatenate([x for x, _ in cells]), np.concatenate([w for _, w in cells])
+
+
+def _discretization_rule(factors, m, interval=(-1.0, 1.0)):
+    """``lebesgue_rule`` of about m nodes for a discretization: 12 levels at ratio 1/4."""
     levels = 12
+    ncells = len({*interval, *(loc for loc, _ in factors)}) - 1
     order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
-    exps = {loc: e for loc, e in factors}
-    nodes, weights = [], []
-    for c, d in zip(breaks[:-1], breaks[1:]):
-        gl = exps.get(c, 0.0)
-        gr = exps.get(d, 0.0)
-        x, w = _cell_rule(c, d, gl, gr, order, levels=levels)
-        nodes.append(x)
-        weights.append(remainder(x, w, c, d, gl, gr))
-    return np.concatenate(nodes), np.concatenate(weights)
+    return lebesgue_rule(factors, order, levels, 0.25, interval)
 
 
 def _discrete_recurrence(x, w, N, high_precision=False) -> Recurrence:
@@ -334,20 +363,12 @@ def _discrete_recurrence(x, w, N, high_precision=False) -> Recurrence:
 def genjacobi_discretization(spec: GenJacobiSpec, m: int):
     """Composite quadrature (nodes, weights) for a generalized Jacobi weight.
 
-    The interval is split at every interior singularity; each cell carries a
-    graded composite rule whose endpoint panels absorb the local algebraic
-    factors, so the remaining integrand is analytic panel by panel.
+    The Lebesgue rule graded at both ends and every interior singularity,
+    times the density: the end panels absorb the local algebraic factors, so
+    the rest is analytic panel by panel.
     """
-    factors = [(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities)
-
-    def remainder(x, w, c, d, gl, gr):
-        smooth = np.ones_like(x)
-        for loc, e in factors:
-            if loc != c and loc != d and e != 0.0:
-                smooth *= np.abs(x - loc) ** e
-        return w * smooth
-
-    return _composite_rule(factors, m, remainder)
+    x, w = _discretization_rule([(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities), m)
+    return x, w * spec.density(x)
 
 
 def stieltjes_recurrence(
@@ -364,9 +385,9 @@ def stieltjes_recurrence(
     ``edge_exponents`` = (exponent of (hi-x) at the right edge, exponent of
     (x-lo) at the left edge's factor) and ``interior_singularities`` =
     ((t, gamma), ...) describe the algebraic structure of the weight so cells
-    can use matched Gauss-Jacobi rules; the weight callable itself is always
-    evaluated for the smooth remainder, so mild misdeclaration only slows
-    convergence.
+    can use matched Gauss-Jacobi rules.  The measure is the Lebesgue rule on
+    ``interval`` times the weight callable at its nodes, so mild
+    misdeclaration only slows convergence.
     """
     if m is None:
         m = 40 * N
@@ -375,11 +396,8 @@ def stieltjes_recurrence(
     lo, hi = interval
     er, el = edge_exponents
     factors = [(hi, er), (lo, el)] + list(interior_singularities)
-
-    def remainder(x, w, c, d, gl, gr):
-        return w * weight(x) / (np.abs(d - x) ** gr * np.abs(x - c) ** gl)
-
-    return _discrete_recurrence(*_composite_rule(factors, m, remainder), N, high_precision)
+    x, w = _discretization_rule(factors, m, interval)
+    return _discrete_recurrence(x, w * weight(x), N, high_precision)
 
 
 def recurrence_for(base, N: int, m: int | None = None, high_precision=False) -> Recurrence:

@@ -7,9 +7,14 @@ of nu and of (1-x^2) d-nu; the least-squares fit that extracts them from T_n
 is kept as the reference the tests check them against.
 
 All operators are pure given immutable bases.  Functions may be passed either
-as callables or as GridFunctions sampled on the measure grid; integrals with
-respect to Lebesgue measure use graded composite Gauss panels so endpoint and
-interior log/algebraic singularities are resolved to near machine precision.
+as callables or as GridFunctions sampled on the measure grid.  Integrals with
+respect to Lebesgue measure use ``opoly.lebesgue_rule``, the rule the
+discretized Stieltjes recurrences are built on: cells split at every singular
+point, panels graded geometrically toward it, and Gauss-Jacobi panels that
+absorb an algebraic factor |x - t|^g there.  Every weight next to t carries
+the ratio (exact offset / stored offset)^g of its node, so the density read
+at the rounded node cancels the factor, and endpoint and interior log or
+algebraic singularities are resolved to near machine precision.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .errors import (
     DegreeOutOfRange,
     GridMismatch,
     IllConditionedFit,
-    NumericalBreakdown,
     PointOnBoundary,
     SpecError,
 )
@@ -36,7 +40,14 @@ from .measure import (
     validate,
 )
 from .norms import Grid, GridFunction, make_grid
-from .opoly import OrthoBasis, basis_for, cd_kernel, classical_recurrence, gauss_jacobi_rule
+from .opoly import (
+    OrthoBasis,
+    basis_for,
+    cd_kernel,
+    classical_recurrence,
+    gauss_jacobi_rule,
+    lebesgue_rule,
+)
 
 # ----------------------------------------------------------------------
 # helpers
@@ -131,90 +142,35 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 # Lebesgue quadrature and the finite Hilbert transform
 
 
-def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, levels: int = 45, base_panels: int = 8):
+def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, levels: int = 45):
     """Composite Gauss-Legendre rule on an interval, geometrically graded
     toward each listed singular point; resolves integrable log / algebraic
     singularities to near machine precision.
 
-    Every node lies strictly inside the interval and off the singular points.
-    Where the finest panels at a point are so narrow that their outer nodes
-    would round onto it or onto an interval end, those levels are left out.
+    ``opoly.lebesgue_rule`` with every point at exponent 0, ``levels`` levels
+    at ratio 1/2.  Every node lies strictly inside the interval and off the
+    singular points; a point outside the closed interval raises SpecError.
     """
-    return _graded_rule(singular_points, interval, order, levels, base_panels, (0.0, 0.0))
-
-
-def _graded_rule(singular_points, interval, order, levels, base_panels, end_exponents):
-    """``graded_rule`` for integrands holding the factors |x - end|^e of ``end_exponents``.
-
-    At an end with e != 0 the end panel takes the Gauss-Jacobi rule of that
-    factor, and every weight divides the factor back out at the stored node:
-    it carries (|x~ - end| / |x - end|)^e for the node x~ the panel rule asks
-    for and the float x it is stored as.  Near an end the floats are 1e-16
-    apart while the finest panels are 1e-13 wide, so without that ratio a
-    factor like (1+x)^(-1/2) is read at the wrong place, by 1e-3 relative.
-    A sum of the weights against a density holding the factor then cancels it
-    node by node and only the smooth rest is left to the panel rules.
-    """
-    lo, hi = interval
-    span = hi - lo
-    sg, wg = gauss_jacobi_rule(order)
-    e_lo, e_hi = end_exponents
-    depth = dict.fromkeys(singular_points, levels)
-    while True:
-        pts = set(np.linspace(lo, hi, base_panels + 1))
-        for s0, finest in depth.items():
-            for k in range(1, finest + 1):
-                h = span * 2.0 ** (-k)
-                for p in (s0 - h, s0 + h):
-                    if lo < p < hi:
-                        pts.add(p)
-        breaks = np.array(sorted(pts))
-        c, d = breaks[:-1, None], breaks[1:, None]
-        half = (d - c) / 2.0
-        s, w = np.tile(sg, (len(c), 1)), np.tile(wg, (len(c), 1))
-        if e_lo:
-            s[0], w[0] = gauss_jacobi_rule(order, 0.0, e_lo)
-            w[0] /= (1.0 + s[0]) ** e_lo
-        if e_hi:
-            s[-1], w[-1] = gauss_jacobi_rule(order, e_hi, 0.0)
-            w[-1] /= (1.0 - s[-1]) ** e_hi
-        nodes = (c + d) / 2.0 + half * s
-        collapsed = (nodes <= lo) | (nodes >= hi) | np.isin(nodes, singular_points)
-        if not collapsed.any():
-            weights = half * w
-            if e_lo:
-                weights *= (((c - lo) + half * (1.0 + s)) / (nodes - lo)) ** e_lo
-            if e_hi:
-                weights *= (((hi - d) + half * (1.0 - s)) / (hi - nodes)) ** e_hi
-            return nodes.ravel(), weights.ravel()
-        # a collapsed panel is one of the finest at its nearest singular point
-        mids = ((c + d) / 2.0)[collapsed.any(axis=1), 0]
-        near = {min(depth, key=lambda t: abs(t - mid)) for mid in mids} if depth else set()
-        if not near or not all(depth[s0] for s0 in near):
-            raise NumericalBreakdown(f"order-{order} panel nodes round onto the ends of {interval}")
-        for s0 in near:
-            depth[s0] -= 1
+    return lebesgue_rule([(t, 0.0) for t in singular_points], order, levels, 0.5, interval)
 
 
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     """Lebesgue rule on [-1,1] graded at the weight's singular locations.
 
-    At an end where the weight's exponent is not a non-negative integer the end
-    panel absorbs it (``_graded_rule``), so a sum of weights times the density
-    integrates that factor exactly.
+    The ends and interior points whose factor is not a polynomial (an end
+    exponent that is not a non-negative integer, an interior one that is not
+    a non-negative even integer) are graded and their panels absorb the
+    exponent (``opoly.lebesgue_rule``), so a sum of weights times the density
+    integrates those factors exactly; ``extra_singular`` points are graded at
+    exponent 0.
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("Lebesgue rules are for [-1,1] supports")
-    sing = list(extra_singular)
-    absorbed = lambda e: e if e != int(e) or e < 0 else 0.0
-    e_lo, e_hi = absorbed(base.beta), absorbed(base.alpha)
-    if e_hi:
-        sing.append(1.0)
-    if e_lo:
-        sing.append(-1.0)
-    sing.extend(t for t, _ in base.singularities)
-    return _graded_rule(tuple(sing), (-1.0, 1.0), order, 45, 8, (e_lo, e_hi))
+    factors = [(t, e) for t, e in ((1.0, base.alpha), (-1.0, base.beta)) if e < 0 or e % 1]
+    factors += [(t, g) for t, g in base.singularities if g < 0 or g % 2]
+    factors += [(t, 0.0) for t in extra_singular]
+    return lebesgue_rule(factors, order, 45, 0.5)
 
 
 def hilbert_transform(g, x, rule=None, singular_points=()):

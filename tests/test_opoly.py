@@ -102,6 +102,27 @@ def test_stieltjes_recurrence_of_callable_matches_classical(a, b, split):
     np.testing.assert_allclose(rec_s.betas, rec_c.betas, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, -0.5), (1.5, 0.25), (-0.7, 0.3)])
+def test_stieltjes_recurrence_on_its_own_interval(a, b):
+    # (2-x)^a x^b on [0, 2] is Jacobi(a, b) moved right by 1: alphas shift by 1, betas stay
+    def shifted_jacobi_weight(x):
+        return (2.0 - x) ** a * x**b
+
+    rec_s = stieltjes_recurrence(shifted_jacobi_weight, 30, interval=(0.0, 2.0), edge_exponents=(a, b))
+    rec_c = classical_recurrence(GenJacobiSpec(a, b), 30)
+    np.testing.assert_allclose(rec_s.alphas, rec_c.alphas + 1.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rec_s.betas, rec_c.betas, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("a, b", [(2.5, -0.9), (-0.9, -0.9), (-0.7, 0.3)])
+def test_genjacobi_discretization_mass_is_exact(a, b):
+    # the end panels read the density at their stored nodes, where the weights
+    # carry the rounding of each node's offset from the end
+    _, w = genjacobi_discretization(GenJacobiSpec(a, b), 4000)
+    exact = 2 ** (a + b + 1) * scipy.special.beta(a + 1, b + 1)
+    assert abs(w.sum() / exact - 1) <= 2e-15
+
+
 def test_gauss_points_two_point_legendre():
     rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), 4)
     xs, ws = gauss_points(rec, 2)

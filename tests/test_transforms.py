@@ -9,6 +9,7 @@ from masspoly import (
     MassPoint,
     MeasureSpec,
     PointOnBoundary,
+    SpecError,
     legendre,
     make_grid,
 )
@@ -186,18 +187,45 @@ def test_lebesgue_rule_integrates_jacobi_weights(alpha, beta, order):
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 2.0), (3.0, 0.0)])
 def test_lebesgue_rule_without_singular_ends_is_the_graded_rule(alpha, beta):
     # non-negative integer exponents leave nothing to absorb: the plain graded rule, bit for bit
-    spec = MeasureSpec(GenJacobiSpec(alpha, beta, ((0.3, -0.5),)))
+    spec = MeasureSpec(GenJacobiSpec(alpha, beta))
     for order in (12, 40):
         xs, ws = lebesgue_rule_for(spec, extra_singular=(-0.6,), order=order)
-        gx, gw = graded_rule((-0.6, 0.3), order=order)
+        gx, gw = graded_rule((-0.6,), order=order)
         assert xs.tobytes() == gx.tobytes() and ws.tobytes() == gw.tobytes()
 
 
+@pytest.mark.parametrize("t, g", [(0.3, -0.5), (-0.2, -0.9), (0.5, 0.7)])
+@pytest.mark.parametrize("order", [12, 24])
+def test_lebesgue_rule_integrates_interior_singularities(t, g, order):
+    # the panels next to t absorb |x - t|^g, corrected for the node rounding next to t
+    spec = MeasureSpec(GenJacobiSpec(0.0, 0.0, ((t, g),)))
+    xs, ws = lebesgue_rule_for(spec, order=order)
+    exact = ((1 - t) ** (g + 1) + (1 + t) ** (g + 1)) / (g + 1)
+    assert np.sum(ws * spec.base.density(xs)) == pytest.approx(exact, rel=1e-13)
+
+
 def test_graded_rule_keeps_every_level_where_no_node_collapses():
-    # 8 base panels and 45 levels at each of -1 and 1, none of them dropped;
-    # the three coarsest levels fall on base panel edges
+    # one cell, each half graded by 45 levels plus its middle panel.  At order 24
+    # the finest panel's nodes next to -1 round onto -1, so that level goes; next
+    # to 1 they stay inside and every level is kept
     xs, _ = lebesgue_rule_for(MeasureSpec(GenJacobiSpec(0.5, -0.5)), order=24)
-    assert len(xs) == 24 * (8 + 2 * (45 - 3))
+    assert np.count_nonzero(xs > 0.0) == 24 * (45 + 1)
+    assert np.count_nonzero(xs < 0.0) == 24 * 45
+    assert np.all((-1.0 < xs) & (xs < 1.0))
+
+
+@pytest.mark.parametrize("points", [(1.5,), (-0.2, -1.0 - 1e-9)])
+def test_graded_rule_rejects_points_outside_the_interval(points):
+    with pytest.raises(SpecError):
+        graded_rule(points)
+    with pytest.raises(SpecError):
+        hilbert_transform(np.cos, 0.1, singular_points=points)
+
+
+def test_graded_rule_grades_toward_a_point_on_an_end():
+    xs, ws = graded_rule((1.0,))
+    assert np.all((-1.0 < xs) & (xs < 1.0)) and 1.0 - xs.max() < 1e-15
+    assert np.sum(ws * np.log(1.0 - xs)) == pytest.approx(2 * math.log(2.0) - 2, rel=1e-13)
 
 
 def test_commutator_psi_split_residual():
