@@ -53,8 +53,8 @@ class NumericalBreakdown(MassPolyError, ArithmeticError):
     pass
 
 
-class NonFiniteWeight(MassPolyError, ValueError):
-    pass
+class NonFiniteWeight(SpecError):
+    """A weight or symbol that is not finite, or not positive where it must be, where it is read."""
 
 
 class EigenFailure(MassPolyError, ArithmeticError):

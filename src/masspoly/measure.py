@@ -23,6 +23,7 @@ from .errors import (
     ExponentOutOfRange,
     MassNotPositive,
     NoEndpoint,
+    NonFiniteWeight,
     SpecError,
     UnknownLocation,
 )
@@ -190,7 +191,17 @@ UNIT_WEIGHT = PowerWeightSpec()
 
 
 def _check_weight_fits(w: PowerWeightSpec, measure: MeasureSpec):
-    """Reject a non-empty g or at_mass without one entry per base singularity or per mass point."""
+    """Reject a non-empty g or at_mass without one entry per base singularity or per mass point.
+
+    The factors (1-x)^a (1+x)^b |x-t_i|^g_i belong to [-1, 1]: off it
+    (1-x)^a and (1+x)^b are negative or NaN, so on a Laguerre or Hermite base
+    a weight raises NonFiniteWeight unless it only prescribes its values at
+    the mass points.
+    """
+    if not isinstance(measure.base, GenJacobiSpec) and (w.a or w.b or any(w.g)):
+        raise NonFiniteWeight(f"weight exponents a, b and g apply to generalized Jacobi bases: off [-1, 1] "
+                              f"(1-x)^a (1+x)^b is not finite and positive; on the {measure.base.kind} base "
+                              f"a weight takes atMass only, got a={w.a:g}, b={w.b:g}, g={list(w.g)}")
     for name, given, count, what in (("g", w.g, len(measure.base.singularities), "base singularities"),
                                      ("atMass", w.at_mass, len(measure.masses), "mass points")):
         if given and len(given) != count:

@@ -276,12 +276,19 @@ def _pnorm(w, x, p):
     return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
 
 
-def _best_ratio(w, Y, F, p):
-    """max_j ||Y[:, j]||_p / ||F[:, j]||_p over the columns with F[:, j] != 0 (0 if none)."""
-    pnorms = lambda X: np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
-    nf = pnorms(F)
+def _pnorms(w, X, p):
+    """||X[:, j]||_p of every column of X."""
+    return np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
+
+
+def _best_ratio(w, Y, nf, p):
+    """max_j ||Y[:, j]||_p / nf[j] over the columns with nf[j] > 0 (0 if none).
+
+    ``nf`` holds the ``_pnorms`` of the inputs Y came from, so a fixed trial
+    family has its norms computed once per probe.
+    """
     keep = nf > 0
-    return float(np.max(pnorms(Y[:, keep]) / nf[keep], initial=0.0))
+    return float(np.max(_pnorms(w, Y[:, keep], p) / nf[keep], initial=0.0))
 
 
 def operator_norm_probe(
@@ -550,6 +557,7 @@ def strong_probe(
         vals = _spectral_norms(phi, w, uv, vv, degrees)
     else:
         F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
+        nF = _pnorms(w, F, p)
         pp = p / (p - 1)
         vals = {}
         for n, SF in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), degrees):
@@ -558,8 +566,8 @@ def strong_probe(
             G = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
             head = phi[: n + 1]
             SG = head.T @ (head @ (w[:, None] * G))
-            best = max(_best_ratio(w, _weighted_rows(uv, SF), F, p),
-                       _best_ratio(w, _weighted_rows(uv, SG), vv[:, None] * G, p))
+            best = max(_best_ratio(w, _weighted_rows(uv, SF), nF, p),
+                       _best_ratio(w, _weighted_rows(uv, SG), _pnorms(w, vv[:, None] * G, p), p))
             cert = _pnorm(w, uv * phi[n], p) * _pnorm(w, phi[n] / vv, pp)
             vals[n] = max(best, float(cert))
     return _sweep_report("strong", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
@@ -585,6 +593,7 @@ def commutator_probe(
     ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     w = grid.weights
     F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
+    nF = _pnorms(w, F, p)
     G = F / vv[:, None]
     K = G.shape[1]
     pp = p / (p - 1)
@@ -595,14 +604,14 @@ def commutator_probe(
     # fit on them would misread every bounded commutator as growing
     for n, S in _partial_sums(phi, coef, sorted(set(ns))):
         # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v)
-        best = _best_ratio(w, _weighted_rows(uv, b_vals[:, None] * S[:, :K] - S[:, K:]), F, p)
+        best = _best_ratio(w, _weighted_rows(uv, b_vals[:, None] * S[:, :K] - S[:, K:]), nF, p)
         # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
         # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; H holds f / v
         pn = phi[n]
         pk = np.stack([pn / vv, b_vals * pn / vv])
         H = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
         R = np.outer(b_vals * pn, pn @ (w[:, None] * H)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * H))
-        vals[n] = max(best, _best_ratio(w, _weighted_rows(uv, R), vv[:, None] * H, p))
+        vals[n] = max(best, _best_ratio(w, _weighted_rows(uv, R), _pnorms(w, vv[:, None] * H, p), p))
     return _sweep_report("commutator", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
 
 
@@ -622,6 +631,7 @@ def maximal_probe(
     ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     w = grid.weights
     F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [0, grid.size - 1])
+    nF = _pnorms(w, F, p)
     wanted = set(ns)
     sup = np.zeros_like(F)
     vals = {}
@@ -629,7 +639,7 @@ def maximal_probe(
     for k, S in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), range(max(ns) + 1)):
         np.maximum(sup, np.abs(S), out=sup)
         if k in wanted:
-            vals[k] = _best_ratio(w, _weighted_rows(uv, sup), F, p)
+            vals[k] = _best_ratio(w, _weighted_rows(uv, sup), nF, p)
     return _sweep_report("maximal", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
 
 

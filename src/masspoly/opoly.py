@@ -11,6 +11,12 @@ Construction paths:
 ``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
 rules of ``transforms`` come from it too.
 
+Each ``OrthoBasis`` keeps one table, the last one ``eval_all`` computed.  A
+request at the same points up to its degree is a read-only view of it; a
+higher degree extends it by the new rows only, from its last two; new points
+replace it.  Every returned table is read-only and bit-identical to a fresh
+``Recurrence.table``.
+
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
 its coefficients come in closed form from mu's kernel at the mass points
@@ -22,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -75,9 +81,13 @@ class Recurrence:
     def total_mass(self):
         return float(self.betas[0])
 
-    def table(self, x, nmax):
-        """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x))."""
-        return recurrence_table(self.alphas, np.sqrt(self.betas), x, nmax)
+    def table(self, x, nmax, head=None):
+        """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x)).
+
+        With ``head``, the rows P_0..P_d at the same x, only the rows
+        P_{d+1}..P_nmax are computed and returned (``recurrence_table``).
+        """
+        return recurrence_table(self.alphas, np.sqrt(self.betas), x, nmax, head)
 
 
 def classical_recurrence(base, N: int) -> Recurrence:
@@ -450,19 +460,42 @@ class OrthoBasis:
     ``nu_rec`` is the recurrence of the whole measure nu and drives every
     evaluation; ``rec`` stays the recurrence of the continuous part mu (the
     same object when the measure carries no point masses).
+
+    The basis keeps the last table ``eval_all`` computed, rows P_0..P_d at
+    its points, read-only (one table per basis).
     """
 
     measure: MeasureSpec
     rec: Recurrence
     degree: int
     nu_rec: Recurrence
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def eval_all(self, x, upto: int | None = None):
-        """Values P_0..P_upto at points x, shape (upto+1, len(x))."""
+        """Values P_0..P_upto at points x, shape (upto+1, len(x)), as a read-only array.
+
+        At the points of the kept table, upto <= d returns its leading rows
+        as a view, and upto > d computes only the rows d+1..upto and keeps
+        the longer table.  New points get a new table, which replaces the kept
+        one.  Each row of the recurrence depends on the two before it only,
+        so every result is bit-identical to ``nu_rec.table(x, upto)``.
+        """
         n = self.degree if upto is None else upto
         if n > self.degree:
             raise DegreeOutOfRange(f"degree {n} exceeds cap {self.degree}")
-        return self.nu_rec.table(np.atleast_1d(np.asarray(x, dtype=float)), n)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        key = (x.shape, x.tobytes())  # the points bit for bit, so -0.0 is not 0.0
+        last = self._last
+        if last is not None and last[0] == key:
+            table = last[1]
+            if n < len(table):
+                return table[: n + 1]
+            table = np.concatenate([table, self.nu_rec.table(x, n, head=table)])
+        else:
+            table = self.nu_rec.table(x, n)
+        table.flags.writeable = False
+        self._last = (key, table)
+        return table
 
     def eval(self, n: int, x):
         """P_n at x (scalar in, scalar out)."""
@@ -536,20 +569,26 @@ def kernel_sequence(basis: OrthoBasis, x, a: float, N: int):
     return np.cumsum(px * pa[:, None], axis=0)
 
 
-def kernel_envelope(spec: MeasureSpec, a: float, x, n: int):
+def kernel_envelope(spec: MeasureSpec, a: float, x, n):
     """Pointwise envelope dominating |L_n(x, a)| for a mass point a.
 
     For interior a the bound carries both edge factors
     (1 -+ x + n^-2)^{-(2 exponent + 1)/4} and skips the singularity factor at
-    a itself; for a = +-1 the factor at that edge drops out entirely.
+    a itself; for a = +-1 the factor at that edge drops out entirely.  An
+    array ``n`` broadcasts against x: degrees of shape (k, 1) and points of
+    shape (m,) give the k envelopes at once, shape (k, m).
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("kernel envelopes apply to generalized Jacobi bases")
     x = np.asarray(x, dtype=float)
-    inv2 = float(n) ** -2.0 if n > 0 else 1.0
-    inv1 = float(n) ** -1.0 if n > 0 else 1.0
-    env = np.ones_like(x)
+    n = np.asarray(n)
+    # n^-2 and n^-1 from Python floats: numpy's vectorized power rounds some of
+    # them differently from the C library's pow (n^-2 at 76 of n <= 1000), and
+    # array and scalar n must give the same floats
+    inv2 = np.reshape([float(k) ** -2.0 if k > 0 else 1.0 for k in n.flat], n.shape)
+    inv1 = np.reshape([float(k) ** -1.0 if k > 0 else 1.0 for k in n.flat], n.shape)
+    env = np.ones(np.broadcast_shapes(x.shape, n.shape))
     if a == 1.0:
         env = env * (1.0 + x + inv2) ** (-(2 * base.beta + 1) / 4)
     elif a == -1.0:
@@ -576,11 +615,8 @@ def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int, x=None):
         m = 400
         x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
     seq = kernel_sequence(basis, x, a, N)
-    sups = np.empty(N + 1)
-    for n in range(N + 1):
-        env = kernel_envelope(basis.measure, a, x, n)
-        sups[n] = np.max(np.abs(seq[n]) / env)
-    return np.maximum.accumulate(sups)
+    env = kernel_envelope(basis.measure, a, x, np.arange(N + 1)[:, None])
+    return np.maximum.accumulate(np.max(np.abs(seq) / env, axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -254,6 +254,26 @@ def test_weak_probe_rejects_bad_weight_exits_2(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("base, u", [("laguerre", '{"a": 1.0}'), ("hermite", '{"b": 2.0}')])
+def test_probe_rejects_power_weights_off_jacobi_bases_exits_2(capsys, tmp_path, base, u):
+    cfg = tmp_path / "u.json"
+    cfg.write_text(f'{{"u": {u}}}')
+    code = main(["probe", "--base", base, "--mass", "0:1", "--config", str(cfg), "--p", "3", "--n", "30"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "apply to generalized Jacobi bases" in captured.err
+    assert captured.out == ""
+
+
+def test_probe_takes_mass_values_alone_on_a_laguerre_base(capsys, tmp_path):
+    cfg = tmp_path / "u.json"
+    cfg.write_text('{"u": {"atMass": [2.0]}}')
+    code, doc = run_json(capsys, "probe", "--base", "laguerre", "--mass", "0:1", "--config", str(cfg),
+                         "--p", "3", "--n", "30")
+    assert code == 0
+    assert doc["report"]["u"]["atMass"] == [2.0]
+
+
 def test_overflowed_basis_table_exits_3_before_the_p2_factorization(capsys):
     # Laguerre P_k(x) overflows at the largest nodes of the 1201-point grid
     with np.errstate(all="ignore"):

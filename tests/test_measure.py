@@ -136,6 +136,25 @@ def test_weight_lists_must_match_the_measure(w):
             check_conditions(spec, u, v, 2.0)
 
 
+@pytest.mark.parametrize("base, w", [
+    (LaguerreSpec(0.0), PowerWeightSpec(a=1.0)),
+    (LaguerreSpec(0.5), PowerWeightSpec(b=-0.5)),
+    (HermiteSpec(), PowerWeightSpec(b=2.0)),
+    (HermiteSpec(), PowerWeightSpec(a=0.25, b=0.25)),
+])
+def test_power_factors_are_rejected_off_jacobi_bases(base, w):
+    # (1 - x)^a is negative or NaN for x > 1 and (1 + x)^b for x < -1
+    spec = MeasureSpec(base, (MassPoint(0.0, 1.0),))
+    with pytest.raises(SpecError, match="apply to generalized Jacobi bases"):
+        w.values(np.array([0.0, 0.5, 3.0]), spec)
+
+
+def test_mass_values_alone_are_allowed_off_jacobi_bases():
+    spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
+    vals = PowerWeightSpec(at_mass=(2.0,)).values(np.array([0.0, 0.5, 3.0]), spec)
+    assert vals.tolist() == [2.0, 1.0, 1.0]
+
+
 def test_weight_lists_of_the_right_length_are_used():
     spec = MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, 1.0),)), (MassPoint(0.3, 1.0),))
     w = PowerWeightSpec(g=(0.5,), at_mass=(2.5,))

@@ -387,11 +387,22 @@ def test_spectral_norms_reject_a_non_finite_factor():
     # numpy's LAPACK does not check for inf or NaN, so an overflowed table must not reach it
     basis = basis_for(SPEC, 10)
     grid = make_grid(SPEC, 30)
-    phi = basis.eval_all(grid.nodes, 10)
+    phi = basis.eval_all(grid.nodes, 10).copy()  # the basis's tables are read-only
     phi[10, 3] = np.inf
     ones = np.ones(grid.size)
     with pytest.raises(NumericalBreakdown, match=r"degree 10 overflowed on the grid of 31 nodes"):
         _spectral_norms(phi, grid.weights, ones, ones, [4, 10])
+
+
+@pytest.mark.parametrize("probe", [strong_probe, maximal_probe])
+def test_probes_reject_power_weights_on_a_laguerre_base(probe):
+    # u = 1 - x is negative at every node x > 1, so no growth rate can be read off it
+    spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
+    basis, grid = basis_for(spec, 20), make_grid(spec, 60)
+    with pytest.raises(SpecError, match="apply to generalized Jacobi bases"):
+        probe(basis, grid, 3.0, u=PowerWeightSpec(a=1.0), N=20)
+    rep = probe(basis, grid, 3.0, u=PowerWeightSpec(at_mass=(2.0,)), N=20)
+    assert all(math.isfinite(e) for _, e in rep.entries)
 
 
 def test_strong_probe_never_reports_nan():

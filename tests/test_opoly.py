@@ -228,6 +228,60 @@ def test_kernel_envelope_ratio_is_bounded_and_monotone():
     assert sups[-1] < 50.0
 
 
+def test_eval_all_keeps_one_read_only_table_equal_to_a_fresh_one():
+    # seeded requests: one point set with the degree going up and down, alternating
+    # point sets, scalars, and two bases on the same points
+    rng = np.random.default_rng(11)
+    bases = [basis_for(legendre([MassPoint(0.3, 1.0)]), 40), basis_for(legendre(), 40)]
+    points = [np.linspace(-1.0, 1.0, 17), np.cos(np.arange(9.0)), np.array([-0.0, 0.0, 0.5]),
+              np.array([0.0, 0.0, 0.5]), 0.3, -1.0]
+    for _ in range(400):
+        basis = bases[rng.integers(len(bases))]
+        x = points[rng.integers(len(points))]
+        x = x.copy() if isinstance(x, np.ndarray) else x  # equal floats, a new array
+        n = int(rng.integers(41))
+        out = basis.eval_all(x, n)
+        fresh = basis.nu_rec.table(np.atleast_1d(x), n)
+        assert np.array_equal(out, fresh) and out.tobytes() == fresh.tobytes()
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0
+
+
+def test_eval_all_sees_points_changed_after_the_call():
+    basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 12)
+    x = np.linspace(-0.9, 0.9, 7)
+    basis.eval_all(x, 5)
+    x[2] = 0.123
+    assert np.array_equal(basis.eval_all(x, 9), basis.nu_rec.table(x, 9))
+
+
+@pytest.mark.parametrize("base, a", [
+    (GenJacobiSpec(0.0, 0.0), 1.0),
+    (GenJacobiSpec(0.5, -0.5), -1.0),
+    (GenJacobiSpec(-0.3, 0.7, ((0.3, 1.0), (-0.6, -0.5))), 0.3),
+    (GenJacobiSpec(1.5, 0.0, ((0.2, 0.5),)), 0.8),
+])
+def test_kernel_envelope_over_an_array_of_degrees_is_bit_identical_to_scalar_calls(base, a):
+    spec = MeasureSpec(base, (MassPoint(a, 1.0),))
+    x = np.cos(np.pi * (2 * np.arange(400) + 1) / 800)
+    ns = np.arange(1001)
+    env = kernel_envelope(spec, a, x, ns[:, None])
+    assert env.shape == (len(ns), len(x))
+    for n in ns:
+        assert env[n].tobytes() == kernel_envelope(spec, a, x, int(n)).tobytes()
+
+
+def test_kernel_envelope_ratio_is_the_running_max_of_per_degree_ratios():
+    # the per-degree loop the array form replaced, kept as the reference
+    spec = MeasureSpec(GenJacobiSpec(0.5, 0.0, ((0.3, 1.0),)), (MassPoint(0.3, 1.0),))
+    basis = basis_for(spec, 60)
+    x = np.cos(np.pi * (2 * np.arange(400) + 1) / 800)
+    seq = kernel_sequence(basis, x, 0.3, 60)
+    loop = [np.max(np.abs(seq[n]) / kernel_envelope(spec, 0.3, x, n)) for n in range(61)]
+    assert kernel_envelope_ratio(basis, 0.3, 60).tobytes() == np.maximum.accumulate(loop).tobytes()
+
+
 def test_mass_subsets_ordering():
     assert mass_subsets([0.5, -1.0]) == [(), (-1.0,), (0.5,), (-1.0, 0.5)]
 
