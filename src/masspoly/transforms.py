@@ -2,18 +2,26 @@
 transform, Pollard decomposition, commutators, and the Laguerre mass-point
 kernel formula.
 
-The Pollard coefficients (r_n, s_n) come in closed form from the recurrences
-of nu and of (1-x^2) d-nu; the least-squares fit that extracts them from T_n
-is kept as the reference the tests check them against.
+An operator call evaluates each basis once, at its quadrature nodes and
+evaluation points together.  ``_expand`` splits that table by column and
+projects value columns onto P_0..P_n: S_n, its continuous/atomic split, the
+maximal operator, the commutator and the independent T_n of the Pollard split
+all go through it.  The Pollard split reads p_{n+1}, (1-t^2) q_n, f and the
+density once at (rule nodes, x); the Psi split of the commutator is the
+Pollard split of f and of b f on the same values.  (r_n, s_n) come in closed
+form from the recurrences of nu and of (1-x^2) d-nu; the least-squares fit
+that extracts them from T_n is kept as the reference the tests check.
 
-All operators are pure given immutable bases.  Functions may be passed either
-as callables or as GridFunctions sampled on the measure grid.  Integrals with
-respect to Lebesgue measure use ``opoly.lebesgue_rule``, the rule the
-discretized Stieltjes recurrences are built on: cells split at every singular
-point, panels graded geometrically toward it, and Gauss-Jacobi panels that
-absorb an algebraic factor |x - t|^g there.  Every weight next to t carries
-the ratio (exact offset / stored offset)^g of its node, so the density read
-at the rounded node cancels the factor, and endpoint and interior log or
+All operators are pure given immutable bases.  S_n, the maximal operator and
+the commutator take GridFunctions sampled on the measure grid.  The Hilbert
+transform and the Pollard and Psi splits take callables; a GridFunction is
+read only at exactly its own nodes, and anywhere else raises GridMismatch.
+Integrals with respect to Lebesgue measure use ``opoly.lebesgue_rule``, the
+rule the discretized Stieltjes recurrences are built on: cells split at every
+singular point, panels graded geometrically toward it, and Gauss-Jacobi panels
+that absorb an algebraic factor |x - t|^g there.  Every weight next to t
+carries the ratio (exact offset / stored offset)^g of its node, so the density
+read at the rounded node cancels the factor, and endpoint and interior log or
 algebraic singularities are resolved to near machine precision.
 """
 
@@ -23,29 +31,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
-from .errors import (
-    DegreeOutOfRange,
-    GridMismatch,
-    IllConditionedFit,
-    PointOnBoundary,
-    SpecError,
-)
-from .measure import (
-    GenJacobiSpec,
-    LaguerreSpec,
-    MassPoint,
-    MeasureSpec,
-    validate,
-)
-from .norms import Grid, GridFunction, make_grid
+from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, NonFiniteWeight, PointOnBoundary, SpecError
+from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec
+from .norms import GridFunction
 from .opoly import (
     OrthoBasis,
     basis_for,
-    cd_kernel,
     classical_recurrence,
     gauss_jacobi_rule,
+    gauss_points,
     lebesgue_rule,
 )
 
@@ -54,29 +49,39 @@ from .opoly import (
 
 
 def _as_values(f, nodes):
-    """Evaluate a callable, or accept a matching GridFunction / array."""
+    """Values of f at the nodes: a callable is evaluated there, a GridFunction
+    must sit on exactly these nodes, and an array or scalar is broadcast."""
     if callable(f):
         return np.asarray(f(nodes), dtype=float)
     if isinstance(f, GridFunction):
-        if len(f.nodes) == len(nodes) and np.allclose(f.nodes, nodes):
-            return f.values
-        return np.interp(nodes, f.nodes, f.values)
+        if f.nodes.shape != nodes.shape or not np.array_equal(f.nodes, nodes):
+            raise GridMismatch(
+                f"a GridFunction on {len(f.nodes)} nodes is read only at exactly those nodes, "
+                f"not at {len(nodes)} other points; pass a callable"
+            )
+        return f.values
     return np.broadcast_to(np.asarray(f, dtype=float), nodes.shape)
 
 
-def _check_grid(basis: OrthoBasis, f: GridFunction):
-    nodes = f.nodes
+def _check_grid(basis: OrthoBasis, f: GridFunction, n: int):
+    if n > basis.degree:
+        raise DegreeOutOfRange(f"degree {n} exceeds cap {basis.degree}")
     for mp in basis.measure.masses:
-        if mp.location not in nodes[f.atom_idx]:
+        if mp.location not in f.nodes[f.atom_idx]:
             raise GridMismatch(f"grid lacks an atom at mass point {mp.location}")
 
 
-def _eval_at(f: GridFunction, x):
-    """Value of a sampled grid function at a point (exact at nodes)."""
-    hits = np.flatnonzero(f.nodes == x)
-    if len(hits):
-        return float(f.values[hits[0]])
-    return float(np.interp(x, f.nodes, f.values))
+def _expand(basis: OrthoBasis, nodes, weights, columns, n: int, x):
+    """Coefficients of each value column on P_0..P_n, and P_0..P_n at the points x.
+
+    One table of ``basis`` at (nodes, x) serves both: entry j of a column's
+    coefficients is sum_k weights_k v_k P_j(nodes_k), so S_n v(x) = coef @ px.
+    px is copied out of the table: matmul sums a single strided column in
+    another order than a contiguous one.
+    """
+    table = basis.eval_all(np.concatenate([nodes, np.atleast_1d(np.asarray(x, dtype=float))]), n)
+    phi, px = table[:, : len(nodes)], np.ascontiguousarray(table[:, len(nodes):])
+    return [phi @ (weights * v) for v in columns], px
 
 
 # ----------------------------------------------------------------------
@@ -85,57 +90,53 @@ def _eval_at(f: GridFunction, x):
 
 def partial_sum(basis: OrthoBasis, f: GridFunction, n: int, x):
     """S_n f(x) = integral of L_n(x, .) f d-nu, atoms included."""
-    if n > basis.degree:
-        raise DegreeOutOfRange(f"degree {n} exceeds cap {basis.degree}")
-    _check_grid(basis, f)
-    phi = basis.eval_all(f.nodes, n)
-    coef = phi @ (f.weights * f.values)
-    scalar = np.isscalar(x)
-    vals = coef @ basis.eval_all(x, n)
-    return float(vals[0]) if scalar else vals
+    _check_grid(basis, f, n)
+    (coef,), px = _expand(basis, f.nodes, f.weights, [f.values], n, x)
+    vals = coef @ px
+    return float(vals[0]) if np.isscalar(x) else vals
 
 
 def split_partial_sum(basis: OrthoBasis, f: GridFunction, n: int, x):
     """Split S_n f(x) into the continuous part T_n f(x) and the mass terms.
 
-    T_n integrates against d-mu only; the parts sum to partial_sum exactly
-    up to rounding.
+    The mass terms sum_i M_i L_n(x, a_i) f(a_i) are S_n of f restricted to the
+    atoms of its grid, and T_n integrates against d-mu only; the parts sum to
+    partial_sum up to rounding.
     """
-    s = partial_sum(basis, f, n, x)
-    mass_terms = 0.0 if np.isscalar(x) else np.zeros(np.shape(x))
-    for mp in basis.measure.masses:
-        f_at = _eval_at(f, mp.location)
-        mass_terms = mass_terms + mp.mass * cd_kernel(basis, n, x, mp.location) * f_at
+    _check_grid(basis, f, n)
+    at_atoms = np.zeros_like(f.values)
+    at_atoms[f.atom_idx] = f.values[f.atom_idx]
+    (coef, coef_atoms), px = _expand(basis, f.nodes, f.weights, [f.values, at_atoms], n, x)
+    s, mass_terms = coef @ px, coef_atoms @ px
+    if np.isscalar(x):
+        return float(s[0] - mass_terms[0]), float(mass_terms[0])
     return s - mass_terms, mass_terms
 
 
 def maximal_op(basis: OrthoBasis, f: GridFunction, N: int, x):
     """Truncated maximal operator max_{0<=n<=N} |S_n f(x)|."""
-    if N > basis.degree:
-        raise DegreeOutOfRange(f"degree {N} exceeds cap {basis.degree}")
-    _check_grid(basis, f)
-    phi = basis.eval_all(f.nodes, N)
-    coef = phi @ (f.weights * f.values)
-    scalar = np.isscalar(x)
-    px = basis.eval_all(x, N)
+    _check_grid(basis, f, N)
+    (coef,), px = _expand(basis, f.nodes, f.weights, [f.values], N, x)
     partials = np.cumsum(coef[:, None] * px, axis=0)
     vals = np.max(np.abs(partials), axis=0)
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if np.isscalar(x) else vals
 
 
 def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
-    """[M_b, S_n] f(x) = b(x) S_n f(x) - S_n(b f)(x)."""
+    """[M_b, S_n] f(x) = b(x) S_n f(x) - S_n(b f)(x).
+
+    b is a callable, or values on the grid of f (a GridFunction or an array),
+    which are read at x by linear interpolation between the grid nodes.
+    """
+    _check_grid(basis, f, n)
     b_vals = _as_values(b, f.nodes)
-    if not np.all(np.isfinite(b_vals[f.atom_idx])):
-        raise SpecError("symbol b must be finite at every mass point")
-    bf = GridFunction(f.grid, b_vals * f.values)
-    if callable(b):
-        bx = b(x)
-    else:
-        bx = np.array([_eval_at(GridFunction(f.grid, b_vals), xi) for xi in np.atleast_1d(x)])
-        if np.isscalar(x):
-            bx = float(bx[0])
-    return bx * partial_sum(basis, f, n, x) - partial_sum(basis, bf, n, x)
+    for a, value in zip(f.nodes[f.atom_idx], b_vals[f.atom_idx]):
+        if not np.isfinite(value):
+            raise NonFiniteWeight(f"symbol b is {value} at the mass point {a:g}; it must be finite at every atom")
+    (coef_f, coef_bf), px = _expand(basis, f.nodes, f.weights, [f.values, b_vals * f.values], n, x)
+    bx = b(x) if callable(b) else np.interp(x, f.nodes, b_vals)
+    vals = bx * (coef_f @ px) - coef_bf @ px
+    return float(vals[0]) if np.isscalar(x) else vals
 
 
 # ----------------------------------------------------------------------
@@ -173,28 +174,38 @@ def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     return lebesgue_rule(factors, order, 45, 0.5)
 
 
-def hilbert_transform(g, x, rule=None, singular_points=()):
-    """Principal value of int_{-1}^{1} g(y)/(x-y) dy.
+def _interior(x):
+    """The points x as a 1-d array; each must lie strictly inside (-1, 1)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(xs) >= 1.0):
+        raise PointOnBoundary("evaluation points must lie strictly inside (-1,1)")
+    return xs
+
+
+def _hilbert(gy, gx, x, rule):
+    """Principal value of int_{-1}^{1} g(y)/(x-y) dy from g at the rule nodes (gy) and at x (gx).
 
     Singularity-subtracted quadrature: the smooth part integrates
     (g(y)-g(x))/(x-y) and the subtracted constant contributes
     g(x) log((1+x)/(1-x)).
     """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) >= 1.0):
-        raise PointOnBoundary("evaluation points must lie strictly inside (-1,1)")
-    if rule is None:
-        rule = graded_rule(singular_points) if singular_points else gauss_jacobi_rule(400)
     y, wy = rule
-    gy = _as_values(g, y)
-    gx = _as_values(g, xs)
-    diff = xs[:, None] - y[None, :]
+    diff = x[:, None] - y[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = (gy[None, :] - gx[:, None]) / diff
     integrand = np.where(diff == 0.0, 0.0, integrand)
-    out = integrand @ wy + gx * np.log((1.0 + xs) / (1.0 - xs))
-    return float(out[0]) if scalar else out
+    return integrand @ wy + gx * np.log((1.0 + x) / (1.0 - x))
+
+
+def hilbert_transform(g, x, rule=None, singular_points=()):
+    """Principal value of int_{-1}^{1} g(y)/(x-y) dy, g read once at (rule nodes, x)."""
+    xs = _interior(x)
+    if rule is None:
+        rule = graded_rule(singular_points) if singular_points else gauss_jacobi_rule(400)
+    m = len(rule[0])
+    gz = _as_values(g, np.concatenate([rule[0], xs]))
+    out = _hilbert(gz[:m], gz[m:], xs, rule)
+    return float(out[0]) if np.isscalar(x) else out
 
 
 # ----------------------------------------------------------------------
@@ -248,37 +259,31 @@ class PollardParts:
         return float(np.max(np.abs(self.reconstruction - self.t_n)) / scale)
 
 
-def _continuous_quadrature(basis: OrthoBasis):
-    """Gauss rule of the continuous part at the full recurrence length."""
-    from .opoly import gauss_points
-
-    m = len(basis.rec)
-    return gauss_points(basis.rec, m)
+def _pollard_values(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, z):
+    """p_{n+1}, (1-t^2) q_n and the density of mu at the points z, one table per basis."""
+    q_part = (1 - z**2) * q_basis.eval_all(z, n)[n]
+    return nu_basis.eval_all(z, n + 1)[n + 1], q_part, nu_basis.measure.base.density(z)
 
 
-def _t_n(basis: OrthoBasis, fy, y, wy, n, x):
-    """T_n f(x) by projection: integrate f against d-mu on the Gauss rule (y, wy)."""
-    phi = basis.eval_all(y, n)
-    coef = phi @ (wy * fy)
-    return coef @ basis.eval_all(x, n)
-
-
-def _pollard_w(nu_basis, q_basis, f, n, x, rule):
-    """The three Pollard parts of f at points x; f is a callable on [-1,1]."""
+def _pollard_w(values, fz, x, rule):
+    """The three Pollard parts at x from ``_pollard_values`` and f at z = (rule nodes, x)."""
+    p_next, q_part, dens = values
     y, wy = rule
-    dens = nu_basis.measure.base.density
-    fy = _as_values(f, y)
-    wdy = dens(y) * wy
-    p_next = lambda t: nu_basis.eval_all(t, n + 1)[n + 1]
-    q_n = lambda t: q_basis.eval_all(t, n)[n]
-    w1 = p_next(x) * np.sum(p_next(y) * fy * wdy)
-    h2 = hilbert_transform(
-        lambda t: (1 - t**2) * q_n(t) * _as_values(f, t) * dens(t), x, rule=rule
-    )
-    w2 = p_next(x) * h2
-    h3 = hilbert_transform(lambda t: p_next(t) * _as_values(f, t) * dens(t), x, rule=rule)
-    w3 = (1 - x**2) * q_n(x) * h3
+    m = len(y)
+    wdy = dens[:m] * wy
+    w1 = p_next[m:] * np.sum(p_next[:m] * fz[:m] * wdy)
+    g2 = q_part * fz * dens
+    g3 = p_next * fz * dens
+    w2 = p_next[m:] * _hilbert(g2[:m], g2[m:], x, rule)
+    w3 = q_part[m:] * _hilbert(g3[:m], g3[m:], x, rule)
     return w1, w2, w3
+
+
+def _continuous_partial_sums(nu_basis: OrthoBasis, fs, n: int, x):
+    """T_n f(x) for each callable f in fs, independently: projection on the Gauss rule of mu."""
+    yq, wq = gauss_points(nu_basis.rec, len(nu_basis.rec))
+    coefs, px = _expand(nu_basis, yq, wq, [_as_values(f, yq) for f in fs], n, x)
+    return [coef @ px for coef in coefs]
 
 
 def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
@@ -310,10 +315,11 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, 
         raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
     if rule is None:
         rule = lebesgue_rule_for(nu_basis.measure, order=max(16, n + 8))
-    yq, wq = _continuous_quadrature(nu_basis)
     x = np.linspace(-0.87, 0.87, 31) + 1.3e-4  # interior, off the nodes
+    z = np.concatenate([rule[0], x])
+    values = _pollard_values(nu_basis, q_basis, n, z)
     rng = np.random.default_rng(seed)
-    rows, target = [], []
+    rows, polys = [], []
     for _ in range(3):
         # a degree-(n+1) component is required: without it the rank-one part
         # integrates to zero against an absolutely continuous measure
@@ -322,9 +328,9 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, 
         c[: len(low)] = low
         c[n + 1] = rng.standard_normal() + 2.0
         fpoly = np.polynomial.Polynomial(c)
-        w1, w2, w3 = _pollard_w(nu_basis, q_basis, fpoly, n, x, rule)
-        rows.append(np.column_stack([w1, w2, w3]))
-        target.append(_t_n(nu_basis, fpoly(yq), yq, wq, n, x))
+        rows.append(np.column_stack(_pollard_w(values, fpoly(z), x, rule)))
+        polys.append(fpoly)
+    target = _continuous_partial_sums(nu_basis, polys, n, x)
     M = np.vstack(rows)
     t = np.concatenate(target)
     coef, _, rank, sv = np.linalg.lstsq(M, t, rcond=None)
@@ -337,14 +343,14 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, 
 
 
 def pollard_parts(nu_basis: OrthoBasis, q_basis: OrthoBasis, f, n: int, x, rule=None) -> PollardParts:
-    """Pollard split of T_n f at the points x (f callable or GridFunction)."""
+    """Pollard split of T_n f at the points x inside (-1, 1); f is a callable on [-1, 1]."""
     if rule is None:
         rule = lebesgue_rule_for(nu_basis.measure, order=max(16, n + 8))
     r, s = pollard_coefficients(nu_basis, q_basis, n)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    w1, w2, w3 = _pollard_w(nu_basis, q_basis, f, n, x, rule)
-    yq, wq = _continuous_quadrature(nu_basis)
-    t_vals = _t_n(nu_basis, _as_values(f, yq), yq, wq, n, x)
+    x = _interior(x)
+    z = np.concatenate([rule[0], x])
+    w1, w2, w3 = _pollard_w(_pollard_values(nu_basis, q_basis, n, z), _as_values(f, z), x, rule)
+    (t_vals,) = _continuous_partial_sums(nu_basis, [f], n, x)
     return PollardParts(n, r, s, x, w1, w2, w3, t_vals)
 
 
@@ -385,47 +391,37 @@ def commutator_psi_parts(
     """Evaluate the Psi operators of the commutator split at the points x.
 
     Applies to the partial sums of the absolutely continuous measure; b and f
-    are callables on [-1,1].  b_I is the Lebesgue mean of b over the interval.
+    are callables on [-1,1].  b_I is the Lebesgue mean of b over the interval,
+    and the Psi parts combine the Pollard parts W1..W3 of f and of b f.
     ``b_singularities`` lists locations where b blows up so the quadrature can
     grade toward them.
     """
     if mu_basis.measure.masses:
         raise SpecError("the Psi split applies to the absolutely continuous part")
+    r, s = pollard_coefficients(mu_basis, q_basis, n)
+    x = _interior(x)
     if rule is None:
         rule = lebesgue_rule_for(
             mu_basis.measure, extra_singular=b_singularities, order=max(16, n + 8)
         )
     y, wy = rule
-    dens = mu_basis.measure.base.density
-    wdy = dens(y) * wy
-    by = _as_values(b, y)
-    fy = _as_values(f, y)
+    m = len(y)
+    z = np.concatenate([y, x])
+    values = _pollard_values(mu_basis, q_basis, n, z)
+    bz, fz = _as_values(b, z), _as_values(f, z)
+    by, bx = bz[:m], bz[m:]
     b_mean = float(np.sum(by * wy) / 2.0)
 
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p_next = lambda t: mu_basis.eval_all(t, n + 1)[n + 1]
-    q_n = lambda t: q_basis.eval_all(t, n)[n]
-    bx = _as_values(b, x)
-
-    psi1 = (bx - b_mean) * p_next(x) * np.sum(p_next(y) * fy * wdy)
-    psi2 = p_next(x) * np.sum((by - b_mean) * p_next(y) * fy * wdy)
-
-    def comm_h(h):
-        """[M_b, H] h at x = b(x) H(h)(x) - H(b h)(x)."""
-        hx = hilbert_transform(h, x, rule=rule)
-        bh = lambda t: _as_values(b, t) * h(t)
-        return bx * hx - hilbert_transform(bh, x, rule=rule)
-
-    psi3 = p_next(x) * comm_h(lambda t: (1 - t**2) * q_n(t) * _as_values(f, t) * dens(t))
-    psi4 = (1 - x**2) * q_n(x) * comm_h(lambda t: p_next(t) * _as_values(f, t) * dens(t))
-
-    r, s = pollard_coefficients(mu_basis, q_basis, n)
+    w1, w2, w3 = _pollard_w(values, fz, x, rule)
+    bw1, bw2, bw3 = _pollard_w(values, bz * fz, x, rule)
+    psi1 = (bx - b_mean) * w1
+    psi2 = bw1 - b_mean * w1
+    psi3 = bx * w2 - bw2
+    psi4 = bx * w3 - bw3
 
     # direct evaluation of b S_n f - S_n(b f) by the same quadrature
-    phi = mu_basis.eval_all(y, n)
-    coef_f = phi @ (wdy * fy)
-    coef_bf = phi @ (wdy * by * fy)
-    px = mu_basis.eval_all(x, n)
+    wdy = values[2][:m] * wy
+    (coef_f, coef_bf), px = _expand(mu_basis, y, wdy, [fz[:m], by * fz[:m]], n, x)
     direct = bx * (coef_f @ px) - coef_bf @ px
 
     return CommutatorParts(n, r, s, x, psi1, psi2, psi3, psi4, direct)
@@ -446,10 +442,9 @@ def laguerre_q_values(alpha: float, N: int, x=0.0):
 
 def laguerre_q_at_zero(alpha: float, n) -> np.ndarray:
     """Closed form Q_n(0) = Gamma(n+alpha+2)^{1/2} / (Gamma(alpha+2) n!^{1/2})."""
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
     n = np.asarray(n, dtype=float)
-    logv = 0.5 * scipy.special.gammaln(n + alpha + 2) - scipy.special.gammaln(alpha + 2) \
-        - 0.5 * scipy.special.gammaln(n + 1)
-    return np.exp(logv)
+    return np.exp(0.5 * lgamma(n + alpha + 2) - math.lgamma(alpha + 2) - 0.5 * lgamma(n + 1))
 
 
 def laguerre_mass_kernel(alpha: float, M: float, n: int, x, nu_basis: OrthoBasis | None = None):

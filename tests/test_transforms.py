@@ -1,18 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from masspoly import (
     GenJacobiSpec,
+    GridMismatch,
     LaguerreSpec,
     MassPoint,
     MeasureSpec,
+    NonFiniteWeight,
     PointOnBoundary,
     SpecError,
     legendre,
     make_grid,
+    opoly,
 )
+from masspoly.norms import Grid
 from masspoly.opoly import basis_for, cd_kernel, gauss_points, recurrence_for
 from masspoly.transforms import (
     commutator,
@@ -229,14 +234,87 @@ def test_graded_rule_grades_toward_a_point_on_an_end():
 
 
 def test_commutator_psi_split_residual():
+    # f has a degree-(n+1) component and one symbol is not a polynomial, so
+    # [M_b, S_n] f is O(1) and every Psi part counts in the residual
     spec = legendre([MassPoint(1.0, 1.0)])
     mu_basis = basis_for(legendre(), 22)
     q_basis = q_basis_for(basis_for(spec, 22))
-    f = np.polynomial.Polynomial([1.0, 0.5, -0.25, 0.0, 0.1])
-    parts = commutator_psi_parts(mu_basis, q_basis, lambda x: x, f, 20, np.linspace(-0.8, 0.8, 9))
-    assert parts.n == 20
-    resid = np.max(np.abs(parts.reconstruction - parts.direct))
-    assert resid < 1e-7
+    f = np.polynomial.Legendre([1.0, 0.5, -0.25, 0.0, 0.1] + [0.0] * 16 + [1.0])
+    x = np.linspace(-0.8, 0.8, 9)
+    for b, singular in ((lambda t: t, ()), (lambda t: np.abs(t - 0.2), (0.2,))):
+        parts = commutator_psi_parts(mu_basis, q_basis, b, f, 20, x, b_singularities=singular)
+        assert parts.n == 20
+        assert np.max(np.abs(parts.direct)) > 0.05
+        assert parts.residual < 1e-10
+
+
+def test_each_operator_call_evaluates_each_basis_once(monkeypatch):
+    calls = []
+    table = opoly.recurrence_table
+    monkeypatch.setattr(opoly, "recurrence_table", lambda *a, **k: calls.append(1) or table(*a, **k))
+    spec = legendre([MassPoint(0.3, 1.0), MassPoint(1.0, 1.0)])
+    nu_basis, mu_basis = basis_for(spec, 22), basis_for(legendre(), 22)
+    q_nu, q_mu = q_basis_for(nu_basis), q_basis_for(mu_basis)
+    f = make_grid(spec, 80).fn(np.cos)
+    poly = np.polynomial.Polynomial([0.3, -1.0, 0.0, 0.4])
+    x = np.linspace(-0.8, 0.8, 9)
+    # one table per basis: the Pollard parts read nu and q at (rule nodes, x), and
+    # the independent T_n reads nu at (Gauss nodes of mu, x)
+    for run, tables in [
+        (lambda: partial_sum(nu_basis, f, 20, x), 1),
+        (lambda: commutator(nu_basis, np.sin, f, 20, x), 1),
+        (lambda: maximal_op(nu_basis, f, 20, x), 1),
+        (lambda: split_partial_sum(nu_basis, f, 20, x), 1),
+        (lambda: pollard_parts(nu_basis, q_nu, poly, 20, x), 3),
+        (lambda: fit_pollard_coefficients(nu_basis, q_nu, 20), 3),
+        (lambda: commutator_psi_parts(mu_basis, q_mu, np.sin, poly, 20, x), 2),
+    ]:
+        for basis in (nu_basis, mu_basis, q_nu, q_mu):
+            basis._last = None
+        calls.clear()
+        run()
+        assert len(calls) == tables
+
+
+def test_a_sampled_f_off_its_nodes_raises_grid_mismatch():
+    # interpolated linearly at the rule nodes, a sampled f would leave a residual of 3.9e-5
+    spec = legendre([MassPoint(1.0, 1.0)])
+    nu_basis = basis_for(spec, 22)
+    mu_basis = basis_for(legendre(), 22)
+    grid = make_grid(spec, 80)
+    f = np.polynomial.Polynomial([0.3, -1.0, 0.0, 0.4, 0.0, -0.2])
+    x = np.linspace(-0.8, 0.8, 9)
+    assert pollard_parts(nu_basis, q_basis_for(nu_basis), f, 20, x).residual < 1e-12
+    with pytest.raises(GridMismatch):
+        pollard_parts(nu_basis, q_basis_for(nu_basis), grid.fn(f), 20, x)
+    with pytest.raises(GridMismatch):
+        commutator_psi_parts(mu_basis, q_basis_for(mu_basis), np.sin, grid.fn(f), 20, x)
+    with pytest.raises(GridMismatch):
+        hilbert_transform(grid.fn(np.cos), 0.3)
+    with pytest.raises(GridMismatch):
+        commutator(basis_for(spec, 8), make_grid(spec, 33).fn(np.sin), make_grid(spec, 32).fn(f), 6, x)
+
+
+def test_grid_functions_are_read_on_their_own_nodes():
+    rule = graded_rule((0.2,))
+    x = np.array([-0.3, 0.6])
+    nodes = np.concatenate([rule[0], x])
+    g = Grid(nodes, np.ones_like(nodes), np.array([], dtype=int)).fn(np.cos)
+    assert np.array_equal(hilbert_transform(g, x, rule=rule), hilbert_transform(np.cos, x, rule=rule))
+    # the commutator reads a b sampled on the grid of f at the points x, exactly at its nodes
+    basis = basis_for(SPEC, 8)
+    grid = make_grid(SPEC, 32)
+    f = grid.fn(np.exp)
+    at_nodes = grid.nodes[5:9]
+    sampled = commutator(basis, grid.fn(np.sin), f, 6, at_nodes)
+    assert np.allclose(sampled, commutator(basis, np.sin, f, 6, at_nodes), rtol=0, atol=1e-15)
+
+
+def test_commutator_names_the_mass_point_where_the_symbol_is_not_finite():
+    spec = legendre([MassPoint(1.0, 1.0)])
+    f = make_grid(spec, 32).fn(np.exp)
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteWeight, match="-inf at the mass point 1"):
+        commutator(basis_for(spec, 8), lambda t: np.log(1.0 - t), f, 6, np.array([0.1]))
 
 
 def test_laguerre_q_at_zero_formula():
@@ -245,6 +323,13 @@ def test_laguerre_q_at_zero_formula():
     vals = laguerre_q_values(0.0, 10, 0.0)[:, 0]
     assert np.allclose(vals, laguerre_q_at_zero(0.0, np.arange(11)), rtol=1e-12)
     assert np.all(vals > 0)
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0, 2.5])
+def test_laguerre_q_at_zero_against_mpmath(alpha):
+    ns = np.append(np.arange(0, 1000, 37), 1000)
+    exact = [mpmath.sqrt(mpmath.gamma(n + alpha + 2) / mpmath.factorial(n)) / mpmath.gamma(alpha + 2) for n in ns]
+    assert np.max(np.abs(laguerre_q_at_zero(alpha, ns) / np.array(exact, dtype=float) - 1.0)) < 1e-11
 
 
 def test_laguerre_mass_kernel_small_n():
