@@ -22,7 +22,6 @@ from .errors import (
     NumericalBreakdown,
     PointOnBoundary,
     SpecError,
-    UnknownLocation,
 )
 from .measure import (
     GenJacobiSpec,
@@ -33,7 +32,6 @@ from .measure import (
     PowerWeightSpec,
     UNIT_WEIGHT,
     check_conditions,
-    christoffel_modified,
     legendre,
     mean_convergence_endpoints,
     measure_from_dict,

@@ -25,10 +25,6 @@ class NoEndpoint(MassPolyError):
     """max(alpha, beta) <= -1/2: no finite mean-convergence endpoints."""
 
 
-class UnknownLocation(SpecError):
-    pass
-
-
 class DegreeOutOfRange(MassPolyError, IndexError):
     pass
 

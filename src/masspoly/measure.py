@@ -25,7 +25,6 @@ from .errors import (
     NoEndpoint,
     NonFiniteWeight,
     SpecError,
-    UnknownLocation,
 )
 
 
@@ -308,56 +307,6 @@ def mean_convergence_endpoints(alpha: float, beta: float):
     p1 = 4 * (m + 1) / (2 * m + 1)
     assert p0 < 2 < p1
     return p0, p1
-
-
-# ----------------------------------------------------------------------
-# Christoffel modification
-
-
-def christoffel_modified(spec: MeasureSpec, A):
-    """Multiply the continuous part by prod_{a in A} (x-a)^2; A must be mass locations.
-
-    Returns (modified MeasureSpec without masses, w_A evaluator); the evaluator
-    maps (x, p) to prod_{a in A} |x-a|^{1-2/p}.
-    """
-    validate(spec)
-    A = tuple(A)
-    locs = spec.mass_locations
-    for a in A:
-        if a not in locs:
-            raise UnknownLocation(f"{a} is not a mass point of the spec")
-    if len(set(A)) != len(A):
-        raise DuplicateLocation(f"repeated locations in subset {A}")
-
-    base = spec.base
-    if isinstance(base, GenJacobiSpec):
-        alpha, beta = base.alpha, base.beta
-        sing = dict(base.singularities)
-        for a in A:
-            if a == 1.0:
-                alpha += 2
-            elif a == -1.0:
-                beta += 2
-            else:
-                sing[a] = sing.get(a, 0.0) + 2
-        new_base = GenJacobiSpec(alpha, beta, tuple(sorted(sing.items())))
-    elif isinstance(base, LaguerreSpec):
-        if any(a != 0.0 for a in A):
-            raise SpecError("Laguerre Christoffel modification supported at 0 only")
-        new_base = LaguerreSpec(base.alpha + 2 * len(A))
-    else:
-        if A:
-            raise SpecError("Hermite Christoffel modification not supported")
-        new_base = base
-
-    def w_A(x, p):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for a in A:
-            out = out * np.abs(x - a) ** (1.0 - 2.0 / p)
-        return out
-
-    return MeasureSpec(new_base, ()), w_A
 
 
 # ----------------------------------------------------------------------

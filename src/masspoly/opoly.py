@@ -6,7 +6,10 @@ Construction paths:
     (the density times ``lebesgue_rule``, composite Gauss-Jacobi cells split
     at every algebraic singularity), optionally in double-double arithmetic,
   * point masses folded into the recurrence of the whole measure by the
-    RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom.
+    RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom,
+  * measures derived from mu by Christoffel steps on mu's Jacobi matrix, O(N)
+    each: a QR step for (x-a)^2 d-mu at any real a, a Cholesky step for
+    (1 -+ x) d-mu.  Only mu itself is ever discretized.
 
 ``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
 rules of ``transforms`` come from it too.
@@ -20,7 +23,7 @@ replace it.  Every returned table is read-only and bit-identical to a fresh
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
 its coefficients come in closed form from mu's kernel at the mass points
-(Christoffel-Uvarov), and the modified bases only check the identity.
+(Christoffel-Uvarov), and the modified recurrences only check the identity.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .measure import (
     LaguerreSpec,
     MassPoint,
     MeasureSpec,
-    christoffel_modified,
     validate,
 )
 
@@ -541,6 +543,53 @@ def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
     return OrthoBasis(spec, base_basis.rec, N, Recurrence(p0, p1))
 
 
+# ----------------------------------------------------------------------
+# Christoffel steps (Kautsky & Golub, Linear Algebra Appl. 52/53, 1983; Gautschi 2004, §2.4) on
+# mu's Jacobi matrix J of degrees 0..N-1: one entry shorter, as the last needs J's next row.
+
+
+def quadratic_step(rec: Recurrence, a: float) -> Recurrence:
+    """Recurrence of (x-a)^2 d-mu from that of mu, for any real a: one shifted QR step.
+
+    J - aI = QR by Givens rotations (c_k, s_k); RQ + aI is the new J, with
+    (RQ)_kk = R_kk c_{k-1} c_k + R_{k,k+1} s_k and (RQ)_{k+1,k} = R_{k+1,k+1} s_k,
+    and b_0 becomes b_0 R_00^2 = int (x-a)^2 d-mu.
+    """
+    d = (rec.alphas - a).tolist()
+    e = np.sqrt(rec.betas).tolist() + [0.0]  # e[k] couples degrees k-1 and k
+    n = len(d) - 1
+    alphas, betas = [0.0] * n, [0.0] * n
+    x, y = d[0], e[1]  # entries (k, k) and (k, k+1) of row k, reduced up to column k
+    c_prev, s_prev = 1.0, 0.0
+    for k in range(n):
+        r = math.hypot(x, e[k + 1])
+        c, s = x / r, e[k + 1] / r
+        alphas[k] = r * c_prev * c + (c * y + s * d[k + 1]) * s + a
+        betas[k] = (r * s_prev) ** 2 if k else rec.betas[0] * r * r
+        x, y = c * d[k + 1] - s * y, c * e[k + 2]
+        c_prev, s_prev = c, s
+    return Recurrence(alphas, betas)
+
+
+def linear_step(rec: Recurrence, sign: float) -> Recurrence:
+    """Recurrence of (1 - sign x) d-mu from that of mu, sign = +-1: one Cholesky step.
+
+    I - sign J = L L^T; sign (I - L^T L) is the new J, and b_0 becomes
+    b_0 L_00^2.  Square-root free, in u_k = L_kk^2 and L_{k,k-1}^2 = b_k / u_{k-1}.
+    """
+    d = (1.0 - sign * rec.alphas).tolist()
+    b = rec.betas.tolist()
+    n = len(d) - 1
+    alphas, betas = [0.0] * n, [0.0] * n
+    u_prev, u = 1.0, d[0]
+    for k in range(n):
+        t = b[k + 1] / u
+        alphas[k] = sign * (1.0 - u - t)
+        betas[k] = b[k] * u / u_prev
+        u_prev, u = u, d[k + 1] - t
+    return Recurrence(alphas, betas)
+
+
 def basis_for(spec: MeasureSpec, N: int, m: int | None = None, high_precision=False) -> OrthoBasis:
     """Build the orthonormal basis of a validated MeasureSpec up to degree N."""
     validate(spec)
@@ -645,13 +694,14 @@ def mass_subsets(locations):
     return out
 
 
-def modified_bases(spec: MeasureSpec, N: int, m: int | None = None):
-    """Bases of the Christoffel-modified measures mu^A for every subset A."""
-    out = {}
-    for A in mass_subsets(spec.mass_locations):
-        mod_spec, _ = christoffel_modified(spec, A)
-        out[A] = basis_for(mod_spec, N, m=m)
-    return out
+def modified_bases(spec: MeasureSpec, N: int):
+    """Recurrences, length N+1, of prod_{a in A}(x-a)^2 d-mu for every subset A of the mass
+    locations, from mu's one recurrence: A takes a ``quadratic_step`` from A without its last."""
+    validate(spec)
+    full = {(): recurrence_for(spec.base, N + 1 + len(spec.masses))}
+    for A in mass_subsets(spec.mass_locations)[1:]:
+        full[A] = quadratic_step(full[A[:-1]], A[-1])
+    return {A: Recurrence(rec.alphas[: N + 1], rec.betas[: N + 1]) for A, rec in full.items()}
 
 
 # a kernel identity residual above this bound means the inputs are wrong
@@ -659,7 +709,7 @@ _IDENTITY_TOL = 1e-8
 
 
 def kernel_decomposition(
-    nu_basis: OrthoBasis, mod_bases: dict, n: int, grid_size: int = 48
+    nu_basis: OrthoBasis, mods: dict, n: int, grid_size: int = 48
 ) -> KernelDecomposition:
     """Convex-combination coefficients of L_n over the modified kernels, in closed form.
 
@@ -669,8 +719,8 @@ def kernel_decomposition(
     c_A = det((M K)_{AA}) / det(I + M K), so c_empty = 1 / det(I + M K) and
     the c_A over all subsets sum to 1.  Subsets with |A| > n carry no kernel
     and are left out.  The identity is then checked on a tensor grid against
-    the kernels of ``mod_bases``; a relative residual above 1e-8 raises
-    NumericalBreakdown.
+    the kernels of the recurrences ``mods`` (``modified_bases``: QR steps, on
+    any base); a relative residual above 1e-8 raises NumericalBreakdown.
     """
     spec = nu_basis.measure
     locs = spec.mass_locations
@@ -685,18 +735,14 @@ def kernel_decomposition(
 
     if grid_size <= len(nu_basis.rec):
         xs, _ = gauss_points(nu_basis.rec, grid_size)
-    elif isinstance(spec.base, GenJacobiSpec):
-        # Chebyshev points: any distinct interior nodes test the identity
-        xs = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
     else:
-        xs, _ = gauss_points(nu_basis.rec, len(nu_basis.rec))
+        # Chebyshev points: n+1 distinct nodes per variable test an identity of degree n
+        xs = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
     target = cd_kernel(nu_basis, n, xs, xs)
     total = np.zeros_like(target)
     for A, c in coefficients.items():
-        fac = np.ones_like(xs)
-        for a in A:
-            fac *= xs - a
-        total += c * np.outer(fac, fac) * cd_kernel(mod_bases[A], n - len(A), xs, xs)
+        P = mods[A].table(xs, n - len(A)) * np.prod([xs - a for a in A], axis=0)
+        total += c * (P.T @ P)
     residual = float(np.linalg.norm(total - target) / np.linalg.norm(target))
     if not residual <= _IDENTITY_TOL:
         raise NumericalBreakdown(

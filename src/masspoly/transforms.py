@@ -37,11 +37,14 @@ from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec
 from .norms import GridFunction
 from .opoly import (
     OrthoBasis,
+    add_mass_points,
     basis_for,
     classical_recurrence,
     gauss_jacobi_rule,
     gauss_points,
     lebesgue_rule,
+    linear_step,
+    recurrence_for,
 )
 
 # ----------------------------------------------------------------------
@@ -226,9 +229,14 @@ def q_measure(spec: MeasureSpec) -> MeasureSpec:
     return MeasureSpec(new_base, masses)
 
 
-def q_basis_for(nu_basis: OrthoBasis, m: int | None = None) -> OrthoBasis:
-    """Orthonormal basis for (1-x^2) d-nu matching the degree cap of nu."""
-    return basis_for(q_measure(nu_basis.measure), nu_basis.degree, m=m)
+def q_basis_for(nu_basis: OrthoBasis) -> OrthoBasis:
+    """Orthonormal basis for (1-x^2) d-nu matching the degree cap of nu: two Cholesky
+    steps on mu's recurrence (I - J of nu is nearly singular with an atom at 1),
+    then ``q_measure``'s atoms by RKPW."""
+    spec = q_measure(nu_basis.measure)
+    N = nu_basis.degree
+    rec = linear_step(linear_step(recurrence_for(nu_basis.measure.base, N + 3), 1.0), -1.0)
+    return add_mass_points(OrthoBasis(spec.with_masses(()), rec, N, rec), spec.masses)
 
 
 @dataclass
@@ -441,10 +449,11 @@ def laguerre_q_values(alpha: float, N: int, x=0.0):
 
 
 def laguerre_q_at_zero(alpha: float, n) -> np.ndarray:
-    """Closed form Q_n(0) = Gamma(n+alpha+2)^{1/2} / (Gamma(alpha+2) n!^{1/2})."""
-    lgamma = np.vectorize(math.lgamma, otypes=[float])
-    n = np.asarray(n, dtype=float)
-    return np.exp(0.5 * lgamma(n + alpha + 2) - math.lgamma(alpha + 2) - 0.5 * lgamma(n + 1))
+    """Closed form Q_n(0) = Gamma(n+alpha+2)^{1/2} / (Gamma(alpha+2) n!^{1/2}), as the running
+    product Q_k(0)^2 = Q_{k-1}(0)^2 (1 + (alpha+1)/k) from Q_0(0)^2 = 1 / Gamma(alpha+2)."""
+    n = np.asarray(n, dtype=int)
+    ratios = 1.0 + (alpha + 1) / np.arange(1, n.max(initial=0) + 1)
+    return np.sqrt(np.cumprod(np.concatenate(([1.0 / math.gamma(alpha + 2)], ratios))))[n]
 
 
 def laguerre_mass_kernel(alpha: float, M: float, n: int, x, nu_basis: OrthoBasis | None = None):

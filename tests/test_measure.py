@@ -16,9 +16,7 @@ from masspoly import (
     NoEndpoint,
     PowerWeightSpec,
     SpecError,
-    UnknownLocation,
     check_conditions,
-    christoffel_modified,
     legendre,
     mean_convergence_endpoints,
     measure_from_json,
@@ -197,29 +195,6 @@ def test_condition_report_structure():
     d = rep.to_dict()
     assert set(d) == {"verdict", "lines"}
     assert all(ln["margin"] > 0 for ln in d["lines"] if "upper" in ln["label"])
-
-
-def test_christoffel_modified_interior_and_edge():
-    spec = legendre([MassPoint(0.3, 1.0), MassPoint(1.0, 0.5)])
-    mod, w_A = christoffel_modified(spec, (0.3,))
-    assert mod.masses == ()
-    assert mod.base.singularities == ((0.3, 2.0),)
-    x = np.array([0.7])
-    assert w_A(x, 4.0)[0] == pytest.approx(abs(0.7 - 0.3) ** 0.5)
-
-    mod2, _ = christoffel_modified(spec, (1.0,))
-    assert mod2.base.alpha == pytest.approx(2.0)
-
-    with pytest.raises(UnknownLocation):
-        christoffel_modified(spec, (0.5,))
-    with pytest.raises(DuplicateLocation):
-        christoffel_modified(spec, (0.3, 0.3))
-
-
-def test_christoffel_modified_laguerre_zero_only():
-    spec = MeasureSpec(LaguerreSpec(1.0), (MassPoint(0.0, 1.0),))
-    mod, _ = christoffel_modified(spec, (0.0,))
-    assert mod.base.alpha == pytest.approx(3.0)
 
 
 def test_density_genjacobi():

@@ -20,6 +20,7 @@ from masspoly import (
 from masspoly.opoly import (
     _dd_div,
     _dd_mul,
+    _stieltjes,
     _stieltjes_mp,
     _two_prod,
     _two_sum,
@@ -32,9 +33,11 @@ from masspoly.opoly import (
     kernel_envelope,
     kernel_envelope_ratio,
     kernel_sequence,
+    linear_step,
     mass_subsets,
     modified_bases,
     monomial_coefficients,
+    quadratic_step,
     recurrence_for,
     stieltjes_recurrence,
 )
@@ -319,7 +322,8 @@ def _fitted_decomposition(nu_basis, mod_bases, n, grid_size=48):
     cols = []
     for A in subsets:
         fac = np.prod([xs - a for a in A], axis=0) if A else np.ones_like(xs)
-        cols.append((np.outer(fac, fac) * cd_kernel(mod_bases[A], n - len(A), xs, xs)).ravel())
+        P = mod_bases[A].table(xs, n - len(A))
+        cols.append((np.outer(fac, fac) * (P.T @ P)).ravel())
     coef, _, rank, _ = np.linalg.lstsq(np.column_stack(cols), cd_kernel(nu_basis, n, xs, xs).ravel(), rcond=None)
     assert rank == len(subsets)
     return dict(zip(subsets, coef))
@@ -354,11 +358,62 @@ def test_kernel_decomposition_single_endpoint_mass_closed_form(M):
         assert dec.coefficients[(1.0,)] == pytest.approx(1.0 - c_empty, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    MeasureSpec(HermiteSpec(), (MassPoint(0.5, 1.0), MassPoint(-1.2, 1.0))),
+    MeasureSpec(LaguerreSpec(0.5), (MassPoint(0.0, 1.0), MassPoint(1.5, 1.0))),
+])
+def test_kernel_decomposition_on_unbounded_bases_at_any_location(spec):
+    basis, mods = basis_for(spec, 40), modified_bases(spec, 40)
+    for n in range(2, 41):
+        dec = kernel_decomposition(basis, mods, n)
+        assert dec.residual < 1e-8, n
+        assert dec.total == pytest.approx(1.0, abs=1e-12), n
+        assert all(0.0 < c < 1.0 for c in dec.coefficients.values()), n
+
+
+def _recurrence_error(rec, ref):
+    """Largest error of rec against the reference recurrence over the reference's length:
+    alphas relative to max(1, |alpha|), betas relative."""
+    n = len(ref)
+    da = np.abs(rec.alphas[:n] - ref.alphas) / np.maximum(1.0, np.abs(ref.alphas))
+    return max(np.max(da), np.max(np.abs(rec.betas[:n] / ref.betas - 1.0)))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, -0.5), (-0.5, 0.5), (2.5, 1.5)])
+def test_christoffel_steps_match_closed_form_jacobi(alpha, beta):
+    N = 800
+    mu = classical_recurrence(GenJacobiSpec(alpha, beta), N + 2)
+    jacobi = lambda a, b: classical_recurrence(GenJacobiSpec(a, b), N)
+    assert _recurrence_error(quadratic_step(mu, 1.0), jacobi(alpha + 2, beta)) < 1e-13
+    assert _recurrence_error(quadratic_step(mu, -1.0), jacobi(alpha, beta + 2)) < 1e-13
+    assert _recurrence_error(linear_step(mu, 1.0), jacobi(alpha + 1, beta)) < 1e-13
+    assert _recurrence_error(linear_step(mu, -1.0), jacobi(alpha, beta + 1)) < 1e-13
+    assert _recurrence_error(linear_step(linear_step(mu, 1.0), -1.0), jacobi(alpha + 1, beta + 1)) < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 2.5])
+def test_quadratic_step_at_zero_matches_closed_form_laguerre(alpha):
+    mu = classical_recurrence(LaguerreSpec(alpha), 801)
+    assert _recurrence_error(quadratic_step(mu, 0.0), classical_recurrence(LaguerreSpec(alpha + 2), 800)) < 1e-13
+
+
+def test_quadratic_step_inside_the_support_against_stieltjes():
+    # the 1200-node Gauss-Legendre rule times (x - 0.3)^2 is exact for every
+    # integrand of a degree-420 Stieltjes step
+    x, w = np.polynomial.legendre.leggauss(1200)
+    alphas, betas = _stieltjes(x, w * (x - 0.3) ** 2, 420)
+    rec = quadratic_step(classical_recurrence(GenJacobiSpec(), 421), 0.3)
+    assert len(rec) == 420
+    assert np.max(np.abs(rec.alphas - alphas)) < 1e-12
+    assert np.max(np.abs(rec.betas / betas - 1.0)) < 1e-12
+
+
 def test_kernel_decomposition_raises_when_the_identity_fails():
     spec = legendre([MassPoint(1.0, 1.0)])
     basis = basis_for(spec, 10)
     # the kernel of (1-x)^2 dx belongs under (1.0,), not Lebesgue's
-    wrong = {(): basis_for(legendre(), 10), (1.0,): basis_for(legendre(), 10)}
+    lebesgue = classical_recurrence(GenJacobiSpec(), 11)
+    wrong = {(): lebesgue, (1.0,): lebesgue}
     with pytest.raises(NumericalBreakdown, match="residual"):
         kernel_decomposition(basis, wrong, 10)
 
