@@ -249,7 +249,9 @@ def _probe(spec, prm):
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
     u, v = (None if prm[key] is None else weight_from_dict(prm[key]) for key in ("u", "v"))
-    rep = _PROBES[prm["mode"]](basis, grid, prm, u, v)
+    # an overflow leaves non-finite values, which the probe raises as NumericalBreakdown
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = _PROBES[prm["mode"]](basis, grid, prm, u, v)
     return {"report": rep.to_dict()}, [(int(n), float(e)) for n, e in rep.entries]
 
 

@@ -14,11 +14,12 @@ Construction paths:
 ``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
 rules of ``transforms`` come from it too.
 
-Each ``OrthoBasis`` keeps one table, the last one ``eval_all`` computed.  A
-request at the same points up to its degree is a read-only view of it; a
-higher degree extends it by the new rows only, from its last two; new points
-replace it.  Every returned table is read-only and bit-identical to a fresh
-``Recurrence.table``.
+Each ``Recurrence`` keeps one table, the last one ``Recurrence.table``
+computed; ``OrthoBasis.eval_all`` reads the table of ``nu_rec``.  A request at
+the same points up to its degree is a read-only view of it; a higher degree
+extends it by the new rows only, from its last two; new points replace it.
+Every returned table is read-only and bit-identical to a table computed from
+degree 0.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
@@ -65,10 +66,13 @@ class Recurrence:
     Orthonormal forward recurrence:
         sqrt(b_{k+1}) P_{k+1}(x) = (x - a_k) P_k(x) - sqrt(b_k) P_{k-1}(x),
         P_0 = 1/sqrt(b_0),  P_{-1} = 0.
+
+    The recurrence keeps the last table ``table`` computed, read-only.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
@@ -83,13 +87,28 @@ class Recurrence:
     def total_mass(self):
         return float(self.betas[0])
 
-    def table(self, x, nmax, head=None):
-        """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x)).
+    def table(self, x, nmax):
+        """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x)), read-only.
 
-        With ``head``, the rows P_0..P_d at the same x, only the rows
-        P_{d+1}..P_nmax are computed and returned (``recurrence_table``).
+        The recurrence keeps the table it returns, rows P_0..P_d at its points.
+        At the same points (bit for bit, so -0.0 is not 0.0), nmax <= d returns
+        its leading rows as a view, and nmax > d computes only the rows
+        d+1..nmax (``recurrence_table`` with ``head=``) and keeps the longer
+        table.  New points get a new table, which replaces the kept one.  Each
+        row depends on the two before it only, so every result is bit-identical
+        to the table computed from degree 0.  Copy a table to write to it.
         """
-        return recurrence_table(self.alphas, np.sqrt(self.betas), x, nmax, head)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        key = (x.shape, x.tobytes())
+        head = self._kept[1] if self._kept is not None and self._kept[0] == key else None
+        if head is not None and nmax < len(head):
+            return head[: nmax + 1]
+        table = recurrence_table(self.alphas, np.sqrt(self.betas), x, nmax, head=head)
+        if head is not None:
+            table = np.concatenate([head, table])
+        table.flags.writeable = False
+        object.__setattr__(self, "_kept", (key, table))
+        return table
 
 
 def classical_recurrence(base, N: int) -> Recurrence:
@@ -135,29 +154,45 @@ def classical_recurrence(base, N: int) -> Recurrence:
 
 
 def _stieltjes(x, w, N):
-    """Discretized Stieltjes procedure on the discrete measure sum w_j delta_{x_j}."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    alphas = np.zeros(N)
-    betas = np.zeros(N)
-    b0 = w.sum()
+    """Discretized Stieltjes procedure on the discrete measure sum w_j delta_{x_j}.
+
+    In three rotating rows and one scratch row: alpha_k = sum (w x) p_k^2 and
+    b_{k+1} = sum w q^2 with q = (x - alpha_k) p_k - sqrt(b_k) p_{k-1}, then
+    p_{k+1} = q / sqrt(b_{k+1}).
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    w = np.ascontiguousarray(w, dtype=float)
+    alphas = [0.0] * N
+    betas = [0.0] * N
+    b0 = float(w.sum())
     if b0 <= 0:
         raise NumericalBreakdown("discretized measure has nonpositive mass")
     betas[0] = b0
+    wx = w * x
     p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / np.sqrt(b0))
+    p = np.full_like(x, 1.0 / math.sqrt(b0))
+    q = np.empty_like(x)
+    tmp = np.empty_like(x)
     for kk in range(N):
-        alphas[kk] = np.sum(w * x * p * p)
+        np.multiply(wx, p, tmp)
+        np.multiply(tmp, p, tmp)
+        a = alphas[kk] = float(tmp.sum())
         if kk == N - 1:
             break
-        q = (x - alphas[kk]) * p - np.sqrt(betas[kk]) * p_prev if kk > 0 else (x - alphas[0]) * p
-        bnext = np.sum(w * q * q)
+        np.subtract(x, a, q)
+        np.multiply(q, p, q)
+        if kk > 0:
+            np.multiply(p_prev, math.sqrt(betas[kk]), p_prev)
+            np.subtract(q, p_prev, q)
+        np.multiply(w, q, tmp)
+        np.multiply(tmp, q, tmp)
+        bnext = float(tmp.sum())
         if bnext <= 0:
             raise NumericalBreakdown(f"Stieltjes breakdown at step {kk + 1}")
         betas[kk + 1] = bnext
-        p_prev = p
-        p = q / np.sqrt(bnext)
-    return alphas, betas
+        np.divide(q, math.sqrt(bnext), q)
+        p_prev, p, q = p, q, p_prev
+    return np.array(alphas), np.array(betas)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +462,15 @@ def gauss_points(rec: Recurrence, m: int):
     Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
     relative accuracy down to the tiny weights at far Laguerre / Hermite
     nodes; Golub-Welsch eigenvector weights only have absolute accuracy.
+
+    The pair (P_{k-1}, P_k) and the running sum are rescaled by 2^-h and
+    2^-2h every 8 steps, h half the sum's binary exponent, so far nodes
+    cannot overflow.  A power of two scales a float exactly while it neither
+    overflows nor turns subnormal, and every step (a recurrence row, a
+    square, a sum) commutes with one common scaling of its inputs, so the
+    weights are the floats of a rescale after every step.  Between rescales
+    the sum stays below 2^166 on Laguerre(0) at m = 1200 (2^199 at m = 5000),
+    far inside the exponent range.
     """
     if m > len(rec):
         raise GridTooSmall(f"rule order {m} exceeds recurrence length {len(rec)}")
@@ -434,20 +478,28 @@ def gauss_points(rec: Recurrence, m: int):
         x = scipy.linalg.eigvalsh_tridiagonal(rec.alphas[:m], np.sqrt(rec.betas[1:m]))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(str(exc)) from exc
-    # Orthonormal recurrence with the pair (P_{k-1}, P_k) and the running sum
-    # rescaled by powers of two, which is exact, so far nodes cannot overflow.
-    sb = np.sqrt(rec.betas[:m])
+    a = rec.alphas[:m].tolist()
+    sb = np.sqrt(rec.betas[:m]).tolist()
     p_prev = np.zeros_like(x)
     p = np.full_like(x, 1.0 / sb[0])
+    q = np.empty_like(x)
     total = p * p
     exponent = np.zeros(x.shape, dtype=int)  # sum_k P_k^2 = total * 2**exponent
     for k in range(m - 1):
-        p_prev, p = p, ((x - rec.alphas[k]) * p - sb[k] * p_prev) / sb[k + 1]
-        total += p * p
-        half = np.frexp(total)[1] // 2
-        p_prev, p = np.ldexp(p_prev, -half), np.ldexp(p, -half)
-        total = np.ldexp(total, -2 * half)
-        exponent += 2 * half
+        np.multiply(p_prev, sb[k], p_prev)
+        np.subtract(x, a[k], q)
+        np.multiply(q, p, q)
+        np.subtract(q, p_prev, q)
+        np.divide(q, sb[k + 1], q)
+        p_prev, p, q = p, q, p_prev
+        np.multiply(p, p, q)
+        np.add(total, q, total)
+        if k % 8 == 7:
+            half = np.frexp(total)[1] // 2
+            np.ldexp(p_prev, -half, p_prev)
+            np.ldexp(p, -half, p)
+            np.ldexp(total, -2 * half, total)
+            exponent += 2 * half
     return x, np.ldexp(1.0 / total, -exponent)
 
 
@@ -462,42 +514,23 @@ class OrthoBasis:
     ``nu_rec`` is the recurrence of the whole measure nu and drives every
     evaluation; ``rec`` stays the recurrence of the continuous part mu (the
     same object when the measure carries no point masses).
-
-    The basis keeps the last table ``eval_all`` computed, rows P_0..P_d at
-    its points, read-only (one table per basis).
     """
 
     measure: MeasureSpec
     rec: Recurrence
     degree: int
     nu_rec: Recurrence
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def eval_all(self, x, upto: int | None = None):
         """Values P_0..P_upto at points x, shape (upto+1, len(x)), as a read-only array.
 
-        At the points of the kept table, upto <= d returns its leading rows
-        as a view, and upto > d computes only the rows d+1..upto and keeps
-        the longer table.  New points get a new table, which replaces the kept
-        one.  Each row of the recurrence depends on the two before it only,
-        so every result is bit-identical to ``nu_rec.table(x, upto)``.
+        This is ``nu_rec.table(x, upto)``: the kept table lives on ``nu_rec``,
+        so a request at its points reads or extends it (``Recurrence.table``).
         """
         n = self.degree if upto is None else upto
         if n > self.degree:
             raise DegreeOutOfRange(f"degree {n} exceeds cap {self.degree}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        key = (x.shape, x.tobytes())  # the points bit for bit, so -0.0 is not 0.0
-        last = self._last
-        if last is not None and last[0] == key:
-            table = last[1]
-            if n < len(table):
-                return table[: n + 1]
-            table = np.concatenate([table, self.nu_rec.table(x, n, head=table)])
-        else:
-            table = self.nu_rec.table(x, n)
-        table.flags.writeable = False
-        self._last = (key, table)
-        return table
+        return self.nu_rec.table(x, n)
 
     def eval(self, n: int, x):
         """P_n at x (scalar in, scalar out)."""
@@ -724,7 +757,8 @@ def kernel_decomposition(
     """
     spec = nu_basis.measure
     locs = spec.mass_locations
-    P = nu_basis.rec.table(np.asarray(locs, dtype=float), n)
+    # without masses rec is nu_rec, whose kept table is the grid's below
+    P = nu_basis.rec.table(locs, n) if locs else np.empty((n + 1, 0))
     MK = np.array([mp.mass for mp in spec.masses])[:, None] * (P.T @ P)
     det = np.linalg.det(np.eye(len(locs)) + MK)
     subsets = [A for A in mass_subsets(locs) if len(A) <= n]

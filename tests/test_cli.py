@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,23 @@ def test_lapack_failure_exits_3(capsys, monkeypatch):
     assert main(["recurrence", "--n", "4"]) == 3
     captured = capsys.readouterr()
     assert "LinAlgError: SVD did not converge" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("base, p, n, error", [
+    ("laguerre", 3, 80, "the strong probe at p = 3 has a non-finite entry at degree 80 on a grid of 241 nodes"),
+    ("hermite", 3, 150, "the strong probe at p = 3 has a non-finite entry at degree 150 on a grid of 451 nodes"),
+    ("laguerre", 2, 400, "the basis table up to degree 400 overflowed on the grid of 1201 nodes: "
+                         "the p = 2 factors hold non-finite values"),
+])
+def test_probe_overflow_exits_3_with_one_stderr_line(base, p, n, error):
+    # a fresh process, so numpy's RuntimeWarnings would reach the real stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["probe", "--base", base, "--mass", "0:1", "--p", str(p), "--n", str(n)]
+    proc = subprocess.run([sys.executable, "-m", "masspoly.cli", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"NumericalBreakdown: {error}\n"
 
 
 @pytest.mark.parametrize("argv", [

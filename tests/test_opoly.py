@@ -17,6 +17,7 @@ from masspoly import (
     NumericalBreakdown,
     legendre,
 )
+from masspoly import opoly
 from masspoly.opoly import (
     _dd_div,
     _dd_mul,
@@ -257,6 +258,41 @@ def test_eval_all_sees_points_changed_after_the_call():
     basis.eval_all(x, 5)
     x[2] = 0.123
     assert np.array_equal(basis.eval_all(x, 9), basis.nu_rec.table(x, 9))
+
+
+def _count_table_cells(monkeypatch):
+    cells = []
+    table = opoly.recurrence_table
+
+    def counted(*args, **kwargs):
+        out = table(*args, **kwargs)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(opoly, "recurrence_table", counted)
+    return cells
+
+
+def test_kernel_decomposition_over_n_computes_each_modified_row_once(monkeypatch):
+    cells = _count_table_cells(monkeypatch)
+    spec = legendre([MassPoint(-1.0, 0.5), MassPoint(1.0, 1.0)])
+    basis, mods = basis_for(spec, 30), modified_bases(spec, 30)
+    for n in range(2, 31):
+        kernel_decomposition(basis, mods, n)
+    # 48 identity-grid points: nu's table and one per subset A, rows 0..30 - |A|;
+    # mu's table at the two mass points, rows 0..30
+    assert sum(cells) == 48 * (31 + 31 + 30 + 30 + 29) + 2 * 31
+
+
+def test_kernel_decomposition_without_masses_keeps_the_grid_table(monkeypatch):
+    # rec is nu_rec here: the kernel of mu at the (no) mass points must not replace its grid table
+    cells = _count_table_cells(monkeypatch)
+    spec = legendre()
+    basis, mods = basis_for(spec, 30), modified_bases(spec, 30)
+    assert basis.rec is basis.nu_rec
+    for n in range(1, 31):
+        assert kernel_decomposition(basis, mods, n).coefficients == {(): 1.0}
+    assert sum(cells) == 48 * (31 + 31)
 
 
 @pytest.mark.parametrize("base, a", [

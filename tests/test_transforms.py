@@ -286,7 +286,7 @@ def test_each_operator_call_evaluates_each_basis_once(monkeypatch):
         (lambda: commutator_psi_parts(mu_basis, q_mu, np.sin, poly, 20, x), 2),
     ]:
         for basis in (nu_basis, mu_basis, q_nu, q_mu):
-            basis._last = None
+            object.__setattr__(basis.nu_rec, "_kept", None)  # forget the kept table
         calls.clear()
         run()
         assert len(calls) == tables
