@@ -207,7 +207,11 @@ def _maximal(spec, prm):
 
 def _commutator(spec, prm):
     basis, f, xs = _sampled(spec, prm, prm["n"])
-    return _point_rows(prm["n"], xs, transforms.commutator(basis, _symbol(prm, spec), f, prm["n"], xs))
+    b = _symbol(prm, spec)
+    # a symbol infinite at an evaluation point leaves non-finite values, which raise NumericalBreakdown
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = transforms.commutator(basis, b, f, prm["n"], xs)
+    return _point_rows(prm["n"], xs, vals)
 
 
 def _pollard(spec, prm):

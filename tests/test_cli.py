@@ -16,6 +16,13 @@ from masspoly.opoly import classical_recurrence
 from masspoly.oracle import oracle_recurrence
 
 
+def fresh_python(*args):
+    """Run python with ``args`` in a fresh process, so numpy's RuntimeWarnings reach the real stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -168,14 +175,49 @@ def test_lapack_failure_exits_3(capsys, monkeypatch):
                          "the p = 2 factors hold non-finite values"),
 ])
 def test_probe_overflow_exits_3_with_one_stderr_line(base, p, n, error):
-    # a fresh process, so numpy's RuntimeWarnings would reach the real stderr
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    argv = ["probe", "--base", base, "--mass", "0:1", "--p", str(p), "--n", str(n)]
-    proc = subprocess.run([sys.executable, "-m", "masspoly.cli", *argv], capture_output=True, text=True, env=env)
+    proc = fresh_python("-m", "masspoly.cli", "probe", "--base", base, "--mass", "0:1", "--p", str(p), "--n", str(n))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == f"NumericalBreakdown: {error}\n"
+
+
+def test_commutator_infinite_symbol_exits_3_with_one_stderr_line(tmp_path):
+    # the log(1 - x) symbol is -inf at the evaluation point x = 1
+    cfg = tmp_path / "log_edge.json"
+    cfg.write_text('{"symbol": "log_edge", "points": [0.5, 1.0]}')
+    proc = fresh_python("-m", "masspoly.cli", "commutator", "--base", "legendre", "--n", "6", "--config", str(cfg))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "NumericalBreakdown: commutator produced a NaN or infinite value\n"
+
+
+CLI_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+import masspoly.cli
+codes = []
+for argv in (["kernel", "--base", "legendre", "--mass", "0.3:1", "--mass", "1:1", "--decompose", "--n", "100"],
+             ["probe", "--base", "legendre", "--mass", "1:1", "--p", "3", "--n", "100"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(masspoly.cli.main(argv))
+lazy = "scipy._lib._util" not in sys.modules
+from masspoly.opoly import gauss_jacobi_rule
+s, w = gauss_jacobi_rule(20, 0.0, 0.5)
+loaded = "scipy._lib._util" in sys.modules
+import scipy.special
+rs, rw = scipy.special.roots_jacobi(20, 0.0, 0.5)
+print(json.dumps([codes, lazy, loaded, s.tobytes() == rs.tobytes() and w.tobytes() == rw.tobytes()]))
+"""
+
+
+def test_cli_runs_without_loading_scipy_until_a_jacobi_rule_needs_it():
+    # scipy.special and scipy.linalg are lazy modules; both pull in scipy._lib._util once loaded
+    proc = fresh_python("-c", CLI_WITHOUT_SCIPY)
+    assert proc.returncode == 0, proc.stderr
+    codes, lazy, loaded, same_rule = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert lazy, "the CLI loaded scipy"
+    assert loaded, "gauss_jacobi_rule with a nonzero exponent did not load scipy.special"
+    assert same_rule
 
 
 @pytest.mark.parametrize("argv", [

@@ -90,6 +90,17 @@ def test_gauss_points_weights(base, m):
         assert np.count_nonzero(w == 0.0) > 0  # far weights underflow the same way too
 
 
+@pytest.mark.parametrize("base", [GenJacobiSpec(0.0, 0.0), LaguerreSpec(0.0)])
+@pytest.mark.parametrize("m", [1500, 1501])
+def test_gauss_points_on_both_sides_of_the_dense_eigenvalue_switch(base, m):
+    # numpy's dense eigvalsh up to m = 1500, scipy's tridiagonal solver above
+    rec = classical_recurrence(base, m)
+    x, w = gauss_points(rec, m)
+    ref = scipy.linalg.eigvalsh_tridiagonal(rec.alphas, np.sqrt(rec.betas[1:]))
+    assert np.max(np.abs(x - ref)) <= 8 * np.spacing(np.max(np.abs(ref)))
+    assert same(w, christoffel_weights_reference(rec, x, m))
+
+
 def test_recurrence_table_and_its_head_extension():
     rec = classical_recurrence(GenJacobiSpec(0.5, -0.5), 401)
     al, sb = rec.alphas, np.sqrt(rec.betas)
