@@ -464,7 +464,7 @@ def fit_growth(ns, vals, envelope=False):
     if envelope:
         vals = np.maximum.accumulate(vals)
     k = len(ns) // 2
-    if len(np.unique(ns[k:])) < 2:
+    if len(set(ns[k:].tolist())) < 2:
         degrees = ", ".join(f"{n:g}" for n in ns)
         raise SpecError(f"a growth fit needs two distinct degrees in the top half of the sweep, got {degrees}")
     x = np.log(ns[k:])
@@ -520,11 +520,14 @@ def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport
 
 
 def default_degree_list(N, count=20, start=4):
-    """About ``count`` degrees from ``start`` to N, spaced geometrically."""
+    """About ``count`` degrees from ``start`` to N, spaced geometrically, ascending and distinct.
+
+    A set, not ``np.unique``, drops the repeats: ``np.unique`` imports
+    ``numpy.ma``, which a probe process has no other use for.
+    """
     if N < start:
         raise SpecError(f"a degree sweep starts at n = {start}; N = {N} is too small")
-    ns = np.unique(np.round(np.geomspace(start, N, count)).astype(int))
-    return [int(n) for n in ns]
+    return sorted(set(np.round(np.geomspace(start, N, count)).astype(int).tolist()))
 
 
 def strong_probe(

@@ -21,12 +21,14 @@ extends it by the new rows only, from its last two; new points replace it.
 Every returned table is read-only and bit-identical to a table computed from
 degree 0.
 
-scipy is loaded on first use only: ``scipy.special`` for Gauss-Jacobi panels
-with a nonzero exponent, ``scipy.linalg`` for Gauss rules above order 1500.
-Both are registered in ``sys.modules`` at import as lazy modules
-(``_lazy_module``), not imported inside the functions, so that code which looks
-them up there and wraps their functions, as a tracer does, finds them without
-paying the ~0.4 s load that an import of the library would otherwise cost.
+The library runs on numpy alone up to Gauss rules of order 1500: the
+Gauss-Jacobi panels of ``lebesgue_rule`` come from ``gauss_points`` on the
+closed-form Jacobi recurrence, and ``gauss_points`` imports
+``scipy.linalg.eigvalsh_tridiagonal`` only above order 1500.  The tests and
+the benchmark's references still use scipy.  ``scipy.special`` is registered
+in ``sys.modules`` as a lazy module (``_lazy_module``) only so that a tracer
+that looks ``roots_jacobi`` up there and wraps it finds it; the library never
+calls it, and the registration goes once the tracer stops looking it up.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
@@ -37,6 +39,7 @@ its coefficients come in closed form from mu's kernel at the mass points
 from __future__ import annotations
 
 import functools
+import importlib.machinery
 import importlib.util
 import itertools
 import math
@@ -65,25 +68,28 @@ from .measure import (
 
 
 def _lazy_module(name):
-    """The module ``name``, in ``sys.modules``, whose body runs on its first attribute access.
+    """The submodule ``name``, in ``sys.modules``, whose body runs on its first attribute access.
 
-    The ``importlib.util.LazyLoader`` recipe of the Python docs; a module
-    already imported is returned as it is.
+    The ``importlib.util.LazyLoader`` recipe of the Python docs, with the spec
+    found by ``importlib.machinery.PathFinder`` on the search path of the
+    parent package's spec, so that neither the submodule nor its parent
+    package runs any code now; a module already imported is returned as it
+    is.  It exists only for ``scipy.special``, which a tracer looks up in
+    ``sys.modules`` to wrap ``roots_jacobi``; the library does not call it.
     """
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
+    parent, _, _ = name.rpartition(".")
+    path = importlib.util.find_spec(parent).submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, path)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
     return module
 
 
-_scipy_linalg = _lazy_module("scipy.linalg")
-_scipy_special = _lazy_module("scipy.special")
+_lazy_module("scipy.special")
 
 # ----------------------------------------------------------------------
 # recurrences
@@ -337,13 +343,22 @@ def _stieltjes_mp(x, w, N):
 def gauss_jacobi_rule(order: int, a: float = 0.0, b: float = 0.0):
     """Cached order-``order`` Gauss rule for (1-s)^a (1+s)^b ds on [-1, 1].
 
-    Gauss-Legendre (``leggauss``) when a = b = 0, Gauss-Jacobi otherwise.  The
-    arrays are shared by every caller, so they are read-only.
+    Gauss-Legendre (``leggauss``) when a = b = 0.  Otherwise Golub-Welsch on
+    the closed-form Jacobi recurrence (``gauss_points``; Golub & Welsch, Math.
+    Comp. 23, 1969; Gautschi 2004, §3.1.1), with the weights rescaled to sum
+    to the recurrence's b_0, the weight's total mass, as
+    ``scipy.special.roots_jacobi`` rescales its own.  Up to order 1500 this
+    needs numpy alone.  Against ``roots_jacobi`` at orders 24..80 the nodes
+    agree to 1e-15, and the recurrence's Gram matrix on the rule is closer to
+    the identity.  The arrays are shared by every caller, so they are
+    read-only.
     """
     if a == 0.0 and b == 0.0:
         s, ws = np.polynomial.legendre.leggauss(order)
     else:
-        s, ws = _scipy_special.roots_jacobi(order, a, b)
+        rec = classical_recurrence(GenJacobiSpec(a, b), order)
+        s, ws = gauss_points(rec, order)
+        ws *= rec.betas[0] / ws.sum()
     s.flags.writeable = False
     ws.flags.writeable = False
     return s, ws
@@ -497,9 +512,9 @@ def gauss_points(rec: Recurrence, m: int):
     164 / 304 ms at m = 180 / 600 / 1200 / 1500 against 1.1 / 8.6 / 32 / 49 ms
     for ``scipy.linalg.eigvalsh_tridiagonal`` (2-core x86-64, OpenBLAS), but it
     spares loading ``scipy.linalg``, which takes ~0.35 s.  Past m = 1500 the
-    dense cost exceeds that load, so larger orders use scipy.  Both run
-    LAPACK's ``sterf`` on the same tridiagonal matrix, and their nodes were
-    bit-identical on every rule tried.
+    dense cost exceeds that load, so larger orders import scipy here, and only
+    here.  Both run LAPACK's ``sterf`` on the same tridiagonal matrix, and
+    their nodes were bit-identical on every rule tried.
 
     Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
     relative accuracy down to the tiny weights at far Laguerre / Hermite
@@ -523,7 +538,9 @@ def gauss_points(rec: Recurrence, m: int):
             jacobi[np.arange(1, m), np.arange(m - 1)] = offdiag  # eigvalsh reads the lower triangle
             x = np.linalg.eigvalsh(jacobi)
         else:
-            x = _scipy_linalg.eigvalsh_tridiagonal(rec.alphas[:m], offdiag)
+            from scipy.linalg import eigvalsh_tridiagonal
+
+            x = eigvalsh_tridiagonal(rec.alphas[:m], offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(str(exc)) from exc
     a = rec.alphas[:m].tolist()

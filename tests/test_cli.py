@@ -191,33 +191,39 @@ def test_commutator_infinite_symbol_exits_3_with_one_stderr_line(tmp_path):
     assert proc.stderr == "NumericalBreakdown: commutator produced a NaN or infinite value\n"
 
 
-CLI_WITHOUT_SCIPY = """
+CLI_ON_NUMPY_ALONE = """
 import contextlib, io, json, sys
 import masspoly.cli
 codes = []
-for argv in (["kernel", "--base", "legendre", "--mass", "0.3:1", "--mass", "1:1", "--decompose", "--n", "100"],
-             ["probe", "--base", "legendre", "--mass", "1:1", "--p", "3", "--n", "100"]):
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(masspoly.cli.main(argv))
-lazy = "scipy._lib._util" not in sys.modules
-from masspoly.opoly import gauss_jacobi_rule
-s, w = gauss_jacobi_rule(20, 0.0, 0.5)
-loaded = "scipy._lib._util" in sys.modules
-import scipy.special
-rs, rw = scipy.special.roots_jacobi(20, 0.0, 0.5)
-print(json.dumps([codes, lazy, loaded, s.tobytes() == rs.tobytes() and w.tobytes() == rw.tobytes()]))
+loaded = [name for name in ("scipy", "scipy._lib._util", "numpy.ma") if name in sys.modules]
+registered = sys.modules["scipy.special"]
+import scipy.special as special
+x, w = special.roots_jacobi(20, 0.0, 0.5)
+print(json.dumps([codes, loaded, special is registered, float(w.sum())]))
 """
 
 
-def test_cli_runs_without_loading_scipy_until_a_jacobi_rule_needs_it():
-    # scipy.special and scipy.linalg are lazy modules; both pull in scipy._lib._util once loaded
-    proc = fresh_python("-c", CLI_WITHOUT_SCIPY)
+def test_cli_jobs_run_on_numpy_alone():
+    # generalized Jacobi panels, kernel decomposition, weak probe, Pollard and Laguerre jobs
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "genjacobi_probe.json"
+    jobs = [
+        ["probe", "--config", str(config), "--p", "3", "--n", "100"],
+        ["kernel", "--base", "legendre", "--mass", "0.3:1", "--mass", "1:1", "--decompose", "--n", "100"],
+        ["weak-probe", "--base", "legendre", "--mass", "1:1", "--p", "4", "--n", "100"],
+        ["pollard", "--base", "jacobi", "--alpha", "0.5", "--beta", "-0.5", "--mass=-1:0.5", "--n", "16"],
+        ["laguerre-mass", "--alpha", "0", "--n", "60"],
+    ]
+    proc = fresh_python("-c", CLI_ON_NUMPY_ALONE, json.dumps(jobs))
     assert proc.returncode == 0, proc.stderr
-    codes, lazy, loaded, same_rule = json.loads(proc.stdout)
-    assert codes == [0, 0]
-    assert lazy, "the CLI loaded scipy"
-    assert loaded, "gauss_jacobi_rule with a nonzero exponent did not load scipy.special"
-    assert same_rule
+    codes, loaded, same_module, mass = json.loads(proc.stdout)
+    assert codes == [0] * len(jobs)
+    assert loaded == [], f"the CLI loaded {loaded}"
+    # scipy.special stays registered for the benchmark's tracer, and works once imported
+    assert same_module
+    assert mass == pytest.approx(2 ** 1.5 / 1.5, rel=1e-14)  # int_{-1}^{1} (1 + s)^(1/2) ds
 
 
 @pytest.mark.parametrize("argv", [

@@ -214,9 +214,9 @@ def test_operator_norm_probe_lower_bound_p3():
     assert est == pytest.approx(ratio, rel=1e-9)
 
 
-@pytest.mark.parametrize("ns", [[4], [4, 5], [3, 5, 5]])
+@pytest.mark.parametrize("ns", [[4], [4, 5], [3, 5, 5], [4, 5, 6, 9, 9, 9], np.array([4.0, 7.0, 12.0, 12.0])])
 def test_fit_growth_rejects_fewer_than_two_fitted_degrees(ns):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="two distinct degrees in the top half"):
         fit_growth(ns, np.ones(len(ns)))
 
 
@@ -224,6 +224,15 @@ def test_default_degree_list_rejects_short_sweeps():
     with pytest.raises(SpecError):
         default_degree_list(3)
     assert default_degree_list(6) == [4, 5, 6]
+
+
+def test_default_degree_list_matches_the_unique_of_the_rounded_geometric_spacing():
+    # the list drops repeats with a set, not np.unique, which imports numpy.ma
+    for count in (5, 20, 40):
+        for N in range(4, 3001):
+            ns = default_degree_list(N, count)
+            assert ns == np.unique(np.round(np.geomspace(4, N, count)).astype(int)).tolist(), (N, count)
+            assert all(type(n) is int for n in ns)
 
 
 def test_fit_growth_recovers_exponent():

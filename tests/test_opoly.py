@@ -28,6 +28,7 @@ from masspoly.opoly import (
     basis_for,
     cd_kernel,
     classical_recurrence,
+    gauss_jacobi_rule,
     gauss_points,
     genjacobi_discretization,
     kernel_decomposition,
@@ -149,6 +150,27 @@ def test_gauss_weights_relative_accuracy_unbounded(base, m):
     x_ref, w_ref = scipy_rule(base, m)
     np.testing.assert_allclose(xs, x_ref, rtol=1e-12)
     np.testing.assert_allclose(ws, w_ref, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("order", [24, 60, 80])
+@pytest.mark.parametrize("a, b", [(0.0, -0.9), (0.0, -0.5), (0.0, 0.25), (0.0, 1.0), (0.0, 2.5), (0.5, -0.5)])
+def test_gauss_jacobi_rule_against_scipy(a, b, order):
+    # Golub-Welsch on the closed-form recurrence, checked against scipy's Newton-polished rule
+    xs, ws = gauss_jacobi_rule(order, a, b)
+    x_ref, w_ref = scipy.special.roots_jacobi(order, a, b)
+    assert np.max(np.abs(xs - x_ref)) <= 4e-15
+    rec = classical_recurrence(GenJacobiSpec(a, b), order)
+    assert abs(ws.sum() / rec.total_mass - 1) <= 2e-15
+
+    def gram_residual(x, w):
+        phi = rec.table(x, order - 1)
+        return np.max(np.abs((phi * w) @ phi.T - np.eye(order)))
+
+    # no larger than on scipy's rule, unless both sit at the rounding level of
+    # the Gram sums (4.9e-15 against 4.8e-15 at a = 0, b = 2.5, order 24)
+    residual = gram_residual(xs, ws)
+    assert residual <= 1e-12
+    assert residual <= max(gram_residual(x_ref, w_ref), 1e-14)
 
 
 def test_mass_basis_hand_example():
