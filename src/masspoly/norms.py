@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridTooSmall, NonFiniteWeight, NumericalBreakdown, SpecError
 from .measure import MeasureSpec, PowerWeightSpec, validate, weight_to_dict
-from .opoly import OrthoBasis, Recurrence, gauss_jacobi_rule, gauss_points, recurrence_for
+from .opoly import OrthoBasis, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
 
@@ -61,14 +61,12 @@ class GridFunction:
         return self.grid.atom_idx
 
 
-def make_grid(spec: MeasureSpec, m: int, rec: Recurrence | None = None) -> Grid:
+def make_grid(spec: MeasureSpec, m: int) -> Grid:
     """Grid with an order-m Gauss rule of the continuous part plus the atoms."""
     validate(spec)
     if m < 1:
         raise GridTooSmall(f"a grid needs at least one Gauss node, got grid size {m}")
-    if rec is None or len(rec) < m:
-        rec = recurrence_for(spec.base, m)
-    nodes, weights = gauss_points(rec, m)
+    nodes, weights = gauss_points(recurrence_for(spec.base, m), m)
     locs = np.array([mp.location for mp in spec.masses])
     mass = np.array([mp.mass for mp in spec.masses])
     all_nodes = np.concatenate([nodes, locs])
@@ -84,8 +82,7 @@ def weight_values(w: PowerWeightSpec | None, grid: Grid, spec: MeasureSpec):
     """Node values of a power weight; mass-point entries use the prescribed values."""
     if w is None:
         return np.ones(grid.size)
-    vals = w.values(grid.nodes, spec)
-    return vals
+    return w.values(grid.nodes, spec)
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +185,13 @@ def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
 # ----------------------------------------------------------------------
 # BMO
 
-def bmo_norm_estimate(b, resolution: int, npts: int = 64, return_levels=False):
+def bmo_norm_estimate(b, resolution: int, return_levels=False):
     """Dyadic lower bound of the BMO norm of b on [-1,1].
 
-    Sweeps every dyadic subinterval down to length 2^{1-resolution}; the
-    estimate is nondecreasing in ``resolution``.
+    Sweeps every dyadic subinterval down to length 2^{1-resolution} with a
+    64-node Gauss rule; the estimate is nondecreasing in ``resolution``.
     """
-    s, ws = gauss_jacobi_rule(npts)
+    s, ws = gauss_jacobi_rule(64)
     best = 0.0
     levels = []
     for level in range(resolution + 1):
@@ -281,14 +278,14 @@ def _pnorms(w, X, p):
     return np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
 
 
-def _best_ratio(w, Y, nf, p):
-    """max_j ||Y[:, j]||_p / nf[j] over the columns with nf[j] > 0 (0 if none).
+def _best_ratio(w, u, Y, nf, p):
+    """max_j ||u Y[:, j]||_p / nf[j] over the columns with nf[j] > 0 (0 if none).
 
     ``nf`` holds the ``_pnorms`` of the inputs Y came from, so a fixed trial
     family has its norms computed once per probe.
     """
     keep = nf > 0
-    return float(np.max(_pnorms(w, Y[:, keep], p) / nf[keep], initial=0.0))
+    return float(np.max(_pnorms(w, _weighted_rows(u, Y[:, keep]), p) / nf[keep], initial=0.0))
 
 
 def operator_norm_probe(
@@ -413,13 +410,23 @@ def _spectral_norms(phi, w, uv, vv, degrees):
             for n in degrees}
 
 
-def _trial_functions(grid: Grid, seed, trials, spots):
-    """m x K candidates: ``trials`` seeded standard normal vectors, then the indicator of each node in ``spots``."""
+def _family(grid: Grid, p, vv, seed, trials, spots):
+    """A probe's fixed candidates f, one per column, as (f / v, ||f||_p).
+
+    The f are ``trials`` seeded standard normal vectors, then the indicator
+    of each node in ``spots``.
+    """
     m = grid.size
     F = np.zeros((m, trials + len(spots)))
     F[:, :trials] = np.random.default_rng(seed).standard_normal((trials, m)).T
     F[spots, trials + np.arange(len(spots))] = 1.0
-    return F
+    return F / vv[:, None], _pnorms(grid.weights, F, p)
+
+
+def _dual(rows, p):
+    """L^{p'} dual certificates |g|^{p'-1} sgn g of the rows g, one per column."""
+    pp = p / (p - 1)
+    return (np.abs(rows) ** (pp - 1) * np.sign(rows)).T
 
 
 def _check_grid_resolves(grid: Grid, n):
@@ -434,19 +441,14 @@ def _check_grid_resolves(grid: Grid, n):
                            f"degree {n} needs a grid size of at least {n + 1}")
 
 
-def _weight_fields(w: PowerWeightSpec | None):
-    """The report's record of a weight: all its fields, or {} when none was given."""
-    return {} if w is None else weight_to_dict(w)
-
-
 def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
-    """Degree list, checked node values of u and v, and the basis table up to the top degree."""
+    """Degree list, grid weights, checked node values of u and v, and the basis table up to the top degree."""
     if ns is None:
         ns = default_degree_list(basis.degree if N is None else N)
     _check_grid_resolves(grid, max(ns))
     spec = basis.measure
     uv, vv = _checked_weights(weight_values(u, grid, spec), weight_values(v, grid, spec))
-    return list(ns), uv, vv, basis.eval_all(grid.nodes, max(ns))
+    return list(ns), grid.weights, uv, vv, basis.eval_all(grid.nodes, max(ns))
 
 
 # ----------------------------------------------------------------------
@@ -509,14 +511,16 @@ def _verdict(gamma):
     return "growing" if gamma > GROWTH_THRESHOLD else "bounded"
 
 
-def _sweep_report(mode, p, ns, vals, seed, grid: Grid, **weights) -> ProbeReport:
+def _sweep_report(mode, p, ns, vals, seed, grid: Grid, u, v, diagnostics=None) -> ProbeReport:
+    """The report of a sweep; it records each weight in full, or as {} when none was given."""
     entries = [(n, float(vals[n])) for n in ns]
     bad = [n for n, val in entries if not math.isfinite(val)]
     if bad:
         raise NumericalBreakdown(f"the {mode} probe at p = {p:g} has a non-finite entry at degree {bad[0]} "
                                  f"on a grid of {grid.size} nodes")
     gamma, res = fit_growth(*zip(*entries), envelope=True)
-    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, **weights)
+    u, v = ({} if w is None else weight_to_dict(w) for w in (u, v))
+    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u, v, diagnostics or {})
 
 
 def default_degree_list(N, count=20, start=4):
@@ -538,42 +542,37 @@ def strong_probe(
     v: PowerWeightSpec | None = None,
     N: int | None = None,
     ns=None,
-    trials: int = 8,
     seed: int = 0,
 ) -> ProbeReport:
     """Growth probe of ||u S_n(v^{-1} .)||_{L^p(d-nu)} over a degree sweep.
 
     Exact at p = 2.  Otherwise entries are deterministic lower bounds built
-    from a fixed trial family (seeded random functions, atom indicators)
-    together with the dual certificates of the top expansion coefficient: the
-    test function |P_n|^{p'-1} sgn(P_n) and the projection-increment value
+    from a fixed trial family (8 seeded random functions, the indicators of
+    the atoms and of the middle node) together with the dual certificates of
+    the top expansion coefficient: the test function |P_n|^{p'-1} sgn(P_n)
+    and the projection-increment value
     ||u P_n||_p ||P_n / v||_{p'} = ||u (S_n - S_{n-1})(v^{-1} .)||_{p->p}.
     The certificates carry the blow-up signal; adaptive optimization is
     deliberately avoided because its estimates creep upward for bounded
     operators at these degree scales and would defeat the trend fit.
     """
     _check_exponent(p, dual=True)
-    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    w = grid.weights
+    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     degrees = sorted(set(ns))
     if p == 2:
         vals = _spectral_norms(phi, w, uv, vv, degrees)
     else:
-        F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
-        nF = _pnorms(w, F, p)
-        pp = p / (p - 1)
+        G, nG = _family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
         vals = {}
-        for n, SF in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), degrees):
-            # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; G holds f / v
-            pk = phi[[k for k in (n, n - 1) if k >= 0]] / vv
-            G = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
+        for n, SG in _partial_sums(phi, phi @ (w[:, None] * G), degrees):
+            # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; D holds f / v
+            D = _dual(phi[[k for k in (n, n - 1) if k >= 0]] / vv, p)
             head = phi[: n + 1]
-            SG = head.T @ (head @ (w[:, None] * G))
-            best = max(_best_ratio(w, _weighted_rows(uv, SF), nF, p),
-                       _best_ratio(w, _weighted_rows(uv, SG), _pnorms(w, vv[:, None] * G, p), p))
-            cert = _pnorm(w, uv * phi[n], p) * _pnorm(w, phi[n] / vv, pp)
+            SD = head.T @ (head @ (w[:, None] * D))
+            best = max(_best_ratio(w, uv, SG, nG, p), _best_ratio(w, uv, SD, _pnorms(w, vv[:, None] * D, p), p))
+            cert = _pnorm(w, uv * phi[n], p) * _pnorm(w, phi[n] / vv, p / (p - 1))
             vals[n] = max(best, float(cert))
-    return _sweep_report("strong", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
+    return _sweep_report("strong", p, ns, vals, seed, grid, u, v)
 
 
 def commutator_probe(
@@ -585,7 +584,6 @@ def commutator_probe(
     v: PowerWeightSpec | None = None,
     N: int | None = None,
     ns=None,
-    trials: int = 12,
     seed: int = 0,
 ) -> ProbeReport:
     """Growth probe of the commutator [M_b, S_n] in L^p(d-nu)."""
@@ -593,13 +591,9 @@ def commutator_probe(
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_vals[grid.atom_idx])):
         raise NonFiniteWeight("symbol b must be finite at every mass point")
-    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    w = grid.weights
-    F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [grid.size // 2])
-    nF = _pnorms(w, F, p)
-    G = F / vv[:, None]
+    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
+    G, nG = _family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
     K = G.shape[1]
-    pp = p / (p - 1)
     vals = {}
     coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
     # entries are fixed-family lower bounds plus increment certificates;
@@ -607,15 +601,14 @@ def commutator_probe(
     # fit on them would misread every bounded commutator as growing
     for n, S in _partial_sums(phi, coef, sorted(set(ns))):
         # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v)
-        best = _best_ratio(w, _weighted_rows(uv, b_vals[:, None] * S[:, :K] - S[:, K:]), nF, p)
+        best = _best_ratio(w, uv, b_vals[:, None] * S[:, :K] - S[:, K:], nG, p)
         # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
-        # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; H holds f / v
+        # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; D holds f / v
         pn = phi[n]
-        pk = np.stack([pn / vv, b_vals * pn / vv])
-        H = (np.abs(pk) ** (pp - 1) * np.sign(pk)).T
-        R = np.outer(b_vals * pn, pn @ (w[:, None] * H)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * H))
-        vals[n] = max(best, _best_ratio(w, _weighted_rows(uv, R), _pnorms(w, vv[:, None] * H, p), p))
-    return _sweep_report("commutator", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
+        D = _dual(np.stack([pn / vv, b_vals * pn / vv]), p)
+        R = np.outer(b_vals * pn, pn @ (w[:, None] * D)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * D))
+        vals[n] = max(best, _best_ratio(w, uv, R, _pnorms(w, vv[:, None] * D, p), p))
+    return _sweep_report("commutator", p, ns, vals, seed, grid, u, v)
 
 
 def maximal_probe(
@@ -626,35 +619,33 @@ def maximal_probe(
     v: PowerWeightSpec | None = None,
     N: int | None = None,
     ns=None,
-    trials: int = 40,
     seed: int = 0,
 ) -> ProbeReport:
     """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|."""
     _check_exponent(p)
-    ns, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    w = grid.weights
-    F = _trial_functions(grid, seed, trials, list(grid.atom_idx) + [0, grid.size - 1])
-    nF = _pnorms(w, F, p)
+    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
+    G, nG = _family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
     wanted = set(ns)
-    sup = np.zeros_like(F)
+    sup = np.zeros_like(G)
     vals = {}
     # one prefix sum over every degree; sup_{k<=n} |S_k f| is its running max at n
-    for k, S in _partial_sums(phi, phi @ (w[:, None] * (F / vv[:, None])), range(max(ns) + 1)):
+    for k, S in _partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
         np.maximum(sup, np.abs(S), out=sup)
         if k in wanted:
-            vals[k] = _best_ratio(w, _weighted_rows(uv, sup), nF, p)
-    return _sweep_report("maximal", p, ns, vals, seed, grid, u=_weight_fields(u), v=_weight_fields(v))
+            vals[k] = _best_ratio(w, uv, sup, nG, p)
+    return _sweep_report("maximal", p, ns, vals, seed, grid, u, v)
 
 
 # ----------------------------------------------------------------------
 # weak / restricted-weak type probes
 
 
-def default_set_family(grid: Grid, rng=None, n_random: int = 20, depth: int = 8):
+def default_set_family(grid: Grid, rng=None):
     """Masks over grid nodes: dyadic intervals at the edges / atoms, unions, atoms.
 
     Known extremizers for weak-type failure concentrate at the endpoints, so
-    the family is anchored there.
+    the family is anchored there: 8 dyadic levels around each anchor, then
+    20 random unions of up to four intervals.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -664,7 +655,7 @@ def default_set_family(grid: Grid, rng=None, n_random: int = 20, depth: int = 8)
     anchors = [lo, hi] + [nodes[i] for i in grid.atom_idx]
     intervals = []
     for a in anchors:
-        for j in range(depth):
+        for j in range(8):
             h = span * 2.0 ** (-j - 1)
             intervals.append((a - h, a + h))
     masks = []
@@ -676,21 +667,15 @@ def default_set_family(grid: Grid, rng=None, n_random: int = 20, depth: int = 8)
         mask = np.zeros(grid.size, dtype=bool)
         mask[i] = True
         masks.append(mask)
-    for _ in range(n_random):
+    for _ in range(20):
         mask = np.zeros(grid.size, dtype=bool)
         for _ in range(rng.integers(1, 5)):
             c, d = np.sort(rng.uniform(lo, hi, size=2))
             mask |= (nodes >= c) & (nodes <= d)
         if mask.any():
             masks.append(mask)
-    # dedupe
-    seen, out = set(), []
-    for mask in masks:
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(mask)
-    return out
+    # dedupe, in order of first occurrence
+    return list({mask.tobytes(): mask for mask in masks}.values())
 
 
 def weak_type_probe(
@@ -728,12 +713,11 @@ def weak_type_probe(
     if not restricted:
         raise SpecError("the weak-type probe takes indicator inputs only, so it needs restricted=True")
     # u^{-1} weights the input, so u is checked as v as well
-    ns, uv, _, phi = _sweep_setup(basis, grid, u, u, N, None)
+    ns, w, uv, _, phi = _sweep_setup(basis, grid, u, u, N, None)
     if sets is None:
         sets = default_set_family(grid, np.random.default_rng(seed))
     if not sets:
         raise SpecError("set family is empty")
-    w = grid.weights
     denoms = np.array([lp_norm(grid.fn(mask), p) for mask in sets])
     live = np.flatnonzero(denoms != 0)
     if not len(live):
@@ -756,4 +740,4 @@ def weak_type_probe(
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}
-    return _sweep_report("restricted-weak", p, ns, running, seed, grid, u=_weight_fields(u), diagnostics=diagnostics)
+    return _sweep_report("restricted-weak", p, ns, running, seed, grid, u, None, diagnostics)

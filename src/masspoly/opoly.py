@@ -804,11 +804,11 @@ def modified_bases(spec: MeasureSpec, N: int):
 
 # a kernel identity residual above this bound means the inputs are wrong
 _IDENTITY_TOL = 1e-8
+# points per variable of the tensor grid the identity is checked on
+_IDENTITY_GRID = 48
 
 
-def kernel_decomposition(
-    nu_basis: OrthoBasis, mods: dict, n: int, grid_size: int = 48
-) -> KernelDecomposition:
+def kernel_decomposition(nu_basis: OrthoBasis, mods: dict, n: int) -> KernelDecomposition:
     """Convex-combination coefficients of L_n over the modified kernels, in closed form.
 
     Christoffel-Uvarov (Uvarov 1969; Gautschi 2004, §2.4): with K the kernel
@@ -819,7 +819,12 @@ def kernel_decomposition(
     and are left out.  The identity is then checked on a tensor grid against
     the kernels of the recurrences ``mods`` (``modified_bases``: QR steps, on
     any base); a relative residual above 1e-8 raises NumericalBreakdown.
+    A degree n outside 0 .. min(basis cap, top degree of ``mods``) raises
+    DegreeOutOfRange.
     """
+    cap = min(nu_basis.degree, len(mods[()]) - 1)
+    if not 0 <= n <= cap:
+        raise DegreeOutOfRange(f"degree {n} is outside 0..{cap}, the degrees both the basis and mods reach")
     spec = nu_basis.measure
     locs = spec.mass_locations
     # without masses rec is nu_rec, whose kept table is the grid's below
@@ -832,11 +837,11 @@ def kernel_decomposition(
         idx = [locs.index(a) for a in A]
         coefficients[A] = float(np.linalg.det(MK[np.ix_(idx, idx)]) / det)
 
-    if grid_size <= len(nu_basis.rec):
-        xs, _ = gauss_points(nu_basis.rec, grid_size)
+    if _IDENTITY_GRID <= len(nu_basis.rec):
+        xs, _ = gauss_points(nu_basis.rec, _IDENTITY_GRID)
     else:
         # Chebyshev points: n+1 distinct nodes per variable test an identity of degree n
-        xs = np.cos(np.pi * (2 * np.arange(grid_size) + 1) / (2 * grid_size))
+        xs = np.cos(np.pi * (2 * np.arange(_IDENTITY_GRID) + 1) / (2 * _IDENTITY_GRID))
     target = cd_kernel(nu_basis, n, xs, xs)
     total = np.zeros_like(target)
     for A, c in coefficients.items():

@@ -12,6 +12,7 @@ combinatorially and the orthonormalization it certifies is the same at any N.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +21,6 @@ from .errors import DegreeOutOfRange, HankelSingular, Irrational
 from .measure import GenJacobiSpec, LaguerreSpec, MeasureSpec, validate
 
 MAX_ORACLE_DEGREE = 12
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _poly_mul(a, b):
@@ -84,7 +78,7 @@ def rational_moments(spec: MeasureSpec, upto: int):
             raise Irrational(f"Laguerre alpha={base.alpha} is not a nonnegative integer")
         a = int(base.alpha)
         for n in range(upto + 1):
-            moments[n] = Fraction(_factorial(n + a))
+            moments[n] = Fraction(math.factorial(n + a))
     else:
         raise Irrational(f"no rational moments for base {base!r}")
     for mp in spec.masses:

@@ -456,19 +456,14 @@ def laguerre_q_at_zero(alpha: float, n) -> np.ndarray:
     return np.sqrt(np.cumprod(np.concatenate(([1.0 / math.gamma(alpha + 2)], ratios))))[n]
 
 
-def laguerre_mass_kernel(alpha: float, M: float, n: int, x, nu_basis: OrthoBasis | None = None):
+def laguerre_mass_kernel(alpha: float, M: float, n: int, x):
     """Kernel values L_n(x, 0) = r_n Q_n(x) for e^{-x} x^alpha dx + M delta_0.
 
     Returns (L_n(x,0), r_n) with r_n = L_n(0,0)/Q_n(0) > 0.
     """
     if alpha <= -1:
         raise SpecError(f"alpha must be > -1, got {alpha}")
-    if nu_basis is None:
-        nu_basis = basis_for(
-            MeasureSpec(LaguerreSpec(alpha), (MassPoint(0.0, M),)), n
-        )
-    if n > nu_basis.degree:
-        raise DegreeOutOfRange(f"degree {n} exceeds cap {nu_basis.degree}")
+    nu_basis = basis_for(MeasureSpec(LaguerreSpec(alpha), (MassPoint(0.0, M),)), n)
     l_00 = float(np.sum(nu_basis.eval_all(0.0, n)[:, 0] ** 2))
     q0 = float(laguerre_q_at_zero(alpha, n))
     r_n = l_00 / q0

@@ -305,18 +305,21 @@ def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(count):
 # the factor path of the probes against the same sweeps on dense m x m matrices
 
 TWO_MASSES = legendre([MassPoint(-1.0, 0.5), MassPoint(0.3, 1.0)])
+# the same atoms on a non-classical base, so U and V fit it too
+GENJACOBI_TWO_MASSES = MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)), TWO_MASSES.masses)
 U = PowerWeightSpec(a=0.3, b=-0.2, at_mass=(2.0, 0.5))
 V = PowerWeightSpec(a=-0.25, b=0.4, at_mass=(0.7, 1.5))
+TRIALS = {"strong": 8, "commutator": 12, "maximal": 40}  # random trial functions of each probe
 
 
-def _dense_entries(mode, basis, grid, p, b_vals, ns, trials, seed=1):
+def _dense_entries(mode, spec, basis, grid, p, b_vals, ns, seed=1):
     """Each probe's entries from its candidate family applied through dense matrices."""
-    uv = U.values(grid.nodes, TWO_MASSES)
-    vv = V.values(grid.nodes, TWO_MASSES)
+    uv = U.values(grid.nodes, spec)
+    vv = V.values(grid.nodes, spec)
     w, m = grid.weights, grid.size
     rng = np.random.default_rng(seed)
     spots = list(grid.atom_idx) + ([0, m - 1] if mode == "maximal" else [m // 2])
-    static = [rng.standard_normal(m) for _ in range(trials)] + [np.eye(m)[i] for i in spots]
+    static = [rng.standard_normal(m) for _ in range(TRIALS[mode])] + [np.eye(m)[i] for i in spots]
     phi = basis.eval_all(grid.nodes, max(ns))
     lp = lambda x: lp_norm(grid.fn(x), p)
     pp = p / (p - 1)
@@ -343,22 +346,23 @@ def _dense_entries(mode, basis, grid, p, b_vals, ns, trials, seed=1):
     return entries
 
 
+@pytest.mark.parametrize("spec", [TWO_MASSES, GENJACOBI_TWO_MASSES], ids=["legendre", "genjacobi"])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
-def test_probe_factor_path_matches_dense_reference(mode, p):
+def test_probe_factor_path_matches_dense_reference(mode, p, spec):
     N = 30
-    basis = basis_for(TWO_MASSES, N)
-    grid = make_grid(TWO_MASSES, 3 * N)
+    basis = basis_for(spec, N)
+    grid = make_grid(spec, 3 * N)
     b = bmo_symbols()["smooth_step"]
     ns = [2, 5, 9, 17, 30, 12]  # unsorted on purpose: entries follow the given order
     if mode == "strong":
-        rep = strong_probe(basis, grid, p, U, V, ns=ns, trials=4, seed=1)
+        rep = strong_probe(basis, grid, p, U, V, ns=ns, seed=1)
     elif mode == "commutator":
-        rep = commutator_probe(basis, grid, b, p, U, V, ns=ns, trials=4, seed=1)
+        rep = commutator_probe(basis, grid, b, p, U, V, ns=ns, seed=1)
     else:
-        rep = maximal_probe(basis, grid, p, U, V, ns=ns, trials=4, seed=1)
+        rep = maximal_probe(basis, grid, p, U, V, ns=ns, seed=1)
     assert [n for n, _ in rep.entries] == ns
-    expected = _dense_entries(mode, basis, grid, p, b(grid.nodes), ns, trials=4)
+    expected = _dense_entries(mode, spec, basis, grid, p, b(grid.nodes), ns)
     np.testing.assert_allclose([e for _, e in rep.entries], expected, rtol=1e-12, atol=0)
 
 

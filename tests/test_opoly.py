@@ -476,6 +476,15 @@ def test_kernel_decomposition_raises_when_the_identity_fails():
         kernel_decomposition(basis, wrong, 10)
 
 
+@pytest.mark.parametrize("basis_cap, mods_cap, n", [(10, 10, 11), (10, 10, -1), (10, 6, 7), (6, 10, 7)])
+def test_kernel_decomposition_rejects_a_degree_outside_its_inputs(basis_cap, mods_cap, n):
+    spec = legendre([MassPoint(0.3, 1.0), MassPoint(1.0, 1.0)])
+    basis, mods = basis_for(spec, basis_cap), modified_bases(spec, mods_cap)
+    with pytest.raises(DegreeOutOfRange, match=f"degree {n} is outside 0..{min(basis_cap, mods_cap)}"):
+        kernel_decomposition(basis, mods, n)
+    assert kernel_decomposition(basis, mods, min(basis_cap, mods_cap)).residual < 1e-8
+
+
 def test_monomial_coefficients_match_eval():
     basis = basis_for(legendre([MassPoint(0.3, 1.0)]), 6)
     C = monomial_coefficients(basis)
