@@ -35,9 +35,7 @@ from .measure import (
     legendre,
     mean_convergence_endpoints,
     measure_from_dict,
-    measure_from_json,
     measure_to_dict,
-    measure_to_json,
     validate,
     weight_from_dict,
     weight_to_dict,
@@ -89,7 +87,6 @@ from .transforms import (
     pollard_parts,
     q_basis_for,
     q_measure,
-    split_partial_sum,
 )
 from . import oracle
 

@@ -5,7 +5,12 @@ header, its parameters and any extra flags.  Adding a subcommand means adding
 one row; one runner does the rest for all of them.  It loads --config, builds
 the measure and resolves each parameter from its flag, then the config, then
 its default.  A default is a value or a function of the parameters resolved
-before it.
+before it.  A top-level config key the command does not read (its parameters,
+seed, u, v and measure) is rejected, never ignored.
+
+The degree alone sizes every basis: no key sets the discretization behind a
+generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
+weak-probe only, where it sets the probe's Gauss grid.
 
 Output is JSON (default) or CSV (--format csv), to stdout or --out; both carry
 a schema_version.  The JSON embeds the resolved config: the measure, the seed
@@ -158,7 +163,7 @@ def _point_rows(n, xs, vals):
 
 def _sampled(spec, prm, n):
     """Basis up to degree n, the config's polynomial f on a grid, and the evaluation points."""
-    basis = basis_for(spec, n, m=prm["grid_size"])
+    basis = basis_for(spec, n)
     grid = make_grid(spec, prm["quad_size"])
     f = grid.fn(np.polynomial.Polynomial(np.asarray(prm["f_poly"], dtype=float)))
     return basis, f, np.asarray(prm["points"], dtype=float)
@@ -166,7 +171,7 @@ def _sampled(spec, prm, n):
 
 def _recurrence(spec, prm):
     N = prm["N"]
-    rec = basis_for(spec, N, m=prm["grid_size"]).nu_rec
+    rec = basis_for(spec, N).nu_rec
     rows = [(k, float(rec.alphas[k]), float(rec.betas[k])) for k in range(N)]
     return {"rows": rows}, rows
 
@@ -174,7 +179,7 @@ def _recurrence(spec, prm):
 def _basis(spec, prm):
     N = prm["N"]
     xs = np.asarray(prm["points"], dtype=float)
-    table = basis_for(spec, N, m=prm["grid_size"]).eval_all(xs, N)
+    table = basis_for(spec, N).eval_all(xs, N)
     rows = [(n, float(x), float(table[n, j])) for n in range(N + 1) for j, x in enumerate(xs)]
     return {"rows": rows}, rows
 
@@ -182,7 +187,7 @@ def _basis(spec, prm):
 def _kernel(spec, prm):
     n, a = prm["n"], float(prm["a"])
     xs = np.asarray(prm["points"], dtype=float)
-    basis = basis_for(spec, n, m=prm["grid_size"])
+    basis = basis_for(spec, n)
     data, rows = _point_rows(n, xs, np.atleast_1d(cd_kernel(basis, n, xs, a)))
     data["a"] = a
     if prm["decompose"] and spec.masses:
@@ -216,7 +221,7 @@ def _commutator(spec, prm):
 
 def _pollard(spec, prm):
     n = prm["n"]
-    nu_basis = basis_for(spec, n + 1, m=prm["grid_size"])
+    nu_basis = basis_for(spec, n + 1)
     f = np.polynomial.Polynomial(np.asarray(prm["f_poly"], dtype=float))
     xs = np.asarray(prm["points"], dtype=float)
     parts = transforms.pollard_parts(nu_basis, transforms.q_basis_for(nu_basis), f, n, xs)
@@ -319,7 +324,7 @@ _POINT_HEADER = ("n", "x", "value")
 def _sampled_params(degree):
     """Parameters of ``_sampled``; f_poly holds the coefficients of f, default 1 + x."""
     quad_size = ("quad_size", lambda spec, q: max(4 * q[degree], 64))
-    return (("grid_size", None), quad_size, ("f_poly", [1.0, 1.0]), ("points", _POINTS))
+    return (quad_size, ("f_poly", [1.0, 1.0]), ("points", _POINTS))
 
 
 def _probe_params(mode):
@@ -334,11 +339,11 @@ def _first_mass(spec, q):
 _MODE_FLAG = {"--mode": {"choices": tuple(_PROBES), "default": None}}
 
 COMMANDS = {
-    "recurrence": Command(_recurrence, ("k", "alpha_k", "beta_k"), (("N", 10), ("grid_size", None))),
-    "basis": Command(_basis, _POINT_HEADER, (("N", 10), ("grid_size", None), ("points", _POINTS))),
+    "recurrence": Command(_recurrence, ("k", "alpha_k", "beta_k"), (("N", 10),)),
+    "basis": Command(_basis, _POINT_HEADER, (("N", 10), ("points", _POINTS))),
     "kernel": Command(
         _kernel, _POINT_HEADER,
-        (("n", 10), ("a", _first_mass), ("points", _POINTS), ("grid_size", None), ("decompose", False)),
+        (("n", 10), ("a", _first_mass), ("points", _POINTS), ("decompose", False)),
         flags={"--decompose": {"action": "store_true", "default": None}},
     ),
     "partial-sum": Command(_partial_sum, _POINT_HEADER, (("n", 10), *_sampled_params("n"))),
@@ -349,7 +354,7 @@ COMMANDS = {
     ),
     "pollard": Command(
         _pollard, ("n", "x", "t_n", "w1", "w2", "w3"),
-        (("n", 10), ("grid_size", None), ("f_poly", [1.0, 1.0]),
+        (("n", 10), ("f_poly", [1.0, 1.0]),
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
     "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong"), _MODE_FLAG),
@@ -409,9 +414,18 @@ def _emit(args, name, header, config, data, rows):
         sys.stdout.write(text)
 
 
+def _check_config_keys(name, cmd, cfg):
+    """Every top-level config key must be one the command reads: its parameters, seed, u, v, measure."""
+    known = [key for key, _ in _COMMON + cmd.params] + ["measure"]
+    for key in cfg:
+        if key not in known:
+            raise SpecError(f"config key {key!r} is not read by {name}; it reads {', '.join(known)}")
+
+
 def run_command(args):
     cmd = COMMANDS[args.command]
     cfg = _load_config(args.config)
+    _check_config_keys(args.command, cmd, cfg)
     spec = None if cmd.measure else _build_measure(args, cfg)
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
     if cmd.measure:

@@ -12,7 +12,6 @@ checkers evaluate those inequalities line by line with signed margins.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -392,10 +391,3 @@ def weight_from_dict(d) -> PowerWeightSpec:
     except (TypeError, ValueError) as exc:
         raise SpecError(f"malformed weight spec: {exc}") from exc
 
-
-def measure_to_json(spec: MeasureSpec) -> str:
-    return json.dumps(measure_to_dict(spec), indent=2)
-
-
-def measure_from_json(text: str) -> MeasureSpec:
-    return measure_from_dict(json.loads(text))

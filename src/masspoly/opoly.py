@@ -4,7 +4,9 @@ Construction paths:
   * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
   * discretized Stieltjes recurrences for generalized Jacobi weights
     (the density times ``lebesgue_rule``, composite Gauss-Jacobi cells split
-    at every algebraic singularity), optionally in double-double arithmetic,
+    at every algebraic singularity), optionally in double-double arithmetic;
+    the degree N alone sizes the discretization, about 40N nodes, and no
+    caller sets it,
   * point masses folded into the recurrence of the whole measure by the
     RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom,
   * measures derived from mu by Christoffel steps on mu's Jacobi matrix, O(N)
@@ -438,6 +440,12 @@ def lebesgue_rule(factors, order, levels, ratio, interval=(-1.0, 1.0)):
     return np.concatenate([x for x, _ in cells]), np.concatenate([w for _, w in cells])
 
 
+# a degree-N Stieltjes recurrence runs on a discretization of about 40N nodes;
+# from N = 50 per cell on, the panel order of ``_discretization_rule`` sits at
+# its cap of 80, so a larger size would change no node
+_NODES_PER_DEGREE = 40
+
+
 def _discretization_rule(factors, m, interval=(-1.0, 1.0)):
     """``lebesgue_rule`` of about m nodes for a discretization: 12 levels at ratio 1/4."""
     levels = 12
@@ -446,18 +454,13 @@ def _discretization_rule(factors, m, interval=(-1.0, 1.0)):
     return lebesgue_rule(factors, order, levels, 0.25, interval)
 
 
-def _discrete_recurrence(x, w, N, high_precision=False) -> Recurrence:
-    """Stieltjes on the discrete measure sum w_j delta_{x_j}, in double-double with ``high_precision``."""
-    alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
-    return Recurrence(alphas, betas)
-
-
 def genjacobi_discretization(spec: GenJacobiSpec, m: int):
-    """Composite quadrature (nodes, weights) for a generalized Jacobi weight.
+    """Composite quadrature (nodes, weights) of about m nodes for a generalized Jacobi weight.
 
     The Lebesgue rule graded at both ends and every interior singularity,
     times the density: the end panels absorb the local algebraic factors, so
-    the rest is analytic panel by panel.
+    the rest is analytic panel by panel.  ``recurrence_for`` discretizes the
+    same way at m = 40N; this is that discretization at any size.
     """
     x, w = _discretization_rule([(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities), m)
     return x, w * spec.density(x)
@@ -466,7 +469,6 @@ def genjacobi_discretization(spec: GenJacobiSpec, m: int):
 def stieltjes_recurrence(
     weight,
     N: int,
-    m: int | None = None,
     interval=(-1.0, 1.0),
     edge_exponents=(0.0, 0.0),
     interior_singularities=(),
@@ -477,27 +479,26 @@ def stieltjes_recurrence(
     ``edge_exponents`` = (exponent of (hi-x) at the right edge, exponent of
     (x-lo) at the left edge's factor) and ``interior_singularities`` =
     ((t, gamma), ...) describe the algebraic structure of the weight so cells
-    can use matched Gauss-Jacobi rules.  The measure is the Lebesgue rule on
-    ``interval`` times the weight callable at its nodes, so mild
-    misdeclaration only slows convergence.
+    can use matched Gauss-Jacobi rules.  The measure is the Lebesgue rule of
+    about 40N nodes on ``interval`` times the weight callable at its nodes, so
+    mild misdeclaration only slows convergence.  The Stieltjes procedure runs
+    in double-double with ``high_precision``.
     """
-    if m is None:
-        m = 40 * N
-    if m < 2 * N:
-        raise GridTooSmall(f"grid size {m} < 2N = {2 * N}")
     lo, hi = interval
     er, el = edge_exponents
     factors = [(hi, er), (lo, el)] + list(interior_singularities)
-    x, w = _discretization_rule(factors, m, interval)
-    return _discrete_recurrence(x, w * weight(x), N, high_precision)
+    x, w = _discretization_rule(factors, _NODES_PER_DEGREE * N, interval)
+    alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w * weight(x), N)
+    return Recurrence(alphas, betas)
 
 
-def recurrence_for(base, N: int, m: int | None = None, high_precision=False) -> Recurrence:
+def recurrence_for(base, N: int, high_precision=False) -> Recurrence:
     """Recurrence of the continuous base weight, dispatched on its structure."""
     if isinstance(base, GenJacobiSpec) and not base.is_classical:
-        if m is None:
-            m = 40 * N
-        return _discrete_recurrence(*genjacobi_discretization(base, m), N, high_precision)
+        return stieltjes_recurrence(
+            base.density, N, edge_exponents=(base.alpha, base.beta),
+            interior_singularities=base.singularities, high_precision=high_precision,
+        )
     return classical_recurrence(base, N)
 
 
@@ -688,10 +689,12 @@ def linear_step(rec: Recurrence, sign: float) -> Recurrence:
     return Recurrence(alphas, betas)
 
 
-def basis_for(spec: MeasureSpec, N: int, m: int | None = None, high_precision=False) -> OrthoBasis:
-    """Build the orthonormal basis of a validated MeasureSpec up to degree N."""
+def basis_for(spec: MeasureSpec, N: int, high_precision=False) -> OrthoBasis:
+    """Build the orthonormal basis of a validated MeasureSpec up to degree N >= 0."""
     validate(spec)
-    rec = recurrence_for(spec.base, N + 1, m=m, high_precision=high_precision)
+    if N < 0:
+        raise DegreeOutOfRange(f"degree {N} is below 0, the lowest degree a basis reaches")
+    rec = recurrence_for(spec.base, N + 1, high_precision=high_precision)
     base = OrthoBasis(spec.with_masses(()), rec, N, rec)
     return add_mass_points(base, spec.masses)
 
@@ -750,17 +753,16 @@ def kernel_envelope(spec: MeasureSpec, a: float, x, n):
     return env
 
 
-def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int, x=None):
-    """Running sup over n <= N and the x-grid of |L_n(x,a)| / envelope.
+def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int):
+    """Running sup over n <= N and a 400-point Chebyshev grid of |L_n(x,a)| / envelope.
 
     Finiteness and stability of the returned sequence verify the kernel
     estimates empirically; the constant itself is not asserted.
     """
     if N > basis.degree:
         raise DegreeOutOfRange(f"degree {N} exceeds cap {basis.degree}")
-    if x is None:
-        m = 400
-        x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
+    m = 400
+    x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
     seq = kernel_sequence(basis, x, a, N)
     env = kernel_envelope(basis.measure, a, x, np.arange(N + 1)[:, None])
     return np.maximum.accumulate(np.max(np.abs(seq) / env, axis=1))

@@ -4,11 +4,11 @@ kernel formula.
 
 An operator call evaluates each basis once, at its quadrature nodes and
 evaluation points together.  ``_expand`` splits that table by column and
-projects value columns onto P_0..P_n: S_n, its continuous/atomic split, the
-maximal operator, the commutator and the independent T_n of the Pollard split
-all go through it.  The Pollard split reads p_{n+1}, (1-t^2) q_n, f and the
-density once at (rule nodes, x); the Psi split of the commutator is the
-Pollard split of f and of b f on the same values.  (r_n, s_n) come in closed
+projects value columns onto P_0..P_n: S_n, the maximal operator, the
+commutator and the independent T_n of the Pollard split all go through it.
+The Pollard split reads p_{n+1}, (1-t^2) q_n, f and the density once at
+(rule nodes, x); the Psi split of the commutator is the Pollard split of f
+and of b f on the same values.  (r_n, s_n) come in closed
 form from the recurrences of nu and of (1-x^2) d-nu; the least-squares fit
 that extracts them from T_n is kept as the reference the tests check.
 
@@ -99,23 +99,6 @@ def partial_sum(basis: OrthoBasis, f: GridFunction, n: int, x):
     return float(vals[0]) if np.isscalar(x) else vals
 
 
-def split_partial_sum(basis: OrthoBasis, f: GridFunction, n: int, x):
-    """Split S_n f(x) into the continuous part T_n f(x) and the mass terms.
-
-    The mass terms sum_i M_i L_n(x, a_i) f(a_i) are S_n of f restricted to the
-    atoms of its grid, and T_n integrates against d-mu only; the parts sum to
-    partial_sum up to rounding.
-    """
-    _check_grid(basis, f, n)
-    at_atoms = np.zeros_like(f.values)
-    at_atoms[f.atom_idx] = f.values[f.atom_idx]
-    (coef, coef_atoms), px = _expand(basis, f.nodes, f.weights, [f.values, at_atoms], n, x)
-    s, mass_terms = coef @ px, coef_atoms @ px
-    if np.isscalar(x):
-        return float(s[0] - mass_terms[0]), float(mass_terms[0])
-    return s - mass_terms, mass_terms
-
-
 def maximal_op(basis: OrthoBasis, f: GridFunction, N: int, x):
     """Truncated maximal operator max_{0<=n<=N} |S_n f(x)|."""
     _check_grid(basis, f, N)
@@ -146,16 +129,16 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 # Lebesgue quadrature and the finite Hilbert transform
 
 
-def graded_rule(singular_points=(), interval=(-1.0, 1.0), order: int = 12, levels: int = 45):
-    """Composite Gauss-Legendre rule on an interval, geometrically graded
+def graded_rule(singular_points=(), order: int = 12):
+    """Composite Gauss-Legendre rule on [-1, 1], geometrically graded
     toward each listed singular point; resolves integrable log / algebraic
     singularities to near machine precision.
 
-    ``opoly.lebesgue_rule`` with every point at exponent 0, ``levels`` levels
-    at ratio 1/2.  Every node lies strictly inside the interval and off the
-    singular points; a point outside the closed interval raises SpecError.
+    ``opoly.lebesgue_rule`` with every point at exponent 0, 45 levels at
+    ratio 1/2.  Every node lies strictly inside [-1, 1] and off the singular
+    points; a point outside [-1, 1] raises SpecError.
     """
-    return lebesgue_rule([(t, 0.0) for t in singular_points], order, levels, 0.5, interval)
+    return lebesgue_rule([(t, 0.0) for t in singular_points], order, 45, 0.5)
 
 
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
@@ -175,6 +158,11 @@ def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     factors += [(t, g) for t, g in base.singularities if g < 0 or g % 2]
     factors += [(t, 0.0) for t in extra_singular]
     return lebesgue_rule(factors, order, 45, 0.5)
+
+
+def _pollard_rule(spec: MeasureSpec, n: int, extra_singular=()):
+    """The Lebesgue rule of the degree-n Pollard and Psi splits: ``lebesgue_rule_for`` at order max(16, n + 8)."""
+    return lebesgue_rule_for(spec, extra_singular, order=max(16, n + 8))
 
 
 def _interior(x):
@@ -311,22 +299,21 @@ def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     return -t2 / (1.0 + t2), math.sqrt(t2) / (1.0 + t2)
 
 
-def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, rule=None, seed: int = 7):
+def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     """Extract (r_n, s_n) by least squares against independently computed T_n.
 
-    Uses a few random polynomial test functions on a fixed interior test grid;
+    Uses three random polynomial test functions (seed 7) on a fixed interior test grid;
     also returns the condition number of the 3-column fit.  This is the
     reference for ``pollard_coefficients`` in the tests and the benchmark;
     the library itself never calls it.
     """
     if n + 1 > nu_basis.degree or n > q_basis.degree:
         raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
-    if rule is None:
-        rule = lebesgue_rule_for(nu_basis.measure, order=max(16, n + 8))
+    rule = _pollard_rule(nu_basis.measure, n)
     x = np.linspace(-0.87, 0.87, 31) + 1.3e-4  # interior, off the nodes
     z = np.concatenate([rule[0], x])
     values = _pollard_values(nu_basis, q_basis, n, z)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     rows, polys = [], []
     for _ in range(3):
         # a degree-(n+1) component is required: without it the rank-one part
@@ -350,10 +337,9 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, 
     return r, s, float(cond)
 
 
-def pollard_parts(nu_basis: OrthoBasis, q_basis: OrthoBasis, f, n: int, x, rule=None) -> PollardParts:
+def pollard_parts(nu_basis: OrthoBasis, q_basis: OrthoBasis, f, n: int, x) -> PollardParts:
     """Pollard split of T_n f at the points x inside (-1, 1); f is a callable on [-1, 1]."""
-    if rule is None:
-        rule = lebesgue_rule_for(nu_basis.measure, order=max(16, n + 8))
+    rule = _pollard_rule(nu_basis.measure, n)
     r, s = pollard_coefficients(nu_basis, q_basis, n)
     x = _interior(x)
     z = np.concatenate([rule[0], x])
@@ -393,8 +379,7 @@ class CommutatorParts:
 
 
 def commutator_psi_parts(
-    mu_basis: OrthoBasis, q_basis: OrthoBasis, b, f, n: int, x, rule=None,
-    b_singularities=(),
+    mu_basis: OrthoBasis, q_basis: OrthoBasis, b, f, n: int, x, b_singularities=(),
 ) -> CommutatorParts:
     """Evaluate the Psi operators of the commutator split at the points x.
 
@@ -408,10 +393,7 @@ def commutator_psi_parts(
         raise SpecError("the Psi split applies to the absolutely continuous part")
     r, s = pollard_coefficients(mu_basis, q_basis, n)
     x = _interior(x)
-    if rule is None:
-        rule = lebesgue_rule_for(
-            mu_basis.measure, extra_singular=b_singularities, order=max(16, n + 8)
-        )
+    rule = _pollard_rule(mu_basis.measure, n, b_singularities)
     y, wy = rule
     m = len(y)
     z = np.concatenate([y, x])

@@ -523,6 +523,30 @@ def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
     assert "grid size -5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key, reads", [
+    (["recurrence", "--n", "4"], "gird_size", "seed, u, v, N, measure"),
+    (["recurrence", "--n", "4"], "grid_size", "seed, u, v, N, measure"),
+    (["probe", *LEGENDRE_MASS, "--n", "20"], "grid-size", "seed, u, v, mode, p, N, grid_size, t, symbol, measure"),
+    (["laguerre-mass", "--n", "8"], "m", "seed, u, v, alpha, M, N, measure"),
+])
+def test_unknown_config_keys_are_rejected(capsys, tmp_path, argv, key, reads):
+    # the degree alone sizes a basis, so grid_size is a key of the probe commands only
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({key: 5}))
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SpecError: config key {key!r} is not read by {argv[0]}; it reads {reads}\n"
+
+
+@pytest.mark.parametrize("argv", [["recurrence", "--n", "-1"], ["laguerre-mass", "--n", "-1"]])
+def test_a_negative_degree_exits_2_and_names_its_bound(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DegreeOutOfRange: degree -1 is below 0" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["weak-probe"],
     ["weak-probe", "--mode", "restricted-weak"],

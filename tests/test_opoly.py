@@ -214,6 +214,16 @@ def test_degree_cap_raises():
         cd_kernel(basis, 6, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("spec", [
+    legendre([MassPoint(0.3, 1.0)]),
+    MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),))),
+], ids=str)
+def test_a_negative_degree_is_out_of_range(spec):
+    with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
+        basis_for(spec, -1)
+    assert basis_for(spec, 0).degree == 0
+
+
 def test_cd_kernel_reproducing_property():
     spec = legendre([MassPoint(0.3, 1.0)])
     basis = basis_for(spec, 10)
@@ -585,6 +595,21 @@ def test_double_double_stieltjes_matches_mpmath(spec, N):
     assert betas.tolist() == ref_betas.tolist()
     # the symmetric measure's alphas are 0 up to the references' own rounding
     assert np.all((alphas == ref_alphas) | (np.abs(alphas - ref_alphas) <= 1e-50))
+
+
+@pytest.mark.parametrize("spec", [
+    GenJacobiSpec(0.0, 0.0, ((0.0, 2.0),)),
+    GenJacobiSpec(-0.5, 0.5, ((0.2, 1.0),)),
+    GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)),
+    GenJacobiSpec(2.5, -0.9, ((0.3, -0.5), (-0.6, 0.7))),
+], ids=str)
+def test_recurrence_for_is_stieltjes_on_the_40n_discretization(spec):
+    # the degree alone sizes a generalized Jacobi discretization: 40N nodes, bit for bit
+    for N, high_precision in ((13, False), (51, False), (201, False), (13, True)):
+        x, w = genjacobi_discretization(spec, 40 * N)
+        alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
+        rec = recurrence_for(spec, N, high_precision=high_precision)
+        assert rec.alphas.tobytes() == alphas.tobytes() and rec.betas.tobytes() == betas.tobytes()
 
 
 def test_double_double_stieltjes_resolves_cancelling_alphas():

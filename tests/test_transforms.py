@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from masspoly import (
+    DegreeOutOfRange,
     GenJacobiSpec,
     GridMismatch,
     LaguerreSpec,
@@ -36,7 +37,6 @@ from masspoly.transforms import (
     pollard_parts,
     q_basis_for,
     q_measure,
-    split_partial_sum,
 )
 
 
@@ -58,10 +58,14 @@ def test_split_identity():
     grid = make_grid(SPEC, 48)
     rng = np.random.default_rng(2)
     f = grid.fn(np.polynomial.Polynomial(rng.standard_normal(14)))
+    # f restricted to its atoms; T_n f integrates f against d-mu only, so it is S_n of the rest
+    on_atoms = np.zeros(grid.size)
+    on_atoms[grid.atom_idx] = f.values[grid.atom_idx]
     x = np.linspace(-0.95, 0.95, 21)
     for n in (3, 7, 12):
         s_n = partial_sum(basis, f, n, x)
-        t_n, mass_terms = split_partial_sum(basis, f, n, x)
+        t_n = partial_sum(basis, grid.fn(f.values - on_atoms), n, x)
+        mass_terms = partial_sum(basis, grid.fn(on_atoms), n, x)
         atom_part = np.zeros_like(x)
         for mp in SPEC.masses:
             fa = float(f.values[grid.atom_idx[0]])
@@ -280,7 +284,6 @@ def test_each_operator_call_evaluates_each_basis_once(monkeypatch):
         (lambda: partial_sum(nu_basis, f, 20, x), 1),
         (lambda: commutator(nu_basis, np.sin, f, 20, x), 1),
         (lambda: maximal_op(nu_basis, f, 20, x), 1),
-        (lambda: split_partial_sum(nu_basis, f, 20, x), 1),
         (lambda: pollard_parts(nu_basis, q_nu, poly, 20, x), 3),
         (lambda: fit_pollard_coefficients(nu_basis, q_nu, 20), 3),
         (lambda: commutator_psi_parts(mu_basis, q_mu, np.sin, poly, 20, x), 2),
@@ -346,6 +349,11 @@ def test_laguerre_q_at_zero_against_mpmath(alpha):
     ns = np.append(np.arange(0, 1000, 37), 1000)
     exact = [mpmath.sqrt(mpmath.gamma(n + alpha + 2) / mpmath.factorial(n)) / mpmath.gamma(alpha + 2) for n in ns]
     assert np.max(np.abs(laguerre_q_at_zero(alpha, ns) / np.array(exact, dtype=float) - 1.0)) < 1e-14
+
+
+def test_laguerre_mass_kernel_rejects_a_negative_degree():
+    with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
+        laguerre_mass_kernel(0.0, 1.0, -1, np.array([0.7]))
 
 
 def test_laguerre_mass_kernel_small_n():
