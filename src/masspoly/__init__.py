@@ -30,7 +30,6 @@ from .measure import (
     MassPoint,
     MeasureSpec,
     PowerWeightSpec,
-    UNIT_WEIGHT,
     check_conditions,
     legendre,
     mean_convergence_endpoints,

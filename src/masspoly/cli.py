@@ -116,12 +116,19 @@ def _build_measure(args, cfg) -> MeasureSpec:
     return validate(MeasureSpec(base, _flag_masses(args)))
 
 
-def _check_own_measure(args, spec, prm):
-    """On a row that builds its own measure, --base and --mass must describe that measure.
+def _check_own_measure(args, cfg, spec, prm):
+    """On a row that builds its own measure, --base, --mass and a config "measure" must describe it.
 
     Such a row takes --alpha, and --beta where it has one, as parameters; a
     --beta it has no parameter for would be dropped, so it is rejected too.
+    A config "measure" equal to the built one passes, so the emitted config
+    replays.
     """
+    if "measure" in cfg and measure_from_dict(cfg["measure"]) != spec:
+        raise SpecError(
+            f"config \"measure\" {json.dumps(cfg['measure'], sort_keys=True)} is not the measure this "
+            f"command builds, {json.dumps(measure_to_dict(spec), sort_keys=True)}"
+        )
     if args.beta is not None and "beta" not in prm:
         raise SpecError("--beta is not a parameter of this command")
     if args.base is not None and _flag_base(args.base, prm["alpha"], prm.get("beta", 0.0)) != spec.base:
@@ -430,7 +437,7 @@ def run_command(args):
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
     if cmd.measure:
         spec = cmd.measure(prm)
-        _check_own_measure(args, spec, prm)
+        _check_own_measure(args, cfg, spec, prm)
     data, rows = cmd.run(spec, prm)
     config = {key: value for key, value in prm.items() if value is not None}
     config["measure"] = measure_to_dict(spec)

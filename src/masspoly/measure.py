@@ -185,9 +185,6 @@ class PowerWeightSpec:
         return w
 
 
-UNIT_WEIGHT = PowerWeightSpec()
-
-
 def _check_weight_fits(w: PowerWeightSpec, measure: MeasureSpec):
     """Reject a non-empty g or at_mass without one entry per base singularity or per mass point.
 

@@ -2,11 +2,12 @@
 
 Construction paths:
   * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
-  * discretized Stieltjes recurrences for generalized Jacobi weights
-    (the density times ``lebesgue_rule``, composite Gauss-Jacobi cells split
-    at every algebraic singularity), optionally in double-double arithmetic;
-    the degree N alone sizes the discretization, about 40N nodes, and no
-    caller sets it,
+  * discretized Stieltjes recurrences for generalized Jacobi weights, from
+    the ``GenJacobiSpec`` alone: ``genjacobi_discretization`` (the density
+    times ``lebesgue_rule``, composite Gauss-Jacobi cells split at every
+    algebraic singularity), optionally in double-double arithmetic; the
+    degree N alone sizes the discretization, about 40N nodes, and no caller
+    sets it,
   * point masses folded into the recurrence of the whole measure by the
     RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom,
   * measures derived from mu by Christoffel steps on mu's Jacobi matrix, O(N)
@@ -414,8 +415,8 @@ def _cell_rule(c, d, gl, gr, order, levels, ratio):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def lebesgue_rule(factors, order, levels, ratio, interval=(-1.0, 1.0)):
-    """Composite Gauss rule (nodes, Lebesgue weights) on ``interval``, graded at ``factors``.
+def lebesgue_rule(factors, order, levels, ratio):
+    """Composite Gauss rule (nodes, Lebesgue weights) on [-1, 1], graded at ``factors``.
 
     ``factors`` are (location, exponent) pairs of the factors |x - location|^exponent
     of the integrands; repeated locations add their exponents.  The interval
@@ -423,16 +424,15 @@ def lebesgue_rule(factors, order, levels, ratio, interval=(-1.0, 1.0)):
     graded toward its listed edges with ``levels`` levels at ``ratio``; an
     interval end is graded only when it is listed.  A sum of the weights
     against an integrand holding the factors cancels them node by node, so
-    only the smooth rest is left to the panel rules.  A location outside the
-    closed interval raises SpecError.
+    only the smooth rest is left to the panel rules.  A location outside
+    [-1, 1] raises SpecError.
     """
-    lo, hi = interval
     exps = {}
     for loc, e in factors:
-        if not lo <= loc <= hi:
-            raise SpecError(f"singular point {loc} lies outside the interval {interval}")
+        if not -1.0 <= loc <= 1.0:
+            raise SpecError(f"singular point {loc} lies outside the interval (-1.0, 1.0)")
         exps[loc] = exps.get(loc, 0.0) + e
-    breaks = sorted({lo, hi, *exps})
+    breaks = sorted({-1.0, 1.0, *exps})
     cells = [
         _cell_rule(c, d, exps.get(c), exps.get(d), order, levels, ratio)
         for c, d in zip(breaks[:-1], breaks[1:])
@@ -441,64 +441,48 @@ def lebesgue_rule(factors, order, levels, ratio, interval=(-1.0, 1.0)):
 
 
 # a degree-N Stieltjes recurrence runs on a discretization of about 40N nodes;
-# from N = 50 per cell on, the panel order of ``_discretization_rule`` sits at
-# its cap of 80, so a larger size would change no node
+# from N = 50 per cell on, the panel order of ``genjacobi_discretization`` sits
+# at its cap of 80, so a larger size would change no node
 _NODES_PER_DEGREE = 40
-
-
-def _discretization_rule(factors, m, interval=(-1.0, 1.0)):
-    """``lebesgue_rule`` of about m nodes for a discretization: 12 levels at ratio 1/4."""
-    levels = 12
-    ncells = len({*interval, *(loc for loc, _ in factors)}) - 1
-    order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
-    return lebesgue_rule(factors, order, levels, 0.25, interval)
 
 
 def genjacobi_discretization(spec: GenJacobiSpec, m: int):
     """Composite quadrature (nodes, weights) of about m nodes for a generalized Jacobi weight.
 
-    The Lebesgue rule graded at both ends and every interior singularity,
-    times the density: the end panels absorb the local algebraic factors, so
-    the rest is analytic panel by panel.  ``recurrence_for`` discretizes the
-    same way at m = 40N; this is that discretization at any size.
+    ``lebesgue_rule`` graded at both ends and every interior singularity, 12
+    levels at ratio 1/4, times the density: the end panels absorb the local
+    algebraic factors, so the rest is analytic panel by panel.  The panel
+    order spreads m nodes over the cells, within 24..80.  This is the one
+    place a discretization is sized: ``stieltjes_recurrence`` calls it at
+    m = 40N, and checks call it at any m.
     """
-    x, w = _discretization_rule([(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities), m)
+    factors = [(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities)
+    levels = 12
+    ncells = len({loc for loc, _ in factors}) - 1
+    order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
+    x, w = lebesgue_rule(factors, order, levels, 0.25)
     return x, w * spec.density(x)
 
 
-def stieltjes_recurrence(
-    weight,
-    N: int,
-    interval=(-1.0, 1.0),
-    edge_exponents=(0.0, 0.0),
-    interior_singularities=(),
-    high_precision=False,
-) -> Recurrence:
-    """Recurrence of the measure weight(x) dx on an interval, via discretization.
+def stieltjes_recurrence(base: GenJacobiSpec, N: int, high_precision=False) -> Recurrence:
+    """Recurrence of a generalized Jacobi weight, by the discretized Stieltjes procedure.
 
-    ``edge_exponents`` = (exponent of (hi-x) at the right edge, exponent of
-    (x-lo) at the left edge's factor) and ``interior_singularities`` =
-    ((t, gamma), ...) describe the algebraic structure of the weight so cells
-    can use matched Gauss-Jacobi rules.  The measure is the Lebesgue rule of
-    about 40N nodes on ``interval`` times the weight callable at its nodes, so
-    mild misdeclaration only slows convergence.  The Stieltjes procedure runs
-    in double-double with ``high_precision``.
+    The procedure runs on ``genjacobi_discretization(base, 40N)``, in
+    double-double with ``high_precision``.
     """
-    lo, hi = interval
-    er, el = edge_exponents
-    factors = [(hi, er), (lo, el)] + list(interior_singularities)
-    x, w = _discretization_rule(factors, _NODES_PER_DEGREE * N, interval)
-    alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w * weight(x), N)
+    if not isinstance(base, GenJacobiSpec):
+        raise SpecError(f"stieltjes_recurrence discretizes generalized Jacobi weights, not {base!r}")
+    if N < 1:
+        raise SpecError("N must be >= 1")
+    x, w = genjacobi_discretization(base, _NODES_PER_DEGREE * N)
+    alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
     return Recurrence(alphas, betas)
 
 
 def recurrence_for(base, N: int, high_precision=False) -> Recurrence:
     """Recurrence of the continuous base weight, dispatched on its structure."""
     if isinstance(base, GenJacobiSpec) and not base.is_classical:
-        return stieltjes_recurrence(
-            base.density, N, edge_exponents=(base.alpha, base.beta),
-            interior_singularities=base.singularities, high_precision=high_precision,
-        )
+        return stieltjes_recurrence(base, N, high_precision)
     return classical_recurrence(base, N)
 
 
@@ -798,6 +782,8 @@ def modified_bases(spec: MeasureSpec, N: int):
     """Recurrences, length N+1, of prod_{a in A}(x-a)^2 d-mu for every subset A of the mass
     locations, from mu's one recurrence: A takes a ``quadratic_step`` from A without its last."""
     validate(spec)
+    if N < 0:
+        raise DegreeOutOfRange(f"degree {N} is below 0, the lowest degree a basis reaches")
     full = {(): recurrence_for(spec.base, N + 1 + len(spec.masses))}
     for A in mass_subsets(spec.mass_locations)[1:]:
         full[A] = quadratic_step(full[A[:-1]], A[-1])

@@ -16,10 +16,11 @@ All operators are pure given immutable bases.  S_n, the maximal operator and
 the commutator take GridFunctions sampled on the measure grid.  The Hilbert
 transform and the Pollard and Psi splits take callables; a GridFunction is
 read only at exactly its own nodes, and anywhere else raises GridMismatch.
-Integrals with respect to Lebesgue measure use ``opoly.lebesgue_rule``, the
-rule the discretized Stieltjes recurrences are built on: cells split at every
-singular point, panels graded geometrically toward it, and Gauss-Jacobi panels
-that absorb an algebraic factor |x - t|^g there.  Every weight next to t
+Integrals with respect to Lebesgue measure use ``lebesgue_rule_for``, which
+is ``opoly.lebesgue_rule``, the rule the discretized Stieltjes recurrences are
+built on, at 45 levels of ratio 1/2: cells split at every singular point,
+panels graded geometrically toward it, and Gauss-Jacobi panels that absorb an
+algebraic factor |x - t|^g there.  Every weight next to t
 carries the ratio (exact offset / stored offset)^g of its node, so the density
 read at the rounded node cancels the factor, and endpoint and interior log or
 algebraic singularities are resolved to near machine precision.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, NonFiniteWeight, PointOnBoundary, SpecError
-from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec
+from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
 from .norms import GridFunction
 from .opoly import (
     OrthoBasis,
@@ -129,18 +130,6 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 # Lebesgue quadrature and the finite Hilbert transform
 
 
-def graded_rule(singular_points=(), order: int = 12):
-    """Composite Gauss-Legendre rule on [-1, 1], geometrically graded
-    toward each listed singular point; resolves integrable log / algebraic
-    singularities to near machine precision.
-
-    ``opoly.lebesgue_rule`` with every point at exponent 0, 45 levels at
-    ratio 1/2.  Every node lies strictly inside [-1, 1] and off the singular
-    points; a point outside [-1, 1] raises SpecError.
-    """
-    return lebesgue_rule([(t, 0.0) for t in singular_points], order, 45, 0.5)
-
-
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     """Lebesgue rule on [-1,1] graded at the weight's singular locations.
 
@@ -189,10 +178,15 @@ def _hilbert(gy, gx, x, rule):
 
 
 def hilbert_transform(g, x, rule=None, singular_points=()):
-    """Principal value of int_{-1}^{1} g(y)/(x-y) dy, g read once at (rule nodes, x)."""
+    """Principal value of int_{-1}^{1} g(y)/(x-y) dy, g read once at (rule nodes, x).
+
+    Without a ``rule`` it integrates on ``lebesgue_rule_for(legendre(),
+    singular_points)`` where singular points are given, else on the order-400
+    Gauss-Legendre rule.
+    """
     xs = _interior(x)
     if rule is None:
-        rule = graded_rule(singular_points) if singular_points else gauss_jacobi_rule(400)
+        rule = lebesgue_rule_for(legendre(), singular_points) if singular_points else gauss_jacobi_rule(400)
     m = len(rule[0])
     gz = _as_values(g, np.concatenate([rule[0], xs]))
     out = _hilbert(gz[:m], gz[m:], xs, rule)

@@ -413,6 +413,26 @@ def test_measure_flags_contradicting_a_command_measure_exit_2(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("name, measure", [
+    ("laguerre-mass", {"base": {"kind": "hermite"}, "masses": []}),
+    ("laguerre-mass", {"base": {"kind": "laguerre", "alpha": 0.5}, "masses": [{"location": 0.0, "mass": 1.0}]}),
+    ("endpoints", {"base": {"kind": "hermite"}, "masses": []}),
+    ("endpoints", {"base": {"kind": "genjacobi", "alpha": 0.5, "beta": 0.0}, "masses": []}),
+])
+def test_config_measure_contradicting_a_command_measure_exits_2(capsys, tmp_path, name, measure):
+    # the command builds its measure from alpha (and M or beta) at their defaults here
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"measure": measure}))
+    code = main([name, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "SpecError" in captured.err
+    assert json.dumps(measure, sort_keys=True) in captured.err
+    built = COMMANDS[name].measure({"alpha": 0.0, "beta": 0.0, "M": 1.0})
+    assert json.dumps(measure_to_dict(built), sort_keys=True) in captured.err
+
+
 def test_measure_flags_describing_a_command_measure_are_accepted(capsys):
     code, plain = run(capsys, "laguerre-mass", "--alpha", "0.5", "--n", "10")
     assert code == 0

@@ -15,6 +15,7 @@ from masspoly import (
     MassPoint,
     MeasureSpec,
     NumericalBreakdown,
+    SpecError,
     legendre,
 )
 from masspoly import opoly
@@ -97,26 +98,22 @@ def test_stieltjes_matches_classical():
 
 @pytest.mark.parametrize("a, b", [(0.5, -0.5), (1.5, 0.25), (-0.3, 2.0)])
 @pytest.mark.parametrize("split", [(), ((0.3, 0.0),)])  # one cell, or two cells split at x = 0.3
-def test_stieltjes_recurrence_of_callable_matches_classical(a, b, split):
-    def jacobi_weight(x):
-        return (1.0 - x) ** a * (1.0 + x) ** b
-
-    rec_s = stieltjes_recurrence(jacobi_weight, 30, edge_exponents=(a, b), interior_singularities=split)
+def test_stieltjes_recurrence_of_a_classical_spec_matches_classical(a, b, split):
+    rec_s = stieltjes_recurrence(GenJacobiSpec(a, b, split), 30)
     rec_c = classical_recurrence(GenJacobiSpec(a, b), 30)
     np.testing.assert_allclose(rec_s.alphas, rec_c.alphas, rtol=0, atol=1e-13)
     np.testing.assert_allclose(rec_s.betas, rec_c.betas, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("a, b", [(0.5, -0.5), (1.5, 0.25), (-0.7, 0.3)])
-def test_stieltjes_recurrence_on_its_own_interval(a, b):
-    # (2-x)^a x^b on [0, 2] is Jacobi(a, b) moved right by 1: alphas shift by 1, betas stay
-    def shifted_jacobi_weight(x):
-        return (2.0 - x) ** a * x**b
-
-    rec_s = stieltjes_recurrence(shifted_jacobi_weight, 30, interval=(0.0, 2.0), edge_exponents=(a, b))
-    rec_c = classical_recurrence(GenJacobiSpec(a, b), 30)
-    np.testing.assert_allclose(rec_s.alphas, rec_c.alphas + 1.0, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(rec_s.betas, rec_c.betas, rtol=1e-13, atol=0)
+def test_stieltjes_recurrence_rejects_degree_0_and_other_bases():
+    spec = GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),))
+    for high_precision in (False, True):
+        with pytest.raises(SpecError, match=r"N must be >= 1"):
+            recurrence_for(spec, 0, high_precision=high_precision)
+    with pytest.raises(SpecError, match=r"N must be >= 1"):
+        stieltjes_recurrence(spec, -1)
+    with pytest.raises(SpecError, match=r"generalized Jacobi weights, not LaguerreSpec"):
+        stieltjes_recurrence(LaguerreSpec(0.5), 5)
 
 
 @pytest.mark.parametrize("a, b", [(2.5, -0.9), (-0.9, -0.9), (-0.7, 0.3)])
@@ -219,9 +216,11 @@ def test_degree_cap_raises():
     MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),))),
 ], ids=str)
 def test_a_negative_degree_is_out_of_range(spec):
-    with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
-        basis_for(spec, -1)
+    for build in (basis_for, modified_bases):
+        with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
+            build(spec, -1)
     assert basis_for(spec, 0).degree == 0
+    assert all(len(rec) == 1 for rec in modified_bases(spec, 0).values())
 
 
 def test_cd_kernel_reproducing_property():
@@ -608,8 +607,9 @@ def test_recurrence_for_is_stieltjes_on_the_40n_discretization(spec):
     for N, high_precision in ((13, False), (51, False), (201, False), (13, True)):
         x, w = genjacobi_discretization(spec, 40 * N)
         alphas, betas = (_stieltjes_mp if high_precision else _stieltjes)(x, w, N)
-        rec = recurrence_for(spec, N, high_precision=high_precision)
-        assert rec.alphas.tobytes() == alphas.tobytes() and rec.betas.tobytes() == betas.tobytes()
+        for rec in (recurrence_for(spec, N, high_precision=high_precision),
+                    stieltjes_recurrence(spec, N, high_precision)):
+            assert rec.alphas.tobytes() == alphas.tobytes() and rec.betas.tobytes() == betas.tobytes()
 
 
 def test_double_double_stieltjes_resolves_cancelling_alphas():

@@ -24,7 +24,6 @@ from masspoly.transforms import (
     commutator,
     commutator_psi_parts,
     fit_pollard_coefficients,
-    graded_rule,
     hilbert_transform,
     laguerre_mass_kernel,
     laguerre_mass_table,
@@ -215,7 +214,7 @@ def test_lebesgue_rule_without_singular_ends_is_the_graded_rule(alpha, beta):
     spec = MeasureSpec(GenJacobiSpec(alpha, beta))
     for order in (12, 40):
         xs, ws = lebesgue_rule_for(spec, extra_singular=(-0.6,), order=order)
-        gx, gw = graded_rule((-0.6,), order=order)
+        gx, gw = lebesgue_rule_for(legendre(), extra_singular=(-0.6,), order=order)
         assert xs.tobytes() == gx.tobytes() and ws.tobytes() == gw.tobytes()
 
 
@@ -241,14 +240,14 @@ def test_graded_rule_keeps_every_level_where_no_node_collapses():
 
 @pytest.mark.parametrize("points", [(1.5,), (-0.2, -1.0 - 1e-9)])
 def test_graded_rule_rejects_points_outside_the_interval(points):
-    with pytest.raises(SpecError):
-        graded_rule(points)
+    with pytest.raises(SpecError, match=r"lies outside the interval \(-1\.0, 1\.0\)"):
+        lebesgue_rule_for(legendre(), points)
     with pytest.raises(SpecError):
         hilbert_transform(np.cos, 0.1, singular_points=points)
 
 
 def test_graded_rule_grades_toward_a_point_on_an_end():
-    xs, ws = graded_rule((1.0,))
+    xs, ws = lebesgue_rule_for(legendre(), (1.0,))
     assert np.all((-1.0 < xs) & (xs < 1.0)) and 1.0 - xs.max() < 1e-15
     assert np.sum(ws * np.log(1.0 - xs)) == pytest.approx(2 * math.log(2.0) - 2, rel=1e-13)
 
@@ -315,7 +314,7 @@ def test_a_sampled_f_off_its_nodes_raises_grid_mismatch():
 
 
 def test_grid_functions_are_read_on_their_own_nodes():
-    rule = graded_rule((0.2,))
+    rule = lebesgue_rule_for(legendre(), (0.2,))
     x = np.array([-0.3, 0.6])
     nodes = np.concatenate([rule[0], x])
     g = Grid(nodes, np.ones_like(nodes), np.array([], dtype=int)).fn(np.cos)
