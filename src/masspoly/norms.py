@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridTooSmall, NonFiniteWeight, NumericalBreakdown, SpecError
 from .measure import MeasureSpec, PowerWeightSpec, validate, weight_to_dict
-from .opoly import OrthoBasis, gauss_jacobi_rule, gauss_points, recurrence_for
+from .opoly import OrthoBasis, _check_degree, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
 
@@ -439,6 +439,9 @@ def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
     """Degree list, grid weights, checked node values of u and v, and the basis table up to the top degree."""
     if ns is None:
         ns = default_degree_list(basis.degree if N is None else N)
+    if not len(ns):
+        raise SpecError("a degree sweep needs at least one degree")
+    _check_degree(min(ns))
     _check_grid_resolves(grid, max(ns))
     spec = basis.measure
     uv, vv = _checked_weights(weight_values(u, grid, spec), weight_values(v, grid, spec))

@@ -8,11 +8,10 @@ Construction paths:
     algebraic singularity), optionally in double-double arithmetic; the
     degree N alone sizes the discretization, about 40N nodes, and no caller
     sets it,
-  * point masses folded into the recurrence of the whole measure by the
-    RKPW Givens-rotation update of mu's Jacobi matrix, O(N) per atom,
-  * measures derived from mu by Christoffel steps on mu's Jacobi matrix, O(N)
-    each: a QR step for (x-a)^2 d-mu at any real a, a Cholesky step for
-    (1 -+ x) d-mu.  Only mu itself is ever discretized.
+  * every change of measure as a ``Recurrence`` -> ``Recurrence`` step on
+    mu's Jacobi matrix, O(N) each: RKPW Givens rotations add point masses,
+    a QR step gives (x-a)^2 d-mu at any real a, a Cholesky step (1 -+ x) d-mu.
+    Only mu itself is ever discretized.
 
 ``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
 rules of ``transforms`` come from it too.
@@ -22,7 +21,8 @@ computed; ``OrthoBasis.eval_all`` reads the table of ``nu_rec``.  A request at
 the same points up to its degree is a read-only view of it; a higher degree
 extends it by the new rows only, from its last two; new points replace it.
 Every returned table is read-only and bit-identical to a table computed from
-degree 0.
+degree 0.  ``_kernels.recurrence_table`` is the one loop over degrees at
+points; ``gauss_points`` sums its Christoffel numbers over its blocks too.
 
 The library runs on numpy alone up to Gauss rules of order 1500: the
 Gauss-Jacobi panels of ``lebesgue_rule`` come from ``gauss_points`` on the
@@ -64,7 +64,6 @@ from .measure import (
     GenJacobiSpec,
     HermiteSpec,
     LaguerreSpec,
-    MassPoint,
     MeasureSpec,
     validate,
 )
@@ -121,10 +120,6 @@ class Recurrence:
 
     def __len__(self):
         return len(self.alphas)
-
-    @property
-    def total_mass(self):
-        return float(self.betas[0])
 
     def table(self, x, nmax):
         """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x)), read-only.
@@ -505,17 +500,17 @@ def gauss_points(rec: Recurrence, m: int):
     relative accuracy down to the tiny weights at far Laguerre / Hermite
     nodes; Golub-Welsch eigenvector weights only have absolute accuracy.
 
-    The pair (P_{k-1}, P_k) and the running sum are rescaled by 2^-h and
-    2^-2h every 8 steps, h half the sum's binary exponent, so far nodes
-    cannot overflow.  A power of two scales a float exactly while it neither
-    overflows nor turns subnormal, and every step (a recurrence row, a
-    square, a sum) commutes with one common scaling of its inputs, so the
-    weights are the floats of a rescale after every step.  Between rescales
-    the sum stays below 2^166 on Laguerre(0) at m = 1200 (2^199 at m = 5000),
-    far inside the exponent range.
+    The rows come from ``recurrence_table`` in blocks of 8 degrees, each
+    seeded (``head``) by the last two rows before it rescaled by 2^-h, the sum
+    by 2^-2h, h half the sum's binary exponent, so far nodes cannot overflow.
+    A power of two scales a float exactly while it neither overflows nor turns
+    subnormal, and every step (a recurrence row, a square, a sum) commutes
+    with one common scaling of its inputs, so the weights are the floats of a
+    rescale after every step.  Between rescales the sum stays below 2^166 on
+    Laguerre(0) at m = 1200 (2^199 at m = 5000), far inside the exponent range.
     """
-    if m > len(rec):
-        raise GridTooSmall(f"rule order {m} exceeds recurrence length {len(rec)}")
+    if not 1 <= m <= len(rec):
+        raise GridTooSmall(f"rule order {m} is outside 1..{len(rec)}, the orders the recurrence reaches")
     offdiag = np.sqrt(rec.betas[1:m])
     try:
         if m <= _DENSE_EIG_MAX:
@@ -528,28 +523,25 @@ def gauss_points(rec: Recurrence, m: int):
             x = eigvalsh_tridiagonal(rec.alphas[:m], offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigenFailure(str(exc)) from exc
-    a = rec.alphas[:m].tolist()
-    sb = np.sqrt(rec.betas[:m]).tolist()
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0 / sb[0])
-    q = np.empty_like(x)
-    total = p * p
+    sb = np.sqrt(rec.betas[:m])
+    square, total = np.empty_like(x), np.zeros_like(x)
     exponent = np.zeros(x.shape, dtype=int)  # sum_k P_k^2 = total * 2**exponent
-    for k in range(m - 1):
-        np.multiply(p_prev, sb[k], p_prev)
-        np.subtract(x, a[k], q)
-        np.multiply(q, p, q)
-        np.subtract(q, p_prev, q)
-        np.divide(q, sb[k + 1], q)
-        p_prev, p, q = p, q, p_prev
-        np.multiply(p, p, q)
-        np.add(total, q, total)
-        if k % 8 == 7:
+    top = min(8, m - 1)
+    rows = recurrence_table(rec.alphas, sb, x, top)  # P_0..P_top, then P_{d+1}..P_top
+    while True:
+        for row in rows:
+            np.multiply(row, row, square)
+            np.add(total, square, total)
+        if top and top % 8 == 0:
             half = np.frexp(total)[1] // 2
-            np.ldexp(p_prev, -half, p_prev)
-            np.ldexp(p, -half, p)
+            head = np.ldexp(rows[-2:], -half)
             np.ldexp(total, -2 * half, total)
             exponent += 2 * half
+        if top == m - 1:
+            break
+        d, top = top, min(top + 8, m - 1)
+        # the coefficients from degree d-1 on: head is P_{d-1}, P_d
+        rows = recurrence_table(rec.alphas[d - 1 :], sb[d - 1 :], x, top - d + 1, head=head)
     return x, np.ldexp(1.0 / total, -exponent)
 
 
@@ -557,62 +549,65 @@ def gauss_points(rec: Recurrence, m: int):
 # bases
 
 
+def _check_degree(n, cap=math.inf):
+    """Raise DegreeOutOfRange unless 0 <= n <= cap."""
+    if n < 0:
+        raise DegreeOutOfRange(f"degree {n} is below 0, the lowest degree a basis reaches")
+    if n > cap:
+        raise DegreeOutOfRange(f"degree {n} exceeds cap {cap}")
+
+
 @dataclass
 class OrthoBasis:
     """Evaluation-ready orthonormal system for a MeasureSpec up to a degree cap.
 
     ``nu_rec`` is the recurrence of the whole measure nu and drives every
-    evaluation; ``rec`` stays the recurrence of the continuous part mu (the
-    same object when the measure carries no point masses).
+    evaluation; its length sets the degree cap.  ``rec`` stays the recurrence
+    of the continuous part mu (the same object when the measure carries no
+    point masses).
     """
 
     measure: MeasureSpec
     rec: Recurrence
-    degree: int
     nu_rec: Recurrence
+
+    @property
+    def degree(self):
+        return len(self.nu_rec) - 1
 
     def eval_all(self, x, upto: int | None = None):
         """Values P_0..P_upto at points x, shape (upto+1, len(x)), as a read-only array.
 
         This is ``nu_rec.table(x, upto)``: the kept table lives on ``nu_rec``,
         so a request at its points reads or extends it (``Recurrence.table``).
+        A degree outside 0..cap raises DegreeOutOfRange.
         """
         n = self.degree if upto is None else upto
-        if n > self.degree:
-            raise DegreeOutOfRange(f"degree {n} exceeds cap {self.degree}")
+        _check_degree(n, self.degree)
         return self.nu_rec.table(x, n)
 
-    def eval(self, n: int, x):
-        """P_n at x (scalar in, scalar out)."""
-        scalar = np.isscalar(x)
-        vals = self.eval_all(x, n)[n]
-        return float(vals[0]) if scalar else vals
 
-
-def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
-    """Orthonormal basis for nu = mu + sum M_i delta_{a_i}, as one recurrence.
+def add_mass_points(rec: Recurrence, masses) -> Recurrence:
+    """Recurrence of nu = mu + sum M_i delta_{a_i} from the recurrence ``rec`` of mu.
 
     RKPW (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi 2004, §2.2.3): the
-    Jacobi matrix J of degrees 0..N encodes the Gauss rule of order N+1 of mu
-    without forming it, and each atom enters J through one sweep of Givens
-    rotations that restores tridiagonal form, O(N) per atom.  The rule plus
-    the atoms integrates nu exactly to degree 2N+1, so the coefficients are
-    exact through degree N.  Entry k of a sweep reads only entries <= k, so
-    the sweeps stop at degree N and leave out the rows the atoms add below.
+    Jacobi matrix J of degrees 0..N (N + 1 = len(rec)) encodes the Gauss rule
+    of order N+1 of mu without forming it, and each atom enters J through one
+    sweep of Givens rotations that restores tridiagonal form, O(N) per atom.
+    The rule plus the atoms integrates nu exactly to degree 2N+1, so the
+    coefficients are exact through degree N.  Entry k of a sweep reads only
+    entries <= k, so the sweeps stop at degree N and leave out the rows the
+    atoms add below.  Without masses ``rec`` itself is returned.
     """
-    masses = tuple(masses)
     if not masses:
-        return base_basis
-    spec = validate(base_basis.measure.with_masses(masses))
-    N = base_basis.degree
-    rec = base_basis.nu_rec
+        return rec
     # Gautschi's names: p0, p1 the diagonal and squared off-diagonal of J
-    p0 = rec.alphas[: N + 1].tolist()
-    p1 = rec.betas[: N + 1].tolist()
+    p0 = rec.alphas.tolist()
+    p1 = rec.betas.tolist()
     for mp in masses:
         xlam, pn = mp.location, mp.mass
         gam, sig, t = 1.0, 0.0, 0.0
-        for k in range(N + 1):
+        for k in range(len(p0)):
             rho = p1[k] + pn
             tmp = gam * rho
             tsig = sig
@@ -623,7 +618,7 @@ def add_mass_points(base_basis: OrthoBasis, masses) -> OrthoBasis:
             t = tk
             pn = t * t / sig if sig > 0.0 else tsig * p1[k]
             p1[k] = tmp
-    return OrthoBasis(spec, base_basis.rec, N, Recurrence(p0, p1))
+    return Recurrence(p0, p1)
 
 
 # ----------------------------------------------------------------------
@@ -676,17 +671,13 @@ def linear_step(rec: Recurrence, sign: float) -> Recurrence:
 def basis_for(spec: MeasureSpec, N: int, high_precision=False) -> OrthoBasis:
     """Build the orthonormal basis of a validated MeasureSpec up to degree N >= 0."""
     validate(spec)
-    if N < 0:
-        raise DegreeOutOfRange(f"degree {N} is below 0, the lowest degree a basis reaches")
+    _check_degree(N)
     rec = recurrence_for(spec.base, N + 1, high_precision=high_precision)
-    base = OrthoBasis(spec.with_masses(()), rec, N, rec)
-    return add_mass_points(base, spec.masses)
+    return OrthoBasis(spec, rec, add_mass_points(rec, spec.masses))
 
 
 def cd_kernel(basis: OrthoBasis, n: int, x, y):
     """Christoffel-Darboux kernel L_n(x,y) = sum_{j<=n} P_j(x) P_j(y)."""
-    if n > basis.degree:
-        raise DegreeOutOfRange(f"degree {n} exceeds cap {basis.degree}")
     scalar = np.isscalar(x) and np.isscalar(y)
     px = basis.eval_all(x, n)
     py = basis.eval_all(y, n)
@@ -743,8 +734,6 @@ def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int):
     Finiteness and stability of the returned sequence verify the kernel
     estimates empirically; the constant itself is not asserted.
     """
-    if N > basis.degree:
-        raise DegreeOutOfRange(f"degree {N} exceeds cap {basis.degree}")
     m = 400
     x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
     seq = kernel_sequence(basis, x, a, N)
@@ -782,8 +771,7 @@ def modified_bases(spec: MeasureSpec, N: int):
     """Recurrences, length N+1, of prod_{a in A}(x-a)^2 d-mu for every subset A of the mass
     locations, from mu's one recurrence: A takes a ``quadratic_step`` from A without its last."""
     validate(spec)
-    if N < 0:
-        raise DegreeOutOfRange(f"degree {N} is below 0, the lowest degree a basis reaches")
+    _check_degree(N)
     full = {(): recurrence_for(spec.base, N + 1 + len(spec.masses))}
     for A in mass_subsets(spec.mass_locations)[1:]:
         full[A] = quadratic_step(full[A[:-1]], A[-1])

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, NonFiniteWeight, PointOnBoundary, SpecError
-from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
+from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre, validate
 from .norms import GridFunction
 from .opoly import (
     OrthoBasis,
+    _check_degree,
     add_mass_points,
     basis_for,
     classical_recurrence,
@@ -68,8 +69,7 @@ def _as_values(f, nodes):
 
 
 def _check_grid(basis: OrthoBasis, f: GridFunction, n: int):
-    if n > basis.degree:
-        raise DegreeOutOfRange(f"degree {n} exceeds cap {basis.degree}")
+    _check_degree(n, basis.degree)
     for mp in basis.measure.masses:
         if mp.location not in f.nodes[f.atom_idx]:
             raise GridMismatch(f"grid lacks an atom at mass point {mp.location}")
@@ -215,10 +215,9 @@ def q_basis_for(nu_basis: OrthoBasis) -> OrthoBasis:
     """Orthonormal basis for (1-x^2) d-nu matching the degree cap of nu: two Cholesky
     steps on mu's recurrence (I - J of nu is nearly singular with an atom at 1),
     then ``q_measure``'s atoms by RKPW."""
-    spec = q_measure(nu_basis.measure)
-    N = nu_basis.degree
-    rec = linear_step(linear_step(recurrence_for(nu_basis.measure.base, N + 3), 1.0), -1.0)
-    return add_mass_points(OrthoBasis(spec.with_masses(()), rec, N, rec), spec.masses)
+    spec = validate(q_measure(nu_basis.measure))
+    rec = linear_step(linear_step(recurrence_for(nu_basis.measure.base, nu_basis.degree + 3), 1.0), -1.0)
+    return OrthoBasis(spec, rec, add_mass_points(rec, spec.masses))
 
 
 @dataclass
@@ -286,8 +285,8 @@ def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     n ~ 540, so t^2 is formed as a product of ratios.  As t -> 1 the limits
     are -1/2 and 1/2.
     """
-    if n + 1 > nu_basis.degree or n > q_basis.degree:
-        raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
+    if not 0 <= n < nu_basis.degree or n > q_basis.degree:
+        raise DegreeOutOfRange(f"Pollard parts need 0 <= n and degree n+1 in both bases, got n = {n}")
     b_nu, b_q = nu_basis.nu_rec.betas, q_basis.nu_rec.betas
     t2 = float(b_nu[n + 1] * np.prod(b_nu[: n + 1] / b_q[: n + 1]))
     return -t2 / (1.0 + t2), math.sqrt(t2) / (1.0 + t2)
@@ -301,8 +300,8 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     reference for ``pollard_coefficients`` in the tests and the benchmark;
     the library itself never calls it.
     """
-    if n + 1 > nu_basis.degree or n > q_basis.degree:
-        raise DegreeOutOfRange("Pollard parts need degree n+1 in both bases")
+    if not 0 <= n < nu_basis.degree or n > q_basis.degree:
+        raise DegreeOutOfRange(f"Pollard parts need 0 <= n and degree n+1 in both bases, got n = {n}")
     rule = _pollard_rule(nu_basis.measure, n)
     x = np.linspace(-0.87, 0.87, 31) + 1.3e-4  # interior, off the nodes
     z = np.concatenate([rule[0], x])

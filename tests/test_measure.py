@@ -180,6 +180,31 @@ def test_check_conditions_matches_endpoint_window():
         assert check_conditions(spec, u, v, p).verdict is expect, p
 
 
+def test_check_conditions_is_closed_under_duality():
+    # S_n is self-adjoint in L^2(nu), so (p, u, v) and (p', 1/v, 1/u) bound the same norm:
+    # each upper line at one is the lower line at the other, and each coupling line itself
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(200):
+        locs = rng.choice(np.linspace(-0.9, 0.9, 19), size=rng.integers(0, 3), replace=False)
+        sing = tuple((float(t), float(rng.uniform(-0.9, 2.0))) for t in sorted(locs))
+        spec = MeasureSpec(GenJacobiSpec(*rng.uniform(-0.9, 2.0, 2), sing), (MassPoint(1.0, 1.0),))
+        u, v = (PowerWeightSpec(*rng.uniform(-0.6, 0.6, 2), tuple(rng.uniform(-0.6, 0.6, len(sing))))
+                for _ in range(2))
+        p = float(rng.uniform(1.1, 6.0))
+        inv = lambda w: PowerWeightSpec(-w.a, -w.b, tuple(-g for g in w.g))
+        rep, dual = check_conditions(spec, u, v, p), check_conditions(spec, inv(v), inv(u), p / (p - 1))
+        assert rep.verdict == dual.verdict
+        verdicts.add(rep.verdict)
+        partner = {"upper": "lower", "lower": "upper", "couple": "couple"}
+        for line in rep.lines:
+            block, _, where = line.label.partition(".")
+            other = dual.line(f"{partner[block]}.{where}")
+            assert line.satisfied == other.satisfied, line.label
+            assert abs(line.margin - other.margin) <= 4 * np.spacing(3.0), line.label
+    assert verdicts == {True, False}
+
+
 def test_check_conditions_rejects_bad_p_and_base():
     u = v = PowerWeightSpec()
     with pytest.raises(SpecError):

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from masspoly import norms
 from masspoly import (
+    DegreeOutOfRange,
     GenJacobiSpec,
     Grid,
     GridFunction,
@@ -700,6 +701,23 @@ def test_probes_reject_a_grid_too_coarse_for_the_top_degree(mode):
     with pytest.raises(GridTooSmall, match="at least 41"):
         calls[mode](make_grid(SPEC, 40))  # 40 Gauss nodes plus the atom
     assert len(calls[mode](make_grid(SPEC, 41)).entries) == len(default_degree_list(40))
+
+
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
+def test_probes_check_their_degree_list(mode):
+    # a degree -1 used to read phi[-1], the top row, or raise a bare KeyError
+    spec = legendre([MassPoint(1.0, 1.0)])
+    basis, grid = basis_for(spec, 10), make_grid(spec, 40)
+    b = bmo_symbols()["smooth_step"]
+    calls = {
+        "strong": lambda ns: strong_probe(basis, grid, 3.0, ns=ns),
+        "commutator": lambda ns: commutator_probe(basis, grid, b, 3.0, ns=ns),
+        "maximal": lambda ns: maximal_probe(basis, grid, 3.0, ns=ns),
+    }
+    with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
+        calls[mode]([-1, 4, 6, 8, 10])
+    with pytest.raises(SpecError, match="at least one degree"):
+        calls[mode]([])
 
 
 @pytest.mark.parametrize("m", [0, -5])

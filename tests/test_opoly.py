@@ -1,6 +1,8 @@
+import dataclasses
 import operator
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -130,14 +132,15 @@ def test_gauss_points_two_point_legendre():
     xs, ws = gauss_points(rec, 2)
     assert np.allclose(sorted(xs), [-1 / np.sqrt(3), 1 / np.sqrt(3)])
     assert np.allclose(ws, [1.0, 1.0])
-    with pytest.raises(GridTooSmall):
-        gauss_points(rec, 10)
+    for m in (10, 0, -1):
+        with pytest.raises(GridTooSmall, match=r"outside 1\.\.4"):
+            gauss_points(rec, m)
 
 
 def test_gauss_weights_sum_to_total_mass():
     rec = classical_recurrence(GenJacobiSpec(0.5, 0.5), 12)
     _, ws = gauss_points(rec, 8)
-    assert np.sum(ws) == pytest.approx(rec.total_mass)
+    assert np.sum(ws) == pytest.approx(rec.betas[0])
 
 
 @pytest.mark.parametrize("base, m", [(LaguerreSpec(0.0), 100), (LaguerreSpec(1.0), 150), (HermiteSpec(), 120)])
@@ -157,7 +160,7 @@ def test_gauss_jacobi_rule_against_scipy(a, b, order):
     x_ref, w_ref = scipy.special.roots_jacobi(order, a, b)
     assert np.max(np.abs(xs - x_ref)) <= 4e-15
     rec = classical_recurrence(GenJacobiSpec(a, b), order)
-    assert abs(ws.sum() / rec.total_mass - 1) <= 2e-15
+    assert abs(ws.sum() / rec.betas[0] - 1) <= 2e-15
 
     def gram_residual(x, w):
         phi = rec.table(x, order - 1)
@@ -173,9 +176,9 @@ def test_gauss_jacobi_rule_against_scipy(a, b, order):
 def test_mass_basis_hand_example():
     # Lebesgue on [-1,1] plus delta_1: P_1 = (sqrt(3)/2)(x - 1/3)
     basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 3)
-    assert basis.eval(1, 0.0) == pytest.approx(-np.sqrt(3.0) / 6.0)
-    assert basis.eval(1, 1.0 / 3.0) == pytest.approx(0.0, abs=1e-14)
-    assert basis.eval(0, 0.5) == pytest.approx(1.0 / np.sqrt(3.0))  # total mass 3
+    assert basis.eval_all(0.0, 1)[1] == pytest.approx(-np.sqrt(3.0) / 6.0)
+    assert basis.eval_all(1.0 / 3.0, 1)[1] == pytest.approx(0.0, abs=1e-14)
+    assert basis.eval_all(0.5, 0)[0] == pytest.approx(1.0 / np.sqrt(3.0))  # total mass 3
 
 
 def test_orthonormality_with_masses():
@@ -209,6 +212,8 @@ def test_degree_cap_raises():
         basis.eval_all(np.array([0.0]), 6)
     with pytest.raises(DegreeOutOfRange):
         cd_kernel(basis, 6, 0.0, 0.0)
+    with pytest.raises(DegreeOutOfRange, match=r"degree 6 exceeds cap 5"):
+        kernel_envelope_ratio(basis, 1.0, 6)
 
 
 @pytest.mark.parametrize("spec", [
@@ -223,6 +228,25 @@ def test_a_negative_degree_is_out_of_range(spec):
     assert all(len(rec) == 1 for rec in modified_bases(spec, 0).values())
 
 
+def test_a_negative_degree_fails_typed_on_every_basis_call():
+    basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 10)
+    x = np.linspace(-0.9, 0.9, 5)
+    for call in (
+        lambda: basis.eval_all(x, -1),
+        lambda: cd_kernel(basis, -1, x, x),
+        lambda: kernel_sequence(basis, x, 1.0, -1),
+        lambda: kernel_envelope_ratio(basis, 1.0, -1),
+    ):
+        with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0, the lowest degree a basis reaches"):
+            call()
+
+
+def test_the_degree_cap_is_the_length_of_nu_rec():
+    basis = basis_for(legendre([MassPoint(0.3, 1.0)]), 7)
+    assert basis.degree == len(basis.nu_rec) - 1 == len(basis.rec) - 1 == 7
+    assert "degree" not in {f.name for f in dataclasses.fields(basis)}
+
+
 def test_cd_kernel_reproducing_property():
     spec = legendre([MassPoint(0.3, 1.0)])
     basis = basis_for(spec, 10)
@@ -232,7 +256,7 @@ def test_cd_kernel_reproducing_property():
     for k in range(7):
         pk = basis.eval_all(xs, k)[k]
         integral = np.sum(ws * K * pk)
-        assert integral == pytest.approx(basis.eval(k, y), abs=1e-12)
+        assert integral == pytest.approx(basis.eval_all(y, k)[k], abs=1e-12)
 
 
 def test_kernel_sequence_matches_cd_kernel():
@@ -638,7 +662,7 @@ def _householder_mass_update(rec, N, masses):
     A = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     A[0, N + 2 :] = A[N + 2 :, 0] = np.sqrt([mp.mass for mp in masses])
     T = scipy.linalg.hessenberg(A)
-    total = rec.total_mass + sum(mp.mass for mp in masses)
+    total = rec.betas[0] + sum(mp.mass for mp in masses)
     return np.diag(T)[1 : N + 2], np.concatenate([[total], np.diag(T, -1)[1 : N + 1] ** 2])
 
 
@@ -669,3 +693,21 @@ def test_mass_update_matches_householder_reference(base, masses, N):
     scale = np.max(np.abs(rec.alphas)) + np.max(np.sqrt(rec.betas[1:]))
     assert np.max(np.abs(basis.nu_rec.alphas - alphas)) <= 1e-13 * scale
     np.testing.assert_allclose(basis.nu_rec.betas, betas, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("alpha, M", [(0.0, 1.0), (0.5, 2.0), (2.5, 1e-3), (-0.5, 10.0)])
+def test_laguerre_mass_betas_against_uvarov_closed_form(alpha, M):
+    # Laguerre(alpha) + M delta_0: monic norms H_n = n! Gamma(n+alpha+1) r_n / r_{n-1} with
+    # r_n = 1 + M K_n(0,0), K_n(0,0) = Gamma(n+alpha+2) / (n! (alpha+1) Gamma(alpha+1)^2), r_{-1} = 1;
+    # b_0 = H_0 and b_n = H_n / H_{n-1}
+    N = 1000
+    betas = basis_for(MeasureSpec(LaguerreSpec(alpha), (MassPoint(0.0, M),)), N).nu_rec.betas
+    with mpmath.workdps(40):
+        a, m = mpmath.mpf(alpha), mpmath.mpf(M)
+
+        def r(n):
+            return 1 + m * mpmath.gamma(n + a + 2) / (mpmath.factorial(n) * (a + 1) * mpmath.gamma(a + 1) ** 2)
+
+        H = [mpmath.factorial(n) * mpmath.gamma(n + a + 1) * r(n) / (r(n - 1) if n else 1) for n in range(N + 1)]
+        exact = np.array([float(H[0])] + [float(H[n] / H[n - 1]) for n in range(1, N + 1)])
+    assert np.max(np.abs(betas / exact - 1)) <= 2e-15

@@ -1,10 +1,11 @@
-"""The three degree loops against the allocating loops they replaced, float for float.
+"""The two degree loops, and the Christoffel weights built on one, against plain loops, float for float.
 
-``opoly._stieltjes``, ``_kernels.recurrence_table`` and the Christoffel-number
-loop of ``opoly.gauss_points`` run in preallocated rows with in-place ufuncs,
-and ``gauss_points`` renormalizes every 8 steps.  Each does the same float
-operations in the same order as the loops below, so every coefficient, table
-row and weight must be bit-identical to theirs.
+``opoly._stieltjes`` and ``_kernels.recurrence_table`` run in preallocated
+rows with in-place ufuncs.  ``opoly.gauss_points`` sums its Christoffel
+numbers over ``recurrence_table`` blocks of 8 degrees and renormalizes after
+each block.  Each does the same float operations in the same order as the
+loops below, so every coefficient, table row and weight must be bit-identical
+to theirs.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -270,7 +271,14 @@ def test_commutator_psi_split_residual():
 def test_each_operator_call_evaluates_each_basis_once(monkeypatch):
     calls = []
     table = opoly.recurrence_table
-    monkeypatch.setattr(opoly, "recurrence_table", lambda *a, **k: calls.append(1) or table(*a, **k))
+
+    def counted(*args, **kwargs):
+        # a basis table comes from Recurrence.table; gauss_points' blocks build a Gauss rule
+        if sys._getframe(1).f_code is opoly.Recurrence.table.__code__:
+            calls.append(1)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(opoly, "recurrence_table", counted)
     spec = legendre([MassPoint(0.3, 1.0), MassPoint(1.0, 1.0)])
     nu_basis, mu_basis = basis_for(spec, 22), basis_for(legendre(), 22)
     q_nu, q_mu = q_basis_for(nu_basis), q_basis_for(mu_basis)
@@ -348,6 +356,23 @@ def test_laguerre_q_at_zero_against_mpmath(alpha):
     ns = np.append(np.arange(0, 1000, 37), 1000)
     exact = [mpmath.sqrt(mpmath.gamma(n + alpha + 2) / mpmath.factorial(n)) / mpmath.gamma(alpha + 2) for n in ns]
     assert np.max(np.abs(laguerre_q_at_zero(alpha, ns) / np.array(exact, dtype=float) - 1.0)) < 1e-14
+
+
+def test_operators_and_pollard_coefficients_reject_a_negative_degree():
+    nu_basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 10)
+    q_basis = q_basis_for(nu_basis)
+    f = make_grid(nu_basis.measure, 30).fn(np.cos)
+    x = np.linspace(-0.5, 0.5, 3)
+    for call in (
+        lambda: partial_sum(nu_basis, f, -1, x),
+        lambda: maximal_op(nu_basis, f, -1, x),
+        lambda: commutator(nu_basis, np.sin, f, -1, x),
+        lambda: pollard_coefficients(nu_basis, q_basis, -1),
+        lambda: fit_pollard_coefficients(nu_basis, q_basis, -1),
+        lambda: pollard_parts(nu_basis, q_basis, np.cos, -1, x),
+    ):
+        with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0|0 <= n .* got n = -1"):
+            call()
 
 
 def test_laguerre_mass_kernel_rejects_a_negative_degree():
