@@ -1,12 +1,18 @@
 """Batch experiment driver.
 
 Every subcommand is one row of ``COMMANDS``: its run function, its CSV
-header, its parameters and any extra flags.  Adding a subcommand means adding
-one row; one runner does the rest for all of them.  It loads --config, builds
-the measure and resolves each parameter from its flag, then the config, then
-its default.  A default is a value or a function of the parameters resolved
-before it.  A top-level config key the command does not read (its parameters,
-seed, u, v and measure) is rejected, never ignored.
+header, its parameters and, on a command that builds its own measure, that
+measure.  ``_KEYS`` gives each parameter key its JSON type and its flag, if it
+has one.  A subcommand offers --config, --out, --format, the flags of its
+parameters (--seed among them) and, unless it builds its own measure, the
+measure flags --base, --alpha, --beta and --mass; any other flag is an
+argparse error.  Adding a subcommand means adding one row; one runner does
+the rest for all of them.  It loads --config, builds the measure and resolves
+each parameter from its flag, then the config, then its default.  A default
+is a value or a function of the parameters resolved before it.  A config
+value must have its key's JSON type and is kept as given, never coerced.  A
+top-level config key the command does not read (its parameters, seed, u, v
+and measure) is rejected, never ignored.
 
 The degree alone sizes every basis: no key sets the discretization behind a
 generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
@@ -17,9 +23,10 @@ a schema_version.  The JSON embeds the resolved config: the measure, the seed
 and every parameter.  Fed back through --config alone, it reruns the command
 with byte-identical output.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, a LAPACK
-failure (numpy's LinAlgError) included.  A NaN or infinite number anywhere in
-the output is a numerical failure, and then nothing is written.
+Exit codes: 0 success, 2 validation error (an argparse error included), 3
+numerical failure, a LAPACK failure (numpy's LinAlgError) included.  A NaN or
+infinite number anywhere in the output is a numerical failure, and then
+nothing is written.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -80,27 +87,19 @@ def _load_config(path):
     return cfg
 
 
-def _flag_base(name, alpha, beta):
-    if name == "legendre":
-        return GenJacobiSpec(0.0, 0.0)
-    if name == "jacobi":
-        return GenJacobiSpec(alpha, beta)
-    if name == "laguerre":
-        return LaguerreSpec(alpha)
-    if name == "hermite":
-        return HermiteSpec()
-    raise SpecError(f"unknown base {name!r}")
-
-
-def _flag_masses(args):
-    return tuple(_parse_mass(m) for m in (args.mass or []))
+# --base name -> (its parameters among --alpha and --beta, its base weight, which takes them in that order)
+_BASES = {
+    "legendre": ((), GenJacobiSpec),
+    "jacobi": (("alpha", "beta"), GenJacobiSpec),
+    "laguerre": (("alpha",), LaguerreSpec),
+    "hermite": ((), HermiteSpec),
+}
 
 
 def _build_measure(args, cfg) -> MeasureSpec:
     """The measure of the config's "measure", or else of the measure flags; never both.
 
-    --alpha and --beta must be parameters of the flagged base: --alpha of
-    jacobi or laguerre, --beta of jacobi.
+    --alpha and --beta must be parameters of the flagged base.
     """
     if "measure" in cfg:
         given = [f"--{key}" for key in ("base", "alpha", "beta", "mass") if getattr(args, key) is not None]
@@ -108,33 +107,24 @@ def _build_measure(args, cfg) -> MeasureSpec:
             raise SpecError(f"{', '.join(given)} cannot be combined with a config \"measure\"")
         return measure_from_dict(cfg["measure"])
     name = args.base or "legendre"
-    if args.alpha is not None and name in ("legendre", "hermite"):
-        raise SpecError(f"--alpha is not a parameter of the {name} base")
-    if args.beta is not None and name != "jacobi":
-        raise SpecError(f"--beta is not a parameter of the {name} base")
-    base = _flag_base(name, args.alpha or 0.0, args.beta or 0.0)
-    return validate(MeasureSpec(base, _flag_masses(args)))
+    takes, base = _BASES[name]
+    for key in ("alpha", "beta"):
+        if getattr(args, key) is not None and key not in takes:
+            raise SpecError(f"--{key} is not a parameter of the {name} base")
+    masses = tuple(_parse_mass(m) for m in args.mass or ())
+    return validate(MeasureSpec(base(*(getattr(args, key) or 0.0 for key in takes)), masses))
 
 
-def _check_own_measure(args, cfg, spec, prm):
-    """On a row that builds its own measure, --base, --mass and a config "measure" must describe it.
+def _check_own_measure(cfg, spec):
+    """On a row that builds its own measure, a config "measure" must be that measure.
 
-    Such a row takes --alpha, and --beta where it has one, as parameters; a
-    --beta it has no parameter for would be dropped, so it is rejected too.
-    A config "measure" equal to the built one passes, so the emitted config
-    replays.
+    One equal to the built measure passes, so the emitted config replays.
     """
     if "measure" in cfg and measure_from_dict(cfg["measure"]) != spec:
         raise SpecError(
             f"config \"measure\" {json.dumps(cfg['measure'], sort_keys=True)} is not the measure this "
             f"command builds, {json.dumps(measure_to_dict(spec), sort_keys=True)}"
         )
-    if args.beta is not None and "beta" not in prm:
-        raise SpecError("--beta is not a parameter of this command")
-    if args.base is not None and _flag_base(args.base, prm["alpha"], prm.get("beta", 0.0)) != spec.base:
-        raise SpecError(f"--base {args.base} does not describe the measure this command builds")
-    if args.mass is not None and _flag_masses(args) != spec.masses:
-        raise SpecError("--mass does not match the mass points this command builds")
 
 
 def _weights(prm):
@@ -317,9 +307,53 @@ class Command:
     run: Callable
     header: tuple
     params: tuple
-    flags: dict = field(default_factory=dict)
     measure: Callable | None = None
 
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class _JSONType:
+    """What a config value must be, and the argparse keywords of a flag that sets one."""
+
+    name: str
+    check: Callable
+    flag: dict = field(default_factory=dict)
+
+
+# a bool is no number: JSON true is not the integer 1
+_INTEGER = _JSONType("an integer", lambda v: _is_number(v) and isinstance(v, int), {"type": int})
+_NUMBER = _JSONType("a number", _is_number, {"type": float})
+_NUMBERS = _JSONType("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_BOOLEAN = _JSONType("true or false", lambda v: isinstance(v, bool), {"action": "store_true", "default": None})
+_TEXT = _JSONType("a string", lambda v: isinstance(v, str))
+_MODE = replace(_TEXT, flag={"choices": tuple(_PROBES)})
+_WEIGHT = _JSONType("a weight object or null", lambda v: v is None or isinstance(v, dict))
+
+# parameter key -> (JSON type of its value, its flag or None); a flag's argparse dest is its key,
+# so --n sets N or n, whichever the command reads
+_KEYS = {
+    "seed": (_INTEGER, "--seed"),
+    "u": (_WEIGHT, None),
+    "v": (_WEIGHT, None),
+    "N": (_INTEGER, "--n"),
+    "n": (_INTEGER, "--n"),
+    "p": (_NUMBER, "--p"),
+    "mode": (_MODE, "--mode"),
+    "decompose": (_BOOLEAN, "--decompose"),
+    "alpha": (_NUMBER, "--alpha"),  # parameters of the commands that build their own measure
+    "beta": (_NUMBER, "--beta"),
+    "M": (_NUMBER, None),
+    "a": (_NUMBER, None),
+    "t": (_NUMBER, None),
+    "points": (_NUMBERS, None),
+    "f_poly": (_NUMBERS, None),
+    "quad_size": (_INTEGER, None),
+    "grid_size": (_INTEGER, None),
+    "symbol": (_TEXT, None),
+}
 
 # every command also reads these; u and v are weight specs given only through --config
 _COMMON = (("seed", 0), ("u", None), ("v", None))
@@ -343,15 +377,12 @@ def _first_mass(spec, q):
     return spec.mass_locations[0] if spec.masses else 0.0
 
 
-_MODE_FLAG = {"--mode": {"choices": tuple(_PROBES), "default": None}}
-
 COMMANDS = {
     "recurrence": Command(_recurrence, ("k", "alpha_k", "beta_k"), (("N", 10),)),
     "basis": Command(_basis, _POINT_HEADER, (("N", 10), ("points", _POINTS))),
     "kernel": Command(
         _kernel, _POINT_HEADER,
         (("n", 10), ("a", _first_mass), ("points", _POINTS), ("decompose", False)),
-        flags={"--decompose": {"action": "store_true", "default": None}},
     ),
     "partial-sum": Command(_partial_sum, _POINT_HEADER, (("n", 10), *_sampled_params("n"))),
     "maximal": Command(_maximal, _POINT_HEADER, (("N", 10), *_sampled_params("N"))),
@@ -364,8 +395,8 @@ COMMANDS = {
         (("n", 10), ("f_poly", [1.0, 1.0]),
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
-    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong"), _MODE_FLAG),
-    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak"), _MODE_FLAG),
+    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong")),
+    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak")),
     "laguerre-mass": Command(
         _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
         (("alpha", 0.0), ("M", 1.0), ("N", 40)),
@@ -386,14 +417,18 @@ COMMANDS = {
 def _resolve(args, cfg, spec, params):
     """Each parameter from its flag, the config or its default, in order.
 
-    A parameter's flag is its lower-cased key, so --n sets both n and N.
+    A config value must have its key's JSON type.  It is kept as given, so the
+    recorded config replays byte for byte.
     """
     prm = {}
     for key, default in params:
-        flag = getattr(args, key.lower(), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             prm[key] = flag
         elif key in cfg:
+            kind = _KEYS[key][0]
+            if not kind.check(cfg[key]):
+                raise SpecError(f"config key {key!r} must be {kind.name}, got {json.dumps(cfg[key])}")
             prm[key] = cfg[key]
         else:
             prm[key] = default(spec, prm) if callable(default) else default
@@ -436,8 +471,8 @@ def run_command(args):
     spec = None if cmd.measure else _build_measure(args, cfg)
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
     if cmd.measure:
-        spec = cmd.measure(prm)
-        _check_own_measure(args, cfg, spec, prm)
+        spec = validate(cmd.measure(prm))
+        _check_own_measure(cfg, spec)
     data, rows = cmd.run(spec, prm)
     config = {key: value for key, value in prm.items() if value is not None}
     config["measure"] = measure_to_dict(spec)
@@ -453,18 +488,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--config")
+        p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--base", choices=("legendre", "jacobi", "laguerre", "hermite"), default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--mass", action="append", default=None, metavar="LOC:MASS")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--p", type=float, default=None)
-        for flag, kw in cmd.flags.items():
-            p.add_argument(flag, **kw)
+        if cmd.measure is None:
+            p.add_argument("--base", choices=tuple(_BASES))
+            p.add_argument("--alpha", type=float)
+            p.add_argument("--beta", type=float)
+            p.add_argument("--mass", action="append", metavar="LOC:MASS")
+        for key, _ in _COMMON + cmd.params:
+            kind, flag = _KEYS[key]
+            if flag:
+                p.add_argument(flag, dest=key, **kind.flag)
     return parser
 
 

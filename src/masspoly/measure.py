@@ -13,7 +13,7 @@ checkers evaluate those inequalities line by line with signed margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class MeasureSpec:
     def mass_locations(self):
         return tuple(m.location for m in self.masses)
 
-    def with_masses(self, masses):
-        return replace(self, masses=tuple(masses))
-
 
 def legendre(masses=()):
     """Convenience constructor: Lebesgue measure on [-1,1] plus masses."""
@@ -117,21 +114,21 @@ def validate(spec: MeasureSpec) -> MeasureSpec:
     """Check all type invariants; return the spec unchanged if they hold."""
     base = spec.base
     if isinstance(base, GenJacobiSpec):
-        if base.alpha <= -1 or base.beta <= -1:
+        if not (-1 < base.alpha < math.inf and -1 < base.beta < math.inf):
             raise ExponentOutOfRange(
-                f"edge exponents must be > -1, got alpha={base.alpha}, beta={base.beta}"
+                f"edge exponents must be finite and > -1, got alpha={base.alpha}, beta={base.beta}"
             )
         ts = [t for t, _ in base.singularities]
         for t, g in base.singularities:
-            if g <= -1:
-                raise ExponentOutOfRange(f"singularity exponent at t={t} must be > -1, got {g}")
+            if not -1 < g < math.inf:
+                raise ExponentOutOfRange(f"singularity exponent at t={t} must be finite and > -1, got {g}")
             if not (-1.0 < t < 1.0):
                 raise SpecError(f"singularity location {t} not strictly inside (-1,1)")
         if len(set(ts)) != len(ts):
             raise DuplicateLocation(f"repeated singularity locations in {ts}")
     elif isinstance(base, LaguerreSpec):
-        if base.alpha <= -1:
-            raise ExponentOutOfRange(f"Laguerre alpha must be > -1, got {base.alpha}")
+        if not -1 < base.alpha < math.inf:
+            raise ExponentOutOfRange(f"Laguerre alpha must be finite and > -1, got {base.alpha}")
     elif isinstance(base, HermiteSpec):
         pass
     else:
@@ -142,10 +139,10 @@ def validate(spec: MeasureSpec) -> MeasureSpec:
     if len(set(locs)) != len(locs):
         raise DuplicateLocation(f"repeated mass locations in {locs}")
     for m in spec.masses:
-        if m.mass <= 0:
-            raise MassNotPositive(f"mass at {m.location} must be positive, got {m.mass}")
-        if not (lo <= m.location <= hi):
-            raise SpecError(f"mass location {m.location} outside the support [{lo}, {hi}]")
+        if not 0 < m.mass < math.inf:
+            raise MassNotPositive(f"mass at {m.location} must be positive and finite, got {m.mass}")
+        if not (lo <= m.location <= hi and math.isfinite(m.location)):
+            raise SpecError(f"mass location {m.location} is not a finite point of the support [{lo}, {hi}]")
     return spec
 
 
@@ -293,15 +290,16 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
 def mean_convergence_endpoints(alpha: float, beta: float):
     """Endpoints (p0, p1) of the open interval of uniform L^p boundedness.
 
-    Defined when max(alpha, beta) > -1/2; the larger exponent drives both
-    formulas.  Always p0 < 2 < p1.
+    Defined for finite exponents with max(alpha, beta) > -1/2; the larger
+    exponent drives both formulas.  Always p0 < 2 < p1.
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ExponentOutOfRange(f"edge exponents must be finite, got alpha={alpha}, beta={beta}")
     m = max(alpha, beta)
     if m <= -0.5:
         raise NoEndpoint(f"max(alpha, beta) = {m} <= -1/2: no finite endpoints")
     p0 = 4 * (m + 1) / (2 * m + 3)
     p1 = 4 * (m + 1) / (2 * m + 1)
-    assert p0 < 2 < p1
     return p0, p1
 
 
@@ -379,7 +377,7 @@ def weight_from_dict(d) -> PowerWeightSpec:
         return PowerWeightSpec()
     _check_keys(d, ("a", "b", "g", "atMass"), "weight")
     try:
-        return PowerWeightSpec(
+        w = PowerWeightSpec(
             float(d.get("a", 0.0)),
             float(d.get("b", 0.0)),
             tuple(float(x) for x in d.get("g", [])),
@@ -387,4 +385,7 @@ def weight_from_dict(d) -> PowerWeightSpec:
         )
     except (TypeError, ValueError) as exc:
         raise SpecError(f"malformed weight spec: {exc}") from exc
+    if not all(map(math.isfinite, (w.a, w.b, *w.g))):
+        raise NonFiniteWeight(f"weight exponents a, b and g must be finite, got a={w.a:g}, b={w.b:g}, g={list(w.g)}")
+    return w
 

@@ -162,34 +162,26 @@ def _interior(x):
     return xs
 
 
-def _hilbert(gy, gx, x, rule):
-    """Principal value of int_{-1}^{1} g(y)/(x-y) dy from g at the rule nodes (gy) and at x (gx).
-
-    Singularity-subtracted quadrature: the smooth part integrates
-    (g(y)-g(x))/(x-y) and the subtracted constant contributes
-    g(x) log((1+x)/(1-x)).
-    """
-    y, wy = rule
-    diff = x[:, None] - y[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = (gy[None, :] - gx[:, None]) / diff
-    integrand = np.where(diff == 0.0, 0.0, integrand)
-    return integrand @ wy + gx * np.log((1.0 + x) / (1.0 - x))
-
-
 def hilbert_transform(g, x, rule=None, singular_points=()):
     """Principal value of int_{-1}^{1} g(y)/(x-y) dy, g read once at (rule nodes, x).
 
     Without a ``rule`` it integrates on ``lebesgue_rule_for(legendre(),
     singular_points)`` where singular points are given, else on the order-400
-    Gauss-Legendre rule.
+    Gauss-Legendre rule.  Singularity-subtracted quadrature: the smooth part
+    integrates (g(y)-g(x))/(x-y) and the subtracted constant contributes
+    g(x) log((1+x)/(1-x)).
     """
     xs = _interior(x)
     if rule is None:
         rule = lebesgue_rule_for(legendre(), singular_points) if singular_points else gauss_jacobi_rule(400)
-    m = len(rule[0])
-    gz = _as_values(g, np.concatenate([rule[0], xs]))
-    out = _hilbert(gz[:m], gz[m:], xs, rule)
+    y, wy = rule
+    gz = _as_values(g, np.concatenate([y, xs]))
+    gy, gx = gz[: len(y)], gz[len(y):]
+    diff = xs[:, None] - y[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = (gy[None, :] - gx[:, None]) / diff
+    integrand = np.where(diff == 0.0, 0.0, integrand)
+    out = integrand @ wy + gx * np.log((1.0 + xs) / (1.0 - xs))
     return float(out[0]) if np.isscalar(x) else out
 
 
@@ -263,8 +255,8 @@ def _pollard_w(values, fz, x, rule):
     w1 = p_next[m:] * np.sum(p_next[:m] * fz[:m] * wdy)
     g2 = q_part * fz * dens
     g3 = p_next * fz * dens
-    w2 = p_next[m:] * _hilbert(g2[:m], g2[m:], x, rule)
-    w3 = q_part[m:] * _hilbert(g3[:m], g3[m:], x, rule)
+    w2 = p_next[m:] * hilbert_transform(g2, x, rule)
+    w3 = q_part[m:] * hilbert_transform(g3, x, rule)
     return w1, w2, w3
 
 

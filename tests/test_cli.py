@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,14 +277,14 @@ def test_weak_probe_defaults_to_restricted(capsys):
 
 
 def test_endpoints_legendre(capsys):
-    code, doc = run_json(capsys, "endpoints", "--base", "legendre")
+    code, doc = run_json(capsys, "endpoints")
     assert code == 0
     assert doc["p0"] == pytest.approx(4.0 / 3.0)
     assert doc["p1"] == pytest.approx(4.0)
 
 
 def test_endpoints_undefined_exits_2():
-    assert main(["endpoints", "--base", "jacobi", "--alpha", "-0.6", "--beta", "-0.7"]) == 2
+    assert main(["endpoints", "--alpha", "-0.6", "--beta", "-0.7"]) == 2
 
 
 def test_check_conditions_verdicts(capsys):
@@ -398,18 +399,28 @@ def test_measure_flags_next_to_config_measure_exit_2(capsys, tmp_path, flags):
 
 
 @pytest.mark.parametrize("argv", [
+    # flags of parameters the command does not have
+    ["recurrence", "--p", "3"],
+    ["kernel", "--p", "3", "--n", "5"],
+    ["check-conditions", "--n", "7"],
+    ["endpoints", "--n", "5", "--p", "3"],
+    ["kernel", "--mode", "strong"],
+    ["probe", "--decompose"],
+    # measure flags on a command that builds its own measure
     ["endpoints", "--base", "laguerre", "--mass", "0:1"],
     ["endpoints", "--mass", "1:1"],
     ["endpoints", "--base", "legendre", "--alpha", "0.5"],
+    ["endpoints", "--base", "jacobi", "--alpha", "0.5"],
     ["laguerre-mass", "--base", "legendre", "--n", "10"],
     ["laguerre-mass", "--mass", "0:2", "--n", "10"],  # the mass is M from the config, default 1
     ["laguerre-mass", "--beta", "1", "--n", "10"],
 ])
-def test_measure_flags_contradicting_a_command_measure_exit_2(capsys, argv):
-    code = main(argv)
+def test_flags_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert code == 2
-    assert "SpecError" in captured.err
+    assert "error: unrecognized arguments: " in captured.err
     assert captured.out == ""
 
 
@@ -431,14 +442,6 @@ def test_config_measure_contradicting_a_command_measure_exits_2(capsys, tmp_path
     assert json.dumps(measure, sort_keys=True) in captured.err
     built = COMMANDS[name].measure({"alpha": 0.0, "beta": 0.0, "M": 1.0})
     assert json.dumps(measure_to_dict(built), sort_keys=True) in captured.err
-
-
-def test_measure_flags_describing_a_command_measure_are_accepted(capsys):
-    code, plain = run(capsys, "laguerre-mass", "--alpha", "0.5", "--n", "10")
-    assert code == 0
-    code, flagged = run(capsys, "laguerre-mass", "--base", "laguerre", "--alpha", "0.5", "--mass", "0:1", "--n", "10")
-    assert code == 0
-    assert flagged == plain
 
 
 @pytest.mark.parametrize("flags", [
@@ -504,17 +507,29 @@ def test_replay_cases_cover_every_command():
 
 
 def test_subcommands_keep_their_flags():
-    common = {"-h", "--help", "--config", "--seed", "--out", "--format", "--base", "--alpha", "--beta",
-              "--mass", "--n", "--p"}
-    extra = {"kernel": {"--decompose"}, "probe": {"--mode"}, "weak-probe": {"--mode"}}
+    # the common four, the measure flags unless the command builds its own measure, its parameters' flags
+    common = {"-h", "--help", "--config", "--seed", "--out", "--format"}
+    measure = {"--base", "--alpha", "--beta", "--mass"}
+    own = {
+        "recurrence": measure | {"--n"},
+        "basis": measure | {"--n"},
+        "kernel": measure | {"--n", "--decompose"},
+        "partial-sum": measure | {"--n"},
+        "maximal": measure | {"--n"},
+        "commutator": measure | {"--n"},
+        "pollard": measure | {"--n"},
+        "probe": measure | {"--mode", "--p", "--n"},
+        "weak-probe": measure | {"--mode", "--p", "--n"},
+        "laguerre-mass": {"--alpha", "--n"},
+        "endpoints": {"--alpha", "--beta"},
+        "check-conditions": measure | {"--p"},
+    }
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(subparsers.choices) == sorted([
-        "recurrence", "basis", "kernel", "partial-sum", "maximal", "commutator", "pollard", "probe",
-        "weak-probe", "laguerre-mass", "endpoints", "check-conditions",
-    ])
+    assert sorted(subparsers.choices) == sorted(own)
     for name, sub in subparsers.choices.items():
         options = {opt for action in sub._actions for opt in action.option_strings}
-        assert options == common | extra.get(name, set()), name
+        assert options == common | own[name], name
+    assert sum(len(common | flags) - 2 for flags in own.values()) == 107  # -h and --help not counted
 
 
 # a probe grid resolves degree N only with at least N + 1 Gauss nodes
@@ -658,3 +673,63 @@ def test_weight_lists_matching_the_measure_run(capsys, tmp_path):
     code, doc = run_json(capsys, "probe", "--p", "3", "--n", "30", "--mode", "maximal", "--config", str(cfg))
     assert code == 0
     assert doc["report"]["u"] == _record(g=[0.25], at_mass=[2.0, 0.5])
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (["recurrence"], {"N": "10"}, 'config key \'N\' must be an integer, got "10"'),
+    (["recurrence"], {"N": 10.5}, "config key 'N' must be an integer, got 10.5"),
+    (["recurrence"], {"N": None}, "config key 'N' must be an integer, got null"),
+    (["recurrence"], {"N": True}, "config key 'N' must be an integer, got true"),  # would run as N = 1
+    (["probe", *LEGENDRE_MASS], {"p": "3"}, 'config key \'p\' must be a number, got "3"'),
+    (["probe", *LEGENDRE_MASS], {"grid_size": 100.5}, "config key 'grid_size' must be an integer, got 100.5"),
+    (["probe", *LEGENDRE_MASS, "--p", "3"], {"seed": "x"}, 'config key \'seed\' must be an integer, got "x"'),
+    (["probe", *LEGENDRE_MASS, "--p", "2"], {"seed": "x"}, 'config key \'seed\' must be an integer, got "x"'),
+    (["basis"], {"points": 5}, "config key 'points' must be a list of numbers, got 5"),
+    (["partial-sum"], {"f_poly": [1.0, "x"]}, 'config key \'f_poly\' must be a list of numbers, got [1.0, "x"]'),
+    (["kernel", *LEGENDRE_INNER_MASS], {"decompose": 1}, "config key 'decompose' must be true or false, got 1"),
+    (["laguerre-mass"], {"M": False}, "config key 'M' must be a number, got false"),
+    (["commutator"], {"symbol": 2}, "config key 'symbol' must be a string, got 2"),
+    (["weak-probe", *LEGENDRE_MASS], {"u": 0.25}, "config key 'u' must be a weight object or null, got 0.25"),
+])
+def test_config_values_of_the_wrong_json_type_exit_2(capsys, tmp_path, argv, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([*argv, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"SpecError: {message}\n"
+
+
+def test_config_values_are_recorded_as_given(capsys, tmp_path):
+    # an integer read as a real number stays an integer, so the recorded config replays byte for byte
+    path = tmp_path / "cfg.json"
+    path.write_text('{"p": 3, "u": {"a": 0.25}}')
+    code, doc = run_json(capsys, "check-conditions", *LEGENDRE_MASS, "--config", str(path))
+    assert code == 0
+    assert json.dumps(doc["config"]["p"]) == "3"
+
+
+NAN_GAMMA = {"measure": {"base": {"kind": "genjacobi", "singularities": [{"t": 0.0, "gamma": math.nan}]}}}
+
+
+@pytest.mark.parametrize("argv, cfg, error", [
+    (["recurrence", "--mass", "0:inf", "--n", "3"], None, "MassNotPositive"),
+    (["recurrence", "--base", "hermite", "--mass", "inf:1", "--n", "3"], None, "SpecError"),
+    (["recurrence", "--base", "jacobi", "--alpha", "inf", "--n", "3"], None, "ExponentOutOfRange"),
+    (["recurrence", "--base", "jacobi", "--alpha", "nan", "--n", "3"], None, "ExponentOutOfRange"),
+    (["recurrence", "--n", "3"], NAN_GAMMA, "ExponentOutOfRange"),
+    (["check-conditions", "--p", "3"], {"u": {"a": math.nan}}, "NonFiniteWeight"),
+    (["endpoints", "--alpha", "inf"], None, "ExponentOutOfRange"),
+    # a measure validate rejects, which the recorded config would not replay
+    (["endpoints", "--alpha", "-5", "--beta", "0"], None, "ExponentOutOfRange"),
+    (["laguerre-mass", "--alpha", "nan", "--n", "5"], None, "ExponentOutOfRange"),
+])
+def test_non_finite_or_out_of_domain_measures_exit_2(capsys, tmp_path, argv, cfg, error):
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{error}: ")

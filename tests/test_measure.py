@@ -14,6 +14,7 @@ from masspoly import (
     MassPoint,
     MeasureSpec,
     NoEndpoint,
+    NonFiniteWeight,
     PowerWeightSpec,
     SpecError,
     check_conditions,
@@ -61,6 +62,23 @@ def test_validate_mass_constraints():
         validate(MeasureSpec(LaguerreSpec(0.0), (MassPoint(-1.0, 1.0),)))
 
 
+@pytest.mark.parametrize("spec, error", [
+    (MeasureSpec(GenJacobiSpec(math.inf, 0.0)), ExponentOutOfRange),
+    (MeasureSpec(GenJacobiSpec(0.0, math.nan)), ExponentOutOfRange),
+    (MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, math.nan),))), ExponentOutOfRange),
+    (MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, math.inf),))), ExponentOutOfRange),
+    (MeasureSpec(LaguerreSpec(math.inf)), ExponentOutOfRange),
+    (MeasureSpec(LaguerreSpec(math.nan)), ExponentOutOfRange),
+    (legendre([MassPoint(0.0, math.inf)]), MassNotPositive),
+    (legendre([MassPoint(0.0, math.nan)]), MassNotPositive),
+    (MeasureSpec(HermiteSpec(), (MassPoint(math.inf, 1.0),)), SpecError),
+    (MeasureSpec(LaguerreSpec(0.0), (MassPoint(math.inf, 1.0),)), SpecError),
+])
+def test_validate_rejects_non_finite_numbers(spec, error):
+    with pytest.raises(error):
+        validate(spec)
+
+
 def test_measure_json_round_trip():
     spec = MeasureSpec(
         GenJacobiSpec(-0.5, 0.5, ((0.0, 1.0),)),
@@ -93,6 +111,12 @@ def test_power_weight_values_and_mass_override():
 ])
 def test_weight_from_dict_rejects_unknown_keys(d):
     with pytest.raises(SpecError):
+        weight_from_dict(d)
+
+
+@pytest.mark.parametrize("d", [{"a": math.nan}, {"b": math.inf}, {"g": [0.5, -math.inf]}])
+def test_weight_from_dict_rejects_non_finite_exponents(d):
+    with pytest.raises(NonFiniteWeight):
         weight_from_dict(d)
 
 
@@ -170,6 +194,12 @@ def test_mean_convergence_endpoints_legendre():
 def test_mean_convergence_endpoints_need_large_exponent():
     with pytest.raises(NoEndpoint):
         mean_convergence_endpoints(-0.6, -0.7)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.5)])
+def test_mean_convergence_endpoints_reject_non_finite_exponents(alpha, beta):
+    with pytest.raises(ExponentOutOfRange):
+        mean_convergence_endpoints(alpha, beta)
 
 
 def test_check_conditions_matches_endpoint_window():

@@ -18,6 +18,7 @@ from masspoly import (
     legendre,
     make_grid,
     opoly,
+    transforms,
 )
 from masspoly.norms import Grid
 from masspoly.opoly import basis_for, cd_kernel, gauss_points, recurrence_for
@@ -111,6 +112,21 @@ def test_hilbert_transform_quadratic_antiderivative():
 def test_hilbert_transform_rejects_boundary():
     with pytest.raises(PointOnBoundary):
         hilbert_transform(lambda y: np.ones_like(y), 1.0)
+
+
+def test_pollard_parts_take_their_hilbert_transforms_from_hilbert_transform(monkeypatch):
+    # W2 and W3 are principal values; a profile attributes their time to hilbert_transform
+    calls = []
+
+    def counted(g, x, rule=None, singular_points=()):
+        calls.append(len(x))
+        return hilbert_transform(g, x, rule, singular_points)
+
+    monkeypatch.setattr(transforms, "hilbert_transform", counted)
+    nu_basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 17)
+    parts = pollard_parts(nu_basis, q_basis_for(nu_basis), lambda y: 1.0 + y, 16, np.linspace(-0.8, 0.8, 7))
+    assert calls == [7, 7]
+    assert parts.residual < 1e-8
 
 
 def test_q_measure_bumps_exponents_and_masses():
