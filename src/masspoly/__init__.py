@@ -35,7 +35,6 @@ from .measure import (
     mean_convergence_endpoints,
     measure_from_dict,
     measure_to_dict,
-    validate,
     weight_from_dict,
     weight_to_dict,
 )

@@ -10,9 +10,9 @@ argparse error.  Adding a subcommand means adding one row; one runner does
 the rest for all of them.  It loads --config, builds the measure and resolves
 each parameter from its flag, then the config, then its default.  A default
 is a value or a function of the parameters resolved before it.  A config
-value must have its key's JSON type and is kept as given, never coerced.  A
-top-level config key the command does not read (its parameters, seed, u, v
-and measure) is rejected, never ignored.
+value must have its key's JSON type, a number a finite one, and is kept as
+given, never coerced.  A top-level config key the command does not read
+(its parameters, seed, u, v and measure) is rejected, never ignored.
 
 The degree alone sizes every basis: no key sets the discretization behind a
 generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
@@ -35,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -53,7 +54,6 @@ from .measure import (
     mean_convergence_endpoints,
     measure_from_dict,
     measure_to_dict,
-    validate,
     weight_from_dict,
 )
 from .opoly import basis_for, cd_kernel, kernel_decomposition, modified_bases
@@ -112,7 +112,7 @@ def _build_measure(args, cfg) -> MeasureSpec:
         if getattr(args, key) is not None and key not in takes:
             raise SpecError(f"--{key} is not a parameter of the {name} base")
     masses = tuple(_parse_mass(m) for m in args.mass or ())
-    return validate(MeasureSpec(base(*(getattr(args, key) or 0.0 for key in takes)), masses))
+    return MeasureSpec(base(*(getattr(args, key) or 0.0 for key in takes)), masses)
 
 
 def _check_own_measure(cfg, spec):
@@ -311,7 +311,8 @@ class Command:
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: JSON's NaN and Infinity load as floats, and a huge JSON integer is still finite."""
+    return isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -471,7 +472,7 @@ def run_command(args):
     spec = None if cmd.measure else _build_measure(args, cfg)
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
     if cmd.measure:
-        spec = validate(cmd.measure(prm))
+        spec = cmd.measure(prm)
         _check_own_measure(cfg, spec)
     data, rows = cmd.run(spec, prm)
     config = {key: value for key, value in prm.items() if value is not None}

@@ -1,4 +1,4 @@
-"""Measure and weight specifications, validation and analytic condition checkers.
+"""Measure and weight specifications and analytic condition checkers.
 
 The central object is a measure of the form
 
@@ -8,6 +8,11 @@ where mu is a generalized Jacobi weight on [-1,1] (or a Laguerre / Hermite
 weight) and the a_i are finitely many mass points.  Power weights u, v enter
 through the boundedness inequalities of the partial-sum operators; the
 checkers evaluate those inequalities line by line with signed margins.
+
+Every spec checks itself when it is built: a base weight its exponents and
+singularities, a measure its base type and then its masses, a power weight
+its exponents and its values at the mass points.  A spec that exists is
+valid, so no function that takes one checks it again.
 """
 
 from __future__ import annotations
@@ -45,6 +50,20 @@ class GenJacobiSpec:
     kind = "genjacobi"
     support = (-1.0, 1.0)
 
+    def __post_init__(self):
+        if not (-1 < self.alpha < math.inf and -1 < self.beta < math.inf):
+            raise ExponentOutOfRange(
+                f"edge exponents must be finite and > -1, got alpha={self.alpha}, beta={self.beta}"
+            )
+        for t, g in self.singularities:
+            if not -1 < g < math.inf:
+                raise ExponentOutOfRange(f"singularity exponent at t={t} must be finite and > -1, got {g}")
+            if not (-1.0 < t < 1.0):
+                raise SpecError(f"singularity location {t} not strictly inside (-1,1)")
+        ts = [t for t, _ in self.singularities]
+        if len(set(ts)) != len(ts):
+            raise DuplicateLocation(f"repeated singularity locations in {ts}")
+
     @property
     def is_classical(self):
         return len(self.singularities) == 0
@@ -66,6 +85,10 @@ class LaguerreSpec:
     kind = "laguerre"
     support = (0.0, math.inf)
     singularities = ()
+
+    def __post_init__(self):
+        if not -1 < self.alpha < math.inf:
+            raise ExponentOutOfRange(f"Laguerre alpha must be finite and > -1, got {self.alpha}")
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -93,8 +116,23 @@ class MassPoint:
 
 @dataclass(frozen=True)
 class MeasureSpec:
+    """A base weight plus point masses: positive, finite, at distinct finite points of its support."""
+
     base: object
     masses: tuple = ()
+
+    def __post_init__(self):
+        if not isinstance(self.base, (GenJacobiSpec, LaguerreSpec, HermiteSpec)):
+            raise SpecError(f"unknown base weight {self.base!r}")
+        lo, hi = self.base.support
+        locs = list(self.mass_locations)
+        if len(set(locs)) != len(locs):
+            raise DuplicateLocation(f"repeated mass locations in {locs}")
+        for m in self.masses:
+            if not 0 < m.mass < math.inf:
+                raise MassNotPositive(f"mass at {m.location} must be positive and finite, got {m.mass}")
+            if not (lo <= m.location <= hi and math.isfinite(m.location)):
+                raise SpecError(f"mass location {m.location} is not a finite point of the support [{lo}, {hi}]")
 
     @property
     def mass_locations(self):
@@ -107,46 +145,6 @@ def legendre(masses=()):
 
 
 # ----------------------------------------------------------------------
-# validation
-
-
-def validate(spec: MeasureSpec) -> MeasureSpec:
-    """Check all type invariants; return the spec unchanged if they hold."""
-    base = spec.base
-    if isinstance(base, GenJacobiSpec):
-        if not (-1 < base.alpha < math.inf and -1 < base.beta < math.inf):
-            raise ExponentOutOfRange(
-                f"edge exponents must be finite and > -1, got alpha={base.alpha}, beta={base.beta}"
-            )
-        ts = [t for t, _ in base.singularities]
-        for t, g in base.singularities:
-            if not -1 < g < math.inf:
-                raise ExponentOutOfRange(f"singularity exponent at t={t} must be finite and > -1, got {g}")
-            if not (-1.0 < t < 1.0):
-                raise SpecError(f"singularity location {t} not strictly inside (-1,1)")
-        if len(set(ts)) != len(ts):
-            raise DuplicateLocation(f"repeated singularity locations in {ts}")
-    elif isinstance(base, LaguerreSpec):
-        if not -1 < base.alpha < math.inf:
-            raise ExponentOutOfRange(f"Laguerre alpha must be finite and > -1, got {base.alpha}")
-    elif isinstance(base, HermiteSpec):
-        pass
-    else:
-        raise SpecError(f"unknown base weight {base!r}")
-
-    lo, hi = base.support
-    locs = [m.location for m in spec.masses]
-    if len(set(locs)) != len(locs):
-        raise DuplicateLocation(f"repeated mass locations in {locs}")
-    for m in spec.masses:
-        if not 0 < m.mass < math.inf:
-            raise MassNotPositive(f"mass at {m.location} must be positive and finite, got {m.mass}")
-        if not (lo <= m.location <= hi and math.isfinite(m.location)):
-            raise SpecError(f"mass location {m.location} is not a finite point of the support [{lo}, {hi}]")
-    return spec
-
-
-# ----------------------------------------------------------------------
 # power weights
 
 
@@ -155,14 +153,21 @@ class PowerWeightSpec:
     """u(x) = (1-x)^a (1+x)^b prod |x-t_i|^g_i, with prescribed values at mass points.
 
     ``g`` is aligned with the singularity list of the measure's base weight;
-    ``at_mass`` is aligned with the measure's mass list and must be finite and
-    strictly positive.
+    ``at_mass`` is aligned with the measure's mass list.  The exponents must be
+    finite and the values at the mass points in (0, inf).
     """
 
     a: float = 0.0
     b: float = 0.0
     g: tuple = ()
     at_mass: tuple = ()
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, *self.g))):
+            raise NonFiniteWeight(f"weight exponents a, b and g must be finite, "
+                                  f"got a={self.a:g}, b={self.b:g}, g={list(self.g)}")
+        if not all(0.0 < val < math.inf for val in self.at_mass):
+            raise SpecError(f"weight values at the mass points must be in (0, inf), got atMass={list(self.at_mass)}")
 
     def values(self, x, measure: MeasureSpec):
         """Evaluate on an array of points; mass-point values are overridden."""
@@ -176,8 +181,6 @@ class PowerWeightSpec:
                 w = w * np.abs(x - t) ** gi
         at_mass = self.at_mass if self.at_mass else (1.0,) * len(measure.masses)
         for mp, val in zip(measure.masses, at_mass):
-            if not (0.0 < val < math.inf):
-                raise SpecError(f"weight value at mass point {mp.location} must be in (0, inf)")
             w = np.where(x == mp.location, val, w)
         return w
 
@@ -243,7 +246,6 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
     signed so that positive means satisfied; the strict lines use
     right-minus-left, the non-strict ones u-minus-v.
     """
-    validate(spec)
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("condition checker applies to generalized Jacobi bases only")
@@ -291,15 +293,17 @@ def mean_convergence_endpoints(alpha: float, beta: float):
     """Endpoints (p0, p1) of the open interval of uniform L^p boundedness.
 
     Defined for finite exponents with max(alpha, beta) > -1/2; the larger
-    exponent drives both formulas.  Always p0 < 2 < p1.
+    exponent m drives both, p0 = 4(m+1)/(2m+3) and p1 = 4(m+1)/(2m+1), each
+    written with both halves halved (the same floats) so that none overflows.
+    p0 < 2 < p1 until m passes about 1e16, where both round to 2.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ExponentOutOfRange(f"edge exponents must be finite, got alpha={alpha}, beta={beta}")
     m = max(alpha, beta)
     if m <= -0.5:
         raise NoEndpoint(f"max(alpha, beta) = {m} <= -1/2: no finite endpoints")
-    p0 = 4 * (m + 1) / (2 * m + 3)
-    p1 = 4 * (m + 1) / (2 * m + 1)
+    p0 = 2 * ((m + 1) / (m + 1.5))
+    p1 = 2 * ((m + 1) / (m + 0.5))
     return p0, p1
 
 
@@ -365,7 +369,7 @@ def measure_from_dict(d) -> MeasureSpec:
         )
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed measure spec: {exc}") from exc
-    return validate(MeasureSpec(base, masses))
+    return MeasureSpec(base, masses)
 
 
 def weight_to_dict(w: PowerWeightSpec):
@@ -377,7 +381,7 @@ def weight_from_dict(d) -> PowerWeightSpec:
         return PowerWeightSpec()
     _check_keys(d, ("a", "b", "g", "atMass"), "weight")
     try:
-        w = PowerWeightSpec(
+        fields = (
             float(d.get("a", 0.0)),
             float(d.get("b", 0.0)),
             tuple(float(x) for x in d.get("g", [])),
@@ -385,7 +389,6 @@ def weight_from_dict(d) -> PowerWeightSpec:
         )
     except (TypeError, ValueError) as exc:
         raise SpecError(f"malformed weight spec: {exc}") from exc
-    if not all(map(math.isfinite, (w.a, w.b, *w.g))):
-        raise NonFiniteWeight(f"weight exponents a, b and g must be finite, got a={w.a:g}, b={w.b:g}, g={list(w.g)}")
-    return w
+    # built outside the try, so that its own SpecError is not reported as a malformed spec
+    return PowerWeightSpec(*fields)
 

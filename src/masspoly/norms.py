@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridTooSmall, NonFiniteWeight, NumericalBreakdown, SpecError
-from .measure import MeasureSpec, PowerWeightSpec, validate, weight_to_dict
+from .measure import MeasureSpec, PowerWeightSpec, weight_to_dict
 from .opoly import OrthoBasis, _check_degree, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
@@ -63,7 +63,6 @@ class GridFunction:
 
 def make_grid(spec: MeasureSpec, m: int) -> Grid:
     """Grid with an order-m Gauss rule of the continuous part plus the atoms."""
-    validate(spec)
     if m < 1:
         raise GridTooSmall(f"a grid needs at least one Gauss node, got grid size {m}")
     nodes, weights = gauss_points(recurrence_for(spec.base, m), m)
@@ -452,16 +451,14 @@ def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
 # growth fitting and reports
 
 
-def fit_growth(ns, vals, envelope=False):
+def fit_growth(ns, vals):
     """Fit log(val) ~ gamma log(n) over the top half of the n-range.
 
-    With ``envelope`` the fit runs on the running maximum, the right statistic
+    The fit runs on the running maximum of the values, the right statistic
     for uniform-in-n boundedness when the values are noisy lower bounds.
     """
     ns = np.asarray(ns, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if envelope:
-        vals = np.maximum.accumulate(vals)
+    vals = np.maximum.accumulate(np.asarray(vals, dtype=float))
     k = len(ns) // 2
     if len(set(ns[k:].tolist())) < 2:
         degrees = ", ".join(f"{n:g}" for n in ns)
@@ -515,7 +512,7 @@ def _sweep_report(mode, p, ns, vals, seed, grid: Grid, u, v, diagnostics=None) -
     if bad:
         raise NumericalBreakdown(f"the {mode} probe at p = {p:g} has a non-finite entry at degree {bad[0]} "
                                  f"on a grid of {grid.size} nodes")
-    gamma, res = fit_growth(*zip(*entries), envelope=True)
+    gamma, res = fit_growth(*zip(*entries))
     u, v = ({} if w is None else weight_to_dict(w) for w in (u, v))
     return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u, v, diagnostics or {})
 

@@ -65,7 +65,6 @@ from .measure import (
     HermiteSpec,
     LaguerreSpec,
     MeasureSpec,
-    validate,
 )
 
 
@@ -669,8 +668,7 @@ def linear_step(rec: Recurrence, sign: float) -> Recurrence:
 
 
 def basis_for(spec: MeasureSpec, N: int, high_precision=False) -> OrthoBasis:
-    """Build the orthonormal basis of a validated MeasureSpec up to degree N >= 0."""
-    validate(spec)
+    """Build the orthonormal basis of a MeasureSpec up to degree N >= 0."""
     _check_degree(N)
     rec = recurrence_for(spec.base, N + 1, high_precision=high_precision)
     return OrthoBasis(spec, rec, add_mass_points(rec, spec.masses))
@@ -770,7 +768,6 @@ def mass_subsets(locations):
 def modified_bases(spec: MeasureSpec, N: int):
     """Recurrences, length N+1, of prod_{a in A}(x-a)^2 d-mu for every subset A of the mass
     locations, from mu's one recurrence: A takes a ``quadratic_step`` from A without its last."""
-    validate(spec)
     _check_degree(N)
     full = {(): recurrence_for(spec.base, N + 1 + len(spec.masses))}
     for A in mass_subsets(spec.mass_locations)[1:]:

@@ -283,6 +283,12 @@ def test_endpoints_legendre(capsys):
     assert doc["p1"] == pytest.approx(4.0)
 
 
+def test_endpoints_of_the_largest_exponents_read_2(capsys):
+    code, doc = run_json(capsys, "endpoints", "--alpha", "1e308")
+    assert code == 0
+    assert (doc["p0"], doc["p1"]) == (2.0, 2.0)
+
+
 def test_endpoints_undefined_exits_2():
     assert main(["endpoints", "--alpha", "-0.6", "--beta", "-0.7"]) == 2
 
@@ -690,6 +696,11 @@ def test_weight_lists_matching_the_measure_run(capsys, tmp_path):
     (["laguerre-mass"], {"M": False}, "config key 'M' must be a number, got false"),
     (["commutator"], {"symbol": 2}, "config key 'symbol' must be a string, got 2"),
     (["weak-probe", *LEGENDRE_MASS], {"u": 0.25}, "config key 'u' must be a weight object or null, got 0.25"),
+    # a non-finite number is no number
+    (["basis", "--n", "3"], {"points": [math.nan, 0.5]}, "config key 'points' must be a list of numbers, got [NaN, 0.5]"),
+    (["kernel", "--n", "3"], {"a": math.nan}, "config key 'a' must be a number, got NaN"),
+    (["commutator", *LEGENDRE_INNER_MASS, "--n", "3"], {"t": math.inf}, "config key 't' must be a number, got Infinity"),
+    (["probe", *LEGENDRE_MASS], {"p": -math.inf}, "config key 'p' must be a number, got -Infinity"),
 ])
 def test_config_values_of_the_wrong_json_type_exit_2(capsys, tmp_path, argv, cfg, message):
     path = tmp_path / "cfg.json"
@@ -720,8 +731,10 @@ NAN_GAMMA = {"measure": {"base": {"kind": "genjacobi", "singularities": [{"t": 0
     (["recurrence", "--n", "3"], NAN_GAMMA, "ExponentOutOfRange"),
     (["check-conditions", "--p", "3"], {"u": {"a": math.nan}}, "NonFiniteWeight"),
     (["endpoints", "--alpha", "inf"], None, "ExponentOutOfRange"),
-    # a measure validate rejects, which the recorded config would not replay
+    # a measure that cannot be built, which the recorded config would not replay
     (["endpoints", "--alpha", "-5", "--beta", "0"], None, "ExponentOutOfRange"),
+    # check-conditions reads no weight values, but a weight cannot be built with one outside (0, inf)
+    (["check-conditions", *LEGENDRE_INNER_MASS, "--p", "3"], {"u": {"atMass": [0]}}, "SpecError"),
     (["laguerre-mass", "--alpha", "nan", "--n", "5"], None, "ExponentOutOfRange"),
 ])
 def test_non_finite_or_out_of_domain_measures_exit_2(capsys, tmp_path, argv, cfg, error):

@@ -22,61 +22,82 @@ from masspoly import (
     mean_convergence_endpoints,
     measure_from_dict,
     measure_to_dict,
-    validate,
     weight_from_dict,
     weight_to_dict,
 )
+from masspoly.opoly import kernel_envelope, recurrence_for, stieltjes_recurrence
+from masspoly.transforms import laguerre_mass_kernel, lebesgue_rule_for
 
 
-def test_validate_accepts_legal_specs():
-    validate(legendre())
-    validate(MeasureSpec(GenJacobiSpec(-0.5, 0.5, ((0.0, 1.0),)), (MassPoint(1.0, 2.0),)))
-    validate(MeasureSpec(LaguerreSpec(1.0), (MassPoint(0.0, 0.5),)))
-    validate(MeasureSpec(HermiteSpec()))
+def test_legal_specs_construct():
+    legendre()
+    MeasureSpec(GenJacobiSpec(-0.5, 0.5, ((0.0, 1.0),)), (MassPoint(1.0, 2.0),))
+    MeasureSpec(LaguerreSpec(1.0), (MassPoint(0.0, 0.5),))
+    MeasureSpec(HermiteSpec())
 
 
-def test_validate_edge_exponent_out_of_range():
+def test_edge_exponent_out_of_range_fails_on_construction():
     with pytest.raises(ExponentOutOfRange):
-        validate(MeasureSpec(GenJacobiSpec(-2.0, 0.0)))
+        GenJacobiSpec(-2.0, 0.0)
     with pytest.raises(ExponentOutOfRange):
-        validate(MeasureSpec(LaguerreSpec(-1.0)))
+        LaguerreSpec(-1.0)
 
 
-def test_validate_singularity_constraints():
+def test_singularity_constraints_fail_on_construction():
     with pytest.raises(ExponentOutOfRange):
-        validate(MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.3, -1.5),))))
+        GenJacobiSpec(0.0, 0.0, ((0.3, -1.5),))
     with pytest.raises(SpecError):
-        validate(MeasureSpec(GenJacobiSpec(0.0, 0.0, ((1.0, 1.0),))))
+        GenJacobiSpec(0.0, 0.0, ((1.0, 1.0),))
     with pytest.raises(DuplicateLocation):
-        validate(MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.3, 1.0), (0.3, 2.0)))))
+        GenJacobiSpec(0.0, 0.0, ((0.3, 1.0), (0.3, 2.0)))
 
 
-def test_validate_mass_constraints():
+def test_mass_constraints_fail_on_construction():
     with pytest.raises(MassNotPositive):
-        validate(legendre([MassPoint(0.3, 0.0)]))
+        legendre([MassPoint(0.3, 0.0)])
     with pytest.raises(DuplicateLocation):
-        validate(legendre([MassPoint(0.3, 1.0), MassPoint(0.3, 2.0)]))
+        legendre([MassPoint(0.3, 1.0), MassPoint(0.3, 2.0)])
     with pytest.raises(SpecError):
-        validate(legendre([MassPoint(1.5, 1.0)]))
+        legendre([MassPoint(1.5, 1.0)])
     with pytest.raises(SpecError):
-        validate(MeasureSpec(LaguerreSpec(0.0), (MassPoint(-1.0, 1.0),)))
+        MeasureSpec(LaguerreSpec(0.0), (MassPoint(-1.0, 1.0),))
 
 
-@pytest.mark.parametrize("spec, error", [
-    (MeasureSpec(GenJacobiSpec(math.inf, 0.0)), ExponentOutOfRange),
-    (MeasureSpec(GenJacobiSpec(0.0, math.nan)), ExponentOutOfRange),
-    (MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, math.nan),))), ExponentOutOfRange),
-    (MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.0, math.inf),))), ExponentOutOfRange),
-    (MeasureSpec(LaguerreSpec(math.inf)), ExponentOutOfRange),
-    (MeasureSpec(LaguerreSpec(math.nan)), ExponentOutOfRange),
-    (legendre([MassPoint(0.0, math.inf)]), MassNotPositive),
-    (legendre([MassPoint(0.0, math.nan)]), MassNotPositive),
-    (MeasureSpec(HermiteSpec(), (MassPoint(math.inf, 1.0),)), SpecError),
-    (MeasureSpec(LaguerreSpec(0.0), (MassPoint(math.inf, 1.0),)), SpecError),
+def test_measure_checks_its_base_type_before_its_masses():
+    with pytest.raises(SpecError, match="unknown base weight"):
+        MeasureSpec("legendre", (MassPoint(0.3, 0.0),))
+
+
+# each spec as a thunk, since building it is what raises
+@pytest.mark.parametrize("build, error", [
+    (lambda: GenJacobiSpec(math.inf, 0.0), ExponentOutOfRange),
+    (lambda: GenJacobiSpec(0.0, math.nan), ExponentOutOfRange),
+    (lambda: GenJacobiSpec(0.0, 0.0, ((0.0, math.nan),)), ExponentOutOfRange),
+    (lambda: GenJacobiSpec(0.0, 0.0, ((0.0, math.inf),)), ExponentOutOfRange),
+    (lambda: LaguerreSpec(math.inf), ExponentOutOfRange),
+    (lambda: LaguerreSpec(math.nan), ExponentOutOfRange),
+    (lambda: legendre([MassPoint(0.0, math.inf)]), MassNotPositive),
+    (lambda: legendre([MassPoint(0.0, math.nan)]), MassNotPositive),
+    (lambda: MeasureSpec(HermiteSpec(), (MassPoint(math.inf, 1.0),)), SpecError),
+    (lambda: MeasureSpec(LaguerreSpec(0.0), (MassPoint(math.inf, 1.0),)), SpecError),
 ])
-def test_validate_rejects_non_finite_numbers(spec, error):
+def test_non_finite_numbers_fail_on_construction(build, error):
     with pytest.raises(error):
-        validate(spec)
+        build()
+
+
+# inputs that once reached a recurrence or a checker unchecked, and failed with the wrong error or none
+@pytest.mark.parametrize("call, error", [
+    (lambda: recurrence_for(GenJacobiSpec(-2.0, 0.0), 5), ExponentOutOfRange),
+    (lambda: stieltjes_recurrence(GenJacobiSpec(0, 0, ((0.0, -3.0),)), 5), ExponentOutOfRange),
+    (lambda: lebesgue_rule_for(MeasureSpec(GenJacobiSpec(0, 0, ((0.0, -2.0),)))), ExponentOutOfRange),
+    (lambda: kernel_envelope(MeasureSpec(GenJacobiSpec(-3.0, 0.0)), 1.0, [0.0], 5), ExponentOutOfRange),
+    (lambda: check_conditions(legendre(), PowerWeightSpec(a=math.nan), PowerWeightSpec(), 3.0), NonFiniteWeight),
+    (lambda: laguerre_mass_kernel(-1.0, 1.0, 5, 0.0), ExponentOutOfRange),
+])
+def test_invalid_specs_fail_before_any_computation(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_measure_json_round_trip():
@@ -99,8 +120,14 @@ def test_power_weight_values_and_mass_override():
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] == pytest.approx(2.5)  # overridden at the mass point
     assert vals[2] == pytest.approx((1.0 - 0.84) ** 0.5)
-    with pytest.raises(SpecError):
-        PowerWeightSpec(at_mass=(0.0,)).values(x, spec)
+
+
+@pytest.mark.parametrize("at_mass", [(0.0,), (-1.0,), (math.inf,), (math.nan,), (2.0, 0.0)])
+def test_power_weight_values_at_the_mass_points_must_be_positive_and_finite(at_mass):
+    with pytest.raises(SpecError, match=r"must be in \(0, inf\)"):
+        PowerWeightSpec(at_mass=at_mass)
+    with pytest.raises(SpecError, match=r"must be in \(0, inf\)"):
+        weight_from_dict({"atMass": list(at_mass)})
 
 
 @pytest.mark.parametrize("d", [
@@ -116,8 +143,10 @@ def test_weight_from_dict_rejects_unknown_keys(d):
 
 @pytest.mark.parametrize("d", [{"a": math.nan}, {"b": math.inf}, {"g": [0.5, -math.inf]}])
 def test_weight_from_dict_rejects_non_finite_exponents(d):
-    with pytest.raises(NonFiniteWeight):
+    with pytest.raises(NonFiniteWeight, match="must be finite"):
         weight_from_dict(d)
+    with pytest.raises(NonFiniteWeight, match="must be finite"):
+        PowerWeightSpec(d.get("a", 0.0), d.get("b", 0.0), tuple(d.get("g", ())))
 
 
 def test_weight_dict_round_trip():
@@ -194,6 +223,21 @@ def test_mean_convergence_endpoints_legendre():
 def test_mean_convergence_endpoints_need_large_exponent():
     with pytest.raises(NoEndpoint):
         mean_convergence_endpoints(-0.6, -0.7)
+
+
+def test_mean_convergence_endpoints_are_the_textbook_floats_and_never_overflow():
+    # 2 ((m+1)/(m+3/2)) halves numerator and denominator of 4(m+1)/(2m+3): scaling by 2 is exact
+    rng = np.random.default_rng(5)
+    ms = np.concatenate([np.linspace(-0.4999, 20.0, 3000), 10.0 ** rng.uniform(-6, 307, 3000)])
+    for m in ms.tolist():
+        textbook = (4 * (m + 1) / (2 * m + 3), 4 * (m + 1) / (2 * m + 1))
+        for alpha, beta in ((m, -0.9), (-0.9, m)):
+            got = mean_convergence_endpoints(alpha, beta)
+            assert [p.hex() for p in got] == [p.hex() for p in textbook], m
+    # past about 1e16 both endpoints round to 2, up to the largest float
+    assert mean_convergence_endpoints(1e17, 0.0) == (2.0, 2.0)
+    assert mean_convergence_endpoints(1e308, 0.0) == (2.0, 2.0)
+    assert mean_convergence_endpoints(0.0, np.finfo(float).max) == (2.0, 2.0)
 
 
 @pytest.mark.parametrize("alpha, beta", [(math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.5)])
