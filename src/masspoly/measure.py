@@ -12,13 +12,17 @@ checkers evaluate those inequalities line by line with signed margins.
 Every spec checks itself when it is built: a base weight its exponents and
 singularities, a measure its base type and then its masses, a power weight
 its exponents and its values at the mass points.  A spec that exists is
-valid, so no function that takes one checks it again.
+valid, so no function that takes one checks it again.  The JSON form of a
+measure or weight is read with the JSON types of a CLI config: a value of the
+wrong type, or a missing or unknown key, raises a SpecError naming the key.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -308,68 +312,98 @@ def mean_convergence_endpoints(alpha: float, beta: float):
 
 
 # ----------------------------------------------------------------------
-# JSON schema
+# JSON types and the spec schema
+
+
+def _real(value):
+    """The float value, finite or not, of a JSON number: an int that is not a bool (true is not 1) or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)  # json reads NaN and Infinity as floats
+    except OverflowError:  # an int too large for a float rounds to an infinity
+        return math.inf if value > 0 else -math.inf
+
+
+@dataclass(frozen=True)
+class JSONType:
+    """What a JSON value must be: ``name`` says it in an error, ``test`` checks a value, ``read`` converts it."""
+
+    name: str
+    test: Callable
+    read: Callable = lambda value: value
+
+    def check(self, value, where):
+        """``value`` read, or a SpecError that names ``where`` if it is not of this type."""
+        if not self.test(value):
+            raise SpecError(f"{where} must be {self.name}, got {json.dumps(value, default=repr)}")
+        return self.read(value)
+
+
+# A number in a config must be finite: a top-level one is checked here and kept
+# as given, one in a measure or weight is read as a float and checked by the
+# spec it builds, which names a non-finite one in its own typed error.
+NUMBER = JSONType("a number", lambda v: _real(v) is not None and math.isfinite(_real(v)))
+INTEGER = JSONType("an integer", lambda v: isinstance(v, int) and NUMBER.test(v))
+NUMBERS = JSONType("a list of numbers", lambda v: isinstance(v, list) and all(map(NUMBER.test, v)))
+BOOLEAN = JSONType("true or false", lambda v: isinstance(v, bool))
+TEXT = JSONType("a string", lambda v: isinstance(v, str))
+OBJECT = JSONType("a JSON object", lambda v: isinstance(v, dict))
+WEIGHT = JSONType("a weight object or null", lambda v: v is None or isinstance(v, dict))
+_LIST = JSONType("a list", lambda v: isinstance(v, list))
+_REAL = JSONType("a number", lambda v: _real(v) is not None, _real)
+_REALS = JSONType("a list of numbers", lambda v: isinstance(v, list) and all(map(_REAL.test, v)),
+                  lambda v: tuple(map(_real, v)))
+
+
+def _fields(d, schema, what):
+    """The values of the JSON object ``d`` at the keys of ``schema``, in its order, each read by its JSON type.
+
+    ``schema`` maps every key ``d`` may hold to its JSON type and its default, None for a required key.
+    """
+    OBJECT.check(d, what)
+    unknown = [key for key in d if key not in schema]
+    if unknown:
+        raise SpecError(f"{what} has unknown key(s) {unknown}; expected some of {list(schema)}")
+    missing = [key for key, (_, default) in schema.items() if default is None and key not in d]
+    if missing:
+        raise SpecError(f"{what} lacks the required key(s) {missing}")
+    return [kind.check(d[key], f"{what} key {key!r}") if key in d else default
+            for key, (kind, default) in schema.items()]
+
+
+def _records(items, schema, what):
+    return tuple(tuple(_fields(item, schema, f"{what}[{i}]")) for i, item in enumerate(items))
+
+
+_SINGULARITY = {"t": (_REAL, None), "gamma": (_REAL, None)}
+_MASS = {"location": (_REAL, None), "mass": (_REAL, None)}
+_WEIGHT = {"a": (_REAL, 0.0), "b": (_REAL, 0.0), "g": (_REALS, ()), "atMass": (_REALS, ())}
+_SINGULARITIES = JSONType("a list", _LIST.test, lambda v: _records(v, _SINGULARITY, "singularities"))
+# base kind -> its class and the schema of its keys but kind, in the order its constructor takes them
+_BASE_KINDS = {
+    "genjacobi": (GenJacobiSpec, {"alpha": (_REAL, 0.0), "beta": (_REAL, 0.0), "singularities": (_SINGULARITIES, ())}),
+    "laguerre": (LaguerreSpec, {"alpha": (_REAL, 0.0)}),
+    "hermite": (HermiteSpec, {}),
+}
+_KIND = JSONType(f"one of {list(_BASE_KINDS)}", lambda v: v in list(_BASE_KINDS))
 
 
 def measure_to_dict(spec: MeasureSpec):
-    base = spec.base
-    d = {"kind": base.kind}
-    if isinstance(base, GenJacobiSpec):
-        d["alpha"] = base.alpha
-        d["beta"] = base.beta
-        d["singularities"] = [{"t": t, "gamma": g} for t, g in base.singularities]
-    elif isinstance(base, LaguerreSpec):
-        d["alpha"] = base.alpha
-    return {
-        "base": d,
-        "masses": [{"location": m.location, "mass": m.mass} for m in spec.masses],
-    }
-
-
-_BASE_KEYS = {
-    "genjacobi": ("kind", "alpha", "beta", "singularities"),
-    "laguerre": ("kind", "alpha"),
-    "hermite": ("kind",),
-}
-
-
-def _check_keys(d, allowed, what):
-    """Reject a spec object with a key outside ``allowed``, which would otherwise be dropped unread."""
-    if not isinstance(d, dict):
-        raise SpecError(f"{what} must be a JSON object, got {d!r}")
-    unknown = [key for key in d if key not in allowed]
-    if unknown:
-        raise SpecError(f"unknown {what} key(s) {unknown}; expected some of {list(allowed)}")
+    base = {key: getattr(spec.base, key) for key in ("kind", *_BASE_KINDS[spec.base.kind][1])}
+    if "singularities" in base:
+        base["singularities"] = [dict(zip(_SINGULARITY, s)) for s in base["singularities"]]
+    return {"base": base, "masses": [dict(zip(_MASS, (m.location, m.mass))) for m in spec.masses]}
 
 
 def measure_from_dict(d) -> MeasureSpec:
-    _check_keys(d, ("base", "masses"), "measure")
-    try:
-        bd = d["base"]
-        kind = bd["kind"]
-        if kind not in _BASE_KEYS:
-            raise SpecError(f"unknown base kind {kind!r}")
-        _check_keys(bd, _BASE_KEYS[kind], f"{kind} base")
-        for s in bd.get("singularities", []):
-            _check_keys(s, ("t", "gamma"), "singularity")
-        for m in d.get("masses", []):
-            _check_keys(m, ("location", "mass"), "mass")
-        if kind == "genjacobi":
-            base = GenJacobiSpec(
-                float(bd.get("alpha", 0.0)),
-                float(bd.get("beta", 0.0)),
-                tuple((float(s["t"]), float(s["gamma"])) for s in bd.get("singularities", [])),
-            )
-        elif kind == "laguerre":
-            base = LaguerreSpec(float(bd.get("alpha", 0.0)))
-        else:
-            base = HermiteSpec()
-        masses = tuple(
-            MassPoint(float(m["location"]), float(m["mass"])) for m in d.get("masses", [])
-        )
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"malformed measure spec: {exc}") from exc
-    return MeasureSpec(base, masses)
+    """The measure of a JSON object: its base is read and built, then its masses are read."""
+    bd, masses = _fields(d, {"base": (OBJECT, None), "masses": (_LIST, ())}, "measure")
+    if "kind" not in bd:
+        raise SpecError("base lacks the required key(s) ['kind']")
+    cls, schema = _BASE_KINDS[_KIND.check(bd["kind"], "base key 'kind'")]
+    base = cls(*_fields(bd, {"kind": (_KIND, None), **schema}, f"{bd['kind']} base")[1:])
+    return MeasureSpec(base, tuple(MassPoint(*m) for m in _records(masses, _MASS, "masses")))
 
 
 def weight_to_dict(w: PowerWeightSpec):
@@ -377,18 +411,4 @@ def weight_to_dict(w: PowerWeightSpec):
 
 
 def weight_from_dict(d) -> PowerWeightSpec:
-    if d is None:
-        return PowerWeightSpec()
-    _check_keys(d, ("a", "b", "g", "atMass"), "weight")
-    try:
-        fields = (
-            float(d.get("a", 0.0)),
-            float(d.get("b", 0.0)),
-            tuple(float(x) for x in d.get("g", [])),
-            tuple(float(x) for x in d.get("atMass", [])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"malformed weight spec: {exc}") from exc
-    # built outside the try, so that its own SpecError is not reported as a malformed spec
-    return PowerWeightSpec(*fields)
-
+    return PowerWeightSpec() if d is None else PowerWeightSpec(*_fields(d, _WEIGHT, "weight"))

@@ -609,6 +609,13 @@ def strong_probe(
     return _sweep_report("strong", p, ns, vals, seed, grid, u, v)
 
 
+def check_symbol(values, locations, name="b", hint="it must be finite at every atom"):
+    """Raise NonFiniteWeight at the first mass point where the symbol's value is not finite, naming both."""
+    for a, value in zip(locations, values):
+        if not np.isfinite(value):
+            raise NonFiniteWeight(f"symbol {name} is {value} at the mass point {a:g}; {hint}")
+
+
 def commutator_probe(
     basis: OrthoBasis,
     grid: Grid,
@@ -623,8 +630,7 @@ def commutator_probe(
     """Growth probe of the commutator [M_b, S_n] in L^p(d-nu)."""
     _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b_vals[grid.atom_idx])):
-        raise NonFiniteWeight("symbol b must be finite at every mass point")
+    check_symbol(b_vals[grid.atom_idx], grid.nodes[grid.atom_idx])
     ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
     G, nG = _family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
     K = G.shape[1]

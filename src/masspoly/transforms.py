@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, NonFiniteWeight, PointOnBoundary, SpecError
+from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, PointOnBoundary, SpecError
 from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
-from .norms import GridFunction
+from .norms import GridFunction, check_symbol
 from .opoly import (
     OrthoBasis,
     _check_degree,
@@ -117,9 +117,7 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
     """
     _check_grid(basis, f, n)
     b_vals = _as_values(b, f.nodes)
-    for a, value in zip(f.nodes[f.atom_idx], b_vals[f.atom_idx]):
-        if not np.isfinite(value):
-            raise NonFiniteWeight(f"symbol b is {value} at the mass point {a:g}; it must be finite at every atom")
+    check_symbol(b_vals[f.atom_idx], f.nodes[f.atom_idx])
     (coef_f, coef_bf), px = _expand(basis, f.nodes, f.weights, [f.values, b_vals * f.values], n, x)
     bx = b(x) if callable(b) else np.interp(x, f.nodes, b_vals)
     vals = bx * (coef_f @ px) - coef_bf @ px

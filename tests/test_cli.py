@@ -681,6 +681,11 @@ def test_weight_lists_matching_the_measure_run(capsys, tmp_path):
     assert doc["report"]["u"] == _record(g=[0.25], at_mass=[2.0, 0.5])
 
 
+HUGE = 10**400  # an int too large for a float
+ONE_SINGULARITY = {"base": {"kind": "genjacobi", "singularities": [{"t": 0.0, "gamma": 1.0}]}}
+STRING_LOCATION = {"location": "1", "mass": 1}
+
+
 @pytest.mark.parametrize("argv, cfg, message", [
     (["recurrence"], {"N": "10"}, 'config key \'N\' must be an integer, got "10"'),
     (["recurrence"], {"N": 10.5}, "config key 'N' must be an integer, got 10.5"),
@@ -701,6 +706,29 @@ def test_weight_lists_matching_the_measure_run(capsys, tmp_path):
     (["kernel", "--n", "3"], {"a": math.nan}, "config key 'a' must be a number, got NaN"),
     (["commutator", *LEGENDRE_INNER_MASS, "--n", "3"], {"t": math.inf}, "config key 't' must be a number, got Infinity"),
     (["probe", *LEGENDRE_MASS], {"p": -math.inf}, "config key 'p' must be a number, got -Infinity"),
+    # nor is an int too large for a float
+    (["check-conditions"], {"p": HUGE}, f"config key 'p' must be a number, got {HUGE}"),
+    (["commutator", *LEGENDRE_INNER_MASS, "--n", "3"], {"t": HUGE}, f"config key 't' must be a number, got {HUGE}"),
+    # a measure or weight value is read by the same JSON types, and a missing key is named where it is missing
+    (["probe", "--p", "3", "--n", "20"],
+     {"measure": {"base": {"kind": "genjacobi", "alpha": True, "beta": "0.5"}, "masses": [STRING_LOCATION]},
+      "u": {"a": "0.25"}},
+     "genjacobi base key 'alpha' must be a number, got true"),
+    (["recurrence", "--n", "3"], {"measure": {"base": {"kind": "genjacobi", "beta": "0.5"}}},
+     'genjacobi base key \'beta\' must be a number, got "0.5"'),
+    (["recurrence", "--n", "3"], {"measure": {"base": {"kind": "genjacobi"}, "masses": [STRING_LOCATION]}},
+     'masses[0] key \'location\' must be a number, got "1"'),
+    (["check-conditions", "--p", "3"], {"u": {"a": "0.25"}}, 'weight key \'a\' must be a number, got "0.25"'),
+    (["check-conditions", "--p", "3"], {"measure": ONE_SINGULARITY, "u": {"g": "12"}},
+     'weight key \'g\' must be a list of numbers, got "12"'),
+    (["check-conditions", *LEGENDRE_INNER_MASS, "--p", "3"], {"u": {"atMass": "5"}},
+     'weight key \'atMass\' must be a list of numbers, got "5"'),
+    (["check-conditions", *LEGENDRE_INNER_MASS, "--p", "3"], {"u": {"atMass": [5], "a": True}},
+     "weight key 'a' must be a number, got true"),
+    (["recurrence", "--n", "3"], {"measure": {"base": {"kind": "genjacobi"}, "masses": [{"mass": 1}]}},
+     "masses[0] lacks the required key(s) ['location']"),
+    (["recurrence", "--n", "3"], {"measure": {"base": {"kind": "genjacobi", "singularities": "0.5:1"}}},
+     'genjacobi base key \'singularities\' must be a list, got "0.5:1"'),
 ])
 def test_config_values_of_the_wrong_json_type_exit_2(capsys, tmp_path, argv, cfg, message):
     path = tmp_path / "cfg.json"
@@ -709,6 +737,14 @@ def test_config_values_of_the_wrong_json_type_exit_2(capsys, tmp_path, argv, cfg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"SpecError: {message}\n"
+
+
+def test_restricted_weak_probe_reports_no_strong_type_conditions(capsys):
+    # restricted weak type holds at the endpoint p = 4, where the strong-type conditions fail
+    code, doc = run_json(capsys, "probe", *LEGENDRE_MASS, "--p", "4", "--n", "20", "--mode", "restricted-weak")
+    assert code == 0
+    assert doc["report"]["verdict"] == "bounded"
+    assert set(doc) == {"command", "config", "report", "schema_version"}
 
 
 def test_config_values_are_recorded_as_given(capsys, tmp_path):
@@ -736,6 +772,9 @@ NAN_GAMMA = {"measure": {"base": {"kind": "genjacobi", "singularities": [{"t": 0
     # check-conditions reads no weight values, but a weight cannot be built with one outside (0, inf)
     (["check-conditions", *LEGENDRE_INNER_MASS, "--p", "3"], {"u": {"atMass": [0]}}, "SpecError"),
     (["laguerre-mass", "--alpha", "nan", "--n", "5"], None, "ExponentOutOfRange"),
+    # an int too large for a float reads as an infinity
+    (["recurrence", "--n", "3"], {"measure": {"base": {"kind": "genjacobi", "alpha": HUGE}}}, "ExponentOutOfRange"),
+    (["check-conditions", "--p", "3"], {"u": {"a": -HUGE}}, "NonFiniteWeight"),
 ])
 def test_non_finite_or_out_of_domain_measures_exit_2(capsys, tmp_path, argv, cfg, error):
     if cfg is not None:

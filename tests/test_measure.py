@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,46 @@ def test_weight_dict_round_trip():
     w = PowerWeightSpec(a=0.25, b=-0.5, g=(0.5,), at_mass=(2.0, 3.0))
     assert weight_from_dict(weight_to_dict(w)) == w
     assert weight_from_dict({}) == weight_from_dict(None) == PowerWeightSpec()
+
+
+HUGE = 10**400  # an int too large for a float
+
+
+# each value of a measure or weight must have its JSON type, or the reader raises a SpecError that names its key
+@pytest.mark.parametrize("read, d, error, match", [
+    (measure_from_dict, {"base": {"kind": "genjacobi", "alpha": True}}, SpecError,
+     "genjacobi base key 'alpha' must be a number, got true"),
+    (measure_from_dict, {"base": {"kind": "genjacobi", "beta": "0.5"}}, SpecError,
+     "genjacobi base key 'beta' must be a number, got \"0.5\""),
+    (measure_from_dict, {"base": {"kind": "genjacobi"}, "masses": [{"location": "1", "mass": 1}]}, SpecError,
+     "masses[0] key 'location' must be a number, got \"1\""),
+    (weight_from_dict, {"a": "0.25"}, SpecError, "weight key 'a' must be a number, got \"0.25\""),
+    (weight_from_dict, {"g": "12"}, SpecError, "weight key 'g' must be a list of numbers, got \"12\""),
+    (weight_from_dict, {"atMass": "5"}, SpecError, "weight key 'atMass' must be a list of numbers, got \"5\""),
+    (weight_from_dict, {"a": True}, SpecError, "weight key 'a' must be a number, got true"),
+    (weight_from_dict, {"atMass": [True]}, SpecError, "weight key 'atMass' must be a list of numbers, got [true]"),
+    # an int too large for a float reads as an infinity, which the spec rejects
+    (measure_from_dict, {"base": {"kind": "genjacobi", "alpha": HUGE}}, ExponentOutOfRange, "alpha=inf"),
+    (measure_from_dict, {"base": {"kind": "laguerre", "alpha": -HUGE}}, ExponentOutOfRange, "got -inf"),
+    (weight_from_dict, {"a": HUGE}, NonFiniteWeight, "a=inf"),
+    # a missing required key is named, with where it is missing
+    (measure_from_dict, {"base": {"kind": "genjacobi"}, "masses": [{"mass": 1}]}, SpecError,
+     "masses[0] lacks the required key(s) ['location']"),
+    (measure_from_dict, {"base": {"kind": "genjacobi", "singularities": [{"t": 0.0}]}}, SpecError,
+     "singularities[0] lacks the required key(s) ['gamma']"),
+    (measure_from_dict, {"masses": []}, SpecError, "measure lacks the required key(s) ['base']"),
+    (measure_from_dict, {"base": {"alpha": 0.5}}, SpecError, "base lacks the required key(s) ['kind']"),
+    # lists are JSON lists, each of their records a JSON object
+    (measure_from_dict, {"base": {"kind": "genjacobi", "singularities": "0.5:1"}}, SpecError,
+     "genjacobi base key 'singularities' must be a list, got \"0.5:1\""),
+    (measure_from_dict, {"base": {"kind": "hermite"}, "masses": {"location": 0, "mass": 1}}, SpecError,
+     "measure key 'masses' must be a list"),
+    (measure_from_dict, {"base": {"kind": "genjacobi", "singularities": [[0.5, 1.0]]}}, SpecError,
+     "singularities[0] must be a JSON object, got [0.5, 1.0]"),
+])
+def test_spec_values_of_the_wrong_json_type_are_named(read, d, error, match):
+    with pytest.raises(error, match=re.escape(match)):
+        read(d)
 
 
 @pytest.mark.parametrize("text", [

@@ -275,6 +275,12 @@ def test_commutator_probe_smooth_symbol_bounded():
     assert rep.verdict == "bounded"
 
 
+def test_commutator_probe_names_the_mass_point_where_the_symbol_is_not_finite():
+    spec = legendre([MassPoint(1.0, 1.0)])
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteWeight, match="-inf at the mass point 1"):
+        commutator_probe(basis_for(spec, 10), make_grid(spec, 40), bmo_symbols()["log_edge"], 2.0, N=10)
+
+
 def test_default_set_family_members_are_masks():
     grid = make_grid(SPEC, 50)
     fam = default_set_family(grid)
