@@ -499,9 +499,10 @@ def gauss_points(rec: Recurrence, m: int):
     relative accuracy down to the tiny weights at far Laguerre / Hermite
     nodes; Golub-Welsch eigenvector weights only have absolute accuracy.
 
-    The rows come from ``recurrence_table`` in blocks of 8 degrees, each
-    seeded (``head``) by the last two rows before it rescaled by 2^-h, the sum
-    by 2^-2h, h half the sum's binary exponent, so far nodes cannot overflow.
+    The rows come from ``recurrence_table`` in blocks of 8 degrees, computed
+    in one reused buffer, each seeded (``head``) by the last two rows before
+    it rescaled by 2^-h, the sum by 2^-2h, h half the sum's binary exponent,
+    so far nodes cannot overflow.
     A power of two scales a float exactly while it neither overflows nor turns
     subnormal, and every step (a recurrence row, a square, a sum) commutes
     with one common scaling of its inputs, so the weights are the floats of a
@@ -525,22 +526,23 @@ def gauss_points(rec: Recurrence, m: int):
     sb = np.sqrt(rec.betas[:m])
     square, total = np.empty_like(x), np.zeros_like(x)
     exponent = np.zeros(x.shape, dtype=int)  # sum_k P_k^2 = total * 2**exponent
+    buf = np.empty((10, m))  # the head P_{d-1}, P_d, then a block of 8 rows
     top = min(8, m - 1)
-    rows = recurrence_table(rec.alphas, sb, x, top)  # P_0..P_top, then P_{d+1}..P_top
+    rows = recurrence_table(rec.alphas, sb, x, top, out=buf)  # P_0..P_top, then P_{d+1}..P_top
     while True:
         for row in rows:
             np.multiply(row, row, square)
             np.add(total, square, total)
         if top and top % 8 == 0:
             half = np.frexp(total)[1] // 2
-            head = np.ldexp(rows[-2:], -half)
+            np.ldexp(rows[-2:], -half, out=buf[:2])  # a full block: rows[-2:] are buf[8:10]
             np.ldexp(total, -2 * half, total)
             exponent += 2 * half
         if top == m - 1:
             break
         d, top = top, min(top + 8, m - 1)
-        # the coefficients from degree d-1 on: head is P_{d-1}, P_d
-        rows = recurrence_table(rec.alphas[d - 1 :], sb[d - 1 :], x, top - d + 1, head=head)
+        # the coefficients from degree d-1 on: the head is P_{d-1}, P_d
+        rows = recurrence_table(rec.alphas[d - 1 :], sb[d - 1 :], x, top - d + 1, head=buf[:2], out=buf)
     return x, np.ldexp(1.0 / total, -exponent)
 
 

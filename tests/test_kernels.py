@@ -30,3 +30,19 @@ def test_recurrence_table_rejects_a_head_beyond_the_degree():
     head = recurrence_table(al, sb, np.zeros(3), 3)
     with pytest.raises(ValueError, match="head holds degrees up to 3"):
         recurrence_table(al, sb, np.zeros(3), 2, head=head)
+
+
+def test_recurrence_table_computes_in_a_reused_buffer_bit_for_bit():
+    # a block-by-block extension whose head is the first two rows of the buffer it writes
+    rng = np.random.default_rng(5)
+    al, sb = rng.uniform(-0.5, 0.5, 30), rng.uniform(0.3, 1.2, 30)
+    x = np.array([-0.0, 0.0, 0.25, -0.9, 1.7])
+    full = recurrence_table(al, sb, x, 29)
+    buf = np.full((10, len(x)), np.nan)
+    rows = recurrence_table(al, sb, x, 8, out=buf)
+    assert np.shares_memory(rows, buf) and rows.tobytes() == full[:9].tobytes()
+    for d in (8, 16, 24):
+        top = min(d + 8, 29)
+        buf[:2] = rows[-2:]  # the head P_{d-1}, P_d
+        rows = recurrence_table(al[d - 1 :], sb[d - 1 :], x, top - d + 1, head=buf[:2], out=buf)
+        assert np.shares_memory(rows, buf) and rows.tobytes() == full[d + 1 : top + 1].tobytes()

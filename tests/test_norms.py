@@ -312,6 +312,8 @@ def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(count):
 TWO_MASSES = legendre([MassPoint(-1.0, 0.5), MassPoint(0.3, 1.0)])
 # the same atoms on a non-classical base, so U and V fit it too
 GENJACOBI_TWO_MASSES = MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)), TWO_MASSES.masses)
+LEGENDRE_ONE = legendre([MassPoint(1.0, 1.0)])
+LAGUERRE_ZERO = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
 U = PowerWeightSpec(a=0.3, b=-0.2, at_mass=(2.0, 0.5))
 V = PowerWeightSpec(a=-0.25, b=0.4, at_mass=(0.7, 1.5))
 TRIALS = {"strong": 8, "commutator": 12, "maximal": 40}  # random trial functions of each probe
@@ -387,11 +389,150 @@ def test_spectral_norms_match_the_dense_svd_of_another_lapack():
         assert norms_p2[n] == pytest.approx(exact, rel=1e-13, abs=0), n
 
 
+# u = v pairs, then a pair whose two Gram matrices both fail Cholesky at N = 120
+P2_WEIGHTS = {
+    "unit": (None, None),
+    **{f"a={a:g}": (PowerWeightSpec(a=a), PowerWeightSpec(a=a)) for a in (0.45, -0.45, 2.0, -2.0, 5.0)},
+    "mixed": (PowerWeightSpec(a=2.0, b=-1.0), PowerWeightSpec(a=-1.0, b=2.0)),
+}
+
+
+@pytest.mark.parametrize("weights", P2_WEIGHTS)
+@pytest.mark.parametrize("N", [30, 120])
+@pytest.mark.parametrize("spec", [LEGENDRE_ONE, TWO_MASSES], ids=["delta1", "two_masses"])
+def test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights(spec, N, weights):
+    # one QR, a Gram matrix and an eigvalsh per degree against scipy's SVD of the dense
+    # weighted partial-sum matrix, where the Gram matrix is least accurate (u = v = (1-x)^5)
+    u, v = P2_WEIGHTS[weights]
+    basis, grid = _basis_and_grid(spec, N)
+    uv, vv = weight_values(u, grid, spec), weight_values(v, grid, spec)
+    sw = np.sqrt(grid.weights)
+    ns = default_degree_list(N) if N <= 30 else [4, 14, 29, 70, N]  # each degree costs a dense SVD
+    rep = strong_probe(basis, grid, 2.0, u, v, ns=ns)
+    for n, entry in rep.entries:
+        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
+        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
+        assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
+
+
+def test_p2_entries_do_not_overflow_where_the_factors_are_finite():
+    # u = 1e200 at the atom: the factors are finite, their Gram matrix would overflow unscaled
+    basis, grid = _basis_and_grid(LEGENDRE_ONE, 30)
+    u = PowerWeightSpec(at_mass=(1e200,))
+    uv, vv = weight_values(u, grid, LEGENDRE_ONE), np.ones(grid.size)
+    sw = np.sqrt(grid.weights)
+    rep = strong_probe(basis, grid, 2.0, u, ns=[4, 17, 30])
+    for n, entry in rep.entries:
+        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
+        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
+        assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
+
+
+# Per-degree references for the strong, commutator and maximal sweeps: one ratio pass per degree,
+# on u S_n Y with Y's columns picked out (so column-major, each column summed pairwise), and the
+# increment certificate's norms one scalar root at a time.
+
+
+def _pnorms_loop(w, X, p):
+    return np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
+
+
+def _pnorm_loop(w, x, p):
+    return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
+
+
+def _best_ratio_loop(w, u, Y, nf, p):
+    keep = nf > 0
+    return float(np.max(_pnorms_loop(w, norms._weighted_rows(u, Y[:, keep]), p) / nf[keep], initial=0.0))
+
+
+def _strong_loop(basis, grid, p, u, v, N, ns, seed=0):
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+    G, nG = norms._family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
+    vals = {}
+    for n, SG in norms._partial_sums(phi, phi @ (w[:, None] * G), sorted(set(ns))):
+        D = norms._dual(phi[[k for k in (n, n - 1) if k >= 0]] / vv, p)
+        head = phi[: n + 1]
+        SD = head.T @ (head @ (w[:, None] * D))
+        best = max(_best_ratio_loop(w, uv, SG, nG, p),
+                   _best_ratio_loop(w, uv, SD, _pnorms_loop(w, vv[:, None] * D, p), p))
+        cert = _pnorm_loop(w, uv * phi[n], p) * _pnorm_loop(w, phi[n] / vv, p / (p - 1))
+        vals[n] = max(best, float(cert))
+    return vals
+
+
+def _commutator_loop(basis, grid, b, p, u, v, N, ns, seed=0):
+    b_vals = b(grid.nodes)
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+    G, nG = norms._family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
+    K = G.shape[1]
+    vals = {}
+    coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
+    for n, S in norms._partial_sums(phi, coef, sorted(set(ns))):
+        best = _best_ratio_loop(w, uv, b_vals[:, None] * S[:, :K] - S[:, K:], nG, p)
+        pn = phi[n]
+        D = norms._dual(np.stack([pn / vv, b_vals * pn / vv]), p)
+        R = np.outer(b_vals * pn, pn @ (w[:, None] * D)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * D))
+        vals[n] = max(best, _best_ratio_loop(w, uv, R, _pnorms_loop(w, vv[:, None] * D, p), p))
+    return vals
+
+
+def _maximal_loop(basis, grid, p, u, v, N, ns, seed=0):
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+    G, nG = norms._family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
+    sup, vals = np.zeros_like(G), {}
+    for k, S in norms._partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
+        sup = np.maximum(sup, np.abs(S))
+        if k in ns:
+            vals[k] = _best_ratio_loop(w, uv, sup, nG, p)
+    return vals
+
+
+def _within_ulps(got, expected, ulps):
+    """The same degrees, and values equal (NaN to NaN) or within ``ulps`` units in the last place."""
+    assert list(got) == list(expected)
+    for n, a in got.items():
+        b = expected[n]
+        assert (math.isnan(a) and math.isnan(b)) or a == b or abs(a - b) <= ulps * np.spacing(abs(b)), (n, a, b)
+
+
+LOOP_CASES = {
+    "delta1": (LEGENDRE_ONE, None, None),
+    "two_masses_uv": (TWO_MASSES, U, V),
+    "genjacobi_delta1": (MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)), LEGENDRE_ONE.masses), None, None),
+    "laguerre_delta0": (LAGUERRE_ZERO, None, None),
+}
+
+
+@pytest.mark.parametrize("sweep", ["N40", "N200", "N40-unsorted"])
+@pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.5, 6.0])
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep):
+    # each sweep forms its dual certificates at once and takes every ratio in one pass after its
+    # degree loop; only the strong increment norms, whose roots it takes over an array, may differ
+    spec, u, v = LOOP_CASES[case]
+    N = 200 if sweep == "N200" else 40
+    ns = [17, 3, 40, 9, 0, 25, 1] if sweep.endswith("unsorted") else None
+    basis, grid = _basis_and_grid(spec, N)
+    b = bmo_symbols()["smooth_step"]
+    seen = []
+    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Laguerre sums overflow at N = 200, in both
+        strong_probe(basis, grid, p, u, v, N=N, ns=ns)
+        commutator_probe(basis, grid, b, p, u, v, N=N, ns=ns)
+        _within_ulps(seen[0], _strong_loop(basis, grid, p, u, v, N, ns), ulps=4)
+        _within_ulps(seen[1], _commutator_loop(basis, grid, b, p, u, v, N, ns), ulps=0)
+        if N == 40:
+            maximal_probe(basis, grid, p, u, v, N=N, ns=ns)
+            _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
+
+
 def test_p2_probes_run_without_scipy_linalg(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("scipy.linalg called on the probe path")
 
-    for name in ("qr", "svd"):
+    for name in ("qr", "svd", "eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(scipy.linalg, name, banned)
     basis = basis_for(TWO_MASSES, 20)
     grid = make_grid(TWO_MASSES, 60)
@@ -517,8 +658,6 @@ def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
                        diagnostics=diagnostics).to_dict()
 
 
-LEGENDRE_ONE = legendre([MassPoint(1.0, 1.0)])
-LAGUERRE_ZERO = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
 
 
 def _explicit_sets(grid):

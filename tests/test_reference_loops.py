@@ -80,6 +80,8 @@ def test_stieltjes_on_the_generalized_jacobi_discretization_at_n400():
     (GenJacobiSpec(0.0, 0.0), 1200),
     (LaguerreSpec(0.0), 1200),
     (HermiteSpec(), 1000),
+    (GenJacobiSpec(0.0, 0.0), 48),
+    (GenJacobiSpec(0.0, 0.0), 300),
 ])
 def test_gauss_points_weights(base, m):
     rec = classical_recurrence(base, m)
