@@ -86,6 +86,5 @@ from .transforms import (
     q_basis_for,
     q_measure,
 )
-from . import oracle
 
 __version__ = "0.1.0"

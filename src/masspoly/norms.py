@@ -306,15 +306,16 @@ def _pnorm(w, x, p):
 
 
 def _pnorms(w, X, p):
-    """||X[:, j]||_p of every column of X.
+    """||X[:, j]||_p of every column of X; X is overwritten.
 
-    The powers run in place on one copy of |X|, in its layout: a second
-    temporary as large as X costs more than the powers at the sizes of a sweep.
+    The powers run in place on X itself, in its layout: a temporary as large
+    as X costs more than the powers at the sizes of a sweep.  Callers pass a
+    temporary of their own, or scratch they no longer need.
     """
-    A = np.abs(X)
-    A **= p
-    A *= w[:, None]
-    return A.sum(axis=0) ** (1.0 / p)
+    np.abs(X, out=X)
+    X **= p
+    X *= w[:, None]
+    return X.sum(axis=0) ** (1.0 / p)
 
 
 def _ratios(w, u, Y, nf, p):
@@ -323,7 +324,8 @@ def _ratios(w, u, Y, nf, p):
     ``nf`` holds the ``_pnorms`` of the inputs Y came from, so a fixed trial
     family has its norms computed once per probe.  Y is column-major, so each
     column's norm is summed pairwise on its own: the same floats however many
-    columns Y has.
+    columns Y has.  u Y, |u Y|^p and its weighted column sums all run on Y, so
+    the pass holds no array beside it.
     """
     Y *= u[:, None]
     Y[u == 0.0] = 0.0  # 0 * inf = 0: a zero u wipes its row
@@ -429,6 +431,19 @@ def _partial_sums(phi, coef, degrees):
         yield n, out
 
 
+def _scaled_factor(phi, scale):
+    """diag(scale) phi^T scaled exactly by 2^-e to bring its largest entry below 1, and e.
+
+    numpy's LAPACK does not check for inf or NaN, so the factor is checked here.
+    """
+    f = scale[:, None] * phi.T
+    if not np.isfinite(f).all():
+        raise NumericalBreakdown(f"the basis table up to degree {len(phi) - 1} overflowed on the grid of "
+                                 f"{phi.shape[1]} nodes: the p = 2 factors hold non-finite values")
+    e = int(np.frexp(max(f.max(), -f.min()))[1])
+    return np.ldexp(f, -e, out=f), e
+
+
 def _spectral_norms(phi, w, uv, vv, degrees):
     """Exact L^2(d-nu) norms of u S_n(v^{-1} .) for every n in ``degrees``.
 
@@ -444,6 +459,15 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     about 14 ms on a shared 2-vCPU Xeon, against 23 ms for a QR of each side
     and an SVD per degree.
 
+    The two m x (N+1) factors are never alive together.  R is built, its
+    triangle T kept and R freed; then L is built, G kept and L freed.  The QR
+    holds R and numpy's copy of it, the peak of the sweep; after it the
+    sweep holds T, G and two reused (N+1)^2 buffers for T_n G[n] and
+    T_n G[n] T_n^T.  Each product is the matmul of the same blocks, so the
+    floats are those of fresh arrays.  On Legendre + delta_1 at N = 2000
+    (6001 nodes) the process peaks at about 430 MB, against 567 MB with both
+    factors and per-degree temporaries.
+
     The top eigenvalue of a symmetric matrix is accurate relative to its norm,
     but G squares the u side, so the error grows with the spread of u / v over
     the grid.  Against scipy's SVD of the dense matrix the entries agree to
@@ -458,22 +482,23 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     where the factors are finite.  The factorization runs on numpy's LAPACK,
     the OpenBLAS runtime of every matmul of the probes: a second runtime
     keeps its own worker thread, which spins after each call and takes the
-    core the first one needs.  numpy's LAPACK does not check for inf or NaN,
-    so the factors are checked here.
+    core the first one needs.
     """
     sw = np.sqrt(w)
-    factors = [(sw * uv)[:, None] * phi.T, (sw / vv)[:, None] * phi.T]
-    if not all(np.isfinite(f).all() for f in factors):
-        raise NumericalBreakdown(f"the basis table up to degree {len(phi) - 1} overflowed on the grid of "
-                                 f"{phi.shape[1]} nodes: the p = 2 factors hold non-finite values")
-    scales = [int(np.frexp(max(f.max(), -f.min()))[1]) for f in factors]
-    for f, e in zip(factors, scales):
-        np.ldexp(f, -e, out=f)
-    left, right = factors
-    gram, t = left.T @ left, np.linalg.qr(right, mode="r")
-    tops = [np.linalg.eigvalsh(t[: n + 1, : n + 1] @ gram[: n + 1, : n + 1] @ t[: n + 1, : n + 1].T)[-1]
-            for n in degrees]
-    return dict(zip(degrees, np.ldexp(np.sqrt(tops), sum(scales)).tolist()))
+    right, e_right = _scaled_factor(phi, sw / vv)
+    t = np.linalg.qr(right, mode="r")
+    del right
+    left, e_left = _scaled_factor(phi, sw * uv)
+    gram = left.T @ left
+    del left
+    buf = np.empty((2, len(phi) ** 2))
+    tops = []
+    for n in degrees:
+        k = n + 1
+        tn = t[:k, :k]
+        tg = np.matmul(tn, gram[:k, :k], out=buf[0, : k * k].reshape(k, k))
+        tops.append(np.linalg.eigvalsh(np.matmul(tg, tn.T, out=buf[1, : k * k].reshape(k, k)))[-1])
+    return dict(zip(degrees, np.ldexp(np.sqrt(tops), e_left + e_right).tolist()))
 
 
 def _family(grid: Grid, p, vv, seed, trials, spots):
@@ -504,9 +529,17 @@ def _top_ratios(w, u, Y, nG, nD, p):
 
 
 def _dual(rows, p):
-    """L^{p'} dual certificates |g|^{p'-1} sgn g of the rows g, one per column."""
+    """L^{p'} dual certificates |g|^{p'-1} sgn g of the rows g, one per column, written over ``rows``.
+
+    The result is ``rows`` transposed: |g|^{p'-1} is the one temporary, and
+    sgn g and the product are taken in place.
+    """
     pp = p / (p - 1)
-    return (np.abs(rows) ** (pp - 1) * np.sign(rows)).T
+    mag = np.abs(rows)
+    mag **= pp - 1
+    np.sign(rows, out=rows)
+    rows *= mag
+    return rows.T
 
 
 def _check_grid_resolves(grid: Grid, n):
@@ -655,19 +688,24 @@ def strong_probe(
     else:
         G, nG = _family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
         K, nd = G.shape[1], len(degrees)
+        # the increment ||u P_n||_p ||P_n / v||_{p'}
+        P = phi[degrees]
+        cert = _pnorms(w, (uv * P).T, p) * _pnorms(w, (P / vv).T, p / (p - 1))
+        del P
         # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; D holds f / v.  P_{-1} = 0
         # gives a zero certificate: its column of Y stays 0 and its input norm is 0, so no ratio reads it
         ks = np.repeat(degrees, 2) - np.tile([0, 1], nd)
-        D = _dual(np.where((ks >= 0)[:, None], phi[ks], 0.0) / vv, p)
+        rows = phi[ks]
+        rows[ks < 0] = 0.0
+        rows /= vv
+        D = _dual(rows, p)
+        nD = _pnorms(w, vv[:, None] * D, p)
         Y = np.zeros((nd, K + 2, len(w)))  # per degree: S_n on the family, then on the certificates
         for j, (n, SG) in enumerate(_partial_sums(phi, phi @ (w[:, None] * G), degrees)):
             head, d = phi[: n + 1], D[:, 2 * j : 2 * j + 1 + (n > 0)]
             Y[j, :K] = SG.T
             Y[j, K : K + d.shape[1]] = (head.T @ (head @ (w[:, None] * d))).T
-        family, duals = _top_ratios(w, uv, Y, nG, _pnorms(w, vv[:, None] * D, p), p)
-        # the increment ||u P_n||_p ||P_n / v||_{p'}
-        P = phi[degrees]
-        cert = _pnorms(w, (uv * P).T, p) * _pnorms(w, (P / vv).T, p / (p - 1))
+        family, duals = _top_ratios(w, uv, Y, nG, nD, p)
         vals = {n: max(f, d, c) for n, f, d, c in zip(degrees, family, duals, cert.tolist())}
     return _sweep_report("strong", p, ns, vals, seed, grid, u, v)
 
@@ -705,8 +743,12 @@ def commutator_probe(
     K, nd = G.shape[1], len(degrees)
     # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
     # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; D holds f / v
-    P = phi[degrees]
-    D = _dual(np.stack([P / vv, b_vals * P / vv], axis=1).reshape(2 * nd, -1), p)
+    rows = np.empty((nd, 2, len(w)))
+    rows[:, 0] = rows[:, 1] = phi[degrees]
+    rows[:, 1] *= b_vals
+    rows /= vv
+    D = _dual(rows.reshape(2 * nd, -1), p)
+    nD = _pnorms(w, vv[:, None] * D, p)
     Y = np.empty((nd, K + 2, len(w)))  # per degree: the commutator on the family, then on the certificates
     coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
     # entries are fixed-family lower bounds plus increment certificates;
@@ -717,7 +759,7 @@ def commutator_probe(
         np.subtract(b_vals[:, None] * S[:, :K], S[:, K:], out=Y[j, :K].T)
         pn, d = phi[n], D[:, 2 * j : 2 * j + 2]
         Y[j, K:] = (np.outer(b_vals * pn, pn @ (w[:, None] * d)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * d))).T
-    family, certs = _top_ratios(w, uv, Y, nG, _pnorms(w, vv[:, None] * D, p), p)
+    family, certs = _top_ratios(w, uv, Y, nG, nD, p)
     vals = {n: max(f, c) for n, f, c in zip(degrees, family, certs)}
     return _sweep_report("commutator", p, ns, vals, seed, grid, u, v)
 
@@ -743,7 +785,7 @@ def maximal_probe(
     for k, S in _partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
         np.maximum(sup, np.abs(S, out=mag), out=sup)
         if k in wanted:
-            vals[k] = float(np.max(_ratios(w, uv, np.asfortranarray(sup), nG, p), initial=0.0))
+            vals[k] = float(np.max(_ratios(w, uv, np.array(sup, order="F"), nG, p), initial=0.0))
     return _sweep_report("maximal", p, ns, vals, seed, grid, u, v)
 
 

@@ -733,12 +733,28 @@ def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int):
 
     Finiteness and stability of the returned sequence verify the kernel
     estimates empirically; the constant itself is not asserted.
+
+    The degrees run in blocks of 32, so the kernel sums, their envelopes and
+    the ratios hold 32 rows at a time beside the basis table.  The sum of
+    ``kernel_sequence`` is carried from block to block; its cumulative sum is
+    sequential along the degrees, so every float is that of the full sum.
     """
-    m = 400
+    m, block = 400, 32
     x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    seq = kernel_sequence(basis, x, a, N)
-    env = kernel_envelope(basis.measure, a, x, np.arange(N + 1)[:, None])
-    return np.maximum.accumulate(np.max(np.abs(seq) / env, axis=1))
+    px = basis.eval_all(x, N)
+    pa = basis.eval_all(a, N)[:, 0]
+    sups = np.empty(N + 1)
+    for lo in range(0, N + 1, block):
+        hi = min(lo + block, N + 1)
+        seq = px[lo:hi] * pa[lo:hi, None]
+        if lo:
+            seq[0] += carry
+        np.cumsum(seq, axis=0, out=seq)
+        carry = seq[-1].copy()
+        np.abs(seq, out=seq)
+        seq /= kernel_envelope(basis.measure, a, x, np.arange(lo, hi)[:, None])
+        sups[lo:hi] = seq.max(axis=1)
+    return np.maximum.accumulate(sups)
 
 
 # ----------------------------------------------------------------------

@@ -199,7 +199,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(masspoly.cli.main(argv))
-loaded = [name for name in ("scipy", "scipy._lib._util", "numpy.ma") if name in sys.modules]
+loaded = [name for name in ("scipy", "scipy._lib._util", "numpy.ma", "fractions", "masspoly.oracle")
+          if name in sys.modules]
 registered = sys.modules["scipy.special"]
 import scipy.special as special
 x, w = special.roots_jacobi(20, 0.0, 0.5)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -389,6 +390,32 @@ def test_spectral_norms_match_the_dense_svd_of_another_lapack():
         assert norms_p2[n] == pytest.approx(exact, rel=1e-13, abs=0), n
 
 
+def _spectral_norms_reference(phi, w, uv, vv, degrees):
+    """The p = 2 norms with both factors alive at once and fresh per-degree products."""
+    sw = np.sqrt(w)
+    factors = [(sw * uv)[:, None] * phi.T, (sw / vv)[:, None] * phi.T]
+    scales = [int(np.frexp(max(f.max(), -f.min()))[1]) for f in factors]
+    for f, e in zip(factors, scales):
+        np.ldexp(f, -e, out=f)
+    left, right = factors
+    gram, t = left.T @ left, np.linalg.qr(right, mode="r")
+    tops = [np.linalg.eigvalsh(t[: n + 1, : n + 1] @ gram[: n + 1, : n + 1] @ t[: n + 1, : n + 1].T)[-1]
+            for n in degrees]
+    return dict(zip(degrees, np.ldexp(np.sqrt(tops), sum(scales)).tolist()))
+
+
+def _assert_p2_entries(rep, basis, grid, uv, vv):
+    """Each entry equals the reference's and is within 1e-13 of scipy's SVD of the dense weighted matrix."""
+    ns = [n for n, _ in rep.entries]
+    reference = _spectral_norms_reference(basis.eval_all(grid.nodes, max(ns)), grid.weights, uv, vv, sorted(ns))
+    sw = np.sqrt(grid.weights)
+    for n, entry in rep.entries:
+        assert entry == reference[n], n
+        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
+        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
+        assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
+
+
 # u = v pairs, then a pair whose two Gram matrices both fail Cholesky at N = 120
 P2_WEIGHTS = {
     "unit": (None, None),
@@ -402,30 +429,21 @@ P2_WEIGHTS = {
 @pytest.mark.parametrize("spec", [LEGENDRE_ONE, TWO_MASSES], ids=["delta1", "two_masses"])
 def test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights(spec, N, weights):
     # one QR, a Gram matrix and an eigvalsh per degree against scipy's SVD of the dense
-    # weighted partial-sum matrix, where the Gram matrix is least accurate (u = v = (1-x)^5)
+    # weighted partial-sum matrix, where the Gram matrix is least accurate (u = v = (1-x)^5),
+    # and bit for bit against the same arithmetic with both factors alive at once
     u, v = P2_WEIGHTS[weights]
     basis, grid = _basis_and_grid(spec, N)
-    uv, vv = weight_values(u, grid, spec), weight_values(v, grid, spec)
-    sw = np.sqrt(grid.weights)
     ns = default_degree_list(N) if N <= 30 else [4, 14, 29, 70, N]  # each degree costs a dense SVD
     rep = strong_probe(basis, grid, 2.0, u, v, ns=ns)
-    for n, entry in rep.entries:
-        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
-        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
-        assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
+    _assert_p2_entries(rep, basis, grid, weight_values(u, grid, spec), weight_values(v, grid, spec))
 
 
 def test_p2_entries_do_not_overflow_where_the_factors_are_finite():
     # u = 1e200 at the atom: the factors are finite, their Gram matrix would overflow unscaled
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 30)
     u = PowerWeightSpec(at_mass=(1e200,))
-    uv, vv = weight_values(u, grid, LEGENDRE_ONE), np.ones(grid.size)
-    sw = np.sqrt(grid.weights)
     rep = strong_probe(basis, grid, 2.0, u, ns=[4, 17, 30])
-    for n, entry in rep.entries:
-        A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
-        exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
-        assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
+    _assert_p2_entries(rep, basis, grid, weight_values(u, grid, LEGENDRE_ONE), np.ones(grid.size))
 
 
 # Per-degree references for the strong, commutator and maximal sweeps: one ratio pass per degree,
@@ -526,6 +544,28 @@ def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep
         if N == 40:
             maximal_probe(basis, grid, p, u, v, N=N, ns=ns)
             _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
+
+
+@pytest.mark.parametrize("mode, p, bound", [("strong", 2.0, 3.0), ("strong", 3.0, 2.2), ("commutator", 3.0, 3.0)])
+def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
+    # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 2.46 (strong,
+    # p = 2), 1.67 (strong, p = 3) and 2.41 (commutator) units, and each bound fails a sweep that holds
+    # both p = 2 factors at once or copies its ratio scratch (3.80, 2.77 and 3.83 units)
+    N = 200
+    basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
+    b = bmo_symbols()["smooth_step"]
+    if mode == "strong":
+        probe = lambda: strong_probe(basis, grid, p, N=N)
+    else:
+        probe = lambda: commutator_probe(basis, grid, b, p, N=N)
+    probe()  # builds and keeps the basis table, which is not counted
+    tracemalloc.start()
+    try:
+        probe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * grid.size * (N + 1)) <= bound
 
 
 def test_p2_probes_run_without_scipy_linalg(monkeypatch):
