@@ -495,6 +495,16 @@ def gauss_points(rec: Recurrence, m: int):
     here.  Both run LAPACK's ``sterf`` on the same tridiagonal matrix, and
     their nodes were bit-identical on every rule tried.
 
+    The dense path costs more than time.  It holds two m^2 arrays, the
+    Jacobi matrix and ``eigvalsh``'s copy of it: ``make_grid`` at m = 1500
+    lifts a fresh process's peak RSS from 31 to 65 MB, and so sets the peak
+    of ``probe --n 500``, whose sweeps stay below it.  Its threaded
+    reduction sometimes stalls: of 25 fresh-process rules at m = 1500, one
+    took 1.27 s against 0.23-0.29 s for the rest, while all 25 with
+    OPENBLAS_NUM_THREADS=1 took 0.34-0.40 s (2-core x86-64; none of 25 at
+    m = 1200 stalled, 0.12-0.17 s).  numpy's ``lapack_lite`` binds no
+    tridiagonal eigensolver, so a numpy-only fix has to wait.
+
     Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
     relative accuracy down to the tiny weights at far Laguerre / Hermite
     nodes; Golub-Welsch eigenvector weights only have absolute accuracy.

@@ -546,11 +546,58 @@ def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep
             _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
 
 
-@pytest.mark.parametrize("mode, p, bound", [("strong", 2.0, 3.0), ("strong", 3.0, 2.2), ("commutator", 3.0, 3.0)])
+def _top_ratios_stacked(w, u, write, nG, nD, p):
+    """The ratio pass over one stack of every degree's outputs, where ``_top_ratios`` takes blocks of degrees."""
+    nd, K = len(nD) // 2, len(nG)
+    Y = np.zeros((nd, K + 2, len(w)))
+    for row in Y:
+        write(row)
+    nf = np.hstack([np.tile(nG, (nd, 1)), nD.reshape(nd, 2)])
+    r = norms._ratios(w, u, Y.reshape(-1, len(w)).T, nf.ravel(), p).reshape(nd, K + 2)
+    return r[:, :K].max(axis=1, initial=0.0).tolist(), r[:, K:].max(axis=1, initial=0.0).tolist()
+
+
+@pytest.mark.parametrize("count", [1, norms._BLOCK, norms._BLOCK + 1, 21])
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
+def test_blocked_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, count):
+    # each column's norm is summed on its own, so blocks of degrees give the floats of one stack;
+    # the lists start at degree 0, whose second certificate is zero
+    spec, u, v = LOOP_CASES[case]
+    ns = list(range(0, 2 * count, 2))
+    basis, grid = _basis_and_grid(spec, 40)
+    b = bmo_symbols()["smooth_step"]
+    seen = []
+    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
+    for ratios in (norms._top_ratios, _top_ratios_stacked):
+        monkeypatch.setattr(norms, "_top_ratios", ratios)
+        strong_probe(basis, grid, p, u, v, ns=ns)
+        commutator_probe(basis, grid, b, p, u, v, ns=ns)
+    assert len(seen[0]) == count
+    assert seen[:2] == seen[2:]
+
+
+@pytest.mark.parametrize("spec, N, weights", [(LEGENDRE_ONE, 200, False), (LEGENDRE_ONE, 500, False),
+                                              (TWO_MASSES, 60, True), (LAGUERRE_ZERO, 200, False)],
+                         ids=["delta1-200", "delta1-500", "two_masses_uv", "laguerre_delta0"])
+def test_qr_triangle_in_place_is_numpy_qr(spec, N, weights):
+    # the sweeps' own v-side factors; on Laguerre + delta_0 the far Gauss weights underflow to 0,
+    # so the factor has zero rows
+    basis, grid = _basis_and_grid(spec, N)
+    vv = V.values(grid.nodes, spec) if weights else np.ones(grid.size)
+    f, _ = norms._scaled_factor(basis.eval_all(grid.nodes, N), np.sqrt(grid.weights) / vv)
+    if spec is LAGUERRE_ZERO:
+        assert not f.any(axis=1).all()
+    expected = np.linalg.qr(f, mode="r")
+    t = norms._qr_triangle(f)
+    assert t.shape == expected.shape and (t == expected).all()
+
+
+@pytest.mark.parametrize("mode, p, bound", [("strong", 2.0, 2.0), ("strong", 3.0, 1.0), ("commutator", 3.0, 1.5)])
 def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
-    # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 2.46 (strong,
-    # p = 2), 1.67 (strong, p = 3) and 2.41 (commutator) units, and each bound fails a sweep that holds
-    # both p = 2 factors at once or copies its ratio scratch (3.80, 2.77 and 3.83 units)
+    # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 1.69 (strong,
+    # p = 2), 0.72 (strong, p = 3) and 1.14 (commutator) units, and each bound fails a sweep that runs
+    # its QR on copies of the factor or stacks every degree's outputs (2.46, 1.67 and 2.41 units)
     N = 200
     basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
     b = bmo_symbols()["smooth_step"]
