@@ -3,7 +3,11 @@
 Operator norms at p = 2 are exact.  For p != 2 the probes take ratios of
 fixed families of seeded random trials and indicator functions, which are
 lower bounds, and the strong and commutator probes add certificates of the
-top expansion coefficients.  A strong entry is the larger of the best input
+top expansion coefficients.  The strong, commutator and maximal probes run
+one L^p sweep, ``_lp_sweep``, and give it only their own parts; an entry is
+NaN, and the report is refused, when any of its parts is.  The
+restricted-weak probe keeps its own loop, whose norm pass skips rows by the
+running maximum.  A strong entry is the larger of the best input
 ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
 u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
@@ -550,35 +554,6 @@ def _family(grid: Grid, p, vv, seed, trials, spots):
     return F / vv[:, None], _pnorms(grid.weights, F, p)
 
 
-_BLOCK = 4  # degrees per ratio pass
-
-
-def _top_ratios(w, u, write, nG, nD, p):
-    """Per degree, the largest ratio of ``_ratios`` over the family's inputs and over the certificates'.
-
-    ``write`` is called once per degree, in order, with a (K + 2, m) row to
-    fill: the operator applied to the family's K inputs, then to its two
-    certificates.  nG holds the family's input norms, nD the certificates',
-    two per degree.  The rows of ``_BLOCK`` degrees share one scratch of
-    shape (_BLOCK, K + 2, m), reused from block to block, and one ratio pass
-    runs over each block.  That pass sums each column on its own, so the
-    floats do not depend on how many degrees a block holds.
-    """
-    nd, K, m = len(nD) // 2, len(nG), len(w)
-    Y = np.empty((min(_BLOCK, nd), K + 2, m))
-    family, certs = [], []
-    for lo in range(0, nd, _BLOCK):
-        block = Y[: min(_BLOCK, nd - lo)]
-        for row in block:
-            write(row)
-        b = len(block)
-        nf = np.hstack([np.tile(nG, (b, 1)), nD[2 * lo : 2 * (lo + b)].reshape(b, 2)])
-        r = _ratios(w, u, block.reshape(-1, m).T, nf.ravel(), p).reshape(b, K + 2)
-        family += r[:, :K].max(axis=1, initial=0.0).tolist()
-        certs += r[:, K:].max(axis=1, initial=0.0).tolist()
-    return family, certs
-
-
 def _dual(rows, p):
     """L^{p'} dual certificates |g|^{p'-1} sgn g of the rows g, one per column, written over ``rows``.
 
@@ -625,18 +600,23 @@ def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
 def fit_growth(ns, vals):
     """Fit log(val) ~ gamma log(n) over the top half of the n-range.
 
-    The fit runs on the running maximum of the values, the right statistic
-    for uniform-in-n boundedness when the values are noisy lower bounds.
+    The pairs (n, val) are taken in ascending order of n, whatever the order
+    given, and the fit runs on the running maximum of the values, the right
+    statistic for uniform-in-n boundedness when the values are noisy lower
+    bounds.  The top half must hold two distinct degrees, none of them 0.
     """
-    ns = np.asarray(ns, dtype=float)
-    vals = np.maximum.accumulate(np.asarray(vals, dtype=float))
+    order = np.argsort(ns, kind="stable")
+    ns = np.asarray(ns, dtype=float)[order]
+    vals = np.maximum.accumulate(np.asarray(vals, dtype=float)[order])
     k = len(ns) // 2
+    degrees = ", ".join(f"{n:g}" for n in ns)
     if len(set(ns[k:].tolist())) < 2:
-        degrees = ", ".join(f"{n:g}" for n in ns)
         raise SpecError(f"a growth fit needs two distinct degrees in the top half of the sweep, got {degrees}")
+    if ns[k] == 0:
+        raise SpecError(f"a growth fit takes log n, so the top half of the sweep cannot hold degree 0, got {degrees}")
     x = np.log(ns[k:])
     y = np.log(np.maximum(vals[k:], 1e-300))
-    coef, res = np.polyfit(x, y, 1), None
+    coef = np.polyfit(x, y, 1)
     fit = np.polyval(coef, x)
     res = float(np.sqrt(np.mean((y - fit) ** 2)))
     return float(coef[0]), res
@@ -699,6 +679,56 @@ def default_degree_list(N, count=20, start=4):
     return sorted(set(np.round(np.geomspace(start, N, count)).astype(int).tolist()))
 
 
+_ROWS = 48  # output rows per ratio pass: 4 degrees of the strong probe on a one-atom measure
+
+
+def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, ns, seed, trials, spots, parts) -> ProbeReport:
+    """The report of a strong, commutator or maximal sweep at p != 2.
+
+    The sweep is set up once (``_sweep_setup``) and draws its fixed family
+    from ``_family``: ``trials`` seeded normal functions and the indicators
+    of ``spots``, K inputs f / v.  ``parts(phi, degrees, w, uv, vv, G)``
+    gives what is the probe's own: the columns whose coefficients the prefix
+    sums carry, the degrees they step through, the rows g of its
+    certificates, c per degree, its increment norm of each degree (0 for
+    none), and ``write(y, n, d, sums)``.  That call steps ``sums`` to degree
+    n and fills the (K + c, m) row y with the operator applied to the
+    family's inputs, then to d, the degree's c certificates f / v.
+
+    The certificates f = v |g / v|^{p'-1} sgn(g / v) of every degree come
+    from one ``_dual`` call, kept as f / v, and their norms ||f||_p from one
+    ``_pnorms`` pass.  Output rows go into one scratch, reused from block to
+    block, that holds the rows of max(_ROWS // (K + c), 1) degrees, so a
+    probe with a larger family takes fewer degrees per block.  One
+    ``_ratios`` pass takes the ratios of each block.  That pass sums each
+    column on its own, so the floats do not depend on how many degrees a
+    block holds.  An entry is the largest of its degree's K + c ratios and
+    its increment norm, and NaN if any of them is, so that ``_sweep_report``
+    rejects it.
+    """
+    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
+    degrees, m = sorted(set(ns)), grid.size
+    G, nG = _family(grid, p, vv, seed, trials, spots)
+    columns, steps, rows, increment, write = parts(phi, degrees, w, uv, vv, G)
+    nd, c = len(degrees), len(rows) // len(degrees)
+    per = G.shape[1] + c
+    rows /= vv
+    D = _dual(rows, p) if c else rows.T
+    nD = _pnorms(w, vv[:, None] * D, p)
+    sums = _partial_sums(phi, phi @ (w[:, None] * columns), steps)
+    del columns  # only their coefficients are needed
+    Y = np.empty((min(max(_ROWS // per, 1), nd), per, m))
+    top = np.empty(nd)
+    for lo in range(0, nd, len(Y)):
+        block = Y[: nd - lo]
+        for j, y in enumerate(block, lo):
+            write(y, degrees[j], D[:, c * j : c * (j + 1)], sums)
+        b = len(block)
+        nf = np.hstack([np.tile(nG, (b, 1)), nD[c * lo : c * (lo + b)].reshape(b, c)])
+        top[lo : lo + b] = _ratios(w, uv, block.reshape(-1, m).T, nf.ravel(), p).reshape(b, per).max(axis=1)
+    return _sweep_report(mode, p, ns, dict(zip(degrees, np.maximum(top, increment).tolist())), seed, grid, u, v)
+
+
 def strong_probe(
     basis: OrthoBasis,
     grid: Grid,
@@ -730,49 +760,41 @@ def strong_probe(
     for bounded operators at these degree scales and would defeat the trend
     fit.
 
-    The degree loop only steps the prefix sums and applies S_n to its
-    degree's certificates.  The certificates of every degree come from one
-    ``_dual`` call before it, and the increment norms from one pass per
-    exponent.  Each degree's outputs, (K + 2) m floats for K trials, go into
-    ``_top_ratios``' block of 4 degrees, and one ``_pnorms`` pass per block
-    takes their ratios.  On Legendre + delta_1 at N = 200 a sweep takes about
-    3.2 ms, against 4.3 ms with the norms taken degree by degree, and its
-    ``tracemalloc`` peak is 0.72 factors of m (N + 1) floats, the basis table
-    not counted, against 1.67 with every degree's outputs in one stack.
+    At p != 2 the sweep is ``_lp_sweep``'s.  The probe gives it the rows
+    P_n and P_{n-1} of each degree's certificates, rho_n from one pass per
+    exponent, and an output row that steps the prefix sums to S_n and
+    applies S_n to the family and to the two certificates; an entry that
+    rho_n or a ratio makes NaN is rejected.  On Legendre + delta_1 at N = 200
+    a sweep takes about 3.2 ms, and its ``tracemalloc`` peak is 0.72 factors
+    of m (N + 1) floats, the basis table not counted, against 1.67 with every
+    degree's outputs in one stack.
     """
     _check_exponent(p, dual=True)
-    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    degrees = sorted(set(ns))
     if p == 2:
-        vals = _spectral_norms(phi, w, uv, vv, degrees)
-    else:
-        G, nG = _family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
-        K, nd = G.shape[1], len(degrees)
+        ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
+        return _sweep_report("strong", p, ns, _spectral_norms(phi, w, uv, vv, sorted(set(ns))), seed, grid, u, v)
+
+    def parts(phi, degrees, w, uv, vv, G):
+        K = G.shape[1]
         # the increment ||u P_n||_p ||P_n / v||_{p'}
         P = phi[degrees]
-        cert = _pnorms(w, (uv * P).T, p) * _pnorms(w, (P / vv).T, p / (p - 1))
-        del P
-        # dual certificates f = v |P_k / v|^{p'-1} sgn(P_k / v), k = n, n-1; D holds f / v.  P_{-1} = 0
-        # gives a zero certificate: its output row is cleared and its input norm is 0, so no ratio reads it
-        ks = np.repeat(degrees, 2) - np.tile([0, 1], nd)
+        rho = _pnorms(w, (uv * P).T, p) * _pnorms(w, (P / vv).T, p / (p - 1))
+        # certificates of g = P_k, k = n, n-1.  P_{-1} = 0 gives a zero certificate: its output
+        # row is cleared and its input norm is 0, so no ratio reads it
+        ks = np.repeat(degrees, 2) - np.tile([0, 1], len(degrees))
         rows = phi[ks]
         rows[ks < 0] = 0.0
-        rows /= vv
-        D = _dual(rows, p)
-        nD = _pnorms(w, vv[:, None] * D, p)
-        sums = enumerate(_partial_sums(phi, phi @ (w[:, None] * G), degrees))
 
-        def write(y):  # S_n on the family, then on the certificates
-            j, (n, SG) = next(sums)
-            head, d = phi[: n + 1], D[:, 2 * j : 2 * j + 1 + (n > 0)]
-            y[:K] = SG.T
+        def write(y, n, d, sums):  # S_n on the family, then on the certificates
+            head, d = phi[: n + 1], d[:, : 1 + (n > 0)]
+            y[:K] = next(sums)[1].T
             y[K : K + d.shape[1]] = (head.T @ (head @ (w[:, None] * d))).T
             if n == 0:
                 y[K + 1] = 0.0  # the zero certificate's row; the scratch is not initialized
 
-        family, duals = _top_ratios(w, uv, write, nG, nD, p)
-        vals = {n: max(f, d, c) for n, f, d, c in zip(degrees, family, duals, cert.tolist())}
-    return _sweep_report("strong", p, ns, vals, seed, grid, u, v)
+        return G, degrees, rows, rho, write
+
+    return _lp_sweep("strong", basis, grid, p, u, v, N, ns, seed, 8, [*grid.atom_idx, grid.size // 2], parts)
 
 
 def check_symbol(values, locations, name="b", hint="it must be finite at every atom"):
@@ -798,44 +820,34 @@ def commutator_probe(
     An entry is the larger of the best ratio of [M_b, S_n] on the trial
     family, a lower bound of its norm, and the best ratio of the increment
     [M_b, S_n - S_{n-1}] on its two certificates, which bounds only
-    ||[M_b, S_n]|| + ||[M_b, S_{n-1}]|| from below.  Its sweep is batched as
-    ``strong_probe``'s: one ``_dual`` call for the certificates of every
-    degree, the prefix sums and certificate products in the degree loop, and
-    one ``_pnorms`` pass per block of 4 degrees (``_top_ratios``).  On
-    Legendre + delta_1 at N = 200 its ``tracemalloc`` peak is 1.14 factors of
-    m (N + 1) floats, against 2.41 with every degree's outputs in one stack.
+    ||[M_b, S_n]|| + ||[M_b, S_{n-1}]|| from below.  The sweep is
+    ``_lp_sweep``'s: the probe gives it 12 trials, the prefix-sum columns f
+    and b f, the certificate rows P_n and b P_n of each degree, and an output
+    row of b S_n(f / v) - S_n(b f / v) and the increment's two rank-one
+    products.  Entries are fixed-family lower bounds plus increment
+    certificates: exact norms approach their (finite) sup so slowly in n that
+    a trend fit on them would misread every bounded commutator as growing.
+    On Legendre + delta_1 at N = 200 its ``tracemalloc`` peak is 1.06 factors
+    of m (N + 1) floats, against 2.41 with every degree's outputs in one
+    stack.
     """
     _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
     check_symbol(b_vals[grid.atom_idx], grid.nodes[grid.atom_idx])
-    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    G, nG = _family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
-    degrees = sorted(set(ns))
-    K, nd = G.shape[1], len(degrees)
-    # rank-two degree increment [M_b, S_n - S_{n-1}] as a certificate, applied to
-    # f = v |g|^{p'-1} sgn(g) for g = P_n / v and b P_n / v; D holds f / v
-    rows = np.empty((nd, 2, len(w)))
-    rows[:, 0] = rows[:, 1] = phi[degrees]
-    rows[:, 1] *= b_vals
-    rows /= vv
-    D = _dual(rows.reshape(2 * nd, -1), p)
-    nD = _pnorms(w, vv[:, None] * D, p)
-    coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
-    # entries are fixed-family lower bounds plus increment certificates;
-    # exact norms approach their (finite) sup so slowly in n that a trend
-    # fit on them would misread every bounded commutator as growing
-    sums = enumerate(_partial_sums(phi, coef, degrees))
 
-    def write(y):  # the commutator on the family, then on the certificates
-        j, (n, S) = next(sums)
-        # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v)
-        np.subtract(b_vals[:, None] * S[:, :K], S[:, K:], out=y[:K].T)
-        pn, d = phi[n], D[:, 2 * j : 2 * j + 2]
-        y[K:] = (np.outer(b_vals * pn, pn @ (w[:, None] * d)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * d))).T
+    def parts(phi, degrees, w, uv, vv, G):
+        K = G.shape[1]
+        rows = np.repeat(phi[degrees], 2, axis=0)  # g = P_n and b P_n
+        rows[1::2] *= b_vals
 
-    family, certs = _top_ratios(w, uv, write, nG, nD, p)
-    vals = {n: max(f, c) for n, f, c in zip(degrees, family, certs)}
-    return _sweep_report("commutator", p, ns, vals, seed, grid, u, v)
+        def write(y, n, d, sums):  # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v), then the increment
+            S, pn = next(sums)[1], phi[n]
+            np.subtract(b_vals[:, None] * S[:, :K], S[:, K:], out=y[:K].T)
+            y[K:] = (np.outer(b_vals * pn, pn @ (w[:, None] * d)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * d))).T
+
+        return np.hstack([G, b_vals[:, None] * G]), degrees, rows, 0.0, write
+
+    return _lp_sweep("commutator", basis, grid, p, u, v, N, ns, seed, 12, [*grid.atom_idx, grid.size // 2], parts)
 
 
 def maximal_probe(
@@ -848,19 +860,32 @@ def maximal_probe(
     ns=None,
     seed: int = 0,
 ) -> ProbeReport:
-    """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|."""
+    """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|.
+
+    The sweep is ``_lp_sweep``'s, with 40 trials, the indicators of the
+    atoms and of the two end nodes, and no certificates, so p = 1 is taken.
+    Its prefix sums step through every degree, and the output row of a
+    degree n is the running sup_{k<=n} |S_k(f / v)|, written into the
+    sweep's block, which its K >= 43 rows fill: one degree per ratio pass.
+    On Legendre + delta_1 at N = 200 its ``tracemalloc`` peak is 1.51
+    factors of m (N + 1) floats, against 1.44 with a ratio pass of its own
+    on a copy of the running sup, and 2.15 with blocks of 4 degrees.
+    """
     _check_exponent(p)
-    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    G, nG = _family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
-    wanted = set(ns)
-    sup, mag = np.zeros_like(G), np.empty_like(G)
-    vals = {}
-    # one prefix sum over every degree; sup_{k<=n} |S_k f| is its running max at n
-    for k, S in _partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
-        np.maximum(sup, np.abs(S, out=mag), out=sup)
-        if k in wanted:
-            vals[k] = float(np.max(_ratios(w, uv, np.array(sup, order="F"), nG, p), initial=0.0))
-    return _sweep_report("maximal", p, ns, vals, seed, grid, u, v)
+
+    def parts(phi, degrees, w, uv, vv, G):
+        sup, mag = np.zeros_like(G), np.empty_like(G)
+
+        def write(y, n, d, sums):
+            for k, S in sums:
+                np.maximum(sup, np.abs(S, out=mag), out=sup)
+                if k == n:
+                    break
+            y[:] = sup.T
+
+        return G, range(len(phi)), np.empty((0, len(w))), 0.0, write
+
+    return _lp_sweep("maximal", basis, grid, p, u, v, N, ns, seed, 40, [*grid.atom_idx, 0, grid.size - 1], parts)
 
 
 # ----------------------------------------------------------------------

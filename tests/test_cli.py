@@ -170,7 +170,9 @@ def test_lapack_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("base, p, n, error", [
-    ("laguerre", 3, 80, "the strong probe at p = 3 has a non-finite entry at degree 80 on a grid of 241 nodes"),
+    # rho_n is NaN at degree 68: |P_n|^{p'} overflows at nodes whose Gauss weight underflowed to 0
+    ("laguerre", 3, 80, "the strong probe at p = 3 has a non-finite entry at degree 68 on a grid of 241 nodes"),
+    ("laguerre", 1.5, 120, "the strong probe at p = 1.5 has a non-finite entry at degree 59 on a grid of 361 nodes"),
     ("hermite", 3, 150, "the strong probe at p = 3 has a non-finite entry at degree 150 on a grid of 451 nodes"),
     ("laguerre", 2, 400, "the basis table up to degree 400 overflowed on the grid of 1201 nodes: "
                          "the p = 2 factors hold non-finite values"),

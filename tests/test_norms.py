@@ -28,6 +28,7 @@ from masspoly import (
     make_grid,
 )
 from masspoly.norms import (
+    GROWTH_THRESHOLD,
     ProbeReport,
     _verdict,
     _may_reach,
@@ -235,6 +236,26 @@ def test_default_degree_list_matches_the_unique_of_the_rounded_geometric_spacing
             ns = default_degree_list(N, count)
             assert ns == np.unique(np.round(np.geomspace(4, N, count)).astype(int)).tolist(), (N, count)
             assert all(type(n) is int for n in ns)
+
+
+@pytest.mark.parametrize("ns", [[0, 0, 0, 5], [5, 0, 0], [2, 0, 0, 0, 1, 0]])
+def test_fit_growth_rejects_degree_0_in_the_top_half(ns):
+    # log 0 would reach np.polyfit, whose SVD fails on it
+    with pytest.raises(SpecError, match="cannot hold degree 0"):
+        fit_growth(ns, np.arange(1.0, len(ns) + 1))
+
+
+def test_fit_growth_fits_in_ascending_degree_order():
+    # a report keeps its entries in the order given; the fit sorts the (n, value) pairs, so a
+    # shuffled list fits as the sorted one, and degree 0 may be given anywhere in the list
+    ns = np.array([0, 1, 3, 9, 17, 25, 40])
+    vals = np.array([0.5, 1.0, 1.3, 1.2, 1.5, 1.45, 1.6])
+    expected = fit_growth(ns, vals)
+    assert expected[0] > GROWTH_THRESHOLD
+    rng = np.random.default_rng(3)
+    for order in [np.arange(7)[::-1], [4, 2, 6, 3, 0, 5, 1], *(rng.permutation(7) for _ in range(5))]:
+        assert fit_growth(ns[order], vals[order]) == expected
+        assert fit_growth(ns[order].tolist(), vals[order].tolist()) == expected
 
 
 def test_fit_growth_recovers_exponent():
@@ -472,10 +493,10 @@ def _strong_loop(basis, grid, p, u, v, N, ns, seed=0):
         D = norms._dual(phi[[k for k in (n, n - 1) if k >= 0]] / vv, p)
         head = phi[: n + 1]
         SD = head.T @ (head @ (w[:, None] * D))
-        best = max(_best_ratio_loop(w, uv, SG, nG, p),
-                   _best_ratio_loop(w, uv, SD, _pnorms_loop(w, vv[:, None] * D, p), p))
-        cert = _pnorm_loop(w, uv * phi[n], p) * _pnorm_loop(w, phi[n] / vv, p / (p - 1))
-        vals[n] = max(best, float(cert))
+        family = _best_ratio_loop(w, uv, SG, nG, p)
+        certs = _best_ratio_loop(w, uv, SD, _pnorms_loop(w, vv[:, None] * D, p), p)
+        increment = _pnorm_loop(w, uv * phi[n], p) * _pnorm_loop(w, phi[n] / vv, p / (p - 1))
+        vals[n] = float(np.max([family, certs, increment]))  # NaN if any part is
     return vals
 
 
@@ -491,7 +512,7 @@ def _commutator_loop(basis, grid, b, p, u, v, N, ns, seed=0):
         pn = phi[n]
         D = norms._dual(np.stack([pn / vv, b_vals * pn / vv]), p)
         R = np.outer(b_vals * pn, pn @ (w[:, None] * D)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * D))
-        vals[n] = max(best, _best_ratio_loop(w, uv, R, _pnorms_loop(w, vv[:, None] * D, p), p))
+        vals[n] = float(np.max([best, _best_ratio_loop(w, uv, R, _pnorms_loop(w, vv[:, None] * D, p), p)]))
     return vals
 
 
@@ -546,35 +567,27 @@ def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep
             _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
 
 
-def _top_ratios_stacked(w, u, write, nG, nD, p):
-    """The ratio pass over one stack of every degree's outputs, where ``_top_ratios`` takes blocks of degrees."""
-    nd, K = len(nD) // 2, len(nG)
-    Y = np.zeros((nd, K + 2, len(w)))
-    for row in Y:
-        write(row)
-    nf = np.hstack([np.tile(nG, (nd, 1)), nD.reshape(nd, 2)])
-    r = norms._ratios(w, u, Y.reshape(-1, len(w)).T, nf.ravel(), p).reshape(nd, K + 2)
-    return r[:, :K].max(axis=1, initial=0.0).tolist(), r[:, K:].max(axis=1, initial=0.0).tolist()
-
-
-@pytest.mark.parametrize("count", [1, norms._BLOCK, norms._BLOCK + 1, 21])
+@pytest.mark.parametrize("count", [1, 4, 5, 21])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
 def test_blocked_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, count):
-    # each column's norm is summed on its own, so blocks of degrees give the floats of one stack;
-    # the lists start at degree 0, whose second certificate is zero
+    # each column's norm is summed on its own, so blocks of degrees give the floats of one stack of
+    # every degree's outputs and of one degree per pass.  At 48 rows a block holds 4 or 3 strong,
+    # 3 or 2 commutator and 1 maximal degrees; the lists start at degree 0, whose second strong
+    # certificate is zero
     spec, u, v = LOOP_CASES[case]
     ns = list(range(0, 2 * count, 2))
     basis, grid = _basis_and_grid(spec, 40)
     b = bmo_symbols()["smooth_step"]
     seen = []
     monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
-    for ratios in (norms._top_ratios, _top_ratios_stacked):
-        monkeypatch.setattr(norms, "_top_ratios", ratios)
+    for rows in (norms._ROWS, 10**9, 1):
+        monkeypatch.setattr(norms, "_ROWS", rows)
         strong_probe(basis, grid, p, u, v, ns=ns)
         commutator_probe(basis, grid, b, p, u, v, ns=ns)
-    assert len(seen[0]) == count
-    assert seen[:2] == seen[2:]
+        maximal_probe(basis, grid, p, u, v, ns=ns)
+    assert len(seen) == 9 and len(seen[0]) == count
+    assert seen[:3] == seen[3:6] == seen[6:]
 
 
 @pytest.mark.parametrize("spec, N, weights", [(LEGENDRE_ONE, 200, False), (LEGENDRE_ONE, 500, False),
@@ -593,18 +606,21 @@ def test_qr_triangle_in_place_is_numpy_qr(spec, N, weights):
     assert t.shape == expected.shape and (t == expected).all()
 
 
-@pytest.mark.parametrize("mode, p, bound", [("strong", 2.0, 2.0), ("strong", 3.0, 1.0), ("commutator", 3.0, 1.5)])
+@pytest.mark.parametrize("mode, p, bound", [("strong", 2.0, 2.0), ("strong", 3.0, 1.0), ("commutator", 3.0, 1.5),
+                                            ("maximal", 3.0, 1.6)])
 def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
     # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 1.69 (strong,
-    # p = 2), 0.72 (strong, p = 3) and 1.14 (commutator) units, and each bound fails a sweep that runs
-    # its QR on copies of the factor or stacks every degree's outputs (2.46, 1.67 and 2.41 units)
+    # p = 2), 0.72 (strong, p = 3), 1.06 (commutator) and 1.51 (maximal) units, and each of the first three
+    # bounds fails a sweep that runs its QR on copies of the factor or stacks every degree's outputs
+    # (2.46, 1.67 and 2.41 units); the maximal bound fails a block of 4 of its degrees (2.15 units)
     N = 200
     basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
     b = bmo_symbols()["smooth_step"]
-    if mode == "strong":
-        probe = lambda: strong_probe(basis, grid, p, N=N)
-    else:
-        probe = lambda: commutator_probe(basis, grid, b, p, N=N)
+    probe = {
+        "strong": lambda: strong_probe(basis, grid, p, N=N),
+        "commutator": lambda: commutator_probe(basis, grid, b, p, N=N),
+        "maximal": lambda: maximal_probe(basis, grid, p, N=N),
+    }[mode]
     probe()  # builds and keeps the basis table, which is not counted
     tracemalloc.start()
     try:
