@@ -130,16 +130,16 @@ def _weights(prm):
     return weight_from_dict(prm["u"]), weight_from_dict(prm["v"])
 
 
-def _symbol(prm, spec):
-    """The symbol the config key "symbol" names; it must be finite at every mass point."""
+def _symbol(prm, grid):
+    """The symbol the config key "symbol" names; it must be finite at every node of the grid, mass points first."""
     symbols = norms.bmo_symbols(prm["t"])
     name = prm["symbol"]
     if name not in symbols:
         raise SpecError(f"symbol must be one of {tuple(symbols)}, got {name!r}")
     b = symbols[name]
     with np.errstate(divide="ignore", invalid="ignore"):
-        at_masses = b(np.asarray(spec.mass_locations, dtype=float))
-    norms.check_symbol(at_masses, spec.mass_locations, repr(name),
+        on_grid = b(grid.nodes)
+    norms.check_symbol(on_grid, grid, repr(name),
                        f"choose one finite there with the config key \"symbol\", one of {tuple(symbols)}")
     return b
 
@@ -204,7 +204,7 @@ def _maximal(spec, prm):
 
 def _commutator(spec, prm):
     basis, f, xs = _sampled(spec, prm, prm["n"])
-    b = _symbol(prm, spec)
+    b = _symbol(prm, f.grid)
     # a symbol infinite at an evaluation point leaves non-finite values, which raise NumericalBreakdown
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = transforms.commutator(basis, b, f, prm["n"], xs)
@@ -229,7 +229,7 @@ def _weak_probe(basis, grid, q, u, v):
 
 def _commutator_probe(basis, grid, q, u, v):
     norms._check_exponent(q["p"], dual=True)  # as in the probe, p is checked before the symbol
-    b = _symbol(q, basis.measure)
+    b = _symbol(q, grid)
     return norms.commutator_probe(basis, grid, b, q["p"], u, v, N=q["N"], seed=q["seed"])
 
 
@@ -244,9 +244,9 @@ _PROBES = {
 }
 
 
-def _probe(spec, prm):
-    if prm["mode"] not in _PROBES:
-        raise SpecError(f"mode must be one of {tuple(_PROBES)}, got {prm['mode']!r}")
+def _probe(spec, prm, modes=tuple(_PROBES)):
+    if prm["mode"] not in modes:
+        raise SpecError(f"mode must be one of {modes}, got {prm['mode']!r}")
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
     u, v = (None if prm[key] is None else weight_from_dict(prm[key]) for key in ("u", "v"))
@@ -374,7 +374,9 @@ COMMANDS = {
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
     "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong")),
-    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak")),
+    # weak-probe runs the restricted-weak probe only; probe --mode runs the others
+    "weak-probe": Command(lambda spec, prm: _probe(spec, prm, ("restricted-weak",)), ("n", "estimate"),
+                          _probe_params("restricted-weak")),
     "laguerre-mass": Command(
         _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
         (("alpha", 0.0), ("M", 1.0), ("N", 40)),

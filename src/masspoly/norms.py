@@ -7,7 +7,8 @@ top expansion coefficients.  The strong, commutator and maximal probes run
 one L^p sweep, ``_lp_sweep``, and give it only their own parts; an entry is
 NaN, and the report is refused, when any of its parts is.  The
 restricted-weak probe keeps its own loop, whose norm pass skips rows by the
-running maximum.  A strong entry is the larger of the best input
+running maximum; that pass, ``_weak_norms``, is the one L^{p,inf} norm, also
+``lorentz_norm``'s at r = inf.  A strong entry is the larger of the best input
 ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
 u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
@@ -104,9 +105,13 @@ def weight_values(w: PowerWeightSpec | None, grid: Grid, spec: MeasureSpec):
 # norms
 
 
+def _pnorm(w, x, p):
+    return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     _check_exponent(p)
-    return float(np.sum(f.weights * np.abs(f.values) ** p) ** (1.0 / p))
+    return float(_pnorm(f.weights, f.values, p))
 
 
 def rearrangement(f: GridFunction):
@@ -138,49 +143,33 @@ class LorentzIndex:
         return pc, rc
 
 
-def _weak_norms(A, w, p, floor=None):
-    """L^{p,inf} norm of every row of a non-negative matrix A on node measures w > 0.
+def _weak_norms(A, w, p, floor):
+    """L^{p,inf} norm of every row of a non-negative matrix A on node measures w > 0, cut at ``floor``.
 
     The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row in
     descending order, ties by node index as in ``rearrangement``, and C_i the
-    measure of its first i nodes.  Rows are sorted with the default (unstable,
-    SIMD) argsort and read backwards; the rows whose sorted values hold an
-    exact tie are sorted again stably.  A row holding NaN reads NaN, and one
-    holding inf reads inf.
-
-    With ``floor``, one entry per row, a row whose norm reaches its floor gets
-    that norm exactly and any other row some value below its floor.  A node
-    below floor / w.sum()^{1/p}, less a slack of 1e-10 for rounding, has a term
-    below the floor wherever it stands, so each row sorts only the nodes not
-    below that cut, by value and then node index.  They lead the full
-    descending order, so their cumulative sums add the same numbers in the same
-    order.  NaN and inf are never cut.  A cut row keeps few nodes, so each row
-    is sorted on its own rather than padded into a block.
+    measure of its first i nodes.  ``floor`` holds one entry per row: a row
+    whose norm reaches its floor gets that norm exactly and any other row
+    some value below its floor.  A node below floor / w.sum()^{1/p}, less a
+    slack of 1e-10 for rounding, has a term below the floor wherever it
+    stands, so each row sorts only the nodes not below that cut, stably by
+    value and so by node index within a tie.  They lead the full descending
+    order, so their cumulative sums add the same numbers in the same order.
+    A floor of 0 cuts no node and gives every norm exactly.  NaN and inf are
+    never cut: a row holding NaN reads NaN, and one holding inf but no NaN
+    reads inf.  A cut row keeps few nodes, so each row is sorted on its own
+    rather than padded into a block.  A holds at least one column.
     """
-    if A.shape[1] == 0:
-        return np.zeros(A.shape[0])
-    if floor is not None:
-        cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
-        out = np.empty(len(A))
-        for i, (row, cut) in enumerate(zip(A, cuts)):
-            top = np.flatnonzero(~(row < cut))
-            top = top[np.argsort(-row[top], kind="stable")]
-            cum = np.cumsum(w[top])
-            np.power(cum, 1.0 / p, out=cum)
-            cum *= row[top]
-            out[i] = cum.max(initial=0.0)
-        return out
-    order = np.argsort(A, axis=1)[:, ::-1]
-    vals = np.take_along_axis(A, order, axis=1)
-    tied = np.flatnonzero(np.any(vals[:, 1:] == vals[:, :-1], axis=1))
-    if len(tied):
-        order[tied] = np.argsort(-A[tied], axis=1, kind="stable")
-    # in place: each block-sized temporary freed and allocated again costs page faults
-    cum = w[order]
-    np.cumsum(cum, axis=1, out=cum)
-    np.power(cum, 1.0 / p, out=cum)
-    cum *= vals
-    return cum.max(axis=1)
+    cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
+    out = np.empty(len(A))
+    for i, (row, cut) in enumerate(zip(A, cuts)):
+        top = np.flatnonzero(~(row < cut))
+        top = top[np.argsort(-row[top], kind="stable")]
+        cum = np.cumsum(w[top])
+        np.power(cum, 1.0 / p, out=cum)
+        cum *= row[top]
+        out[i] = cum.max(initial=0.0)
+    return out
 
 
 def _may_reach(A, w, p, denom, floor):
@@ -212,16 +201,20 @@ def _may_reach(A, w, p, denom, floor):
 
 
 def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
-    """Exact L^{p,r} norm of a grid function via its step rearrangement."""
+    """Exact L^{p,r} norm of a grid function via its step rearrangement.
+
+    Nodes of measure zero are dropped.  At r = inf the norm is the
+    restricted-weak probe's pass, ``_weak_norms``, with a floor of 0, which
+    cuts no node; its stable sort keeps the rearrangement's order.
+    """
     p, r = idx.p, idx.r
-    if r == math.inf:
-        keep = f.weights > 0
-        return float(_weak_norms(np.abs(f.values[keep])[None, :], f.weights[keep], p)[0])
     vals, meas = rearrangement(f)
     keep = meas > 0
     vals, meas = vals[keep], meas[keep]
     if len(vals) == 0:
         return 0.0
+    if r == math.inf:
+        return float(_weak_norms(vals[None, :], meas, p, np.zeros(1))[0])
     cum = np.cumsum(meas)
     prev = np.concatenate([[0.0], cum[:-1]])
     terms = vals**r * (cum ** (r / p) - prev ** (r / p))
@@ -313,10 +306,6 @@ def _check_exponent(p, dual=False):
         raise SpecError(f"p must be in [1, inf), got {p}")
     if dual and p == 1:
         raise SpecError("p = 1 has no finite conjugate exponent p'; use p > 1")
-
-
-def _pnorm(w, x, p):
-    return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
 
 
 def _pnorms(w, X, p):
@@ -545,9 +534,9 @@ def _family(grid: Grid, p, vv, seed, trials, spots):
     """A probe's fixed candidates f, one per column, as (f / v, ||f||_p).
 
     The f are ``trials`` seeded standard normal vectors, then the indicator
-    of each node in ``spots``.
+    of each node in ``spots``, taken once, at its first occurrence.
     """
-    m = grid.size
+    m, spots = grid.size, list(dict.fromkeys(spots))  # an atom at an end node is one spot
     F = np.zeros((m, trials + len(spots)))
     F[:, :trials] = np.random.default_rng(seed).standard_normal((trials, m)).T
     F[spots, trials + np.arange(len(spots))] = 1.0
@@ -797,11 +786,18 @@ def strong_probe(
     return _lp_sweep("strong", basis, grid, p, u, v, N, ns, seed, 8, [*grid.atom_idx, grid.size // 2], parts)
 
 
-def check_symbol(values, locations, name="b", hint="it must be finite at every atom"):
-    """Raise NonFiniteWeight at the first mass point where the symbol's value is not finite, naming both."""
-    for a, value in zip(locations, values):
-        if not np.isfinite(value):
-            raise NonFiniteWeight(f"symbol {name} is {value} at the mass point {a:g}; {hint}")
+def check_symbol(b_vals, grid: Grid, name="b", hint=None):
+    """Raise NonFiniteWeight at the first mass point, else the first node, where the symbol's value is not finite.
+
+    The message names the symbol and the point, and ends in ``hint`` or, by
+    default, in the rule that the symbol must be finite at every atom or node.
+    """
+    bad = np.flatnonzero(~np.isfinite(b_vals))
+    for at, nodes, rule in (("mass point", grid.atom_idx, "atom"), ("grid node", bad, "grid node")):
+        for i in nodes:
+            if not np.isfinite(b_vals[i]):
+                raise NonFiniteWeight(f"symbol {name} is {b_vals[i]} at the {at} {grid.nodes[i]:g}; "
+                                      f"{hint or f'it must be finite at every {rule}'}")
 
 
 def commutator_probe(
@@ -815,7 +811,7 @@ def commutator_probe(
     ns=None,
     seed: int = 0,
 ) -> ProbeReport:
-    """Growth probe of the commutator [M_b, S_n] in L^p(d-nu).
+    """Growth probe of the commutator [M_b, S_n] in L^p(d-nu); b must be finite at every node of the grid.
 
     An entry is the larger of the best ratio of [M_b, S_n] on the trial
     family, a lower bound of its norm, and the best ratio of the increment
@@ -833,7 +829,7 @@ def commutator_probe(
     """
     _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
-    check_symbol(b_vals[grid.atom_idx], grid.nodes[grid.atom_idx])
+    check_symbol(b_vals, grid)
 
     def parts(phi, degrees, w, uv, vv, G):
         K = G.shape[1]
@@ -863,13 +859,12 @@ def maximal_probe(
     """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|.
 
     The sweep is ``_lp_sweep``'s, with 40 trials, the indicators of the
-    atoms and of the two end nodes, and no certificates, so p = 1 is taken.
-    Its prefix sums step through every degree, and the output row of a
-    degree n is the running sup_{k<=n} |S_k(f / v)|, written into the
-    sweep's block, which its K >= 43 rows fill: one degree per ratio pass.
-    On Legendre + delta_1 at N = 200 its ``tracemalloc`` peak is 1.51
-    factors of m (N + 1) floats, against 1.44 with a ratio pass of its own
-    on a copy of the running sup, and 2.15 with blocks of 4 degrees.
+    atoms and of the two end nodes, each node once, and no certificates, so
+    p = 1 is taken.  Its prefix sums step through every degree, and the
+    output row of a degree n is the running sup_{k<=n} |S_k(f / v)|, written
+    into the sweep's block, which its K >= 42 rows fill: one degree per
+    ratio pass.  On Legendre + delta_1 at N = 200, whose atom is the end
+    node, its ``tracemalloc`` peak is 1.48 factors of m (N + 1) floats.
     """
     _check_exponent(p)
 

@@ -113,11 +113,13 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
     """[M_b, S_n] f(x) = b(x) S_n f(x) - S_n(b f)(x).
 
     b is a callable, or values on the grid of f (a GridFunction or an array),
-    which are read at x by linear interpolation between the grid nodes.
+    which are read at x by linear interpolation between the grid nodes.  It
+    must be finite at every node of that grid, its mass points first
+    (``norms.check_symbol``); at x it may not be, and the values then are not.
     """
     _check_grid(basis, f, n)
     b_vals = _as_values(b, f.nodes)
-    check_symbol(b_vals[f.atom_idx], f.nodes[f.atom_idx])
+    check_symbol(b_vals, f.grid)
     (coef_f, coef_bf), px = _expand(basis, f.nodes, f.weights, [f.values, b_vals * f.values], n, x)
     bx = b(x) if callable(b) else np.interp(x, f.nodes, b_vals)
     vals = bx * (coef_f @ px) - coef_bf @ px

@@ -246,6 +246,22 @@ def test_symbol_infinite_at_a_mass_point_is_named(capsys, tmp_path, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "--base", "hermite", "--mode", "commutator", "--p", "3", "--n", "20"],
+    ["probe", "--base", "laguerre", "--mode", "commutator", "--p", "3", "--n", "20"],
+    ["commutator", "--base", "laguerre", "--n", "5"],
+])
+def test_symbol_not_finite_at_a_grid_node_exits_2(capsys, tmp_path, argv):
+    # log_edge is log(1 - x), NaN at every node x > 1 of a Hermite or Laguerre grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"symbol": "log_edge"}')
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "NonFiniteWeight: symbol 'log_edge' is nan at the grid node 1." in captured.err
+    assert 'config key "symbol"' in captured.err
+    assert captured.out == ""
+
+
 def test_probe_reports_agreement(capsys):
     code, doc = run_json(
         capsys, "probe", "--base", "legendre", "--mass", "1:1", "--p", "2", "--n", "40",
@@ -602,6 +618,18 @@ def test_weak_modes_reject_v(capsys, tmp_path, argv):
     assert main([*argv, *LEGENDRE_MASS, "--p", "4", "--n", "30", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "SpecError" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("mode, flag", [("strong", True), ("maximal", True), ("commutator", True),
+                                        ("maximal", False), ("strong", False)])
+def test_weak_probe_runs_only_the_restricted_weak_probe(capsys, tmp_path, mode, flag):
+    cfg = tmp_path / "mode.json"
+    cfg.write_text("{}" if flag else json.dumps({"mode": mode}))
+    argv = ["weak-probe", *LEGENDRE_MASS, "--p", "3", "--n", "20", "--config", str(cfg)]
+    assert main([*argv, "--mode", mode] if flag else argv) == 2
+    captured = capsys.readouterr()
+    assert f"SpecError: mode must be one of ('restricted-weak',), got '{mode}'" in captured.err
+    assert captured.out == ""
 
 
 def _record(a=0.0, b=0.0, g=(), at_mass=()):

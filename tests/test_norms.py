@@ -14,6 +14,7 @@ from masspoly import (
     Grid,
     GridFunction,
     GridTooSmall,
+    HermiteSpec,
     LaguerreSpec,
     LorentzIndex,
     MassPoint,
@@ -121,12 +122,18 @@ def test_lorentz_nesting_in_r():
         assert b <= a * (1 + 1e-12)
 
 
-def _stable_weak_norm(values, weights, p):
-    """max_i v_(i) C_i^{1/p} on a stable descending sort, zero-weight nodes dropped after sorting."""
-    order = np.argsort(-np.abs(values), kind="stable")
-    vals, meas = np.abs(values)[order], weights[order]
-    keep = meas > 0
-    return float(np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)))
+def _stable_weak_norms(A, w, p):
+    """L^{p,inf} norm of every row of A: max_i v_(i) C_i^{1/p} on a stable full sort of |row|, descending.
+
+    Each row is sorted on its own, and every node is sorted; nodes of measure
+    zero are dropped after sorting.  The tests' reference for ``_weak_norms``.
+    """
+    A = np.abs(A)
+    order = np.argsort(-A, axis=1, kind="stable")
+    vals, meas = np.take_along_axis(A, order, axis=1), w[order]
+    with np.errstate(invalid="ignore"):  # inf or NaN on a node of measure zero, which is dropped
+        terms = np.where(meas > 0, vals * np.cumsum(meas, axis=1) ** (1.0 / p), 0.0)
+    return terms.max(axis=1, initial=0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
@@ -134,17 +141,31 @@ def _stable_weak_norm(values, weights, p):
 def test_lorentz_weak_norm_ties_match_stable_sort(p, zero_weight_node):
     grid = _grid_with_left_endpoint(SPEC, 60) if zero_weight_node else make_grid(SPEC, 60)
     rng = np.random.default_rng(7)
+    nodes = np.arange(grid.size)
     inputs = {
         "indicator": (rng.random(grid.size) < 0.4).astype(float),
         "constant": np.full(grid.size, -0.75),
         "repeated": rng.integers(-3, 4, grid.size) * 0.5,
         "distinct": rng.standard_normal(grid.size),
+        "nan": np.where(nodes == 7, math.nan, 1.0),
+        "inf": np.where(nodes % 20 == 7, -math.inf, 0.5),
+        "inf_and_nan": np.select([nodes == 7, nodes == 9], [math.inf, math.nan], 0.0),
     }
+    weightless = Grid(grid.nodes, np.zeros(grid.size), grid.atom_idx)
     for name, values in inputs.items():
         if zero_weight_node:
             values[0] = 10.0  # the largest value sits on the node of measure zero
         val = lorentz_norm(GridFunction(grid, values), LorentzIndex(p, math.inf))
-        assert val == _stable_weak_norm(values, grid.weights, p), name
+        np.testing.assert_array_equal(val, _stable_weak_norms(values[None, :], grid.weights, p)[0], name)
+        # no node of positive measure: the norm of every function is 0
+        assert lorentz_norm(GridFunction(weightless, values), LorentzIndex(p, math.inf)) == 0.0, name
+    if zero_weight_node:
+        # NaN and inf on the node of measure zero only are dropped with it
+        for special in (math.nan, math.inf):
+            values = inputs["distinct"].copy()
+            values[0] = special
+            val = lorentz_norm(GridFunction(grid, values), LorentzIndex(p, math.inf))
+            assert math.isfinite(val) and val == _stable_weak_norms(values[None, :], grid.weights, p)[0]
 
 
 def test_lorentz_index_conjugate():
@@ -301,6 +322,25 @@ def test_commutator_probe_names_the_mass_point_where_the_symbol_is_not_finite():
     spec = legendre([MassPoint(1.0, 1.0)])
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteWeight, match="-inf at the mass point 1"):
         commutator_probe(basis_for(spec, 10), make_grid(spec, 40), bmo_symbols()["log_edge"], 2.0, N=10)
+
+
+@pytest.mark.parametrize("base", [HermiteSpec(), LaguerreSpec(0.0)], ids=["hermite", "laguerre"])
+def test_commutator_probe_names_the_first_grid_node_where_the_symbol_is_not_finite(base):
+    # log(1 - x) is NaN at every node x > 1; the mass point at 0 is checked first and is finite
+    spec = MeasureSpec(base, (MassPoint(0.0, 1.0),))
+    grid = make_grid(spec, 40)
+    first = grid.nodes[grid.nodes > 1.0].min()
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteWeight, match=f"nan at the grid node {first:g};"):
+        commutator_probe(basis_for(spec, 10), grid, bmo_symbols()["log_edge"], 3.0, N=10)
+
+
+def test_commutator_probe_checks_the_mass_points_before_the_grid_nodes():
+    # on Laguerre + delta_2, log(1 - x) is NaN at nodes from 1.1 on and at the mass point 2
+    spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(2.0, 1.0),))
+    grid = make_grid(spec, 40)
+    assert grid.nodes[grid.nodes > 1.0].min() < 2.0
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteWeight, match="nan at the mass point 2;"):
+        commutator_probe(basis_for(spec, 10), grid, bmo_symbols()["log_edge"], 3.0, N=10)
 
 
 def test_default_set_family_members_are_masks():
@@ -567,6 +607,29 @@ def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep
             _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
 
 
+@pytest.mark.parametrize("spec, mode", [(LEGENDRE_ONE, "maximal"), (legendre([MassPoint(0.0, 1.0)]), "strong")],
+                         ids=["atom_at_the_end_node", "atom_at_the_middle_node"])
+def test_family_takes_each_spot_once_and_keeps_every_entry(monkeypatch, spec, mode):
+    # an atom at 1 is the maximal probe's end node, and an atom at 0 the strong probe's middle node
+    basis, grid = basis_for(spec, 30), make_grid(spec, 40)
+    spots = [*grid.atom_idx, 0, grid.size - 1] if mode == "maximal" else [*grid.atom_idx, grid.size // 2]
+    assert len(set(spots)) == len(spots) - 1
+    G, nG = norms._family(grid, 3.0, np.ones(grid.size), 0, 8, spots)
+    assert G.shape == (grid.size, 8 + len(spots) - 1) == (grid.size, len(nG))
+    np.testing.assert_array_equal(G[:, 8:], np.eye(grid.size)[:, list(dict.fromkeys(spots))])
+    probe = maximal_probe if mode == "maximal" else strong_probe
+    report = probe(basis, grid, 3.0, N=30).to_dict()
+    # each column is summed on its own, so the family with the repeated indicator gives the same entries
+    real = norms._family
+
+    def repeated(*args):
+        G, nG = real(*args)
+        return np.hstack([G, G[:, -1:]]), np.append(nG, nG[-1])
+
+    monkeypatch.setattr(norms, "_family", repeated)
+    assert probe(basis, grid, 3.0, N=30).to_dict() == report
+
+
 @pytest.mark.parametrize("count", [1, 4, 5, 21])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
@@ -610,7 +673,7 @@ def test_qr_triangle_in_place_is_numpy_qr(spec, N, weights):
                                             ("maximal", 3.0, 1.6)])
 def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
     # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 1.69 (strong,
-    # p = 2), 0.72 (strong, p = 3), 1.06 (commutator) and 1.51 (maximal) units, and each of the first three
+    # p = 2), 0.72 (strong, p = 3), 1.06 (commutator) and 1.48 (maximal) units, and each of the first three
     # bounds fails a sweep that runs its QR on copies of the factor or stacks every degree's outputs
     # (2.46, 1.67 and 2.41 units); the maximal bound fails a block of 4 of its degrees (2.15 units)
     N = 200
@@ -812,7 +875,7 @@ _BLOCK = 64  # degrees per block of the reference
 
 
 def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0, restricted=True):
-    """The weak probe as a set-major loop over blocks of degrees that sorts every (set, degree) row."""
+    """The weak probe as a set-major loop over blocks of degrees that sorts every (set, degree) row in full."""
     if N is None:
         N = basis.degree
     if sets is None:
@@ -835,7 +898,7 @@ def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0
             np.cumsum(blk, axis=0, out=blk)
             carry = blk[-1].copy()
             blk *= u_kept
-            ratios[si, k : k + len(blk)] = norms._weak_norms(np.abs(blk, out=blk), w_kept, p) / denom
+            ratios[si, k : k + len(blk)] = _stable_weak_norms(blk, w_kept, p) / denom
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     running = np.maximum.accumulate(ratios.max(axis=0))
     entries = [(n, float(running[n])) for n in default_degree_list(N)]
@@ -905,7 +968,7 @@ def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
         A = np.array(rows)
         power_sums = A**p @ w
         bound = power_sums ** (1.0 / p)
-        weak = _weak_norms(A, w, p)
+        weak = _stable_weak_norms(A, w, p)
         assert np.all(_may_reach(A, w, p, 1.0, weak)), case
         # below the smallest normal float the power sum loses its relative precision,
         # so the probe keeps those rows whatever their bound says
@@ -936,7 +999,7 @@ def test_weak_norms_cut_at_a_floor_are_exact_where_they_reach_it(p):
     for w in [np.array([0.5, 1.5]), make_grid(SPEC, 59).weights, make_grid(LAGUERRE_ZERO, 300).weights]:
         w = w[w > 0]
         A = _special_rows(rng, len(w))
-        exact = _weak_norms(A, w, p)
+        exact = _stable_weak_norms(A, w, p)
         has_nan = np.isnan(A).any(axis=1)
         has_inf = np.isinf(A).any(axis=1) & ~has_nan
         # as with the full sort of every row: NaN wins, then inf
@@ -996,19 +1059,22 @@ def test_may_reach_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
 
 def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
-    real, sorted_rows = norms._weak_norms, []
+    probe_rows, reference_rows = [], []
 
-    def counting(A, w, p, floor=None):
-        sorted_rows.append(len(A))
-        return real(A, w, p, floor)
+    def counting(norm_pass, rows):
+        def count(A, *args):
+            rows.append(len(A))
+            return norm_pass(A, *args)
 
-    monkeypatch.setattr(norms, "_weak_norms", counting)
+        return count
+
+    monkeypatch.setattr(norms, "_weak_norms", counting(norms._weak_norms, probe_rows))
+    monkeypatch.setitem(globals(), "_stable_weak_norms", counting(_stable_weak_norms, reference_rows))
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
     weak_type_probe(basis, grid, 4.0, N=200, seed=0)
-    assert total == 7437 and sum(sorted_rows) == 718
-    sorted_rows.clear()
+    assert total == 7437 and sum(probe_rows) == 718
     _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
-    assert sum(sorted_rows) == total
+    assert sum(reference_rows) == total
 
 
 # a grid resolves the basis up to degree n only with at least n + 1 Gauss nodes

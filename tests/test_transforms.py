@@ -359,6 +359,15 @@ def test_commutator_names_the_mass_point_where_the_symbol_is_not_finite():
         commutator(basis_for(spec, 8), lambda t: np.log(1.0 - t), f, 6, np.array([0.1]))
 
 
+def test_commutator_names_the_grid_node_where_the_symbol_is_not_finite():
+    # log(1 - x) is NaN at every Laguerre node x > 1; the mass point at 0 is checked first and is finite
+    spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
+    grid = make_grid(spec, 32)
+    first = grid.nodes[grid.nodes > 1.0].min()
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteWeight, match=f"nan at the grid node {first:g};"):
+        commutator(basis_for(spec, 8), lambda t: np.log(1.0 - t), grid.fn(np.exp), 6, np.array([0.1]))
+
+
 def test_laguerre_q_at_zero_formula():
     # Q_n(0) = Gamma(n+alpha+2)^{1/2} / (Gamma(alpha+2) n!^{1/2})
     assert laguerre_q_at_zero(0.0, np.array([1]))[0] == pytest.approx(np.sqrt(2.0))
