@@ -1,20 +1,21 @@
 """Batch experiment driver.
 
 Every subcommand is one row of ``COMMANDS``: its run function, its CSV
-header, its parameters and, on a command that builds its own measure, that
-measure.  ``_KEYS`` gives each parameter key its JSON type, one of those
-``measure`` defines, and its flag, if it has one.  A subcommand offers
---config, --out, --format, the flags of its parameters (--seed among them)
-and, unless it builds its own measure, the measure flags --base, --alpha,
---beta and --mass; any other flag is an argparse error.  Adding a subcommand
-means adding one row; one runner does the rest for all of them.  It loads
---config, builds the measure and resolves each parameter from its flag, then
-the config, then its default.  A default is a value or a function of the
-parameters resolved before it.  A config value must have its key's JSON type,
-a number a finite one, and is kept as given, never coerced; the measure and
-the weights u and v are read by the same types.  A top-level config key the
-command does not read (its parameters, seed, u, v and measure) is rejected,
-never ignored.
+header, its parameters, on a command that builds its own measure, that
+measure, and on a probe command the probe modes it runs.  ``_KEYS`` gives
+each parameter key its JSON type, one of those ``measure`` defines, and its
+flag, if it has one.  A subcommand offers --config, --out, --format, the
+flags of its parameters (--seed among them) and, unless it builds its own
+measure, the measure flags --base, --alpha, --beta and --mass; any other
+flag, or a --mode the command does not run, is an argparse error.  Adding a
+subcommand means adding one row; one runner does the rest for all of them.
+It loads --config, builds the measure and resolves each parameter from its
+flag, then the config, then its default.  A default is a value or a function
+of the parameters resolved before it.  A config value must have its key's
+JSON type, a number a finite one, and is kept as given, never coerced; the
+measure and the weights u and v are read by the same types.  A top-level
+config key the command does not read (its parameters, seed, u, v and
+measure) is rejected, never ignored.
 
 The degree alone sizes every basis: no key sets the discretization behind a
 generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
@@ -244,9 +245,7 @@ _PROBES = {
 }
 
 
-def _probe(spec, prm, modes=tuple(_PROBES)):
-    if prm["mode"] not in modes:
-        raise SpecError(f"mode must be one of {modes}, got {prm['mode']!r}")
+def _probe(spec, prm):
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
     u, v = (None if prm[key] is None else weight_from_dict(prm[key]) for key in ("u", "v"))
@@ -298,16 +297,20 @@ class Command:
     ``params`` are (config key, default) pairs; a callable default is called
     with the measure spec and the parameters resolved so far.  ``measure``,
     when set, builds the spec from the parameters instead of --config/flags.
+    ``modes``, on a command that reads "mode", are the probe modes it runs:
+    the choices of --mode and the values a config "mode" may take.
     """
 
     run: Callable
     header: tuple
     params: tuple
     measure: Callable | None = None
+    modes: tuple = ()
 
 
-# the argparse keywords of a flag, by the JSON type it sets; --mode, the one string flag, offers the probe modes
-_FLAG_KEYWORDS = {INTEGER: {"type": int}, NUMBER: {"type": float}, TEXT: {"choices": tuple(_PROBES)},
+# the argparse keywords of a flag, by the JSON type it sets; --mode, the one string flag, offers the
+# command's modes instead
+_FLAG_KEYWORDS = {INTEGER: {"type": int}, NUMBER: {"type": float},
                   BOOLEAN: {"action": "store_true", "default": None}}
 
 # parameter key -> (JSON type of its value, its flag or None); a flag's argparse dest is its key,
@@ -373,10 +376,9 @@ COMMANDS = {
         (("n", 10), ("f_poly", [1.0, 1.0]),
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
-    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong")),
+    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong"), modes=tuple(_PROBES)),
     # weak-probe runs the restricted-weak probe only; probe --mode runs the others
-    "weak-probe": Command(lambda spec, prm: _probe(spec, prm, ("restricted-weak",)), ("n", "estimate"),
-                          _probe_params("restricted-weak")),
+    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak"), modes=("restricted-weak",)),
     "laguerre-mass": Command(
         _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
         (("alpha", 0.0), ("M", 1.0), ("N", 40)),
@@ -447,6 +449,8 @@ def run_command(args):
     _check_config_keys(args.command, cmd, cfg)
     spec = None if cmd.measure else _build_measure(args, cfg)
     prm = _resolve(args, cfg, spec, _COMMON + cmd.params)
+    if cmd.modes and prm["mode"] not in cmd.modes:
+        raise SpecError(f"mode must be one of {cmd.modes}, got {prm['mode']!r}")
     if cmd.measure:
         spec = cmd.measure(prm)
         _check_own_measure(cfg, spec)
@@ -476,7 +480,8 @@ def build_parser():
         for key, _ in _COMMON + cmd.params:
             kind, flag = _KEYS[key]
             if flag:
-                p.add_argument(flag, dest=key, **_FLAG_KEYWORDS[kind])
+                keywords = {"choices": cmd.modes} if kind is TEXT else _FLAG_KEYWORDS[kind]
+                p.add_argument(flag, dest=key, **keywords)
     return parser
 
 

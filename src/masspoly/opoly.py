@@ -24,10 +24,11 @@ Every returned table is read-only and bit-identical to a table computed from
 degree 0.  ``_kernels.recurrence_table`` is the one loop over degrees at
 points; ``gauss_points`` sums its Christoffel numbers over its blocks too.
 
-The library runs on numpy alone up to Gauss rules of order 1500: the
-Gauss-Jacobi panels of ``lebesgue_rule`` come from ``gauss_points`` on the
-closed-form Jacobi recurrence, and ``gauss_points`` imports
-``scipy.linalg.eigvalsh_tridiagonal`` only above order 1500.  The tests and
+The library runs on numpy alone: the Gauss-Jacobi panels of
+``lebesgue_rule`` come from ``gauss_points`` on the closed-form Jacobi
+recurrence, and ``gauss_points`` takes its nodes from LAPACK's ``dsterf`` in
+the LAPACK ``numpy.linalg`` links at every order; only a numpy whose LAPACK
+does not export it takes scipy's binding of the same routine.  The tests and
 the benchmark's references still use scipy.  ``scipy.special`` is registered
 in ``sys.modules`` as a lazy module (``_lazy_module``) only so that a tracer
 that looks ``roots_jacobi`` up there and wraps it finds it; the library never
@@ -41,6 +42,7 @@ its coefficients come in closed form from mu's kernel at the mass points
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -50,6 +52,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.linalg._umath_linalg  # the LAPACK numpy links, where _dsterf finds dsterf
 import numpy.polynomial.legendre  # leggauss; `import numpy` alone does not load it
 
 from ._kernels import recurrence_table
@@ -344,11 +347,10 @@ def gauss_jacobi_rule(order: int, a: float = 0.0, b: float = 0.0):
     the closed-form Jacobi recurrence (``gauss_points``; Golub & Welsch, Math.
     Comp. 23, 1969; Gautschi 2004, §3.1.1), with the weights rescaled to sum
     to the recurrence's b_0, the weight's total mass, as
-    ``scipy.special.roots_jacobi`` rescales its own.  Up to order 1500 this
-    needs numpy alone.  Against ``roots_jacobi`` at orders 24..80 the nodes
-    agree to 1e-15, and the recurrence's Gram matrix on the rule is closer to
-    the identity.  The arrays are shared by every caller, so they are
-    read-only.
+    ``scipy.special.roots_jacobi`` rescales its own.  Against ``roots_jacobi``
+    at orders 24..80 the nodes agree to 1e-15, and the recurrence's Gram
+    matrix on the rule is closer to the identity.  The arrays are shared by
+    every caller, so they are read-only.
     """
     if a == 0.0 and b == 0.0:
         s, ws = np.polynomial.legendre.leggauss(order)
@@ -480,30 +482,49 @@ def recurrence_for(base, N: int, high_precision=False) -> Recurrence:
     return classical_recurrence(base, N)
 
 
-_DENSE_EIG_MAX = 1500
+@functools.cache
+def _dsterf(names=("scipy_dsterf_64_", "dsterf_64_")):
+    """LAPACK's ``dsterf`` as a function (diagonal, off-diagonal) -> (eigenvalues ascending, info).
+
+    The symbol is looked up through the handle of ``numpy.linalg._umath_linalg``,
+    and dlsym searches that library's dependencies, so it is the LAPACK
+    ``numpy.linalg`` already links: ``scipy_dsterf_64_`` in numpy >= 2
+    wheels, ``dsterf_64_`` in older ILP64 ones, both with 64-bit integers.
+    A numpy whose LAPACK exports neither name (Accelerate, MKL) gets
+    ``scipy.linalg.lapack.dsterf``, the same routine through scipy's binding.
+    Neither argument is written to.
+    """
+    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    found = [getattr(lib, name) for name in names if hasattr(lib, name)]
+    if not found:
+        from scipy.linalg.lapack import dsterf
+
+        # scipy's wrapper wants one off-diagonal entry at order 1, which dsterf does not read
+        return lambda d, e: dsterf(d, e if len(d) > 1 else np.zeros(1))
+    sterf = found[0]
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    sterf.argtypes, sterf.restype = (int64, ctypes.c_void_p, ctypes.c_void_p, int64), None
+
+    def call(d, e):
+        d, e = np.array(d, dtype=float), np.array(e, dtype=float)  # copies: dsterf overwrites both
+        info = ctypes.c_int64()
+        sterf(ctypes.byref(ctypes.c_int64(len(d))), d.ctypes.data, e.ctypes.data, ctypes.byref(info))
+        return d, info.value
+
+    return call
 
 
 def gauss_points(rec: Recurrence, m: int):
     """Gauss rule (nodes, weights) of order m from the recurrence.
 
-    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch).  Up to
-    m = 1500 they come from numpy's dense ``eigvalsh``: O(m^3), 2.6 / 30 /
-    164 / 304 ms at m = 180 / 600 / 1200 / 1500 against 1.1 / 8.6 / 32 / 49 ms
-    for ``scipy.linalg.eigvalsh_tridiagonal`` (2-core x86-64, OpenBLAS), but it
-    spares loading ``scipy.linalg``, which takes ~0.35 s.  Past m = 1500 the
-    dense cost exceeds that load, so larger orders import scipy here, and only
-    here.  Both run LAPACK's ``sterf`` on the same tridiagonal matrix, and
-    their nodes were bit-identical on every rule tried.
-
-    The dense path costs more than time.  It holds two m^2 arrays, the
-    Jacobi matrix and ``eigvalsh``'s copy of it: ``make_grid`` at m = 1500
-    lifts a fresh process's peak RSS from 31 to 65 MB, and so sets the peak
-    of ``probe --n 500``, whose sweeps stay below it.  Its threaded
-    reduction sometimes stalls: of 25 fresh-process rules at m = 1500, one
-    took 1.27 s against 0.23-0.29 s for the rest, while all 25 with
-    OPENBLAS_NUM_THREADS=1 took 0.34-0.40 s (2-core x86-64; none of 25 at
-    m = 1200 stalled, 0.12-0.17 s).  numpy's ``lapack_lite`` binds no
-    tridiagonal eigensolver, so a numpy-only fix has to wait.
+    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch), from
+    one call of LAPACK's ``dsterf`` (``_dsterf``) on its diagonal and
+    off-diagonal at every order: the implicit QL/QR iteration, O(m^2) time
+    and O(m) memory, 0.7 / 6.5 / 24 / 36 / 151 ms at m = 180 / 600 / 1200 /
+    1500 / 3000 (2-core x86-64, OpenBLAS).  numpy's dense ``eigvalsh`` and
+    ``scipy.linalg.eigvalsh_tridiagonal`` end in the same routine, and their
+    nodes are the same floats.  If ``dsterf`` does not converge, as on a NaN
+    coefficient at order 3 or more, EigenFailure is raised.
 
     Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
     relative accuracy down to the tiny weights at far Laguerre / Hermite
@@ -521,18 +542,10 @@ def gauss_points(rec: Recurrence, m: int):
     """
     if not 1 <= m <= len(rec):
         raise GridTooSmall(f"rule order {m} is outside 1..{len(rec)}, the orders the recurrence reaches")
-    offdiag = np.sqrt(rec.betas[1:m])
-    try:
-        if m <= _DENSE_EIG_MAX:
-            jacobi = np.diag(rec.alphas[:m])
-            jacobi[np.arange(1, m), np.arange(m - 1)] = offdiag  # eigvalsh reads the lower triangle
-            x = np.linalg.eigvalsh(jacobi)
-        else:
-            from scipy.linalg import eigvalsh_tridiagonal
-
-            x = eigvalsh_tridiagonal(rec.alphas[:m], offdiag)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenFailure(str(exc)) from exc
+    x, info = _dsterf()(rec.alphas[:m], np.sqrt(rec.betas[1:m]))
+    if info > 0:
+        raise EigenFailure(f"the Gauss nodes of order {m} did not converge: LAPACK's dsterf left "
+                           f"{info} off-diagonal entries of the Jacobi matrix nonzero")
     sb = np.sqrt(rec.betas[:m])
     square, total = np.empty_like(x), np.zeros_like(x)
     exponent = np.zeros(x.shape, dtype=int)  # sum_k P_k^2 = total * 2**exponent

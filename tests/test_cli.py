@@ -211,10 +211,11 @@ print(json.dumps([codes, loaded, special is registered, float(w.sum())]))
 
 
 def test_cli_jobs_run_on_numpy_alone():
-    # generalized Jacobi panels, kernel decomposition, weak probe, Pollard and Laguerre jobs
+    # generalized Jacobi panels, a Gauss grid of 1800, kernel decomposition, weak probe, Pollard and Laguerre jobs
     config = Path(__file__).resolve().parents[1] / "perfbench" / "genjacobi_probe.json"
     jobs = [
         ["probe", "--config", str(config), "--p", "3", "--n", "100"],
+        ["probe", "--base", "legendre", "--mass", "1:1", "--p", "2", "--n", "600"],
         ["kernel", "--base", "legendre", "--mass", "0.3:1", "--mass", "1:1", "--decompose", "--n", "100"],
         ["weak-probe", "--base", "legendre", "--mass", "1:1", "--p", "4", "--n", "100"],
         ["pollard", "--base", "jacobi", "--alpha", "0.5", "--beta", "-0.5", "--mass=-1:0.5", "--n", "16"],
@@ -626,9 +627,17 @@ def test_weak_probe_runs_only_the_restricted_weak_probe(capsys, tmp_path, mode, 
     cfg = tmp_path / "mode.json"
     cfg.write_text("{}" if flag else json.dumps({"mode": mode}))
     argv = ["weak-probe", *LEGENDRE_MASS, "--p", "3", "--n", "20", "--config", str(cfg)]
-    assert main([*argv, "--mode", mode] if flag else argv) == 2
-    captured = capsys.readouterr()
-    assert f"SpecError: mode must be one of ('restricted-weak',), got '{mode}'" in captured.err
+    if flag:
+        # --mode offers restricted-weak alone, so argparse rejects the others
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mode", mode])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"invalid choice: '{mode}'" in captured.err and "[--mode {restricted-weak}]" in captured.err
+    else:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"SpecError: mode must be one of ('restricted-weak',), got '{mode}'" in captured.err
     assert captured.out == ""
 
 

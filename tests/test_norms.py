@@ -981,8 +981,10 @@ def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
 def _special_rows(rng, m):
     """Non-negative rows with ties, zeros, subnormals, inf and NaN, plus plain random ones."""
     tiny = np.finfo(float).tiny
+    halves = np.arange(m) % 2 == 0  # two levels of tied values, each past insertion sort's 16 at m = 40
     rows = [rng.random(m), rng.integers(0, 4, m) * 0.5, np.zeros(m), np.full(m, 0.3),
-            (rng.random(m) < 0.2) * 2.0, rng.random(m) * tiny * 1e-3, np.exp(rng.uniform(-700.0, 700.0, m))]
+            (rng.random(m) < 0.2) * 2.0, rng.random(m) * tiny * 1e-3, np.exp(rng.uniform(-700.0, 700.0, m)),
+            np.where(halves, 1.0, 0.5), np.where(halves, 0.5, 1.0)]
     for special in (math.inf, math.nan):
         for row in list(rows[:3]):
             row = row.copy()
@@ -996,7 +998,10 @@ def _special_rows(rng, m):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 6.0])
 def test_weak_norms_cut_at_a_floor_are_exact_where_they_reach_it(p):
     rng = np.random.default_rng(9)
-    for w in [np.array([0.5, 1.5]), make_grid(SPEC, 59).weights, make_grid(LAGUERRE_ZERO, 300).weights]:
+    # node 0 has measure 1, the rest 1e-16: summed in node order every 1e-16 after the 1 rounds away,
+    # and in any other order some sum before it, so an unstable sort of the ties moves the norms
+    ties = np.where(np.arange(40) == 0, 1.0, 1e-16)
+    for w in [np.array([0.5, 1.5]), make_grid(SPEC, 59).weights, make_grid(LAGUERRE_ZERO, 300).weights, ties]:
         w = w[w > 0]
         A = _special_rows(rng, len(w))
         exact = _stable_weak_norms(A, w, p)

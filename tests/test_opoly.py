@@ -1,5 +1,6 @@
 import dataclasses
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ import scipy.special
 
 from masspoly import (
     DegreeOutOfRange,
+    EigenFailure,
     GenJacobiSpec,
     GridTooSmall,
     HermiteSpec,
@@ -135,6 +137,44 @@ def test_gauss_points_two_point_legendre():
     for m in (10, 0, -1):
         with pytest.raises(GridTooSmall, match=r"outside 1\.\.4"):
             gauss_points(rec, m)
+
+
+@pytest.mark.parametrize("m", [3, 1501])
+@pytest.mark.parametrize("coefficient", ["alphas", "betas"])
+def test_gauss_points_raise_eigen_failure_on_a_nan_coefficient(m, coefficient):
+    rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), m)
+    coefficients = {"alphas": rec.alphas.copy(), "betas": rec.betas.copy()}
+    coefficients[coefficient][m // 2] = np.nan
+    with pytest.raises(EigenFailure, match=f"order {m} did not converge"):
+        gauss_points(opoly.Recurrence(**coefficients), m)
+
+
+def test_gauss_points_hold_no_array_of_order_squared():
+    # the nodes take O(m) memory: a dense Jacobi matrix alone would be m floats per node
+    m = 1500
+    rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), m)
+    gauss_points(rec, m)  # binds dsterf
+    tracemalloc.start()
+    try:
+        gauss_points(rec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * m * 8
+
+
+@pytest.mark.parametrize("m, nan", [(1, False), (2, False), (300, False), (3, True)])
+def test_scipy_binding_of_dsterf_matches_numpys(m, nan):
+    # the binding of a numpy whose LAPACK exports no dsterf: no symbol name is found
+    rec = classical_recurrence(LaguerreSpec(0.0), m)
+    d, e = rec.alphas[:m].copy(), np.sqrt(rec.betas[1:m])
+    if nan:
+        d[1] = np.nan
+    given = d.copy(), e.copy()
+    (x, info), (y, scipy_info) = opoly._dsterf()(d, e), opoly._dsterf(())(d, e)
+    assert info == scipy_info and (info > 0) == nan
+    assert nan or x.tobytes() == y.tobytes()
+    assert np.array_equal(d, given[0], equal_nan=True) and np.array_equal(e, given[1])  # neither writes to them
 
 
 def test_gauss_weights_sum_to_total_mass():
