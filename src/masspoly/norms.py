@@ -959,8 +959,10 @@ def weak_type_probe(
     the 3N grid and p = 4, 718 of the 7437 rows are sorted at N = 200 and 908
     of 14837 at N = 400.  The probe takes about 52 ms at N = 200 and 150 ms
     at N = 400 on a shared 2-vCPU Xeon VM, against 84 and 300 ms with a power
-    over every row and full sorts.  Beside the basis table, S sets take
-    O(S (m + N)) working memory.
+    over every row and full sorts.  Below p = 2 the moment bound prunes
+    little: at p = 1.5, N = 200, 7347 of the 7437 rows are sorted, and the
+    probe takes about 330 ms against 57 ms at p = 4 on the same VM.  Beside
+    the basis table, S sets take O(S (m + N)) working memory.
     """
     _check_exponent(p)
     if not restricted:

@@ -24,15 +24,17 @@ Every returned table is read-only and bit-identical to a table computed from
 degree 0.  ``_kernels.recurrence_table`` is the one loop over degrees at
 points; ``gauss_points`` sums its Christoffel numbers over its blocks too.
 
-The library runs on numpy alone: the Gauss-Jacobi panels of
+The library installs and runs on numpy alone: the Gauss-Jacobi panels of
 ``lebesgue_rule`` come from ``gauss_points`` on the closed-form Jacobi
 recurrence, and ``gauss_points`` takes its nodes from LAPACK's ``dsterf`` in
-the LAPACK ``numpy.linalg`` links at every order; only a numpy whose LAPACK
-does not export it takes scipy's binding of the same routine.  The tests and
-the benchmark's references still use scipy.  ``scipy.special`` is registered
-in ``sys.modules`` as a lazy module (``_lazy_module``) only so that a tracer
-that looks ``roots_jacobi`` up there and wraps it finds it; the library never
-calls it, and the registration goes once the tracer stops looking it up.
+the LAPACK ``numpy.linalg`` links at every order.  scipy is optional: only a
+numpy whose LAPACK does not export ``dsterf`` needs scipy's binding of the
+same routine, and without scipy there ``gauss_points`` raises EigenFailure.
+The tests and the benchmark's references use scipy.  Where scipy is
+installed, ``scipy.special`` is registered in ``sys.modules`` as a lazy
+module (``_lazy_module``) only so that a tracer that looks ``roots_jacobi``
+up there and wraps it finds it; the library never calls it, and the
+registration goes once the tracer stops looking it up.
 
 Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
 convex-combination decomposition of L_n over Christoffel-modified measures:
@@ -79,7 +81,8 @@ def _lazy_module(name):
     parent package's spec, so that neither the submodule nor its parent
     package runs any code now; a module already imported is returned as it
     is.  It exists only for ``scipy.special``, which a tracer looks up in
-    ``sys.modules`` to wrap ``roots_jacobi``; the library does not call it.
+    ``sys.modules`` to wrap ``roots_jacobi``; the library does not call it,
+    and registers it only where scipy is installed.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -93,7 +96,8 @@ def _lazy_module(name):
     return module
 
 
-_lazy_module("scipy.special")
+if importlib.util.find_spec("scipy") is not None:
+    _lazy_module("scipy.special")
 
 # ----------------------------------------------------------------------
 # recurrences
@@ -107,7 +111,9 @@ class Recurrence:
         sqrt(b_{k+1}) P_{k+1}(x) = (x - a_k) P_k(x) - sqrt(b_k) P_{k-1}(x),
         P_0 = 1/sqrt(b_0),  P_{-1} = 0.
 
-    The recurrence keeps the last table ``table`` computed, read-only.
+    A coefficient that is not finite (the first one is named) or a b_k that
+    is not positive raises NumericalBreakdown.  The recurrence keeps the last
+    table ``table`` computed, read-only.
     """
 
     alphas: np.ndarray
@@ -117,6 +123,10 @@ class Recurrence:
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
         object.__setattr__(self, "betas", np.asarray(self.betas, dtype=float))
+        for name, values in (("alphas", self.alphas), ("betas", self.betas)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise NumericalBreakdown(f"recurrence {name}[{bad[0]}] is {values[bad[0]]}, not finite")
         if np.any(self.betas <= 0):
             raise NumericalBreakdown("recurrence betas must be positive")
 
@@ -491,13 +501,18 @@ def _dsterf(names=("scipy_dsterf_64_", "dsterf_64_")):
     ``numpy.linalg`` already links: ``scipy_dsterf_64_`` in numpy >= 2
     wheels, ``dsterf_64_`` in older ILP64 ones, both with 64-bit integers.
     A numpy whose LAPACK exports neither name (Accelerate, MKL) gets
-    ``scipy.linalg.lapack.dsterf``, the same routine through scipy's binding.
-    Neither argument is written to.
+    ``scipy.linalg.lapack.dsterf``, the same routine through scipy's binding,
+    and raises EigenFailure where scipy is not installed.  Neither argument is
+    written to.
     """
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     found = [getattr(lib, name) for name in names if hasattr(lib, name)]
     if not found:
-        from scipy.linalg.lapack import dsterf
+        try:
+            from scipy.linalg.lapack import dsterf
+        except ImportError:
+            raise EigenFailure("no binding of LAPACK's dsterf: numpy's LAPACK does not export it, "
+                               "and scipy, whose binding stands in, is not installed") from None
 
         # scipy's wrapper wants one off-diagonal entry at order 1, which dsterf does not read
         return lambda d, e: dsterf(d, e if len(d) > 1 else np.zeros(1))
@@ -523,8 +538,9 @@ def gauss_points(rec: Recurrence, m: int):
     and O(m) memory, 0.7 / 6.5 / 24 / 36 / 151 ms at m = 180 / 600 / 1200 /
     1500 / 3000 (2-core x86-64, OpenBLAS).  numpy's dense ``eigvalsh`` and
     ``scipy.linalg.eigvalsh_tridiagonal`` end in the same routine, and their
-    nodes are the same floats.  If ``dsterf`` does not converge, as on a NaN
-    coefficient at order 3 or more, EigenFailure is raised.
+    nodes are the same floats.  If ``dsterf`` does not converge, EigenFailure
+    is raised; the coefficients it is given are finite, as ``Recurrence``
+    refuses any other.
 
     Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
     relative accuracy down to the tiny weights at far Laguerre / Hermite

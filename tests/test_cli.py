@@ -231,6 +231,58 @@ def test_cli_jobs_run_on_numpy_alone():
     assert mass == pytest.approx(2 ** 1.5 / 1.5, rel=1e-14)  # int_{-1}^{1} (1 + s)^(1/2) ds
 
 
+CLI_OUTPUTS = """
+import contextlib, importlib.util, io, json, sys
+import masspoly.cli
+from masspoly import opoly
+from masspoly.errors import EigenFailure
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        outputs.append([masspoly.cli.main(argv), out.getvalue()])
+try:
+    opoly._dsterf(())  # the binding of a numpy whose LAPACK exports no dsterf
+    fallback = None
+except EigenFailure as exc:
+    fallback = str(exc)
+print(json.dumps([outputs, importlib.util.find_spec("scipy") is not None, fallback]))
+"""
+
+
+def test_cli_jobs_run_with_scipy_absent(tmp_path):
+    # python -S on a search path of numpy and src alone, where scipy cannot be found at all
+    packages = Path(np.__file__).resolve().parents[1]
+    site = tmp_path / "site"
+    site.mkdir()
+    for name in ("numpy", "numpy.libs"):  # numpy.libs holds the wheel's bundled LAPACK
+        if (packages / name).exists():
+            (site / name).symlink_to(packages / name)
+    src = Path(__file__).resolve().parents[1] / "src"
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "genjacobi_probe.json"
+    legendre_mass = ["--base", "legendre", "--mass", "1:1"]
+    jobs = [argv + ["--seed", "0"] for n in ("100", "200", "400") for argv in (  # the benchmark's cli_jobs
+        ["probe", *legendre_mass, "--p", "3", "--n", n],
+        ["weak-probe", *legendre_mass, "--p", "4", "--n", n],
+        ["kernel", "--base", "legendre", "--mass", "0.3:1", "--mass", "1:1", "--decompose", "--n", n],
+    )] + [argv + ["--seed", "0"] for argv in (
+        ["probe", "--config", str(config), "--p", "3", "--n", "100"],
+        ["laguerre-mass", "--alpha", "0", "--n", "200"],
+        ["probe", "--base", "laguerre", "--mass", "0:1", "--p", "2", "--n", "60"],
+    )]
+    normal = fresh_python("-c", CLI_OUTPUTS, json.dumps(jobs))
+    bare = subprocess.run(
+        [sys.executable, "-S", "-c", CLI_OUTPUTS, json.dumps(jobs)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(site), str(src)])},
+    )
+    assert normal.returncode == 0, normal.stderr
+    assert bare.returncode == 0, bare.stderr
+    outputs, has_scipy, fallback = json.loads(bare.stdout)
+    assert not has_scipy
+    assert fallback is not None and "dsterf" in fallback and "scipy" in fallback
+    assert [code for code, _ in outputs] == [0] * len(jobs)
+    assert outputs == json.loads(normal.stdout)[0]  # exit codes and stdout, byte for byte
+
+
 @pytest.mark.parametrize("argv", [
     ["probe", "--mode", "commutator", "--mass", "1:1"],  # log_edge is the probe's default symbol
     ["commutator", "--mass", "1:1", "--n", "6"],

@@ -229,6 +229,32 @@ def test_operator_norm_probe_p2_matches_svd():
     assert f.shape == (grid.size,)
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_operator_norm_probe_meets_the_norm_of_a_rank_one_operator(p):
+    # f -> g <h, f> (the integral against the grid's weights) has the norm ||g||_p ||h||_p' exactly
+    grid = make_grid(legendre(), 40)
+    x, w = grid.nodes, grid.weights
+    g, h = x**2 + 0.1, 1 + 2 * x
+    est, _ = operator_norm_probe(np.outer(g, h * w), grid, p)
+    pp = p / (p - 1)
+    exact = np.sum(w * np.abs(g) ** p) ** (1 / p) * np.sum(w * np.abs(h) ** pp) ** (1 / pp)
+    assert est == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.3, -0.5])
+def test_bmo_symbols_are_their_closed_forms(t):
+    points = [-0.95, t - 0.2, t - 0.01, t + 0.01, t + 0.2, 0.95]
+    symbols = bmo_symbols(t)
+    closed = {
+        "log_edge": lambda s: math.log(1 - s),
+        "log_interior": lambda s: math.log(abs(s - t)),
+        "smooth_step": lambda s: math.tanh(50 * (s - t)),
+    }
+    assert set(symbols) == set(closed)
+    for name, symbol in symbols.items():
+        assert symbol(points) == pytest.approx([closed[name](s) for s in points], rel=1e-14, abs=0), name
+
+
 def test_operator_norm_probe_lower_bound_p3():
     rng = np.random.default_rng(1)
     grid = make_grid(legendre(), 20)

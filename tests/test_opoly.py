@@ -139,14 +139,37 @@ def test_gauss_points_two_point_legendre():
             gauss_points(rec, m)
 
 
-@pytest.mark.parametrize("m", [3, 1501])
-@pytest.mark.parametrize("coefficient", ["alphas", "betas"])
-def test_gauss_points_raise_eigen_failure_on_a_nan_coefficient(m, coefficient):
+@pytest.mark.parametrize("coefficient, k, value, m", [
+    # dsterf did not converge on a NaN at m // 2 in gauss_points, which raised EigenFailure
+    ("alphas", 1, np.nan, 3), ("alphas", 750, np.nan, 1501), ("betas", 1, np.nan, 3), ("betas", 750, np.nan, 1501),
+    # each of these gave gauss_points a rule of NaNs, or a finite wrong one, and no error
+    ("alphas", 0, np.inf, 2), ("alphas", 0, np.inf, 3), ("alphas", 0, np.inf, 1501),
+    ("betas", 1, np.inf, 3), ("betas", 1, np.inf, 1501),
+    ("alphas", 0, np.nan, 2), ("alphas", 1, np.nan, 2),
+])
+def test_recurrence_rejects_a_non_finite_coefficient(coefficient, k, value, m):
     rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), m)
     coefficients = {"alphas": rec.alphas.copy(), "betas": rec.betas.copy()}
-    coefficients[coefficient][m // 2] = np.nan
-    with pytest.raises(EigenFailure, match=f"order {m} did not converge"):
-        gauss_points(opoly.Recurrence(**coefficients), m)
+    coefficients[coefficient][k] = value
+    with pytest.raises(NumericalBreakdown, match=rf"^recurrence {coefficient}\[{k}\] is {value}, not finite$"):
+        opoly.Recurrence(**coefficients)
+
+
+def test_recurrence_names_its_first_non_finite_coefficient():
+    alphas, betas = np.zeros(5), np.ones(5)
+    alphas[[1, 3]] = np.nan, np.inf
+    betas[2] = -np.inf
+    with pytest.raises(NumericalBreakdown, match=r"^recurrence alphas\[1\] is nan, not finite$"):
+        opoly.Recurrence(alphas, betas)
+    with pytest.raises(NumericalBreakdown, match=r"^recurrence betas\[2\] is -inf, not finite$"):
+        opoly.Recurrence(np.zeros(5), betas)
+
+
+def test_gauss_points_raise_eigen_failure_when_dsterf_does_not_converge(monkeypatch):
+    rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), 5)
+    monkeypatch.setattr(opoly, "_dsterf", lambda: lambda d, e: (np.array(d), 2))
+    with pytest.raises(EigenFailure, match="order 5 did not converge: LAPACK's dsterf left 2 off-diagonal"):
+        gauss_points(rec, 5)
 
 
 def test_gauss_points_hold_no_array_of_order_squared():
