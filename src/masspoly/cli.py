@@ -14,8 +14,9 @@ flag, then the config, then its default.  A default is a value or a function
 of the parameters resolved before it.  A config value must have its key's
 JSON type, a number a finite one, and is kept as given, never coerced; the
 measure and the weights u and v are read by the same types.  A top-level
-config key the command does not read (its parameters, seed, u, v and
-measure) is rejected, never ignored.
+config key the command does not read (its parameters, seed and measure) is
+rejected, never ignored.  The weights are parameters of the commands that
+read them only: u and v of probe and check-conditions, u of weak-probe.
 
 The degree alone sizes every basis: no key sets the discretization behind a
 generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
@@ -183,7 +184,7 @@ def _kernel(spec, prm):
     basis = basis_for(spec, n)
     data, rows = _point_rows(n, xs, np.atleast_1d(cd_kernel(basis, n, xs, a)))
     data["a"] = a
-    if prm["decompose"] and spec.masses:
+    if prm["decompose"]:  # without masses the decomposition is the one kernel K_n, coefficient 1
         dec = kernel_decomposition(basis, modified_bases(spec, n), n)
         data["decomposition"] = {
             "coefficients": {",".join(map(str, k)): float(c) for k, c in dec.coefficients.items()},
@@ -248,7 +249,8 @@ _PROBES = {
 def _probe(spec, prm):
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
-    u, v = (None if prm[key] is None else weight_from_dict(prm[key]) for key in ("u", "v"))
+    # weak-probe takes no v, so it has no "v" key
+    u, v = (None if prm.get(key) is None else weight_from_dict(prm[key]) for key in ("u", "v"))
     # an overflow leaves non-finite values, which the probe raises as NumericalBreakdown
     with np.errstate(over="ignore", invalid="ignore"):
         rep = _PROBES[prm["mode"]](basis, grid, prm, u, v)
@@ -336,8 +338,10 @@ _KEYS = {
     "symbol": (TEXT, None),
 }
 
-# every command also reads these; u and v are weight specs given only through --config
-_COMMON = (("seed", 0), ("u", None), ("v", None))
+# every command also reads this
+_COMMON = (("seed", 0),)
+# the weight specs u and v, given only through --config: parameters of the commands that read them
+_U, _V = ("u", None), ("v", None)
 
 _POINTS = np.linspace(-0.9, 0.9, 7).tolist()
 _POINT_HEADER = ("n", "x", "value")
@@ -349,9 +353,9 @@ def _sampled_params(degree):
     return (quad_size, ("f_poly", [1.0, 1.0]), ("points", _POINTS))
 
 
-def _probe_params(mode):
+def _probe_params(mode, *weights):
     grid_size = ("grid_size", lambda spec, q: max(3 * q["N"], 96))
-    return (("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
+    return (*weights, ("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
 
 
 def _first_mass(spec, q):
@@ -376,9 +380,9 @@ COMMANDS = {
         (("n", 10), ("f_poly", [1.0, 1.0]),
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
-    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong"), modes=tuple(_PROBES)),
-    # weak-probe runs the restricted-weak probe only; probe --mode runs the others
-    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak"), modes=("restricted-weak",)),
+    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong", _U, _V), modes=tuple(_PROBES)),
+    # weak-probe runs the restricted-weak probe only, which takes no v; probe --mode runs the others
+    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak", _U), modes=("restricted-weak",)),
     "laguerre-mass": Command(
         _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
         (("alpha", 0.0), ("M", 1.0), ("N", 40)),
@@ -388,7 +392,7 @@ COMMANDS = {
         _endpoints, ("p0", "p1"), (("alpha", 0.0), ("beta", 0.0)),
         measure=lambda q: MeasureSpec(GenJacobiSpec(q["alpha"], q["beta"])),
     ),
-    "check-conditions": Command(_check_conditions, ("label", "satisfied", "margin"), (("p", 2.0),)),
+    "check-conditions": Command(_check_conditions, ("label", "satisfied", "margin"), (_U, _V, ("p", 2.0))),
 }
 
 
@@ -436,7 +440,7 @@ def _emit(args, name, header, config, data, rows):
 
 
 def _check_config_keys(name, cmd, cfg):
-    """Every top-level config key must be one the command reads: its parameters, seed, u, v, measure."""
+    """Every top-level config key must be one the command reads: seed, its parameters, measure."""
     known = [key for key, _ in _COMMON + cmd.params] + ["measure"]
     for key in cfg:
         if key not in known:

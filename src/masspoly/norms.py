@@ -31,7 +31,7 @@ from numpy.linalg import lapack_lite
 
 from .errors import GridTooSmall, NonFiniteWeight, NumericalBreakdown, SpecError
 from .measure import MeasureSpec, PowerWeightSpec, weight_to_dict
-from .opoly import OrthoBasis, _check_degree, gauss_jacobi_rule, gauss_points, recurrence_for
+from .opoly import OrthoBasis, gauss_jacobi_rule, gauss_points, recurrence_for
 
 GROWTH_THRESHOLD = 0.02  # |gamma| below this counts as bounded
 
@@ -569,17 +569,17 @@ def _check_grid_resolves(grid: Grid, n):
                            f"degree {n} needs a grid size of at least {n + 1}")
 
 
-def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N, ns):
-    """Degree list, grid weights, checked node values of u and v, and the basis table up to the top degree."""
-    if ns is None:
-        ns = default_degree_list(basis.degree if N is None else N)
-    if not len(ns):
-        raise SpecError("a degree sweep needs at least one degree")
-    _check_degree(min(ns))
-    _check_grid_resolves(grid, max(ns))
+def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N):
+    """The degree list up to N, grid weights, checked node values of u and v, and the basis table up to N.
+
+    N defaults to the basis degree.
+    """
+    N = basis.degree if N is None else N
+    ns = default_degree_list(N)
+    _check_grid_resolves(grid, N)
     spec = basis.measure
     uv, vv = _checked_weights(weight_values(u, grid, spec), weight_values(v, grid, spec))
-    return list(ns), grid.weights, uv, vv, basis.eval_all(grid.nodes, max(ns))
+    return ns, grid.weights, uv, vv, basis.eval_all(grid.nodes, N)
 
 
 # ----------------------------------------------------------------------
@@ -657,32 +657,34 @@ def _sweep_report(mode, p, ns, vals, seed, grid: Grid, u, v, diagnostics=None) -
     return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u, v, diagnostics or {})
 
 
-def default_degree_list(N, count=20, start=4):
-    """About ``count`` degrees from ``start`` to N, spaced geometrically, ascending and distinct.
+def default_degree_list(N):
+    """The degrees of a probe sweep: about 20 from 4 to N, spaced geometrically, ascending and distinct.
 
-    A set, not ``np.unique``, drops the repeats: ``np.unique`` imports
-    ``numpy.ma``, which a probe process has no other use for.
+    The last is N itself.  A set, not ``np.unique``, drops the repeats:
+    ``np.unique`` imports ``numpy.ma``, which a probe process has no other
+    use for.
     """
-    if N < start:
-        raise SpecError(f"a degree sweep starts at n = {start}; N = {N} is too small")
-    return sorted(set(np.round(np.geomspace(start, N, count)).astype(int).tolist()))
+    if N < 4:
+        raise SpecError(f"a degree sweep starts at n = 4; N = {N} is too small")
+    return sorted(set(np.round(np.geomspace(4, N, 20)).astype(int).tolist()))
 
 
 _ROWS = 48  # output rows per ratio pass: 4 degrees of the strong probe on a one-atom measure
 
 
-def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, ns, seed, trials, spots, parts) -> ProbeReport:
+def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spots, parts) -> ProbeReport:
     """The report of a strong, commutator or maximal sweep at p != 2.
 
-    The sweep is set up once (``_sweep_setup``) and draws its fixed family
-    from ``_family``: ``trials`` seeded normal functions and the indicators
-    of ``spots``, K inputs f / v.  ``parts(phi, degrees, w, uv, vv, G)``
-    gives what is the probe's own: the columns whose coefficients the prefix
-    sums carry, the degrees they step through, the rows g of its
-    certificates, c per degree, its increment norm of each degree (0 for
-    none), and ``write(y, n, d, sums)``.  That call steps ``sums`` to degree
-    n and fills the (K + c, m) row y with the operator applied to the
-    family's inputs, then to d, the degree's c certificates f / v.
+    The sweep is set up once (``_sweep_setup``), over the degrees of
+    ``default_degree_list(N)``, and draws its fixed family from ``_family``:
+    ``trials`` seeded normal functions and the indicators of ``spots``, K
+    inputs f / v.  ``parts(phi, degrees, w, uv, vv, G)`` gives what is the
+    probe's own: the columns whose coefficients the prefix sums carry, the
+    degrees they step through, the rows g of its certificates, c per degree,
+    its increment norm of each degree (0 for none), and
+    ``write(y, n, d, sums)``.  That call steps ``sums`` to degree n and
+    fills the (K + c, m) row y with the operator applied to the family's
+    inputs, then to d, the degree's c certificates f / v.
 
     The certificates f = v |g / v|^{p'-1} sgn(g / v) of every degree come
     from one ``_dual`` call, kept as f / v, and their norms ||f||_p from one
@@ -695,8 +697,8 @@ def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, ns, seed, trials,
     its increment norm, and NaN if any of them is, so that ``_sweep_report``
     rejects it.
     """
-    ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-    degrees, m = sorted(set(ns)), grid.size
+    degrees, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N)
+    m = grid.size
     G, nG = _family(grid, p, vv, seed, trials, spots)
     columns, steps, rows, increment, write = parts(phi, degrees, w, uv, vv, G)
     nd, c = len(degrees), len(rows) // len(degrees)
@@ -715,7 +717,7 @@ def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, ns, seed, trials,
         b = len(block)
         nf = np.hstack([np.tile(nG, (b, 1)), nD[c * lo : c * (lo + b)].reshape(b, c)])
         top[lo : lo + b] = _ratios(w, uv, block.reshape(-1, m).T, nf.ravel(), p).reshape(b, per).max(axis=1)
-    return _sweep_report(mode, p, ns, dict(zip(degrees, np.maximum(top, increment).tolist())), seed, grid, u, v)
+    return _sweep_report(mode, p, degrees, dict(zip(degrees, np.maximum(top, increment).tolist())), seed, grid, u, v)
 
 
 def strong_probe(
@@ -725,10 +727,9 @@ def strong_probe(
     u: PowerWeightSpec | None = None,
     v: PowerWeightSpec | None = None,
     N: int | None = None,
-    ns=None,
     seed: int = 0,
 ) -> ProbeReport:
-    """Growth probe of ||u S_n(v^{-1} .)||_{L^p(d-nu)} over a degree sweep.
+    """Growth probe of ||u S_n(v^{-1} .)||_{L^p(d-nu)} over the degrees of ``default_degree_list(N)``.
 
     Exact at p = 2, from one QR of the v side, the Gram matrix of the u side
     and one ``eigvalsh`` per degree (``_spectral_norms``).  Otherwise an
@@ -760,30 +761,25 @@ def strong_probe(
     """
     _check_exponent(p, dual=True)
     if p == 2:
-        ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N, ns)
-        return _sweep_report("strong", p, ns, _spectral_norms(phi, w, uv, vv, sorted(set(ns))), seed, grid, u, v)
+        ns, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N)
+        return _sweep_report("strong", p, ns, _spectral_norms(phi, w, uv, vv, ns), seed, grid, u, v)
 
     def parts(phi, degrees, w, uv, vv, G):
         K = G.shape[1]
         # the increment ||u P_n||_p ||P_n / v||_{p'}
         P = phi[degrees]
         rho = _pnorms(w, (uv * P).T, p) * _pnorms(w, (P / vv).T, p / (p - 1))
-        # certificates of g = P_k, k = n, n-1.  P_{-1} = 0 gives a zero certificate: its output
-        # row is cleared and its input norm is 0, so no ratio reads it
-        ks = np.repeat(degrees, 2) - np.tile([0, 1], len(degrees))
-        rows = phi[ks]
-        rows[ks < 0] = 0.0
+        # certificates of g = P_k, k = n, n-1; every degree of a sweep is at least 4
+        rows = phi[np.repeat(degrees, 2) - np.tile([0, 1], len(degrees))]
 
         def write(y, n, d, sums):  # S_n on the family, then on the certificates
-            head, d = phi[: n + 1], d[:, : 1 + (n > 0)]
+            head = phi[: n + 1]
             y[:K] = next(sums)[1].T
-            y[K : K + d.shape[1]] = (head.T @ (head @ (w[:, None] * d))).T
-            if n == 0:
-                y[K + 1] = 0.0  # the zero certificate's row; the scratch is not initialized
+            y[K:] = (head.T @ (head @ (w[:, None] * d))).T
 
         return G, degrees, rows, rho, write
 
-    return _lp_sweep("strong", basis, grid, p, u, v, N, ns, seed, 8, [*grid.atom_idx, grid.size // 2], parts)
+    return _lp_sweep("strong", basis, grid, p, u, v, N, seed, 8, [*grid.atom_idx, grid.size // 2], parts)
 
 
 def check_symbol(b_vals, grid: Grid, name="b", hint=None):
@@ -808,7 +804,6 @@ def commutator_probe(
     u: PowerWeightSpec | None = None,
     v: PowerWeightSpec | None = None,
     N: int | None = None,
-    ns=None,
     seed: int = 0,
 ) -> ProbeReport:
     """Growth probe of the commutator [M_b, S_n] in L^p(d-nu); b must be finite at every node of the grid.
@@ -843,7 +838,7 @@ def commutator_probe(
 
         return np.hstack([G, b_vals[:, None] * G]), degrees, rows, 0.0, write
 
-    return _lp_sweep("commutator", basis, grid, p, u, v, N, ns, seed, 12, [*grid.atom_idx, grid.size // 2], parts)
+    return _lp_sweep("commutator", basis, grid, p, u, v, N, seed, 12, [*grid.atom_idx, grid.size // 2], parts)
 
 
 def maximal_probe(
@@ -853,7 +848,6 @@ def maximal_probe(
     u: PowerWeightSpec | None = None,
     v: PowerWeightSpec | None = None,
     N: int | None = None,
-    ns=None,
     seed: int = 0,
 ) -> ProbeReport:
     """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|.
@@ -880,22 +874,21 @@ def maximal_probe(
 
         return G, range(len(phi)), np.empty((0, len(w))), 0.0, write
 
-    return _lp_sweep("maximal", basis, grid, p, u, v, N, ns, seed, 40, [*grid.atom_idx, 0, grid.size - 1], parts)
+    return _lp_sweep("maximal", basis, grid, p, u, v, N, seed, 40, [*grid.atom_idx, 0, grid.size - 1], parts)
 
 
 # ----------------------------------------------------------------------
 # weak / restricted-weak type probes
 
 
-def default_set_family(grid: Grid, rng=None):
+def default_set_family(grid: Grid, rng):
     """Masks over grid nodes: dyadic intervals at the edges / atoms, unions, atoms.
 
     Known extremizers for weak-type failure concentrate at the endpoints, so
     the family is anchored there: 8 dyadic levels around each anchor, then
-    20 random unions of up to four intervals.
+    20 unions of up to four intervals drawn from ``rng``.  Each mask holds a
+    node, and none repeats.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     nodes = grid.nodes
     lo, hi = nodes.min(), nodes.max()
     span = hi - lo
@@ -930,7 +923,6 @@ def weak_type_probe(
     grid: Grid,
     p: float,
     u: PowerWeightSpec | None = None,
-    sets=None,
     N: int | None = None,
     seed: int = 0,
     restricted: bool = True,
@@ -939,7 +931,9 @@ def weak_type_probe(
 
     The inputs are indicators, so the probe measures restricted weak type;
     ``restricted=False`` raises SpecError, since no probe over general inputs
-    exists.  The entries give the running max ratio as the degree cap grows.
+    exists.  The sets are ``default_set_family(grid, rng)``, with ``rng``
+    seeded by ``seed``.  The entries give the running max ratio as the
+    degree cap grows, at the degrees of ``default_degree_list(N)``.
 
     The partial sums come from the shared prefix-sum loop, one degree at a
     time, with its factors swapped so that it yields one row per set E of
@@ -968,11 +962,8 @@ def weak_type_probe(
     if not restricted:
         raise SpecError("the weak-type probe takes indicator inputs only, so it needs restricted=True")
     # u^{-1} weights the input, so u is checked as v as well
-    ns, w, uv, _, phi = _sweep_setup(basis, grid, u, u, N, None)
-    if sets is None:
-        sets = default_set_family(grid, np.random.default_rng(seed))
-    if not sets:
-        raise SpecError("set family is empty")
+    ns, w, uv, _, phi = _sweep_setup(basis, grid, u, u, N)
+    sets = default_set_family(grid, np.random.default_rng(seed))
     denoms = np.array([lp_norm(grid.fn(mask), p) for mask in sets])
     live = np.flatnonzero(denoms != 0)
     if not len(live):

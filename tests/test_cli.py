@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from masspoly import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
-from masspoly.cli import COMMANDS, build_parser, main
+from masspoly.cli import _COMMON, _PROBES, COMMANDS, build_parser, main
 from masspoly.measure import measure_to_dict
 from masspoly.opoly import classical_recurrence
 from masspoly.oracle import oracle_recurrence
@@ -121,6 +121,17 @@ def test_kernel_decompose_flag(capsys):
     dec = doc["decomposition"]
     assert dec["residual"] < 1e-8
     assert dec["total"] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("base", ["legendre", "hermite"])
+def test_kernel_decompose_without_masses_is_the_one_kernel(capsys, base):
+    # with no mass the decomposition is K_n alone, whose coefficient (on the empty set of masses) is 1
+    code, doc = run_json(capsys, "kernel", "--base", base, "--n", "8", "--decompose")
+    assert code == 0
+    assert doc["config"]["decompose"] is True
+    dec = doc["decomposition"]
+    assert dec["coefficients"] == {"": 1.0} and dec["total"] == 1.0
+    assert dec["residual"] < 1e-14
 
 
 TWO_INNER_MASSES = ["--base", "legendre", "--mass", "0.3:1", "--mass", "1:1"]
@@ -610,6 +621,61 @@ def test_subcommands_keep_their_flags():
     assert sum(len(common | flags) - 2 for flags in own.values()) == 107  # -h and --help not counted
 
 
+class _ReadLog(dict):
+    """A dict that notes in ``seen`` each of its keys that is looked up."""
+
+    def __init__(self, data, seen):
+        super().__init__(data)
+        self.seen = seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.seen.add(key)
+        return super().get(key, default)
+
+
+# (command, argv, the keys it accepts but does not read): one case per row of COMMANDS and per probe
+# mode.  The keys not read are seed on the rows that draw no random numbers, and t and symbol, which
+# only the commutator probe reads.  probe --mode restricted-weak reads v, only to reject it
+ROW_READS = [
+    ("recurrence", ["--n", "3"], {"seed"}),
+    ("basis", ["--n", "3"], {"seed"}),
+    ("kernel", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
+    ("partial-sum", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
+    ("maximal", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
+    ("commutator", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
+    ("pollard", [*LEGENDRE_MASS, "--n", "4"], {"seed"}),
+    *(("probe", [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20", "--mode", mode],
+       set() if mode == "commutator" else {"t", "symbol"}) for mode in _PROBES),
+    ("weak-probe", [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20"], {"t", "symbol"}),
+    ("laguerre-mass", ["--n", "5"], {"seed"}),
+    ("endpoints", [], {"seed"}),
+    ("check-conditions", [*LEGENDRE_INNER_MASS, "--p", "3"], {"seed"}),
+]
+
+
+@pytest.mark.parametrize("name, argv, unread", ROW_READS, ids=[" ".join([c[0], *c[1][-2:]]) for c in ROW_READS])
+def test_a_command_accepts_only_the_keys_it_reads(monkeypatch, capsys, name, argv, unread):
+    cmd, seen = COMMANDS[name], set()
+    logged = dataclasses.replace(cmd, run=lambda spec, prm: cmd.run(spec, _ReadLog(prm, seen)))
+    monkeypatch.setitem(COMMANDS, name, logged)
+    assert main([name, *argv]) == 0
+    capsys.readouterr()
+    accepted = {key for key, _ in _COMMON + cmd.params}
+    assert seen <= accepted
+    assert accepted - seen == unread
+
+
+def test_row_reads_cover_every_command_and_probe_mode():
+    assert sorted({case[0] for case in ROW_READS}) == sorted(COMMANDS)
+    assert [case[1][-1] for case in ROW_READS if case[0] == "probe"] == list(_PROBES)
+    assert sum(name != "probe" and "seed" in unread for name, _, unread in ROW_READS) == 10
+
+
 # a probe grid resolves degree N only with at least N + 1 Gauss nodes
 
 @pytest.mark.parametrize("argv", [
@@ -637,10 +703,15 @@ def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, key, reads", [
-    (["recurrence", "--n", "4"], "gird_size", "seed, u, v, N, measure"),
-    (["recurrence", "--n", "4"], "grid_size", "seed, u, v, N, measure"),
+    (["recurrence", "--n", "4"], "gird_size", "seed, N, measure"),
+    (["recurrence", "--n", "4"], "grid_size", "seed, N, measure"),
     (["probe", *LEGENDRE_MASS, "--n", "20"], "grid-size", "seed, u, v, mode, p, N, grid_size, t, symbol, measure"),
-    (["laguerre-mass", "--n", "8"], "m", "seed, u, v, alpha, M, N, measure"),
+    (["laguerre-mass", "--n", "8"], "m", "seed, alpha, M, N, measure"),
+    # a weight on a command that reads none, and v on weak-probe, which takes u alone
+    (["recurrence", "--n", "3"], "u", "seed, N, measure"),
+    (["kernel", "--n", "3"], "v", "seed, n, a, points, decompose, measure"),
+    (["weak-probe", *LEGENDRE_MASS, "--n", "20"], "v", "seed, u, mode, p, N, grid_size, t, symbol, measure"),
+    (["check-conditions", *LEGENDRE_MASS], "N", "seed, u, v, p, measure"),
 ])
 def test_unknown_config_keys_are_rejected(capsys, tmp_path, argv, key, reads):
     # the degree alone sizes a basis, so grid_size is a key of the probe commands only

@@ -9,7 +9,6 @@ import scipy.linalg
 
 from masspoly import norms
 from masspoly import (
-    DegreeOutOfRange,
     GenJacobiSpec,
     Grid,
     GridFunction,
@@ -277,12 +276,11 @@ def test_default_degree_list_rejects_short_sweeps():
 
 
 def test_default_degree_list_matches_the_unique_of_the_rounded_geometric_spacing():
-    # the list drops repeats with a set, not np.unique, which imports numpy.ma
-    for count in (5, 20, 40):
-        for N in range(4, 3001):
-            ns = default_degree_list(N, count)
-            assert ns == np.unique(np.round(np.geomspace(4, N, count)).astype(int)).tolist(), (N, count)
-            assert all(type(n) is int for n in ns)
+    # the list drops repeats with a set, not np.unique, which imports numpy.ma; it ends at N
+    for N in range(4, 3001):
+        ns = default_degree_list(N)
+        assert ns == np.unique(np.round(np.geomspace(4, N, 20)).astype(int)).tolist(), N
+        assert all(type(n) is int for n in ns) and ns[-1] == N
 
 
 @pytest.mark.parametrize("ns", [[0, 0, 0, 5], [5, 0, 0], [2, 0, 0, 0, 1, 0]])
@@ -371,11 +369,34 @@ def test_commutator_probe_checks_the_mass_points_before_the_grid_nodes():
 
 def test_default_set_family_members_are_masks():
     grid = make_grid(SPEC, 50)
-    fam = default_set_family(grid)
+    fam = default_set_family(grid, np.random.default_rng(0))
     assert len(fam) > 10
     for mask in fam:
         assert mask.dtype == bool and mask.shape == (grid.size,)
         assert mask.any()
+
+
+def test_default_set_family_takes_closed_intervals():
+    # on nodes spaced 1/8 the dyadic ends -1 + 2^-j and 1 - 2^-j fall on nodes, and so do the ends of
+    # the unions drawn below; each interval holds its end nodes, and a repeated mask is dropped
+    nodes = np.linspace(-1.0, 1.0, 17)
+    grid = Grid(nodes, np.full(17, 2.0 / 17), np.array([], dtype=int))
+
+    class NodeDraws:  # each union is one interval, from node i to node i + 3, i = 1..12 in turn
+        i = 0
+
+        def integers(self, lo, hi):
+            return 1
+
+        def uniform(self, lo, hi, size):
+            self.i = self.i % 12 + 1
+            return nodes[[self.i + 3, self.i]]
+
+    k = np.arange(17)
+    dyadic = [k <= 8, k <= 4, k <= 2, k <= 1, k == 0, k >= 8, k >= 12, k >= 14, k >= 15, k == 16]
+    unions = [(k >= i) & (k <= i + 3) for i in range(1, 13)]
+    family = default_set_family(grid, NodeDraws())
+    assert [mask.tolist() for mask in family] == [mask.tolist() for mask in dyadic + unions]
 
 
 def test_weak_type_probe_runs_and_reports():
@@ -388,11 +409,12 @@ def test_weak_type_probe_runs_and_reports():
 
 
 @pytest.mark.parametrize("count", [0, 1, 3])
-def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(count):
+def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(monkeypatch, count):
     spec = legendre([MassPoint(1.0, 1.0)])
     basis, grid = basis_for(spec, 20), make_grid(spec, 60)
-    with pytest.raises(SpecError):
-        weak_type_probe(basis, grid, 4.0, sets=[np.zeros(grid.size, bool)] * count, N=20)
+    monkeypatch.setattr(norms, "default_set_family", lambda grid, rng: [np.zeros(grid.size, bool)] * count)
+    with pytest.raises(SpecError, match="no set in the family has positive measure"):
+        weak_type_probe(basis, grid, 4.0, N=20)
 
 
 # the factor path of the probes against the same sweeps on dense m x m matrices
@@ -449,13 +471,13 @@ def test_probe_factor_path_matches_dense_reference(mode, p, spec):
     basis = basis_for(spec, N)
     grid = make_grid(spec, 3 * N)
     b = bmo_symbols()["smooth_step"]
-    ns = [2, 5, 9, 17, 30, 12]  # unsorted on purpose: entries follow the given order
+    ns = default_degree_list(N)
     if mode == "strong":
-        rep = strong_probe(basis, grid, p, U, V, ns=ns, seed=1)
+        rep = strong_probe(basis, grid, p, U, V, N=N, seed=1)
     elif mode == "commutator":
-        rep = commutator_probe(basis, grid, b, p, U, V, ns=ns, seed=1)
+        rep = commutator_probe(basis, grid, b, p, U, V, N=N, seed=1)
     else:
-        rep = maximal_probe(basis, grid, p, U, V, ns=ns, seed=1)
+        rep = maximal_probe(basis, grid, p, U, V, N=N, seed=1)
     assert [n for n, _ in rep.entries] == ns
     expected = _dense_entries(mode, spec, basis, grid, p, b(grid.nodes), ns)
     np.testing.assert_allclose([e for _, e in rep.entries], expected, rtol=1e-12, atol=0)
@@ -491,13 +513,18 @@ def _spectral_norms_reference(phi, w, uv, vv, degrees):
     return dict(zip(degrees, np.ldexp(np.sqrt(tops), sum(scales)).tolist()))
 
 
-def _assert_p2_entries(rep, basis, grid, uv, vv):
-    """Each entry equals the reference's and is within 1e-13 of scipy's SVD of the dense weighted matrix."""
+def _assert_p2_entries(rep, basis, grid, uv, vv, svd_degrees=None):
+    """Each entry equals the reference's; those at ``svd_degrees`` (all by default) are within 1e-13 of scipy's SVD.
+
+    The SVD is of the dense weighted partial-sum matrix.
+    """
     ns = [n for n, _ in rep.entries]
-    reference = _spectral_norms_reference(basis.eval_all(grid.nodes, max(ns)), grid.weights, uv, vv, sorted(ns))
+    reference = _spectral_norms_reference(basis.eval_all(grid.nodes, max(ns)), grid.weights, uv, vv, ns)
     sw = np.sqrt(grid.weights)
     for n, entry in rep.entries:
         assert entry == reference[n], n
+        if svd_degrees is not None and n not in svd_degrees:
+            continue
         A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
         exact = scipy.linalg.svd(sw[:, None] * A / sw[None, :], compute_uv=False)[0]
         assert entry == pytest.approx(exact, rel=1e-13, abs=0), n
@@ -520,16 +547,17 @@ def test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights(spec, N
     # and bit for bit against the same arithmetic with both factors alive at once
     u, v = P2_WEIGHTS[weights]
     basis, grid = _basis_and_grid(spec, N)
-    ns = default_degree_list(N) if N <= 30 else [4, 14, 29, 70, N]  # each degree costs a dense SVD
-    rep = strong_probe(basis, grid, 2.0, u, v, ns=ns)
-    _assert_p2_entries(rep, basis, grid, weight_values(u, grid, spec), weight_values(v, grid, spec))
+    rep = strong_probe(basis, grid, 2.0, u, v, N=N)
+    assert [n for n, _ in rep.entries] == default_degree_list(N)
+    svd_degrees = None if N <= 30 else [4, 14, 29, 70, N]  # each degree costs a dense SVD
+    _assert_p2_entries(rep, basis, grid, weight_values(u, grid, spec), weight_values(v, grid, spec), svd_degrees)
 
 
 def test_p2_entries_do_not_overflow_where_the_factors_are_finite():
     # u = 1e200 at the atom: the factors are finite, their Gram matrix would overflow unscaled
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 30)
     u = PowerWeightSpec(at_mass=(1e200,))
-    rep = strong_probe(basis, grid, 2.0, u, ns=[4, 17, 30])
+    rep = strong_probe(basis, grid, 2.0, u, N=30)
     _assert_p2_entries(rep, basis, grid, weight_values(u, grid, LEGENDRE_ONE), np.ones(grid.size))
 
 
@@ -551,12 +579,12 @@ def _best_ratio_loop(w, u, Y, nf, p):
     return float(np.max(_pnorms_loop(w, norms._weighted_rows(u, Y[:, keep]), p) / nf[keep], initial=0.0))
 
 
-def _strong_loop(basis, grid, p, u, v, N, ns, seed=0):
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+def _strong_loop(basis, grid, p, u, v, N, seed=0):
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
     G, nG = norms._family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
     vals = {}
-    for n, SG in norms._partial_sums(phi, phi @ (w[:, None] * G), sorted(set(ns))):
-        D = norms._dual(phi[[k for k in (n, n - 1) if k >= 0]] / vv, p)
+    for n, SG in norms._partial_sums(phi, phi @ (w[:, None] * G), ns):
+        D = norms._dual(phi[[n, n - 1]] / vv, p)
         head = phi[: n + 1]
         SD = head.T @ (head @ (w[:, None] * D))
         family = _best_ratio_loop(w, uv, SG, nG, p)
@@ -566,14 +594,14 @@ def _strong_loop(basis, grid, p, u, v, N, ns, seed=0):
     return vals
 
 
-def _commutator_loop(basis, grid, b, p, u, v, N, ns, seed=0):
+def _commutator_loop(basis, grid, b, p, u, v, N, seed=0):
     b_vals = b(grid.nodes)
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
     G, nG = norms._family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
     K = G.shape[1]
     vals = {}
     coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
-    for n, S in norms._partial_sums(phi, coef, sorted(set(ns))):
+    for n, S in norms._partial_sums(phi, coef, ns):
         best = _best_ratio_loop(w, uv, b_vals[:, None] * S[:, :K] - S[:, K:], nG, p)
         pn = phi[n]
         D = norms._dual(np.stack([pn / vv, b_vals * pn / vv]), p)
@@ -582,8 +610,8 @@ def _commutator_loop(basis, grid, b, p, u, v, N, ns, seed=0):
     return vals
 
 
-def _maximal_loop(basis, grid, p, u, v, N, ns, seed=0):
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N, ns)
+def _maximal_loop(basis, grid, p, u, v, N, seed=0):
+    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
     G, nG = norms._family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
     sup, vals = np.zeros_like(G), {}
     for k, S in norms._partial_sums(phi, phi @ (w[:, None] * G), range(max(ns) + 1)):
@@ -609,7 +637,7 @@ LOOP_CASES = {
 }
 
 
-@pytest.mark.parametrize("sweep", ["N40", "N200", "N40-unsorted"])
+@pytest.mark.parametrize("sweep", ["N40", "N200"])
 @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.5, 6.0])
 @pytest.mark.parametrize("case", LOOP_CASES)
 def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep):
@@ -617,20 +645,19 @@ def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep
     # degree loop; only the strong increment norms, whose roots it takes over an array, may differ
     spec, u, v = LOOP_CASES[case]
     N = 200 if sweep == "N200" else 40
-    ns = [17, 3, 40, 9, 0, 25, 1] if sweep.endswith("unsorted") else None
     basis, grid = _basis_and_grid(spec, N)
     b = bmo_symbols()["smooth_step"]
     seen = []
     monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # Laguerre sums overflow at N = 200, in both
-        strong_probe(basis, grid, p, u, v, N=N, ns=ns)
-        commutator_probe(basis, grid, b, p, u, v, N=N, ns=ns)
-        _within_ulps(seen[0], _strong_loop(basis, grid, p, u, v, N, ns), ulps=4)
-        _within_ulps(seen[1], _commutator_loop(basis, grid, b, p, u, v, N, ns), ulps=0)
+        strong_probe(basis, grid, p, u, v, N=N)
+        commutator_probe(basis, grid, b, p, u, v, N=N)
+        _within_ulps(seen[0], _strong_loop(basis, grid, p, u, v, N), ulps=4)
+        _within_ulps(seen[1], _commutator_loop(basis, grid, b, p, u, v, N), ulps=0)
         if N == 40:
-            maximal_probe(basis, grid, p, u, v, N=N, ns=ns)
-            _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N, ns), ulps=0)
+            maximal_probe(basis, grid, p, u, v, N=N)
+            _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N), ulps=0)
 
 
 @pytest.mark.parametrize("spec, mode", [(LEGENDRE_ONE, "maximal"), (legendre([MassPoint(0.0, 1.0)]), "strong")],
@@ -656,25 +683,44 @@ def test_family_takes_each_spot_once_and_keeps_every_entry(monkeypatch, spec, mo
     assert probe(basis, grid, 3.0, N=30).to_dict() == report
 
 
-@pytest.mark.parametrize("count", [1, 4, 5, 21])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
+def test_probe_families_have_their_documented_members(monkeypatch, mode):
+    # 8, 12 and 40 seeded trials, then the indicators of the atoms and of the middle node (of the two
+    # end nodes for the maximal probe)
+    basis, grid = basis_for(TWO_MASSES, 20), make_grid(TWO_MASSES, 60)
+    m, atoms = grid.size, list(grid.atom_idx)
+    expected = {"strong": (8, [*atoms, m // 2]), "commutator": (12, [*atoms, m // 2]),
+                "maximal": (40, [*atoms, 0, m - 1])}
+    real, calls = norms._family, []
+
+    def recording(grid, p, vv, seed, trials, spots):
+        calls.append((seed, trials, list(spots)))
+        return real(grid, p, vv, seed, trials, spots)
+
+    monkeypatch.setattr(norms, "_family", recording)
+    probe = {"strong": strong_probe, "maximal": maximal_probe,
+             "commutator": functools.partial(commutator_probe, b=bmo_symbols()["smooth_step"])}[mode]
+    probe(basis, grid, p=3.0, N=20, seed=5)
+    assert calls == [(5, *expected[mode])]
+
+
+@pytest.mark.parametrize("N, count", [(4, 1), (7, 4), (8, 5), (40, 18)])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
-def test_blocked_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, count):
+def test_blocked_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, N, count):
     # each column's norm is summed on its own, so blocks of degrees give the floats of one stack of
     # every degree's outputs and of one degree per pass.  At 48 rows a block holds 4 or 3 strong,
-    # 3 or 2 commutator and 1 maximal degrees; the lists start at degree 0, whose second strong
-    # certificate is zero
+    # 3 or 2 commutator and 1 maximal degrees; the sweeps up to N hold 1, 4, 5 and 18 degrees
     spec, u, v = LOOP_CASES[case]
-    ns = list(range(0, 2 * count, 2))
     basis, grid = _basis_and_grid(spec, 40)
     b = bmo_symbols()["smooth_step"]
     seen = []
     monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
     for rows in (norms._ROWS, 10**9, 1):
         monkeypatch.setattr(norms, "_ROWS", rows)
-        strong_probe(basis, grid, p, u, v, ns=ns)
-        commutator_probe(basis, grid, b, p, u, v, ns=ns)
-        maximal_probe(basis, grid, p, u, v, ns=ns)
+        strong_probe(basis, grid, p, u, v, N=N)
+        commutator_probe(basis, grid, b, p, u, v, N=N)
+        maximal_probe(basis, grid, p, u, v, N=N)
     assert len(seen) == 9 and len(seen[0]) == count
     assert seen[:3] == seen[3:6] == seen[6:]
 
@@ -884,14 +930,21 @@ WEAK_CASES = {
 HAND_BUILT = {"zero_weight_node": _grid_with_left_endpoint, "split_nodes": _grid_with_split_nodes}
 
 
+def _use_sets(monkeypatch, sets):
+    """Make the weak probe run on ``sets`` in place of its default family, unless they are None."""
+    if sets is not None:
+        monkeypatch.setattr(norms, "default_set_family", lambda grid, rng: sets)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
 @pytest.mark.parametrize("case", list(WEAK_CASES))
-def test_weak_probe_matches_rearrangement_reference(case, p):
+def test_weak_probe_matches_rearrangement_reference(monkeypatch, case, p):
     spec, N, m, u, make_sets, seed, restricted = WEAK_CASES[case]
     grid = HAND_BUILT.get(case, make_grid)(spec, m)
     basis = basis_for(spec, N)
     sets = None if make_sets is None else make_sets(grid)
-    rep = weak_type_probe(basis, grid, p, u, sets=sets, N=N, seed=seed, restricted=restricted)
+    _use_sets(monkeypatch, sets)
+    rep = weak_type_probe(basis, grid, p, u, N=N, seed=seed, restricted=restricted)
     assert rep.to_dict() == _weak_reference(basis, grid, p, u, sets, N, seed, restricted)
 
 
@@ -949,9 +1002,10 @@ def _basis_and_grid(spec, N):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
 @pytest.mark.parametrize("case", list(WEAK_CASES))
-def test_weak_probe_matches_set_major_reference(case, p):
+def test_weak_probe_matches_set_major_reference(monkeypatch, case, p):
     basis, grid, u, sets, N, seed, restricted = _weak_case(case)
-    rep = weak_type_probe(basis, grid, p, u, sets=sets, N=N, seed=seed, restricted=restricted)
+    _use_sets(monkeypatch, sets)
+    rep = weak_type_probe(basis, grid, p, u, N=N, seed=seed, restricted=restricted)
     assert rep.to_dict() == _weak_type_probe_reference(basis, grid, p, u, sets, N, seed, restricted).to_dict()
 
 
@@ -1125,21 +1179,21 @@ def test_probes_reject_a_grid_too_coarse_for_the_top_degree(mode):
     assert len(calls[mode](make_grid(SPEC, 41)).entries) == len(default_degree_list(40))
 
 
-@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal"])
-def test_probes_check_their_degree_list(mode):
-    # a degree -1 used to read phi[-1], the top row, or raise a bare KeyError
+@pytest.mark.parametrize("N", [-1, 0, 3])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_probes_reject_a_sweep_below_degree_4(mode, N):
+    # a sweep's degrees run from 4 to N, so a smaller N is refused before any basis row is read
     spec = legendre([MassPoint(1.0, 1.0)])
     basis, grid = basis_for(spec, 10), make_grid(spec, 40)
     b = bmo_symbols()["smooth_step"]
     calls = {
-        "strong": lambda ns: strong_probe(basis, grid, 3.0, ns=ns),
-        "commutator": lambda ns: commutator_probe(basis, grid, b, 3.0, ns=ns),
-        "maximal": lambda ns: maximal_probe(basis, grid, 3.0, ns=ns),
+        "strong": lambda: strong_probe(basis, grid, 3.0, N=N),
+        "commutator": lambda: commutator_probe(basis, grid, b, 3.0, N=N),
+        "maximal": lambda: maximal_probe(basis, grid, 3.0, N=N),
+        "weak": lambda: weak_type_probe(basis, grid, 3.0, N=N),
     }
-    with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0"):
-        calls[mode]([-1, 4, 6, 8, 10])
-    with pytest.raises(SpecError, match="at least one degree"):
-        calls[mode]([])
+    with pytest.raises(SpecError, match=f"a degree sweep starts at n = 4; N = {N} is too small"):
+        calls[mode]()
 
 
 @pytest.mark.parametrize("m", [0, -5])
