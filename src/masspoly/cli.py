@@ -132,6 +132,11 @@ def _weights(prm):
     return weight_from_dict(prm["u"]), weight_from_dict(prm["v"])
 
 
+def _weight(prm, key):
+    """The weight of config key u or v for a probe, which takes a weight not given as None."""
+    return None if prm[key] is None else weight_from_dict(prm[key])
+
+
 def _symbol(prm, grid):
     """The symbol the config key "symbol" names; it must be finite at every node of the grid, mass points first."""
     symbols = norms.bmo_symbols(prm["t"])
@@ -223,25 +228,21 @@ def _pollard(spec, prm):
     return {"r": parts.r, "s": parts.s, "residual": parts.residual, "rows": rows}, rows
 
 
-def _weak_probe(basis, grid, q, u, v):
-    if v is not None:
-        raise SpecError("the weak-type probe takes one weight, u, which also divides the input; v is not used")
-    return norms.weak_type_probe(basis, grid, q["p"], u, N=q["N"], seed=q["seed"])
-
-
-def _commutator_probe(basis, grid, q, u, v):
+def _commutator_probe(basis, grid, q, u):
+    v = _weight(q, "v")
     norms._check_exponent(q["p"], dual=True)  # as in the probe, p is checked before the symbol
     b = _symbol(q, grid)
     return norms.commutator_probe(basis, grid, b, q["p"], u, v, N=q["N"], seed=q["seed"])
 
 
-# probe mode -> probe call (basis, grid, parameters, u, v); a weight not given is None
+# probe mode -> probe call (basis, grid, parameters, u); the restricted-weak probe takes no v
 _PROBES = {
-    "strong": lambda basis, grid, q, u, v: norms.strong_probe(
-        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
-    "restricted-weak": _weak_probe,
-    "maximal": lambda basis, grid, q, u, v: norms.maximal_probe(
-        basis, grid, q["p"], u, v, N=q["N"], seed=q["seed"]),
+    "strong": lambda basis, grid, q, u: norms.strong_probe(
+        basis, grid, q["p"], u, _weight(q, "v"), N=q["N"], seed=q["seed"]),
+    "restricted-weak": lambda basis, grid, q, u: norms.weak_type_probe(
+        basis, grid, q["p"], u, N=q["N"], seed=q["seed"]),
+    "maximal": lambda basis, grid, q, u: norms.maximal_probe(
+        basis, grid, q["p"], u, _weight(q, "v"), N=q["N"], seed=q["seed"]),
     "commutator": _commutator_probe,
 }
 
@@ -249,16 +250,17 @@ _PROBES = {
 def _probe(spec, prm):
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
-    # weak-probe takes no v, so it has no "v" key
-    u, v = (None if prm.get(key) is None else weight_from_dict(prm[key]) for key in ("u", "v"))
+    u = _weight(prm, "u")
     # an overflow leaves non-finite values, which the probe raises as NumericalBreakdown
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = _PROBES[prm["mode"]](basis, grid, prm, u, v)
+        rep = _PROBES[prm["mode"]](basis, grid, prm, u)
     return {"report": rep.to_dict()}, [(int(n), float(e)) for n, e in rep.entries]
 
 
 def _probe_with_conditions(spec, prm):
     """The probe plus, on a generalized Jacobi base, the sufficient conditions and whether they agree."""
+    if prm["mode"] == "restricted-weak" and prm["v"] is not None:
+        raise SpecError("the weak-type probe takes one weight, u, which also divides the input; v is not used")
     data, rows = _probe(spec, prm)
     # the conditions are for strong type: restricted weak type also holds at the endpoint p = 4, where they fail
     if prm["mode"] != "restricted-weak" and isinstance(spec.base, GenJacobiSpec):
@@ -340,8 +342,6 @@ _KEYS = {
 
 # every command also reads this
 _COMMON = (("seed", 0),)
-# the weight specs u and v, given only through --config: parameters of the commands that read them
-_U, _V = ("u", None), ("v", None)
 
 _POINTS = np.linspace(-0.9, 0.9, 7).tolist()
 _POINT_HEADER = ("n", "x", "value")
@@ -353,9 +353,9 @@ def _sampled_params(degree):
     return (quad_size, ("f_poly", [1.0, 1.0]), ("points", _POINTS))
 
 
-def _probe_params(mode, *weights):
+def _probe_params(mode):
     grid_size = ("grid_size", lambda spec, q: max(3 * q["N"], 96))
-    return (*weights, ("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
+    return (("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
 
 
 def _first_mass(spec, q):
@@ -380,9 +380,12 @@ COMMANDS = {
         (("n", 10), ("f_poly", [1.0, 1.0]),
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
-    "probe": Command(_probe_with_conditions, ("n", "estimate"), _probe_params("strong", _U, _V), modes=tuple(_PROBES)),
+    # the weight specs u and v are given only through --config, to the commands that read them
+    "probe": Command(_probe_with_conditions, ("n", "estimate"), (("u", None), ("v", None), *_probe_params("strong")),
+                     modes=tuple(_PROBES)),
     # weak-probe runs the restricted-weak probe only, which takes no v; probe --mode runs the others
-    "weak-probe": Command(_probe, ("n", "estimate"), _probe_params("restricted-weak", _U), modes=("restricted-weak",)),
+    "weak-probe": Command(_probe, ("n", "estimate"), (("u", None), *_probe_params("restricted-weak")),
+                          modes=("restricted-weak",)),
     "laguerre-mass": Command(
         _laguerre_mass, ("n", "L_n00", "Q_n0", "r_n", "r_n_scaled"),
         (("alpha", 0.0), ("M", 1.0), ("N", 40)),
@@ -392,7 +395,8 @@ COMMANDS = {
         _endpoints, ("p0", "p1"), (("alpha", 0.0), ("beta", 0.0)),
         measure=lambda q: MeasureSpec(GenJacobiSpec(q["alpha"], q["beta"])),
     ),
-    "check-conditions": Command(_check_conditions, ("label", "satisfied", "margin"), (_U, _V, ("p", 2.0))),
+    "check-conditions": Command(_check_conditions, ("label", "satisfied", "margin"),
+                                (("u", None), ("v", None), ("p", 2.0))),
 }
 
 

@@ -589,20 +589,17 @@ def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N):
 def fit_growth(ns, vals):
     """Fit log(val) ~ gamma log(n) over the top half of the n-range.
 
-    The pairs (n, val) are taken in ascending order of n, whatever the order
-    given, and the fit runs on the running maximum of the values, the right
-    statistic for uniform-in-n boundedness when the values are noisy lower
-    bounds.  The top half must hold two distinct degrees, none of them 0.
+    The degrees ns are positive and ascending, as a probe sweep's are.  The
+    fit runs on the running maximum of the values, the right statistic for
+    uniform-in-n boundedness when the values are noisy lower bounds.  The top
+    half must hold two distinct degrees.
     """
-    order = np.argsort(ns, kind="stable")
-    ns = np.asarray(ns, dtype=float)[order]
-    vals = np.maximum.accumulate(np.asarray(vals, dtype=float)[order])
+    ns = np.asarray(ns, dtype=float)
+    vals = np.maximum.accumulate(np.asarray(vals, dtype=float))
     k = len(ns) // 2
-    degrees = ", ".join(f"{n:g}" for n in ns)
     if len(set(ns[k:].tolist())) < 2:
+        degrees = ", ".join(f"{n:g}" for n in ns)
         raise SpecError(f"a growth fit needs two distinct degrees in the top half of the sweep, got {degrees}")
-    if ns[k] == 0:
-        raise SpecError(f"a growth fit takes log n, so the top half of the sweep cannot hold degree 0, got {degrees}")
     x = np.log(ns[k:])
     y = np.log(np.maximum(vals[k:], 1e-300))
     coef = np.polyfit(x, y, 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from masspoly import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
-from masspoly.cli import _COMMON, _PROBES, COMMANDS, build_parser, main
+from masspoly.cli import _COMMON, COMMANDS, build_parser, main
 from masspoly.measure import measure_to_dict
 from masspoly.opoly import classical_recurrence
 from masspoly.oracle import oracle_recurrence
@@ -632,48 +632,47 @@ class _ReadLog(dict):
         self.seen.add(key)
         return super().__getitem__(key)
 
-    def get(self, key, default=None):
-        if key in self:
-            self.seen.add(key)
-        return super().get(key, default)
+
+# the argv each command row runs on; a row that runs probe modes runs once per mode, with --mode
+_ROW_ARGV = {
+    "recurrence": ["--n", "3"],
+    "basis": ["--n", "3"],
+    "kernel": [*LEGENDRE_INNER_MASS, "--n", "3"],
+    "partial-sum": [*LEGENDRE_INNER_MASS, "--n", "3"],
+    "maximal": [*LEGENDRE_INNER_MASS, "--n", "3"],
+    "commutator": [*LEGENDRE_INNER_MASS, "--n", "3"],
+    "pollard": [*LEGENDRE_MASS, "--n", "4"],
+    "probe": [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20"],
+    "weak-probe": [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20"],
+    "laguerre-mass": ["--n", "5"],
+    "endpoints": [],
+    "check-conditions": [*LEGENDRE_INNER_MASS, "--p", "3"],
+}
+ROW_CASES = [(name, mode) for name, cmd in COMMANDS.items() for mode in cmd.modes or (None,)]
 
 
-# (command, argv, the keys it accepts but does not read): one case per row of COMMANDS and per probe
-# mode.  The keys not read are seed on the rows that draw no random numbers, and t and symbol, which
-# only the commutator probe reads.  probe --mode restricted-weak reads v, only to reject it
-ROW_READS = [
-    ("recurrence", ["--n", "3"], {"seed"}),
-    ("basis", ["--n", "3"], {"seed"}),
-    ("kernel", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
-    ("partial-sum", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
-    ("maximal", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
-    ("commutator", [*LEGENDRE_INNER_MASS, "--n", "3"], {"seed"}),
-    ("pollard", [*LEGENDRE_MASS, "--n", "4"], {"seed"}),
-    *(("probe", [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20", "--mode", mode],
-       set() if mode == "commutator" else {"t", "symbol"}) for mode in _PROBES),
-    ("weak-probe", [*LEGENDRE_INNER_MASS, "--p", "3", "--n", "20"], {"t", "symbol"}),
-    ("laguerre-mass", ["--n", "5"], {"seed"}),
-    ("endpoints", [], {"seed"}),
-    ("check-conditions", [*LEGENDRE_INNER_MASS, "--p", "3"], {"seed"}),
-]
+def _unread(mode):
+    """The keys a row accepts but does not read, on a probe row in ``mode``, else with mode None.
+
+    seed on the rows that run no probe, since only a probe draws random numbers; t and symbol in
+    every probe mode but the commutator's, which alone reads them.  probe --mode restricted-weak
+    reads v, only to reject it.
+    """
+    if mode is None:
+        return {"seed"}
+    return set() if mode == "commutator" else {"t", "symbol"}
 
 
-@pytest.mark.parametrize("name, argv, unread", ROW_READS, ids=[" ".join([c[0], *c[1][-2:]]) for c in ROW_READS])
-def test_a_command_accepts_only_the_keys_it_reads(monkeypatch, capsys, name, argv, unread):
+@pytest.mark.parametrize("name, mode", ROW_CASES, ids=[" ".join(filter(None, case)) for case in ROW_CASES])
+def test_a_command_accepts_only_the_keys_it_reads(monkeypatch, capsys, name, mode):
     cmd, seen = COMMANDS[name], set()
     logged = dataclasses.replace(cmd, run=lambda spec, prm: cmd.run(spec, _ReadLog(prm, seen)))
     monkeypatch.setitem(COMMANDS, name, logged)
-    assert main([name, *argv]) == 0
+    assert main([name, *_ROW_ARGV[name], *(["--mode", mode] if mode else [])]) == 0
     capsys.readouterr()
     accepted = {key for key, _ in _COMMON + cmd.params}
     assert seen <= accepted
-    assert accepted - seen == unread
-
-
-def test_row_reads_cover_every_command_and_probe_mode():
-    assert sorted({case[0] for case in ROW_READS}) == sorted(COMMANDS)
-    assert [case[1][-1] for case in ROW_READS if case[0] == "probe"] == list(_PROBES)
-    assert sum(name != "probe" and "seed" in unread for name, _, unread in ROW_READS) == 10
+    assert accepted - seen == _unread(mode)
 
 
 # a probe grid resolves degree N only with at least N + 1 Gauss nodes

@@ -28,7 +28,6 @@ from masspoly import (
     make_grid,
 )
 from masspoly.norms import (
-    GROWTH_THRESHOLD,
     ProbeReport,
     _verdict,
     _may_reach,
@@ -281,26 +280,6 @@ def test_default_degree_list_matches_the_unique_of_the_rounded_geometric_spacing
         ns = default_degree_list(N)
         assert ns == np.unique(np.round(np.geomspace(4, N, 20)).astype(int)).tolist(), N
         assert all(type(n) is int for n in ns) and ns[-1] == N
-
-
-@pytest.mark.parametrize("ns", [[0, 0, 0, 5], [5, 0, 0], [2, 0, 0, 0, 1, 0]])
-def test_fit_growth_rejects_degree_0_in_the_top_half(ns):
-    # log 0 would reach np.polyfit, whose SVD fails on it
-    with pytest.raises(SpecError, match="cannot hold degree 0"):
-        fit_growth(ns, np.arange(1.0, len(ns) + 1))
-
-
-def test_fit_growth_fits_in_ascending_degree_order():
-    # a report keeps its entries in the order given; the fit sorts the (n, value) pairs, so a
-    # shuffled list fits as the sorted one, and degree 0 may be given anywhere in the list
-    ns = np.array([0, 1, 3, 9, 17, 25, 40])
-    vals = np.array([0.5, 1.0, 1.3, 1.2, 1.5, 1.45, 1.6])
-    expected = fit_growth(ns, vals)
-    assert expected[0] > GROWTH_THRESHOLD
-    rng = np.random.default_rng(3)
-    for order in [np.arange(7)[::-1], [4, 2, 6, 3, 0, 5, 1], *(rng.permutation(7) for _ in range(5))]:
-        assert fit_growth(ns[order], vals[order]) == expected
-        assert fit_growth(ns[order].tolist(), vals[order].tolist()) == expected
 
 
 def test_fit_growth_recovers_exponent():
@@ -1179,10 +1158,7 @@ def test_probes_reject_a_grid_too_coarse_for_the_top_degree(mode):
     assert len(calls[mode](make_grid(SPEC, 41)).entries) == len(default_degree_list(40))
 
 
-@pytest.mark.parametrize("N", [-1, 0, 3])
-@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
-def test_probes_reject_a_sweep_below_degree_4(mode, N):
-    # a sweep's degrees run from 4 to N, so a smaller N is refused before any basis row is read
+def _small_sweep(mode, N):
     spec = legendre([MassPoint(1.0, 1.0)])
     basis, grid = basis_for(spec, 10), make_grid(spec, 40)
     b = bmo_symbols()["smooth_step"]
@@ -1192,8 +1168,28 @@ def test_probes_reject_a_sweep_below_degree_4(mode, N):
         "maximal": lambda: maximal_probe(basis, grid, 3.0, N=N),
         "weak": lambda: weak_type_probe(basis, grid, 3.0, N=N),
     }
-    with pytest.raises(SpecError, match=f"a degree sweep starts at n = 4; N = {N} is too small"):
-        calls[mode]()
+    return calls[mode]()
+
+
+@pytest.mark.parametrize("N, message", [
+    *((N, f"a degree sweep starts at n = 4; N = {N} is too small") for N in (-1, 0, 3)),
+    # the top half of a sweep to N = 4 or 5 holds one degree, too few for the growth fit
+    (4, "two distinct degrees in the top half of the sweep, got 4$"),
+    (5, "two distinct degrees in the top half of the sweep, got 4, 5$"),
+])
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_probes_reject_a_sweep_below_degree_6(mode, N, message):
+    # a sweep's degrees run from 4 to N, so N < 4 is refused before any basis row is read
+    with pytest.raises(SpecError, match=message):
+        _small_sweep(mode, N)
+
+
+@pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
+def test_probes_fit_a_sweep_to_degree_6(mode):
+    # the top half of 4, 5, 6 holds two degrees, the fewest the growth fit takes
+    rep = _small_sweep(mode, 6)
+    assert [n for n, _ in rep.entries] == [4, 5, 6]
+    assert np.isfinite(rep.gamma)
 
 
 @pytest.mark.parametrize("m", [0, -5])

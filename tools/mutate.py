@@ -15,8 +15,9 @@ survives when they pass.
         src/masspoly/norms.py:_sweep_setup,_lp_sweep src/masspoly/cli.py:_kernel
 
 A target is ``FILE:FUNC[,FUNC...]``; nested functions are part of the one
-that holds them.  ``--list`` prints the sites and runs nothing.  Each worker
-has its own copy of the repository under ``--workdir``.  The test command is
+that holds them.  Each of the two workers has its own copy of the repository
+under ``--workdir``, and a mutant whose tests outlast 600 s counts as a
+timeout.  The test command is
 ``python -m pytest -x -q -p no:cacheprovider`` with ``--tests`` (default
 ``tests``); pytest skips a path given twice, so ``--tests
 "tests/test_cli.py tests"`` runs that file first.  One line per mutant goes
@@ -41,6 +42,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+_WORKERS = 2
+_TIMEOUT = 600.0  # seconds per mutant
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
@@ -124,13 +127,13 @@ def _copy_repo(dest: Path):
                                                               ".benchmarks", "*.egg-info"))
 
 
-def _run_tests(repo: Path, tests, timeout):
+def _run_tests(repo: Path, tests):
     env = {**os.environ, "PYTHONPATH": str(repo / "src"), "OPENBLAS_NUM_THREADS": "1",
            "PYTHONDONTWRITEBYTECODE": "1"}
     t0 = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                              cwd=repo, env=env, capture_output=True, text=True, timeout=timeout)
+                              cwd=repo, env=env, capture_output=True, text=True, timeout=_TIMEOUT)
         status = "survived" if proc.returncode == 0 else "killed"
         last = (proc.stdout.strip().splitlines() or [""])[-1]
     except subprocess.TimeoutExpired:
@@ -141,11 +144,8 @@ def _run_tests(repo: Path, tests, timeout):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("targets", nargs="+", metavar="FILE:FUNC[,FUNC...]")
-    parser.add_argument("--workdir", type=Path, help="where the per-worker copies of the repository go")
+    parser.add_argument("--workdir", type=Path, required=True, help="where the per-worker copies of the repository go")
     parser.add_argument("--tests", default="tests", help="pytest paths, space separated (default: tests)")
-    parser.add_argument("--jobs", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
-    parser.add_argument("--list", action="store_true", help="print the sites and run nothing")
     args = parser.parse_args(argv)
 
     todo = []
@@ -154,18 +154,11 @@ def main(argv=None):
         path = (ROOT / file).resolve()
         for site in mutants(path, names.split(",")):
             todo.append((path.relative_to(ROOT), *site))
-    if args.list:
-        for rel, sid, line, name, what, _ in todo:
-            print(f"{sid}\t{rel}:{line}\t{what}")
-        print(f"{len(todo)} mutants")
-        return 0
-    if args.workdir is None:
-        parser.error("--workdir is required unless --list is given")
     tests = args.tests.split()
-    workers = [args.workdir / f"worker{i}" for i in range(max(args.jobs, 1))]
+    workers = [args.workdir / f"worker{i}" for i in range(_WORKERS)]
     for repo in workers:
         _copy_repo(repo)
-        status, seconds, last = _run_tests(repo, tests, args.timeout)
+        status, seconds, last = _run_tests(repo, tests)
         if status != "survived":
             raise SystemExit(f"the unmutated tests do not pass in {repo}: {last}")
     free = queue.Queue()  # the copies no mutant is running in
@@ -179,7 +172,7 @@ def main(argv=None):
         original = target.read_text()
         try:
             target.write_text(source)
-            status, seconds, last = _run_tests(repo, tests, args.timeout)
+            status, seconds, last = _run_tests(repo, tests)
         finally:
             target.write_text(original)
             free.put(repo)
