@@ -144,28 +144,32 @@ class LorentzIndex:
 
 
 def _weak_norms(A, w, p, floor):
-    """L^{p,inf} norm of every row of a non-negative matrix A on node measures w > 0, cut at ``floor``.
+    """L^{p,inf} norm of every row of a matrix A on node measures w > 0, cut at ``floor``; A is overwritten by |A|.
 
-    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row in
-    descending order, ties by node index as in ``rearrangement``, and C_i the
-    measure of its first i nodes.  ``floor`` holds one entry per row: a row
-    whose norm reaches its floor gets that norm exactly and any other row
-    some value below its floor.  A node below floor / w.sum()^{1/p}, less a
-    slack of 1e-10 for rounding, has a term below the floor wherever it
-    stands, so each row sorts only the nodes not below that cut, stably by
-    value and so by node index within a tie.  They lead the full descending
-    order, so their cumulative sums add the same numbers in the same order.
-    A floor of 0 cuts no node and gives every norm exactly.  NaN and inf are
-    never cut: a row holding NaN reads NaN, and one holding inf but no NaN
-    reads inf.  A cut row keeps few nodes, so each row is sorted on its own
-    rather than padded into a block.  A holds at least one column.
+    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row's
+    magnitudes in descending order, ties by node index as in
+    ``rearrangement``, and C_i the measure of its first i nodes.  So a caller
+    may pass signed rows, and only the rows it sorts pay for |A|, which is
+    taken in place.  ``floor`` holds one entry per row: a row whose norm
+    reaches its floor gets that norm exactly and any other row some value
+    below its floor.  A node below floor / w.sum()^{1/p}, less a slack of
+    1e-10 for rounding, has a term below the floor wherever it stands, so
+    each row sorts only the nodes not below that cut, stably by value and so
+    by node index within a tie.  They lead the full descending order, so
+    their cumulative sums add the same numbers in the same order.  A floor
+    of 0 cuts no node and gives every norm exactly.  NaN and inf are never
+    cut: a row holding NaN reads NaN, and one holding inf but no NaN reads
+    inf.  A cut row keeps few nodes, so each row is sorted on its own rather
+    than padded into a block: on the weak probe's rows at p = 4, N = 200, a
+    block padded to its longest row took 34 ms against 17 ms row by row.  A
+    holds at least one column.
     """
     cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
     out = np.empty(len(A))
-    for i, (row, cut) in enumerate(zip(A, cuts)):
-        top = np.flatnonzero(~(row < cut))
-        top = top[np.argsort(-row[top], kind="stable")]
-        cum = np.cumsum(w[top])
+    for i, (row, cut) in enumerate(zip(np.abs(A, out=A), cuts)):
+        top = (~(row < cut)).nonzero()[0]  # the array methods, not their numpy wrappers: a few us a row
+        top = top[(-row[top]).argsort(kind="stable")]
+        cum = w[top].cumsum()
         np.power(cum, 1.0 / p, out=cum)
         cum *= row[top]
         out[i] = cum.max(initial=0.0)
@@ -173,30 +177,35 @@ def _weak_norms(A, w, p, floor):
 
 
 def _may_reach(A, w, p, denom, floor):
-    """Mask of the rows of a non-negative A whose ratio ||row||_{p,inf} / denom on w may reach ``floor``.
+    """Mask of the rows of A whose ratio ||row||_{p,inf} / denom on w may reach ``floor``.
 
     A row is ruled out only by Chebyshev's inequality ||f||_{p,inf} <= ||f||_p,
     with the moment M_p = sum w |f|^p bounded by moments that squarings give,
-    so no power runs over A: log-convexity of q -> log M_q bounds M_p by
-    M_1 and M_2 for p <= 2 and by M_2 and M_4 for p <= 4, and
-    M_p <= max|f|^{p-4} M_4 above.  The bound is the L^p norm at p = 1, 2, 4.
-    The slack of 1e-10 covers the rounding of the bound and of the sorted
-    cumulative sums, O(m eps), far below it for m <= 1e4.  A moment below the
-    smallest normal float has lost its relative precision to underflow, so
-    its row is kept; so is a row whose bound overflows to inf, and one whose
-    bound or floor is NaN.
+    so no power runs over A and its signs need no pass: log-convexity of
+    q -> log M_q bounds M_p by M_1 and M_2 for p <= 2 and by M_2 and M_4 for
+    p <= 4, and M_p <= max|f|^{p-4} M_4 above.  A moment whose power in the
+    bound is 0 is not formed; it stands as inf, whose 0th power is 1 and
+    which no underflow test flags.  So M_1 alone gives the bound at p = 1,
+    M_2 at p = 2 and M_4 at p = 4, where it is the L^p norm.  The slack of
+    1e-10 covers the rounding of the bound and of the sorted cumulative sums,
+    O(m eps), far below it for m <= 1e4.  A moment below the smallest normal
+    float has lost its relative precision to underflow, so its row is kept;
+    so is a row whose bound overflows to inf, and one whose bound or floor
+    is NaN.
     """
     with np.errstate(over="ignore"):
-        sq = A * A
         if p <= 2:
-            lo, hi = A @ w, sq @ w  # M_1, M_2
+            lo = np.abs(A) @ w if p < 2 else math.inf  # M_1
+            hi = np.square(A) @ w if p > 1 else math.inf  # M_2
             bound = lo ** (2.0 / p - 1.0) * hi ** (1.0 - 1.0 / p)
         else:
-            lo, hi = sq @ w, np.multiply(sq, sq, out=sq) @ w  # M_2, M_4
+            sq = np.square(A)
+            lo = sq @ w if p < 4 else math.inf  # M_2
+            hi = np.square(sq, out=sq) @ w  # M_4
             if p <= 4:
                 bound = lo ** (2.0 / p - 0.5) * hi ** (0.5 - 1.0 / p)
             else:
-                bound = A.max(axis=1) ** (1.0 - 4.0 / p) * hi ** (1.0 / p)
+                bound = np.maximum(A.max(axis=1), -A.min(axis=1)) ** (1.0 - 4.0 / p) * hi ** (1.0 / p)
     return ~(bound / denom * (1.0 + 1e-10) < floor) | (np.minimum(lo, hi) < np.finfo(float).tiny)
 
 
@@ -411,25 +420,28 @@ def operator_norm_probe(
     return float(best_val), best_x
 
 
-def _partial_sums(phi, coef, degrees):
-    """Yield (n, sum_{k<=n} P_k^T coef_k) for ascending ``degrees``; P_k is row k of phi.
+def _partial_sums(coef, phi, degrees):
+    """Yield (n, sum_{k<=n} coef_k^T P_k) for ascending ``degrees``: inputs x nodes; P_k is row k of phi.
 
-    With coef = phi (w g) for node values g in its columns this is S_n g:
-    S_n = phi_n^T diag(w) phi_n stays in its factors, the caller forms the
-    coefficients once, and each step adds the rows of phi between consecutive
-    degrees.  Swapping the factors yields the transpose, one row per function.
-    A one-row step writes its outer product, the same products as the matmul,
-    into one reused buffer.  The yielded array is updated in place by the next
-    step.
+    With coef = phi (w g) for node values g in its columns, row j of the sum
+    is S_n g_j: S_n = phi_n^T diag(w) phi_n stays in its factors, the caller
+    forms the coefficients once, and each step adds the rows of phi between
+    consecutive degrees.  Every probe takes its sums in this one layout, one
+    row per input.  A one-row step writes its outer product into one reused
+    buffer with ``np.einsum``, the same products as any matmul.  A step of
+    several rows adds the transpose of phi_rows^T coef_rows: OpenBLAS gives
+    that product the same floats at every thread count, while
+    coef_rows^T phi_rows moves in the last place when one thread runs it.
+    The yielded array is updated in place by the next step.
     """
-    out = np.zeros((phi.shape[1], coef.shape[1]))
+    out = np.zeros((coef.shape[1], phi.shape[1]))
     step = np.empty_like(out)
     k = 0
     for n in degrees:
         if n == k:
-            out += np.multiply(phi[k][:, None], coef[k], out=step)
+            out += np.einsum("i,j->ij", coef[k], phi[k], out=step)
         else:
-            out += phi[k : n + 1].T @ coef[k : n + 1]
+            out += (phi[k : n + 1].T @ coef[k : n + 1]).T
         k = n + 1
         yield n, out
 
@@ -681,7 +693,10 @@ def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spo
     its increment norm of each degree (0 for none), and
     ``write(y, n, d, sums)``.  That call steps ``sums`` to degree n and
     fills the (K + c, m) row y with the operator applied to the family's
-    inputs, then to d, the degree's c certificates f / v.
+    inputs, then to d, the degree's c certificates f / v.  ``sums`` is
+    ``_partial_sums`` over those columns, in the layout of y, one row per
+    input over the nodes, so a write copies or combines whole rows and
+    transposes nothing.
 
     The certificates f = v |g / v|^{p'-1} sgn(g / v) of every degree come
     from one ``_dual`` call, kept as f / v, and their norms ||f||_p from one
@@ -703,7 +718,7 @@ def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spo
     rows /= vv
     D = _dual(rows, p) if c else rows.T
     nD = _pnorms(w, vv[:, None] * D, p)
-    sums = _partial_sums(phi, phi @ (w[:, None] * columns), steps)
+    sums = _partial_sums(phi @ (w[:, None] * columns), phi, steps)
     del columns  # only their coefficients are needed
     Y = np.empty((min(max(_ROWS // per, 1), nd), per, m))
     top = np.empty(nd)
@@ -771,7 +786,7 @@ def strong_probe(
 
         def write(y, n, d, sums):  # S_n on the family, then on the certificates
             head = phi[: n + 1]
-            y[:K] = next(sums)[1].T
+            y[:K] = next(sums)[1]
             y[K:] = (head.T @ (head @ (w[:, None] * d))).T
 
         return G, degrees, rows, rho, write
@@ -830,8 +845,9 @@ def commutator_probe(
 
         def write(y, n, d, sums):  # [M_b, S_n](f / v) = b S_n(f / v) - S_n(b f / v), then the increment
             S, pn = next(sums)[1], phi[n]
-            np.subtract(b_vals[:, None] * S[:, :K], S[:, K:], out=y[:K].T)
-            y[K:] = (np.outer(b_vals * pn, pn @ (w[:, None] * d)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * d))).T
+            np.subtract(np.multiply(b_vals, S[:K], out=y[:K]), S[K:], out=y[:K])
+            np.subtract(np.outer(pn @ (w[:, None] * d), b_vals * pn), np.outer(pn @ ((w * b_vals)[:, None] * d), pn),
+                        out=y[K:])
 
         return np.hstack([G, b_vals[:, None] * G]), degrees, rows, 0.0, write
 
@@ -851,23 +867,26 @@ def maximal_probe(
 
     The sweep is ``_lp_sweep``'s, with 40 trials, the indicators of the
     atoms and of the two end nodes, each node once, and no certificates, so
-    p = 1 is taken.  Its prefix sums step through every degree, and the
-    output row of a degree n is the running sup_{k<=n} |S_k(f / v)|, written
-    into the sweep's block, which its K >= 42 rows fill: one degree per
-    ratio pass.  On Legendre + delta_1 at N = 200, whose atom is the end
-    node, its ``tracemalloc`` peak is 1.48 factors of m (N + 1) floats.
+    p = 1 is taken.  Its prefix sums step through every degree, each step
+    one outer product over the nodes, and the output row of a degree n is
+    the running sup_{k<=n} |S_k(f / v)|, kept one row per input as the sums
+    are and copied into the sweep's block, which its K >= 42 rows fill: one
+    degree per ratio pass.  On Legendre + delta_1 at N = 200, whose atom is
+    the end node, its ``tracemalloc`` peak is 1.40 factors of m (N + 1)
+    floats, and a sweep takes about 17 ms on a shared 2-vCPU Xeon VM,
+    against 21 ms with the sums and the sup kept nodes x inputs.
     """
     _check_exponent(p)
 
     def parts(phi, degrees, w, uv, vv, G):
-        sup, mag = np.zeros_like(G), np.empty_like(G)
+        sup, mag = np.zeros(G.shape[::-1]), np.empty(G.shape[::-1])  # one row per input, as the sums
 
         def write(y, n, d, sums):
             for k, S in sums:
                 np.maximum(sup, np.abs(S, out=mag), out=sup)
                 if k == n:
                     break
-            y[:] = sup.T
+            y[:] = sup
 
         return G, range(len(phi)), np.empty((0, len(w))), 0.0, write
 
@@ -933,27 +952,30 @@ def weak_type_probe(
     degree cap grows, at the degrees of ``default_degree_list(N)``.
 
     The partial sums come from the shared prefix-sum loop, one degree at a
-    time, with its factors swapped so that it yields one row per set E of
-    positive measure over the nodes of positive measure; |u S_n(u^{-1} chi_E)|
-    goes into one reused buffer.  Only the running maximum over sets and
-    degrees reaches the report, so a row does only the work that could raise
-    it.  Chebyshev's inequality ||f||_{p,inf} <= ||f||_p, with the moment bound
-    of ``_may_reach``, bounds every row in O(m) with no sort and no power over
-    the rows; a row is skipped when that bound is below the largest ratio at
-    the degrees below n.  A row that is not skipped sorts only its nodes that
-    could lift it to that ratio (``_weak_norms`` with a floor): its ratio is
-    exact when it reaches the running maximum and below it otherwise.  A
-    skipped or cut row's ratio is below a computed ratio at a smaller degree,
-    so no running entry, ``max_ratio`` or first-occurrence argmax
-    (``extremal_set``, ``extremal_n``) can change, and reports are
-    bit-identical to sorting every row in full.  On Legendre + delta_1 with
-    the 3N grid and p = 4, 718 of the 7437 rows are sorted at N = 200 and 908
-    of 14837 at N = 400.  The probe takes about 52 ms at N = 200 and 150 ms
-    at N = 400 on a shared 2-vCPU Xeon VM, against 84 and 300 ms with a power
-    over every row and full sorts.  Below p = 2 the moment bound prunes
-    little: at p = 1.5, N = 200, 7347 of the 7437 rows are sorted, and the
-    probe takes about 330 ms against 57 ms at p = 4 on the same VM.  Beside
-    the basis table, S sets take O(S (m + N)) working memory.
+    time, in its one layout: one row per set E of positive measure over the
+    nodes of positive measure.  With u given, u S_n(u^{-1} chi_E) goes into
+    one reused buffer; without it the sums are the rows.  Only the running
+    maximum over sets and degrees reaches the report, so a row does only the
+    work that could raise it.  Chebyshev's inequality
+    ||f||_{p,inf} <= ||f||_p, with the moment bound of ``_may_reach``, bounds
+    every signed row in O(m) with no sort and no power over the rows; a row
+    is skipped when that bound is below the largest ratio at the degrees
+    below n, and |.| is taken only on the rows that are not.  A row that is
+    not skipped sorts only its nodes that could lift it to that ratio
+    (``_weak_norms`` with a floor): its ratio is exact when it reaches the
+    running maximum and below it otherwise.  A skipped or cut row's ratio is
+    below a computed ratio at a smaller degree, so no running entry,
+    ``max_ratio`` or first-occurrence argmax (``extremal_set``,
+    ``extremal_n``) can change, and reports are bit-identical to sorting
+    every row in full.  On Legendre + delta_1 with the 3N grid and p = 4,
+    718 of the 7437 rows are sorted at N = 200 and 908 of 14837 at N = 400.
+    The probe takes about 37 ms at N = 200 and 86 ms at N = 400 on a shared
+    2-vCPU Xeon VM, against 48 and 116 ms for a loop that formed |u S_n|
+    and every moment over every row and sorted through numpy's function
+    wrappers.  Below p = 2 the moment bound prunes little: at p = 1.5,
+    N = 200, 7347 of the 7437 rows are sorted, and the probe takes about
+    240 ms on the same VM.  Beside the basis table, S sets take
+    O(S (m + N)) working memory.
     """
     _check_exponent(p)
     if not restricted:
@@ -971,16 +993,16 @@ def weak_type_probe(
     keep = w > 0  # a node of measure zero adds nothing to a distribution function
     phi_kept = phi if keep.all() else phi[:, keep]
     u_kept, w_kept, d_live = uv[keep], w[keep], denoms[live]
-    rows = np.empty((len(live), phi_kept.shape[1]))  # one row per live set
+    weighted = None if u is None else np.empty((len(live), phi_kept.shape[1]))  # u S_n, one row per live set
     ratios = np.zeros((len(sets), len(phi)))
     running = np.zeros(len(phi))
-    for n, St in _partial_sums(coef, phi_kept, range(len(phi))):
-        np.abs(np.multiply(St, u_kept, out=rows), out=rows)
+    for n, S in _partial_sums(coef, phi_kept, range(len(phi))):
+        rows = S if u is None else np.multiply(S, u_kept, out=weighted)
         best = running[n - 1] if n else 0.0
-        may = np.flatnonzero(_may_reach(rows, w_kept, p, d_live, best))
+        may = _may_reach(rows, w_kept, p, d_live, best).nonzero()[0]
+        d = d_live[may]
         # a norm below this floor divides to a ratio below best; one whose ratio rounds to best is above it
-        floor = best * d_live[may] * (1.0 - 1e-10)
-        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p, floor) / d_live[may]
+        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p, best * d * (1.0 - 1e-10)) / d
         running[n] = max(best, ratios[:, n].max())
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
