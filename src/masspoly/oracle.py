@@ -1,13 +1,17 @@
-"""Exact rational reference pipeline for small degree caps.
+"""Exact rational reference pipeline.
 
 Moments of the measure are computed in exact Fraction arithmetic whenever the
 weight is polynomial-representable (integer edge exponents, even integer
-interior exponents, integer Laguerre parameter); monic orthogonal polynomials
-then follow from exact Gram-Schmidt on the moment functional.  Results are
-frozen references against which the floating-point construction is verified.
+interior exponents, integer Laguerre parameter).  Gautschi's Chebyshev
+algorithm turns the moments m_0..m_{2N+1} into the exact recurrence in O(N^2)
+rational operations, and the monic orthogonal polynomials follow from it.
+Results are frozen references against which the floating-point construction
+is verified.
 
-Degree caps are deliberately small (N <= 12): exact Hankel arithmetic explodes
-combinatorially and the orthonormalization it certifies is the same at any N.
+The degree is capped at MAX_ORACLE_DEGREE.  The cost of each operation grows
+with the size of the rationals: atoms at +-1 or none keep them small, while an
+interior atom at a decimal location (a binary float with a long denominator)
+makes them grow quickly with N.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import DegreeOutOfRange, HankelSingular, Irrational
 from .measure import GenJacobiSpec, LaguerreSpec, MeasureSpec
 
-MAX_ORACLE_DEGREE = 12
+MAX_ORACLE_DEGREE = 300
 
 
 def _poly_mul(a, b):
@@ -90,75 +94,54 @@ def rational_moments(spec: MeasureSpec, upto: int):
     return moments
 
 
-def check_hankel(moments, N: int):
-    """Verify positive definiteness of the (N+1)x(N+1) moment Hankel matrix.
+def _chebyshev(moments, N: int):
+    """Exact (h, alphas, betas) of degrees 0..N from the moments m_0..m_{2N+1}.
 
-    Exact fraction-free Gaussian elimination on leading principal minors;
-    raises HankelSingular on a nonpositive minor.
+    Gautschi's Chebyshev algorithm: row k holds sigma_{k,l} = <p_k, x^l> for
+    l = k..2N+1-k, with sigma_{k,l} = sigma_{k-1,l+1} - a_{k-1} sigma_{k-1,l}
+    - b_{k-1} sigma_{k-2,l}, so the pass takes O(N^2) operations.  Then
+    h_k = sigma_{k,k}, b_k = h_k / h_{k-1} (b_0 = m_0) and a_k is the
+    difference of sigma_{k,k+1} / h_k and its value at k - 1.  h_k is the
+    ratio of leading Hankel minors k+1 and k, so a nonpositive h_k raises
+    HankelSingular exactly where the Hankel matrix stops being positive
+    definite.
     """
-    if len(moments) < 2 * N + 1:
-        raise DegreeOutOfRange("need moments up to order 2N")
-    H = [[moments[i + j] for j in range(N + 1)] for i in range(N + 1)]
+    if len(moments) < 2 * N + 2:
+        raise DegreeOutOfRange(f"need moments up to order {2 * N + 1}")
+    older, row = [0] * len(moments), moments  # sigma_{-1} = 0, sigma_0 = m
+    h, alphas, betas, ratio = [], [], [], 0
     for k in range(N + 1):
-        pivot = H[k][k]
-        if pivot <= 0:
+        if k:
+            a, b = alphas[-1], betas[-1]
+            older, row = row, [0] * k + [row[l + 1] - a * row[l] - b * older[l] for l in range(k, 2 * N + 2 - k)]
+        if row[k] <= 0:
             raise HankelSingular(f"Hankel minor {k + 1} is not positive")
-        for i in range(k + 1, N + 1):
-            fac = H[i][k] / pivot
-            for j in range(k, N + 1):
-                H[i][j] -= fac * H[k][j]
-    return True
+        h.append(row[k])
+        betas.append(h[k] / h[k - 1] if k else h[0])
+        ratio, prev = row[k + 1] / h[k], ratio
+        alphas.append(ratio - prev)
+    return h, alphas, betas
 
 
 def exact_monic_orthogonal(spec: MeasureSpec, N: int):
     """Monic orthogonal polynomials p_0..p_N and squared norms, all exact.
 
     Returns (coeff rows as Fraction lists, norms h_k, alphas a_k, betas b_k)
-    with the convention b_0 = m_0 = total mass.
+    with the convention b_0 = m_0 = total mass; the rows follow from the
+    three-term recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}.
     """
     if N > MAX_ORACLE_DEGREE:
         raise DegreeOutOfRange(f"oracle degree cap is {MAX_ORACLE_DEGREE}, got {N}")
-    moments = rational_moments(spec, 2 * N + 1)
-    check_hankel(moments, N)
-
-    def ip(c1, c2):
-        # <p, q> for coefficient lists against the moment functional
-        s = Fraction(0)
-        for i, a in enumerate(c1):
-            if a:
-                for j, b in enumerate(c2):
-                    if b:
-                        s += a * b * moments[i + j]
-        return s
-
+    h, alphas, betas = _chebyshev(rational_moments(spec, 2 * N + 1), N)
     polys = [[Fraction(1)]]
-    h = [moments[0]]
-    alphas, betas = [], [moments[0]]
     for k in range(N):
-        pk = polys[k]
-        xpk = [Fraction(0)] + pk
-        a_k = ip(xpk, pk) / h[k]
-        alphas.append(a_k)
-        nxt = [c for c in xpk]
-        for i, c in enumerate(pk):
-            nxt[i] -= a_k * c
-        if k > 0:
-            b_k = h[k] / h[k - 1]
+        nxt = [Fraction(0)] + polys[k]
+        for i, c in enumerate(polys[k]):
+            nxt[i] -= alphas[k] * c
+        if k:
             for i, c in enumerate(polys[k - 1]):
-                nxt[i] -= b_k * c
+                nxt[i] -= betas[k] * c
         polys.append(nxt)
-        h_next = ip(nxt, nxt)
-        if h_next <= 0:
-            raise HankelSingular(f"nonpositive norm at degree {k + 1}")
-        h.append(h_next)
-        if k > 0:
-            betas.append(h[k] / h[k - 1])
-    if N >= 1:
-        betas.append(h[N] / h[N - 1])
-        # alphas has N entries, betas N+1 (b_0..b_N); trim to match length N+1 runs
-    # alpha_N needed to give N+1 recurrence rows
-    pN = polys[N]
-    alphas.append(ip([Fraction(0)] + pN, pN) / h[N])
     return polys, h, alphas, betas
 
 

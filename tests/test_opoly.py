@@ -562,6 +562,14 @@ def test_quadratic_step_inside_the_support_against_stieltjes():
     assert np.max(np.abs(rec.betas / betas - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("a, b, t", [(0, 0, 0), (0, 0, 0.5), (1, 0, 0.25), (0.5, -0.5, -0.3), (0, 0, 0.9)])
+def test_stieltjes_recurrence_of_an_even_interior_exponent_matches_quadratic_step(a, b, t):
+    # (x - t)^2 times a Jacobi weight, with no discretization on the quadratic_step side
+    N = 100
+    rec = quadratic_step(classical_recurrence(GenJacobiSpec(a, b), N + 2), t)
+    assert _recurrence_error(rec, stieltjes_recurrence(GenJacobiSpec(a, b, ((t, 2.0),)), N)) < 1e-13
+
+
 def test_kernel_decomposition_raises_when_the_identity_fails():
     spec = legendre([MassPoint(1.0, 1.0)])
     basis = basis_for(spec, 10)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,16 @@ from masspoly import (
     MeasureSpec,
     legendre,
 )
-from masspoly.opoly import basis_for, monomial_coefficients
+from masspoly.opoly import basis_for, monomial_coefficients, stieltjes_recurrence
 from masspoly.oracle import (
     MAX_ORACLE_DEGREE,
-    check_hankel,
+    _chebyshev,
     exact_monic_orthogonal,
     oracle_orthonormal_coefficients,
     oracle_recurrence,
     rational_moments,
 )
+from test_acceptance import ORACLE_CONFIGS
 
 
 def test_legendre_moments():
@@ -58,20 +60,28 @@ def test_even_interior_exponent_is_rational():
     assert m[0] == Fraction(2, 3)
 
 
-def test_check_hankel_detects_degeneracy():
-    good = rational_moments(legendre(), 6)
-    assert check_hankel(good, 3)
+def test_chebyshev_detects_degeneracy():
+    good = rational_moments(legendre(), 5)
+    assert _chebyshev(good, 2) == ([2, Fraction(2, 3), Fraction(8, 45)], [0, 0, 0], [2, Fraction(1, 3), Fraction(4, 15)])
     # moments of a single point mass: Hankel rank one
     bad = [Fraction(1)] * 7
-    with pytest.raises(HankelSingular):
-        check_hankel(bad, 3)
-    with pytest.raises(DegreeOutOfRange):
-        check_hankel(good, 5)
+    with pytest.raises(HankelSingular, match="Hankel minor 2 is not positive"):
+        _chebyshev(bad, 2)
+    with pytest.raises(DegreeOutOfRange, match="need moments up to order 7"):
+        _chebyshev(good, 3)
 
 
 def test_degree_cap_enforced():
     with pytest.raises(DegreeOutOfRange):
         exact_monic_orthogonal(legendre(), MAX_ORACLE_DEGREE + 1)
+
+
+def test_oracle_reaches_its_degree_cap():
+    # Legendre: a_k = 0 and b_k = k^2 / (4k^2 - 1), exactly
+    N = MAX_ORACLE_DEGREE
+    _, _, alphas, betas = exact_monic_orthogonal(legendre(), N)
+    assert alphas == [0] * (N + 1)
+    assert betas == [2] + [Fraction(k * k, 4 * k * k - 1) for k in range(1, N + 1)]
 
 
 def test_oracle_recurrence_legendre():
@@ -91,18 +101,54 @@ def test_oracle_matches_library_coefficients():
     assert np.max(np.abs(C_exact - C_lib) / scale[:, None]) < 1e-12
 
 
-MASSED_CONFIGS = [
-    legendre([MassPoint(1.0, 1.0)]),
-    legendre([MassPoint(-1.0, 0.5), MassPoint(1.0, 0.5)]),
-    MeasureSpec(GenJacobiSpec(1.0, 1.0), (MassPoint(0.5, 0.25),)),
-    MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),)),
-]
+@pytest.mark.parametrize("spec", ORACLE_CONFIGS)
+def test_oracle_polynomials_are_exactly_orthogonal(spec):
+    # against the moments alone: <p_k, x^j> = sum_i c_{k,i} m_{i+j} is 0 for j < k and h_k for j = k
+    N = 30
+    polys, h, _, _ = exact_monic_orthogonal(spec, N)
+    m = rational_moments(spec, 2 * N)
+    for k, c in enumerate(polys):
+        assert len(c) == k + 1 and c[k] == 1
+        assert [sum(ci * m[i + j] for i, ci in enumerate(c)) for j in range(k + 1)] == [0] * k + [h[k]]
 
 
-@pytest.mark.parametrize("spec", MASSED_CONFIGS)
-def test_nu_recurrence_matches_oracle(spec):
-    N = 10
+@pytest.mark.parametrize("N, alpha_atol", [(10, 1e-15), (100, 2e-15)])
+@pytest.mark.parametrize("spec", ORACLE_CONFIGS)
+def test_nu_recurrence_matches_oracle(spec, N, alpha_atol):
+    # at N = 100 the discretized Stieltjes step leaves the x^2 weight's alpha_k = 0 off by 1.2e-15
     al, be = oracle_recurrence(spec, N)
     nu_rec = basis_for(spec, N).nu_rec
-    np.testing.assert_allclose(nu_rec.alphas, al, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(nu_rec.alphas, al, rtol=1e-12, atol=alpha_atol)
     np.testing.assert_allclose(nu_rec.betas, be, rtol=1e-12, atol=0)
+
+
+def symmetric_betas(a, gamma, N):
+    """beta_0..beta_N of the weight |x|^gamma (1 - x^2)^a on [-1, 1], whose alphas are all 0.
+
+    p_{2n}(x) = q_n(x^2) and p_{2n+1}(x) = x r_n(x^2), with q_n and r_n the
+    Jacobi polynomials on [0, 1] of s^A (1 - s)^a and s^(A+1) (1 - s)^a,
+    A = (gamma - 1) / 2 (Chihara 1978, symmetric moment functionals).  Every
+    beta_k past beta_0 = B(A + 1, a + 1) is a ratio of linear factors.
+    """
+    A = (gamma - 1) / 2
+    betas = [math.exp(math.lgamma(A + 1) + math.lgamma(a + 1) - math.lgamma(A + a + 2))]
+    for k in range(1, N + 1):
+        n, c = k // 2, k + A + a
+        betas.append((n + A + 1) * (n + A + a + 1) / (c * (c + 1)) if k % 2 else n * (n + a) / (c * (c + 1)))
+    return np.array(betas)
+
+
+@pytest.mark.parametrize("a, gamma", [(0, 2), (1, 2), (0, 4)])
+def test_symmetric_closed_form_matches_the_exact_oracle(a, gamma):
+    N = 60
+    _, _, alphas, betas = exact_monic_orthogonal(MeasureSpec(GenJacobiSpec(a, a, ((0.0, gamma),))), N)
+    assert alphas == [0] * (N + 1)
+    np.testing.assert_allclose([float(b) for b in betas], symmetric_betas(a, gamma, N), rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("a, gamma", [(0.5, 1), (0, 1), (-0.5, 0.5), (0.5, 2)])
+def test_stieltjes_recurrence_matches_the_symmetric_closed_form(a, gamma):
+    N = 200
+    rec = stieltjes_recurrence(GenJacobiSpec(a, a, ((0.0, gamma),)), N)
+    np.testing.assert_allclose(rec.alphas, 0.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rec.betas, symmetric_betas(a, gamma, N - 1), rtol=1e-13, atol=0)
