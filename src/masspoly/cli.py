@@ -355,7 +355,7 @@ def _sampled_params(degree):
 
 def _probe_params(mode):
     grid_size = ("grid_size", lambda spec, q: max(3 * q["N"], 96))
-    return (("mode", mode), ("p", 2.0), ("N", 60), grid_size, ("t", 0.3), ("symbol", "log_edge"))
+    return (("mode", mode), ("p", 2.0), ("N", 60), grid_size)
 
 
 def _first_mass(spec, q):
@@ -381,7 +381,8 @@ COMMANDS = {
          ("points", np.linspace(-0.8, 0.8, 7).tolist())),
     ),
     # the weight specs u and v are given only through --config, to the commands that read them
-    "probe": Command(_probe_with_conditions, ("n", "estimate"), (("u", None), ("v", None), *_probe_params("strong")),
+    "probe": Command(_probe_with_conditions, ("n", "estimate"),
+                     (("u", None), ("v", None), *_probe_params("strong"), ("t", 0.3), ("symbol", "log_edge")),
                      modes=tuple(_PROBES)),
     # weak-probe runs the restricted-weak probe only, which takes no v; probe --mode runs the others
     "weak-probe": Command(_probe, ("n", "estimate"), (("u", None), *_probe_params("restricted-weak")),

@@ -6,9 +6,11 @@ lower bounds, and the strong and commutator probes add certificates of the
 top expansion coefficients.  The strong, commutator and maximal probes run
 one L^p sweep, ``_lp_sweep``, and give it only their own parts; an entry is
 NaN, and the report is refused, when any of its parts is.  The
-restricted-weak probe keeps its own loop, whose norm pass skips rows by the
-running maximum; that pass, ``_weak_norms``, is the one L^{p,inf} norm, also
-``lorentz_norm``'s at r = inf.  A strong entry is the larger of the best input
+restricted-weak probe takes its inputs in the sweep's form, columns with
+norms from one pass and coefficients from one product, and keeps its own
+loop, whose norm pass skips rows by the running maximum; that pass,
+``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s at
+r = inf.  A strong entry is the larger of the best input
 ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
 u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
@@ -160,9 +162,8 @@ def _weak_norms(A, w, p, floor):
     of 0 cuts no node and gives every norm exactly.  NaN and inf are never
     cut: a row holding NaN reads NaN, and one holding inf but no NaN reads
     inf.  A cut row keeps few nodes, so each row is sorted on its own rather
-    than padded into a block: on the weak probe's rows at p = 4, N = 200, a
-    block padded to its longest row took 34 ms against 17 ms row by row.  A
-    holds at least one column.
+    than padded into a block to its longest row.  A holds at least one
+    column.
     """
     cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
     out = np.empty(len(A))
@@ -898,40 +899,32 @@ def maximal_probe(
 
 
 def default_set_family(grid: Grid, rng):
-    """Masks over grid nodes: dyadic intervals at the edges / atoms, unions, atoms.
+    """Indicators of sets of grid nodes, one boolean row per set: dyadic intervals, atoms and unions.
 
     Known extremizers for weak-type failure concentrate at the endpoints, so
-    the family is anchored there: 8 dyadic levels around each anchor, then
-    20 unions of up to four intervals drawn from ``rng``.  Each mask holds a
-    node, and none repeats.
+    the family is anchored there: 8 closed dyadic intervals around each
+    anchor, the ends then the atoms, then the atoms' singletons, then 20
+    unions of up to four intervals drawn from ``rng``.  Each row holds a
+    node, and none repeats: a repeat is dropped, and a row keeps the place of
+    its first occurrence.
     """
     nodes = grid.nodes
     lo, hi = nodes.min(), nodes.max()
-    span = hi - lo
-    anchors = [lo, hi] + [nodes[i] for i in grid.atom_idx]
-    intervals = []
-    for a in anchors:
-        for j in range(8):
-            h = span * 2.0 ** (-j - 1)
-            intervals.append((a - h, a + h))
-    masks = []
-    for c, d in intervals:
-        mask = (nodes >= c) & (nodes <= d)
-        if mask.any():
-            masks.append(mask)
-    for i in grid.atom_idx:
-        mask = np.zeros(grid.size, dtype=bool)
-        mask[i] = True
-        masks.append(mask)
-    for _ in range(20):
-        mask = np.zeros(grid.size, dtype=bool)
+    anchors = np.concatenate([[lo, hi], nodes[grid.atom_idx]])[:, None]
+    h = np.ldexp(hi - lo, -np.arange(1, 9))  # half-widths span 2^-j, j = 1..8, exact
+    dyadic = (nodes >= (anchors - h).reshape(-1, 1)) & (nodes <= (anchors + h).reshape(-1, 1))
+    atoms = np.arange(grid.size) == grid.atom_idx[:, None]
+    unions = np.zeros((20, grid.size), dtype=bool)
+    for mask in unions:
         for _ in range(rng.integers(1, 5)):
             c, d = np.sort(rng.uniform(lo, hi, size=2))
             mask |= (nodes >= c) & (nodes <= d)
-        if mask.any():
-            masks.append(mask)
-    # dedupe, in order of first occurrence
-    return list({mask.tobytes(): mask for mask in masks}.values())
+    rows = np.vstack([dyadic, atoms, unions])
+    rows = rows[rows.any(axis=1)]
+    first = {}  # a dict, not ``np.unique``, which imports ``numpy.ma``
+    for i, row in enumerate(rows):
+        first.setdefault(row.tobytes(), i)
+    return rows[list(first.values())]
 
 
 def weak_type_probe(
@@ -951,10 +944,14 @@ def weak_type_probe(
     seeded by ``seed``.  The entries give the running max ratio as the
     degree cap grows, at the degrees of ``default_degree_list(N)``.
 
-    The partial sums come from the shared prefix-sum loop, one degree at a
-    time, in its one layout: one row per set E of positive measure over the
-    nodes of positive measure.  With u given, u S_n(u^{-1} chi_E) goes into
-    one reused buffer; without it the sums are the rows.  Only the running
+    The family's rows give the inputs chi_E / u, one column each, in the
+    form ``_family`` gives the L^p sweeps: one ``_pnorms`` pass gives every
+    ||chi_E||_p, and one product phi (w chi_E / u) the coefficients of the
+    sets of positive measure.  The partial sums come from the shared
+    prefix-sum loop, one degree at a time, in its one layout: one row per set
+    E of positive measure over the nodes of positive measure.  With u given,
+    u S_n(u^{-1} chi_E) goes into one reused buffer; without it the sums are
+    the rows.  Only the running
     maximum over sets and degrees reaches the report, so a row does only the
     work that could raise it.  Chebyshev's inequality
     ||f||_{p,inf} <= ||f||_p, with the moment bound of ``_may_reach``, bounds
@@ -967,15 +964,11 @@ def weak_type_probe(
     below a computed ratio at a smaller degree, so no running entry,
     ``max_ratio`` or first-occurrence argmax (``extremal_set``,
     ``extremal_n``) can change, and reports are bit-identical to sorting
-    every row in full.  On Legendre + delta_1 with the 3N grid and p = 4,
-    718 of the 7437 rows are sorted at N = 200 and 908 of 14837 at N = 400.
-    The probe takes about 37 ms at N = 200 and 86 ms at N = 400 on a shared
-    2-vCPU Xeon VM, against 48 and 116 ms for a loop that formed |u S_n|
-    and every moment over every row and sorted through numpy's function
-    wrappers.  Below p = 2 the moment bound prunes little: at p = 1.5,
-    N = 200, 7347 of the 7437 rows are sorted, and the probe takes about
-    240 ms on the same VM.  Beside the basis table, S sets take
-    O(S (m + N)) working memory.
+    every row in full (``test_weak_probe_matches_set_major_reference``).  On
+    Legendre + delta_1 with the 3N grid and p = 4, 718 of the 7437 rows are
+    sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``);
+    below p = 2 the moment bound prunes little.  Beside the basis table, S
+    sets take O(S (m + N)) working memory.
     """
     _check_exponent(p)
     if not restricted:
@@ -983,13 +976,11 @@ def weak_type_probe(
     # u^{-1} weights the input, so u is checked as v as well
     ns, w, uv, _, phi = _sweep_setup(basis, grid, u, u, N)
     sets = default_set_family(grid, np.random.default_rng(seed))
-    denoms = np.array([lp_norm(grid.fn(mask), p) for mask in sets])
+    denoms = _pnorms(w, sets.T.astype(float), p)  # ||chi_E||_p, one column per set
     live = np.flatnonzero(denoms != 0)
     if not len(live):
         raise SpecError("no set in the family has positive measure")
-    coef = np.zeros((len(phi), len(live)))
-    for j, si in enumerate(live):
-        coef[:, j] = phi @ (w * sets[si] / uv)
+    coef = phi @ (w[:, None] * (sets[live].T / uv[:, None]))  # the inputs chi_E / u, one column per live set
     keep = w > 0  # a node of measure zero adds nothing to a distribution function
     phi_kept = phi if keep.all() else phi[:, keep]
     u_kept, w_kept, d_live = uv[keep], w[keep], denoms[live]

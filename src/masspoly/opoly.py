@@ -771,29 +771,15 @@ def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int):
     """Running sup over n <= N and a 400-point Chebyshev grid of |L_n(x,a)| / envelope.
 
     Finiteness and stability of the returned sequence verify the kernel
-    estimates empirically; the constant itself is not asserted.
-
-    The degrees run in blocks of 32, so the kernel sums, their envelopes and
-    the ratios hold 32 rows at a time beside the basis table.  The sum of
-    ``kernel_sequence`` is carried from block to block; its cumulative sum is
-    sequential along the degrees, so every float is that of the full sum.
+    estimates empirically; the constant itself is not asserted.  The kernels
+    of every degree come from one ``kernel_sequence`` call and their
+    envelopes from one ``kernel_envelope`` call.
     """
-    m, block = 400, 32
+    m = 400
     x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
-    px = basis.eval_all(x, N)
-    pa = basis.eval_all(a, N)[:, 0]
-    sups = np.empty(N + 1)
-    for lo in range(0, N + 1, block):
-        hi = min(lo + block, N + 1)
-        seq = px[lo:hi] * pa[lo:hi, None]
-        if lo:
-            seq[0] += carry
-        np.cumsum(seq, axis=0, out=seq)
-        carry = seq[-1].copy()
-        np.abs(seq, out=seq)
-        seq /= kernel_envelope(basis.measure, a, x, np.arange(lo, hi)[:, None])
-        sups[lo:hi] = seq.max(axis=1)
-    return np.maximum.accumulate(sups)
+    seq = np.abs(kernel_sequence(basis, x, a, N))
+    seq /= kernel_envelope(basis.measure, a, x, np.arange(N + 1)[:, None])
+    return np.maximum.accumulate(seq.max(axis=1))
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, PointOnBoundary, SpecError
-from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, legendre
+from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec
 from .norms import GridFunction, check_symbol
 from .opoly import (
     OrthoBasis,
@@ -42,7 +42,6 @@ from .opoly import (
     add_mass_points,
     basis_for,
     classical_recurrence,
-    gauss_jacobi_rule,
     gauss_points,
     lebesgue_rule,
     linear_step,
@@ -162,18 +161,14 @@ def _interior(x):
     return xs
 
 
-def hilbert_transform(g, x, rule=None, singular_points=()):
-    """Principal value of int_{-1}^{1} g(y)/(x-y) dy, g read once at (rule nodes, x).
+def hilbert_transform(g, x, rule):
+    """Principal value of int_{-1}^{1} g(y)/(x-y) dy on a Lebesgue ``rule`` (nodes, weights), g read once at (nodes, x).
 
-    Without a ``rule`` it integrates on ``lebesgue_rule_for(legendre(),
-    singular_points)`` where singular points are given, else on the order-400
-    Gauss-Legendre rule.  Singularity-subtracted quadrature: the smooth part
-    integrates (g(y)-g(x))/(x-y) and the subtracted constant contributes
+    Singularity-subtracted quadrature: the smooth part integrates
+    (g(y)-g(x))/(x-y) on the rule and the subtracted constant contributes
     g(x) log((1+x)/(1-x)).
     """
     xs = _interior(x)
-    if rule is None:
-        rule = lebesgue_rule_for(legendre(), singular_points) if singular_points else gauss_jacobi_rule(400)
     y, wy = rule
     gz = _as_values(g, np.concatenate([y, xs]))
     gy, gx = gz[: len(y)], gz[len(y):]

@@ -651,16 +651,16 @@ _ROW_ARGV = {
 ROW_CASES = [(name, mode) for name, cmd in COMMANDS.items() for mode in cmd.modes or (None,)]
 
 
-def _unread(mode):
-    """The keys a row accepts but does not read, on a probe row in ``mode``, else with mode None.
+def _unread(name, mode):
+    """The keys the row ``name`` accepts but does not read, in ``mode`` on a probe row, else with mode None.
 
     seed on the rows that run no probe, since only a probe draws random numbers; t and symbol in
-    every probe mode but the commutator's, which alone reads them.  probe --mode restricted-weak
-    reads v, only to reject it.
+    every mode of probe but the commutator's, which alone reads them; weak-probe accepts neither.
+    probe --mode restricted-weak reads v, only to reject it.
     """
     if mode is None:
         return {"seed"}
-    return set() if mode == "commutator" else {"t", "symbol"}
+    return set() if name == "weak-probe" or mode == "commutator" else {"t", "symbol"}
 
 
 @pytest.mark.parametrize("name, mode", ROW_CASES, ids=[" ".join(filter(None, case)) for case in ROW_CASES])
@@ -672,7 +672,7 @@ def test_a_command_accepts_only_the_keys_it_reads(monkeypatch, capsys, name, mod
     capsys.readouterr()
     accepted = {key for key, _ in _COMMON + cmd.params}
     assert seen <= accepted
-    assert accepted - seen == _unread(mode)
+    assert accepted - seen == _unread(name, mode)
 
 
 # a probe grid resolves degree N only with at least N + 1 Gauss nodes
@@ -694,6 +694,14 @@ def test_probe_grid_must_resolve_the_top_degree(capsys, tmp_path, argv, grid_siz
         assert json.loads(captured.out)["report"]["verdict"] == "bounded"
 
 
+@pytest.mark.parametrize("name", ["probe", "weak-probe"])
+@pytest.mark.parametrize("argv, N, grid_size", [([], 60, 180), (["--n", "20"], 20, 96)])
+def test_probe_defaults_are_degree_60_on_a_grid_of_max_3n_96(capsys, name, argv, N, grid_size):
+    assert main([name, *LEGENDRE_MASS, "--p", "4", *argv]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["N"], config["grid_size"]) == (N, grid_size)
+
+
 def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
     cfg = tmp_path / "grid.json"
     cfg.write_text('{"grid_size": -5}')
@@ -709,7 +717,8 @@ def test_probe_grid_without_nodes_names_the_grid_size(capsys, tmp_path):
     # a weight on a command that reads none, and v on weak-probe, which takes u alone
     (["recurrence", "--n", "3"], "u", "seed, N, measure"),
     (["kernel", "--n", "3"], "v", "seed, n, a, points, decompose, measure"),
-    (["weak-probe", *LEGENDRE_MASS, "--n", "20"], "v", "seed, u, mode, p, N, grid_size, t, symbol, measure"),
+    (["weak-probe", *LEGENDRE_MASS, "--n", "20"], "v", "seed, u, mode, p, N, grid_size, measure"),
+    (["weak-probe", *LEGENDRE_MASS, "--n", "20"], "symbol", "seed, u, mode, p, N, grid_size, measure"),
     (["check-conditions", *LEGENDRE_MASS], "N", "seed, u, v, p, measure"),
 ])
 def test_unknown_config_keys_are_rejected(capsys, tmp_path, argv, key, reads):

@@ -31,6 +31,7 @@ from masspoly.norms import (
     ProbeReport,
     _verdict,
     _may_reach,
+    _pnorms,
     _spectral_norms,
     _weak_norms,
     _weighted_matrix,
@@ -391,9 +392,32 @@ def test_weak_type_probe_runs_and_reports():
 def test_weak_probe_rejects_a_family_without_a_set_of_positive_measure(monkeypatch, count):
     spec = legendre([MassPoint(1.0, 1.0)])
     basis, grid = basis_for(spec, 20), make_grid(spec, 60)
-    monkeypatch.setattr(norms, "default_set_family", lambda grid, rng: [np.zeros(grid.size, bool)] * count)
+    monkeypatch.setattr(norms, "default_set_family", lambda grid, rng: np.zeros((count, grid.size), bool))
     with pytest.raises(SpecError, match="no set in the family has positive measure"):
         weak_type_probe(basis, grid, 4.0, N=20)
+
+
+@pytest.mark.parametrize("u", [None, PowerWeightSpec(a=0.25)])
+def test_weak_probe_inputs_match_the_per_set_norms_and_products(monkeypatch, u):
+    # one _pnorms pass and one product give every set's ||chi_E||_p and coefficients phi (w chi_E / u):
+    # the norms within 2 ulps of lp_norm, the coefficients within a few ulps of the scale of their sums
+    spec = legendre([MassPoint(1.0, 1.0)])
+    basis, grid = basis_for(spec, 200), make_grid(spec, 600)
+    seen = {}
+    pnorms, partial_sums = norms._pnorms, norms._partial_sums
+    monkeypatch.setattr(norms, "_pnorms", lambda w, X, p: seen.setdefault("norms", pnorms(w, X, p)))
+    monkeypatch.setattr(norms, "_partial_sums", lambda coef, phi, degrees: partial_sums(
+        seen.setdefault("coef", coef), phi, degrees))
+    weak_type_probe(basis, grid, 4.0, u, N=200)
+    sets = default_set_family(grid, np.random.default_rng(0))
+    uv, phi, w = weight_values(u, grid, spec), basis.eval_all(grid.nodes, 200), grid.weights
+    per_set = np.array([lp_norm(grid.fn(mask), 4.0) for mask in sets])
+    np.testing.assert_allclose(seen["norms"], per_set, rtol=4.5e-16, atol=0)
+    inputs = [w * mask / uv for mask in sets]
+    coef = np.stack([phi @ x for x in inputs], axis=1)
+    scale = np.stack([np.abs(phi) @ np.abs(x) for x in inputs], axis=1)
+    assert seen["coef"].shape == coef.shape
+    assert np.all(np.abs(seen["coef"] - coef) <= 8 * np.finfo(float).eps * scale)
 
 
 # the factor path of the probes against the same sweeps on dense m x m matrices
@@ -848,21 +872,68 @@ def test_maximal_probe_accepts_p1():
     assert all(np.isfinite(v) and v > 0 for _, v in rep.entries)
 
 
+# the set family against the loop that built it one mask at a time
+
+def _set_family_loop(grid, rng):
+    """The set family as a list of masks, one interval, atom and union at a time: the reference of the array form."""
+    nodes = grid.nodes
+    lo, hi = nodes.min(), nodes.max()
+    masks = []
+    for a in [lo, hi] + [nodes[i] for i in grid.atom_idx]:
+        for j in range(8):
+            h = (hi - lo) * 2.0 ** (-j - 1)
+            masks.append((nodes >= a - h) & (nodes <= a + h))
+    for i in grid.atom_idx:
+        masks.append(np.arange(grid.size) == i)
+    for _ in range(20):
+        mask = np.zeros(grid.size, dtype=bool)
+        for _ in range(rng.integers(1, 5)):
+            c, d = np.sort(rng.uniform(lo, hi, size=2))
+            mask |= (nodes >= c) & (nodes <= d)
+        masks.append(mask)
+    return list({mask.tobytes(): mask for mask in masks if mask.any()}.values())
+
+
+@pytest.mark.parametrize("spec", [LEGENDRE_ONE, SPEC, LAGUERRE_ZERO, MeasureSpec(HermiteSpec(), (MassPoint(0.0, 1.0),)),
+                                  TWO_MASSES], ids=["legendre_1", "legendre_03", "laguerre_0", "hermite_0", "two_masses"])
+@pytest.mark.parametrize("m", [60, 301])
+def test_default_set_family_is_the_loop_family_as_one_array(spec, m):
+    grid = make_grid(spec, m)
+    for seed in (0, 1, 7):
+        family = default_set_family(grid, np.random.default_rng(seed))
+        assert family.dtype == bool and family.shape[1] == grid.size
+        assert family.tolist() == [mask.tolist() for mask in _set_family_loop(grid, np.random.default_rng(seed))]
+
+
 # the weak probe against one rearrangement per (set, degree)
+
+def _weak_inputs(basis, grid, p, u, sets, N):
+    """The weak probe's input stage: u's node values, the basis table, ||chi_E||_p and the coefficients of every set.
+
+    The inputs chi_E / u are the columns of one array, their norms come from
+    one ``_pnorms`` pass, and the coefficients of the sets of positive
+    measure from one product, as in the probe, so its references read the
+    same floats; a set of measure zero keeps zero coefficients.
+    """
+    uv = weight_values(u, grid, basis.measure)
+    phi = basis.eval_all(grid.nodes, N)
+    denoms = _pnorms(grid.weights, sets.T.astype(float), p)
+    live = denoms != 0
+    coef = np.zeros((N + 1, len(sets)))
+    coef[:, live] = phi @ (grid.weights[:, None] * (sets[live].T / uv[:, None]))
+    return uv, phi, denoms, coef
+
 
 def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
     """The weak probe's report, every ratio from ``rearrangement`` of one full prefix sum."""
     if sets is None:
         sets = default_set_family(grid, np.random.default_rng(seed))
-    uv = weight_values(u, grid, basis.measure)
-    phi = basis.eval_all(grid.nodes, N)
+    uv, phi, denoms, coefs = _weak_inputs(basis, grid, p, u, sets, N)
     ratios = np.zeros((len(sets), N + 1))
-    for si, mask in enumerate(sets):
-        chi = mask.astype(float)
-        denom = lp_norm(grid.fn(chi), p)
+    for si, (denom, coef) in enumerate(zip(denoms, coefs.T)):
         if denom == 0:
             continue
-        partials = np.cumsum(phi * (phi @ (grid.weights * chi / uv))[:, None], axis=0)
+        partials = np.cumsum(phi * coef[:, None], axis=0)
         for n in range(N + 1):
             vals, meas = rearrangement(grid.fn(uv * partials[n]))
             keep = meas > 0
@@ -886,7 +957,7 @@ def _explicit_sets(grid):
     interval = (grid.nodes > -0.5) & (grid.nodes < 0.2)
     atom = np.zeros(grid.size, dtype=bool)
     atom[grid.atom_idx] = True
-    return [np.zeros(grid.size, dtype=bool), np.ones(grid.size, dtype=bool), interval, atom]
+    return np.array([np.zeros(grid.size, dtype=bool), np.ones(grid.size, dtype=bool), interval, atom])
 
 
 def _grid_with_split_nodes(spec, m):
@@ -942,17 +1013,13 @@ def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0
         N = basis.degree
     if sets is None:
         sets = default_set_family(grid, np.random.default_rng(seed))
-    uv = weight_values(u, grid, basis.measure)
-    phi = basis.eval_all(grid.nodes, N)
+    uv, phi, denoms, coefs = _weak_inputs(basis, grid, p, u, sets, N)
     keep = grid.weights > 0
     phi_kept, u_kept, w_kept = phi[:, keep], uv[keep], grid.weights[keep]
     ratios = np.zeros((len(sets), N + 1))
-    for si, mask in enumerate(sets):
-        chi = mask.astype(float)
-        denom = lp_norm(grid.fn(chi), p)
+    for si, (denom, coef) in enumerate(zip(denoms, coefs.T)):
         if denom == 0:
             continue
-        coef = phi @ (grid.weights * chi / uv)
         carry = 0.0
         for k in range(0, N + 1, _BLOCK):
             blk = phi_kept[k : k + _BLOCK] * coef[k : k + _BLOCK, None]
@@ -1214,7 +1281,7 @@ def test_weak_probe_keeps_a_later_degree_that_ties_the_running_maximum(monkeypat
     grid = Grid(np.linspace(-1.0, 1.0, 7), np.array([t, t, 1.0, 1.0, t, t, t]), np.array([], dtype=int))
     rows = np.zeros((7, 7))
     rows[:3] = [[2, 1, 0, -2, 0, 0, 0], [0, 2, 1, 0, 0, 2, 1], [0, 0, -1, 2, -2, -2, 2]]
-    sets = [np.isin(np.arange(7), [1, 4]), np.isin(np.arange(7), [1])]
+    sets = np.array([np.isin(np.arange(7), [1, 4]), np.isin(np.arange(7), [1])])
     _use_sets(monkeypatch, sets)
     rep = weak_type_probe(_Table(rows), grid, 1.0, N=6).to_dict()
     assert rep["diagnostics"] == {"max_ratio": 4.000000000000001, "extremal_set": 0, "extremal_n": 2, "n_sets": 2}

@@ -429,14 +429,16 @@ def test_kernel_envelope_over_an_array_of_degrees_is_bit_identical_to_scalar_cal
         assert env[n].tobytes() == kernel_envelope(spec, a, x, int(n)).tobytes()
 
 
-def test_kernel_envelope_ratio_is_the_running_max_of_per_degree_ratios():
-    # the per-degree loop the array form replaced, kept as the reference
-    spec = MeasureSpec(GenJacobiSpec(0.5, 0.0, ((0.3, 1.0),)), (MassPoint(0.3, 1.0),))
+@pytest.mark.parametrize("a", [0.3, -1.0])
+def test_kernel_envelope_ratio_is_the_running_max_of_per_degree_ratios(a):
+    # the per-degree loop the array form replaced, kept as the reference; at a = -1 the sup of the
+    # top degrees sits at the Chebyshev node nearest -1, so the reference pins the whole grid
+    spec = MeasureSpec(GenJacobiSpec(0.5, 0.0, ((0.3, 1.0),)), (MassPoint(-1.0, 0.5), MassPoint(0.3, 1.0)))
     basis = basis_for(spec, 60)
     x = np.cos(np.pi * (2 * np.arange(400) + 1) / 800)
-    seq = kernel_sequence(basis, x, 0.3, 60)
-    loop = [np.max(np.abs(seq[n]) / kernel_envelope(spec, 0.3, x, n)) for n in range(61)]
-    assert kernel_envelope_ratio(basis, 0.3, 60).tobytes() == np.maximum.accumulate(loop).tobytes()
+    seq = kernel_sequence(basis, x, a, 60)
+    loop = [np.max(np.abs(seq[n]) / kernel_envelope(spec, a, x, n)) for n in range(61)]
+    assert kernel_envelope_ratio(basis, a, 60).tobytes() == np.maximum.accumulate(loop).tobytes()
 
 
 def test_mass_subsets_ordering():

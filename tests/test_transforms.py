@@ -97,30 +97,31 @@ def test_commutator_vanishes_for_constant_symbol():
 
 def test_hilbert_transform_oracles():
     # H(1)(x) = log((1+x)/(1-x)); H(y)(x) = x log((1+x)/(1-x)) - 2
-    assert hilbert_transform(lambda y: np.ones_like(y), 0.5) == pytest.approx(np.log(3.0), abs=1e-10)
-    assert hilbert_transform(lambda y: y, 0.0) == pytest.approx(-2.0, abs=1e-10)
+    rule = opoly.gauss_jacobi_rule(400)
+    assert hilbert_transform(lambda y: np.ones_like(y), 0.5, rule) == pytest.approx(np.log(3.0), abs=1e-10)
+    assert hilbert_transform(lambda y: y, 0.0, rule) == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_hilbert_transform_quadratic_antiderivative():
     # g(y) = 1 - y^2: H(g)(x) = 2x + (1 - x^2) log((1+x)/(1-x))
     xs = np.linspace(-0.9, 0.9, 13)
     exact = 2 * xs + (1 - xs**2) * np.log((1 + xs) / (1 - xs))
-    got = np.array([hilbert_transform(lambda y: 1.0 - y**2, float(x)) for x in xs])
+    got = np.array([hilbert_transform(lambda y: 1.0 - y**2, float(x), opoly.gauss_jacobi_rule(400)) for x in xs])
     assert np.max(np.abs(got - exact)) < 1e-8
 
 
 def test_hilbert_transform_rejects_boundary():
     with pytest.raises(PointOnBoundary):
-        hilbert_transform(lambda y: np.ones_like(y), 1.0)
+        hilbert_transform(lambda y: np.ones_like(y), 1.0, opoly.gauss_jacobi_rule(400))
 
 
 def test_pollard_parts_take_their_hilbert_transforms_from_hilbert_transform(monkeypatch):
     # W2 and W3 are principal values; a profile attributes their time to hilbert_transform
     calls = []
 
-    def counted(g, x, rule=None, singular_points=()):
+    def counted(g, x, rule):
         calls.append(len(x))
-        return hilbert_transform(g, x, rule, singular_points)
+        return hilbert_transform(g, x, rule)
 
     monkeypatch.setattr(transforms, "hilbert_transform", counted)
     nu_basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 17)
@@ -259,8 +260,6 @@ def test_graded_rule_keeps_every_level_where_no_node_collapses():
 def test_graded_rule_rejects_points_outside_the_interval(points):
     with pytest.raises(SpecError, match=r"lies outside the interval \(-1\.0, 1\.0\)"):
         lebesgue_rule_for(legendre(), points)
-    with pytest.raises(SpecError):
-        hilbert_transform(np.cos, 0.1, singular_points=points)
 
 
 def test_graded_rule_grades_toward_a_point_on_an_end():
@@ -332,7 +331,7 @@ def test_a_sampled_f_off_its_nodes_raises_grid_mismatch():
     with pytest.raises(GridMismatch):
         commutator_psi_parts(mu_basis, q_basis_for(mu_basis), np.sin, grid.fn(f), 20, x)
     with pytest.raises(GridMismatch):
-        hilbert_transform(grid.fn(np.cos), 0.3)
+        hilbert_transform(grid.fn(np.cos), 0.3, lebesgue_rule_for(legendre(), (0.3,)))
     with pytest.raises(GridMismatch):
         commutator(basis_for(spec, 8), make_grid(spec, 33).fn(np.sin), make_grid(spec, 32).fn(f), 6, x)
 
