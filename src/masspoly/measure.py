@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -233,13 +233,7 @@ class ConditionReport:
         raise KeyError(label)
 
     def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "lines": [
-                {"label": ln.label, "satisfied": ln.satisfied, "margin": ln.margin}
-                for ln in self.lines
-            ],
-        }
+        return {"verdict": self.verdict, "lines": [asdict(ln) for ln in self.lines]}
 
 
 def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, p: float) -> ConditionReport:

@@ -8,9 +8,9 @@ one L^p sweep, ``_lp_sweep``, and give it only their own parts; an entry is
 NaN, and the report is refused, when any of its parts is.  The
 restricted-weak probe takes its inputs in the sweep's form, columns with
 norms from one pass and coefficients from one product, and keeps its own
-loop, whose norm pass skips rows by the running maximum; that pass,
-``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s at
-r = inf.  A strong entry is the larger of the best input
+loop, whose norm pass rules out and cuts rows by the running maximum; that
+pass, ``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s
+at r = inf.  A strong entry is the larger of the best input
 ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
 u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
@@ -26,7 +26,7 @@ only in the dense test reference ``operator_norm_probe``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -133,52 +133,18 @@ class LorentzIndex:
         if not (1 <= self.r):
             raise SpecError(f"r must be in [1, inf], got {self.r}")
 
-    @property
-    def conjugate(self):
-        pc = math.inf if self.p == 1 else self.p / (self.p - 1)
-        if self.r == math.inf:
-            rc = 1.0
-        elif self.r == 1:
-            rc = math.inf
-        else:
-            rc = self.r / (self.r - 1)
-        return pc, rc
-
 
 def _weak_norms(A, w, p, floor):
-    """L^{p,inf} norm of every row of a matrix A on node measures w > 0, cut at ``floor``; A is overwritten by |A|.
+    """L^{p,inf} norm of every row of a matrix A on node measures w > 0, cut at ``floor``; A is not written.
 
     The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row's
     magnitudes in descending order, ties by node index as in
-    ``rearrangement``, and C_i the measure of its first i nodes.  So a caller
-    may pass signed rows, and only the rows it sorts pay for |A|, which is
-    taken in place.  ``floor`` holds one entry per row: a row whose norm
-    reaches its floor gets that norm exactly and any other row some value
-    below its floor.  A node below floor / w.sum()^{1/p}, less a slack of
-    1e-10 for rounding, has a term below the floor wherever it stands, so
-    each row sorts only the nodes not below that cut, stably by value and so
-    by node index within a tie.  They lead the full descending order, so
-    their cumulative sums add the same numbers in the same order.  A floor
-    of 0 cuts no node and gives every norm exactly.  NaN and inf are never
-    cut: a row holding NaN reads NaN, and one holding inf but no NaN reads
-    inf.  A cut row keeps few nodes, so each row is sorted on its own rather
-    than padded into a block to its longest row.  A holds at least one
-    column.
-    """
-    cuts = floor * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
-    out = np.empty(len(A))
-    for i, (row, cut) in enumerate(zip(np.abs(A, out=A), cuts)):
-        top = (~(row < cut)).nonzero()[0]  # the array methods, not their numpy wrappers: a few us a row
-        top = top[(-row[top]).argsort(kind="stable")]
-        cum = w[top].cumsum()
-        np.power(cum, 1.0 / p, out=cum)
-        cum *= row[top]
-        out[i] = cum.max(initial=0.0)
-    return out
-
-
-def _may_reach(A, w, p, denom, floor):
-    """Mask of the rows of A whose ratio ||row||_{p,inf} / denom on w may reach ``floor``.
+    ``rearrangement``, and C_i the measure of its first i nodes, so A may hold
+    signed rows.  ``floor`` holds one entry per row: a row whose norm reaches
+    its floor gets that norm exactly and any other row some value below its
+    floor, 0 when a moment bound rules it out.  A floor of 0 gives every norm
+    exactly.  NaN and inf are never cut: a row holding NaN reads NaN, and one
+    holding inf but no NaN reads inf.  A holds at least one column.
 
     A row is ruled out only by Chebyshev's inequality ||f||_{p,inf} <= ||f||_p,
     with the moment M_p = sum w |f|^p bounded by moments that squarings give,
@@ -193,6 +159,15 @@ def _may_reach(A, w, p, denom, floor):
     float has lost its relative precision to underflow, so its row is kept;
     so is a row whose bound overflows to inf, and one whose bound or floor
     is NaN.
+
+    The kept rows are copied once and |.| is taken in place on the copy.  A
+    node below floor / w.sum()^{1/p}, less a slack of 1e-10 for rounding, has
+    a term below the floor wherever it stands, so each kept row sorts only
+    the nodes not below that cut, stably by value and so by node index within
+    a tie.  They lead the full descending order, so their cumulative sums add
+    the same numbers in the same order.  A cut row keeps few nodes, so each
+    row is sorted on its own rather than padded into a block to its longest
+    row.
     """
     with np.errstate(over="ignore"):
         if p <= 2:
@@ -203,28 +178,41 @@ def _may_reach(A, w, p, denom, floor):
             sq = np.square(A)
             lo = sq @ w if p < 4 else math.inf  # M_2
             hi = np.square(sq, out=sq) @ w  # M_4
+            del sq  # freed before the kept rows are copied
             if p <= 4:
                 bound = lo ** (2.0 / p - 0.5) * hi ** (0.5 - 1.0 / p)
             else:
                 bound = np.maximum(A.max(axis=1), -A.min(axis=1)) ** (1.0 - 4.0 / p) * hi ** (1.0 / p)
-    return ~(bound / denom * (1.0 + 1e-10) < floor) | (np.minimum(lo, hi) < np.finfo(float).tiny)
+    kept = (~(bound * (1.0 + 1e-10) < floor) | (np.minimum(lo, hi) < np.finfo(float).tiny)).nonzero()[0]
+    cuts = floor[kept] * (1.0 - 1e-10) / w.sum() ** (1.0 / p)
+    rows = A[kept]
+    out = np.zeros(len(A))
+    for i, row, cut in zip(kept, np.abs(rows, out=rows), cuts):
+        top = (~(row < cut)).nonzero()[0]  # the array methods, not their numpy wrappers: a few us a row
+        top = top[(-row[top]).argsort(kind="stable")]
+        cum = w[top].cumsum()
+        np.power(cum, 1.0 / p, out=cum)
+        cum *= row[top]
+        out[i] = cum.max(initial=0.0)
+    return out
 
 
 def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
     """Exact L^{p,r} norm of a grid function via its step rearrangement.
 
     Nodes of measure zero are dropped.  At r = inf the norm is the
-    restricted-weak probe's pass, ``_weak_norms``, with a floor of 0, which
-    cuts no node; its stable sort keeps the rearrangement's order.
+    restricted-weak probe's pass, ``_weak_norms``, on f at the nodes of
+    positive measure with a floor of 0, which cuts no node: its stable sort of
+    |f| is the rearrangement's order, so the values are sorted once.
     """
     p, r = idx.p, idx.r
-    vals, meas = rearrangement(f)
-    keep = meas > 0
-    vals, meas = vals[keep], meas[keep]
-    if len(vals) == 0:
+    keep = f.weights > 0
+    if not keep.any():
         return 0.0
     if r == math.inf:
-        return float(_weak_norms(vals[None, :], meas, p, np.zeros(1))[0])
+        return float(_weak_norms(f.values[None, keep], f.weights[keep], p, np.zeros(1))[0])
+    vals, meas = rearrangement(f)
+    vals, meas = vals[meas > 0], meas[meas > 0]
     cum = np.cumsum(meas)
     prev = np.concatenate([[0.0], cum[:-1]])
     terms = vals**r * (cum ** (r / p) - prev ** (r / p))
@@ -493,10 +481,8 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     one QR of the v side gives R_n = Q_n T_n for every n.  The u side enters
     as its Gram matrix G = L^T L, one matmul, and the norm is
     ||L_n T_n^T|| = sqrt(lambda_max(T_n G[n] T_n^T)), G[n] the leading
-    (n+1) x (n+1) block: per degree two (n+1)^3 matmuls and one ``eigvalsh``.
-    On Legendre + delta_1 at N = 200 (601 nodes, 20 degrees) the sweep takes
-    about 14 ms on a shared 2-vCPU Xeon, against 23 ms for a QR of each side
-    and an SVD per degree.
+    (n+1) x (n+1) block: per degree two (n+1)^3 matmuls and one ``eigvalsh``,
+    in place of a QR of each side and an SVD per degree.
 
     The two m x (N+1) factors are never alive together, and neither is
     copied.  R is built, ``_qr_triangle`` factors it in place and keeps its
@@ -504,11 +490,9 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     peak of the sweep is L beside T and G, two (N+1)^2 arrays; after it the
     sweep holds T, G and two reused (N+1)^2 buffers for T_n G[n] and
     T_n G[n] T_n^T.  Each product is the matmul of the same blocks, so the
-    floats are those of fresh arrays.  On Legendre + delta_1 at N = 200 the
-    sweep's ``tracemalloc`` peak is 1.69 factors, and at N = 2000 (6001
-    nodes) the process peaks at 315 MB, against 430 MB with the two copies
-    of R that ``np.linalg.qr`` makes and 567 MB with both factors and
-    per-degree temporaries.
+    floats are those of fresh arrays.  The peak, below that of the two
+    copies of R that ``np.linalg.qr`` makes, is pinned by
+    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
 
     The top eigenvalue of a symmetric matrix is accurate relative to its norm,
     but G squares the u side, so the error grows with the spread of u / v over
@@ -636,19 +620,7 @@ class ProbeReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "mode": self.mode,
-            "p": self.p,
-            "entries": [[int(n), float(v)] for n, v in self.entries],
-            "gamma": self.gamma,
-            "fit_residual": self.fit_residual,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "grid_size": self.grid_size,
-            "u": self.u,
-            "v": self.v,
-            "diagnostics": self.diagnostics,
-        }
+        return {**asdict(self), "entries": [[int(n), float(v)] for n, v in self.entries]}
 
 
 def _verdict(gamma):
@@ -767,10 +739,9 @@ def strong_probe(
     P_n and P_{n-1} of each degree's certificates, rho_n from one pass per
     exponent, and an output row that steps the prefix sums to S_n and
     applies S_n to the family and to the two certificates; an entry that
-    rho_n or a ratio makes NaN is rejected.  On Legendre + delta_1 at N = 200
-    a sweep takes about 3.2 ms, and its ``tracemalloc`` peak is 0.72 factors
-    of m (N + 1) floats, the basis table not counted, against 1.67 with every
-    degree's outputs in one stack.
+    rho_n or a ratio makes NaN is rejected.  Its memory peak, below that of
+    every degree's outputs in one stack, is pinned by
+    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
     """
     _check_exponent(p, dual=True)
     if p == 2:
@@ -831,9 +802,8 @@ def commutator_probe(
     products.  Entries are fixed-family lower bounds plus increment
     certificates: exact norms approach their (finite) sup so slowly in n that
     a trend fit on them would misread every bounded commutator as growing.
-    On Legendre + delta_1 at N = 200 its ``tracemalloc`` peak is 1.06 factors
-    of m (N + 1) floats, against 2.41 with every degree's outputs in one
-    stack.
+    Its memory peak, below that of every degree's outputs in one stack, is
+    pinned by ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
     """
     _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
@@ -872,10 +842,8 @@ def maximal_probe(
     one outer product over the nodes, and the output row of a degree n is
     the running sup_{k<=n} |S_k(f / v)|, kept one row per input as the sums
     are and copied into the sweep's block, which its K >= 42 rows fill: one
-    degree per ratio pass.  On Legendre + delta_1 at N = 200, whose atom is
-    the end node, its ``tracemalloc`` peak is 1.40 factors of m (N + 1)
-    floats, and a sweep takes about 17 ms on a shared 2-vCPU Xeon VM,
-    against 21 ms with the sums and the sup kept nodes x inputs.
+    degree per ratio pass.  Its memory peak is pinned by
+    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
     """
     _check_exponent(p)
 
@@ -951,24 +919,24 @@ def weak_type_probe(
     prefix-sum loop, one degree at a time, in its one layout: one row per set
     E of positive measure over the nodes of positive measure.  With u given,
     u S_n(u^{-1} chi_E) goes into one reused buffer; without it the sums are
-    the rows.  Only the running
-    maximum over sets and degrees reaches the report, so a row does only the
-    work that could raise it.  Chebyshev's inequality
-    ||f||_{p,inf} <= ||f||_p, with the moment bound of ``_may_reach``, bounds
-    every signed row in O(m) with no sort and no power over the rows; a row
-    is skipped when that bound is below the largest ratio at the degrees
-    below n, and |.| is taken only on the rows that are not.  A row that is
-    not skipped sorts only its nodes that could lift it to that ratio
-    (``_weak_norms`` with a floor): its ratio is exact when it reaches the
-    running maximum and below it otherwise.  A skipped or cut row's ratio is
-    below a computed ratio at a smaller degree, so no running entry,
+    the rows.  Only the running maximum over sets and degrees reaches the
+    report, so a row does only the work that could raise it: one
+    ``_weak_norms`` pass per degree takes every signed row with the largest
+    ratio at the degrees below n, times the row's ||chi_E||_p, as its floor.
+    Its moment bound rules out a row in O(m) with no sort, and a row it keeps
+    sorts only the nodes that could lift it to that ratio: the ratio is exact
+    when it reaches the running maximum and below it otherwise.  A ruled-out
+    or cut row's ratio is below a computed ratio at a smaller degree, so no
+    running entry,
     ``max_ratio`` or first-occurrence argmax (``extremal_set``,
     ``extremal_n``) can change, and reports are bit-identical to sorting
     every row in full (``test_weak_probe_matches_set_major_reference``).  On
     Legendre + delta_1 with the 3N grid and p = 4, 718 of the 7437 rows are
     sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``);
     below p = 2 the moment bound prunes little.  Beside the basis table, S
-    sets take O(S (m + N)) working memory.
+    sets take O(S (m + N)) working memory.  The first degree whose largest
+    ratio is NaN or inf ends the sweep: every entry from it on is that value,
+    and ``_sweep_report`` refuses the report.
     """
     _check_exponent(p)
     if not restricted:
@@ -985,16 +953,15 @@ def weak_type_probe(
     phi_kept = phi if keep.all() else phi[:, keep]
     u_kept, w_kept, d_live = uv[keep], w[keep], denoms[live]
     weighted = None if u is None else np.empty((len(live), phi_kept.shape[1]))  # u S_n, one row per live set
-    ratios = np.zeros((len(sets), len(phi)))
-    running = np.zeros(len(phi))
+    ratios, running = np.zeros((len(sets), len(phi))), np.zeros(len(phi))
     for n, S in _partial_sums(coef, phi_kept, range(len(phi))):
         rows = S if u is None else np.multiply(S, u_kept, out=weighted)
-        best = running[n - 1] if n else 0.0
-        may = _may_reach(rows, w_kept, p, d_live, best).nonzero()[0]
-        d = d_live[may]
+        best = running[n]  # the maximum over the degrees below n: each degree writes its own over the rest
         # a norm below this floor divides to a ratio below best; one whose ratio rounds to best is above it
-        ratios[live[may], n] = _weak_norms(rows[may], w_kept, p, best * d * (1.0 - 1e-10)) / d
-        running[n] = max(best, ratios[:, n].max())
+        ratios[live, n] = _weak_norms(rows, w_kept, p, best * d_live * (1.0 - 1e-10)) / d_live
+        running[n:] = np.maximum(best, ratios[:, n].max())  # NaN propagates, unlike Python's max
+        if not math.isfinite(running[n]):  # so are the later entries, and the report is refused
+            break
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}

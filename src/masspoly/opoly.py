@@ -535,8 +535,7 @@ def gauss_points(rec: Recurrence, m: int):
     The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch), from
     one call of LAPACK's ``dsterf`` (``_dsterf``) on its diagonal and
     off-diagonal at every order: the implicit QL/QR iteration, O(m^2) time
-    and O(m) memory, 0.7 / 6.5 / 24 / 36 / 151 ms at m = 180 / 600 / 1200 /
-    1500 / 3000 (2-core x86-64, OpenBLAS).  numpy's dense ``eigvalsh`` and
+    and O(m) memory.  numpy's dense ``eigvalsh`` and
     ``scipy.linalg.eigvalsh_tridiagonal`` end in the same routine, and their
     nodes are the same floats.  If ``dsterf`` does not converge, EigenFailure
     is raised; the coefficients it is given are finite, as ``Recurrence``

@@ -30,7 +30,6 @@ from masspoly import (
 from masspoly.norms import (
     ProbeReport,
     _verdict,
-    _may_reach,
     _pnorms,
     _spectral_norms,
     _weak_norms,
@@ -165,13 +164,17 @@ def test_lorentz_weak_norm_ties_match_stable_sort(p, zero_weight_node):
             values[0] = special
             val = lorentz_norm(GridFunction(grid, values), LorentzIndex(p, math.inf))
             assert math.isfinite(val) and val == _stable_weak_norms(values[None, :], grid.weights, p)[0]
+            # so they are at r < inf, where the norm is that of the grid without the node
+            rest = Grid(grid.nodes[1:], grid.weights[1:], grid.atom_idx - 1)
+            val = lorentz_norm(GridFunction(grid, values), LorentzIndex(p, 2.0))
+            assert math.isfinite(val) and val == lorentz_norm(GridFunction(rest, values[1:]), LorentzIndex(p, 2.0))
 
 
-def test_lorentz_index_conjugate():
-    assert LorentzIndex(4.0, 1.0).conjugate == (4.0 / 3.0, math.inf)
-    assert LorentzIndex(2.0, math.inf).conjugate == (2.0, 1.0)
-    with pytest.raises(SpecError):
+def test_lorentz_index_rejects_p_or_r_below_1():
+    with pytest.raises(SpecError, match="p must be in"):
         LorentzIndex(0.5, 1.0)
+    with pytest.raises(SpecError, match="r must be in"):
+        LorentzIndex(4.0, 0.5)
 
 
 def test_bmo_estimate_unbounded_symbols_exceed_smooth():
@@ -1076,13 +1079,46 @@ def test_weak_probe_bound_overflow_is_silent_and_exact():
     assert rep.to_dict() == _weak_type_probe_reference(basis, grid, 6.0, N=60).to_dict()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_weak_probe_ends_its_sweep_at_the_first_nan_ratio(monkeypatch):
+    # on Laguerre + delta_0 at N = 400 the basis table is inf or NaN from degree 164 on, at nodes whose
+    # Gauss weight underflowed to 0, and the coefficient product takes 0 * inf = NaN there: degree 164's
+    # ratios are NaN, no later degree is computed, and the report is refused at the next listed degree
+    basis, grid = _basis_and_grid(LAGUERRE_ZERO, 400)
+    calls = []
+
+    def counting(A, *args):
+        calls.append(len(A))
+        return _weak_norms(A, *args)
+
+    monkeypatch.setattr(norms, "_weak_norms", counting)
+    with pytest.raises(NumericalBreakdown, match="non-finite entry at degree 193 on a grid of 1201 nodes"):
+        weak_type_probe(basis, grid, 4.0, N=400)
+    assert len(calls) == 165  # degrees 0 to 164
+
+
+def _sorted_rows(A, w, p, floor):
+    """``_weak_norms(A, w, p, floor)`` and the indices of the rows it copies out of A to sort: those its bound keeps."""
+    taken = []
+
+    class Rows(np.ndarray):
+        def __getitem__(self, key):
+            if self.ndim == 2 and isinstance(key, np.ndarray):  # not the rows a loop takes one by one
+                taken.append(key.tolist())
+            return super().__getitem__(key)
+
+    out = _weak_norms(A.view(Rows), w, p, floor)
+    assert len(taken) == 1
+    return out, taken[0]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, 6.0])
 def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
     # ||f||_{p,inf} = ||f||_p for a constant times an indicator: only rounding separates
-    # the sorted cumulative sum from the bound, and the probe's 1e-10 slack must cover it;
+    # the sorted cumulative sum from the bound, and the pass's 1e-10 slack must cover it;
     # where the power sum underflows the rounding is coarser, and the row must be kept anyway.
-    # The bound takes signed rows (random signs on the same magnitudes); at p = 1, 2 and 4 it
-    # forms one moment alone
+    # The pass takes signed rows (random signs on the same magnitudes); at p = 1, 2 and 4 its
+    # bound forms one moment alone
     rng, signs = np.random.default_rng(4), np.random.default_rng(5)
     weights = [make_grid(SPEC, 12).weights, make_grid(SPEC, 600).weights, make_grid(LAGUERRE_ZERO, 300).weights,
                np.exp(rng.uniform(-30.0, 0.0, 10_000))]
@@ -1102,13 +1138,17 @@ def test_weak_norm_within_slack_of_lp_bound_where_they_are_equal(p):
         power_sums = A**p @ w
         bound = power_sums ** (1.0 / p)
         weak = _stable_weak_norms(A, w, p)
-        assert np.all(_may_reach(signed, w, p, 1.0, weak)), case
+        # every row reaches a floor of its own norm, so none is ruled out and each reads it exactly
+        out, kept = _sorted_rows(signed, w, p, weak)
+        assert kept == list(range(len(A))) and (out == weak).all(), case
         # below the smallest normal float the power sum loses its relative precision,
-        # so the probe keeps those rows whatever their bound says
+        # so the pass keeps those rows whatever their bound says
         normal = power_sums >= np.finfo(float).tiny
         assert np.all(weak[normal] <= bound[normal] * (1.0 + 1e-10)), case
         np.testing.assert_allclose(weak[normal], bound[normal], rtol=1e-12)
-        assert not np.any(_may_reach(signed[normal], w, p, 1.0, weak[normal] * (1.0 + 1e-8))), case
+        # a floor 1e-8 above the norm clears the bound by more than the slack: every row is ruled out and reads 0
+        out, kept = _sorted_rows(signed[normal], w, p, weak[normal] * (1.0 + 1e-8))
+        assert kept == [] and (out == 0.0).all(), case
 
 
 def _special_rows(rng, m):
@@ -1174,7 +1214,7 @@ def _exact_lp_norms(A, w, p):
 
 
 def _log_moment_bound(A, w, p):
-    """log of the moment bound that ``_may_reach`` documents, and the rows whose moments in it are normal floats.
+    """log of the moment bound that ``_weak_norms`` documents, and the rows whose moments in it are normal floats.
 
     M_1^{2/p-1} M_2^{1-1/p} for p <= 2, M_2^{2/p-1/2} M_4^{1/2-1/p} for p <= 4 and
     max|f|^{1-4/p} M_4^{1/p} above, in logarithms; a moment whose power is 0 is left out.
@@ -1201,12 +1241,12 @@ def _log_moment_bound(A, w, p):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0])
-def test_may_reach_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
+def test_weak_norms_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
     # the exact bound keeps a row while its floor is at most ||f||_p (1 + 1e-10); the moment
-    # bound must keep it too, also on rows whose squares or fourth powers overflow or underflow.
-    # It takes signed rows: random signs on the same magnitudes.  Two spikes sit on the node of
-    # least measure, subnormal in the last measure, where a moment the bound does not use
-    # underflows while those it uses are normal floats
+    # bound of ``_weak_norms`` must keep it too, also on rows whose squares or fourth powers
+    # overflow or underflow.  The pass takes signed rows: random signs on the same magnitudes.
+    # Two spikes sit on the node of least measure, subnormal in the last measure, where a moment
+    # the bound does not use underflows while those it uses are normal floats
     rng, signs = np.random.default_rng(12), np.random.default_rng(13)
     for w in [make_grid(SPEC, 300).weights, make_grid(LAGUERRE_ZERO, 200).weights, rng.uniform(0.1, 2.0, 50),
               np.array([1e-320, 0.5, 1.0, 2.0])]:
@@ -1218,24 +1258,28 @@ def test_may_reach_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
         spike = np.full(m, 1e-200)
         spike[m // 2] = 1e100
         rows.append(spike)
-        denom = rng.uniform(0.5, 2.0, len(rows))
         for top in (1e5, 1e10):
             rows.append(np.where(np.arange(m) == np.argmin(w), top, 0.0))
-        denom = np.append(denom, [1.0, 1.0])
         A = np.array(rows)
         signed = A * signs.choice([-1.0, 1.0], A.shape)
-        exact = _exact_lp_norms(A, w, p)
+        exact, weak = _exact_lp_norms(A, w, p), _stable_weak_norms(A, w, p)
         for scale in (0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-11):
             floor = exact * scale
-            assert _may_reach(signed, w, p, denom, floor / denom).all(), scale
+            out, kept = _sorted_rows(signed, w, p, floor)
+            assert kept == list(range(len(A))), scale
+            # a row that reaches its floor reads its norm exactly, and any other row reads below it;
+            # the zero row's floor is NaN (its log moment is -inf - -inf), which cuts no node
+            reach = ~(weak < floor)
+            assert (out[reach] == weak[reach]).all() and (out[~reach] < floor[~reach]).all(), scale
         # rows whose moments in the bound are normal floats are ruled out as soon as the floor
-        # clears the bound by more than the slack; at p = 1, 2 and 4 the bound is ||f||_p itself
+        # clears the bound by more than the slack, and read 0; at p = 1, 2 and 4 the bound is ||f||_p itself
         log_bound, normal = _log_moment_bound(A, w, p)
         with np.errstate(over="ignore"):
             bound = np.exp(log_bound)
         normal &= np.isfinite(bound)
         assert normal.sum() >= 3
-        assert not _may_reach(signed[normal], w, p, 1.0, bound[normal] * (1.0 + 1e-8)).any()
+        out, kept = _sorted_rows(signed[normal], w, p, bound[normal] * (1.0 + 1e-8))
+        assert kept == [] and (out == 0.0).all()
         if p in (1.0, 2.0, 4.0):
             np.testing.assert_allclose(bound[normal], exact[normal], rtol=1e-12)
 
@@ -1244,6 +1288,11 @@ def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
     probe_rows, reference_rows = [], []
 
+    def sorting(A, w, p, floor):  # the pass, counting the rows it sorts rather than those it is given
+        out, kept = _sorted_rows(A, w, p, floor)
+        probe_rows.append(len(kept))
+        return out
+
     def counting(norm_pass, rows):
         def count(A, *args):
             rows.append(len(A))
@@ -1251,7 +1300,7 @@ def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
 
         return count
 
-    monkeypatch.setattr(norms, "_weak_norms", counting(norms._weak_norms, probe_rows))
+    monkeypatch.setattr(norms, "_weak_norms", sorting)
     monkeypatch.setitem(globals(), "_stable_weak_norms", counting(_stable_weak_norms, reference_rows))
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
     weak_type_probe(basis, grid, 4.0, N=200, seed=0)
