@@ -9,6 +9,13 @@ weight) and the a_i are finitely many mass points.  Power weights u, v enter
 through the boundedness inequalities of the partial-sum operators; the
 checkers evaluate those inequalities line by line with signed margins.
 
+A generalized Jacobi weight is one factor list, ``GenJacobiSpec.factors``:
+the (location, exponent) pairs of its factors |x - t|^e, the end 1, the end
+-1, then the interior singularities.  The density, the power weights, the
+conditions, the kernel envelopes, the graded rules and the exact oracle read
+it through ``factor_product``, ``at_end`` and ``is_polynomial`` alone; on
+[-1, 1], |x - 1| is 1 - x and |x + 1| is 1 + x, bit for bit.
+
 Every spec checks itself when it is built: a base weight its exponents and
 singularities, a measure its base type and then its masses, a power weight
 its exponents and its values at the mass points.  A spec that exists is
@@ -34,6 +41,28 @@ from .errors import (
     NonFiniteWeight,
     SpecError,
 )
+
+
+# ----------------------------------------------------------------------
+# the factor list
+
+
+def at_end(t):
+    """Whether the factor location t is an end of [-1, 1] rather than an interior singular point."""
+    return abs(t) == 1.0
+
+
+def is_polynomial(t, e):
+    """Whether |x - t|^e is a polynomial on [-1, 1]: e is a nonnegative integer, and an even one inside."""
+    return e >= 0 and e % (1 if at_end(t) else 2) == 0
+
+
+def factor_product(x, factors):
+    """prod |x - t|^e over the (location, exponent) pairs ``factors``, multiplied in their order."""
+    w = 1.0
+    for t, e in factors:
+        w = w * np.abs(x - t) ** e
+    return w
 
 
 # ----------------------------------------------------------------------
@@ -72,12 +101,13 @@ class GenJacobiSpec:
     def is_classical(self):
         return len(self.singularities) == 0
 
+    @property
+    def factors(self):
+        """The factor list: (1, alpha), (-1, beta), then the (t_i, gamma_i) in their order."""
+        return ((1.0, self.alpha), (-1.0, self.beta), *self.singularities)
+
     def density(self, x):
-        x = np.asarray(x, dtype=float)
-        w = (1.0 - x) ** self.alpha * (1.0 + x) ** self.beta
-        for t, g in self.singularities:
-            w = w * np.abs(x - t) ** g
-        return w
+        return factor_product(np.asarray(x, dtype=float), self.factors)
 
 
 @dataclass(frozen=True)
@@ -173,16 +203,20 @@ class PowerWeightSpec:
         if not all(0.0 < val < math.inf for val in self.at_mass):
             raise SpecError(f"weight values at the mass points must be in (0, inf), got atMass={list(self.at_mass)}")
 
+    def factors(self, measure: MeasureSpec):
+        """(location, exponent) pairs aligned with the base's factor list: a at 1, b at -1, then g (0 where not given).
+
+        Off a generalized Jacobi base every exponent is 0 (``_check_weight_fits``).
+        """
+        sing = measure.base.singularities
+        return ((1.0, self.a), (-1.0, self.b), *zip((t for t, _ in sing), self.g or (0.0,) * len(sing)))
+
     def values(self, x, measure: MeasureSpec):
         """Evaluate on an array of points; mass-point values are overridden."""
         _check_weight_fits(self, measure)
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            w = (1.0 - x) ** self.a * (1.0 + x) ** self.b
-            sing = measure.base.singularities
-            g = self.g if self.g else (0.0,) * len(sing)
-            for (t, _), gi in zip(sing, g):
-                w = w * np.abs(x - t) ** gi
+            w = factor_product(x, self.factors(measure))
         at_mass = self.at_mass if self.at_mass else (1.0,) * len(measure.masses)
         for mp, val in zip(measure.masses, at_mass):
             w = np.where(x == mp.location, val, w)
@@ -252,38 +286,22 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
 
     _check_weight_fits(u, spec)
     _check_weight_fits(v, spec)
-    alpha, beta = base.alpha, base.beta
-    gammas = [g for _, g in base.singularities]
-    nsing = len(gammas)
-    ug = u.g if u.g else (0.0,) * nsing
-    vg = v.g if v.g else (0.0,) * nsing
     s = 1.0 / p - 0.5
-
+    labels = ("edge+1", "edge-1", *(f"t{i}" for i in range(len(base.singularities))))
+    # per factor: its label, (e + 1) s, its cap (1/4 at an end, 1/2 inside, at most (e + 1) / 2), u's and v's exponents
+    rows = [(label, (e + 1) * s, min(0.25 if at_end(t) else 0.5, (e + 1) / 2), ue, ve)
+            for label, (t, e), (_, ue), (_, ve) in zip(labels, base.factors, u.factors(spec), v.factors(spec))]
     lines = []
 
     def strict(label, lhs, rhs):
         lines.append(ConditionLine(label, lhs < rhs, rhs - lhs))
 
-    # upper block: v exponents
-    strict("upper.edge+1", v.a + (alpha + 1) * s, min(0.25, (alpha + 1) / 2))
-    strict("upper.edge-1", v.b + (beta + 1) * s, min(0.25, (beta + 1) / 2))
-    for i, (gam, G) in enumerate(zip(gammas, vg)):
-        strict(f"upper.t{i}", G + (gam + 1) * s, min(0.5, (gam + 1) / 2))
-
-    # lower block: u exponents
-    strict("lower.edge+1", -(u.a + (alpha + 1) * s), min(0.25, (alpha + 1) / 2))
-    strict("lower.edge-1", -(u.b + (beta + 1) * s), min(0.25, (beta + 1) / 2))
-    for i, (gam, g) in enumerate(zip(gammas, ug)):
-        strict(f"lower.t{i}", -(g + (gam + 1) * s), min(0.5, (gam + 1) / 2))
-
-    # coupling block: v <= u exponentwise (non-strict)
-    for label, uv, vv in (
-        ("couple.edge+1", u.a, v.a),
-        ("couple.edge-1", u.b, v.b),
-        *((f"couple.t{i}", g, G) for i, (g, G) in enumerate(zip(ug, vg))),
-    ):
-        lines.append(ConditionLine(label, vv <= uv, uv - vv))
-
+    for label, shift, cap, _, ve in rows:  # upper block: v exponents
+        strict(f"upper.{label}", ve + shift, cap)
+    for label, shift, cap, ue, _ in rows:  # lower block: u exponents
+        strict(f"lower.{label}", -(ue + shift), cap)
+    for label, _, _, ue, ve in rows:  # coupling block: v <= u exponentwise (non-strict)
+        lines.append(ConditionLine(f"couple.{label}", ve <= ue, ue - ve))
     return ConditionReport(tuple(lines))
 
 

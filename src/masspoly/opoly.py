@@ -70,6 +70,7 @@ from .measure import (
     HermiteSpec,
     LaguerreSpec,
     MeasureSpec,
+    at_end,
 )
 
 
@@ -462,11 +463,10 @@ def genjacobi_discretization(spec: GenJacobiSpec, m: int):
     place a discretization is sized: ``stieltjes_recurrence`` calls it at
     m = 40N, and checks call it at any m.
     """
-    factors = [(1.0, spec.alpha), (-1.0, spec.beta)] + list(spec.singularities)
     levels = 12
-    ncells = len({loc for loc, _ in factors}) - 1
+    ncells = len(spec.factors) - 1  # the spec's locations are distinct
     order = min(80, max(24, int(math.ceil(m / (ncells * (2 * levels + 1))))))
-    x, w = lebesgue_rule(factors, order, levels, 0.25)
+    x, w = lebesgue_rule(spec.factors, order, levels, 0.25)
     return x, w * spec.density(x)
 
 
@@ -735,11 +735,11 @@ def kernel_sequence(basis: OrthoBasis, x, a: float, N: int):
 def kernel_envelope(spec: MeasureSpec, a: float, x, n):
     """Pointwise envelope dominating |L_n(x, a)| for a mass point a.
 
-    For interior a the bound carries both edge factors
-    (1 -+ x + n^-2)^{-(2 exponent + 1)/4} and skips the singularity factor at
-    a itself; for a = +-1 the factor at that edge drops out entirely.  An
-    array ``n`` broadcasts against x: degrees of shape (k, 1) and points of
-    shape (m,) give the k envelopes at once, shape (k, m).
+    One factor per entry (t, e) of the weight's factor list but the one at
+    a itself: (|x - t| + n^-2)^{-(2e + 1)/4} at an end t = +-1, and
+    (|x - t| + n^-1)^{-e/2} at an interior singularity.  An array ``n``
+    broadcasts against x: degrees of shape (k, 1) and points of shape (m,)
+    give the k envelopes at once, shape (k, m).
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
@@ -752,17 +752,10 @@ def kernel_envelope(spec: MeasureSpec, a: float, x, n):
     inv2 = np.reshape([float(k) ** -2.0 if k > 0 else 1.0 for k in n.flat], n.shape)
     inv1 = np.reshape([float(k) ** -1.0 if k > 0 else 1.0 for k in n.flat], n.shape)
     env = np.ones(np.broadcast_shapes(x.shape, n.shape))
-    if a == 1.0:
-        env = env * (1.0 + x + inv2) ** (-(2 * base.beta + 1) / 4)
-    elif a == -1.0:
-        env = env * (1.0 - x + inv2) ** (-(2 * base.alpha + 1) / 4)
-    else:
-        env = env * (1.0 - x + inv2) ** (-(2 * base.alpha + 1) / 4)
-        env = env * (1.0 + x + inv2) ** (-(2 * base.beta + 1) / 4)
-    for t, g in base.singularities:
-        if a not in (1.0, -1.0) and t == a:
-            continue
-        env = env * (np.abs(x - t) + inv1) ** (-g / 2)
+    for t, e in base.factors:
+        if t != a:
+            offset, power = (inv2, -(2 * e + 1) / 4) if at_end(t) else (inv1, -e / 2)
+            env = env * (np.abs(x - t) + offset) ** power
     return env
 
 

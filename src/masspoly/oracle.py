@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegreeOutOfRange, HankelSingular, Irrational
-from .measure import GenJacobiSpec, LaguerreSpec, MeasureSpec
+from .measure import GenJacobiSpec, LaguerreSpec, MeasureSpec, is_polynomial
 
 MAX_ORACLE_DEGREE = 300
 
@@ -44,18 +44,16 @@ def _poly_pow(a, k: int):
 
 
 def _weight_polynomial(base: GenJacobiSpec):
-    """The weight as an exact polynomial in x, or raise Irrational."""
-    for val, name in ((base.alpha, "alpha"), (base.beta, "beta")):
-        if val != int(val) or val < 0:
-            raise Irrational(f"{name}={val} is not a nonnegative integer")
-    poly = _poly_mul(
-        _poly_pow([Fraction(1), Fraction(-1)], int(base.alpha)),  # (1 - x)^alpha
-        _poly_pow([Fraction(1), Fraction(1)], int(base.beta)),  # (1 + x)^beta
-    )
-    for t, g in base.singularities:
-        if g != int(g) or int(g) < 0 or int(g) % 2 != 0:
-            raise Irrational(f"interior exponent {g} at t={t} is not an even integer")
-        poly = _poly_mul(poly, _poly_pow([Fraction(-Fraction(t)), Fraction(1)], int(g)))
+    """The weight as an exact polynomial in x, or raise Irrational at its first factor that is not one."""
+    poly = [Fraction(1)]
+    for t, e in base.factors:
+        if not is_polynomial(t, e):
+            end = {1.0: "alpha", -1.0: "beta"}.get(t)
+            raise Irrational(f"{end}={e} is not a nonnegative integer" if end
+                             else f"interior exponent {e} at t={t} is not an even integer")
+        # on [-1, 1], |x - t| is 1 - x at the end 1 and x - t elsewhere (an odd power only at the end -1)
+        sign = -1 if t == 1.0 else 1
+        poly = _poly_mul(poly, _poly_pow([Fraction(-sign * t), Fraction(sign)], int(e)))
     return poly
 
 

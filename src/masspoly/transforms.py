@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeOutOfRange, GridMismatch, IllConditionedFit, PointOnBoundary, SpecError
-from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec
+from .measure import GenJacobiSpec, LaguerreSpec, MassPoint, MeasureSpec, is_polynomial
 from .norms import GridFunction, check_symbol
 from .opoly import (
     OrthoBasis,
@@ -132,9 +132,8 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     """Lebesgue rule on [-1,1] graded at the weight's singular locations.
 
-    The ends and interior points whose factor is not a polynomial (an end
-    exponent that is not a non-negative integer, an interior one that is not
-    a non-negative even integer) are graded and their panels absorb the
+    The locations of the factors that are not polynomials
+    (``measure.is_polynomial``) are graded and their panels absorb the
     exponent (``opoly.lebesgue_rule``), so a sum of weights times the density
     integrates those factors exactly; ``extra_singular`` points are graded at
     exponent 0.
@@ -142,15 +141,8 @@ def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("Lebesgue rules are for [-1,1] supports")
-    factors = [(t, e) for t, e in ((1.0, base.alpha), (-1.0, base.beta)) if e < 0 or e % 1]
-    factors += [(t, g) for t, g in base.singularities if g < 0 or g % 2]
-    factors += [(t, 0.0) for t in extra_singular]
-    return lebesgue_rule(factors, order, 45, 0.5)
-
-
-def _pollard_rule(spec: MeasureSpec, n: int, extra_singular=()):
-    """The Lebesgue rule of the degree-n Pollard and Psi splits: ``lebesgue_rule_for`` at order max(16, n + 8)."""
-    return lebesgue_rule_for(spec, extra_singular, order=max(16, n + 8))
+    factors = [(t, e) for t, e in base.factors if not is_polynomial(t, e)]
+    return lebesgue_rule(factors + [(t, 0.0) for t in extra_singular], order, 45, 0.5)
 
 
 def _interior(x):
@@ -207,6 +199,12 @@ def q_basis_for(nu_basis: OrthoBasis) -> OrthoBasis:
     return OrthoBasis(spec, rec, add_mass_points(rec, spec.masses))
 
 
+def _relative_residual(recon, direct):
+    """max |recon - direct| over max |direct|, or over 1 where direct is all zeros."""
+    scale = np.max(np.abs(direct))
+    return float(np.max(np.abs(recon - direct)) / (scale if scale != 0 else 1.0))
+
+
 @dataclass
 class PollardParts:
     """T_n f split into the rank-one and two Hilbert-transform parts.
@@ -229,20 +227,30 @@ class PollardParts:
 
     @property
     def residual(self):
-        scale = np.max(np.abs(self.t_n))
-        if scale == 0:
-            return float(np.max(np.abs(self.reconstruction)))
-        return float(np.max(np.abs(self.reconstruction - self.t_n)) / scale)
+        return _relative_residual(self.reconstruction, self.t_n)
 
 
-def _pollard_values(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, z):
-    """p_{n+1}, (1-t^2) q_n and the density of mu at the points z, one table per basis."""
+def _check_pollard_degree(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
+    if not 0 <= n < nu_basis.degree or n > q_basis.degree:
+        raise DegreeOutOfRange(f"Pollard parts need 0 <= n and degree n+1 in both bases, got n = {n}")
+
+
+def _pollard_setup(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, x, extra_singular=()):
+    """(rule, x, z, values) of the degree-n Pollard and Psi splits at the points x inside (-1, 1).
+
+    The rule is ``lebesgue_rule_for`` at order max(16, n + 8), x is an array,
+    z = (rule nodes, x), and the values are p_{n+1}, (1-t^2) q_n and the
+    density of mu at z, one table per basis.
+    """
+    rule = lebesgue_rule_for(nu_basis.measure, extra_singular, order=max(16, n + 8))
+    x = _interior(x)
+    z = np.concatenate([rule[0], x])
     q_part = (1 - z**2) * q_basis.eval_all(z, n)[n]
-    return nu_basis.eval_all(z, n + 1)[n + 1], q_part, nu_basis.measure.base.density(z)
+    return rule, x, z, (nu_basis.eval_all(z, n + 1)[n + 1], q_part, nu_basis.measure.base.density(z))
 
 
 def _pollard_w(values, fz, x, rule):
-    """The three Pollard parts at x from ``_pollard_values`` and f at z = (rule nodes, x)."""
+    """The three Pollard parts at x from the values of ``_pollard_setup`` and f at z = (rule nodes, x)."""
     p_next, q_part, dens = values
     y, wy = rule
     m = len(y)
@@ -272,8 +280,7 @@ def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     n ~ 540, so t^2 is formed as a product of ratios.  As t -> 1 the limits
     are -1/2 and 1/2.
     """
-    if not 0 <= n < nu_basis.degree or n > q_basis.degree:
-        raise DegreeOutOfRange(f"Pollard parts need 0 <= n and degree n+1 in both bases, got n = {n}")
+    _check_pollard_degree(nu_basis, q_basis, n)
     b_nu, b_q = nu_basis.nu_rec.betas, q_basis.nu_rec.betas
     t2 = float(b_nu[n + 1] * np.prod(b_nu[: n + 1] / b_q[: n + 1]))
     return -t2 / (1.0 + t2), math.sqrt(t2) / (1.0 + t2)
@@ -287,12 +294,9 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     reference for ``pollard_coefficients`` in the tests and the benchmark;
     the library itself never calls it.
     """
-    if not 0 <= n < nu_basis.degree or n > q_basis.degree:
-        raise DegreeOutOfRange(f"Pollard parts need 0 <= n and degree n+1 in both bases, got n = {n}")
-    rule = _pollard_rule(nu_basis.measure, n)
+    _check_pollard_degree(nu_basis, q_basis, n)
     x = np.linspace(-0.87, 0.87, 31) + 1.3e-4  # interior, off the nodes
-    z = np.concatenate([rule[0], x])
-    values = _pollard_values(nu_basis, q_basis, n, z)
+    rule, x, z, values = _pollard_setup(nu_basis, q_basis, n, x)
     rng = np.random.default_rng(7)
     rows, polys = [], []
     for _ in range(3):
@@ -319,11 +323,9 @@ def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
 
 def pollard_parts(nu_basis: OrthoBasis, q_basis: OrthoBasis, f, n: int, x) -> PollardParts:
     """Pollard split of T_n f at the points x inside (-1, 1); f is a callable on [-1, 1]."""
-    rule = _pollard_rule(nu_basis.measure, n)
     r, s = pollard_coefficients(nu_basis, q_basis, n)
-    x = _interior(x)
-    z = np.concatenate([rule[0], x])
-    w1, w2, w3 = _pollard_w(_pollard_values(nu_basis, q_basis, n, z), _as_values(f, z), x, rule)
+    rule, x, z, values = _pollard_setup(nu_basis, q_basis, n, x)
+    w1, w2, w3 = _pollard_w(values, _as_values(f, z), x, rule)
     (t_vals,) = _continuous_partial_sums(nu_basis, [f], n, x)
     return PollardParts(n, r, s, x, w1, w2, w3, t_vals)
 
@@ -352,10 +354,7 @@ class CommutatorParts:
 
     @property
     def residual(self):
-        scale = np.max(np.abs(self.direct))
-        if scale == 0:
-            scale = 1.0
-        return float(np.max(np.abs(self.reconstruction - self.direct)) / scale)
+        return _relative_residual(self.reconstruction, self.direct)
 
 
 def commutator_psi_parts(
@@ -372,12 +371,9 @@ def commutator_psi_parts(
     if mu_basis.measure.masses:
         raise SpecError("the Psi split applies to the absolutely continuous part")
     r, s = pollard_coefficients(mu_basis, q_basis, n)
-    x = _interior(x)
-    rule = _pollard_rule(mu_basis.measure, n, b_singularities)
+    rule, x, z, values = _pollard_setup(mu_basis, q_basis, n, x, b_singularities)
     y, wy = rule
     m = len(y)
-    z = np.concatenate([y, x])
-    values = _pollard_values(mu_basis, q_basis, n, z)
     bz, fz = _as_values(b, z), _as_values(f, z)
     by, bx = bz[:m], bz[m:]
     b_mean = float(np.sum(by * wy) / 2.0)

@@ -320,10 +320,35 @@ def test_check_conditions_is_closed_under_duality():
     assert verdicts == {True, False}
 
 
+def test_check_conditions_margins_on_two_interior_singularities():
+    # every number is dyadic, so each margin is exact: at p = 4, s = 1/p - 1/2 = -1/4, a line's shift is
+    # (e + 1) s, and its cap is min(1/4, (e + 1)/2) at an end and min(1/2, (e + 1)/2) at an interior point
+    base = GenJacobiSpec(1.0, -0.75, ((-0.5, 3.0), (0.25, -0.5)))
+    spec = MeasureSpec(base, (MassPoint(-1.0, 1.0), MassPoint(0.25, 2.0)))
+    u = PowerWeightSpec(0.25, -0.25, (1.0, 0.125), (2.0, 0.5))
+    v = PowerWeightSpec(0.25, -0.5, (0.5, 0.5))
+    # shifts -1/2, -1/16, -1, -1/8; caps 1/4, 1/8, 1/2, 1/4 (edge+1, edge-1, t0, t1)
+    expect = [
+        ("upper.edge+1", 0.25 - (0.25 - 0.5)), ("upper.edge-1", 0.125 - (-0.5 - 0.0625)),
+        ("upper.t0", 0.5 - (0.5 - 1.0)), ("upper.t1", 0.25 - (0.5 - 0.125)),
+        ("lower.edge+1", 0.25 + (0.25 - 0.5)), ("lower.edge-1", 0.125 + (-0.25 - 0.0625)),
+        ("lower.t0", 0.5 + (1.0 - 1.0)), ("lower.t1", 0.25 + (0.125 - 0.125)),
+        ("couple.edge+1", 0.25 - 0.25), ("couple.edge-1", -0.25 + 0.5),
+        ("couple.t0", 1.0 - 0.5), ("couple.t1", 0.125 - 0.5),
+    ]
+    assert [m for _, m in expect] == [0.5, 0.6875, 1.0, -0.125, 0.0, -0.1875, 0.5, 0.25, 0.0, 0.25, 0.5, -0.375]
+    rep = check_conditions(spec, u, v, 4.0)
+    assert [(ln.label, ln.margin) for ln in rep.lines] == expect
+    # a strict line holds only at a positive margin, a coupling line also at 0
+    assert [ln.satisfied for ln in rep.lines] == [m > 0 for _, m in expect[:8]] + [m >= 0 for _, m in expect[8:]]
+    assert rep.verdict is False
+
+
 def test_check_conditions_rejects_bad_p_and_base():
     u = v = PowerWeightSpec()
-    with pytest.raises(SpecError):
-        check_conditions(legendre(), u, v, 1.0)
+    for p in (1.0, math.inf, math.nan):
+        with pytest.raises(SpecError):
+            check_conditions(legendre(), u, v, p)
     with pytest.raises(SpecError):
         check_conditions(MeasureSpec(LaguerreSpec(0.0)), u, v, 2.0)
 

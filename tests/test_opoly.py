@@ -129,6 +129,21 @@ def test_genjacobi_discretization_mass_is_exact(a, b):
     assert abs(w.sum() / exact - 1) <= 2e-15
 
 
+@pytest.mark.parametrize("spec", [
+    GenJacobiSpec(0.5, -0.5),
+    GenJacobiSpec(0.5, -0.5, ((0.2, 1.0),)),
+    GenJacobiSpec(0.0, 0.0, ((-0.5, 2.0), (0.3, -0.5))),
+], ids=str)
+def test_genjacobi_discretization_spreads_m_nodes_over_its_cells(spec):
+    # one cell between each two neighbouring factor locations, 2 * 12 + 2 panels a cell (12 graded levels at each
+    # edge and two central panels), each of one order: ceil(m / (cells * (2 * 12 + 1))), within 24..80
+    cells = len(spec.factors) - 1
+    for m in (10, 600, 1000, 2000, 4000, 5000, 8000, 10**6):
+        order = min(80, max(24, -(-m // (cells * 25))))
+        x, w = genjacobi_discretization(spec, m)
+        assert len(x) == len(w) == cells * 26 * order, m
+
+
 def test_gauss_points_two_point_legendre():
     rec = classical_recurrence(GenJacobiSpec(0.0, 0.0), 4)
     xs, ws = gauss_points(rec, 2)
@@ -340,6 +355,20 @@ def test_kernel_envelope_shapes():
     assert np.allclose(env_int, expect)
     # mass at +1 drops the (1-x) factor
     assert np.allclose(env_edge, (1.0 + x + 0.01) ** -0.25)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.5, 0.2])
+def test_kernel_envelope_matches_its_closed_form(a):
+    # (1-x)^{1/2} (1+x)^{-1/2} |x - 0.2|: the end 1 gives (1 - x + n^-2)^{-1/2}, the end -1 the power 0,
+    # and the singularity (|x - 0.2| + n^-1)^{-1/2}; the factor at the atom a drops out
+    spec = MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.2, 1.0),)), (MassPoint(a, 1.0),))
+    x = np.linspace(-0.95, 0.95, 41)
+    n = np.array([1, 2, 7, 30, 400])[:, None]
+    edge = (1.0 - x + 1.0 / n**2) ** -0.5
+    inner = (np.abs(x - 0.2) + 1.0 / n) ** -0.5
+    expect = {1.0: inner * np.ones_like(edge), 0.5: edge * inner, 0.2: edge}[a]
+    np.testing.assert_allclose(kernel_envelope(spec, a, x, n), expect, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(kernel_envelope(spec, a, x, 7), expect[2], rtol=1e-14, atol=0)
 
 
 def test_kernel_envelope_ratio_is_bounded_and_monotone():

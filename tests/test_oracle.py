@@ -45,10 +45,17 @@ def test_laguerre_moments_are_factorials():
 
 
 def test_irrational_configurations_are_refused():
-    with pytest.raises(Irrational):
+    # the first factor that is not a polynomial is named: the end 1, the end -1, then the singularities
+    with pytest.raises(Irrational, match=r"^alpha=0.5 is not a nonnegative integer$"):
         rational_moments(MeasureSpec(GenJacobiSpec(0.5, 0.0)), 2)
-    with pytest.raises(Irrational):
+    with pytest.raises(Irrational, match=r"^alpha=0.5 is not a nonnegative integer$"):
+        rational_moments(MeasureSpec(GenJacobiSpec(0.5, -0.5)), 2)
+    with pytest.raises(Irrational, match=r"^beta=1.5 is not a nonnegative integer$"):
+        rational_moments(MeasureSpec(GenJacobiSpec(1.0, 1.5, ((0.3, 1.0),))), 2)
+    with pytest.raises(Irrational, match=r"^interior exponent 1.0 at t=0.3 is not an even integer$"):
         rational_moments(MeasureSpec(GenJacobiSpec(0.0, 0.0, ((0.3, 1.0),))), 2)
+    with pytest.raises(Irrational, match=r"^interior exponent 1.0 at t=0.3 is not an even integer$"):
+        rational_moments(MeasureSpec(GenJacobiSpec(0.0, 0.0, ((-0.2, 2.0), (0.3, 1.0)))), 2)
     with pytest.raises(Irrational):
         rational_moments(MeasureSpec(LaguerreSpec(0.5)), 2)
     with pytest.raises(Irrational):

@@ -9,6 +9,7 @@ from masspoly import (
     DegreeOutOfRange,
     GenJacobiSpec,
     GridMismatch,
+    IllConditionedFit,
     LaguerreSpec,
     MassPoint,
     MeasureSpec,
@@ -171,6 +172,42 @@ def test_pollard_reconstruction_and_limits():
     assert abs(parts.s - 0.5) < 0.1
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_pollard_fit_reports_the_condition_number_of_its_documented_matrix(n):
+    # the fit's rows are the Pollard parts W1, W2, W3 of three polynomials (seed 7) with n + 2 coefficients,
+    # at most 9 low ones and a leading one shifted by 2, on 31 points off the nodes; cond is the matrix's
+    # largest over smallest singular value, here from numpy's SVD rather than the least-squares solver's
+    nu_basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 22)
+    q_basis = q_basis_for(nu_basis)
+    x = np.linspace(-0.87, 0.87, 31) + 1.3e-4
+    rng = np.random.default_rng(7)
+    rows = []
+    for _ in range(3):
+        c = np.zeros(n + 2)
+        low = rng.standard_normal(min(n, 8) + 1)
+        c[: len(low)] = low
+        c[n + 1] = rng.standard_normal() + 2.0
+        parts = pollard_parts(nu_basis, q_basis, np.polynomial.Polynomial(c), n, x)
+        rows.append(np.column_stack([parts.w1, parts.w2, parts.w3]))
+    sv = np.linalg.svd(np.vstack(rows), compute_uv=False)
+    assert fit_pollard_coefficients(nu_basis, q_basis, n)[2] == pytest.approx(sv[0] / sv[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13])
+def test_pollard_fit_refuses_a_rank_deficient_or_ill_conditioned_matrix(monkeypatch, eps):
+    # W3 replaced by W2 + eps W3: rank 2 at eps = 0, and at 1e-13 rank 3 with a condition number above 1e13
+    pollard_w = transforms._pollard_w
+
+    def collinear(*args):
+        w1, w2, w3 = pollard_w(*args)
+        return w1, w2, w2 + eps * w3
+
+    monkeypatch.setattr(transforms, "_pollard_w", collinear)
+    nu_basis = basis_for(legendre([MassPoint(1.0, 1.0)]), 22)
+    with pytest.raises(IllConditionedFit, match="Pollard fit ill-conditioned"):
+        fit_pollard_coefficients(nu_basis, q_basis_for(nu_basis), 20)
+
+
 @pytest.mark.parametrize("masses", [[(1.0, 1.0)], [(0.3, 1.0), (1.0, 1.0)]])
 def test_pollard_coefficients_match_the_fit(masses):
     nu_basis = basis_for(legendre([MassPoint(a, m) for a, m in masses]), 130)
@@ -256,6 +293,19 @@ def test_graded_rule_keeps_every_level_where_no_node_collapses():
     assert np.all((-1.0 < xs) & (xs < 1.0))
 
 
+@pytest.mark.parametrize("base, extra, panels", [
+    (GenJacobiSpec(), (), 2),  # one cell, each half ungraded: one panel
+    (GenJacobiSpec(), (0.3,), 2 * (46 + 1)),  # two cells graded at 0.3 only: 45 levels and the middle panel
+    (GenJacobiSpec(0.5, -0.5), (), 2 * 46),
+    (GenJacobiSpec(0.5, -0.5, ((0.2, 1.0),)), (), 4 * 46),
+    (GenJacobiSpec(1.0, 2.0, ((0.2, 2.0),)), (), 2),  # factors that are polynomials are not graded
+    (GenJacobiSpec(1.0, 2.5, ((-0.4, 4.0), (0.2, 3.0))), (), 3 * 46 + 1),
+], ids=str)
+def test_lebesgue_rule_for_grades_each_factor_that_is_not_a_polynomial(base, extra, panels):
+    xs, ws = lebesgue_rule_for(MeasureSpec(base), extra)
+    assert len(xs) == len(ws) == 12 * panels  # the default order is 12
+
+
 @pytest.mark.parametrize("points", [(1.5,), (-0.2, -1.0 - 1e-9)])
 def test_graded_rule_rejects_points_outside_the_interval(points):
     with pytest.raises(SpecError, match=r"lies outside the interval \(-1\.0, 1\.0\)"):
@@ -266,6 +316,16 @@ def test_graded_rule_grades_toward_a_point_on_an_end():
     xs, ws = lebesgue_rule_for(legendre(), (1.0,))
     assert np.all((-1.0 < xs) & (xs < 1.0)) and 1.0 - xs.max() < 1e-15
     assert np.sum(ws * np.log(1.0 - xs)) == pytest.approx(2 * math.log(2.0) - 2, rel=1e-13)
+
+
+@pytest.mark.parametrize("direct, expect", [([2.0, -4.0, 1.0], 0.5 / 4.0), ([0.0, -0.0, 0.0], 0.5)])
+def test_split_residuals_are_relative_to_the_largest_direct_value(direct, expect):
+    # reconstruction minus direct is at most 0.5 in size, over max |direct|, or over 1 where direct is all zeros
+    x, zero, direct = np.zeros(3), np.zeros(3), np.array(direct)
+    recon = direct + np.array([0.25, -0.5, 0.125])
+    pollard = transforms.PollardParts(3, 1.0, 0.5, x, recon, zero, zero, direct)
+    psi = transforms.CommutatorParts(3, 1.0, 0.5, x, recon, zero, zero, zero, direct)
+    assert pollard.residual == psi.residual == expect
 
 
 def test_commutator_psi_split_residual():
@@ -281,6 +341,9 @@ def test_commutator_psi_split_residual():
         assert parts.n == 20
         assert np.max(np.abs(parts.direct)) > 0.05
         assert parts.residual < 1e-10
+    # b_I is the Lebesgue mean of b: for b = 2 it is 2, so Psi_1 = (b - b_I) W1 and Psi_2 = (b W)_1 - b_I W1 vanish
+    parts = commutator_psi_parts(mu_basis, q_basis, lambda t: 2.0 + 0.0 * t, f, 20, x)
+    assert np.max(np.abs(parts.psi1)) < 1e-12 and np.max(np.abs(parts.psi2)) < 1e-12
 
 
 def test_each_operator_call_evaluates_each_basis_once(monkeypatch):
@@ -397,6 +460,32 @@ def test_operators_and_pollard_coefficients_reject_a_negative_degree():
     ):
         with pytest.raises(DegreeOutOfRange, match=r"degree -1 is below 0|0 <= n .* got n = -1"):
             call()
+
+
+def test_pollard_coefficients_take_every_degree_both_bases_reach():
+    # on Lebesgue measure b_0 = 2, b_1 = 1/3 and (1-x^2) dx has mass 4/3, so at n = 0
+    # t^2 = (1/3) 2 / (4/3) = 1/2, r_0 = -t^2 / (1 + t^2) = -1/3 and s_0 = t / (1 + t^2) = sqrt(2) / 3
+    nu_basis = basis_for(legendre(), 10)
+    q_basis = q_basis_for(nu_basis)
+    r, s = pollard_coefficients(nu_basis, q_basis, 0)
+    assert r == pytest.approx(-1 / 3, rel=1e-15) and s == pytest.approx(math.sqrt(2) / 3, rel=1e-15)
+    assert np.all(np.isfinite(pollard_coefficients(nu_basis, q_basis, 9)))
+    short_q = q_basis_for(basis_for(legendre(), 5))
+    assert np.all(np.isfinite(pollard_coefficients(nu_basis, short_q, 5)))
+    for q, n in ((q_basis, 10), (short_q, 6)):  # p_{n+1} of nu, or q_n, is past its basis
+        for fn in (pollard_coefficients, fit_pollard_coefficients):
+            with pytest.raises(DegreeOutOfRange, match=rf"got n = {n}$"):
+                fn(nu_basis, q, n)
+
+
+@pytest.mark.parametrize("n", [0, 8, 9])
+def test_pollard_rule_takes_order_max_16_n_plus_8(n):
+    # both ends of Jacobi(0.5, -0.5) are graded: one cell of 2 * 46 panels, each of the rule's order (up to
+    # order 17; from 18 on the finest level next to -1 would round onto it and goes)
+    nu_basis = basis_for(MeasureSpec(GenJacobiSpec(0.5, -0.5)), 48)
+    rule, x, z, _ = transforms._pollard_setup(nu_basis, q_basis_for(nu_basis), n, 0.25)
+    assert len(rule[0]) == 92 * max(16, n + 8)
+    assert x.tolist() == [0.25] and z.tolist() == [*rule[0], 0.25]
 
 
 def test_laguerre_mass_kernel_rejects_a_negative_degree():

@@ -15,9 +15,9 @@ survives when they pass.
         src/masspoly/norms.py:_sweep_setup,_lp_sweep src/masspoly/cli.py:_kernel
 
 A target is ``FILE:FUNC[,FUNC...]``; nested functions are part of the one
-that holds them.  Each of the two workers has its own copy of the repository
-under ``--workdir``, and a mutant whose tests outlast 600 s counts as a
-timeout.  The test command is
+that holds them, and ``CLASS.FUNC`` names a method of one class.  Each of
+the two workers has its own copy of the repository under ``--workdir``, and
+a mutant whose tests outlast 600 s counts as a timeout.  The test command is
 ``python -m pytest -x -q -p no:cacheprovider`` with ``--tests`` (default
 ``tests``); pytest skips a path given twice, so ``--tests
 "tests/test_cli.py tests"`` runs that file first.  One line per mutant goes
@@ -97,22 +97,29 @@ class _DropNot(ast.NodeTransformer):
         return node.operand if node is self.target else node
 
 
+def _function(tree, name):
+    """The first function called ``name`` in ``tree``, or None; ``Class.method`` names a method of a class."""
+    cls, _, name = name.rpartition(".")
+    if cls:
+        tree = next((n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == cls), None)
+        if tree is None:
+            return None
+    return next((n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name == name), None)
+
+
 def mutants(path: Path, functions):
     """Yield (site id, line, function, description, mutated source) for every site of ``functions``."""
     tree = ast.parse(path.read_text())
-    found = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions:
-            found.setdefault(node.name, node)
-    missing = sorted(set(functions) - set(found))
+    found = {name: _function(tree, name) for name in functions}
+    missing = [name for name, node in found.items() if node is None]
     if missing:
         raise SystemExit(f"{path}: no function {', '.join(missing)}")
     for name in functions:
         for k, (node, index, what) in enumerate(_sites(found[name])):
             # mutate a deep copy, found again by the position of the site in the walk
             twin = copy.deepcopy(tree)
-            fn = next(n for n in ast.walk(twin) if isinstance(n, ast.FunctionDef) and n.name == name)
-            site, _, _ = _sites(fn)[k]
+            site, _, _ = _sites(_function(twin, name))[k]
             if isinstance(site, ast.UnaryOp):
                 twin = _DropNot(site).visit(twin)
             else:
