@@ -4,13 +4,14 @@ Operator norms at p = 2 are exact.  For p != 2 the probes take ratios of
 fixed families of seeded random trials and indicator functions, which are
 lower bounds, and the strong and commutator probes add certificates of the
 top expansion coefficients.  The strong, commutator and maximal probes run
-one L^p sweep, ``_lp_sweep``, and give it only their own parts; an entry is
-NaN, and the report is refused, when any of its parts is.  The
-restricted-weak probe takes its inputs in the sweep's form, columns with
-norms from one pass and coefficients from one product, and keeps its own
-loop, whose norm pass rules out and cuts rows by the running maximum; that
-pass, ``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s
-at r = inf.  A strong entry is the larger of the best input
+one L^p sweep, ``_lp_sweep``, and give it only their own parts; the sweep
+takes one degree per ratio pass, and an entry is NaN, and the report is
+refused, when any of its parts is.  The restricted-weak probe takes its
+inputs in the sweep's form, columns with norms from one pass and
+coefficients from one product, and keeps its own loop, whose norm pass
+rules out and cuts rows by the running maximum; that pass,
+``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s at
+r = inf.  A strong entry is the larger of the best input
 ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
 u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
@@ -487,11 +488,10 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     The two m x (N+1) factors are never alive together, and neither is
     copied.  R is built, ``_qr_triangle`` factors it in place and keeps its
     triangle T, and R is freed; then L is built, G kept and L freed.  The
-    peak of the sweep is L beside T and G, two (N+1)^2 arrays; after it the
-    sweep holds T, G and two reused (N+1)^2 buffers for T_n G[n] and
-    T_n G[n] T_n^T.  Each product is the matmul of the same blocks, so the
-    floats are those of fresh arrays.  The peak, below that of the two
-    copies of R that ``np.linalg.qr`` makes, is pinned by
+    peak of the sweep is L beside T and G, two (N+1)^2 arrays; after it each
+    degree takes its top eigenvalue from T_n G[n] T_n^T, two fresh products
+    no larger than T.  The peak, below that of the two copies of R that
+    ``np.linalg.qr`` makes, is pinned by
     ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
 
     The top eigenvalue of a symmetric matrix is accurate relative to its norm,
@@ -517,13 +517,10 @@ def _spectral_norms(phi, w, uv, vv, degrees):
     left, e_left = _scaled_factor(phi, sw * uv)
     gram = left.T @ left
     del left
-    buf = np.empty((2, len(phi) ** 2))
     tops = []
     for n in degrees:
-        k = n + 1
-        tn = t[:k, :k]
-        tg = np.matmul(tn, gram[:k, :k], out=buf[0, : k * k].reshape(k, k))
-        tops.append(np.linalg.eigvalsh(np.matmul(tg, tn.T, out=buf[1, : k * k].reshape(k, k)))[-1])
+        tn = t[: n + 1, : n + 1]
+        tops.append(np.linalg.eigvalsh(tn @ gram[: n + 1, : n + 1] @ tn.T)[-1])
     return dict(zip(degrees, np.ldexp(np.sqrt(tops), e_left + e_right).tolist()))
 
 
@@ -651,9 +648,6 @@ def default_degree_list(N):
     return sorted(set(np.round(np.geomspace(4, N, 20)).astype(int).tolist()))
 
 
-_ROWS = 48  # output rows per ratio pass: 4 degrees of the strong probe on a one-atom measure
-
-
 def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spots, parts) -> ProbeReport:
     """The report of a strong, commutator or maximal sweep at p != 2.
 
@@ -673,35 +667,28 @@ def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spo
 
     The certificates f = v |g / v|^{p'-1} sgn(g / v) of every degree come
     from one ``_dual`` call, kept as f / v, and their norms ||f||_p from one
-    ``_pnorms`` pass.  Output rows go into one scratch, reused from block to
-    block, that holds the rows of max(_ROWS // (K + c), 1) degrees, so a
-    probe with a larger family takes fewer degrees per block.  One
-    ``_ratios`` pass takes the ratios of each block.  That pass sums each
-    column on its own, so the floats do not depend on how many degrees a
-    block holds.  An entry is the largest of its degree's K + c ratios and
-    its increment norm, and NaN if any of them is, so that ``_sweep_report``
-    rejects it.
+    ``_pnorms`` pass.  One degree is taken per pass: its K + c output rows
+    go into one scratch, reused from degree to degree, and one ``_ratios``
+    call takes their ratios against the family's norms and the degree's c
+    certificate norms.  That pass sums each column on its own, so the floats
+    are those of one pass over every degree's rows at once.  An entry is the
+    largest of its degree's K + c ratios and its increment norm, and NaN if
+    any of them is, so that ``_sweep_report`` rejects it.
     """
     degrees, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N)
-    m = grid.size
     G, nG = _family(grid, p, vv, seed, trials, spots)
     columns, steps, rows, increment, write = parts(phi, degrees, w, uv, vv, G)
-    nd, c = len(degrees), len(rows) // len(degrees)
-    per = G.shape[1] + c
+    c = len(rows) // len(degrees)
     rows /= vv
     D = _dual(rows, p) if c else rows.T
     nD = _pnorms(w, vv[:, None] * D, p)
     sums = _partial_sums(phi @ (w[:, None] * columns), phi, steps)
     del columns  # only their coefficients are needed
-    Y = np.empty((min(max(_ROWS // per, 1), nd), per, m))
-    top = np.empty(nd)
-    for lo in range(0, nd, len(Y)):
-        block = Y[: nd - lo]
-        for j, y in enumerate(block, lo):
-            write(y, degrees[j], D[:, c * j : c * (j + 1)], sums)
-        b = len(block)
-        nf = np.hstack([np.tile(nG, (b, 1)), nD[c * lo : c * (lo + b)].reshape(b, c)])
-        top[lo : lo + b] = _ratios(w, uv, block.reshape(-1, m).T, nf.ravel(), p).reshape(b, per).max(axis=1)
+    y = np.empty((G.shape[1] + c, grid.size))
+    top = []
+    for j, n in enumerate(degrees):
+        write(y, n, D[:, c * j : c * (j + 1)], sums)
+        top.append(_ratios(w, uv, y.T, np.concatenate([nG, nD[c * j : c * (j + 1)]]), p).max())
     return _sweep_report(mode, p, degrees, dict(zip(degrees, np.maximum(top, increment).tolist())), seed, grid, u, v)
 
 
@@ -841,18 +828,19 @@ def maximal_probe(
     p = 1 is taken.  Its prefix sums step through every degree, each step
     one outer product over the nodes, and the output row of a degree n is
     the running sup_{k<=n} |S_k(f / v)|, kept one row per input as the sums
-    are and copied into the sweep's block, which its K >= 42 rows fill: one
-    degree per ratio pass.  Its memory peak is pinned by
+    are, each step taking the sup with a fresh |S_k|, and copied into the
+    sweep's scratch of K >= 42 rows, one degree per ratio pass.  Its memory
+    peak is pinned by
     ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
     """
     _check_exponent(p)
 
     def parts(phi, degrees, w, uv, vv, G):
-        sup, mag = np.zeros(G.shape[::-1]), np.empty(G.shape[::-1])  # one row per input, as the sums
+        sup = np.zeros(G.shape[::-1])  # one row per input, as the sums
 
         def write(y, n, d, sums):
             for k, S in sums:
-                np.maximum(sup, np.abs(S, out=mag), out=sup)
+                np.maximum(sup, np.abs(S), out=sup)
                 if k == n:
                     break
             y[:] = sup
@@ -932,8 +920,9 @@ def weak_type_probe(
     ``extremal_n``) can change, and reports are bit-identical to sorting
     every row in full (``test_weak_probe_matches_set_major_reference``).  On
     Legendre + delta_1 with the 3N grid and p = 4, 718 of the 7437 rows are
-    sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``);
-    below p = 2 the moment bound prunes little.  Beside the basis table, S
+    sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``),
+    and 557 at p = 1, where the bound is the L^1 norm itself; strictly
+    between 1 and 2 the moment bound prunes little.  Beside the basis table, S
     sets take O(S (m + N)) working memory.  The first degree whose largest
     ratio is NaN or inf ends the sweep: every entry from it on is that value,
     and ``_sweep_report`` refuses the report.

@@ -713,22 +713,39 @@ def test_probe_families_have_their_documented_members(monkeypatch, mode):
 @pytest.mark.parametrize("N, count", [(4, 1), (7, 4), (8, 5), (40, 18)])
 @pytest.mark.parametrize("p", [1.5, 3.0])
 @pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
-def test_blocked_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, N, count):
-    # each column's norm is summed on its own, so blocks of degrees give the floats of one stack of
-    # every degree's outputs and of one degree per pass.  At 48 rows a block holds 4 or 3 strong,
-    # 3 or 2 commutator and 1 maximal degrees; the sweeps up to N hold 1, 4, 5 and 18 degrees
+def test_per_degree_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, N, count):
+    # each column's norm is summed on its own, so one degree per pass gives the floats of one pass over
+    # every degree's output rows stacked column-major; the sweeps up to N hold 1, 4, 5 and 18 degrees
     spec, u, v = LOOP_CASES[case]
     basis, grid = _basis_and_grid(spec, 40)
+    uv = norms.weight_values(u, grid, spec)
+    real_ratios, real_sweep = norms._ratios, norms._lp_sweep
+    rows, norms_of_inputs, increments, entries = [], [], [], []
+
+    def ratios(w, scale, Y, nf, p):  # Y is the degree's output rows, transposed
+        rows.append(Y.T.copy())
+        norms_of_inputs.append(nf)
+        return real_ratios(w, scale, Y, nf, p)
+
+    def sweep(*args):
+        def parts(*inputs):
+            own = args[-1](*inputs)
+            increments.append(own[3])
+            return own
+
+        return real_sweep(*args[:-1], parts)
+
+    monkeypatch.setattr(norms, "_ratios", ratios)
+    monkeypatch.setattr(norms, "_lp_sweep", sweep)
+    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: entries.append(list(vals.values())))
     b = bmo_symbols()["smooth_step"]
-    seen = []
-    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
-    for rows in (norms._ROWS, 10**9, 1):
-        monkeypatch.setattr(norms, "_ROWS", rows)
-        strong_probe(basis, grid, p, u, v, N=N)
-        commutator_probe(basis, grid, b, p, u, v, N=N)
-        maximal_probe(basis, grid, p, u, v, N=N)
-    assert len(seen) == 9 and len(seen[0]) == count
-    assert seen[:3] == seen[3:6] == seen[6:]
+    for probe in (strong_probe, functools.partial(commutator_probe, b=b), maximal_probe):
+        rows.clear()
+        norms_of_inputs.clear()
+        probe(basis, grid, p=p, u=u, v=v, N=N)
+        assert len(rows) == len(entries[-1]) == count
+        stacked = real_ratios(grid.weights, uv, np.vstack(rows).T, np.concatenate(norms_of_inputs), p)
+        assert entries[-1] == np.maximum(stacked.reshape(count, -1).max(axis=1), increments[-1]).tolist()
 
 
 @pytest.mark.parametrize("spec, N, weights", [(LEGENDRE_ONE, 200, False), (LEGENDRE_ONE, 500, False),
@@ -751,9 +768,9 @@ def test_qr_triangle_in_place_is_numpy_qr(spec, N, weights):
                                             ("maximal", 3.0, 1.6), ("weak", 4.0, 0.85), ("weak_u", 4.0, 0.96)])
 def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
     # the unit is one m x (N+1) factor; on Legendre + delta_1 at N = 200 the sweeps peak at 1.69 (strong,
-    # p = 2), 0.72 (strong, p = 3), 1.06 (commutator) and 1.40 (maximal) units, and each of the first three
+    # p = 2), 0.54 (strong, p = 3), 0.90 (commutator) and 1.34 (maximal) units, and each of the first three
     # bounds fails a sweep that runs its QR on copies of the factor or stacks every degree's outputs
-    # (2.46, 1.67 and 2.41 units); the maximal bound fails a block of 4 of its degrees (2.15 units).  The
+    # (2.46, 1.67 and 2.41 units); the maximal bound fails a scratch of 4 of its degrees (2.15 units).  The
     # restricted-weak probe peaks at 0.76 units, and at 0.94 with u given; its bounds fail a loop that
     # keeps |u S_n| in a buffer of its own without u (0.94 units) or takes a fresh one per degree with u (0.98)
     N = 200
@@ -1284,14 +1301,23 @@ def test_weak_norms_bound_never_rules_out_a_row_the_exact_lp_bound_keeps(p):
             np.testing.assert_allclose(bound[normal], exact[normal], rtol=1e-12)
 
 
+def _rows_the_weak_probe_sorts(monkeypatch, basis, grid, p):
+    """How many rows the weak probe's norm passes sort, not merely take in, up to degree 200 at seed 0."""
+    kept_rows = []
+
+    def sorting(A, w, p, floor):
+        out, kept = _sorted_rows(A, w, p, floor)
+        kept_rows.append(len(kept))
+        return out
+
+    monkeypatch.setattr(norms, "_weak_norms", sorting)
+    weak_type_probe(basis, grid, p, N=200, seed=0)
+    return sum(kept_rows)
+
+
 def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
-    probe_rows, reference_rows = [], []
-
-    def sorting(A, w, p, floor):  # the pass, counting the rows it sorts rather than those it is given
-        out, kept = _sorted_rows(A, w, p, floor)
-        probe_rows.append(len(kept))
-        return out
+    reference_rows = []
 
     def counting(norm_pass, rows):
         def count(A, *args):
@@ -1300,13 +1326,17 @@ def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
 
         return count
 
-    monkeypatch.setattr(norms, "_weak_norms", sorting)
     monkeypatch.setitem(globals(), "_stable_weak_norms", counting(_stable_weak_norms, reference_rows))
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
-    weak_type_probe(basis, grid, 4.0, N=200, seed=0)
-    assert total == 7437 and sum(probe_rows) == 718
+    assert total == 7437 and _rows_the_weak_probe_sorts(monkeypatch, basis, grid, 4.0) == 718
     _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
     assert sum(reference_rows) == total
+
+
+def test_weak_probe_rules_out_rows_by_their_first_moment_at_p_1(monkeypatch):
+    # at p = 1 the moment bound is M_1 alone, the L^1 norm itself, so it sorts fewer rows than at p = 4
+    basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
+    assert _rows_the_weak_probe_sorts(monkeypatch, basis, grid, 1.0) == 557
 
 
 class _Table:

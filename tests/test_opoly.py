@@ -601,6 +601,17 @@ def test_stieltjes_recurrence_of_an_even_interior_exponent_matches_quadratic_ste
     assert _recurrence_error(rec, stieltjes_recurrence(GenJacobiSpec(a, b, ((t, 2.0),)), N)) < 1e-13
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the discretization caps its panel order at 80, "
+                          "so an off-centre zero leaves quadratic_step before degree 200")
+@pytest.mark.parametrize("t", [0.5, 0.9])
+def test_stieltjes_recurrence_of_an_off_centre_zero_matches_quadratic_step_at_degree_200(t):
+    # the gate of ROADMAP item 2: 1.5e-6 off at t = 0.5 and 7.9e-2 at t = 0.9 before its fix
+    N = 200
+    rec = quadratic_step(classical_recurrence(GenJacobiSpec(0, 0), N + 2), t)
+    assert _recurrence_error(rec, stieltjes_recurrence(GenJacobiSpec(0, 0, ((t, 2.0),)), N)) < 1e-12
+
+
 def test_kernel_decomposition_raises_when_the_identity_fails():
     spec = legendre([MassPoint(1.0, 1.0)])
     basis = basis_for(spec, 10)

@@ -159,3 +159,29 @@ def test_stieltjes_recurrence_matches_the_symmetric_closed_form(a, gamma):
     rec = stieltjes_recurrence(GenJacobiSpec(a, a, ((0.0, gamma),)), N)
     np.testing.assert_allclose(rec.alphas, 0.0, rtol=0, atol=1e-13)
     np.testing.assert_allclose(rec.betas, symmetric_betas(a, gamma, N - 1), rtol=1e-13, atol=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the discretization caps its panel order at 80, "
+                          "so beta_k leaves the closed form from degree 220-222 on")
+@pytest.mark.parametrize("a, gamma", [(0.5, 1), (0, 1), (-0.5, 0.5), (0.5, 2)])
+def test_stieltjes_recurrence_matches_the_symmetric_closed_form_at_degree_400(a, gamma):
+    # the gate of ROADMAP item 2: the worst beta_k is 0.73-0.94 off before its fix
+    N = 400
+    rec = stieltjes_recurrence(GenJacobiSpec(a, a, ((0.0, gamma),)), N)
+    np.testing.assert_allclose(rec.alphas, 0.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rec.betas, symmetric_betas(a, gamma, N - 1), rtol=1e-12, atol=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the forward recurrence cancels P_300(1) at the atom, "
+                          "and the table gives -2.2181e-8")
+def test_basis_value_at_an_end_atom_matches_the_exact_oracle_at_degree_300():
+    # the gate of ROADMAP item 17: P_300 = p_300 / sqrt(h_300) from the exact monic p_300, whose value
+    # at 1 is the sum of its coefficients; exactly 5.0433e-8
+    N = 300
+    spec = MeasureSpec(GenJacobiSpec(2.0, 0.0), (MassPoint(1.0, 1.0),))
+    polys, h, _, _ = exact_monic_orthogonal(spec, N)
+    p_at_atom = sum(polys[N])
+    exact = math.copysign(math.sqrt(p_at_atom**2 / h[N]), p_at_atom)
+    assert basis_for(spec, N).eval_all(np.array([1.0]), N)[N, 0] == pytest.approx(exact, rel=1e-13, abs=0)
