@@ -918,7 +918,7 @@ def weak_type_probe(
     running entry,
     ``max_ratio`` or first-occurrence argmax (``extremal_set``,
     ``extremal_n``) can change, and reports are bit-identical to sorting
-    every row in full (``test_weak_probe_matches_set_major_reference``).  On
+    every row in full (``test_weak_probe_matches_rearrangement_reference``).  On
     Legendre + delta_1 with the 3N grid and p = 4, 718 of the 7437 rows are
     sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``),
     and 557 at p = 1, where the bound is the L^1 norm itself; strictly

@@ -505,30 +505,13 @@ def test_spectral_norms_match_the_dense_svd_of_another_lapack():
         assert norms_p2[n] == pytest.approx(exact, rel=1e-13, abs=0), n
 
 
-def _spectral_norms_reference(phi, w, uv, vv, degrees):
-    """The p = 2 norms with both factors alive at once and fresh per-degree products."""
-    sw = np.sqrt(w)
-    factors = [(sw * uv)[:, None] * phi.T, (sw / vv)[:, None] * phi.T]
-    scales = [int(np.frexp(max(f.max(), -f.min()))[1]) for f in factors]
-    for f, e in zip(factors, scales):
-        np.ldexp(f, -e, out=f)
-    left, right = factors
-    gram, t = left.T @ left, np.linalg.qr(right, mode="r")
-    tops = [np.linalg.eigvalsh(t[: n + 1, : n + 1] @ gram[: n + 1, : n + 1] @ t[: n + 1, : n + 1].T)[-1]
-            for n in degrees]
-    return dict(zip(degrees, np.ldexp(np.sqrt(tops), sum(scales)).tolist()))
-
-
 def _assert_p2_entries(rep, basis, grid, uv, vv, svd_degrees=None):
-    """Each entry equals the reference's; those at ``svd_degrees`` (all by default) are within 1e-13 of scipy's SVD.
+    """The entries at ``svd_degrees`` (all by default) are within 1e-13 of scipy's SVD.
 
     The SVD is of the dense weighted partial-sum matrix.
     """
-    ns = [n for n, _ in rep.entries]
-    reference = _spectral_norms_reference(basis.eval_all(grid.nodes, max(ns)), grid.weights, uv, vv, ns)
     sw = np.sqrt(grid.weights)
     for n, entry in rep.entries:
-        assert entry == reference[n], n
         if svd_degrees is not None and n not in svd_degrees:
             continue
         A = _weighted_matrix(partial_sum_matrix(basis, grid, n), uv, vv)
@@ -549,8 +532,7 @@ P2_WEIGHTS = {
 @pytest.mark.parametrize("spec", [LEGENDRE_ONE, TWO_MASSES], ids=["delta1", "two_masses"])
 def test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights(spec, N, weights):
     # one QR, a Gram matrix and an eigvalsh per degree against scipy's SVD of the dense
-    # weighted partial-sum matrix, where the Gram matrix is least accurate (u = v = (1-x)^5),
-    # and bit for bit against the same arithmetic with both factors alive at once
+    # weighted partial-sum matrix, also where the Gram matrix is least accurate (u = v = (1-x)^5)
     u, v = P2_WEIGHTS[weights]
     basis, grid = _basis_and_grid(spec, N)
     rep = strong_probe(basis, grid, 2.0, u, v, N=N)
@@ -567,102 +549,17 @@ def test_p2_entries_do_not_overflow_where_the_factors_are_finite():
     _assert_p2_entries(rep, basis, grid, weight_values(u, grid, LEGENDRE_ONE), np.ones(grid.size))
 
 
-# Per-degree references for the strong, commutator and maximal sweeps: one ratio pass per degree,
-# on u S_n Y with Y's columns picked out (so column-major, each column summed pairwise), and the
-# increment certificate's norms one scalar root at a time.
-
-
-def _pnorms_loop(w, X, p):
-    return np.sum(w[:, None] * np.abs(X) ** p, axis=0) ** (1.0 / p)
-
-
-def _pnorm_loop(w, x, p):
-    return np.sum(w * np.abs(x) ** p) ** (1.0 / p)
-
-
-def _best_ratio_loop(w, u, Y, nf, p):
-    keep = nf > 0
-    return float(np.max(_pnorms_loop(w, norms._weighted_rows(u, Y[:, keep]), p) / nf[keep], initial=0.0))
-
-
-def _strong_loop(basis, grid, p, u, v, N, seed=0):
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
-    G, nG = norms._family(grid, p, vv, seed, 8, [*grid.atom_idx, grid.size // 2])
-    vals = {}
-    for n, SG in norms._partial_sums(phi @ (w[:, None] * G), phi, ns):
-        D = norms._dual(phi[[n, n - 1]] / vv, p)
-        head = phi[: n + 1]
-        SD = head.T @ (head @ (w[:, None] * D))
-        family = _best_ratio_loop(w, uv, SG.T, nG, p)
-        certs = _best_ratio_loop(w, uv, SD, _pnorms_loop(w, vv[:, None] * D, p), p)
-        increment = _pnorm_loop(w, uv * phi[n], p) * _pnorm_loop(w, phi[n] / vv, p / (p - 1))
-        vals[n] = float(np.max([family, certs, increment]))  # NaN if any part is
-    return vals
-
-
-def _commutator_loop(basis, grid, b, p, u, v, N, seed=0):
-    b_vals = b(grid.nodes)
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
-    G, nG = norms._family(grid, p, vv, seed, 12, [*grid.atom_idx, grid.size // 2])
-    K = G.shape[1]
-    vals = {}
-    coef = phi @ (w[:, None] * np.hstack([G, b_vals[:, None] * G]))
-    for n, S in norms._partial_sums(coef, phi, ns):
-        best = _best_ratio_loop(w, uv, (b_vals * S[:K] - S[K:]).T, nG, p)
-        pn = phi[n]
-        D = norms._dual(np.stack([pn / vv, b_vals * pn / vv]), p)
-        R = np.outer(b_vals * pn, pn @ (w[:, None] * D)) - np.outer(pn, pn @ ((w * b_vals)[:, None] * D))
-        vals[n] = float(np.max([best, _best_ratio_loop(w, uv, R, _pnorms_loop(w, vv[:, None] * D, p), p)]))
-    return vals
-
-
-def _maximal_loop(basis, grid, p, u, v, N, seed=0):
-    ns, w, uv, vv, phi = norms._sweep_setup(basis, grid, u, v, N)
-    G, nG = norms._family(grid, p, vv, seed, 40, [*grid.atom_idx, 0, grid.size - 1])
-    sup, vals = np.zeros_like(G), {}
-    for k, S in norms._partial_sums(phi @ (w[:, None] * G), phi, range(max(ns) + 1)):
-        sup = np.maximum(sup, np.abs(S.T))
-        if k in ns:
-            vals[k] = _best_ratio_loop(w, uv, sup, nG, p)
-    return vals
-
-
-def _within_ulps(got, expected, ulps):
-    """The same degrees, and values equal (NaN to NaN) or within ``ulps`` units in the last place."""
-    assert list(got) == list(expected)
-    for n, a in got.items():
-        b = expected[n]
-        assert (math.isnan(a) and math.isnan(b)) or a == b or abs(a - b) <= ulps * np.spacing(abs(b)), (n, a, b)
-
-
-LOOP_CASES = {
-    "delta1": (LEGENDRE_ONE, None, None),
-    "two_masses_uv": (TWO_MASSES, U, V),
-    "genjacobi_delta1": (MeasureSpec(GenJacobiSpec(0.5, -0.5, ((0.0, 1.0),)), LEGENDRE_ONE.masses), None, None),
-    "laguerre_delta0": (LAGUERRE_ZERO, None, None),
-}
-
-
-@pytest.mark.parametrize("sweep", ["N40", "N200"])
-@pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 4.5, 6.0])
-@pytest.mark.parametrize("case", LOOP_CASES)
-def test_batched_sweeps_match_their_per_degree_loops(monkeypatch, case, p, sweep):
-    # each sweep forms its dual certificates at once and takes every ratio in one pass after its
-    # degree loop; only the strong increment norms, whose roots it takes over an array, may differ
-    spec, u, v = LOOP_CASES[case]
-    N = 200 if sweep == "N200" else 40
-    basis, grid = _basis_and_grid(spec, N)
-    b = bmo_symbols()["smooth_step"]
-    seen = []
-    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: seen.append(dict(vals)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # Laguerre sums overflow at N = 200, in both
-        strong_probe(basis, grid, p, u, v, N=N)
-        commutator_probe(basis, grid, b, p, u, v, N=N)
-        _within_ulps(seen[0], _strong_loop(basis, grid, p, u, v, N), ulps=4)
-        _within_ulps(seen[1], _commutator_loop(basis, grid, b, p, u, v, N), ulps=0)
-        maximal_probe(basis, grid, p, u, v, N=N)
-        _within_ulps(seen[2], _maximal_loop(basis, grid, p, u, v, N), ulps=0)
+def test_ratios_of_an_input_of_norm_0_read_0():
+    # on Laguerre + delta_0 with 601 nodes the far Gauss weights underflow to 0, so the indicator of the
+    # last node, a member of the maximal probe's family, has norm 0: its ratio reads 0, not inf or NaN
+    grid = make_grid(LAGUERRE_ZERO, 600)
+    m = grid.size
+    rng = np.random.default_rng(2)
+    nf = _pnorms(grid.weights, np.column_stack([rng.standard_normal(m), np.eye(m)[:, [-1, 0]]]), 3.0)
+    Y = rng.standard_normal((m, 3))
+    got = norms._ratios(grid.weights, np.ones(m), np.asfortranarray(Y), nf, 3.0)
+    assert nf[1] == 0.0 and got[1] == 0.0
+    np.testing.assert_allclose(got[[0, 2]], [lp_norm(grid.fn(Y[:, j]), 3.0) / nf[j] for j in (0, 2)], rtol=1e-13)
 
 
 @pytest.mark.parametrize("spec, mode", [(LEGENDRE_ONE, "maximal"), (legendre([MassPoint(0.0, 1.0)]), "strong")],
@@ -708,44 +605,6 @@ def test_probe_families_have_their_documented_members(monkeypatch, mode):
     probe(basis, grid, p=3.0, N=20, seed=5)
     probe(basis, grid, p=3.0, N=20)  # the seed defaults to 0
     assert calls == [(5, *expected[mode]), (0, *expected[mode])]
-
-
-@pytest.mark.parametrize("N, count", [(4, 1), (7, 4), (8, 5), (40, 18)])
-@pytest.mark.parametrize("p", [1.5, 3.0])
-@pytest.mark.parametrize("case", ["delta1", "two_masses_uv"])
-def test_per_degree_ratio_passes_match_one_stacked_pass(monkeypatch, case, p, N, count):
-    # each column's norm is summed on its own, so one degree per pass gives the floats of one pass over
-    # every degree's output rows stacked column-major; the sweeps up to N hold 1, 4, 5 and 18 degrees
-    spec, u, v = LOOP_CASES[case]
-    basis, grid = _basis_and_grid(spec, 40)
-    uv = norms.weight_values(u, grid, spec)
-    real_ratios, real_sweep = norms._ratios, norms._lp_sweep
-    rows, norms_of_inputs, increments, entries = [], [], [], []
-
-    def ratios(w, scale, Y, nf, p):  # Y is the degree's output rows, transposed
-        rows.append(Y.T.copy())
-        norms_of_inputs.append(nf)
-        return real_ratios(w, scale, Y, nf, p)
-
-    def sweep(*args):
-        def parts(*inputs):
-            own = args[-1](*inputs)
-            increments.append(own[3])
-            return own
-
-        return real_sweep(*args[:-1], parts)
-
-    monkeypatch.setattr(norms, "_ratios", ratios)
-    monkeypatch.setattr(norms, "_lp_sweep", sweep)
-    monkeypatch.setattr(norms, "_sweep_report", lambda mode, p, ns, vals, *args: entries.append(list(vals.values())))
-    b = bmo_symbols()["smooth_step"]
-    for probe in (strong_probe, functools.partial(commutator_probe, b=b), maximal_probe):
-        rows.clear()
-        norms_of_inputs.clear()
-        probe(basis, grid, p=p, u=u, v=v, N=N)
-        assert len(rows) == len(entries[-1]) == count
-        stacked = real_ratios(grid.weights, uv, np.vstack(rows).T, np.concatenate(norms_of_inputs), p)
-        assert entries[-1] == np.maximum(stacked.reshape(count, -1).max(axis=1), increments[-1]).tolist()
 
 
 @pytest.mark.parametrize("spec, N, weights", [(LEGENDRE_ONE, 200, False), (LEGENDRE_ONE, 500, False),
@@ -892,84 +751,38 @@ def test_maximal_probe_accepts_p1():
     assert all(np.isfinite(v) and v > 0 for _, v in rep.entries)
 
 
-# the set family against the loop that built it one mask at a time
-
-def _set_family_loop(grid, rng):
-    """The set family as a list of masks, one interval, atom and union at a time: the reference of the array form."""
-    nodes = grid.nodes
-    lo, hi = nodes.min(), nodes.max()
-    masks = []
-    for a in [lo, hi] + [nodes[i] for i in grid.atom_idx]:
-        for j in range(8):
-            h = (hi - lo) * 2.0 ** (-j - 1)
-            masks.append((nodes >= a - h) & (nodes <= a + h))
-    for i in grid.atom_idx:
-        masks.append(np.arange(grid.size) == i)
-    for _ in range(20):
-        mask = np.zeros(grid.size, dtype=bool)
-        for _ in range(rng.integers(1, 5)):
-            c, d = np.sort(rng.uniform(lo, hi, size=2))
-            mask |= (nodes >= c) & (nodes <= d)
-        masks.append(mask)
-    return list({mask.tobytes(): mask for mask in masks if mask.any()}.values())
-
-
-@pytest.mark.parametrize("spec", [LEGENDRE_ONE, SPEC, LAGUERRE_ZERO, MeasureSpec(HermiteSpec(), (MassPoint(0.0, 1.0),)),
-                                  TWO_MASSES], ids=["legendre_1", "legendre_03", "laguerre_0", "hermite_0", "two_masses"])
-@pytest.mark.parametrize("m", [60, 301])
-def test_default_set_family_is_the_loop_family_as_one_array(spec, m):
-    grid = make_grid(spec, m)
-    for seed in (0, 1, 7):
-        family = default_set_family(grid, np.random.default_rng(seed))
-        assert family.dtype == bool and family.shape[1] == grid.size
-        assert family.tolist() == [mask.tolist() for mask in _set_family_loop(grid, np.random.default_rng(seed))]
-
-
 # the weak probe against one rearrangement per (set, degree)
 
-def _weak_inputs(basis, grid, p, u, sets, N):
-    """The weak probe's input stage: u's node values, the basis table, ||chi_E||_p and the coefficients of every set.
+def _weak_reference(basis, grid, p, u, sets, N, seed):
+    """The weak probe's report, every ratio from ``rearrangement`` of one full prefix sum.
 
     The inputs chi_E / u are the columns of one array, their norms come from
     one ``_pnorms`` pass, and the coefficients of the sets of positive
-    measure from one product, as in the probe, so its references read the
-    same floats; a set of measure zero keeps zero coefficients.
+    measure from one product, as in the probe, so the reference reads the
+    same floats.  ``sets`` None takes the default family.
     """
-    uv = weight_values(u, grid, basis.measure)
-    phi = basis.eval_all(grid.nodes, N)
-    denoms = _pnorms(grid.weights, sets.T.astype(float), p)
-    live = denoms != 0
-    coef = np.zeros((N + 1, len(sets)))
-    coef[:, live] = phi @ (grid.weights[:, None] * (sets[live].T / uv[:, None]))
-    return uv, phi, denoms, coef
-
-
-def _weak_reference(basis, grid, p, u, sets, N, seed, restricted):
-    """The weak probe's report, every ratio from ``rearrangement`` of one full prefix sum."""
     if sets is None:
         sets = default_set_family(grid, np.random.default_rng(seed))
-    uv, phi, denoms, coefs = _weak_inputs(basis, grid, p, u, sets, N)
+    uv, phi = weight_values(u, grid, basis.measure), basis.eval_all(grid.nodes, N)
+    denoms = _pnorms(grid.weights, sets.T.astype(float), p)
+    live = denoms != 0
+    coefs = np.zeros((N + 1, len(sets)))
+    coefs[:, live] = phi @ (grid.weights[:, None] * (sets[live].T / uv[:, None]))
     ratios = np.zeros((len(sets), N + 1))
-    for si, (denom, coef) in enumerate(zip(denoms, coefs.T)):
-        if denom == 0:
-            continue
-        partials = np.cumsum(phi * coef[:, None], axis=0)
+    for si in np.flatnonzero(live):
+        partials = np.cumsum(phi * coefs[:, si, None], axis=0)
         for n in range(N + 1):
             vals, meas = rearrangement(grid.fn(uv * partials[n]))
             keep = meas > 0
-            ratios[si, n] = np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)) / denom
+            ratios[si, n] = np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)) / denoms[si]
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     running = np.maximum.accumulate(ratios.max(axis=0))
     entries = [(n, float(running[n])) for n in default_degree_list(N)]
     gamma, res = fit_growth(*zip(*entries))
     diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
                    "n_sets": len(sets)}
-    mode = "restricted-weak" if restricted else "weak"
-    u_fields = {} if u is None else weight_to_dict(u)
-    return ProbeReport(mode, p, entries, gamma, res, _verdict(gamma), seed, grid.size, u=u_fields,
-                       diagnostics=diagnostics).to_dict()
-
-
+    return ProbeReport("restricted-weak", p, entries, gamma, res, _verdict(gamma), seed, grid.size,
+                       u={} if u is None else weight_to_dict(u), diagnostics=diagnostics).to_dict()
 
 
 def _explicit_sets(grid):
@@ -987,19 +800,18 @@ def _grid_with_split_nodes(spec, m):
     return Grid(np.repeat(grid.nodes, 2), weights, 2 * grid.atom_idx)
 
 
-# (measure, N, grid size, u, sets from the grid or None for the default family, seed, restricted);
-# N = 63, 64, 65, 130 straddle the reference's blocks of 64 degrees
+# (measure, N, grid size, u, sets from the grid or None for the default family, seed)
 WEAK_CASES = {
-    "legendre_n63": (LEGENDRE_ONE, 63, 126, None, None, 0, True),
-    "legendre_n64": (LEGENDRE_ONE, 64, 128, None, None, 1, True),
-    "legendre_n65": (LEGENDRE_ONE, 65, 130, None, None, 2, True),
-    "legendre_n130": (LEGENDRE_ONE, 130, 260, None, None, 0, True),
-    "two_masses_u": (TWO_MASSES, 40, 120, U, None, 3, True),
-    "laguerre_mass": (LAGUERRE_ZERO, 30, 90, None, None, 0, True),
-    "explicit_sets": (LEGENDRE_ONE, 70, 140, None, _explicit_sets, 0, True),
+    "legendre_n63": (LEGENDRE_ONE, 63, 126, None, None, 0),
+    "legendre_n64": (LEGENDRE_ONE, 64, 128, None, None, 1),
+    "legendre_n65": (LEGENDRE_ONE, 65, 130, None, None, 2),
+    "legendre_n130": (LEGENDRE_ONE, 130, 260, None, None, 0),
+    "two_masses_u": (TWO_MASSES, 40, 120, U, None, 3),
+    "laguerre_mass": (LAGUERRE_ZERO, 30, 90, None, None, 0),
+    "explicit_sets": (LEGENDRE_ONE, 70, 140, None, _explicit_sets, 0),
     # hand-built grids
-    "zero_weight_node": (SPEC, 20, 60, None, _explicit_sets, 0, True),
-    "split_nodes": (TWO_MASSES, 30, 90, U, None, 0, True),
+    "zero_weight_node": (SPEC, 20, 60, None, _explicit_sets, 0),
+    "split_nodes": (TWO_MASSES, 30, 90, U, None, 0),
 }
 HAND_BUILT = {"zero_weight_node": _grid_with_left_endpoint, "split_nodes": _grid_with_split_nodes}
 
@@ -1010,59 +822,16 @@ def _use_sets(monkeypatch, sets):
         monkeypatch.setattr(norms, "default_set_family", lambda grid, rng: sets)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
 @pytest.mark.parametrize("case", list(WEAK_CASES))
 def test_weak_probe_matches_rearrangement_reference(monkeypatch, case, p):
-    spec, N, m, u, make_sets, seed, restricted = WEAK_CASES[case]
+    spec, N, m, u, make_sets, seed = WEAK_CASES[case]
     grid = HAND_BUILT.get(case, make_grid)(spec, m)
     basis = basis_for(spec, N)
     sets = None if make_sets is None else make_sets(grid)
     _use_sets(monkeypatch, sets)
-    rep = weak_type_probe(basis, grid, p, u, N=N, seed=seed, restricted=restricted)
-    assert rep.to_dict() == _weak_reference(basis, grid, p, u, sets, N, seed, restricted)
-
-
-# the weak probe's bound-and-skip loop against the set-major loop that sorted every row
-
-_BLOCK = 64  # degrees per block of the reference
-
-
-def _weak_type_probe_reference(basis, grid, p, u=None, sets=None, N=None, seed=0, restricted=True):
-    """The weak probe as a set-major loop over blocks of degrees that sorts every (set, degree) row in full."""
-    if N is None:
-        N = basis.degree
-    if sets is None:
-        sets = default_set_family(grid, np.random.default_rng(seed))
-    uv, phi, denoms, coefs = _weak_inputs(basis, grid, p, u, sets, N)
-    keep = grid.weights > 0
-    phi_kept, u_kept, w_kept = phi[:, keep], uv[keep], grid.weights[keep]
-    ratios = np.zeros((len(sets), N + 1))
-    for si, (denom, coef) in enumerate(zip(denoms, coefs.T)):
-        if denom == 0:
-            continue
-        carry = 0.0
-        for k in range(0, N + 1, _BLOCK):
-            blk = phi_kept[k : k + _BLOCK] * coef[k : k + _BLOCK, None]
-            blk[0] += carry
-            np.cumsum(blk, axis=0, out=blk)
-            carry = blk[-1].copy()
-            blk *= u_kept
-            ratios[si, k : k + len(blk)] = _stable_weak_norms(blk, w_kept, p) / denom
-    si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
-    running = np.maximum.accumulate(ratios.max(axis=0))
-    entries = [(n, float(running[n])) for n in default_degree_list(N)]
-    gamma, res = fit_growth(*zip(*entries))
-    diagnostics = {"max_ratio": float(ratios.max()), "extremal_set": int(si), "extremal_n": int(n_star),
-                   "n_sets": len(sets)}
-    return ProbeReport("restricted-weak" if restricted else "weak", p, entries, gamma, res, _verdict(gamma),
-                       seed, grid.size, u={} if u is None else weight_to_dict(u), diagnostics=diagnostics)
-
-
-def _weak_case(case):
-    """(basis, grid, u, sets, N, seed, restricted) of a WEAK_CASES entry."""
-    spec, N, m, u, make_sets, seed, restricted = WEAK_CASES[case]
-    grid = HAND_BUILT.get(case, make_grid)(spec, m)
-    return basis_for(spec, N), grid, u, None if make_sets is None else make_sets(grid), N, seed, restricted
+    rep = weak_type_probe(basis, grid, p, u, N=N, seed=seed)
+    assert rep.to_dict() == _weak_reference(basis, grid, p, u, sets, N, seed)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1070,21 +839,12 @@ def _basis_and_grid(spec, N):
     return basis_for(spec, N), make_grid(spec, 3 * N)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
-@pytest.mark.parametrize("case", list(WEAK_CASES))
-def test_weak_probe_matches_set_major_reference(monkeypatch, case, p):
-    basis, grid, u, sets, N, seed, restricted = _weak_case(case)
-    _use_sets(monkeypatch, sets)
-    rep = weak_type_probe(basis, grid, p, u, N=N, seed=seed, restricted=restricted)
-    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, p, u, sets, N, seed, restricted).to_dict()
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, 6.0])
+@pytest.mark.parametrize("p", [1.5, 4.0])
 @pytest.mark.parametrize("N", [200, 400])
-def test_weak_probe_matches_set_major_reference_at_scale(N, p):
+def test_weak_probe_matches_rearrangement_reference_at_scale(N, p):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
     rep = weak_type_probe(basis, grid, p, N=N)
-    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, p, N=N).to_dict()
+    assert rep.to_dict() == _weak_reference(basis, grid, p, None, None, N, 0)
 
 
 def test_weak_probe_bound_overflow_is_silent_and_exact():
@@ -1093,7 +853,7 @@ def test_weak_probe_bound_overflow_is_silent_and_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = weak_type_probe(basis, grid, 6.0, N=60)
-    assert rep.to_dict() == _weak_type_probe_reference(basis, grid, 6.0, N=60).to_dict()
+    assert rep.to_dict() == _weak_reference(basis, grid, 6.0, None, None, 60, 0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1317,20 +1077,8 @@ def _rows_the_weak_probe_sorts(monkeypatch, basis, grid, p):
 
 def test_weak_probe_sorts_at_most_30_percent_of_its_rows(monkeypatch):
     basis, grid = _basis_and_grid(LEGENDRE_ONE, 200)
-    reference_rows = []
-
-    def counting(norm_pass, rows):
-        def count(A, *args):
-            rows.append(len(A))
-            return norm_pass(A, *args)
-
-        return count
-
-    monkeypatch.setitem(globals(), "_stable_weak_norms", counting(_stable_weak_norms, reference_rows))
     total = len(default_set_family(grid, np.random.default_rng(0))) * 201
     assert total == 7437 and _rows_the_weak_probe_sorts(monkeypatch, basis, grid, 4.0) == 718
-    _weak_type_probe_reference(basis, grid, 4.0, N=200, seed=0)
-    assert sum(reference_rows) == total
 
 
 def test_weak_probe_rules_out_rows_by_their_first_moment_at_p_1(monkeypatch):
@@ -1364,7 +1112,7 @@ def test_weak_probe_keeps_a_later_degree_that_ties_the_running_maximum(monkeypat
     _use_sets(monkeypatch, sets)
     rep = weak_type_probe(_Table(rows), grid, 1.0, N=6).to_dict()
     assert rep["diagnostics"] == {"max_ratio": 4.000000000000001, "extremal_set": 0, "extremal_n": 2, "n_sets": 2}
-    assert rep == _weak_type_probe_reference(_Table(rows), grid, 1.0, sets=sets, N=6).to_dict()
+    assert rep == _weak_reference(_Table(rows), grid, 1.0, None, sets, 6, 0)
 
 
 # a grid resolves the basis up to degree n only with at least n + 1 Gauss nodes

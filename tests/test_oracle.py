@@ -145,6 +145,100 @@ def symmetric_betas(a, gamma, N):
     return np.array(betas)
 
 
+def jacobi_squares_at_1(alpha, beta, N, ratios=False):
+    """p_k(1)^2, k = 0..N, of the orthonormal polynomials of (1 - x)^alpha (1 + x)^beta on [-1, 1].
+
+    p_k(1)^2 = P_k(1)^2 / h_k, with P_k(1) = Gamma(k + alpha + 1) / (Gamma(alpha + 1) k!) and h_k the
+    Jacobi norm (Szego, Orthogonal Polynomials, (4.1.1) and (4.3.3)), from lgamma terms.  With ``ratios``
+    it is 1 / h_0 times the running product of p_k(1)^2 / p_{k-1}(1)^2, a rational function of k: a
+    second evaluation that shares no lgamma call past h_0.
+    """
+    ab = alpha + beta
+    first = math.lgamma(ab + 2) - (ab + 1) * math.log(2) - math.lgamma(alpha + 1) - math.lgamma(beta + 1)
+    if ratios:
+        # at k = 1 the factor k + alpha + beta of the general ratio cancels 2k + alpha + beta - 1
+        steps = [(1 + alpha) * (3 + ab) / (1 + beta)] + [
+            (k + alpha) * (k + ab) * (2 * k + ab + 1) / (k * (k + beta) * (2 * k + ab - 1)) for k in range(2, N + 1)]
+        return math.exp(first) * np.cumprod([1.0] + steps)
+    logs = [first] + [math.lgamma(k + alpha + 1) + math.lgamma(k + ab + 1) - math.lgamma(k + 1)
+                      - math.lgamma(k + beta + 1) - 2 * math.lgamma(alpha + 1) + math.log(2 * k + ab + 1)
+                      - (ab + 1) * math.log(2) for k in range(1, N + 1)]
+    return np.exp(logs)
+
+
+def edge_atom_values(spec, N, ratios=False):
+    """P_N at each atom of a Jacobi measure plus atoms at -1 and 1, in the order of ``spec.masses``.
+
+    Uvarov's form at the atoms a (V. B. Uvarov, USSR Comput. Math. Math. Phys. 9, 1969): with p_k the
+    orthonormal Jacobi polynomials, pi = p_N(a), K = sum_{k<N} p_k(a) p_k(a)^T and D the masses,
+    P_N(a) = (I + K D)^{-1} pi / sqrt(1 + pi^T D (I + K D)^{-1} pi).  For one atom that is
+    p_N(a) / sqrt(d_{N-1} d_N) with d_n = 1 + M K_n(a, a).  p_k(-1) is (-1)^k times p_k(1) with alpha and
+    beta swapped, and each entry of K is one ``math.fsum``, so no recurrence and no discretization enter.
+    """
+    a, b = spec.base.alpha, spec.base.beta
+    at = {1.0: np.sqrt(jacobi_squares_at_1(a, b, N, ratios)),
+          -1.0: np.sqrt(jacobi_squares_at_1(b, a, N, ratios)) * (-1.0) ** np.arange(N + 1)}
+    P = np.array([at[m.location] for m in spec.masses])
+    K = np.array([[math.fsum(row[:N] * col[:N]) for col in P] for row in P])
+    D = np.diag([m.mass for m in spec.masses])
+    pi = P[:, N]
+    solved = np.linalg.solve(np.eye(len(P)) + K @ D, pi)
+    return solved / math.sqrt(1 + pi @ D @ solved)
+
+
+# the measures of ROADMAP item 27's table, then one with an atom at each end
+EDGE_ATOMS = [legendre([MassPoint(1.0, 1.0)]), MeasureSpec(GenJacobiSpec(0.5, -0.5), (MassPoint(1.0, 1.0),)),
+              MeasureSpec(GenJacobiSpec(1.0, 0.0), (MassPoint(1.0, 1.0),)),
+              MeasureSpec(GenJacobiSpec(2.0, 0.0), (MassPoint(1.0, 1.0),)),
+              legendre([MassPoint(-1.0, 0.5), MassPoint(1.0, 1.0)])]
+EDGE_IDS = ["legendre", "jacobi_half", "jacobi_10", "jacobi_20", "legendre_both_ends"]
+# The two evaluations of edge_atom_values differ by at most 1.4e-12 relative at N <= 2000 on EDGE_ATOMS
+# (Jacobi(1, 0) + delta_1 at N = 2000; the lgamma terms set it), so 1e-11 bounds them; the values are
+# taken to hold to 10 times that
+EDGE_AGREE, EDGE_RTOL = 1e-11, 1e-10
+
+
+@pytest.mark.parametrize("spec", [s for s in EDGE_ATOMS if s.base.alpha.is_integer()],
+                         ids=[i for i, s in zip(EDGE_IDS, EDGE_ATOMS) if s.base.alpha.is_integer()])
+def test_edge_atom_values_match_the_exact_oracle(spec):
+    # the exact P_n at the atom is the monic p_n there over sqrt(h_n); within 1.1e-13 measured
+    N = 100
+    polys, h, _, _ = exact_monic_orthogonal(spec, N)
+    for n in range(1, N + 1):
+        values = [sum(c * Fraction(m.location) ** i for i, c in enumerate(polys[n])) for m in spec.masses]
+        exact = [math.copysign(math.sqrt(v**2 / h[n]), v) for v in values]
+        np.testing.assert_allclose(edge_atom_values(spec, n), exact, rtol=1e-12, atol=0, err_msg=str(n))
+
+
+@pytest.mark.parametrize("ratios", [False, True])
+def test_jacobi_squares_at_1_match_the_chebyshev_closed_form(ratios):
+    # (1 - x)^{1/2} (1 + x)^{-1/2}: W_k(1) = 2k + 1 with norm pi (Chebyshev polynomials of the fourth kind),
+    # and its mirror image V_k(1) = 1; the exact oracle cannot take this irrational weight.  The lgamma
+    # terms are 5.5e-12 off at N = 2000, the ratios 4.7e-15
+    k = np.arange(2001)
+    np.testing.assert_allclose(jacobi_squares_at_1(0.5, -0.5, 2000, ratios), (2 * k + 1) ** 2 / np.pi, rtol=1e-11)
+    np.testing.assert_allclose(jacobi_squares_at_1(-0.5, 0.5, 2000, ratios), 1 / np.pi, rtol=1e-11)
+
+
+@pytest.mark.parametrize("N", [300, 1000, 2000])
+@pytest.mark.parametrize("spec", EDGE_ATOMS, ids=EDGE_IDS)
+def test_edge_atom_values_agree_with_their_second_evaluation(spec, N):
+    np.testing.assert_allclose(edge_atom_values(spec, N), edge_atom_values(spec, N, ratios=True),
+                               rtol=EDGE_AGREE, atol=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the forward recurrence cancels P_N at the atom; the table is "
+                          "7.7e-6 (Legendre + delta_1, N = 1000) to 5.4e6 times (Jacobi(2, 0) + delta_1, "
+                          "N = 2000) off, with the wrong sign on Jacobi(2, 0) + delta_1")
+@pytest.mark.parametrize("N", [1000, 2000])
+@pytest.mark.parametrize("spec", EDGE_ATOMS[:4], ids=EDGE_IDS[:4])
+def test_basis_value_at_an_end_atom_matches_the_closed_form_at_large_degree(spec, N):
+    # the large-N gate of ROADMAP item 17
+    at = np.array([m.location for m in spec.masses])
+    np.testing.assert_allclose(basis_for(spec, N).eval_all(at, N)[N], edge_atom_values(spec, N), rtol=EDGE_RTOL, atol=0)
+
+
 @pytest.mark.parametrize("a, gamma", [(0, 2), (1, 2), (0, 4)])
 def test_symmetric_closed_form_matches_the_exact_oracle(a, gamma):
     N = 60
