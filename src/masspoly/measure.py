@@ -249,7 +249,7 @@ def _check_weight_fits(w: PowerWeightSpec, measure: MeasureSpec):
 class ConditionLine:
     label: str
     satisfied: bool
-    margin: float  # positive iff the line holds (>= 0 for the non-strict lines)
+    margin: float  # above 1e-12 iff a strict line holds, >= 0 iff a coupling line does
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,11 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
     Block I (upper, strict) constrains the v-exponents, block II (lower,
     strict) the u-exponents, block III (non-strict) couples them.  Margins are
     signed so that positive means satisfied; the strict lines use
-    right-minus-left, the non-strict ones u-minus-v.
+    right-minus-left, the non-strict ones u-minus-v.  A strict line holds only
+    where its margin exceeds 1e-12: at a window endpoint the margin is 0,
+    and its float rounds to a few ulps either side, so an endpoint reads not
+    satisfied whichever way it rounds
+    (``test_check_conditions_rejects_the_window_endpoints``).
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
@@ -294,7 +298,7 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
     lines = []
 
     def strict(label, lhs, rhs):
-        lines.append(ConditionLine(label, lhs < rhs, rhs - lhs))
+        lines.append(ConditionLine(label, rhs - lhs > 1e-12, rhs - lhs))
 
     for label, shift, cap, _, ve in rows:  # upper block: v exponents
         strict(f"upper.{label}", ve + shift, cap)

@@ -17,9 +17,7 @@ u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
 rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
 certificate ratios are those of its increment [M_b, S_n - S_{n-1}].  So a
 "growing" verdict is justified, while "bounded" checks only that
-sup rho_n < inf.  On Legendre + delta_1 at N = 400 the strong entries exceed
-the best input ratio by factors up to 1.016 / 1.043 / 1.46 / 1.80 at
-p = 1.5 / 3 / 5 / 8 (ROADMAP item 20).  Verdicts concern growth trends in
+sup rho_n < inf (ROADMAP item 20).  Verdicts concern growth trends in
 the degree n, not absolute constants.  The p-duality power iteration lives
 only in the dense test reference ``operator_norm_probe``.
 """
@@ -496,12 +494,11 @@ def _spectral_norms(phi, w, uv, vv, degrees):
 
     The top eigenvalue of a symmetric matrix is accurate relative to its norm,
     but G squares the u side, so the error grows with the spread of u / v over
-    the grid.  Against scipy's SVD of the dense matrix the entries agree to
-    1e-13 relative for u = v = (1-x)^a, |a| <= 5, and for u = (1-x)^2 (1+x)^-1,
-    v = (1-x)^-1 (1+x)^2, at N = 30 and 120 (worst 8.6e-14, at a = 5); at
-    u = v = (1-x)^30, N = 40, they are 4e-10 off the QR-and-SVD form.  No Gram
-    matrix is factored: at N = 120 Cholesky fails on the Gram matrices of both
-    sides for those two last weight pairs, whose norms are finite.
+    the grid.  The entries are within 1e-13 relative of scipy's SVD of the
+    dense matrix on the weights of
+    ``test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights``.
+    No Gram matrix is factored: Cholesky fails on both Gram matrices of that
+    test's last weight pair at N = 120, whose norms are finite.
 
     Each factor is scaled by the power of two that brings its largest entry
     below 1, which is exact, so that neither G nor T_n G[n] T_n^T overflows
@@ -714,13 +711,8 @@ def strong_probe(
     rho_n = ||u P_n||_p ||P_n / v||_{p'} = ||u (S_n - S_{n-1})(v^{-1} .)||_{p->p},
     which is no lower bound of ||u S_n(v^{-1} .)||: only
     rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds.  So "growing" is
-    justified, and "bounded" checks only that sup rho_n < inf.  On Legendre
-    + delta_1 at N = 400, u = v = 1, the entries exceed the best input ratio
-    by factors up to 1.016 / 1.043 / 1.46 / 1.80 at p = 1.5 / 3 / 5 / 8
-    (ROADMAP item 20).  The certificates carry the blow-up signal; adaptive
-    optimization is deliberately avoided because its estimates creep upward
-    for bounded operators at these degree scales and would defeat the trend
-    fit.
+    justified, and "bounded" checks only that sup rho_n < inf (ROADMAP item
+    20).  The inputs are fixed, not adapted to the operator.
 
     At p != 2 the sweep is ``_lp_sweep``'s.  The probe gives it the rows
     P_n and P_{n-1} of each degree's certificates, rho_n from one pass per
@@ -918,10 +910,10 @@ def weak_type_probe(
     running entry,
     ``max_ratio`` or first-occurrence argmax (``extremal_set``,
     ``extremal_n``) can change, and reports are bit-identical to sorting
-    every row in full (``test_weak_probe_matches_rearrangement_reference``).  On
-    Legendre + delta_1 with the 3N grid and p = 4, 718 of the 7437 rows are
-    sorted at N = 200 (``test_weak_probe_sorts_at_most_30_percent_of_its_rows``),
-    and 557 at p = 1, where the bound is the L^1 norm itself; strictly
+    every row in full (``test_weak_probe_matches_rearrangement_reference``).
+    The rows it sorts are counted by
+    ``test_weak_probe_sorts_at_most_30_percent_of_its_rows`` (p = 4) and
+    ``test_weak_probe_rules_out_rows_by_their_first_moment_at_p_1``; strictly
     between 1 and 2 the moment bound prunes little.  Beside the basis table, S
     sets take O(S (m + N)) working memory.  The first degree whose largest
     ratio is NaN or inf ends the sweep: every entry from it on is that value,

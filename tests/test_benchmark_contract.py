@@ -10,6 +10,7 @@ only read here.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -65,11 +66,25 @@ def test_high_precision_basis_builds():
     assert basis.degree == 12
 
 
+PROBE = """
+import json, sys
+import masspoly.cli
+present = all(m in sys.modules for m in json.loads(sys.argv[1]))
+registered = sys.modules["scipy.special"]
+import scipy.special as special
+x, w = special.roots_jacobi(20, 0.0, 0.5)
+print(json.dumps([present, special is registered, float(w.sum())]))
+"""
+
+
 def test_cli_import_loads_the_quadrature_rule_modules():
     modules = [module for module, _ in TRACING.QUAD_RULES]
-    probe = f"import sys, masspoly.cli; print(all(m in sys.modules for m in {modules!r}))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", PROBE, json.dumps(modules)], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
-    assert out.stdout.strip() == "True"
+    present, same_module, mass = json.loads(out.stdout)
+    assert present
+    # scipy.special stays registered for the benchmark's tracer, and works once imported
+    assert same_module
+    assert mass == pytest.approx(2 ** 1.5 / 1.5, rel=1e-14)  # int_{-1}^{1} (1 + s)^(1/2) ds

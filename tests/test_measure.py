@@ -295,6 +295,23 @@ def test_check_conditions_matches_endpoint_window():
         assert check_conditions(spec, u, v, p).verdict is expect, p
 
 
+@pytest.mark.parametrize("masses", [(), (MassPoint(1.0, 1.0),)], ids=["no_atom", "delta1"])
+@pytest.mark.parametrize("alpha, beta, p, label", [
+    # the float p nearest each end of the window (4 / (2 alpha + 3), 4 (alpha + 1) / (2 alpha + 1)) at u = v = 1;
+    # at 1.5 and 2.4 the margin rounds to +5.6e-17
+    (0.0, 0.0, 4 / 3, "upper.edge+1"), (0.0, 0.0, 4.0, "lower.edge+1"),
+    (0.5, -0.5, 1.5, "upper.edge+1"), (0.5, -0.5, 3.0, "lower.edge+1"),
+    (1.0, 0.0, 1.6, "upper.edge+1"), (1.0, 0.0, 8 / 3, "lower.edge+1"),
+    (2.0, 0.0, 12 / 7, "upper.edge+1"), (2.0, 0.0, 2.4, "lower.edge+1"),
+])
+def test_check_conditions_rejects_the_window_endpoints(alpha, beta, p, label, masses):
+    rep = check_conditions(MeasureSpec(GenJacobiSpec(alpha, beta), masses), PowerWeightSpec(), PowerWeightSpec(), p)
+    assert abs(rep.line(label).margin) <= 1e-12
+    assert not rep.line(label).satisfied and rep.verdict is False
+    # every line off the endpoint holds, the coupling lines at their margin 0 too
+    assert all(ln.satisfied for ln in rep.lines if abs(ln.margin) > 1e-12 or ln.label.startswith("couple."))
+
+
 def test_check_conditions_is_closed_under_duality():
     # S_n is self-adjoint in L^2(nu), so (p, u, v) and (p', 1/v, 1/u) bound the same norm:
     # each upper line at one is the lower line at the other, and each coupling line itself
@@ -339,7 +356,7 @@ def test_check_conditions_margins_on_two_interior_singularities():
     assert [m for _, m in expect] == [0.5, 0.6875, 1.0, -0.125, 0.0, -0.1875, 0.5, 0.25, 0.0, 0.25, 0.5, -0.375]
     rep = check_conditions(spec, u, v, 4.0)
     assert [(ln.label, ln.margin) for ln in rep.lines] == expect
-    # a strict line holds only at a positive margin, a coupling line also at 0
+    # a strict line holds only at a margin above 1e-12, a coupling line also at 0
     assert [ln.satisfied for ln in rep.lines] == [m > 0 for _, m in expect[:8]] + [m >= 0 for _, m in expect[8:]]
     assert rep.verdict is False
 

@@ -198,14 +198,16 @@ EDGE_IDS = ["legendre", "jacobi_half", "jacobi_10", "jacobi_20", "legendre_both_
 EDGE_AGREE, EDGE_RTOL = 1e-11, 1e-10
 
 
-@pytest.mark.parametrize("spec", [s for s in EDGE_ATOMS if s.base.alpha.is_integer()],
+@pytest.mark.parametrize("spec, N", [(s, 300 if s.base.alpha == 2 else 100) for s in EDGE_ATOMS if s.base.alpha.is_integer()],
                          ids=[i for i, s in zip(EDGE_IDS, EDGE_ATOMS) if s.base.alpha.is_integer()])
-def test_edge_atom_values_match_the_exact_oracle(spec):
-    # the exact P_n at the atom is the monic p_n there over sqrt(h_n); within 1.1e-13 measured
-    N = 100
-    polys, h, _, _ = exact_monic_orthogonal(spec, N)
+def test_edge_atom_values_match_the_exact_oracle(spec, N):
+    # the exact P_n at an atom is the monic p_n there, from the oracle's recurrence run in Fractions, over
+    # sqrt(h_n); within 1.1e-13 measured to degree 100, and 3.5e-13 to degree 300 on Jacobi(2, 0) + delta_1
+    h, alphas, betas = _chebyshev(rational_moments(spec, 2 * N + 1), N)
+    at = [Fraction(m.location) for m in spec.masses]
+    older, values = [0] * len(at), [1] * len(at)
     for n in range(1, N + 1):
-        values = [sum(c * Fraction(m.location) ** i for i, c in enumerate(polys[n])) for m in spec.masses]
+        older, values = values, [(x - alphas[n - 1]) * v - betas[n - 1] * o for x, v, o in zip(at, values, older)]
         exact = [math.copysign(math.sqrt(v**2 / h[n]), v) for v in values]
         np.testing.assert_allclose(edge_atom_values(spec, n), exact, rtol=1e-12, atol=0, err_msg=str(n))
 
@@ -229,9 +231,9 @@ def test_edge_atom_values_agree_with_their_second_evaluation(spec, N):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 17: the forward recurrence cancels P_N at the atom; the table is "
-                          "7.7e-6 (Legendre + delta_1, N = 1000) to 5.4e6 times (Jacobi(2, 0) + delta_1, "
+                          "6.2e-8 (Legendre + delta_1, N = 300) to 5.4e6 times (Jacobi(2, 0) + delta_1, "
                           "N = 2000) off, with the wrong sign on Jacobi(2, 0) + delta_1")
-@pytest.mark.parametrize("N", [1000, 2000])
+@pytest.mark.parametrize("N", [300, 1000, 2000])
 @pytest.mark.parametrize("spec", EDGE_ATOMS[:4], ids=EDGE_IDS[:4])
 def test_basis_value_at_an_end_atom_matches_the_closed_form_at_large_degree(spec, N):
     # the large-N gate of ROADMAP item 17
@@ -265,17 +267,3 @@ def test_stieltjes_recurrence_matches_the_symmetric_closed_form_at_degree_400(a,
     rec = stieltjes_recurrence(GenJacobiSpec(a, a, ((0.0, gamma),)), N)
     np.testing.assert_allclose(rec.alphas, 0.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(rec.betas, symmetric_betas(a, gamma, N - 1), rtol=1e-12, atol=0)
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 17: the forward recurrence cancels P_300(1) at the atom, "
-                          "and the table gives -2.2181e-8")
-def test_basis_value_at_an_end_atom_matches_the_exact_oracle_at_degree_300():
-    # the gate of ROADMAP item 17: P_300 = p_300 / sqrt(h_300) from the exact monic p_300, whose value
-    # at 1 is the sum of its coefficients; exactly 5.0433e-8
-    N = 300
-    spec = MeasureSpec(GenJacobiSpec(2.0, 0.0), (MassPoint(1.0, 1.0),))
-    polys, h, _, _ = exact_monic_orthogonal(spec, N)
-    p_at_atom = sum(polys[N])
-    exact = math.copysign(math.sqrt(p_at_atom**2 / h[N]), p_at_atom)
-    assert basis_for(spec, N).eval_all(np.array([1.0]), N)[N, 0] == pytest.approx(exact, rel=1e-13, abs=0)

@@ -7,14 +7,16 @@ takes no arguments.  It runs every command of ``COMMANDS`` through
 them: one ``NAME.json`` per command, with its argv, its --config text, exit
 code, stderr and stdout (parsed, when it is JSON), and ``machine.json``, the
 CPU model and the OpenBLAS core and thread count that printed the floats.
-``tests/test_golden.py`` runs the same list and compares.  A change that
+``tests/test_golden.py`` runs the same list, checks the right value of the
+commands its ``CHECKS`` table names, and compares.  A change that
 moves a golden value commits the rewritten files, and CHANGES.md lists every
 value that moved.
 
-The list holds the benchmark's ``cli_jobs`` commands at ``--seed 0``, every
-console-script command of CI (the exit-2 and exit-3 ones too; a CI command
-that differs from a ``cli_jobs`` one only by its ``--seed 0`` flag prints the
-same bytes and is listed once), and the strong, commutator and maximal sweeps
+The list holds the benchmark's ``cli_jobs`` commands at ``--seed 0``, the
+``ci_`` commands, one or more per CLI command and per error it exits 2 or 3
+on (named for the CI step that ran them before this panel did; one that
+differs from a ``cli_jobs`` command only by ``--seed 0`` prints the same
+bytes and is listed once), and the strong, commutator and maximal sweeps
 at p = 1.5 and 3 on three measures at N = 40: weights u != v on Legendre plus
 two atoms, Jacobi(0.5, -0.5)|x| + delta_1 and Laguerre + delta_0.
 """
@@ -61,7 +63,7 @@ COMMANDS = [
     ("probe_genjacobi_p3_n100", "probe --p 3 --n 100 --seed 0", GENJACOBI),
     ("laguerre_mass_a0_n200", "laguerre-mass --alpha 0 --n 200 --seed 0", None),
     ("probe_laguerre_p2_n60", "probe --base laguerre --mass 0:1 --p 2 --n 60 --seed 0", None),
-    # CI's console-script commands
+    # the ci_ commands
     ("ci_pollard_jacobi", "pollard --base jacobi --alpha 0.5 --beta -0.5 --mass=-1:0.5 --n 64", None),
     ("ci_kernel_hermite", "kernel --base hermite --mass 0.5:1 --decompose --n 30", None),
     ("ci_kernel_without_masses", "kernel --base legendre --n 8 --decompose", None),
