@@ -8,22 +8,15 @@ HAVE_NUMBA = False  # numpy is the only backend; perfbench/run.py still reads th
 def recurrence_table(alphas, sqrt_betas, x, nmax, head=None, out=None):
     """Values P_0(x)..P_nmax(x) of the orthonormal system, shape (nmax+1, len(x)).
 
-    alphas[k], sqrt_betas[k] = sqrt(beta_k) with beta_0 the total mass; the
-    arrays must have length >= nmax+1.
-
-    ``head``, the rows P_0..P_d of this table at the same x, extends it: only
-    the rows P_{d+1}..P_nmax are computed, from the last two rows of ``head``,
-    and returned, shape (nmax-d, len(x)).  Each row is then the float of the
-    same row of the whole table, since each row depends on the two before it only.
-
-    The rows are computed in a buffer holding P_{d-1}, P_d, ..., P_nmax, with
-    P_{-1} = 0: a fresh one, or the leading nmax-d+2 rows of ``out``, a float
-    array of len(x) columns, and the result is a view of it.  ``head`` may be
-    the first two rows of ``out``, so a caller that extends a table block by
-    block can reuse one buffer.
-
-    Each row is ((x - a_k) P_k - sqrt(b_k) P_{k-1}) / sqrt(b_{k+1}), computed
-    in place in its row of the buffer with one scratch row.
+    alphas[k], sqrt_betas[k] = sqrt(beta_k), beta_0 the total mass, of length
+    >= nmax+1.  ``head``, the rows P_0..P_d of this table at the same x,
+    extends it: only the rows P_{d+1}..P_nmax are computed, from its last two,
+    and returned, each the float of the same row of the whole table
+    (``test_recurrence_table_extends_a_head_bit_for_bit``).  The rows are
+    computed in place in a buffer of P_{d-1}, P_d, ..., P_nmax (P_{-1} = 0):
+    a fresh one, or the leading rows of ``out``, of which the result is a
+    view; ``head`` may be the first two rows of ``out``
+    (``test_recurrence_table_computes_in_a_reused_buffer_bit_for_bit``).
     """
     x = np.ascontiguousarray(x, dtype=float)
     if nmax > len(alphas) or nmax + 1 > len(sqrt_betas):

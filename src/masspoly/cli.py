@@ -1,36 +1,20 @@
 """Batch experiment driver.
 
-Every subcommand is one row of ``COMMANDS``: its run function, its CSV
-header, its parameters, on a command that builds its own measure, that
-measure, and on a probe command the probe modes it runs.  ``_KEYS`` gives
-each parameter key its JSON type, one of those ``measure`` defines, and its
-flag, if it has one.  A subcommand offers --config, --out, --format, the
-flags of its parameters (--seed among them) and, unless it builds its own
-measure, the measure flags --base, --alpha, --beta and --mass; any other
-flag, or a --mode the command does not run, is an argparse error.  Adding a
-subcommand means adding one row; one runner does the rest for all of them.
-It loads --config, builds the measure and resolves each parameter from its
-flag, then the config, then its default.  A default is a value or a function
-of the parameters resolved before it.  A config value must have its key's
-JSON type, a number a finite one, and is kept as given, never coerced; the
-measure and the weights u and v are read by the same types.  A top-level
-config key the command does not read (its parameters, seed and measure) is
-rejected, never ignored.  The weights are parameters of the commands that
-read them only: u and v of probe and check-conditions, u of weak-probe.
+Every subcommand is one row of ``COMMANDS``, and ``_KEYS`` gives each
+parameter key its JSON type and its flag, if it has one.  A subcommand offers
+--config, --out, --format, the flags of its parameters and, unless it builds
+its own measure, --base, --alpha, --beta and --mass; any other flag, or a
+--mode the command does not run, is an argparse error.  Each parameter comes
+from its flag, then the config, then its default.  A config value must have
+its key's JSON type, a number a finite one, and is kept as given; a
+top-level config key the command does not read is rejected.
 
-The degree alone sizes every basis: no key sets the discretization behind a
-generalized Jacobi recurrence.  ``grid_size`` is a key of probe and
-weak-probe only, where it sets the probe's Gauss grid.
-
-Output is JSON (default) or CSV (--format csv), to stdout or --out; both carry
-a schema_version.  The JSON embeds the resolved config: the measure, the seed
-and every parameter.  Fed back through --config alone, it reruns the command
-with byte-identical output.
-
-Exit codes: 0 success, 2 validation error (an argparse error included), 3
-numerical failure, a LAPACK failure (numpy's LinAlgError) included.  A NaN or
-infinite number anywhere in the output is a numerical failure, and then
-nothing is written.
+Output is JSON (default) or CSV, to stdout or --out, with a schema_version.
+The JSON embeds the resolved config, which fed back through --config alone
+reruns the command byte for byte.  Exit codes: 0 success, 2 validation error
+(an argparse error included), 3 numerical failure (numpy's LinAlgError
+included).  A NaN or infinite number anywhere in the output is a numerical
+failure, and then nothing is written.
 """
 
 from __future__ import annotations
@@ -98,10 +82,7 @@ _BASES = {
 
 
 def _build_measure(args, cfg) -> MeasureSpec:
-    """The measure of the config's "measure", or else of the measure flags; never both.
-
-    --alpha and --beta must be parameters of the flagged base.
-    """
+    """The measure of the config's "measure", or else of the flags, whose --alpha and --beta the base must take."""
     if "measure" in cfg:
         given = [f"--{key}" for key in ("base", "alpha", "beta", "mass") if getattr(args, key) is not None]
         if given:
@@ -117,10 +98,7 @@ def _build_measure(args, cfg) -> MeasureSpec:
 
 
 def _check_own_measure(cfg, spec):
-    """On a row that builds its own measure, a config "measure" must be that measure.
-
-    One equal to the built measure passes, so the emitted config replays.
-    """
+    """A config "measure" on a row that builds its own must be the measure built, so the emitted config replays."""
     if "measure" in cfg and measure_from_dict(cfg["measure"]) != spec:
         raise SpecError(
             f"config \"measure\" {json.dumps(cfg['measure'], sort_keys=True)} is not the measure this "
@@ -296,13 +274,11 @@ def _check_conditions(spec, prm):
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand.
+    """One subcommand; ``modes`` are the probe modes a command that reads "mode" runs.
 
     ``params`` are (config key, default) pairs; a callable default is called
     with the measure spec and the parameters resolved so far.  ``measure``,
-    when set, builds the spec from the parameters instead of --config/flags.
-    ``modes``, on a command that reads "mode", are the probe modes it runs:
-    the choices of --mode and the values a config "mode" may take.
+    when set, builds the spec from the parameters.
     """
 
     run: Callable
@@ -406,11 +382,7 @@ COMMANDS = {
 
 
 def _resolve(args, cfg, spec, params):
-    """Each parameter from its flag, the config or its default, in order.
-
-    A config value must have its key's JSON type.  It is kept as given, so the
-    recorded config replays byte for byte.
-    """
+    """Each parameter from its flag, the config (its key's JSON type, kept as given) or its default, in order."""
     prm = {}
     for key, default in params:
         flag = getattr(args, key, None)

@@ -1,26 +1,12 @@
 """Measure and weight specifications and analytic condition checkers.
 
-The central object is a measure of the form
-
-    nu = mu + sum_i M_i * delta_{a_i}
-
-where mu is a generalized Jacobi weight on [-1,1] (or a Laguerre / Hermite
-weight) and the a_i are finitely many mass points.  Power weights u, v enter
-through the boundedness inequalities of the partial-sum operators; the
-checkers evaluate those inequalities line by line with signed margins.
-
-A generalized Jacobi weight is one factor list, ``GenJacobiSpec.factors``:
-the (location, exponent) pairs of its factors |x - t|^e, the end 1, the end
--1, then the interior singularities.  The density, the power weights, the
-conditions, the kernel envelopes, the graded rules and the exact oracle read
-it through ``factor_product``, ``at_end`` and ``is_polynomial`` alone; on
-[-1, 1], |x - 1| is 1 - x and |x + 1| is 1 + x, bit for bit.
-
-Every spec checks itself when it is built: a base weight its exponents and
-singularities, a measure its base type and then its masses, a power weight
-its exponents and its values at the mass points.  A spec that exists is
-valid, so no function that takes one checks it again.  The JSON form of a
-measure or weight is read with the JSON types of a CLI config: a value of the
+A measure is nu = mu + sum_i M_i delta_{a_i}, with mu a generalized Jacobi
+weight on [-1,1] or a Laguerre / Hermite weight.  A generalized Jacobi weight
+is one factor list, ``GenJacobiSpec.factors``, read through
+``factor_product``, ``at_end`` and ``is_polynomial`` alone; on [-1, 1],
+|x - 1| is 1 - x and |x + 1| is 1 + x, bit for bit.  Every spec checks itself
+when it is built, so no function that takes one checks it again.  The JSON
+form of a spec is read with the JSON types of a CLI config: a value of the
 wrong type, or a missing or unknown key, raises a SpecError naming the key.
 """
 
@@ -71,10 +57,7 @@ def factor_product(x, factors):
 
 @dataclass(frozen=True)
 class GenJacobiSpec:
-    """Weight (1-x)^alpha (1+x)^beta prod_i |x - t_i|^gamma_i on [-1,1].
-
-    ``singularities`` is a tuple of (t_i, gamma_i) pairs with t_i in (-1,1).
-    """
+    """Weight (1-x)^alpha (1+x)^beta prod_i |x - t_i|^gamma_i on [-1,1]; ``singularities`` holds the (t_i, gamma_i)."""
 
     alpha: float = 0.0
     beta: float = 0.0
@@ -186,9 +169,8 @@ def legendre(masses=()):
 class PowerWeightSpec:
     """u(x) = (1-x)^a (1+x)^b prod |x-t_i|^g_i, with prescribed values at mass points.
 
-    ``g`` is aligned with the singularity list of the measure's base weight;
-    ``at_mass`` is aligned with the measure's mass list.  The exponents must be
-    finite and the values at the mass points in (0, inf).
+    ``g`` is aligned with the base's singularities, ``at_mass`` with the
+    masses; exponents must be finite, values at the masses in (0, inf).
     """
 
     a: float = 0.0
@@ -226,10 +208,8 @@ class PowerWeightSpec:
 def _check_weight_fits(w: PowerWeightSpec, measure: MeasureSpec):
     """Reject a non-empty g or at_mass without one entry per base singularity or per mass point.
 
-    The factors (1-x)^a (1+x)^b |x-t_i|^g_i belong to [-1, 1]: off it
-    (1-x)^a and (1+x)^b are negative or NaN, so on a Laguerre or Hermite base
-    a weight raises NonFiniteWeight unless it only prescribes its values at
-    the mass points.
+    Off [-1, 1] (1-x)^a and (1+x)^b are negative or NaN, so on a Laguerre or
+    Hermite base a weight with an exponent raises NonFiniteWeight.
     """
     if not isinstance(measure.base, GenJacobiSpec) and (w.a or w.b or any(w.g)):
         raise NonFiniteWeight(f"weight exponents a, b and g apply to generalized Jacobi bases: off [-1, 1] "
@@ -274,13 +254,11 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
     """Evaluate the three inequality blocks governing uniform L^p boundedness.
 
     Block I (upper, strict) constrains the v-exponents, block II (lower,
-    strict) the u-exponents, block III (non-strict) couples them.  Margins are
-    signed so that positive means satisfied; the strict lines use
-    right-minus-left, the non-strict ones u-minus-v.  A strict line holds only
-    where its margin exceeds 1e-12: at a window endpoint the margin is 0,
-    and its float rounds to a few ulps either side, so an endpoint reads not
-    satisfied whichever way it rounds
-    (``test_check_conditions_rejects_the_window_endpoints``).
+    strict) the u-exponents, block III (non-strict) couples them; a positive
+    margin, right minus left on a strict line and u minus v on the others,
+    means satisfied.  A strict line holds only where its margin
+    exceeds 1e-12: at a window endpoint the margin is 0 and rounds to a few
+    ulps either side (``test_check_conditions_rejects_the_window_endpoints``).
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
@@ -312,10 +290,10 @@ def check_conditions(spec: MeasureSpec, u: PowerWeightSpec, v: PowerWeightSpec, 
 def mean_convergence_endpoints(alpha: float, beta: float):
     """Endpoints (p0, p1) of the open interval of uniform L^p boundedness.
 
-    Defined for finite exponents with max(alpha, beta) > -1/2; the larger
-    exponent m drives both, p0 = 4(m+1)/(2m+3) and p1 = 4(m+1)/(2m+1), each
-    written with both halves halved (the same floats) so that none overflows.
-    p0 < 2 < p1 until m passes about 1e16, where both round to 2.
+    Defined for finite exponents with max(alpha, beta) = m > -1/2:
+    p0 = 4(m+1)/(2m+3) and p1 = 4(m+1)/(2m+1), written with both halves
+    halved, the same floats, so that none overflows.  Both round to 2 once m
+    passes about 1e16.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ExponentOutOfRange(f"edge exponents must be finite, got alpha={alpha}, beta={beta}")
@@ -373,10 +351,7 @@ _REALS = JSONType("a list of numbers", lambda v: isinstance(v, list) and all(map
 
 
 def _fields(d, schema, what):
-    """The values of the JSON object ``d`` at the keys of ``schema``, in its order, each read by its JSON type.
-
-    ``schema`` maps every key ``d`` may hold to its JSON type and its default, None for a required key.
-    """
+    """``d``'s values at the keys of ``schema``, key -> (JSON type, default or None if required), in its order."""
     OBJECT.check(d, what)
     unknown = [key for key in d if key not in schema]
     if unknown:

@@ -1,25 +1,11 @@
 """Quadrature grids with atoms, L^p / Lorentz norms, BMO estimation, operator probes.
 
-Operator norms at p = 2 are exact.  For p != 2 the probes take ratios of
-fixed families of seeded random trials and indicator functions, which are
-lower bounds, and the strong and commutator probes add certificates of the
-top expansion coefficients.  The strong, commutator and maximal probes run
-one L^p sweep, ``_lp_sweep``, and give it only their own parts; the sweep
-takes one degree per ratio pass, and an entry is NaN, and the report is
-refused, when any of its parts is.  The restricted-weak probe takes its
-inputs in the sweep's form, columns with norms from one pass and
-coefficients from one product, and keeps its own loop, whose norm pass
-rules out and cuts rows by the running maximum; that pass,
-``_weak_norms``, is the one L^{p,inf} norm, also ``lorentz_norm``'s at
-r = inf.  A strong entry is the larger of the best input
-ratio and rho_n = ||u P_n||_p ||P_n / v||_{p'}, the norm of the increment
-u (S_n - S_{n-1}) v^{-1}, which is no lower bound of ||u S_n v^{-1}||: only
-rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds, and the commutator's
-certificate ratios are those of its increment [M_b, S_n - S_{n-1}].  So a
-"growing" verdict is justified, while "bounded" checks only that
-sup rho_n < inf (ROADMAP item 20).  Verdicts concern growth trends in
-the degree n, not absolute constants.  The p-duality power iteration lives
-only in the dense test reference ``operator_norm_probe``.
+Operator norms at p = 2 are exact.  For p != 2 a probe entry is the best
+ratio over fixed inputs, a lower bound, and the strong and commutator probes
+add the increment certificates that ``strong_probe`` describes.  Verdicts
+concern growth trends in the degree n, not absolute constants.  The probes
+keep S_n in its factors, and their memory peaks are pinned by
+``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
 """
 
 from __future__ import annotations
@@ -136,37 +122,28 @@ class LorentzIndex:
 def _weak_norms(A, w, p, floor):
     """L^{p,inf} norm of every row of a matrix A on node measures w > 0, cut at ``floor``; A is not written.
 
-    The norm of a row is max_i v_(i) C_i^{1/p}, with v_(i) the row's
+    The norm of a signed row is max_i v_(i) C_i^{1/p}, with v_(i) its
     magnitudes in descending order, ties by node index as in
-    ``rearrangement``, and C_i the measure of its first i nodes, so A may hold
-    signed rows.  ``floor`` holds one entry per row: a row whose norm reaches
-    its floor gets that norm exactly and any other row some value below its
-    floor, 0 when a moment bound rules it out.  A floor of 0 gives every norm
-    exactly.  NaN and inf are never cut: a row holding NaN reads NaN, and one
+    ``rearrangement``, and C_i the measure of its first i nodes.  ``floor``
+    holds one entry per row: a row whose norm reaches its floor gets that
+    norm exactly, any other row some value below it, 0 when ruled out, so a
+    floor of 0 gives every norm exactly.  A row holding NaN reads NaN, one
     holding inf but no NaN reads inf.  A holds at least one column.
 
-    A row is ruled out only by Chebyshev's inequality ||f||_{p,inf} <= ||f||_p,
-    with the moment M_p = sum w |f|^p bounded by moments that squarings give,
-    so no power runs over A and its signs need no pass: log-convexity of
-    q -> log M_q bounds M_p by M_1 and M_2 for p <= 2 and by M_2 and M_4 for
-    p <= 4, and M_p <= max|f|^{p-4} M_4 above.  A moment whose power in the
-    bound is 0 is not formed; it stands as inf, whose 0th power is 1 and
-    which no underflow test flags.  So M_1 alone gives the bound at p = 1,
-    M_2 at p = 2 and M_4 at p = 4, where it is the L^p norm.  The slack of
-    1e-10 covers the rounding of the bound and of the sorted cumulative sums,
-    O(m eps), far below it for m <= 1e4.  A moment below the smallest normal
-    float has lost its relative precision to underflow, so its row is kept;
-    so is a row whose bound overflows to inf, and one whose bound or floor
-    is NaN.
+    A row is ruled out by ||f||_{p,inf} <= ||f||_p, with M_p = sum w |f|^p
+    bounded by moments that squarings give, so no power runs over A: by
+    log-convexity M_1 and M_2 bound it for p <= 2, M_2 and M_4 for p <= 4,
+    and M_p <= max|f|^{p-4} M_4 above.  A moment whose power in the bound is
+    0 stands as inf, whose 0th power is 1 and which no underflow test flags.
+    The slack of 1e-10 covers the O(m eps) rounding of the bound and of the
+    cumulative sums.  A row is kept where a moment is below the smallest
+    normal float, or its bound overflows or is NaN.
 
-    The kept rows are copied once and |.| is taken in place on the copy.  A
-    node below floor / w.sum()^{1/p}, less a slack of 1e-10 for rounding, has
-    a term below the floor wherever it stands, so each kept row sorts only
-    the nodes not below that cut, stably by value and so by node index within
-    a tie.  They lead the full descending order, so their cumulative sums add
-    the same numbers in the same order.  A cut row keeps few nodes, so each
-    row is sorted on its own rather than padded into a block to its longest
-    row.
+    A node below floor / w.sum()^{1/p}, less the slack, adds a term below the
+    floor wherever it stands, so a kept row sorts only the nodes not below
+    that cut, stably.  They lead its full descending order, so the cumulative
+    sums are the same floats
+    (``test_weak_norms_cut_at_a_floor_are_exact_where_they_reach_it``).
     """
     with np.errstate(over="ignore"):
         if p <= 2:
@@ -197,12 +174,11 @@ def _weak_norms(A, w, p, floor):
 
 
 def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
-    """Exact L^{p,r} norm of a grid function via its step rearrangement.
+    """Exact L^{p,r} norm of a grid function via its step rearrangement; nodes of measure zero are dropped.
 
-    Nodes of measure zero are dropped.  At r = inf the norm is the
-    restricted-weak probe's pass, ``_weak_norms``, on f at the nodes of
-    positive measure with a floor of 0, which cuts no node: its stable sort of
-    |f| is the rearrangement's order, so the values are sorted once.
+    At r = inf it is ``_weak_norms`` with a floor of 0 on the nodes of
+    positive measure, whose stable sort is the rearrangement's order
+    (``test_lorentz_weak_norm_ties_match_stable_sort``).
     """
     p, r = idx.p, idx.r
     keep = f.weights > 0
@@ -222,10 +198,9 @@ def lorentz_norm(f: GridFunction, idx: LorentzIndex) -> float:
 # BMO
 
 def bmo_norm_estimate(b, resolution: int, return_levels=False):
-    """Dyadic lower bound of the BMO norm of b on [-1,1].
+    """Dyadic lower bound of the BMO norm of b on [-1,1], nondecreasing in ``resolution``.
 
-    Sweeps every dyadic subinterval down to length 2^{1-resolution} with a
-    64-node Gauss rule; the estimate is nondecreasing in ``resolution``.
+    Every dyadic interval down to length 2^{1-resolution}, on 64 Gauss nodes.
     """
     s, ws = gauss_jacobi_rule(64)
     best = 0.0
@@ -306,11 +281,9 @@ def _check_exponent(p, dual=False):
 
 
 def _pnorms(w, X, p):
-    """||X[:, j]||_p of every column of X; X is overwritten.
+    """||X[:, j]||_p of every column of X; X is overwritten, as a temporary of its size costs more than the powers.
 
-    The powers run in place on X itself, in its layout: a temporary as large
-    as X costs more than the powers at the sizes of a sweep.  Callers pass a
-    temporary of their own, or scratch they no longer need.
+    Callers pass a temporary of their own, or scratch they no longer need.
     """
     np.abs(X, out=X)
     X **= p
@@ -321,11 +294,10 @@ def _pnorms(w, X, p):
 def _ratios(w, u, Y, nf, p):
     """||u Y[:, j]||_p / nf[j] for every column j of Y, and 0 where nf[j] = 0; Y is overwritten.
 
-    ``nf`` holds the ``_pnorms`` of the inputs Y came from, so a fixed trial
-    family has its norms computed once per probe.  Y is column-major, so each
-    column's norm is summed pairwise on its own: the same floats however many
-    columns Y has.  u Y, |u Y|^p and its weighted column sums all run on Y, so
-    the pass holds no array beside it.
+    ``nf`` holds the ``_pnorms`` of the inputs Y came from, so a fixed family
+    has its norms computed once per probe.  Y is column-major, so each
+    column's norm is summed on its own: the same floats however many columns
+    Y has (``test_family_takes_each_spot_once_and_keeps_every_entry``).
     """
     Y *= u[:, None]
     Y[u == 0.0] = 0.0  # 0 * inf = 0: a zero u wipes its row
@@ -340,12 +312,11 @@ def operator_norm_probe(
     v_vals=None,
     rng=None,
 ):
-    """Estimate sup_f ||u op(v^{-1} f)||_p / ||f||_p on the grid for a dense op.
+    """Estimate sup_f ||u op(v^{-1} f)||_p / ||f||_p on the grid for a dense op: (estimate, maximizer values).
 
     Exact (spectral) at p = 2; for other p a lower bound from 12 random
     trials, coordinate indicators and a p-duality power iteration of at most
-    300 steps, restarted from the 3 best starting points.  Returns
-    (estimate, maximizer values).  The tests' dense reference for the probes.
+    300 steps from the 3 best starts.  The tests' reference for the probes.
     """
     _check_exponent(p, dual=True)
     m = grid.size
@@ -412,15 +383,11 @@ def _partial_sums(coef, phi, degrees):
     """Yield (n, sum_{k<=n} coef_k^T P_k) for ascending ``degrees``: inputs x nodes; P_k is row k of phi.
 
     With coef = phi (w g) for node values g in its columns, row j of the sum
-    is S_n g_j: S_n = phi_n^T diag(w) phi_n stays in its factors, the caller
-    forms the coefficients once, and each step adds the rows of phi between
-    consecutive degrees.  Every probe takes its sums in this one layout, one
-    row per input.  A one-row step writes its outer product into one reused
-    buffer with ``np.einsum``, the same products as any matmul.  A step of
-    several rows adds the transpose of phi_rows^T coef_rows: OpenBLAS gives
-    that product the same floats at every thread count, while
-    coef_rows^T phi_rows moves in the last place when one thread runs it.
-    The yielded array is updated in place by the next step.
+    is S_n g_j, so S_n stays in its factors.  The yielded array is updated in
+    place by the next step.  A step of several rows adds the transpose of
+    phi_rows^T coef_rows, which OpenBLAS gives the same floats at every
+    thread count, while coef_rows^T phi_rows moves in the last place
+    (``test_partial_sums_are_the_same_floats_at_one_and_two_threads``).
     """
     out = np.zeros((coef.shape[1], phi.shape[1]))
     step = np.empty_like(out)
@@ -437,9 +404,8 @@ def _partial_sums(coef, phi, degrees):
 def _scaled_factor(phi, scale):
     """diag(scale) phi^T, F-contiguous, scaled exactly by 2^-e to bring its largest entry below 1, and e.
 
-    LAPACK does not check for inf or NaN, so the factor is checked here.  NaN
-    propagates through ``min`` and ``max``, so the two reductions that give e
-    also find every non-finite entry.
+    LAPACK does not check for inf or NaN, so the two reductions that give e,
+    through which NaN propagates, also reject every non-finite entry.
     """
     f = np.multiply(scale[:, None], phi.T, out=np.empty(phi.T.shape, order="F"))
     lo, hi = f.min(), f.max()
@@ -453,10 +419,9 @@ def _scaled_factor(phi, scale):
 def _qr_triangle(f):
     """The triangle R of f = QR, as ``np.linalg.qr(f, mode="r")`` gives it; f is overwritten.
 
-    f is F-contiguous, so f.T is the C-contiguous array of its columns that
-    LAPACK's ``dgeqrf`` factors in place.  ``lapack_lite`` is numpy's own
-    binding of the routine that ``np.linalg.qr`` runs, on the same OpenBLAS
-    runtime, but there it runs on two copies of its input.
+    f is F-contiguous, so f.T is the array LAPACK's ``dgeqrf`` factors in
+    place, through numpy's own binding ``lapack_lite``; ``np.linalg.qr`` runs
+    the same routine on two copies (``test_qr_triangle_in_place_is_numpy_qr``).
     """
     a = f.T
     n, m = a.shape
@@ -475,37 +440,18 @@ def _spectral_norms(phi, w, uv, vv, degrees):
 
     In sqrt(w)-scaled coordinates the operator is L_n R_n^T, with L_n and R_n
     the first n+1 columns of L = diag(sqrt(w) u) phi^T and
-    R = diag(sqrt(w) / v) phi^T.  The R factor of the first n+1 columns of a
-    matrix is the leading block T_n of the R factor T of all its columns, so
-    one QR of the v side gives R_n = Q_n T_n for every n.  The u side enters
-    as its Gram matrix G = L^T L, one matmul, and the norm is
-    ||L_n T_n^T|| = sqrt(lambda_max(T_n G[n] T_n^T)), G[n] the leading
-    (n+1) x (n+1) block: per degree two (n+1)^3 matmuls and one ``eigvalsh``,
-    in place of a QR of each side and an SVD per degree.
-
-    The two m x (N+1) factors are never alive together, and neither is
-    copied.  R is built, ``_qr_triangle`` factors it in place and keeps its
-    triangle T, and R is freed; then L is built, G kept and L freed.  The
-    peak of the sweep is L beside T and G, two (N+1)^2 arrays; after it each
-    degree takes its top eigenvalue from T_n G[n] T_n^T, two fresh products
-    no larger than T.  The peak, below that of the two copies of R that
-    ``np.linalg.qr`` makes, is pinned by
-    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
-
-    The top eigenvalue of a symmetric matrix is accurate relative to its norm,
-    but G squares the u side, so the error grows with the spread of u / v over
-    the grid.  The entries are within 1e-13 relative of scipy's SVD of the
-    dense matrix on the weights of
+    R = diag(sqrt(w) / v) phi^T.  The leading block T_n of the triangle T of
+    one QR of R is the R factor of R_n, and the u side enters as its Gram
+    matrix G = L^T L, so the norm is sqrt(lambda_max(T_n G[n] T_n^T)), G[n]
+    the leading (n+1) x (n+1) block.  R and L are never alive together, and
+    neither is copied.  G squares the u side, so the error grows with the
+    spread of u / v: the entries are within 1e-13 relative of scipy's SVD on
+    the weights of
     ``test_p2_entries_match_the_dense_svd_of_another_lapack_across_weights``.
-    No Gram matrix is factored: Cholesky fails on both Gram matrices of that
-    test's last weight pair at N = 120, whose norms are finite.
-
-    Each factor is scaled by the power of two that brings its largest entry
-    below 1, which is exact, so that neither G nor T_n G[n] T_n^T overflows
-    where the factors are finite.  The factorizations run on numpy's LAPACK,
-    the OpenBLAS runtime of every matmul of the probes: a second runtime
-    keeps its own worker thread, which spins after each call and takes the
-    core the first one needs.
+    Each factor is scaled exactly by a power of two, so that no product
+    overflows where the factors are finite.  The factorizations run on
+    numpy's LAPACK, since a second BLAS runtime's worker thread spins after
+    each call on the core the probes' matmuls need.
     """
     sw = np.sqrt(w)
     right, e_right = _scaled_factor(phi, sw / vv)
@@ -535,11 +481,7 @@ def _family(grid: Grid, p, vv, seed, trials, spots):
 
 
 def _dual(rows, p):
-    """L^{p'} dual certificates |g|^{p'-1} sgn g of the rows g, one per column, written over ``rows``.
-
-    The result is ``rows`` transposed: |g|^{p'-1} is the one temporary, and
-    sgn g and the product are taken in place.
-    """
+    """Dual certificates |g|^{p'-1} sgn g of the rows g, one per column: ``rows``, written over and transposed."""
     pp = p / (p - 1)
     mag = np.abs(rows)
     mag **= pp - 1
@@ -549,11 +491,7 @@ def _dual(rows, p):
 
 
 def _check_grid_resolves(grid: Grid, n):
-    """Reject a grid whose Gauss part has fewer than n + 1 nodes.
-
-    Below that the grid cannot tell the basis up to degree n apart: S_n is no
-    longer a projection on it, and a norm of 1 can read as 4.
-    """
+    """Reject a grid of fewer than n + 1 Gauss nodes, on which S_n is no projection and a norm of 1 can read 4."""
     order = grid.size - len(grid.atom_idx)
     if order < n + 1:
         raise GridTooSmall(f"a grid of {order} Gauss nodes resolves degrees up to {order - 1}; "
@@ -561,10 +499,7 @@ def _check_grid_resolves(grid: Grid, n):
 
 
 def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N):
-    """The degree list up to N, grid weights, checked node values of u and v, and the basis table up to N.
-
-    N defaults to the basis degree.
-    """
+    """The degree list up to N (by default the basis degree), grid weights, checked u and v, and the basis table."""
     N = basis.degree if N is None else N
     ns = default_degree_list(N)
     _check_grid_resolves(grid, N)
@@ -578,12 +513,10 @@ def _sweep_setup(basis: OrthoBasis, grid: Grid, u, v, N):
 
 
 def fit_growth(ns, vals):
-    """Fit log(val) ~ gamma log(n) over the top half of the n-range.
+    """Fit log(val) ~ gamma log(n) over the top half of the positive, ascending degrees ns.
 
-    The degrees ns are positive and ascending, as a probe sweep's are.  The
-    fit runs on the running maximum of the values, the right statistic for
-    uniform-in-n boundedness when the values are noisy lower bounds.  The top
-    half must hold two distinct degrees.
+    The fit runs on the running maximum, the statistic for uniform-in-n
+    boundedness of noisy lower bounds; the top half needs two distinct degrees.
     """
     ns = np.asarray(ns, dtype=float)
     vals = np.maximum.accumulate(np.asarray(vals, dtype=float))
@@ -636,9 +569,9 @@ def _sweep_report(mode, p, ns, vals, seed, grid: Grid, u, v, diagnostics=None) -
 def default_degree_list(N):
     """The degrees of a probe sweep: about 20 from 4 to N, spaced geometrically, ascending and distinct.
 
-    The last is N itself.  A set, not ``np.unique``, drops the repeats:
-    ``np.unique`` imports ``numpy.ma``, which a probe process has no other
-    use for.
+    The last is N.  A set drops the repeats: ``np.unique`` imports
+    ``numpy.ma``, which no command loads
+    (``test_cli_jobs_run_on_numpy_alone``).
     """
     if N < 4:
         raise SpecError(f"a degree sweep starts at n = 4; N = {N} is too small")
@@ -648,29 +581,17 @@ def default_degree_list(N):
 def _lp_sweep(mode, basis: OrthoBasis, grid: Grid, p, u, v, N, seed, trials, spots, parts) -> ProbeReport:
     """The report of a strong, commutator or maximal sweep at p != 2.
 
-    The sweep is set up once (``_sweep_setup``), over the degrees of
-    ``default_degree_list(N)``, and draws its fixed family from ``_family``:
-    ``trials`` seeded normal functions and the indicators of ``spots``, K
-    inputs f / v.  ``parts(phi, degrees, w, uv, vv, G)`` gives what is the
-    probe's own: the columns whose coefficients the prefix sums carry, the
-    degrees they step through, the rows g of its certificates, c per degree,
-    its increment norm of each degree (0 for none), and
-    ``write(y, n, d, sums)``.  That call steps ``sums`` to degree n and
-    fills the (K + c, m) row y with the operator applied to the family's
-    inputs, then to d, the degree's c certificates f / v.  ``sums`` is
-    ``_partial_sums`` over those columns, in the layout of y, one row per
-    input over the nodes, so a write copies or combines whole rows and
-    transposes nothing.
-
-    The certificates f = v |g / v|^{p'-1} sgn(g / v) of every degree come
-    from one ``_dual`` call, kept as f / v, and their norms ||f||_p from one
-    ``_pnorms`` pass.  One degree is taken per pass: its K + c output rows
-    go into one scratch, reused from degree to degree, and one ``_ratios``
-    call takes their ratios against the family's norms and the degree's c
-    certificate norms.  That pass sums each column on its own, so the floats
-    are those of one pass over every degree's rows at once.  An entry is the
-    largest of its degree's K + c ratios and its increment norm, and NaN if
-    any of them is, so that ``_sweep_report`` rejects it.
+    The K inputs f / v are ``_family``'s, and
+    ``parts(phi, degrees, w, uv, vv, G)`` gives the probe's own: the columns
+    whose coefficients the prefix sums carry, the degrees they step through,
+    the rows g of its certificates (c per degree), its increment norm of each
+    degree (0 for none), and ``write(y, n, d, sums)``, which steps ``sums``
+    (``_partial_sums`` over the columns) to degree n and fills the (K + c) x m
+    rows y with the operator applied to the inputs, then to d, the degree's c
+    certificates f / v, where f = v |g / v|^{p'-1} sgn(g / v).  One degree is
+    taken per ``_ratios`` pass, in one reused scratch.  An entry is the
+    largest of its K + c ratios and its increment norm, and NaN if any of
+    them is, which ``_sweep_report`` rejects.
     """
     degrees, w, uv, vv, phi = _sweep_setup(basis, grid, u, v, N)
     G, nG = _family(grid, p, vv, seed, trials, spots)
@@ -700,27 +621,15 @@ def strong_probe(
 ) -> ProbeReport:
     """Growth probe of ||u S_n(v^{-1} .)||_{L^p(d-nu)} over the degrees of ``default_degree_list(N)``.
 
-    Exact at p = 2, from one QR of the v side, the Gram matrix of the u side
-    and one ``eigvalsh`` per degree (``_spectral_norms``).  Otherwise an
-    entry is the larger of two numbers.  One is the best ratio of a fixed
-    input, a lower bound of the norm: the inputs are a trial family (8 seeded
-    random functions, the indicators of the atoms and of the middle node)
-    and the dual certificates of the top two expansion coefficients, the
-    test functions v |P_k / v|^{p'-1} sgn(P_k / v) for k = n, n-1.  The other
-    is the projection-increment value
-    rho_n = ||u P_n||_p ||P_n / v||_{p'} = ||u (S_n - S_{n-1})(v^{-1} .)||_{p->p},
-    which is no lower bound of ||u S_n(v^{-1} .)||: only
-    rho_n / 2 <= max(||S_n||, ||S_{n-1}||) holds.  So "growing" is
-    justified, and "bounded" checks only that sup rho_n < inf (ROADMAP item
-    20).  The inputs are fixed, not adapted to the operator.
-
-    At p != 2 the sweep is ``_lp_sweep``'s.  The probe gives it the rows
-    P_n and P_{n-1} of each degree's certificates, rho_n from one pass per
-    exponent, and an output row that steps the prefix sums to S_n and
-    applies S_n to the family and to the two certificates; an entry that
-    rho_n or a ratio makes NaN is rejected.  Its memory peak, below that of
-    every degree's outputs in one stack, is pinned by
-    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
+    Exact at p = 2 (``_spectral_norms``).  Otherwise an entry is the larger
+    of the best ratio of fixed inputs, a lower bound of the norm, and
+    rho_n = ||u P_n||_p ||P_n / v||_{p'} = ||u (S_n - S_{n-1})(v^{-1} .)||_{p->p}.
+    The inputs are 8 seeded random functions, the indicators of the atoms and
+    of the middle node, and the dual certificates
+    v |P_k / v|^{p'-1} sgn(P_k / v) of k = n, n-1.  rho_n is no lower bound
+    of ||u S_n(v^{-1} .)||: only rho_n / 2 <= max(||S_n||, ||S_{n-1}||)
+    holds.  So "growing" is justified, while "bounded" checks only that
+    sup rho_n < inf (ROADMAP item 20).
     """
     _check_exponent(p, dual=True)
     if p == 2:
@@ -771,18 +680,13 @@ def commutator_probe(
 ) -> ProbeReport:
     """Growth probe of the commutator [M_b, S_n] in L^p(d-nu); b must be finite at every node of the grid.
 
-    An entry is the larger of the best ratio of [M_b, S_n] on the trial
-    family, a lower bound of its norm, and the best ratio of the increment
-    [M_b, S_n - S_{n-1}] on its two certificates, which bounds only
-    ||[M_b, S_n]|| + ||[M_b, S_{n-1}]|| from below.  The sweep is
-    ``_lp_sweep``'s: the probe gives it 12 trials, the prefix-sum columns f
-    and b f, the certificate rows P_n and b P_n of each degree, and an output
-    row of b S_n(f / v) - S_n(b f / v) and the increment's two rank-one
-    products.  Entries are fixed-family lower bounds plus increment
-    certificates: exact norms approach their (finite) sup so slowly in n that
-    a trend fit on them would misread every bounded commutator as growing.
-    Its memory peak, below that of every degree's outputs in one stack, is
-    pinned by ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
+    An entry is the larger of the best ratio of [M_b, S_n] on 12 seeded
+    trials and the indicators of the atoms and of the middle node, a lower
+    bound, and the best ratio of the increment [M_b, S_n - S_{n-1}] on its
+    certificates of P_n and b P_n, which bounds only
+    ||[M_b, S_n]|| + ||[M_b, S_{n-1}]|| from below.  No exact norm is taken:
+    those approach their finite sup so slowly in n that the trend fit would
+    read every bounded commutator as growing.
     """
     _check_exponent(p, dual=True)
     b_vals = b(grid.nodes) if callable(b) else np.asarray(b, dtype=float)
@@ -815,15 +719,10 @@ def maximal_probe(
 ) -> ProbeReport:
     """Trial-based growth probe of the truncated maximal operator sup_{n<=N}|S_n|.
 
-    The sweep is ``_lp_sweep``'s, with 40 trials, the indicators of the
-    atoms and of the two end nodes, each node once, and no certificates, so
-    p = 1 is taken.  Its prefix sums step through every degree, each step
-    one outer product over the nodes, and the output row of a degree n is
-    the running sup_{k<=n} |S_k(f / v)|, kept one row per input as the sums
-    are, each step taking the sup with a fresh |S_k|, and copied into the
-    sweep's scratch of K >= 42 rows, one degree per ratio pass.  Its memory
-    peak is pinned by
-    ``test_probe_sweeps_hold_few_arrays_the_size_of_a_factor``.
+    The inputs are 40 seeded trials and the indicators of the atoms and of
+    the two end nodes, and there are no certificates, so p = 1 is taken.
+    The prefix sums step through every degree, and the output of a degree n
+    is the running sup_{k<=n} |S_k(f / v)|.
     """
     _check_exponent(p)
 
@@ -849,12 +748,11 @@ def maximal_probe(
 def default_set_family(grid: Grid, rng):
     """Indicators of sets of grid nodes, one boolean row per set: dyadic intervals, atoms and unions.
 
-    Known extremizers for weak-type failure concentrate at the endpoints, so
-    the family is anchored there: 8 closed dyadic intervals around each
-    anchor, the ends then the atoms, then the atoms' singletons, then 20
-    unions of up to four intervals drawn from ``rng``.  Each row holds a
-    node, and none repeats: a repeat is dropped, and a row keeps the place of
-    its first occurrence.
+    Weak-type extremizers concentrate at the endpoints, so the family is
+    anchored there: 8 closed dyadic intervals around each end, then each
+    atom, the atoms' singletons, then 20 unions of up to four intervals drawn
+    from ``rng``.  Each row holds a node; a repeated row is dropped, keeping
+    the place of its first occurrence.
     """
     nodes = grid.nodes
     lo, hi = nodes.min(), nodes.max()
@@ -888,36 +786,23 @@ def weak_type_probe(
 
     The inputs are indicators, so the probe measures restricted weak type;
     ``restricted=False`` raises SpecError, since no probe over general inputs
-    exists.  The sets are ``default_set_family(grid, rng)``, with ``rng``
-    seeded by ``seed``.  The entries give the running max ratio as the
-    degree cap grows, at the degrees of ``default_degree_list(N)``.
+    exists.  The sets are ``default_set_family(grid, rng)`` with ``rng``
+    seeded by ``seed``, and the entries are the running max ratio at the
+    degrees of ``default_degree_list(N)``.  The partial sums come one degree
+    at a time from ``_partial_sums``, one row per set of positive measure
+    over the nodes of positive measure.
 
-    The family's rows give the inputs chi_E / u, one column each, in the
-    form ``_family`` gives the L^p sweeps: one ``_pnorms`` pass gives every
-    ||chi_E||_p, and one product phi (w chi_E / u) the coefficients of the
-    sets of positive measure.  The partial sums come from the shared
-    prefix-sum loop, one degree at a time, in its one layout: one row per set
-    E of positive measure over the nodes of positive measure.  With u given,
-    u S_n(u^{-1} chi_E) goes into one reused buffer; without it the sums are
-    the rows.  Only the running maximum over sets and degrees reaches the
-    report, so a row does only the work that could raise it: one
-    ``_weak_norms`` pass per degree takes every signed row with the largest
-    ratio at the degrees below n, times the row's ||chi_E||_p, as its floor.
-    Its moment bound rules out a row in O(m) with no sort, and a row it keeps
-    sorts only the nodes that could lift it to that ratio: the ratio is exact
-    when it reaches the running maximum and below it otherwise.  A ruled-out
-    or cut row's ratio is below a computed ratio at a smaller degree, so no
-    running entry,
-    ``max_ratio`` or first-occurrence argmax (``extremal_set``,
-    ``extremal_n``) can change, and reports are bit-identical to sorting
-    every row in full (``test_weak_probe_matches_rearrangement_reference``).
-    The rows it sorts are counted by
-    ``test_weak_probe_sorts_at_most_30_percent_of_its_rows`` (p = 4) and
-    ``test_weak_probe_rules_out_rows_by_their_first_moment_at_p_1``; strictly
-    between 1 and 2 the moment bound prunes little.  Beside the basis table, S
-    sets take O(S (m + N)) working memory.  The first degree whose largest
-    ratio is NaN or inf ends the sweep: every entry from it on is that value,
-    and ``_sweep_report`` refuses the report.
+    Only the running maximum reaches the report, so each degree's
+    ``_weak_norms`` pass takes the largest ratio below n, times the row's
+    ||chi_E||_p, as its floor: a row below it cannot change a running entry,
+    ``max_ratio`` or the first-occurrence argmax (``extremal_set``,
+    ``extremal_n``), and reports are bit-identical to sorting every row in
+    full (``test_weak_probe_matches_rearrangement_reference``).  The rows it
+    sorts are counted by
+    ``test_weak_probe_sorts_at_most_30_percent_of_its_rows`` and
+    ``test_weak_probe_rules_out_rows_by_their_first_moment_at_p_1``.  The
+    first degree whose largest ratio is NaN or inf ends the sweep: every
+    entry from it on is that value, and ``_sweep_report`` refuses the report.
     """
     _check_exponent(p)
     if not restricted:

@@ -1,45 +1,12 @@
 """Orthonormal polynomial systems: recurrences, mass-point updates, kernels.
 
-Construction paths:
-  * classical three-term recurrences for Jacobi / Laguerre / Hermite weights,
-  * discretized Stieltjes recurrences for generalized Jacobi weights, from
-    the ``GenJacobiSpec`` alone: ``genjacobi_discretization`` (the density
-    times ``lebesgue_rule``, composite Gauss-Jacobi cells split at every
-    algebraic singularity), optionally in double-double arithmetic; the
-    degree N alone sizes the discretization, about 40N nodes, and no caller
-    sets it,
-  * every change of measure as a ``Recurrence`` -> ``Recurrence`` step on
-    mu's Jacobi matrix, O(N) each: RKPW Givens rotations add point masses,
-    a QR step gives (x-a)^2 d-mu at any real a, a Cholesky step (1 -+ x) d-mu.
-    Only mu itself is ever discretized.
-
-``lebesgue_rule`` is the library's one graded composite rule: the Lebesgue
-rules of ``transforms`` come from it too.
-
-Each ``Recurrence`` keeps one table, the last one ``Recurrence.table``
-computed; ``OrthoBasis.eval_all`` reads the table of ``nu_rec``.  A request at
-the same points up to its degree is a read-only view of it; a higher degree
-extends it by the new rows only, from its last two; new points replace it.
-Every returned table is read-only and bit-identical to a table computed from
-degree 0.  ``_kernels.recurrence_table`` is the one loop over degrees at
-points; ``gauss_points`` sums its Christoffel numbers over its blocks too.
-
-The library installs and runs on numpy alone: the Gauss-Jacobi panels of
-``lebesgue_rule`` come from ``gauss_points`` on the closed-form Jacobi
-recurrence, and ``gauss_points`` takes its nodes from LAPACK's ``dsterf`` in
-the LAPACK ``numpy.linalg`` links at every order.  scipy is optional: only a
-numpy whose LAPACK does not export ``dsterf`` needs scipy's binding of the
-same routine, and without scipy there ``gauss_points`` raises EigenFailure.
-The tests and the benchmark's references use scipy.  Where scipy is
-installed, ``scipy.special`` is registered in ``sys.modules`` as a lazy
-module (``_lazy_module``) only so that a tracer that looks ``roots_jacobi``
-up there and wraps it finds it; the library never calls it, and the
-registration goes once the tracer stops looking it up.
-
-Kernels L_n(x,y) = sum_{j<=n} P_j(x) P_j(y) are provided on top, with the
-convex-combination decomposition of L_n over Christoffel-modified measures:
-its coefficients come in closed form from mu's kernel at the mass points
-(Christoffel-Uvarov), and the modified recurrences only check the identity.
+A ``Recurrence`` is the one representation of an orthonormal system.
+Classical weights have closed-form recurrences, a generalized Jacobi weight
+a discretized Stieltjes recurrence, and every change of measure is a
+``Recurrence`` -> ``Recurrence`` step on mu's Jacobi matrix: RKPW rotations
+add point masses, a QR step gives (x-a)^2 d-mu, a Cholesky step
+(1 -+ x) d-mu.  So only mu itself is ever discretized.  The library runs on
+numpy alone (``_dsterf``); the tests and the benchmark's references use scipy.
 """
 
 from __future__ import annotations
@@ -78,12 +45,9 @@ def _lazy_module(name):
     """The submodule ``name``, in ``sys.modules``, whose body runs on its first attribute access.
 
     The ``importlib.util.LazyLoader`` recipe of the Python docs, with the spec
-    found by ``importlib.machinery.PathFinder`` on the search path of the
-    parent package's spec, so that neither the submodule nor its parent
-    package runs any code now; a module already imported is returned as it
-    is.  It exists only for ``scipy.special``, which a tracer looks up in
-    ``sys.modules`` to wrap ``roots_jacobi``; the library does not call it,
-    and registers it only where scipy is installed.
+    found on the parent package's search path, so that no module runs any
+    code now.  It serves only a tracer that looks ``roots_jacobi`` up there
+    to wrap it, and can go once no tracer does.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -113,8 +77,7 @@ class Recurrence:
         P_0 = 1/sqrt(b_0),  P_{-1} = 0.
 
     A coefficient that is not finite (the first one is named) or a b_k that
-    is not positive raises NumericalBreakdown.  The recurrence keeps the last
-    table ``table`` computed, read-only.
+    is not positive raises NumericalBreakdown.
     """
 
     alphas: np.ndarray
@@ -137,13 +100,12 @@ class Recurrence:
     def table(self, x, nmax):
         """Orthonormal values P_0..P_nmax at the points x, shape (nmax+1, len(x)), read-only.
 
-        The recurrence keeps the table it returns, rows P_0..P_d at its points.
-        At the same points (bit for bit, so -0.0 is not 0.0), nmax <= d returns
-        its leading rows as a view, and nmax > d computes only the rows
-        d+1..nmax (``recurrence_table`` with ``head=``) and keeps the longer
-        table.  New points get a new table, which replaces the kept one.  Each
-        row depends on the two before it only, so every result is bit-identical
-        to the table computed from degree 0.  Copy a table to write to it.
+        The recurrence keeps the table it returns, rows P_0..P_d.  At the same
+        points (bit for bit, so -0.0 is not 0.0), nmax <= d returns a view of
+        its leading rows and nmax > d computes only rows d+1..nmax; new points
+        replace the table.  Every result is bit-identical to the table computed
+        from degree 0
+        (``test_eval_all_keeps_one_read_only_table_equal_to_a_fresh_one``).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         key = (x.shape, x.tobytes())
@@ -314,12 +276,9 @@ def _dd_fsum(terms):
 
 
 def _stieltjes_mp(x, w, N):
-    """The Stieltjes procedure of ``_stieltjes`` carried out in double-double.
+    """The Stieltjes procedure of ``_stieltjes`` in double-double: about 106 bits until the final rounding.
 
-    Nodes and weights are doubles, so exact pairs.  The polynomial values are
-    pairs, and every inner product is summed exactly and rounded once to a
-    pair, so the coefficients carry about 106 bits until their final rounding
-    to double.
+    Every inner product is summed exactly and rounded once to a pair.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -352,16 +311,12 @@ def _stieltjes_mp(x, w, N):
 
 @functools.lru_cache(maxsize=128)
 def gauss_jacobi_rule(order: int, a: float = 0.0, b: float = 0.0):
-    """Cached order-``order`` Gauss rule for (1-s)^a (1+s)^b ds on [-1, 1].
+    """Cached order-``order`` Gauss rule for (1-s)^a (1+s)^b ds on [-1, 1]; shared, so read-only.
 
-    Gauss-Legendre (``leggauss``) when a = b = 0.  Otherwise Golub-Welsch on
-    the closed-form Jacobi recurrence (``gauss_points``; Golub & Welsch, Math.
-    Comp. 23, 1969; Gautschi 2004, §3.1.1), with the weights rescaled to sum
-    to the recurrence's b_0, the weight's total mass, as
-    ``scipy.special.roots_jacobi`` rescales its own.  Against ``roots_jacobi``
-    at orders 24..80 the nodes agree to 1e-15, and the recurrence's Gram
-    matrix on the rule is closer to the identity.  The arrays are shared by
-    every caller, so they are read-only.
+    Gauss-Legendre (``leggauss``) when a = b = 0.  Otherwise Golub-Welsch
+    (``gauss_points``; Golub & Welsch, Math. Comp. 23, 1969; Gautschi 2004,
+    §3.1.1) on the closed-form Jacobi recurrence, with the weights rescaled to
+    sum to b_0, as ``scipy.special.roots_jacobi`` rescales its own.
     """
     if a == 0.0 and b == 0.0:
         s, ws = np.polynomial.legendre.leggauss(order)
@@ -381,16 +336,12 @@ def _cell_rule(c, d, gl, gr, order, levels, ratio):
     Each half of the cell is graded geometrically toward its edge: the panel
     edges lie at the offsets 0, h ratio^levels, ..., h ratio, h from it (h the
     half width), and an ungraded half is one panel.  The panel touching a
-    graded edge with exponent e != 0 takes the Gauss-Jacobi rule of u^e, so a
-    weight times the factor |x - edge|^e read at its node is the panel rule's
-    weight of the smooth rest.  That holds at the stored node: every weight of
-    the half carries (u / u~)^e for the offset u the panel rule asks for and
-    the offset u~ of the float x it is stored as.  Near an edge the floats are
-    1e-16 apart while the finest panels of a 45-level rule are 1e-14 wide, so
-    without that ratio a factor like |x - 0.3|^(-1/2) is read at the wrong
-    place, by up to 17% at order 12.  Where the finest panel's nodes would
-    round onto the edge, its level is left out; a half with no level left
-    raises NumericalBreakdown.
+    graded edge with exponent e != 0 takes the Gauss-Jacobi rule of u^e, and
+    every weight of the half carries (u / u~)^e for the offset u the panel
+    rule asks for and the offset u~ of the float node x, so the factor
+    |x - edge|^e read at the stored node cancels.  Where the finest panel's
+    nodes would round onto the edge, its level is left out; a half with no
+    level left raises NumericalBreakdown.
     """
     mid = 0.5 * (c + d)
     sg, wg = gauss_jacobi_rule(order)
@@ -427,11 +378,9 @@ def lebesgue_rule(factors, order, levels, ratio):
 
     ``factors`` are (location, exponent) pairs of the factors |x - location|^exponent
     of the integrands; repeated locations add their exponents.  The interval
-    is split into cells at every location, and each cell takes a ``_cell_rule``
-    graded toward its listed edges with ``levels`` levels at ``ratio``; an
-    interval end is graded only when it is listed.  A sum of the weights
-    against an integrand holding the factors cancels them node by node, so
-    only the smooth rest is left to the panel rules.  A location outside
+    is split at every location into cells, each a ``_cell_rule`` graded
+    toward its listed edges, so a sum of the weights against an integrand
+    holding the factors cancels them node by node.  A location outside
     [-1, 1] raises SpecError.
     """
     exps = {}
@@ -457,11 +406,9 @@ def genjacobi_discretization(spec: GenJacobiSpec, m: int):
     """Composite quadrature (nodes, weights) of about m nodes for a generalized Jacobi weight.
 
     ``lebesgue_rule`` graded at both ends and every interior singularity, 12
-    levels at ratio 1/4, times the density: the end panels absorb the local
-    algebraic factors, so the rest is analytic panel by panel.  The panel
-    order spreads m nodes over the cells, within 24..80.  This is the one
-    place a discretization is sized: ``stieltjes_recurrence`` calls it at
-    m = 40N, and checks call it at any m.
+    levels at ratio 1/4, times the density; the panel order spreads m nodes
+    over the cells, within 24..80.  ``stieltjes_recurrence`` calls it at
+    m = 40N.
     """
     levels = 12
     ncells = len(spec.factors) - 1  # the spec's locations are distinct
@@ -471,10 +418,9 @@ def genjacobi_discretization(spec: GenJacobiSpec, m: int):
 
 
 def stieltjes_recurrence(base: GenJacobiSpec, N: int, high_precision=False) -> Recurrence:
-    """Recurrence of a generalized Jacobi weight, by the discretized Stieltjes procedure.
+    """Recurrence of a generalized Jacobi weight: Stieltjes on ``genjacobi_discretization(base, 40N)``.
 
-    The procedure runs on ``genjacobi_discretization(base, 40N)``, in
-    double-double with ``high_precision``.
+    In double-double with ``high_precision``.
     """
     if not isinstance(base, GenJacobiSpec):
         raise SpecError(f"stieltjes_recurrence discretizes generalized Jacobi weights, not {base!r}")
@@ -497,13 +443,10 @@ def _dsterf(names=("scipy_dsterf_64_", "dsterf_64_")):
     """LAPACK's ``dsterf`` as a function (diagonal, off-diagonal) -> (eigenvalues ascending, info).
 
     The symbol is looked up through the handle of ``numpy.linalg._umath_linalg``,
-    and dlsym searches that library's dependencies, so it is the LAPACK
-    ``numpy.linalg`` already links: ``scipy_dsterf_64_`` in numpy >= 2
-    wheels, ``dsterf_64_`` in older ILP64 ones, both with 64-bit integers.
-    A numpy whose LAPACK exports neither name (Accelerate, MKL) gets
-    ``scipy.linalg.lapack.dsterf``, the same routine through scipy's binding,
-    and raises EigenFailure where scipy is not installed.  Neither argument is
-    written to.
+    whose dependencies dlsym searches, so it is the LAPACK numpy links:
+    ``scipy_dsterf_64_`` in numpy >= 2 wheels, ``dsterf_64_`` in older ILP64
+    ones.  A numpy whose LAPACK exports neither gets scipy's binding of the
+    routine, or EigenFailure without scipy.  Neither argument is written to.
     """
     lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
     found = [getattr(lib, name) for name in names if hasattr(lib, name)]
@@ -533,27 +476,18 @@ def gauss_points(rec: Recurrence, m: int):
     """Gauss rule (nodes, weights) of order m from the recurrence.
 
     The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch), from
-    one call of LAPACK's ``dsterf`` (``_dsterf``) on its diagonal and
-    off-diagonal at every order: the implicit QL/QR iteration, O(m^2) time
-    and O(m) memory.  numpy's dense ``eigvalsh`` and
-    ``scipy.linalg.eigvalsh_tridiagonal`` end in the same routine, and their
-    nodes are the same floats.  If ``dsterf`` does not converge, EigenFailure
-    is raised; the coefficients it is given are finite, as ``Recurrence``
-    refuses any other.
-
-    Weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2, which keep
-    relative accuracy down to the tiny weights at far Laguerre / Hermite
-    nodes; Golub-Welsch eigenvector weights only have absolute accuracy.
-
-    The rows come from ``recurrence_table`` in blocks of 8 degrees, computed
-    in one reused buffer, each seeded (``head``) by the last two rows before
-    it rescaled by 2^-h, the sum by 2^-2h, h half the sum's binary exponent,
-    so far nodes cannot overflow.
-    A power of two scales a float exactly while it neither overflows nor turns
-    subnormal, and every step (a recurrence row, a square, a sum) commutes
-    with one common scaling of its inputs, so the weights are the floats of a
-    rescale after every step.  Between rescales the sum stays below 2^166 on
-    Laguerre(0) at m = 1200 (2^199 at m = 5000), far inside the exponent range.
+    one ``_dsterf`` call, the routine numpy's ``eigvalsh`` and scipy's
+    ``eigvalsh_tridiagonal`` end in; EigenFailure is raised if it does not
+    converge.  The weights are Christoffel numbers 1 / sum_{k<m} P_k(x_j)^2,
+    which keep relative accuracy at far Laguerre / Hermite nodes, where
+    eigenvector weights have only absolute accuracy.  The rows come from
+    ``recurrence_table`` in blocks of 8 degrees in one buffer
+    (``test_gauss_points_hold_no_array_of_order_squared``), each seeded by
+    the last two rows rescaled by 2^-h, the sum by 2^-2h, h half the sum's
+    binary exponent, so far nodes cannot overflow.  A power of two scales
+    exactly while nothing overflows or turns subnormal, and every step
+    commutes with one common scaling, so the weights are the floats of a
+    rescale after every step (``test_gauss_points_weights``).
     """
     if not 1 <= m <= len(rec):
         raise GridTooSmall(f"rule order {m} is outside 1..{len(rec)}, the orders the recurrence reaches")
@@ -600,10 +534,8 @@ def _check_degree(n, cap=math.inf):
 class OrthoBasis:
     """Evaluation-ready orthonormal system for a MeasureSpec up to a degree cap.
 
-    ``nu_rec`` is the recurrence of the whole measure nu and drives every
-    evaluation; its length sets the degree cap.  ``rec`` stays the recurrence
-    of the continuous part mu (the same object when the measure carries no
-    point masses).
+    ``nu_rec``, the recurrence of nu, drives every evaluation and sets the
+    degree cap; ``rec`` is that of mu, the same object without point masses.
     """
 
     measure: MeasureSpec
@@ -615,10 +547,8 @@ class OrthoBasis:
         return len(self.nu_rec) - 1
 
     def eval_all(self, x, upto: int | None = None):
-        """Values P_0..P_upto at points x, shape (upto+1, len(x)), as a read-only array.
+        """Values P_0..P_upto at points x, shape (upto+1, len(x)): ``nu_rec.table(x, upto)``, read-only.
 
-        This is ``nu_rec.table(x, upto)``: the kept table lives on ``nu_rec``,
-        so a request at its points reads or extends it (``Recurrence.table``).
         A degree outside 0..cap raises DegreeOutOfRange.
         """
         n = self.degree if upto is None else upto
@@ -629,14 +559,12 @@ class OrthoBasis:
 def add_mass_points(rec: Recurrence, masses) -> Recurrence:
     """Recurrence of nu = mu + sum M_i delta_{a_i} from the recurrence ``rec`` of mu.
 
-    RKPW (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi 2004, §2.2.3): the
-    Jacobi matrix J of degrees 0..N (N + 1 = len(rec)) encodes the Gauss rule
-    of order N+1 of mu without forming it, and each atom enters J through one
-    sweep of Givens rotations that restores tridiagonal form, O(N) per atom.
-    The rule plus the atoms integrates nu exactly to degree 2N+1, so the
-    coefficients are exact through degree N.  Entry k of a sweep reads only
-    entries <= k, so the sweeps stop at degree N and leave out the rows the
-    atoms add below.  Without masses ``rec`` itself is returned.
+    RKPW (Gragg & Harrod, Numer. Math. 44, 1984; Gautschi 2004, §2.2.3): each
+    atom enters the Jacobi matrix of degrees 0..N (N + 1 = len(rec)) through
+    one O(N) sweep of Givens rotations.  Its Gauss rule plus the atoms
+    integrates nu exactly to degree 2N+1, so the coefficients are exact
+    through degree N, and entry k of a sweep reads only entries <= k.
+    Without masses ``rec`` itself is returned.
     """
     if not masses:
         return rec
@@ -738,17 +666,17 @@ def kernel_envelope(spec: MeasureSpec, a: float, x, n):
     One factor per entry (t, e) of the weight's factor list but the one at
     a itself: (|x - t| + n^-2)^{-(2e + 1)/4} at an end t = +-1, and
     (|x - t| + n^-1)^{-e/2} at an interior singularity.  An array ``n``
-    broadcasts against x: degrees of shape (k, 1) and points of shape (m,)
-    give the k envelopes at once, shape (k, m).
+    broadcasts against x: degrees (k, 1) and points (m,) give shape (k, m).
     """
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("kernel envelopes apply to generalized Jacobi bases")
     x = np.asarray(x, dtype=float)
     n = np.asarray(n)
-    # n^-2 and n^-1 from Python floats: numpy's vectorized power rounds some of
-    # them differently from the C library's pow (n^-2 at 76 of n <= 1000), and
-    # array and scalar n must give the same floats
+    # n^-2 and n^-1 from Python floats: numpy's vectorized power rounds some
+    # of them otherwise than the C library's pow, and array and scalar n give
+    # the same floats
+    # (test_kernel_envelope_over_an_array_of_degrees_is_bit_identical_to_scalar_calls)
     inv2 = np.reshape([float(k) ** -2.0 if k > 0 else 1.0 for k in n.flat], n.shape)
     inv1 = np.reshape([float(k) ** -1.0 if k > 0 else 1.0 for k in n.flat], n.shape)
     env = np.ones(np.broadcast_shapes(x.shape, n.shape))
@@ -762,10 +690,7 @@ def kernel_envelope(spec: MeasureSpec, a: float, x, n):
 def kernel_envelope_ratio(basis: OrthoBasis, a: float, N: int):
     """Running sup over n <= N and a 400-point Chebyshev grid of |L_n(x,a)| / envelope.
 
-    Finiteness and stability of the returned sequence verify the kernel
-    estimates empirically; the constant itself is not asserted.  The kernels
-    of every degree come from one ``kernel_sequence`` call and their
-    envelopes from one ``kernel_envelope`` call.
+    Finite and stable, it checks the kernel estimates; no constant is asserted.
     """
     m = 400
     x = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))
@@ -822,13 +747,11 @@ def kernel_decomposition(nu_basis: OrthoBasis, mods: dict, n: int) -> KernelDeco
     Christoffel-Uvarov (Uvarov 1969; Gautschi 2004, §2.4): with K the kernel
     K_n of mu at the mass points and M = diag(M_i), the coefficient of
     prod_{a in A}(x-a)(y-a) K_{n-|A|}^A(x,y) is
-    c_A = det((M K)_{AA}) / det(I + M K), so c_empty = 1 / det(I + M K) and
-    the c_A over all subsets sum to 1.  Subsets with |A| > n carry no kernel
-    and are left out.  The identity is then checked on a tensor grid against
-    the kernels of the recurrences ``mods`` (``modified_bases``: QR steps, on
-    any base); a relative residual above 1e-8 raises NumericalBreakdown.
-    A degree n outside 0 .. min(basis cap, top degree of ``mods``) raises
-    DegreeOutOfRange.
+    c_A = det((M K)_{AA}) / det(I + M K), and the c_A sum to 1; subsets with
+    |A| > n are left out.  The identity is checked on a tensor grid against
+    the kernels of ``mods`` (``modified_bases``); a relative residual above
+    1e-8 raises NumericalBreakdown, and a degree n outside
+    0 .. min(basis cap, top degree of ``mods``) DegreeOutOfRange.
     """
     cap = min(nu_basis.degree, len(mods[()]) - 1)
     if not 0 <= n <= cap:
@@ -870,8 +793,7 @@ def kernel_decomposition(nu_basis: OrthoBasis, mods: dict, n: int) -> KernelDeco
 def monomial_coefficients(basis: OrthoBasis):
     """Monomial coefficient triangle of P_0..P_N; row n holds P_n, ascending powers.
 
-    Intended for small degree caps (cross-checks against exact arithmetic);
-    the conversion is exponentially ill-conditioned for large N.
+    For small degree caps: the conversion is exponentially ill-conditioned.
     """
     N = basis.degree
     rec = basis.nu_rec

@@ -1,17 +1,12 @@
 """Exact rational reference pipeline.
 
-Moments of the measure are computed in exact Fraction arithmetic whenever the
-weight is polynomial-representable (integer edge exponents, even integer
-interior exponents, integer Laguerre parameter).  Gautschi's Chebyshev
-algorithm turns the moments m_0..m_{2N+1} into the exact recurrence in O(N^2)
-rational operations, and the monic orthogonal polynomials follow from it.
-Results are frozen references against which the floating-point construction
-is verified.
-
-The degree is capped at MAX_ORACLE_DEGREE.  The cost of each operation grows
-with the size of the rationals: atoms at +-1 or none keep them small, while an
-interior atom at a decimal location (a binary float with a long denominator)
-makes them grow quickly with N.
+Where the weight is polynomial-representable (integer edge exponents, even
+integer interior exponents, integer Laguerre parameter), its moments are
+exact Fractions, and Gautschi's Chebyshev algorithm turns them into the exact
+recurrence: the reference the floating-point construction is checked against.
+The degree is capped at MAX_ORACLE_DEGREE; an interior atom at a decimal
+location (a binary float with a long denominator) makes the rationals grow
+quickly with N.
 """
 
 from __future__ import annotations
@@ -58,10 +53,9 @@ def _weight_polynomial(base: GenJacobiSpec):
 
 
 def rational_moments(spec: MeasureSpec, upto: int):
-    """Exact moments m_0..m_upto of the measure, as Fractions.
+    """Exact moments m_0..m_upto of the measure, as Fractions; Irrational where the base has none.
 
     Mass locations and sizes are binary floats, hence exact rationals.
-    Raises Irrational when the continuous part has no rational moments.
     """
     base = spec.base
     moments = [Fraction(0)] * (upto + 1)
@@ -97,12 +91,10 @@ def _chebyshev(moments, N: int):
 
     Gautschi's Chebyshev algorithm: row k holds sigma_{k,l} = <p_k, x^l> for
     l = k..2N+1-k, with sigma_{k,l} = sigma_{k-1,l+1} - a_{k-1} sigma_{k-1,l}
-    - b_{k-1} sigma_{k-2,l}, so the pass takes O(N^2) operations.  Then
-    h_k = sigma_{k,k}, b_k = h_k / h_{k-1} (b_0 = m_0) and a_k is the
-    difference of sigma_{k,k+1} / h_k and its value at k - 1.  h_k is the
-    ratio of leading Hankel minors k+1 and k, so a nonpositive h_k raises
-    HankelSingular exactly where the Hankel matrix stops being positive
-    definite.
+    - b_{k-1} sigma_{k-2,l}.  Then h_k = sigma_{k,k}, b_k = h_k / h_{k-1}
+    (b_0 = m_0) and a_k is the difference of sigma_{k,k+1} / h_k and its value
+    at k - 1.  h_k is the ratio of leading Hankel minors k+1 and k, so a
+    nonpositive h_k raises HankelSingular.
     """
     if len(moments) < 2 * N + 2:
         raise DegreeOutOfRange(f"need moments up to order {2 * N + 1}")

@@ -3,27 +3,12 @@ transform, Pollard decomposition, commutators, and the Laguerre mass-point
 kernel formula.
 
 An operator call evaluates each basis once, at its quadrature nodes and
-evaluation points together.  ``_expand`` splits that table by column and
-projects value columns onto P_0..P_n: S_n, the maximal operator, the
-commutator and the independent T_n of the Pollard split all go through it.
-The Pollard split reads p_{n+1}, (1-t^2) q_n, f and the density once at
-(rule nodes, x); the Psi split of the commutator is the Pollard split of f
-and of b f on the same values.  (r_n, s_n) come in closed
-form from the recurrences of nu and of (1-x^2) d-nu; the least-squares fit
-that extracts them from T_n is kept as the reference the tests check.
-
-All operators are pure given immutable bases.  S_n, the maximal operator and
-the commutator take GridFunctions sampled on the measure grid.  The Hilbert
-transform and the Pollard and Psi splits take callables; a GridFunction is
-read only at exactly its own nodes, and anywhere else raises GridMismatch.
-Integrals with respect to Lebesgue measure use ``lebesgue_rule_for``, which
-is ``opoly.lebesgue_rule``, the rule the discretized Stieltjes recurrences are
-built on, at 45 levels of ratio 1/2: cells split at every singular point,
-panels graded geometrically toward it, and Gauss-Jacobi panels that absorb an
-algebraic factor |x - t|^g there.  Every weight next to t
-carries the ratio (exact offset / stored offset)^g of its node, so the density
-read at the rounded node cancels the factor, and endpoint and interior log or
-algebraic singularities are resolved to near machine precision.
+evaluation points together (``_expand``, ``_pollard_setup``).  S_n, the
+maximal operator and the commutator take GridFunctions sampled on the
+measure grid.  The Hilbert transform and the Pollard and Psi splits take
+callables; a GridFunction is read only at exactly its own nodes, and
+anywhere else raises GridMismatch.  Integrals with respect to Lebesgue
+measure use ``lebesgue_rule_for``.
 """
 
 from __future__ import annotations
@@ -75,12 +60,11 @@ def _check_grid(basis: OrthoBasis, f: GridFunction, n: int):
 
 
 def _expand(basis: OrthoBasis, nodes, weights, columns, n: int, x):
-    """Coefficients of each value column on P_0..P_n, and P_0..P_n at the points x.
+    """Coefficients of each value column on P_0..P_n, and P_0..P_n at the points x, from one table at (nodes, x).
 
-    One table of ``basis`` at (nodes, x) serves both: entry j of a column's
-    coefficients is sum_k weights_k v_k P_j(nodes_k), so S_n v(x) = coef @ px.
-    px is copied out of the table: matmul sums a single strided column in
-    another order than a contiguous one.
+    Entry j of a column's coefficients is sum_k weights_k v_k P_j(nodes_k),
+    so S_n v(x) = coef @ px.  px is copied out: matmul sums a single strided
+    column in another order than a contiguous one.
     """
     table = basis.eval_all(np.concatenate([nodes, np.atleast_1d(np.asarray(x, dtype=float))]), n)
     phi, px = table[:, : len(nodes)], np.ascontiguousarray(table[:, len(nodes):])
@@ -111,10 +95,9 @@ def maximal_op(basis: OrthoBasis, f: GridFunction, N: int, x):
 def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
     """[M_b, S_n] f(x) = b(x) S_n f(x) - S_n(b f)(x).
 
-    b is a callable, or values on the grid of f (a GridFunction or an array),
-    which are read at x by linear interpolation between the grid nodes.  It
-    must be finite at every node of that grid, its mass points first
-    (``norms.check_symbol``); at x it may not be, and the values then are not.
+    b is a callable, or values on the grid of f read at x by linear
+    interpolation.  It must be finite at every node of that grid
+    (``norms.check_symbol``); where it is not finite at x, nor are the values.
     """
     _check_grid(basis, f, n)
     b_vals = _as_values(b, f.nodes)
@@ -130,14 +113,7 @@ def commutator(basis: OrthoBasis, b, f: GridFunction, n: int, x):
 
 
 def lebesgue_rule_for(spec: MeasureSpec, extra_singular=(), order: int = 12):
-    """Lebesgue rule on [-1,1] graded at the weight's singular locations.
-
-    The locations of the factors that are not polynomials
-    (``measure.is_polynomial``) are graded and their panels absorb the
-    exponent (``opoly.lebesgue_rule``), so a sum of weights times the density
-    integrates those factors exactly; ``extra_singular`` points are graded at
-    exponent 0.
-    """
+    """Lebesgue rule on [-1,1] absorbing the weight's non-polynomial factors, graded also at ``extra_singular``."""
     base = spec.base
     if not isinstance(base, GenJacobiSpec):
         raise SpecError("Lebesgue rules are for [-1,1] supports")
@@ -156,9 +132,7 @@ def _interior(x):
 def hilbert_transform(g, x, rule):
     """Principal value of int_{-1}^{1} g(y)/(x-y) dy on a Lebesgue ``rule`` (nodes, weights), g read once at (nodes, x).
 
-    Singularity-subtracted quadrature: the smooth part integrates
-    (g(y)-g(x))/(x-y) on the rule and the subtracted constant contributes
-    g(x) log((1+x)/(1-x)).
+    (g(y)-g(x))/(x-y) on the rule plus the subtracted g(x) log((1+x)/(1-x)).
     """
     xs = _interior(x)
     y, wy = rule
@@ -207,10 +181,7 @@ def _relative_residual(recon, direct):
 
 @dataclass
 class PollardParts:
-    """T_n f split into the rank-one and two Hilbert-transform parts.
-
-    Reconstruction: T_n f = r_n W1 + s_n W2 - s_n W3 at the evaluation points.
-    """
+    """T_n f split into the rank-one and two Hilbert-transform parts: T_n f = r_n W1 + s_n W2 - s_n W3 at x."""
 
     n: int
     r: float
@@ -238,9 +209,8 @@ def _check_pollard_degree(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
 def _pollard_setup(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int, x, extra_singular=()):
     """(rule, x, z, values) of the degree-n Pollard and Psi splits at the points x inside (-1, 1).
 
-    The rule is ``lebesgue_rule_for`` at order max(16, n + 8), x is an array,
-    z = (rule nodes, x), and the values are p_{n+1}, (1-t^2) q_n and the
-    density of mu at z, one table per basis.
+    The rule is ``lebesgue_rule_for``'s of order max(16, n + 8); the values
+    are p_{n+1}, (1-t^2) q_n and the density of mu at z = (rule nodes, x).
     """
     rule = lebesgue_rule_for(nu_basis.measure, extra_singular, order=max(16, n + 8))
     x = _interior(x)
@@ -273,12 +243,11 @@ def _continuous_partial_sums(nu_basis: OrthoBasis, fs, n: int, x):
 def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     """(r_n, s_n) of the Pollard split in closed form from the two recurrences.
 
-    (1-y^2) d-nu is the measure of the q_n, so (1-y^2) q_n lies in the span of
-    p_n, p_{n+1}, p_{n+2}; the Christoffel-Darboux formula then gives, with
+    (1-y^2) q_n lies in the span of p_n, p_{n+1}, p_{n+2}, and the
+    Christoffel-Darboux formula gives, with
     t^2 = b_{n+1}(nu) prod_{k<=n} b_k(nu) / b_k(q) (b_0 the total mass),
-    r_n = -t^2 / (1+t^2) and s_n = t / (1+t^2); both products underflow by
-    n ~ 540, so t^2 is formed as a product of ratios.  As t -> 1 the limits
-    are -1/2 and 1/2.
+    r_n = -t^2 / (1+t^2) and s_n = t / (1+t^2).  Each product alone
+    underflows at large n, so t^2 is a product of ratios.
     """
     _check_pollard_degree(nu_basis, q_basis, n)
     b_nu, b_q = nu_basis.nu_rec.betas, q_basis.nu_rec.betas
@@ -289,10 +258,9 @@ def pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
 def fit_pollard_coefficients(nu_basis: OrthoBasis, q_basis: OrthoBasis, n: int):
     """Extract (r_n, s_n) by least squares against independently computed T_n.
 
-    Uses three random polynomial test functions (seed 7) on a fixed interior test grid;
-    also returns the condition number of the 3-column fit.  This is the
-    reference for ``pollard_coefficients`` in the tests and the benchmark;
-    the library itself never calls it.
+    Three random polynomials (seed 7) on a fixed interior grid; also returns
+    the condition number of the 3-column fit.  The tests' and the benchmark's
+    reference for ``pollard_coefficients``.
     """
     _check_pollard_degree(nu_basis, q_basis, n)
     x = np.linspace(-0.87, 0.87, 31) + 1.3e-4  # interior, off the nodes
@@ -362,11 +330,10 @@ def commutator_psi_parts(
 ) -> CommutatorParts:
     """Evaluate the Psi operators of the commutator split at the points x.
 
-    Applies to the partial sums of the absolutely continuous measure; b and f
-    are callables on [-1,1].  b_I is the Lebesgue mean of b over the interval,
-    and the Psi parts combine the Pollard parts W1..W3 of f and of b f.
-    ``b_singularities`` lists locations where b blows up so the quadrature can
-    grade toward them.
+    For the absolutely continuous measure; b and f are callables on [-1,1],
+    b_I is the Lebesgue mean of b, and the Psi parts combine the Pollard
+    parts W1..W3 of f and of b f, on a rule graded at ``b_singularities``,
+    where b blows up.
     """
     if mu_basis.measure.masses:
         raise SpecError("the Psi split applies to the absolutely continuous part")
@@ -415,10 +382,7 @@ def laguerre_q_at_zero(alpha: float, n) -> np.ndarray:
 
 
 def laguerre_mass_kernel(alpha: float, M: float, n: int, x):
-    """Kernel values L_n(x, 0) = r_n Q_n(x) for e^{-x} x^alpha dx + M delta_0.
-
-    Returns (L_n(x,0), r_n) with r_n = L_n(0,0)/Q_n(0) > 0.
-    """
+    """(L_n(x, 0), r_n) for e^{-x} x^alpha dx + M delta_0: L_n(x, 0) = r_n Q_n(x), r_n = L_n(0,0)/Q_n(0) > 0."""
     nu_basis = basis_for(MeasureSpec(LaguerreSpec(alpha), (MassPoint(0.0, M),)), n)
     l_00 = float(np.sum(nu_basis.eval_all(0.0, n)[:, 0] ** 2))
     q0 = float(laguerre_q_at_zero(alpha, n))

@@ -1,7 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +437,16 @@ LAGUERRE_ZERO = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
 U = PowerWeightSpec(a=0.3, b=-0.2, at_mass=(2.0, 0.5))
 V = PowerWeightSpec(a=-0.25, b=0.4, at_mass=(0.7, 1.5))
 TRIALS = {"strong": 8, "commutator": 12, "maximal": 40}  # random trial functions of each probe
+SMOOTH_STEP = bmo_symbols()["smooth_step"]
+# probe mode -> its call (basis, grid, p, u, v, N, seed); the commutator probe takes SMOOTH_STEP as its
+# symbol, and the weak probe takes u alone
+PROBES = {
+    "strong": lambda basis, grid, p, u=None, v=None, N=None, seed=0: strong_probe(basis, grid, p, u, v, N, seed),
+    "commutator": lambda basis, grid, p, u=None, v=None, N=None, seed=0: commutator_probe(
+        basis, grid, SMOOTH_STEP, p, u, v, N, seed),
+    "maximal": lambda basis, grid, p, u=None, v=None, N=None, seed=0: maximal_probe(basis, grid, p, u, v, N, seed),
+    "weak": lambda basis, grid, p, u=None, v=None, N=None, seed=0: weak_type_probe(basis, grid, p, u, N, seed),
+}
 
 
 def _dense_entries(mode, spec, basis, grid, p, b_vals, ns, seed=1):
@@ -476,16 +490,10 @@ def test_probe_factor_path_matches_dense_reference(mode, p, spec):
     N = 30
     basis = basis_for(spec, N)
     grid = make_grid(spec, 3 * N)
-    b = bmo_symbols()["smooth_step"]
     ns = default_degree_list(N)
-    if mode == "strong":
-        rep = strong_probe(basis, grid, p, U, V, N=N, seed=1)
-    elif mode == "commutator":
-        rep = commutator_probe(basis, grid, b, p, U, V, N=N, seed=1)
-    else:
-        rep = maximal_probe(basis, grid, p, U, V, N=N, seed=1)
+    rep = PROBES[mode](basis, grid, p, U, V, N=N, seed=1)
     assert [n for n, _ in rep.entries] == ns
-    expected = _dense_entries(mode, spec, basis, grid, p, b(grid.nodes), ns)
+    expected = _dense_entries(mode, spec, basis, grid, p, SMOOTH_STEP(grid.nodes), ns)
     np.testing.assert_allclose([e for _, e in rep.entries], expected, rtol=1e-12, atol=0)
 
 
@@ -572,7 +580,7 @@ def test_family_takes_each_spot_once_and_keeps_every_entry(monkeypatch, spec, mo
     G, nG = norms._family(grid, 3.0, np.ones(grid.size), 0, 8, spots)
     assert G.shape == (grid.size, 8 + len(spots) - 1) == (grid.size, len(nG))
     np.testing.assert_array_equal(G[:, 8:], np.eye(grid.size)[:, list(dict.fromkeys(spots))])
-    probe = maximal_probe if mode == "maximal" else strong_probe
+    probe = PROBES[mode]
     report = probe(basis, grid, 3.0, N=30).to_dict()
     # each column is summed on its own, so the family with the repeated indicator gives the same entries
     real = norms._family
@@ -600,10 +608,8 @@ def test_probe_families_have_their_documented_members(monkeypatch, mode):
         return real(grid, p, vv, seed, trials, spots)
 
     monkeypatch.setattr(norms, "_family", recording)
-    probe = {"strong": strong_probe, "maximal": maximal_probe,
-             "commutator": functools.partial(commutator_probe, b=bmo_symbols()["smooth_step"])}[mode]
-    probe(basis, grid, p=3.0, N=20, seed=5)
-    probe(basis, grid, p=3.0, N=20)  # the seed defaults to 0
+    PROBES[mode](basis, grid, 3.0, N=20, seed=5)
+    PROBES[mode](basis, grid, 3.0, N=20)  # the seed defaults to 0
     assert calls == [(5, *expected[mode]), (0, *expected[mode])]
 
 
@@ -634,14 +640,8 @@ def test_probe_sweeps_hold_few_arrays_the_size_of_a_factor(mode, p, bound):
     # keeps |u S_n| in a buffer of its own without u (0.94 units) or takes a fresh one per degree with u (0.98)
     N = 200
     basis, grid = _basis_and_grid(LEGENDRE_ONE, N)
-    b = bmo_symbols()["smooth_step"]
-    probe = {
-        "strong": lambda: strong_probe(basis, grid, p, N=N),
-        "commutator": lambda: commutator_probe(basis, grid, b, p, N=N),
-        "maximal": lambda: maximal_probe(basis, grid, p, N=N),
-        "weak": lambda: weak_type_probe(basis, grid, p, N=N),
-        "weak_u": lambda: weak_type_probe(basis, grid, p, PowerWeightSpec(a=0.25), N=N),
-    }[mode]
+    mode, u = ("weak", PowerWeightSpec(a=0.25)) if mode == "weak_u" else (mode, None)
+    probe = functools.partial(PROBES[mode], basis, grid, p, u, N=N)
     probe()  # builds and keeps the basis table, which is not counted
     tracemalloc.start()
     try:
@@ -677,14 +677,14 @@ def test_spectral_norms_reject_a_non_finite_factor():
         _spectral_norms(phi, grid.weights, ones, ones, [4, 10])
 
 
-@pytest.mark.parametrize("probe", [strong_probe, maximal_probe])
-def test_probes_reject_power_weights_on_a_laguerre_base(probe):
+@pytest.mark.parametrize("mode", ["strong", "maximal"])
+def test_probes_reject_power_weights_on_a_laguerre_base(mode):
     # u = 1 - x is negative at every node x > 1, so no growth rate can be read off it
     spec = MeasureSpec(LaguerreSpec(0.0), (MassPoint(0.0, 1.0),))
     basis, grid = basis_for(spec, 20), make_grid(spec, 60)
     with pytest.raises(SpecError, match="apply to generalized Jacobi bases"):
-        probe(basis, grid, 3.0, u=PowerWeightSpec(a=1.0), N=20)
-    rep = probe(basis, grid, 3.0, u=PowerWeightSpec(at_mass=(2.0,)), N=20)
+        PROBES[mode](basis, grid, 3.0, u=PowerWeightSpec(a=1.0), N=20)
+    rep = PROBES[mode](basis, grid, 3.0, u=PowerWeightSpec(at_mass=(2.0,)), N=20)
     assert all(math.isfinite(e) for _, e in rep.entries)
 
 
@@ -713,16 +713,10 @@ def _grid_with_left_endpoint(spec, m):
 def test_probes_reject_bad_weight_values(mode, p, u, v):
     basis = basis_for(SPEC, 10)
     grid = _grid_with_left_endpoint(SPEC, 30)
+    if mode == "weak":  # its one weight u also divides the input, so it plays v's part too
+        u, v = u or v, None
     with pytest.raises(NonFiniteWeight):
-        if mode == "strong":
-            strong_probe(basis, grid, p, u, v, N=10)
-        elif mode == "commutator":
-            commutator_probe(basis, grid, bmo_symbols()["smooth_step"], p, u, v, N=10)
-        elif mode == "maximal":
-            maximal_probe(basis, grid, p, u, v, N=10)
-        else:
-            # the weak probe has one weight: u, which also divides the input, so it plays v's part too
-            weak_type_probe(basis, grid, p, u if u is not None else v, N=10)
+        PROBES[mode](basis, grid, p, u, v, N=10)
 
 
 @pytest.mark.parametrize("p, modes", [
@@ -733,16 +727,9 @@ def test_probes_reject_bad_weight_values(mode, p, u, v):
 def test_probes_reject_bad_exponents(p, modes):
     basis = basis_for(SPEC, 10)
     grid = make_grid(SPEC, 30)
-    b = bmo_symbols()["smooth_step"]
-    calls = {
-        "strong": lambda: strong_probe(basis, grid, p, N=10),
-        "commutator": lambda: commutator_probe(basis, grid, b, p, N=10),
-        "maximal": lambda: maximal_probe(basis, grid, p, N=10),
-        "weak": lambda: weak_type_probe(basis, grid, p, N=10),
-    }
     for mode in modes:
         with pytest.raises(SpecError):
-            calls[mode]()
+            PROBES[mode](basis, grid, p, N=10)
 
 
 def test_maximal_probe_accepts_p1():
@@ -751,15 +738,18 @@ def test_maximal_probe_accepts_p1():
     assert all(np.isfinite(v) and v > 0 for _, v in rep.entries)
 
 
-# the weak probe against one rearrangement per (set, degree)
+# the weak probe against a full stable sort of every (set, degree) row
 
 def _weak_reference(basis, grid, p, u, sets, N, seed):
-    """The weak probe's report, every ratio from ``rearrangement`` of one full prefix sum.
+    """The weak probe's report, every ratio from ``_stable_weak_norms`` of one full prefix sum.
 
     The inputs chi_E / u are the columns of one array, their norms come from
     one ``_pnorms`` pass, and the coefficients of the sets of positive
     measure from one product, as in the probe, so the reference reads the
-    same floats.  ``sets`` None takes the default family.
+    same floats.  Each set's (N+1) x m partial sums are sorted in full, row by
+    row; a node of measure zero adds +0.0 to the cumulative sums, so they are
+    those of ``rearrangement`` with that node dropped.  ``sets`` None takes
+    the default family.
     """
     if sets is None:
         sets = default_set_family(grid, np.random.default_rng(seed))
@@ -771,10 +761,7 @@ def _weak_reference(basis, grid, p, u, sets, N, seed):
     ratios = np.zeros((len(sets), N + 1))
     for si in np.flatnonzero(live):
         partials = np.cumsum(phi * coefs[:, si, None], axis=0)
-        for n in range(N + 1):
-            vals, meas = rearrangement(grid.fn(uv * partials[n]))
-            keep = meas > 0
-            ratios[si, n] = np.max(vals[keep] * np.cumsum(meas[keep]) ** (1.0 / p)) / denoms[si]
+        ratios[si] = _stable_weak_norms(uv * partials, grid.weights, p) / denoms[si]
     si, n_star = np.unravel_index(np.argmax(ratios), ratios.shape)
     running = np.maximum.accumulate(ratios.max(axis=0))
     entries = [(n, float(running[n])) for n in default_degree_list(N)]
@@ -1120,29 +1107,15 @@ def test_weak_probe_keeps_a_later_degree_that_ties_the_running_maximum(monkeypat
 @pytest.mark.parametrize("mode", ["strong", "commutator", "maximal", "weak"])
 def test_probes_reject_a_grid_too_coarse_for_the_top_degree(mode):
     basis = basis_for(SPEC, 40)
-    b = bmo_symbols()["smooth_step"]
-    calls = {
-        "strong": lambda grid: strong_probe(basis, grid, 2.0, N=40),
-        "commutator": lambda grid: commutator_probe(basis, grid, b, 2.0, N=40),
-        "maximal": lambda grid: maximal_probe(basis, grid, 2.0, N=40),
-        "weak": lambda grid: weak_type_probe(basis, grid, 2.0, N=40),
-    }
     with pytest.raises(GridTooSmall, match="at least 41"):
-        calls[mode](make_grid(SPEC, 40))  # 40 Gauss nodes plus the atom
-    assert len(calls[mode](make_grid(SPEC, 41)).entries) == len(default_degree_list(40))
+        PROBES[mode](basis, make_grid(SPEC, 40), 2.0, N=40)  # 40 Gauss nodes plus the atom
+    assert len(PROBES[mode](basis, make_grid(SPEC, 41), 2.0, N=40).entries) == len(default_degree_list(40))
 
 
 def _small_sweep(mode, N):
     spec = legendre([MassPoint(1.0, 1.0)])
     basis, grid = basis_for(spec, 10), make_grid(spec, 40)
-    b = bmo_symbols()["smooth_step"]
-    calls = {
-        "strong": lambda: strong_probe(basis, grid, 3.0, N=N),
-        "commutator": lambda: commutator_probe(basis, grid, b, 3.0, N=N),
-        "maximal": lambda: maximal_probe(basis, grid, 3.0, N=N),
-        "weak": lambda: weak_type_probe(basis, grid, 3.0, N=N),
-    }
-    return calls[mode]()
+    return PROBES[mode](basis, grid, 3.0, N=N)
 
 
 @pytest.mark.parametrize("N, message", [
@@ -1176,15 +1149,7 @@ def test_make_grid_rejects_a_grid_without_nodes(m):
 def test_probe_reports_record_their_weights(mode):
     basis = basis_for(TWO_MASSES, 20)
     grid = make_grid(TWO_MASSES, 60)
-    b = bmo_symbols()["smooth_step"]
-    if mode == "strong":
-        rep = strong_probe(basis, grid, 3.0, U, V, N=20)
-    elif mode == "commutator":
-        rep = commutator_probe(basis, grid, b, 3.0, U, V, N=20)
-    elif mode == "maximal":
-        rep = maximal_probe(basis, grid, 3.0, U, V, N=20)
-    else:
-        rep = weak_type_probe(basis, grid, 3.0, U, N=20)
+    rep = PROBES[mode](basis, grid, 3.0, U, V, N=20)
     assert rep.u == {"a": 0.3, "b": -0.2, "g": [], "atMass": [2.0, 0.5]}
     assert rep.v == ({} if mode == "weak" else {"a": -0.25, "b": 0.4, "g": [], "atMass": [0.7, 1.5]})
 
@@ -1206,13 +1171,27 @@ def test_every_probe_sums_through_the_shared_prefix_loop(monkeypatch, mode):
         return real(coef, phi, degrees)
 
     monkeypatch.setattr(norms, "_partial_sums", counting)
-    if mode == "strong":
-        rep = strong_probe(basis, grid, 3.0, N=20)
-    elif mode == "commutator":
-        rep = commutator_probe(basis, grid, bmo_symbols()["smooth_step"], 3.0, N=20)
-    elif mode == "maximal":
-        rep = maximal_probe(basis, grid, 3.0, N=20)
-    else:
-        rep = weak_type_probe(basis, grid, 3.0, N=20)
+    rep = PROBES[mode](basis, grid, 3.0, N=20)
     assert len(calls) == 1 and calls[0][0] == 21  # one coefficient row per degree 0..20
     assert len(rep.entries) == len(default_degree_list(20))
+
+
+# one step of 121 rows, as a sweep to a large N takes, in a process whose OpenBLAS thread count is set
+_STEP_SUMS = """
+import hashlib
+import numpy as np
+from masspoly.norms import _partial_sums
+rng = np.random.default_rng(0)
+phi, coef = rng.standard_normal((121, 601)), rng.standard_normal((121, 40))
+((_, sums),) = _partial_sums(coef, phi, [120])
+print(hashlib.sha1(sums.tobytes()).hexdigest())
+"""
+
+
+def test_partial_sums_are_the_same_floats_at_one_and_two_threads():
+    # the transpose of phi_rows^T coef_rows; coef_rows^T phi_rows moves in the last place between the two
+    src = str(Path(norms.__file__).resolve().parents[1])
+    digests = [subprocess.run([sys.executable, "-c", _STEP_SUMS], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+               for threads in (1, 2)]
+    assert digests[0] == digests[1] != ""
