@@ -63,8 +63,10 @@ def _expand(basis: OrthoBasis, nodes, weights, columns, n: int, x):
     """Coefficients of each value column on P_0..P_n, and P_0..P_n at the points x, from one table at (nodes, x).
 
     Entry j of a column's coefficients is sum_k weights_k v_k P_j(nodes_k),
-    so S_n v(x) = coef @ px.  px is copied out: matmul sums a single strided
-    column in another order than a contiguous one.
+    so S_n v(x) = coef @ px.  px is copied out, as matmul sums a single
+    strided column in another order than a contiguous one: S_n v(x) is the
+    floats of coef dotted with P_0..P_n evaluated at x alone
+    (test_partial_sum_is_its_coefficients_dotted_with_the_basis_at_x_alone).
     """
     table = basis.eval_all(np.concatenate([nodes, np.atleast_1d(np.asarray(x, dtype=float))]), n)
     phi, px = table[:, : len(nodes)], np.ascontiguousarray(table[:, len(nodes):])

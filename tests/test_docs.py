@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "masspoly").glob("*.py"))
 README = ROOT / "README.md"
 # a test function's name; the stem of a test module's path (tests/test_norms.py) is not one
-TEST_NAME = re.compile(r"test_[a-z0-9_]+\b(?!\.py)")
+TEST_NAME = re.compile(r"\btest_[a-z0-9_]+\b(?!\.py)")
 # a timing or memory figure: measured history, which CHANGES.md holds
 FIGURE = re.compile(r"[0-9] ?ms\b|[0-9] MB\b|[0-9.]+ factors")
 

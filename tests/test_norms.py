@@ -439,13 +439,13 @@ V = PowerWeightSpec(a=-0.25, b=0.4, at_mass=(0.7, 1.5))
 TRIALS = {"strong": 8, "commutator": 12, "maximal": 40}  # random trial functions of each probe
 SMOOTH_STEP = bmo_symbols()["smooth_step"]
 # probe mode -> its call (basis, grid, p, u, v, N, seed); the commutator probe takes SMOOTH_STEP as its
-# symbol, and the weak probe takes u alone
+# symbol, and the weak probe takes u alone.  Only those two are wrapped, so an omitted argument still
+# reaches each probe's own default.
 PROBES = {
-    "strong": lambda basis, grid, p, u=None, v=None, N=None, seed=0: strong_probe(basis, grid, p, u, v, N, seed),
-    "commutator": lambda basis, grid, p, u=None, v=None, N=None, seed=0: commutator_probe(
-        basis, grid, SMOOTH_STEP, p, u, v, N, seed),
-    "maximal": lambda basis, grid, p, u=None, v=None, N=None, seed=0: maximal_probe(basis, grid, p, u, v, N, seed),
-    "weak": lambda basis, grid, p, u=None, v=None, N=None, seed=0: weak_type_probe(basis, grid, p, u, N, seed),
+    "strong": strong_probe,
+    "commutator": lambda basis, grid, p, *a, **k: commutator_probe(basis, grid, SMOOTH_STEP, p, *a, **k),
+    "maximal": maximal_probe,
+    "weak": lambda basis, grid, p, u=None, v=None, **k: weak_type_probe(basis, grid, p, u, **k),
 }
 
 

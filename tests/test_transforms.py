@@ -54,6 +54,20 @@ def test_partial_sum_reproduces_polynomials():
     assert np.allclose(vals, x**6 - 0.2 * x**2 + 1.0, atol=1e-11)
 
 
+
+@pytest.mark.parametrize("n", [8, 30, 120])
+def test_partial_sum_is_its_coefficients_dotted_with_the_basis_at_x_alone(n):
+    # the basis is evaluated at the grid and at x in one table; S_n f(x) is still the same floats as the
+    # coefficients dotted with P_0..P_n evaluated at x on their own, at one point and at several
+    basis = basis_for(SPEC, n)
+    grid = make_grid(SPEC, 3 * n + 10)
+    rng = np.random.default_rng(n)
+    f = grid.fn(rng.standard_normal(grid.size))
+    coef = basis.eval_all(f.nodes, n) @ (f.weights * f.values)
+    for x in [*rng.uniform(-1.0, 1.0, 10), rng.uniform(-1.0, 1.0, 7)]:
+        expected = coef @ basis.eval_all(np.atleast_1d(x), n)
+        np.testing.assert_array_equal(np.atleast_1d(partial_sum(basis, f, n, x)), expected)
+
 def test_split_identity():
     # S_n f = T_n f + sum_i M_i L_n(x, a_i) f(a_i) pointwise
     basis = basis_for(SPEC, 12)
