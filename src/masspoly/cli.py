@@ -25,7 +25,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -206,32 +205,24 @@ def _pollard(spec, prm):
     return {"r": parts.r, "s": parts.s, "residual": parts.residual, "rows": rows}, rows
 
 
-def _commutator_probe(basis, grid, q, u):
-    v = _weight(q, "v")
-    norms._check_exponent(q["p"], dual=True)  # as in the probe, p is checked before the symbol
-    b = _symbol(q, grid)
-    return norms.commutator_probe(basis, grid, b, q["p"], u, v, N=q["N"], seed=q["seed"])
-
-
-# probe mode -> probe call (basis, grid, parameters, u); the restricted-weak probe takes no v
-_PROBES = {
-    "strong": lambda basis, grid, q, u: norms.strong_probe(
-        basis, grid, q["p"], u, _weight(q, "v"), N=q["N"], seed=q["seed"]),
-    "restricted-weak": lambda basis, grid, q, u: norms.weak_type_probe(
-        basis, grid, q["p"], u, N=q["N"], seed=q["seed"]),
-    "maximal": lambda basis, grid, q, u: norms.maximal_probe(
-        basis, grid, q["p"], u, _weight(q, "v"), N=q["N"], seed=q["seed"]),
-    "commutator": _commutator_probe,
-}
+# probe mode -> probe; each takes (basis, grid, p, u, v, N, seed) but the commutator probe, which takes its
+# symbol before p, and the restricted-weak probe, which takes no v
+_PROBES = {"strong": norms.strong_probe, "restricted-weak": norms.weak_type_probe,
+           "maximal": norms.maximal_probe, "commutator": norms.commutator_probe}
 
 
 def _probe(spec, prm):
     basis = basis_for(spec, prm["N"])
     grid = make_grid(spec, prm["grid_size"])
-    u = _weight(prm, "u")
+    mode = prm["mode"]
     # an overflow leaves non-finite values, which the probe raises as NumericalBreakdown
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = _PROBES[prm["mode"]](basis, grid, prm, u)
+        weights = [_weight(prm, key) for key in (("u",) if mode == "restricted-weak" else ("u", "v"))]
+        symbol = []
+        if mode == "commutator":
+            norms._check_exponent(prm["p"], dual=True)  # as in the probe, p is checked before the symbol
+            symbol = [_symbol(prm, grid)]
+        rep = _PROBES[mode](basis, grid, *symbol, prm["p"], *weights, N=prm["N"], seed=prm["seed"])
     return {"report": rep.to_dict()}, [(int(n), float(e)) for n, e in rep.entries]
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 

@@ -150,7 +150,7 @@ def machine():
     return {"cpu": cpu, "openblas_core": core.decode() if core else None, "openblas_threads": found.get("num_threads")}
 
 
-def run(argv, config):
+def run(argv, config=None):
     """{argv, config, exit, stderr, stdout} of ``masspoly.cli.main`` on ``argv``, with ``config`` as its --config text.
 
     stdout is parsed when it is not empty.  Every warning goes to stderr as
@@ -176,6 +176,30 @@ def run(argv, config):
     stderr = err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     return {"argv": argv.split(), "config": config, "exit": code, "stderr": stderr,
             "stdout": json.loads(stdout) if stdout else stdout}
+
+
+def failure(record):
+    """The error type and message of a failing ``run`` record, which must keep the CLI's failure contract.
+
+    It exits 2 or 3, writes nothing to stdout, and writes one ``Type: message``
+    line to stderr, so a leaked warning, which ``run`` adds as a second line,
+    breaks it.  An argparse error exits 2 with its usage and one ``PROG:
+    error: message`` line; its type is ``usage`` and its message all of
+    stderr after ``usage: ``.
+    """
+    assert record["exit"] in (2, 3), record["exit"]
+    assert record["stdout"] == "", record["stdout"]
+    stderr = record["stderr"]
+    assert stderr.endswith("\n"), stderr
+    *usage, last = stderr.splitlines()
+    if usage:
+        prog = last.partition(": error: ")[0]
+        assert record["exit"] == 2 and usage[0].startswith(f"usage: {prog} ") and ": error: " in last, stderr
+        assert all(line.startswith(" ") for line in usage[1:]), stderr
+        return "usage", stderr[len("usage: "):-1]
+    kind, sep, message = last.partition(": ")
+    assert sep and kind.isidentifier(), stderr
+    return kind, message
 
 
 def main():
