@@ -191,11 +191,10 @@ def test_command_prints_its_golden_output(name, numpy_alone):
 def test_every_failing_golden_command_prints_one_typed_line_and_nothing_else():
     # the contract test_cli.py's FAILURES table is held to, so a regenerated file cannot record a leaked warning
     # or a partial write
-    records = [json.loads((golden.GOLDEN / f"{name}.json").read_text()) for name, _, _ in golden.COMMANDS]
-    failing = [record for record in records if record["exit"] != 0]
-    assert sorted(record["exit"] for record in failing) == [2] * 17 + [3] * 2
-    for record in failing:
-        golden.failure(record)
+    for name, _, _ in golden.COMMANDS:
+        record = json.loads((golden.GOLDEN / f"{name}.json").read_text())
+        if record["exit"] != 0:
+            golden.failure(record)
 
 
 def test_the_panel_runs_where_scipy_cannot_be_found(numpy_alone):
